@@ -34,7 +34,6 @@ from repro.cache.artifacts import (
 )
 from repro.cache.keys import (
     CACHE_VERSION,
-    PERF_ONLY_CONFIG_FIELDS,
     cache_key_payload,
     canonical_allocation,
     canonical_config,
@@ -42,6 +41,7 @@ from repro.cache.keys import (
     canonical_timing,
     canonical_topology,
     diagnosis_cache_key,
+    hashed_fields,
     schedule_cache_key,
 )
 from repro.cache.store import (
@@ -58,7 +58,6 @@ __all__ = [
     "CACHE_VERSION",
     "CacheStats",
     "DeltaState",
-    "PERF_ONLY_CONFIG_FIELDS",
     "ScheduleCache",
     "artifact_key",
     "bounds_content",
@@ -72,6 +71,7 @@ __all__ = [
     "entry_to_error",
     "entry_to_routing",
     "error_to_entry",
+    "hashed_fields",
     "persist_cache_stats",
     "pools_content",
     "routing_to_entry",

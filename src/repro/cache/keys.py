@@ -10,8 +10,8 @@ payload and hashes it with SHA-256, so the key is
   dict insertion tricks (every mapping is emitted with sorted keys;
   floats round-trip exactly through ``repr``);
 - **complete** — any input that can change the compiled schedule is in
-  the payload, including every :class:`~repro.core.compiler.
-  CompilerConfig` field, so perturbing a single field yields a
+  the payload, including every ``hashed``-role :class:`~repro.core.
+  compiler.CompilerConfig` field, so perturbing a single one yields a
   different key;
 - **structural for topologies** — the key hashes the actual link set,
   not the topology's display name, so two residual topologies that both
@@ -25,9 +25,10 @@ deserializing wrongly (the invalidation rule — see ``docs/compiler.md``).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,29 +44,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: would otherwise shadow or miss the unified key space.
 CACHE_VERSION = "repro.cache/2"
 
-#: ``CompilerConfig`` fields that change solver wall time but provably
-#: not the compiled schedule (pinned by the PR 7 property tests) —
-#: always elided from cache keys.
-PERF_ONLY_CONFIG_FIELDS = ("lp_batch", "lp_warm_start")
 
-#: ``CompilerConfig`` fields that are part of cache identity.  Together
-#: with :data:`PERF_ONLY_CONFIG_FIELDS` this is the complete decision
-#: ledger: every config field appears in exactly one of the two tuples.
-#: The ``cache-key`` lint rule cross-checks the ledger against the
-#: dataclass statically, and :func:`canonical_config` enforces it at
-#: runtime — a new knob cannot ship without an explicit hash-or-elide
-#: decision.
-HASHED_CONFIG_FIELDS = (
-    "seed",
-    "use_assign_paths",
-    "max_paths",
-    "max_restarts",
-    "retries",
-    "feedback_rounds",
-    "sync_margin",
-    "lp_backend",
-    "prescreen",
-)
+@functools.cache
+def hashed_fields(
+    config_type: type[Any],
+) -> tuple[dataclasses.Field[Any], ...]:
+    """The fields of a config dataclass that are part of cache identity.
+
+    Each field states its own role in ``metadata`` — ``"hashed"``
+    (identity) or ``"perf"`` (changes solver wall time but provably not
+    the compiled schedule; always elided).  The table is computed once
+    per class; a field with neither role raises here, so a new knob
+    cannot reach a key without an explicit hash-or-elide decision.
+    """
+    fields = dataclasses.fields(config_type)
+    undecided = [
+        f.name
+        for f in fields
+        if f.metadata.get("role") not in ("hashed", "perf")
+    ]
+    if undecided:
+        raise ValueError(
+            f"{config_type.__name__} fields {undecided} declare no cache "
+            'role; add metadata={"role": "hashed"} or {"role": "perf"}'
+        )
+    return tuple(f for f in fields if f.metadata["role"] == "hashed")
 
 
 def canonical_tfg(tfg: "TaskFlowGraph") -> dict[str, Any]:
@@ -110,7 +113,7 @@ def canonical_allocation(allocation: Mapping[str, int]) -> list[list[Any]]:
 
 
 def canonical_config(config: "CompilerConfig") -> dict[str, Any]:
-    """Every config field; new fields invalidate old keys automatically.
+    """Every :func:`hashed <hashed_fields>` config field, by name.
 
     ``lp_backend`` is canonicalized to the backend ``"auto"`` *resolves
     to in this environment*, not the literal string.  Hashing the
@@ -122,33 +125,21 @@ def canonical_config(config: "CompilerConfig") -> dict[str, Any]:
     ``key("auto") == key(resolved)`` within one environment, which is
     what content addressing promises.
 
-    Solver *performance* knobs (:data:`PERF_ONLY_CONFIG_FIELDS`) are
-    elided **unconditionally**: they change how fast the LPs are
-    solved, not which schedule comes out (batched and warm-started
-    solves are byte-identical to sequential cold ones — pinned by the
-    PR 7 property tests), so all four knob combinations must hash to
-    the same key.  Eliding only default values — the pre-``/2``
+    ``perf``-role knobs are elided **unconditionally**: batched and
+    warm-started solves are byte-identical to sequential cold ones
+    (pinned by the PR 7 property tests), so every knob combination must
+    hash to the same key.  Eliding only default values — the pre-``/2``
     behaviour — fragmented the key space: a sweep run with
     ``lp_batch=False`` could not reuse entries a default-config run had
     already compiled, despite producing byte-identical schedules.
     """
     from repro.solvers import default_backend_name
 
-    fields = asdict(config)
-    decided = set(HASHED_CONFIG_FIELDS) | set(PERF_ONLY_CONFIG_FIELDS)
-    if set(fields) != decided:
-        undecided = sorted(set(fields) - decided)
-        stale = sorted(decided - set(fields))
-        raise ValueError(
-            "CompilerConfig fields drifted from the cache-key decision "
-            f"ledger (undecided: {undecided}, stale: {stale}); update "
-            "HASHED_CONFIG_FIELDS / PERF_ONLY_CONFIG_FIELDS in "
-            "repro.cache.keys"
-        )
+    fields = {
+        f.name: getattr(config, f.name) for f in hashed_fields(type(config))
+    }
     if fields.get("lp_backend") == "auto":
         fields["lp_backend"] = default_backend_name()
-    for knob in PERF_ONLY_CONFIG_FIELDS:
-        fields.pop(knob, None)
     return fields
 
 

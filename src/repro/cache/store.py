@@ -361,22 +361,12 @@ class ScheduleCache:
         instead of contending on one — and survive the process;
         multiple processes may share the directory (writes are atomic).
         When ``None`` the cache is purely in-memory.
-
-    Opening a directory that still holds flat-layout entries
-    (``<directory>/<key>.json``, the pre-shard format) migrates them
-    into their shard subdirectories once, via atomic renames, so mixed
-    and concurrent openers converge on the sharded layout without ever
-    observing a missing entry.
     """
 
     def __init__(self, directory: str | Path | None = None):
         self.directory = Path(directory) if directory is not None else None
         self._memory: dict[str, dict[str, Any]] = {}
         self.stats = CacheStats()
-        #: Flat-layout entries moved into shard dirs when opening.
-        self.migrated_entries = 0
-        if self.directory is not None and self.directory.is_dir():
-            self.migrated_entries = self._migrate_flat_layout()
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -391,31 +381,6 @@ class ScheduleCache:
     def _disk_path(self, key: str) -> Path:
         assert self.directory is not None
         return self.directory / key[:2] / f"{key}.json"
-
-    def _migrate_flat_layout(self) -> int:
-        """One-shot migration of pre-shard entries into shard dirs.
-
-        Earlier cache versions wrote ``<directory>/<key>.json`` at the
-        top level; every key is a SHA-256 hex digest, so anything else
-        (``cache-stats.json``, temp files) is left alone.  Renames are
-        atomic and races with other processes migrating the same
-        directory are benign: whoever loses the :func:`os.replace`
-        simply finds the source gone and moves on.
-        """
-        migrated = 0
-        assert self.directory is not None
-        for path in self.directory.glob("*.json"):
-            key = path.stem
-            if len(key) != 64 or any(c not in "0123456789abcdef" for c in key):
-                continue
-            target = self._disk_path(key)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(path, target)
-            except OSError:  # pragma: no cover - racing migrator won
-                continue
-            migrated += 1
-        return migrated
 
     def fetch(
         self, key: str, topology: "Topology | None" = None

@@ -18,30 +18,22 @@ Runs a figure-style experiment from the shell::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro.errors import ReproError, RepairInfeasibleError, SchedulingError
-from repro.experiments import (
-    pipeline_comparison,
-    standard_setup,
-    utilization_comparison,
-)
+from repro.experiments import pipeline_comparison, utilization_comparison
+from repro.experiments.setup import ALLOCATORS, InstanceSpec
 from repro.core.compiler import CompilerConfig, compile_schedule
-from repro.mapping.allocation import (
-    bfs_allocation,
-    random_allocation,
-    sequential_allocation,
-)
 from repro.metrics import load_sweep
 from repro.report import format_spike, format_table
+from repro.solvers import BACKEND_NAMES
 from repro.tfg import dvb_tfg
 from repro.topology import (
     STANDARD_TOPOLOGIES as TOPOLOGIES,
     TOPOLOGY_ALIASES,
     make_topology,
 )
-
-ALLOCATORS = ("sequential", "bfs", "random", "annealed")
 
 
 def _nonnegative_int(value: str) -> int:
@@ -66,28 +58,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _allocator(args):
-    """The placement function a run uses; seeded variants close over
-    ``--seed`` so repeated invocations are reproducible."""
-    name = getattr(args, "allocator", "sequential")
-    if name == "sequential":
-        return sequential_allocation
-    if name == "bfs":
-        return bfs_allocation
-    if name == "random":
-        return lambda tfg, topology: random_allocation(tfg, topology, args.seed)
-    from repro.mapping.annealing import annealed_allocation
+def _add_lp_backend(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument(
+        "--lp-backend", choices=BACKEND_NAMES, default="auto", help=help
+    )
 
-    return lambda tfg, topology: annealed_allocation(tfg, topology, seed=args.seed)
+
+def _spec(args) -> InstanceSpec:
+    return InstanceSpec(
+        args.topology, args.bandwidth, args.models, args.allocator, args.seed
+    )
 
 
 def _setup(args):
-    return standard_setup(
-        dvb_tfg(args.models),
-        make_topology(args.topology),
-        args.bandwidth,
-        allocator=_allocator(args),
-    )
+    return _spec(args).build()
 
 
 def _cmd_utilization(args) -> int:
@@ -186,14 +170,15 @@ def _cmd_matrix(args) -> int:
     loads = args.loads or load_sweep()
     names = args.topologies or sorted(TOPOLOGIES)
     topologies = [make_topology(name) for name in names]
-    allocator = _allocator(args)
     result = run_feasibility_matrix(
         dvb_tfg(args.models),
         topologies,
         args.bandwidths,
         loads,
         config=CompilerConfig(seed=args.seed, lp_backend=args.lp_backend),
-        allocation=lambda tfg, topology: allocator(tfg, topology),
+        allocation=lambda tfg, topology: ALLOCATORS[args.allocator](
+            tfg, topology, args.seed
+        ),
         jobs=args.jobs,
         cache=args.cache_dir,
         analyze=args.check,
@@ -550,12 +535,8 @@ def _cmd_submit(args) -> int:
 
     payload = {
         "kind": args.kind,
-        "topology": args.topology,
-        "bandwidth": args.bandwidth,
-        "models": args.models,
         "load": args.load,
-        "allocator": args.allocator,
-        "seed": args.seed,
+        **dataclasses.asdict(_spec(args)),
     }
     with ServeClient(args.host, args.port) as client:
         status, body = client.submit(
@@ -617,12 +598,7 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir", metavar="DIR", default=None,
         help="content-addressed schedule cache directory (reused across runs)",
     )
-    p_comp.add_argument(
-        "--lp-backend",
-        choices=("auto", "highs", "highs-ds", "ilp", "reference"),
-        default="auto",
-        help="LP solver backend for both LP stages",
-    )
+    _add_lp_backend(p_comp, "LP solver backend for both LP stages")
     p_comp.set_defaults(func=_cmd_compile)
 
     p_matrix = sub.add_parser(
@@ -652,12 +628,7 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir", metavar="DIR", default=None,
         help="shared schedule cache directory (warm reruns skip the LPs)",
     )
-    p_matrix.add_argument(
-        "--lp-backend",
-        choices=("auto", "highs", "highs-ds", "ilp", "reference"),
-        default="auto",
-        help="LP solver backend for both LP stages",
-    )
+    _add_lp_backend(p_matrix, "LP solver backend for both LP stages")
     p_matrix.add_argument(
         "--check", action="store_true",
         help="run the conformance analyzer on every feasible point "
@@ -695,12 +666,7 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir", metavar="DIR", default=None,
         help="cache directory for diagnosis results",
     )
-    p_diag.add_argument(
-        "--lp-backend",
-        choices=("auto", "highs", "highs-ds", "ilp", "reference"),
-        default="auto",
-        help="LP solver backend used by --deep",
-    )
+    _add_lp_backend(p_diag, "LP solver backend used by --deep")
     p_diag.set_defaults(func=_cmd_diagnose)
 
     p_check = sub.add_parser(

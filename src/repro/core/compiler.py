@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
+from repro.core.assignment import PathAssignment
 from repro.core.interval_allocation import IntervalAllocation
 from repro.core.pipeline import (
     POST_ASSIGNMENT_STAGES,
@@ -56,6 +57,13 @@ __all__ = [
 class CompilerConfig:
     """Knobs of the scheduled-routing compiler.
 
+    Every field declares its cache role in ``metadata``: ``"hashed"``
+    fields are part of a compilation's identity (cache keys, serve's
+    override whitelist), ``"perf"`` fields change solver wall time but
+    provably not the schedule and are elided from every key.  The role
+    is the only place that decision is stated; see
+    :func:`repro.cache.keys.hashed_fields`.
+
     Attributes
     ----------
     seed:
@@ -83,7 +91,7 @@ class CompilerConfig:
         Name of the LP solver backend both LP stages use (see
         :func:`repro.solvers.get_backend`): ``"auto"`` (default —
         scipy's HiGHS when available, the pure-Python reference simplex
-        otherwise), ``"highs"``, ``"highs-ds"``, ``"ilp"`` (HiGHS LPs
+        otherwise), ``"highs"``, ``"ilp"`` (HiGHS LPs
         plus exact MILP capabilities, see
         :mod:`repro.solvers.ilp_backend`) or ``"reference"``.
     lp_batch:
@@ -114,17 +122,17 @@ class CompilerConfig:
         unchanged.
     """
 
-    seed: int = 0
-    use_assign_paths: bool = True
-    max_paths: int = 48
-    max_restarts: int = 4
-    retries: int = 2
-    feedback_rounds: int = 2
-    sync_margin: float = 0.0
-    lp_backend: str = "auto"
-    prescreen: bool = False
-    lp_batch: bool = True
-    lp_warm_start: bool = False
+    seed: int = field(default=0, metadata={"role": "hashed"})
+    use_assign_paths: bool = field(default=True, metadata={"role": "hashed"})
+    max_paths: int = field(default=48, metadata={"role": "hashed"})
+    max_restarts: int = field(default=4, metadata={"role": "hashed"})
+    retries: int = field(default=2, metadata={"role": "hashed"})
+    feedback_rounds: int = field(default=2, metadata={"role": "hashed"})
+    sync_margin: float = field(default=0.0, metadata={"role": "hashed"})
+    lp_backend: str = field(default="auto", metadata={"role": "hashed"})
+    prescreen: bool = field(default=False, metadata={"role": "hashed"})
+    lp_batch: bool = field(default=True, metadata={"role": "perf"})
+    lp_warm_start: bool = field(default=False, metadata={"role": "perf"})
 
 
 @dataclass
@@ -192,7 +200,7 @@ def compile_schedule(
     profiler = profiler if profiler is not None else NULL_PROFILER
     validate_allocation(timing.tfg, topology, allocation, exclusive=False)
 
-    key = None
+    key = ""  # set iff a cache is attached
     delta = None
     warm_scope = None
     if cache is not None:
@@ -261,7 +269,7 @@ def compile_schedule(
 
 def schedule_from_assignment(
     bounds: TimeBoundSet,
-    assignment,
+    assignment: PathAssignment,
     report: UtilizationReport,
     tau_in: float,
     local: list[str],
@@ -301,6 +309,8 @@ def schedule_from_assignment(
 
 def _package(context: CompilationContext) -> ScheduledRouting:
     """Assemble the final result object from a completed context."""
+    assert context.schedule is not None
+    assert context.report is not None and context.bounds is not None
     routing = ScheduledRouting(
         schedule=context.schedule,
         utilization=context.report,

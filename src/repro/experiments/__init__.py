@@ -7,7 +7,11 @@ lives in DESIGN.md; paper-vs-measured outcomes are recorded in
 EXPERIMENTS.md.
 """
 
-from repro.experiments.setup import ExperimentSetup, standard_setup
+from repro.experiments.setup import (
+    ExperimentSetup,
+    InstanceSpec,
+    standard_setup,
+)
 from repro.experiments.figures import (
     PipelinePoint,
     UtilizationPoint,
@@ -25,6 +29,7 @@ from repro.experiments.matrix import (
 
 __all__ = [
     "ExperimentSetup",
+    "InstanceSpec",
     "MatrixResult",
     "MatrixRow",
     "PipelinePoint",

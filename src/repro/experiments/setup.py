@@ -12,15 +12,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.mapping.allocation import Allocation, sequential_allocation
+from repro.mapping.allocation import (
+    Allocation,
+    bfs_allocation,
+    random_allocation,
+    sequential_allocation,
+)
+from repro.mapping.annealing import annealed_allocation
 from repro.tfg.analysis import TFGTiming, speeds_for_ratio
+from repro.tfg.dvb import dvb_tfg
 from repro.tfg.graph import TaskFlowGraph
 from repro.topology.base import Topology
+from repro.topology.registry import (
+    STANDARD_TOPOLOGIES,
+    TOPOLOGY_ALIASES,
+    make_topology,
+    topology_names,
+)
 
 #: The reference bandwidth at which speeds are calibrated (bytes/us).
 REFERENCE_BANDWIDTH = 64.0
 
 Allocator = Callable[[TaskFlowGraph, Topology], Allocation]
+
+SeededAllocator = Callable[[TaskFlowGraph, Topology, int], Allocation]
+
+#: Task-placement strategies by wire/CLI name; the unseeded ones ignore
+#: the seed.
+ALLOCATORS: dict[str, SeededAllocator] = {
+    "sequential": lambda tfg, topology, seed: sequential_allocation(
+        tfg, topology
+    ),
+    "bfs": lambda tfg, topology, seed: bfs_allocation(tfg, topology),
+    "random": random_allocation,
+    "annealed": annealed_allocation,
+}
 
 
 @dataclass(frozen=True)
@@ -66,3 +92,52 @@ def standard_setup(
         timing=timing,
         allocation=placed,
     )
+
+
+@dataclass(frozen=True)
+class InstanceSpec:
+    """The name of one standard problem instance: DVB on a 64-node machine.
+
+    This is the instance tuple the CLI flags and the serve wire format
+    both spell — ``DVB(models)`` placed by ``allocator`` (seeded by
+    ``seed``) on ``topology`` at ``bandwidth`` bytes/us.  Construction
+    validates every field (raising :class:`ValueError`) and resolves
+    topology aliases, so equal instances compare equal; :meth:`build`
+    is deterministic, which is what lets the serve front-end compute a
+    cache key for an instance its workers rebuild on their side.
+    """
+
+    topology: str
+    bandwidth: float = REFERENCE_BANDWIDTH
+    models: int = 8
+    allocator: str = "sequential"
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        canonical = TOPOLOGY_ALIASES.get(self.topology, self.topology)
+        if canonical not in STANDARD_TOPOLOGIES:
+            raise ValueError(
+                f"unknown topology {self.topology!r}; expected one of "
+                f"{', '.join(topology_names())}"
+            )
+        object.__setattr__(self, "topology", canonical)
+        if not self.bandwidth > 0:
+            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if self.models < 1:
+            raise ValueError(f"models must be >= 1, got {self.models}")
+        if self.allocator not in ALLOCATORS:
+            raise ValueError(
+                f"unknown allocator {self.allocator!r}; expected one of "
+                f"{', '.join(ALLOCATORS)}"
+            )
+
+    def build(self) -> ExperimentSetup:
+        """Materialize the paper-standard setup this spec names."""
+        tfg = dvb_tfg(self.models)
+        topology = make_topology(self.topology)
+        return standard_setup(
+            tfg,
+            topology,
+            self.bandwidth,
+            allocation=ALLOCATORS[self.allocator](tfg, topology, self.seed),
+        )

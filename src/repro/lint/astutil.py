@@ -3,7 +3,7 @@
 The rules only ever need a small, honest subset of static analysis:
 resolve a call expression to a dotted name *through the module's
 imports* (so ``from time import time as now; now()`` is still seen as
-``time.time``), read literal string tuples/dict keys from module-level
+``time.time``), read literal string tuples from module-level
 assignments, and enumerate dataclass fields.  Everything here is pure
 :mod:`ast`; nothing imports or executes the linted code.
 """
@@ -122,32 +122,6 @@ def module_string_tuple(
     return None
 
 
-def module_dict_string_keys(
-    tree: ast.Module, name: str
-) -> tuple[list[str], int] | None:
-    """The literal string keys of a module-level ``NAME = {...}`` dict."""
-    for node in tree.body:
-        target: ast.expr | None = None
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        if not isinstance(value, ast.Dict):
-            return None
-        keys = []
-        for key in value.keys:
-            if not (
-                isinstance(key, ast.Constant) and isinstance(key.value, str)
-            ):
-                return None
-            keys.append(key.value)
-        return keys, node.lineno
-    return None
-
-
 def find_class(tree: ast.Module, name: str) -> ast.ClassDef | None:
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and node.name == name:
@@ -155,8 +129,8 @@ def find_class(tree: ast.Module, name: str) -> ast.ClassDef | None:
     return None
 
 
-def dataclass_fields(classdef: ast.ClassDef) -> list[tuple[str, int, int]]:
-    """``(name, line, col)`` of each annotated field in a class body.
+def dataclass_fields(classdef: ast.ClassDef) -> list[ast.AnnAssign]:
+    """The annotated-assignment node of each field in a class body.
 
     ``ClassVar``-annotated names are skipped (not dataclass fields);
     underscore-prefixed names are kept — a private knob still needs a
@@ -175,7 +149,7 @@ def dataclass_fields(classdef: ast.ClassDef) -> list[tuple[str, int, int]]:
         base_name = qualified_name(base) or ""
         if base_name.split(".")[-1] == "ClassVar":
             continue
-        fields.append((node.target.id, node.lineno, node.col_offset))
+        fields.append(node)
     return fields
 
 

@@ -1,43 +1,28 @@
-"""Rule ``cache-key`` — config knobs must carry a cache-identity decision.
+"""Rule ``cache-key`` — config knobs must declare a cache-identity role.
 
-PR 9's perf-knob bug class, made impossible to reintroduce: the
-content-addressed schedule key hashes ``CompilerConfig`` via
-``asdict``, so a *new* field silently joins the key payload — unless
-someone remembers to elide it — and either fragments the key space
-(perf-only knob hashed) or poisons it (result-affecting knob elided).
-The fix is an explicit decision ledger in :mod:`repro.cache.keys`:
+PR 9's perf-knob bug class, made impossible to reintroduce: a *new*
+``CompilerConfig`` field either fragments the key space (perf-only knob
+hashed) or poisons it (result-affecting knob elided) unless someone
+decides which it is.  That decision lives on the field itself::
 
-- :data:`~repro.cache.keys.HASHED_CONFIG_FIELDS` — fields that are
-  part of cache identity;
-- :data:`~repro.cache.keys.PERF_ONLY_CONFIG_FIELDS` — fields proven
-  not to change the compiled schedule, always elided.
+    max_paths: int = field(default=48, metadata={"role": "hashed"})
 
-This rule statically cross-checks the ledger against the dataclasses:
+and everything else — the key payload, serve's override whitelist and
+its coercers — is derived from ``dataclasses.fields()`` at runtime
+(:func:`repro.cache.keys.hashed_fields`), so there is no second list to
+drift.  What remains for static analysis is one check, over
+``CompilerConfig`` (roles ``hashed``/``perf``) and
+:class:`repro.results.RunConfig` (roles ``result``/``observer``):
 
-``config-undecided``
-    A ``CompilerConfig`` field in neither list — a knob shipped without
-    a cache-identity decision.
-``config-conflict``
-    A field in both lists.
-``config-stale``
-    A ledger entry naming no existing field (a removed or renamed knob
-    whose decision outlived it).
-``config-elide-unaudited``
-    ``canonical_config`` pops a literal field name that is not in the
-    perf-only list — an elision bypassing the ledger.
-``serve-config-unknown``
-    A key in ``repro.serve.jobs._CONFIG_FIELDS`` (the wire-format
-    override whitelist) naming no ``CompilerConfig`` field — the farm
-    would accept an override the compiler ignores.
-``runconfig-undecided`` / ``runconfig-conflict`` / ``runconfig-stale``
-    The same ledger discipline for :class:`repro.results.RunConfig`
-    against ``RUN_RESULT_FIELDS`` (changes measured behaviour) and
-    ``RUN_OBSERVER_FIELDS`` (pure observers) — a new run knob must
-    declare which it is before replay comparisons can trust it.
+``role-missing``
+    A field with no ``field(..., metadata={"role": "<literal>"})`` — a
+    bare default, a ``field()`` without the key, or a role the rule
+    cannot read because it is not a string literal.
+``role-unknown``
+    A literal role outside the class's allowed set.
 
 Modules absent from the scanned tree are skipped (linting a subtree
-checks what it can see); a ledger that *exists* but is not a literal
-string tuple is itself a finding — the rule refuses to guess.
+checks what it can see).
 """
 
 from __future__ import annotations
@@ -45,43 +30,38 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import (
-    dataclass_fields,
-    find_class,
-    module_dict_string_keys,
-    module_string_tuple,
-)
-from repro.lint.context import ModuleUnit, ProjectContext
+from repro.lint.astutil import dataclass_fields, find_class, qualified_name
+from repro.lint.context import ProjectContext
 from repro.lint.findings import LintFinding
 from repro.lint.registry import LintRule, register_rule
 
-#: Where the cross-checked declarations live (dotted module names).
-COMPILER_MODULE = "repro.core.compiler"
-KEYS_MODULE = "repro.cache.keys"
-RESULTS_MODULE = "repro.results"
-SERVE_JOBS_MODULE = "repro.serve.jobs"
+#: ``(module, class, allowed roles)`` of every role-carrying dataclass.
+ROLE_CLASSES = (
+    ("repro.core.compiler", "CompilerConfig", ("hashed", "perf")),
+    ("repro.results", "RunConfig", ("result", "observer")),
+)
 
 
-def _ledger(
-    unit: ModuleUnit, name: str, rule_id: str
-) -> tuple[set[str], int] | LintFinding:
-    """A ledger tuple's string set, or a finding when unreadable."""
-    entry = module_string_tuple(unit.tree, name)
-    if entry is None:
-        return LintFinding(
-            rule=rule_id,
-            path=unit.relpath,
-            line=1,
-            col=0,
-            symbol=name,
-            detail=(
-                f"{name} is missing from {unit.module} or is not a literal "
-                "string tuple; the cache-key decision ledger must be "
-                "statically readable"
-            ),
-        )
-    strings, line = entry
-    return set(strings), line
+def literal_role(value: ast.expr | None) -> str | None:
+    """The ``"role"`` string literal of a ``field(metadata={...})`` call."""
+    if not (
+        isinstance(value, ast.Call)
+        and (qualified_name(value.func) or "").split(".")[-1] == "field"
+    ):
+        return None
+    for keyword in value.keywords:
+        metadata = keyword.value
+        if keyword.arg != "metadata" or not isinstance(metadata, ast.Dict):
+            continue
+        for key, role in zip(metadata.keys, metadata.values):
+            if (
+                isinstance(key, ast.Constant)
+                and key.value == "role"
+                and isinstance(role, ast.Constant)
+                and isinstance(role.value, str)
+            ):
+                return role.value
+    return None
 
 
 @register_rule
@@ -89,217 +69,41 @@ class CacheKeyCompletenessRule(LintRule):
     id = "cache-key"
     name = "cache-key completeness"
     description = (
-        "Every CompilerConfig/RunConfig field must carry an explicit "
-        "hash-or-elide (result-or-observer) decision"
+        "Every CompilerConfig/RunConfig field must declare a literal "
+        "hashed-or-perf (result-or-observer) role in its metadata"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[LintFinding]:
-        yield from self._check_compiler_config(project)
-        yield from self._check_run_config(project)
-
-    # -- CompilerConfig vs the repro.cache.keys ledger --------------------
-
-    def _check_compiler_config(
-        self, project: ProjectContext
-    ) -> Iterator[LintFinding]:
-        compiler = project.module(COMPILER_MODULE)
-        keys = project.module(KEYS_MODULE)
-        if compiler is None or keys is None:
-            return
-        classdef = find_class(compiler.tree, "CompilerConfig")
-        if classdef is None:
-            return
-        fields = dataclass_fields(classdef)
-        field_names = {name for name, _line, _col in fields}
-
-        hashed = _ledger(keys, "HASHED_CONFIG_FIELDS", self.id)
-        if isinstance(hashed, LintFinding):
-            yield hashed
-            return
-        perf_only = _ledger(keys, "PERF_ONLY_CONFIG_FIELDS", self.id)
-        if isinstance(perf_only, LintFinding):
-            yield perf_only
-            return
-        hashed_names, hashed_line = hashed
-        perf_names, perf_line = perf_only
-
-        for name, line, col in fields:
-            in_hashed = name in hashed_names
-            in_perf = name in perf_names
-            if in_hashed and in_perf:
-                yield LintFinding(
-                    rule=self.id,
-                    path=keys.relpath,
-                    line=hashed_line,
-                    col=0,
-                    symbol=name,
-                    detail=(
-                        f"CompilerConfig.{name} is in both "
-                        "HASHED_CONFIG_FIELDS and PERF_ONLY_CONFIG_FIELDS "
-                        "(config-conflict): a knob is either cache "
-                        "identity or elided, never both"
-                    ),
-                )
-            elif not in_hashed and not in_perf:
-                yield LintFinding(
-                    rule=self.id,
-                    path=compiler.relpath,
-                    line=line,
-                    col=col,
-                    symbol=name,
-                    detail=(
-                        f"CompilerConfig.{name} has no cache-identity "
-                        "decision (config-undecided): add it to "
-                        "HASHED_CONFIG_FIELDS, or prove it perf-only and "
-                        "add it to PERF_ONLY_CONFIG_FIELDS in "
-                        "repro.cache.keys"
-                    ),
-                )
-        for name in sorted((hashed_names | perf_names) - field_names):
-            line = hashed_line if name in hashed_names else perf_line
-            yield LintFinding(
-                rule=self.id,
-                path=keys.relpath,
-                line=line,
-                col=0,
-                symbol=name,
-                detail=(
-                    f"ledger entry {name!r} names no CompilerConfig field "
-                    "(config-stale): remove it or rename it with the knob"
-                ),
-            )
-        yield from self._check_elisions(keys, perf_names)
-        yield from self._check_serve_overrides(project, field_names)
-
-    def _check_elisions(
-        self, keys: ModuleUnit, perf_names: set[str]
-    ) -> Iterator[LintFinding]:
-        """Literal ``fields.pop("name")`` calls inside ``canonical_config``
-        must draw from the perf-only ledger."""
-        for node in keys.tree.body:
-            if not (
-                isinstance(node, ast.FunctionDef)
-                and node.name == "canonical_config"
-            ):
+        for module, class_name, allowed in ROLE_CLASSES:
+            unit = project.module(module)
+            if unit is None:
                 continue
-            for call in ast.walk(node):
-                if not (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "pop"
-                    and call.args
-                ):
+            classdef = find_class(unit.tree, class_name)
+            if classdef is None:
+                continue
+            for node in dataclass_fields(classdef):
+                assert isinstance(node.target, ast.Name)
+                name = node.target.id
+                role = literal_role(node.value)
+                if role in allowed:
                     continue
-                popped = call.args[0]
-                if not (
-                    isinstance(popped, ast.Constant)
-                    and isinstance(popped.value, str)
-                ):
-                    continue
-                if popped.value not in perf_names:
-                    yield LintFinding(
-                        rule=self.id,
-                        path=keys.relpath,
-                        line=call.lineno,
-                        col=call.col_offset,
-                        symbol=popped.value,
-                        detail=(
-                            f"canonical_config elides {popped.value!r} "
-                            "outside PERF_ONLY_CONFIG_FIELDS "
-                            "(config-elide-unaudited): route every elision "
-                            "through the ledger"
-                        ),
+                expected = " or ".join(f'"{r}"' for r in allowed)
+                if role is None:
+                    detail = (
+                        f"{class_name}.{name} declares no literal role "
+                        f"(role-missing): write field(default=..., "
+                        f'metadata={{"role": {expected}}})'
                     )
-
-    def _check_serve_overrides(
-        self, project: ProjectContext, field_names: set[str]
-    ) -> Iterator[LintFinding]:
-        jobs = project.module(SERVE_JOBS_MODULE)
-        if jobs is None:
-            return
-        entry = module_dict_string_keys(jobs.tree, "_CONFIG_FIELDS")
-        if entry is None:
-            return
-        keys, line = entry
-        for key in keys:
-            if key not in field_names:
+                else:
+                    detail = (
+                        f"{class_name}.{name} has role {role!r} "
+                        f"(role-unknown): expected {expected}"
+                    )
                 yield LintFinding(
                     rule=self.id,
-                    path=jobs.relpath,
-                    line=line,
-                    col=0,
-                    symbol=key,
-                    detail=(
-                        f"serve override {key!r} names no CompilerConfig "
-                        "field (serve-config-unknown): the farm would "
-                        "accept an override the compiler ignores"
-                    ),
-                )
-
-    # -- RunConfig vs the repro.results ledger ----------------------------
-
-    def _check_run_config(
-        self, project: ProjectContext
-    ) -> Iterator[LintFinding]:
-        results = project.module(RESULTS_MODULE)
-        if results is None:
-            return
-        classdef = find_class(results.tree, "RunConfig")
-        if classdef is None:
-            return
-        fields = dataclass_fields(classdef)
-        field_names = {name for name, _line, _col in fields}
-
-        result_fields = _ledger(results, "RUN_RESULT_FIELDS", self.id)
-        if isinstance(result_fields, LintFinding):
-            yield result_fields
-            return
-        observer_fields = _ledger(results, "RUN_OBSERVER_FIELDS", self.id)
-        if isinstance(observer_fields, LintFinding):
-            yield observer_fields
-            return
-        result_names, result_line = result_fields
-        observer_names, observer_line = observer_fields
-
-        for name, line, col in fields:
-            in_result = name in result_names
-            in_observer = name in observer_names
-            if in_result and in_observer:
-                yield LintFinding(
-                    rule=self.id,
-                    path=results.relpath,
-                    line=result_line,
-                    col=0,
+                    path=unit.relpath,
+                    line=node.lineno,
+                    col=node.col_offset,
                     symbol=name,
-                    detail=(
-                        f"RunConfig.{name} is in both RUN_RESULT_FIELDS "
-                        "and RUN_OBSERVER_FIELDS (runconfig-conflict)"
-                    ),
+                    detail=detail,
                 )
-            elif not in_result and not in_observer:
-                yield LintFinding(
-                    rule=self.id,
-                    path=results.relpath,
-                    line=line,
-                    col=col,
-                    symbol=name,
-                    detail=(
-                        f"RunConfig.{name} has no replay decision "
-                        "(runconfig-undecided): declare it in "
-                        "RUN_RESULT_FIELDS (changes measured behaviour) "
-                        "or RUN_OBSERVER_FIELDS (pure observer)"
-                    ),
-                )
-        for name in sorted((result_names | observer_names) - field_names):
-            line = result_line if name in result_names else observer_line
-            yield LintFinding(
-                rule=self.id,
-                path=results.relpath,
-                line=line,
-                col=0,
-                symbol=name,
-                detail=(
-                    f"ledger entry {name!r} names no RunConfig field "
-                    "(runconfig-stale)"
-                ),
-            )

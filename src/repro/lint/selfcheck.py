@@ -109,41 +109,22 @@ _SOLVER_CLEAN = {
 
 _CACHE_KEY_CLEAN = {
     "repro.core.compiler": (
-        "from dataclasses import dataclass\n"
+        "from dataclasses import dataclass, field\n"
         "\n"
         "\n"
         "@dataclass(frozen=True)\n"
         "class CompilerConfig:\n"
-        "    seed: int = 0\n"
-        "    max_paths: int = 4\n"
-        "    lp_batch: bool = True\n"
-    ),
-    "repro.cache.keys": (
-        'HASHED_CONFIG_FIELDS = ("seed", "max_paths")\n'
-        'PERF_ONLY_CONFIG_FIELDS = ("lp_batch",)\n'
-        "\n"
-        "\n"
-        "def canonical_config(fields):\n"
-        "    fields = dict(fields)\n"
-        "    for name in PERF_ONLY_CONFIG_FIELDS:\n"
-        "        fields.pop(name, None)\n"
-        "    return fields\n"
+        '    seed: int = field(default=0, metadata={"role": "hashed"})\n'
+        '    lp_batch: bool = field(default=True, metadata={"role": "perf"})\n'
     ),
     "repro.results": (
-        "from dataclasses import dataclass\n"
-        "\n"
-        'RUN_RESULT_FIELDS = ("invocations", "seed")\n'
-        'RUN_OBSERVER_FIELDS = ("tracer",)\n'
+        "from dataclasses import dataclass, field\n"
         "\n"
         "\n"
         "@dataclass(frozen=True)\n"
         "class RunConfig:\n"
-        "    invocations: int = 1\n"
-        "    seed: int = 0\n"
-        "    tracer: object = None\n"
-    ),
-    "repro.serve.jobs": (
-        '_CONFIG_FIELDS = {"seed": int, "max_paths": int}\n'
+        '    seed: int = field(default=0, metadata={"role": "result"})\n'
+        '    tracer: object = field(metadata={"role": "observer"})\n'
     ),
 }
 
@@ -347,76 +328,48 @@ def _solver_mutants(seed: int) -> list[Mutant]:
     return mutants
 
 
+#: Field declarations the cache-key rule must flag; ``{var}`` is a
+#: seeded field name, ``{other}`` a role of the *other* dataclass.
+_CACHE_KEY_INJECTIONS = [
+    ("bare-default", "    {var}: int = 3\n"),
+    ("no-default", "    {var}: int\n"),
+    ("field-without-metadata", "    {var}: int = field(default=3)\n"),
+    (
+        "metadata-without-role",
+        '    {var}: int = field(default=3, metadata={{"unit": "us"}})\n',
+    ),
+    (
+        "role-not-literal",
+        '    {var}: int = field(default=3, metadata={{"role": ROLE}})\n',
+    ),
+    (
+        "metadata-not-literal",
+        "    {var}: int = field(default=3, metadata=ROLE_METADATA)\n",
+    ),
+    (
+        "role-of-other-class",
+        '    {var}: int = field(default=3, metadata={{"role": "{other}"}})\n',
+    ),
+    (
+        "role-typo",
+        '    {var}: int = field(default=3, metadata={{"role": "hashd"}})\n',
+    ),
+]
+
+
 def _cache_key_mutants(seed: int) -> list[Mutant]:
+    rng = random.Random(seed)
     mutants = []
-
-    def variant(name: str, module: str, old: str, new: str) -> None:
-        sources = clean_sources("cache-key")
-        mutated = sources[module].replace(old, new)
-        assert mutated != sources[module], name
-        sources[module] = mutated
-        mutants.append(Mutant("cache-key", name, sources))
-
-    variant(
-        "config-undecided",
-        "repro.core.compiler",
-        "    lp_batch: bool = True\n",
-        "    lp_batch: bool = True\n    retries: int = 3\n",
-    )
-    variant(
-        "config-conflict",
-        "repro.cache.keys",
-        'PERF_ONLY_CONFIG_FIELDS = ("lp_batch",)',
-        'PERF_ONLY_CONFIG_FIELDS = ("lp_batch", "seed")',
-    )
-    variant(
-        "config-stale",
-        "repro.cache.keys",
-        'HASHED_CONFIG_FIELDS = ("seed", "max_paths")',
-        'HASHED_CONFIG_FIELDS = ("seed", "max_paths", "ghost_knob")',
-    )
-    variant(
-        "config-elide-unaudited",
-        "repro.cache.keys",
-        "    return fields\n",
-        '    fields.pop("sync_margin", None)\n    return fields\n',
-    )
-    variant(
-        "ledger-unreadable",
-        "repro.cache.keys",
-        'HASHED_CONFIG_FIELDS = ("seed", "max_paths")',
-        "HASHED_CONFIG_FIELDS = tuple(sorted(_SOMEWHERE))",
-    )
-    variant(
-        "serve-config-unknown",
-        "repro.serve.jobs",
-        '"max_paths": int}',
-        '"max_paths": int, "unknown_knob": int}',
-    )
-    variant(
-        "runconfig-undecided",
-        "repro.results",
-        "    tracer: object = None\n",
-        "    tracer: object = None\n    warmup: int = 0\n",
-    )
-    variant(
-        "runconfig-conflict",
-        "repro.results",
-        'RUN_OBSERVER_FIELDS = ("tracer",)',
-        'RUN_OBSERVER_FIELDS = ("tracer", "seed")',
-    )
-    variant(
-        "runconfig-stale",
-        "repro.results",
-        'RUN_RESULT_FIELDS = ("invocations", "seed")',
-        'RUN_RESULT_FIELDS = ("invocations", "seed", "phantom")',
-    )
-    variant(
-        "runconfig-ledger-missing",
-        "repro.results",
-        'RUN_OBSERVER_FIELDS = ("tracer",)\n',
-        "",
-    )
+    for module, other in (
+        ("repro.core.compiler", "observer"),
+        ("repro.results", "hashed"),
+    ):
+        for name, line in _CACHE_KEY_INJECTIONS:
+            sources = clean_sources("cache-key")
+            sources[module] += line.format(var=_filler_var(rng), other=other)
+            mutants.append(
+                Mutant("cache-key", f"{module.split('.')[-1]}-{name}", sources)
+            )
     return mutants
 
 

@@ -36,30 +36,17 @@ from repro.trace.tracer import NULL_TRACER, Tracer, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.models import FaultTrace
-
-
-#: :class:`RunConfig` fields that change the *measured behaviour* of a
-#: run (what the paper's figures would show).  Together with
-#: :data:`RUN_OBSERVER_FIELDS` this is a complete partition of the
-#: dataclass; the ``cache-key`` lint rule cross-checks it statically so
-#: a new run knob cannot ship without declaring which side it is on —
-#: replay comparisons trust exactly the result-affecting fields.
-RUN_RESULT_FIELDS = (
-    "invocations",
-    "warmup",
-    "seed",
-    "fault_trace",
-    "max_recoveries",
-    "allocator",
-)
-
-#: :class:`RunConfig` fields that observe a run without changing it.
-RUN_OBSERVER_FIELDS = ("tracer",)
+    from repro.metrics.jitter import JitterReport
 
 
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Keyword-only bundle of run parameters, shared by every run path.
+
+    Every field declares a ``metadata`` role: ``"result"`` fields change
+    the *measured behaviour* of a run (what the paper's figures would
+    show — the fields replay comparisons trust), ``"observer"`` fields
+    watch a run without changing it.
 
     Attributes
     ----------
@@ -89,13 +76,17 @@ class RunConfig:
         ignore it.
     """
 
-    invocations: int = 40
-    warmup: int = 8
-    seed: int = 0
-    fault_trace: "FaultTrace | None" = None
-    tracer: Tracer = NULL_TRACER
-    max_recoveries: int | None = None
-    allocator: str | None = None
+    invocations: int = field(default=40, metadata={"role": "result"})
+    warmup: int = field(default=8, metadata={"role": "result"})
+    seed: int = field(default=0, metadata={"role": "result"})
+    fault_trace: "FaultTrace | None" = field(
+        default=None, metadata={"role": "result"}
+    )
+    tracer: Tracer = field(default=NULL_TRACER, metadata={"role": "observer"})
+    max_recoveries: int | None = field(
+        default=None, metadata={"role": "result"}
+    )
+    allocator: str | None = field(default=None, metadata={"role": "result"})
 
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with the given fields changed."""
@@ -198,7 +189,7 @@ class RunResult:
         """Output inconsistency: output intervals not all equal to tau_in."""
         return has_output_inconsistency(self.intervals, self.tau_in, rel_tol)
 
-    def jitter(self):
+    def jitter(self) -> "JitterReport":
         """Magnitude of the output-timing irregularity (post warm-up).
 
         Returns a :class:`~repro.metrics.jitter.JitterReport`; a run free

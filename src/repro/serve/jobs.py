@@ -23,16 +23,18 @@ transition appends a structured event consumed by the streaming
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
+from repro.cache.keys import hashed_fields
 from repro.core.compiler import CompilerConfig
 from repro.errors import ReproError
-from repro.topology import topology_names
-from repro.topology.registry import STANDARD_TOPOLOGIES, TOPOLOGY_ALIASES
+from repro.experiments.setup import InstanceSpec
+from repro.solvers import BACKEND_NAMES
 
 __all__ = [
     "BadRequest",
@@ -61,141 +63,100 @@ TERMINAL_STATES = frozenset({JOB_REJECTED, JOB_DONE, JOB_FAILED})
 #: Request kinds the farm accepts.
 KINDS = ("compile", "diagnose", "check")
 
-#: Task-placement strategies a request may name (mirrors the CLI).
-ALLOCATORS = ("sequential", "bfs", "random", "annealed")
-
-#: CompilerConfig fields a request may override, with coercers.
-_CONFIG_FIELDS: dict[str, Any] = {
-    "seed": int,
-    "use_assign_paths": bool,
-    "max_paths": int,
-    "max_restarts": int,
-    "retries": int,
-    "feedback_rounds": int,
-    "sync_margin": float,
-    "lp_backend": str,
-    "prescreen": bool,
-}
-
 
 class BadRequest(ReproError):
     """A malformed or unsupported job payload (HTTP 400)."""
 
 
-def _require(
-    payload: Mapping[str, Any],
-    key: str,
-    kind: type,
-    default: Any | None = None,
-) -> Any:
-    value = payload.get(key, default)
-    if value is None:
-        raise BadRequest(f"missing required field {key!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise BadRequest(
-            f"field {key!r} must be {kind.__name__}, got {value!r}"
-        ) from None
+def _coerce(what: str, name: str, kind: type, value: Any) -> Any:
+    """One JSON value as the type its field declares, or ``BadRequest``.
+
+    Strict on purpose: ``bool("false")`` and ``int(3.7)`` would name a
+    different cache identity than the one the client asked for.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is bool and isinstance(value, bool):
+        return value
+    if kind is int and number and (
+        isinstance(value, int) or value.is_integer()
+    ):
+        return int(value)
+    if kind is float and number:
+        return float(value)
+    if kind is str and isinstance(value, str):
+        return value
+    raise BadRequest(
+        f"{what} {name!r} must be {kind.__name__}, got {value!r}"
+    )
 
 
-@dataclass(frozen=True)
-class JobRequest:
+@dataclass(frozen=True, kw_only=True)
+class JobRequest(InstanceSpec):
     """One validated compile/diagnose/check request.
 
-    ``models``/``topology``/``bandwidth``/``load``/``allocator``/``seed``
+    The inherited :class:`~repro.experiments.setup.InstanceSpec` fields
     pin the problem instance exactly as the CLI flags of the same names
     do; ``config`` holds :class:`~repro.core.compiler.CompilerConfig`
-    overrides (unknown keys are rejected, not ignored — a typo must not
-    silently change the cache key).
+    overrides — any ``hashed``-role field, typed as the field declares
+    (unknown keys are rejected, not ignored — a typo must not silently
+    change the cache key).
     """
 
-    kind: str
-    topology: str
-    bandwidth: float
-    models: int
+    kind: str = "compile"
     load: float
-    allocator: str = "sequential"
-    seed: int = 0
     config: tuple[tuple[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.kind not in KINDS:
+            raise ValueError(
+                f"unknown kind {self.kind!r}; expected one of "
+                f"{', '.join(KINDS)}"
+            )
+        if not 0 < self.load <= 1:
+            raise ValueError(f"load must be in (0, 1], got {self.load}")
 
     @classmethod
     def from_payload(cls, payload: Any) -> "JobRequest":
         """Validate an untrusted JSON payload into a request."""
         if not isinstance(payload, Mapping):
             raise BadRequest("request body must be a JSON object")
-        kind = str(payload.get("kind", "compile"))
-        if kind not in KINDS:
-            raise BadRequest(
-                f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}"
-            )
-        topology = str(payload.get("topology", ""))
-        if TOPOLOGY_ALIASES.get(topology, topology) not in STANDARD_TOPOLOGIES:
-            raise BadRequest(
-                f"unknown topology {topology!r}; expected one of "
-                f"{', '.join(topology_names())}"
-            )
-        bandwidth = _require(payload, "bandwidth", float, 64.0)
-        if bandwidth <= 0:
-            raise BadRequest(f"bandwidth must be > 0, got {bandwidth}")
-        models = _require(payload, "models", int, 8)
-        if models < 1:
-            raise BadRequest(f"models must be >= 1, got {models}")
-        load = _require(payload, "load", float)
-        if not 0 < load <= 1:
-            raise BadRequest(f"load must be in (0, 1], got {load}")
-        allocator = str(payload.get("allocator", "sequential"))
-        if allocator not in ALLOCATORS:
-            raise BadRequest(
-                f"unknown allocator {allocator!r}; expected one of "
-                f"{', '.join(ALLOCATORS)}"
-            )
-        seed = _require(payload, "seed", int, 0)
         raw_config = payload.get("config", {})
         if not isinstance(raw_config, Mapping):
             raise BadRequest("config must be a JSON object")
         config: list[tuple[str, Any]] = []
         for key in sorted(raw_config):
-            coerce = _CONFIG_FIELDS.get(key)
-            if coerce is None:
+            if key not in _OVERRIDE_TYPES:
                 raise BadRequest(f"unknown config field {key!r}")
-            try:
-                config.append((key, coerce(raw_config[key])))
-            except (TypeError, ValueError):
-                raise BadRequest(
-                    f"config field {key!r} has invalid value "
-                    f"{raw_config[key]!r}"
-                ) from None
-        return cls(
-            kind=kind,
-            topology=TOPOLOGY_ALIASES.get(topology, topology),
-            bandwidth=bandwidth,
-            models=models,
-            load=load,
-            allocator=allocator,
-            seed=seed,
-            config=tuple(config),
-        )
+            config.append((key, _coerce(
+                "config field", key, _OVERRIDE_TYPES[key], raw_config[key]
+            )))
+        if dict(config).get("lp_backend", "auto") not in BACKEND_NAMES:
+            raise BadRequest(
+                f"config field 'lp_backend' must be one of "
+                f"{', '.join(BACKEND_NAMES)}"
+            )
+        values: dict[str, Any] = {"config": tuple(config)}
+        for name, kind, required in _WIRE_FIELDS:
+            if name in payload:
+                values[name] = _coerce("field", name, kind, payload[name])
+            elif required:
+                raise BadRequest(f"missing required field {name!r}")
+        try:
+            return cls(**values)
+        except ValueError as error:
+            raise BadRequest(str(error)) from None
 
     @classmethod
     def from_canonical(cls, payload: Mapping[str, Any]) -> "JobRequest":
         """Rebuild a request from :meth:`canonical` output (worker side).
 
         The canonical form is already validated; this constructor only
-        restores the shapes JSON flattened (the config pair list).
+        restores the shape JSON flattened (the config pair list).
         """
-        return cls(
-            kind=str(payload["kind"]),
-            topology=str(payload["topology"]),
-            bandwidth=float(payload["bandwidth"]),
-            models=int(payload["models"]),
-            load=float(payload["load"]),
-            allocator=str(payload["allocator"]),
-            seed=int(payload["seed"]),
-            config=tuple(
-                (str(k), v) for k, v in payload.get("config", ())
-            ),
-        )
+        values = dict(payload)
+        values["config"] = tuple((str(k), v) for k, v in payload["config"])
+        return cls(**values)
 
     def compiler_config(self) -> CompilerConfig:
         """The effective compiler config (request seed + overrides)."""
@@ -225,6 +186,23 @@ class JobRequest:
         ``compile``, so they never share a flight).
         """
         return json.dumps(self.canonical(), sort_keys=True)
+
+
+_REQUEST_TYPES = get_type_hints(JobRequest)
+_CONFIG_TYPES = get_type_hints(CompilerConfig)
+
+#: ``(name, declared type, required)`` of every scalar request field.
+_WIRE_FIELDS = tuple(
+    (f.name, _REQUEST_TYPES[f.name], f.default is dataclasses.MISSING)
+    for f in dataclasses.fields(JobRequest)
+    if f.name != "config"
+)
+
+#: ``config`` keys a request may override: the ``hashed`` fields of
+#: :class:`CompilerConfig`, each typed as declared there.
+_OVERRIDE_TYPES = {
+    f.name: _CONFIG_TYPES[f.name] for f in hashed_fields(CompilerConfig)
+}
 
 
 @dataclass

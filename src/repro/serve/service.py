@@ -285,7 +285,8 @@ class CompileService:
         identity = dataclasses.replace(request, kind="compile")
         entry = self._instances.get(identity)
         if entry is None:
-            setup, tau_in = worker.build_setup(request)
+            setup = request.build()
+            tau_in = setup.tau_in_for_load(request.load)
             key = schedule_cache_key(
                 setup.timing,
                 setup.topology,
@@ -506,8 +507,6 @@ class CompileService:
         }
         if self.cache_dir is not None:
             payload["cache_dir"] = str(self.cache_dir)
-        if self.cache is not None:
-            payload["cache_migrated_entries"] = self.cache.migrated_entries
         return payload
 
     def _trace(self, name: str, job: Job, **args: Any) -> None:

@@ -29,18 +29,11 @@ from repro.cache import ScheduleCache
 from repro.core.compiler import compile_schedule
 from repro.core.pipeline import verdict_code
 from repro.errors import SchedulingError
-from repro.experiments.setup import ExperimentSetup, standard_setup
-from repro.mapping.allocation import (
-    bfs_allocation,
-    random_allocation,
-    sequential_allocation,
-)
+from repro.experiments.setup import ExperimentSetup
 from repro.serve.jobs import JobRequest
-from repro.tfg import dvb_tfg
-from repro.topology import make_topology
 from repro.trace.profile import CompileProfiler
 
-__all__ = ["build_setup", "execute_request"]
+__all__ = ["execute_request"]
 
 #: One long-lived cache per (process, cache directory).
 _CACHES: dict[str, ScheduleCache] = {}
@@ -53,36 +46,6 @@ def _cache_for(cache_dir: str | None) -> ScheduleCache | None:
     if cache is None:
         cache = _CACHES[cache_dir] = ScheduleCache(cache_dir)
     return cache
-
-
-def _allocator(request: JobRequest) -> Any:
-    """The placement function a request names (mirrors the CLI)."""
-    if request.allocator == "sequential":
-        return sequential_allocation
-    if request.allocator == "bfs":
-        return bfs_allocation
-    if request.allocator == "random":
-        return lambda tfg, topo: random_allocation(tfg, topo, request.seed)
-    from repro.mapping.annealing import annealed_allocation
-
-    return lambda tfg, topo: annealed_allocation(tfg, topo, seed=request.seed)
-
-
-def build_setup(request: JobRequest) -> tuple[ExperimentSetup, float]:
-    """Materialize the problem instance a request names.
-
-    Deterministic: the same request always yields the same (timing,
-    topology, allocation, tau_in), which is what lets the service
-    compute cache keys in the front-end while workers rebuild the
-    identical instance on their side.
-    """
-    setup = standard_setup(
-        dvb_tfg(request.models),
-        make_topology(request.topology),
-        request.bandwidth,
-        allocator=_allocator(request),
-    )
-    return setup, setup.tau_in_for_load(request.load)
 
 
 class _Spool:
@@ -226,7 +189,8 @@ def execute_request(task: Mapping[str, Any]) -> dict[str, Any]:
     before = cache.stats.snapshot() if cache is not None else None
     spool = _Spool(task.get("spool"))
     try:
-        setup, tau_in = build_setup(request)
+        setup = request.build()
+        tau_in = setup.tau_in_for_load(request.load)
         if request.kind == "diagnose":
             result = _diagnose_result(request, setup, tau_in, cache, spool)
         else:

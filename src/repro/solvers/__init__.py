@@ -30,8 +30,6 @@ Backend names
 ``highs``
     :class:`~repro.solvers.scipy_backend.ScipyLinprogBackend` with
     scipy's automatic HiGHS choice — the fast path.
-``highs-ds``
-    Same backend forced to the HiGHS dual simplex.
 ``ilp``
     :class:`~repro.solvers.ilp_backend.IlpBackend` — HiGHS for the LP
     stages (byte-identical schedules) plus exact mixed-integer solves
@@ -71,6 +69,7 @@ from repro.solvers.reference import ReferenceSimplexBackend
 from repro.solvers.scipy_backend import SCIPY_METHODS, ScipyLinprogBackend
 
 __all__ = [
+    "BACKEND_NAMES",
     "CSRMatrix",
     "FarkasCertificate",
     "LP_TOL",
@@ -94,7 +93,7 @@ __all__ = [
 ]
 
 #: Names accepted by :func:`get_backend`.
-BACKEND_NAMES = ("auto", "highs", "highs-ds", "ilp", "reference")
+BACKEND_NAMES = ("auto", "highs", "ilp", "reference")
 
 #: Shared warm-start basis pools, keyed by scope string (see
 #: :func:`repro.cache.warm_scope_key`).  ``get_backend`` hands every
@@ -118,7 +117,7 @@ def default_backend_name() -> str:
 def available_backends() -> tuple[str, ...]:
     """Concrete backend names usable in this environment."""
     if have_scipy():
-        return ("highs", "highs-ds", "ilp", "reference")
+        return ("highs", "ilp", "reference")
     return ("reference",)
 
 

@@ -117,12 +117,11 @@ def _block_coo(
 class HighsEngine:
     """One persistent ``Highs`` instance with linprog-equivalent options.
 
-    ``method`` is either ``"highs"`` (let HiGHS choose the solver, what
-    ``linprog(method="highs")`` does) or ``"highs-ds"`` (force dual
-    simplex).  Not thread-safe — each backend instance owns its engine.
+    HiGHS chooses the solver itself, as ``linprog(method="highs")``
+    does.  Not thread-safe — each backend instance owns its engine.
     """
 
-    def __init__(self, method: str) -> None:
+    def __init__(self) -> None:
         api = _api()
         if api is None:
             raise RuntimeError("scipy HiGHS bindings are not available")
@@ -133,7 +132,7 @@ class HighsEngine:
         self._highs = hc._Highs()
         # Replicate linprog's effective option set exactly (bools that
         # HiGHS models as strings, the dual-simplex strategy default,
-        # silenced logging); `highs-ds` additionally pins the solver.
+        # silenced logging).
         options = hc.HighsOptions()
         options.presolve = "on"
         options.highs_debug_level = hc.HighsDebugLevel.kHighsDebugLevelNone
@@ -142,8 +141,6 @@ class HighsEngine:
         options.simplex_strategy = (
             api["simplex_constants"].SimplexStrategy.kSimplexStrategyDual
         )
-        if method == "highs-ds":
-            options.solver = "simplex"
         self._highs.passOptions(options)
 
     # -- model assembly ------------------------------------------------

@@ -1,9 +1,8 @@
 """LP backends on scipy's HiGHS: direct engine, batched, warm-startable.
 
-Two methods are exposed: ``highs`` (the default — HiGHS picks simplex or
-IPM itself) and ``highs-ds`` (HiGHS dual simplex forced).  Solves go
-through :class:`repro.solvers.highs_engine.HighsEngine`, a persistent
-in-process HiGHS instance configured to be bit-identical to
+One method is exposed: ``highs`` (HiGHS picks simplex or IPM itself).
+Solves go through :class:`repro.solvers.highs_engine.HighsEngine`, a
+persistent in-process HiGHS instance configured to be bit-identical to
 ``scipy.optimize.linprog`` while skipping its per-call setup cost
 (~2 ms/call in the compile hot loop); if the private bindings the engine
 needs are unavailable, every call falls back to plain ``linprog``.
@@ -41,7 +40,7 @@ from repro.solvers.base import (
 )
 
 #: linprog ``method`` values this backend accepts.
-SCIPY_METHODS = ("highs", "highs-ds")
+SCIPY_METHODS = ("highs",)
 
 
 class ScipyLinprogBackend(TalliedBackend):
@@ -81,7 +80,7 @@ class ScipyLinprogBackend(TalliedBackend):
             from repro.solvers import highs_engine
 
             if highs_engine.available():
-                self._engine = highs_engine.HighsEngine(self._method)
+                self._engine = highs_engine.HighsEngine()
         return self._engine
 
     def _solve(

@@ -42,7 +42,7 @@ def small_cases(cube3):
 
 
 class TestEveryBackendCompiles:
-    @pytest.mark.parametrize("backend", ["reference", "highs", "highs-ds"])
+    @pytest.mark.parametrize("backend", ["reference", "highs"])
     def test_backend_schedule_passes_verification(self, cube3, backend):
         if backend != "reference" and not have_scipy():
             pytest.skip("scipy not installed")
@@ -92,7 +92,7 @@ class TestMatrixVerdictsIdentical:
     def test_highs_variants_match(self, cube3):
         loads = [0.2, 0.35, 0.5, 0.7]
         assert self.verdicts(cube3, "highs", loads) == self.verdicts(
-            cube3, "highs-ds", loads
+            cube3, "ilp", loads
         )
 
 

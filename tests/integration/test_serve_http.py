@@ -135,6 +135,9 @@ def test_malformed_payloads_get_400(client):
         {"topology": "nope", "load": 0.5},
         {"topology": "hypercube6"},
         {"topology": "hypercube6", "load": 7},
+        # A worker-side ValueError -> JOB_FAILED before strict coercion.
+        {"topology": "hypercube6", "load": 0.5,
+         "config": {"lp_backend": "nonsense"}},
     ):
         status, body = client.submit(payload)
         assert status == 400

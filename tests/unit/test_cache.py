@@ -256,9 +256,60 @@ class TestKeyScheme:
         )
 
     def test_config_field_perturbs_key(self, small_setup):
-        other = dataclasses.replace(CONFIG, max_paths=CONFIG.max_paths + 1)
-        assert self.base_key(small_setup) != self.base_key(
-            small_setup, config=other
+        # The role on the field is the whole decision: perturbing a
+        # ``hashed`` field moves the key, a ``perf`` field does not.
+        from repro.solvers import default_backend_name
+
+        unresolved = (
+            "reference" if default_backend_name() != "reference" else "ilp"
+        )
+        for field in dataclasses.fields(CompilerConfig):
+            value = getattr(CONFIG, field.name)
+            perturbed = (
+                unresolved if isinstance(value, str)
+                else not value if isinstance(value, bool)
+                else value + 1
+            )
+            other = dataclasses.replace(CONFIG, **{field.name: perturbed})
+            moved = self.base_key(small_setup) != self.base_key(
+                small_setup, config=other
+            )
+            assert moved == (field.metadata["role"] == "hashed"), field.name
+
+    def test_key_space_is_pinned_across_commits(self):
+        """Literal digests: a refactor that moves any key fails here."""
+        from repro.cache import diagnosis_cache_key
+        from repro.experiments.setup import standard_setup
+        from repro.tfg import dvb_tfg
+        from repro.topology import make_topology
+
+        def instance():
+            setup = standard_setup(
+                dvb_tfg(5), make_topology("hypercube6"), 128
+            )
+            return (
+                setup.timing, setup.topology, setup.allocation,
+                setup.tau_in_for_load(0.5),
+            )
+
+        reference = CompilerConfig(lp_backend="reference")
+        pinned = (
+            "935fd1fe2815563f0ae56e10df30caaeb11869fe7860469d1d91d66ce5ee3eef"
+        )
+        assert schedule_cache_key(*instance(), reference) == pinned
+        assert schedule_cache_key(
+            *instance(),
+            dataclasses.replace(
+                reference, lp_batch=False, lp_warm_start=True
+            ),
+        ) == pinned
+        assert schedule_cache_key(
+            *instance(), dataclasses.replace(reference, seed=1)
+        ) == (
+            "def70a7c82de7a93d8358700770368d07f21f41cfd98c43ce3085a418d47119c"
+        )
+        assert diagnosis_cache_key(*instance()) == (
+            "541bedbdf4edf026f6ac301cb1573b87ba3768c7e122484b3fc2d577689db809"
         )
 
     def test_backend_choice_perturbs_key(self, small_setup):

@@ -1,4 +1,4 @@
-"""Shard layout, flat-entry migration, and multi-process cache stats."""
+"""Shard layout and multi-process cache stats."""
 
 from __future__ import annotations
 
@@ -32,40 +32,22 @@ def _failure_entry(message: str) -> dict:
 
 
 def test_disk_entries_are_sharded_by_key_prefix(tmp_path):
+    # A top-level ``<dir>/<key>.json`` (the pre-shard layout, whose keys
+    # no current config can produce) is not an entry: ignored, not read.
+    stale_key = _key("legacy")
+    stale = tmp_path / f"{stale_key}.json"
+    stale.write_text(json.dumps(_failure_entry("legacy")))
+
     cache = ScheduleCache(tmp_path)
     key = _key("point-a")
     cache.store_failure(key, UtilizationExceededError(1.5))
     assert (tmp_path / key[:2] / f"{key}.json").is_file()
     assert not (tmp_path / f"{key}.json").exists()
+    with pytest.raises(SchedulingError):
+        ScheduleCache(tmp_path).fetch(key)
 
-
-def test_flat_layout_migrates_on_open(tmp_path):
-    """Pre-shard entries move into shard dirs and stay fetchable."""
-    keys = [_key(f"legacy-{i}") for i in range(4)]
-    for key in keys:
-        (tmp_path / f"{key}.json").write_text(
-            json.dumps(_failure_entry(f"legacy {key[:6]}"))
-        )
-    # Non-key files must be left alone.
-    (tmp_path / "cache-stats.json").write_text("{}")
-    (tmp_path / "notes.json").write_text("{}")
-
-    cache = ScheduleCache(tmp_path)
-    assert cache.migrated_entries == 4
-    for key in keys:
-        assert (tmp_path / key[:2] / f"{key}.json").is_file()
-        assert not (tmp_path / f"{key}.json").exists()
-        with pytest.raises(SchedulingError):
-            cache.fetch(key)
-    assert (tmp_path / "cache-stats.json").exists()
-    assert (tmp_path / "notes.json").exists()
-
-
-def test_migration_is_idempotent(tmp_path):
-    key = _key("once")
-    (tmp_path / f"{key}.json").write_text(json.dumps(_failure_entry("x")))
-    assert ScheduleCache(tmp_path).migrated_entries == 1
-    assert ScheduleCache(tmp_path).migrated_entries == 0
+    assert cache.fetch(stale_key) is None and not cache.contains(stale_key)
+    assert stale.is_file() and not (tmp_path / stale_key[:2]).exists()
 
 
 def test_stats_snapshot_since_merge():

@@ -253,16 +253,16 @@ class TestAllocatorOption:
         assert out_a == out_b
 
     def test_random_allocator_seed_changes_placement(self):
-        from repro.cli import _allocator, make_topology
-        from repro.tfg import dvb_tfg
+        from repro.cli import _spec
         import argparse
 
-        tfg = dvb_tfg(5)
-        topology = make_topology("6cube")
         placements = []
         for seed in (0, 1):
-            ns = argparse.Namespace(allocator="random", seed=seed)
-            placements.append(_allocator(ns)(tfg, topology))
+            ns = argparse.Namespace(
+                topology="6cube", bandwidth=64.0, models=5,
+                allocator="random", seed=seed,
+            )
+            placements.append(_spec(ns).build().allocation)
         assert placements[0] != placements[1]
 
     def test_bfs_allocator_accepted(self, capsys):

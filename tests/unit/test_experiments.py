@@ -4,12 +4,20 @@ import pytest
 
 from repro.core.compiler import CompilerConfig
 from repro.experiments import (
+    InstanceSpec,
     pipeline_comparison,
     standard_setup,
     utilization_comparison,
 )
-from repro.mapping import bfs_allocation
+from repro.mapping import (
+    annealed_allocation,
+    bfs_allocation,
+    random_allocation,
+    sequential_allocation,
+)
+from repro.tfg import dvb_tfg
 from repro.tfg.synth import chain_tfg
+from repro.topology import make_topology
 
 
 class TestStandardSetup:
@@ -41,6 +49,73 @@ class TestStandardSetup:
         manual = {"t0": 7, "t1": 6, "t2": 5}
         setup = standard_setup(tfg, cube3, 64.0, allocation=manual)
         assert setup.allocation == manual
+
+
+class TestInstanceSpec:
+    """One builder for the CLI and serve: equal to the spelled-out
+    ``standard_setup(dvb_tfg(..), make_topology(..), ..)`` both used to
+    write themselves."""
+
+    SEED = 3
+    SPELLED_OUT = {
+        "sequential": sequential_allocation,
+        "bfs": bfs_allocation,
+        "random": lambda tfg, topo: random_allocation(tfg, topo, 3),
+        "annealed": lambda tfg, topo: annealed_allocation(tfg, topo, seed=3),
+    }
+
+    @pytest.mark.parametrize("allocator", sorted(SPELLED_OUT))
+    def test_build_equals_the_spelled_out_builder(self, allocator):
+        built = InstanceSpec("6cube", 128.0, 5, allocator, self.SEED).build()
+        spelled = standard_setup(
+            dvb_tfg(5),
+            make_topology("6cube"),
+            128.0,
+            allocator=self.SPELLED_OUT[allocator],
+        )
+        assert built.allocation == spelled.allocation
+        assert built.topology.links == spelled.topology.links
+        assert built.timing.bandwidth == spelled.timing.bandwidth
+        assert built.tau_in_for_load(0.4) == spelled.tau_in_for_load(0.4)
+
+    def test_aliases_resolve_so_equal_instances_compare_equal(self):
+        assert InstanceSpec("cube6") == InstanceSpec("hypercube6")
+        assert InstanceSpec("cube6").topology == "hypercube6"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"topology": "ring"},
+            {"bandwidth": 0.0},
+            {"bandwidth": float("nan")},
+            {"models": 0},
+            {"allocator": "oracle"},
+        ],
+    )
+    def test_out_of_range_fields_raise_value_error(self, fields):
+        with pytest.raises(ValueError):
+            InstanceSpec(**{"topology": "hypercube6", **fields})
+
+    def test_cli_and_job_request_name_the_same_cache_key(self, tmp_path):
+        from repro.cache import schedule_cache_key
+        from repro.cli import main
+        from repro.serve.jobs import JobRequest
+
+        assert main([
+            "compile", "--topology", "6cube", "--bandwidth", "128",
+            "--models", "5", "--load", "0.5", "--allocator", "random",
+            "--seed", "3", "--cache-dir", str(tmp_path),
+        ]) == 0
+        request = JobRequest.from_payload({
+            "topology": "6cube", "bandwidth": 128, "models": 5,
+            "load": 0.5, "allocator": "random", "seed": 3,
+        })
+        setup = request.build()
+        key = schedule_cache_key(
+            setup.timing, setup.topology, setup.allocation,
+            setup.tau_in_for_load(request.load), request.compiler_config(),
+        )
+        assert (tmp_path / key[:2] / f"{key}.json").is_file()
 
 
 class TestUtilizationComparison:

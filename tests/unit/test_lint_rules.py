@@ -128,35 +128,36 @@ class TestCacheKeyLedgers:
     def test_real_ledgers_partition_compiler_config(self):
         import dataclasses
 
-        from repro.cache.keys import (
-            HASHED_CONFIG_FIELDS,
-            PERF_ONLY_CONFIG_FIELDS,
-        )
+        from repro.cache.keys import hashed_fields
         from repro.core.compiler import CompilerConfig
 
-        names = {f.name for f in dataclasses.fields(CompilerConfig)}
-        hashed, perf = set(HASHED_CONFIG_FIELDS), set(PERF_ONLY_CONFIG_FIELDS)
-        assert hashed | perf == names
-        assert hashed & perf == set()
+        roles = {
+            f.name: f.metadata["role"]
+            for f in dataclasses.fields(CompilerConfig)
+        }
+        assert set(roles.values()) == {"hashed", "perf"}
+        assert {f.name for f in hashed_fields(CompilerConfig)} == {
+            name for name, role in roles.items() if role == "hashed"
+        }
 
     def test_real_ledgers_partition_run_config(self):
         import dataclasses
 
-        from repro.results import (
-            RUN_OBSERVER_FIELDS,
-            RUN_RESULT_FIELDS,
-            RunConfig,
-        )
+        from repro.results import RunConfig
 
-        names = {f.name for f in dataclasses.fields(RunConfig)}
-        result, observer = set(RUN_RESULT_FIELDS), set(RUN_OBSERVER_FIELDS)
-        assert result | observer == names
-        assert result & observer == set()
+        roles = {
+            f.name: f.metadata["role"] for f in dataclasses.fields(RunConfig)
+        }
+        assert set(roles.values()) == {"result", "observer"}
+        assert roles["tracer"] == "observer"
 
     def test_canonical_config_runtime_guard_message(self):
-        # The static rule and the runtime guard watch the same ledger;
-        # the guard only fires if the dataclass and ledger drift, which
-        # the partition tests above rule out for the real code.
+        # What remains of the drift guard: a field that reaches
+        # canonical_config without a valid role raises, naming itself.
+        import dataclasses
+
+        import pytest
+
         from repro.cache.keys import canonical_config
         from repro.core.compiler import CompilerConfig
 
@@ -165,8 +166,44 @@ class TestCacheKeyLedgers:
         assert "lp_warm_start" not in fields
         assert "seed" in fields
 
+        @dataclasses.dataclass(frozen=True)
+        class Drifted(CompilerConfig):
+            new_knob: int = 0
+            typo: int = dataclasses.field(
+                default=0, metadata={"role": "hashd"}
+            )
+
+        with pytest.raises(ValueError, match=r"new_knob.*typo.*no cache role"):
+            canonical_config(Drifted())
+
     def test_rule_skips_partial_projects(self):
-        # Linting a subtree without the compiler module yields nothing.
+        # Linting a subtree without the compiler module checks what it
+        # can see: RunConfig only.
         sources = clean_sources("cache-key")
         del sources["repro.core.compiler"]
+        assert run_rule("cache-key", sources) == ()
+        sources["repro.results"] += "    warmup: int = 0\n"
+        (finding,) = run_rule("cache-key", sources)
+        assert finding.symbol == "warmup" and "role-missing" in finding.detail
+
+    def test_each_role_defect_is_one_finding(self):
+        def findings_for(declaration):
+            sources = clean_sources("cache-key")
+            sources["repro.core.compiler"] += f"    knob: int = {declaration}\n"
+            return run_rule("cache-key", sources)
+
+        for declaration, marker in [
+            ("3", "role-missing"),
+            ("field(default=3)", "role-missing"),
+            ('field(default=3, metadata={"role": ROLE})', "role-missing"),
+            ('field(default=3, metadata={"role": "result"})', "role-unknown"),
+        ]:
+            (finding,) = findings_for(declaration)
+            assert finding.symbol == "knob"
+            assert marker in finding.detail, declaration
+        assert findings_for('field(default=3, metadata={"role": "perf"})') == ()
+
+    def test_classvar_is_not_a_field(self):
+        sources = clean_sources("cache-key")
+        sources["repro.core.compiler"] += "    LIMIT: ClassVar[int] = 9\n"
         assert run_rule("cache-key", sources) == ()

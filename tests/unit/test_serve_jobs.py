@@ -55,6 +55,13 @@ def test_from_payload_resolves_topology_alias():
         {"config": ["not", "a", "mapping"]},
         {"config": {"mystery_knob": 1}},
         {"config": {"max_paths": "lots"}},
+        # Strict wire typing: no bool("false"), int(5.9) or int(True).
+        {"models": 5.9},
+        {"seed": True},
+        {"config": {"use_assign_paths": "false"}},
+        {"config": {"prescreen": "no"}},
+        {"config": {"max_paths": 3.7}},
+        {"config": {"lp_backend": "nonsense"}},
     ],
 )
 def test_from_payload_rejects_bad_fields(patch):
@@ -76,14 +83,14 @@ def test_from_payload_requires_load():
 
 def test_config_overrides_sorted_and_applied():
     request = JobRequest.from_payload(
-        {**GOOD, "seed": 7, "config": {"max_paths": 3, "lp_backend": "dense"}}
+        {**GOOD, "seed": 7, "config": {"max_paths": 3, "lp_backend": "ilp"}}
     )
     # Pairs are key-sorted so the signature is order-independent.
-    assert request.config == (("lp_backend", "dense"), ("max_paths", 3))
+    assert request.config == (("lp_backend", "ilp"), ("max_paths", 3))
     config = request.compiler_config()
     assert config.seed == 7
     assert config.max_paths == 3
-    assert config.lp_backend == "dense"
+    assert config.lp_backend == "ilp"
 
 
 def test_canonical_round_trip_preserves_identity():
@@ -110,6 +117,20 @@ def test_signature_distinguishes_kind_and_config():
     # Same payload -> same signature (dedup key).
     assert JobRequest.from_payload(GOOD).instance_signature() == (
         base.instance_signature()
+    )
+
+
+def test_instance_signature_is_pinned():
+    """The dedup/memo key space must not move between commits."""
+    request = JobRequest.from_payload({
+        "topology": "cube6", "bandwidth": 128, "models": 5, "load": 0.5,
+        "config": {"lp_backend": "reference", "max_paths": 12},
+    })
+    assert request.instance_signature() == (
+        '{"allocator": "sequential", "bandwidth": 128.0, "config": '
+        '[["lp_backend", "reference"], ["max_paths", 12]], "kind": '
+        '"compile", "load": 0.5, "models": 5, "seed": 0, "topology": '
+        '"hypercube6"}'
     )
 
 

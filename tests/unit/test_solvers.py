@@ -96,9 +96,7 @@ ZOO = {
 
 class TestRegistry:
     def test_backend_names_cover_registry(self):
-        assert set(BACKEND_NAMES) == {
-            "auto", "highs", "highs-ds", "ilp", "reference"
-        }
+        assert set(BACKEND_NAMES) == {"auto", "highs", "ilp", "reference"}
 
     def test_reference_always_available(self):
         assert "reference" in available_backends()
@@ -117,7 +115,8 @@ class TestRegistry:
     @scipy_required
     def test_scipy_methods_resolve(self):
         assert get_backend("highs").name == "highs"
-        assert get_backend("highs-ds").name == "highs-ds"
+        with pytest.raises(ValueError, match="unknown LP backend"):
+            get_backend("highs-ds")
         assert default_backend_name() == "highs"
 
 
