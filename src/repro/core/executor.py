@@ -2,11 +2,14 @@
 
 The paper *argues* that independently executed switching schedules are
 contention-free and meet every deadline; this executor *machine-checks*
-it.  It replays ``invocations`` periods: tasks run at their static ASAP
-instants, and every transmission slot claims its links as exclusive
-resources at its absolute time.  Any claim that is not granted instantly
-is a contention violation and aborts the run; any delivery completing
-after its destination task's start instant is a deadline violation.
+it.  It replays ``invocations`` periods as one timeline of instants on
+the kernel: tasks finish at their static ASAP instants, and every
+transmission slot claims all links of its path as exclusive FCFS
+resources at its absolute start and frees them at its end.  A claim that
+has to queue and is not handed its link within ``EPS`` (or at all, by the
+end of its window) is a contention violation and aborts the run; any
+delivery completing after its destination task's start instant is a
+deadline violation.
 
 A successful replay yields a :class:`~repro.results.RunResult` with
 ``technique="scheduled"`` whose output intervals are exactly ``tau_in``
@@ -32,6 +35,8 @@ because the schedule is healthy — the machine is not.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import partial
 from typing import TYPE_CHECKING, Mapping
 
 from repro.core.compiler import ScheduledRouting
@@ -41,8 +46,13 @@ from repro.errors import (
     LinkFailedError,
     ScheduleValidationError,
 )
-from repro.results import RunConfig, RunResult, resolve_run_config
-from repro.sim import Environment, Monitor, Resource
+from repro.results import (
+    MIN_MEASURED_INVOCATIONS,
+    RunConfig,
+    RunResult,
+    resolve_run_config,
+)
+from repro.sim import Environment, Event, Monitor, Resource
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Link, Topology
 from repro.trace.tracer import TraceRecorder
@@ -96,7 +106,9 @@ class ScheduledRoutingExecutor:
             occurrences.append((start, start + slot.duration))
         return occurrences
 
-    def _drift_shift(self, message_name: str, fault_trace) -> float:
+    def _drift_shift(
+        self, message_name: str, fault_trace: "FaultTrace | None"
+    ) -> float:
         """Clock-drift shift of a message's transmission windows.
 
         The source CP's clock dictates when the flight enters the network,
@@ -139,10 +151,10 @@ class ScheduledRoutingExecutor:
         )
         invocations, warmup = config.invocations, config.warmup
         fault_trace, tracer = config.fault_trace, config.tracer
-        if invocations - warmup < 4:
+        if invocations - warmup < MIN_MEASURED_INVOCATIONS:
             raise ScheduleValidationError(
-                f"need >= 4 measured invocations, got {invocations} with "
-                f"warmup={warmup}"
+                f"need >= {MIN_MEASURED_INVOCATIONS} measured invocations, "
+                f"got {invocations} with warmup={warmup}"
             )
         env = Environment(tracer=tracer)
         links: dict[Link, Resource] = {
@@ -154,124 +166,137 @@ class ScheduledRoutingExecutor:
             from repro.faults.injection import FaultInjector
 
             injector = FaultInjector(env, links, fault_trace, self.topology)
-        link_busy: dict[Link, float] = {}
+        link_busy: defaultdict[Link, float] = defaultdict(float)
         completions = Monitor("completions")
-        outputs = [t.name for t in self.timing.tfg.output_tasks]
+        outputs = {t.name for t in self.timing.tfg.output_tasks}
         pending = {j: len(outputs) for j in range(invocations)}
+        tracing = tracer.enabled
+        # The replay as one timeline, instant -> what happens then.  At one
+        # instant releases come first, so that back-to-back windows hand a
+        # link over without queueing; a claim files its own release.
+        releases: defaultdict[float, list] = defaultdict(list)
+        claims: defaultdict[float, list] = defaultdict(list)
+        finishes: defaultdict[float, list] = defaultdict(list)
 
-        def transmission(message_name: str, start: float, end: float):
-            slot_links = None
-            for slot in self.routing.schedule.slots[message_name]:
-                slot_links = slot.links  # all slots share the message path
-                break
-            yield env.timeout(start - env.now if start > env.now else 0.0)
-            held = []
-            for link in slot_links or ():
-                if links[link].failed:
-                    if tracer.enabled:
-                        tracer.instant(
-                            "fault",
-                            "detection",
-                            env.now,
-                            track=str(link),
-                            message=message_name,
+        def contention(link: Link, message_name: str) -> Exception:
+            text = (
+                f"contention on {link} while transmitting "
+                f"{message_name!r} at t={env.now:.6f}"
+            )
+            if fault_trace is None:
+                return ScheduleValidationError(text)
+            return FaultInjectionError(
+                text + " under injected faults (drift margin exceeded?)",
+                detection_time=env.now,
+            )
+
+        def late_grant(
+            link: Link, message_name: str, asked: float, _grant: Event
+        ) -> None:
+            if env.now - asked > EPS:
+                raise contention(link, message_name)
+
+        def fire(alarm: Event) -> None:
+            now = alarm.value
+            for message_name, path, held, duration in releases.pop(now, ()):
+                for (link, resource), request in zip(path, held):
+                    if request.grant_time is None:
+                        # The window closed with its claim still queued.
+                        raise contention(link, message_name)
+                    resource.release(request)
+                    link_busy[link] += duration
+            for message_name, path, duration, file_release in claims.pop(now, ()):
+                held = []
+                for link, resource in path:
+                    if resource.failed:
+                        if tracing:
+                            tracer.instant(
+                                "fault", "detection", now,
+                                track=str(link), message=message_name,
+                            )
+                        raise LinkFailedError(link, message_name, now)
+                    request = resource.request(message_name)
+                    if request.grant_time is None:
+                        # Queued behind a holder: contention unless FCFS
+                        # hands the link over within EPS of this instant.
+                        request.add_callback(
+                            partial(late_grant, link, message_name, now)
                         )
-                    raise LinkFailedError(link, message_name, env.now)
-                request = links[link].request(owner=message_name)
-                yield request
-                if request.grant_time - request.request_time > EPS:
-                    if fault_trace is not None:
-                        raise FaultInjectionError(
-                            f"contention on {link} while transmitting "
-                            f"{message_name!r} at t={env.now:.6f} under "
-                            "injected faults (drift margin exceeded?)",
-                            detection_time=env.now,
-                        )
-                    raise ScheduleValidationError(
-                        f"contention on {link} while transmitting "
-                        f"{message_name!r} at t={env.now:.6f}"
+                    held.append(request)
+                file_release((message_name, path, held, duration))
+            for task_name, invocation, run_start in finishes.pop(now, ()):
+                if tracing:
+                    tracer.span(
+                        "task", task_name, run_start, now,
+                        track=f"node{self.allocation[task_name]}",
+                        invocation=invocation,
                     )
-                held.append((link, request))
-            yield env.timeout(end - env.now)
-            for link, request in held:
-                links[link].release(request)
-                link_busy[link] = link_busy.get(link, 0.0) + (end - start)
+                if task_name in outputs:
+                    pending[invocation] -= 1
+                    if pending[invocation] == 0:
+                        completions.record(now, invocation)
+                        if tracing:
+                            tracer.instant(
+                                "run", "completion", now,
+                                track="outputs", invocation=invocation,
+                            )
 
-        def task_run(task_name: str, invocation: int):
-            start, finish = self._asap[task_name]
-            yield env.timeout(invocation * self.tau_in + start - env.now)
-            # Deliveries due before this start are asserted statically below.
-            run_start = env.now
-            yield env.timeout(finish - start)
-            if tracer.enabled:
-                tracer.span(
-                    "task",
-                    task_name,
-                    run_start,
-                    env.now,
-                    track=f"node{self.allocation[task_name]}",
-                    invocation=invocation,
-                )
-            if task_name in outputs:
-                pending[invocation] -= 1
-                if pending[invocation] == 0:
-                    completions.record(env.now, invocation)
-                    if tracer.enabled:
-                        tracer.instant(
-                            "run",
-                            "completion",
-                            env.now,
-                            track="outputs",
-                            invocation=invocation,
-                        )
-
-        # Static deadline assertion: every routed message's last absolute
-        # slot (shifted by any injected source-clock drift) must land
-        # before its destination task's start.
         for message in self.timing.tfg.messages:
-            if message.name not in self.routing.schedule.slots:
+            name = message.name
+            slots = self.routing.schedule.slots.get(name)
+            if not slots:
                 continue  # local message: delivered in memory at source finish
-            shift = self._drift_shift(message.name, fault_trace)
+            # All slots share the message path.
+            path = tuple((link, links[link]) for link in slots[0].links)
+            shift = self._drift_shift(name, fault_trace)
             dst_start = self._asap[message.dst][0]
             for j in range(invocations):
-                last_end = max(end for _, end in self.absolute_slots(message.name, j))
+                windows = self.absolute_slots(name, j)
+                # Static deadline assertion: the last absolute slot (shifted
+                # by any injected source-clock drift) must land before the
+                # destination task's start.
+                last_end = max(end for _, end in windows)
                 due = j * self.tau_in + dst_start
                 if last_end + shift > due + 1e-6:
                     if shift != 0.0:
-                        raise FaultedDeadlineError(
-                            message.name, due, last_end + shift
-                        )
+                        raise FaultedDeadlineError(name, due, last_end + shift)
                     raise ScheduleValidationError(
-                        f"message {message.name!r} invocation {j}: delivery "
+                        f"message {name!r} invocation {j}: delivery "
                         f"at {last_end:.6f} misses destination start {due:.6f}"
                     )
-
+                for start, end in windows:
+                    start, end = max(start + shift, 0.0), end + shift
+                    if tracing:
+                        # The *compiled* transmission window; the
+                        # link-occupancy spans emitted by the Resource
+                        # record the *replayed* one (the SR guarantee is
+                        # that the two coincide).
+                        tracer.span(
+                            "slot", name, start, end,
+                            track=f"msg {name}", invocation=j,
+                        )
+                    duration = end - start
+                    if duration:  # an empty window holds no link
+                        claims[start].append((
+                            name, path, duration,
+                            releases[start + duration].append,
+                        ))
         for j in range(invocations):
             for task in self.timing.tfg.tasks:
-                env.process(task_run(task.name, j))
-        # Spawn transmissions sorted by absolute start so timeout waits are
-        # non-negative relative to spawn order.
-        flights = []
-        for name in self.routing.schedule.slots:
-            shift = self._drift_shift(name, fault_trace)
-            for j in range(invocations):
-                for start, end in self.absolute_slots(name, j):
-                    flights.append((max(start + shift, 0.0), end + shift, name, j))
-        for start, end, name, j in sorted(flights):
-            if tracer.enabled:
-                # The *compiled* transmission window; the link-occupancy
-                # spans emitted by the Resource record the *replayed* one
-                # (the SR guarantee is that the two coincide).
-                tracer.span(
-                    "slot",
-                    name,
-                    start,
-                    end,
-                    track=f"msg {name}",
-                    invocation=j,
+                start, finish = self._asap[task.name]
+                run_start = j * self.tau_in + start
+                finishes[run_start + (finish - start)].append(
+                    (task.name, j, run_start)
                 )
-            env.process(transmission(name, start, end))
 
+        def arm(_: Event) -> None:
+            for instant in sorted({*releases, *claims, *finishes}):
+                env.timeout(instant, instant).add_callback(fire)
+
+        # Armed from the agenda at t=0, behind the injector's processes:
+        # an outage starting exactly at a claim instant is then seen by
+        # the claim, and one restored exactly then is not yet.
+        env.event().succeed().add_callback(arm)
         env.run()
 
         if len(completions) != invocations:  # pragma: no cover - defensive
@@ -281,7 +306,7 @@ class ScheduledRoutingExecutor:
         completion_times = tuple(time for time, _ in completions)
         extra = {
             "commands": self.routing.schedule.num_commands,
-            "link_busy": link_busy,
+            "link_busy": dict(link_busy),
             "invocations": invocations,
         }
         if injector is not None:

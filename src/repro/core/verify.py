@@ -29,12 +29,9 @@ from repro.core.compiler import ScheduledRouting
 from repro.core.executor import ScheduledRoutingExecutor
 from repro.cp import replay_schedule
 from repro.errors import ScheduleValidationError
+from repro.results import MIN_MEASURED_INVOCATIONS
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Topology
-
-#: The executor needs this many measured (post-warmup) invocations for
-#: its steady-state throughput and output-consistency checks.
-MIN_MEASURED_INVOCATIONS = 4
 
 
 @dataclass(frozen=True)

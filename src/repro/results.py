@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.models import FaultTrace
     from repro.metrics.jitter import JitterReport
 
+#: Every runner needs this many measured (post-warmup) invocations for
+#: its steady-state throughput and output-consistency statistics.
+MIN_MEASURED_INVOCATIONS = 4
+
 
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
@@ -54,7 +58,8 @@ class RunConfig:
         Number of periodic invocations to execute.
     warmup:
         Leading invocations excluded from statistics while the pipeline
-        fills.  Every runner requires ``invocations - warmup >= 4``.
+        fills.  Every runner requires ``invocations - warmup >=``
+        :data:`MIN_MEASURED_INVOCATIONS`.
     seed:
         Deterministic seed consumed by the layers above the runner
         (fault-trace generation, random/annealed allocation, compiler

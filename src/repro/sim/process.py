@@ -82,14 +82,13 @@ class Process(Event):
             self.fail(exc)
             return
         if not isinstance(target, Event):
-            self._generator.throw(
-                SimulationError(f"process yielded a non-event: {target!r}")
-            )
+            problem = f"process yielded a non-event: {target!r}"
+        elif target.env is not self.env:
+            problem = "process yielded an event from another environment"
+        else:
+            self._waiting_on = target
+            target.add_callback(self._resume)
             return
-        if target.env is not self.env:
-            self._generator.throw(
-                SimulationError("process yielded an event from another environment")
-            )
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume)
+        # Thrown back in like any failure: handled, the process carries on
+        # from its next yield; unhandled, it fails the process event.
+        self._step(SimulationError(problem), as_exception=True)

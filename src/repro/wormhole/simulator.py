@@ -34,7 +34,12 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.errors import AllocationError, SimulationError
 from repro.mapping.allocation import validate_allocation
-from repro.results import RunConfig, RunResult, resolve_run_config
+from repro.results import (
+    MIN_MEASURED_INVOCATIONS,
+    RunConfig,
+    RunResult,
+    resolve_run_config,
+)
 from repro.sim import Environment, Event, Interrupt, Monitor, Resource
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Link, Topology
@@ -174,10 +179,10 @@ class WormholeSimulator:
                 f"tau_in={tau_in} below tau_c={self.timing.tau_c}: input "
                 "accumulates without bound (paper Section 2)"
             )
-        if invocations - warmup < 4:
+        if invocations - warmup < MIN_MEASURED_INVOCATIONS:
             raise SimulationError(
-                f"need >= 4 measured invocations, got {invocations} with "
-                f"warmup={warmup}"
+                f"need >= {MIN_MEASURED_INVOCATIONS} measured invocations, "
+                f"got {invocations} with warmup={warmup}"
             )
 
         env = Environment(tracer=tracer)
@@ -407,26 +412,26 @@ class WormholeSimulator:
     def _pick_recovery_victim(waiting, links):
         """The blocked flight to abort.
 
-        Builds the wait-for graph (flight -> holders of the link it waits
-        for), finds a hold-and-wait cycle, and aborts the cycle member
-        holding the fewest links — the least transmission progress lost.
-        Aborting *on* the cycle is what guarantees each recovery makes
-        progress; an arbitrary blocked flight may be an innocent bystander
-        whose abort recreates the identical stuck state.
+        Walks the wait-for graph (flight -> holders of the link it waits
+        for, worked out only for the flights the search reaches), finds a
+        hold-and-wait cycle, and aborts the cycle member holding the
+        fewest links — the least transmission progress lost.  Aborting
+        *on* the cycle is what guarantees each recovery makes progress; an
+        arbitrary blocked flight may be an innocent bystander whose abort
+        recreates the identical stuck state.
         """
-        graph: dict[tuple, set] = {}
-        for key, (_, wanted_link, _) in waiting.items():
+
+        def blockers(key: tuple) -> set:
             # A flight re-requesting a link it already holds (possible
             # under adaptive misrouting) is a self-edge: a one-node cycle
-            # the DFS below finds like any other.
-            blockers = {
+            # the DFS finds like any other.
+            return {
                 request.owner
-                for request in links[wanted_link].holders
+                for request in links[waiting[key][1]].holders
                 if request.owner in waiting
             }
-            graph[key] = blockers
 
-        cycle = _find_cycle(graph)
+        cycle = _find_cycle(waiting, blockers)
         if cycle is None:
             return None
         _, j, name = min(
@@ -461,18 +466,20 @@ class WormholeSimulator:
 
 
 
-def _find_cycle(graph: dict) -> list | None:
+def _find_cycle(graph: Mapping, successors: Callable | None = None) -> list | None:
     """A cycle in a directed graph as a list of nodes, or None.
 
     Iterative three-color DFS; deterministic given the (insertion-ordered)
-    adjacency so recovery victims are reproducible.
+    adjacency so recovery victims are reproducible.  A node's children
+    (``successors(node)``, default ``graph[node]``) are asked for on reaching it.
     """
+    successors = successors or graph.__getitem__
     WHITE, GREY, BLACK = 0, 1, 2
     color = {node: WHITE for node in graph}
     for root in graph:
         if color[root] != WHITE:
             continue
-        stack = [(root, iter(sorted(graph[root], key=str)))]
+        stack = [(root, iter(sorted(successors(root), key=str)))]
         color[root] = GREY
         path = [root]
         while stack:
@@ -487,7 +494,7 @@ def _find_cycle(graph: dict) -> list | None:
                     color[child] = GREY
                     path.append(child)
                     stack.append(
-                        (child, iter(sorted(graph[child], key=str)))
+                        (child, iter(sorted(successors(child), key=str)))
                     )
                     advanced = True
                     break

@@ -14,10 +14,13 @@ Two anchors:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.compiler import compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
+from repro.faults.models import FaultTrace, LinkFault
 from repro.results import RunConfig
 from repro.tfg import TFGTiming
 from repro.tfg.graph import build_tfg
@@ -112,6 +115,74 @@ class TestScheduledRoutingGoldenTrace:
         _, tracer, result = traced_sr
         recorded = [e.time for e in tracer.instants("run", name="completion")]
         assert recorded == pytest.approx(list(result.completion_times))
+
+    def test_whole_trace_is_the_first_principles_multiset(self, traced_sr):
+        """Everything a replay records outside the kernel's own ``sim``
+        category, as a multiset: one ``slot`` span per scheduled window,
+        one ``link`` occupancy span per window and path link, one ``task``
+        span per task instance, one ``run`` completion per invocation, the
+        injected outage's two ``fault`` edges — and nothing else, however
+        the replay loop is organised."""
+        executor, _, result = traced_sr
+        used = {
+            link
+            for slots in executor.routing.schedule.slots.values()
+            for link in slots[0].links
+        }
+        spare = next(
+            link for link in executor.topology.links if link not in used
+        )
+        tracer = TraceRecorder(
+            categories=("slot", "link", "task", "run", "fault")
+        )
+        executor.run(
+            config=RunConfig(
+                invocations=INVOCATIONS,
+                warmup=WARMUP,
+                tracer=tracer,
+                fault_trace=FaultTrace(
+                    link_faults=(LinkFault(spare, 100.0, duration=50.0),)
+                ),
+            )
+        )
+
+        def key(category, name, start, end, track, **args):
+            return (
+                category, name, round(start, 9), round(end - start, 9),
+                track, tuple(sorted(args.items())),
+            )
+
+        expected = Counter(
+            [
+                key("fault", "down", 100.0, 100.0, str(spare), permanent=False),
+                key("fault", "up", 150.0, 150.0, str(spare)),
+            ]
+        )
+        tau_in = executor.tau_in
+        for name, slots in executor.routing.schedule.slots.items():
+            for j in range(INVOCATIONS):
+                for start, end in executor.absolute_slots(name, j):
+                    expected[key(
+                        "slot", name, start, end, f"msg {name}", invocation=j
+                    )] += 1
+                    for link in slots[0].links:
+                        expected[key(
+                            "link", "occupy", start, end, str(link), owner=name
+                        )] += 1
+        for task, (start, finish) in executor.timing.asap_schedule().items():
+            for j in range(INVOCATIONS):
+                expected[key(
+                    "task", task, j * tau_in + start, j * tau_in + finish,
+                    f"node{executor.allocation[task]}", invocation=j,
+                )] += 1
+        for j, done in enumerate(result.completion_times):
+            expected[key("run", "completion", done, done, "outputs",
+                         invocation=j)] += 1
+        recorded = Counter(
+            key(e.category, e.name, e.time, e.end, e.track, **e.args)
+            for e in tracer.events
+        )
+        assert recorded == expected
 
 
 class TestWormholeGoldenTrace:

@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.core.compiler import compile_schedule
+from repro.check.fuzz import FuzzPoint
+from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
 from repro.core.switching import TransmissionSlot
-from repro.errors import ScheduleValidationError
-from repro.tfg import TFGTiming
+from repro.errors import ScheduleValidationError, SchedulingError
+from repro.experiments import standard_setup
+from repro.results import RunConfig
+from repro.tfg import TFGTiming, dvb_tfg
 from repro.tfg.synth import chain_tfg
+from repro.topology import make_topology
+from repro.trace import TraceRecorder
 
 
 @pytest.fixture()
@@ -93,3 +98,108 @@ class TestRun:
         executor = ScheduledRoutingExecutor(routing, timing, topo, allocation)
         with pytest.raises(ScheduleValidationError):
             executor.run(invocations=12, warmup=2)
+
+    def test_back_to_back_windows_hand_the_link_over(self, chain_routing):
+        """end == start on one link: the release is handled before the
+        claim of the same instant, so nothing queues and nothing blocks."""
+        routing, timing, topo, allocation = chain_routing
+        (slot,) = routing.schedule.slots["m0"]
+        half = slot.duration / 2
+        routing.schedule.slots["m0"] = (
+            TransmissionSlot("m0", slot.start, half, slot.path),
+            TransmissionSlot("m0", slot.start + half, half, slot.path),
+        )
+        executor = ScheduledRoutingExecutor(routing, timing, topo, allocation)
+        tracer = TraceRecorder(categories=("link",))
+        result = executor.run(
+            config=RunConfig(invocations=12, warmup=2, tracer=tracer)
+        )
+        assert not result.has_oi()
+        assert tracer.spans("link", name="blocked") == []
+        windows = [w for j in range(12) for w in executor.absolute_slots("m0", j)]
+        assert all(a[1] == b[0] for a, b in zip(windows[::2], windows[1::2]))
+        assert sorted(
+            (e.time, e.end) for e in tracer.spans("link", track=str(slot.links[0]))
+        ) == windows
+        assert result.extra["link_busy"][slot.links[0]] == pytest.approx(
+            12 * slot.duration
+        )
+
+
+def _closed_form_busy(routing, invocations):
+    busy = {}
+    for slots in routing.schedule.slots.values():
+        for slot in slots:
+            for link in slot.links:
+                busy[link] = busy.get(link, 0.0) + invocations * slot.duration
+    return busy
+
+
+class TestClosedForm:
+    """What a contention-free periodic table must replay to, exactly:
+    the rewrite of the replay loop may not move either series."""
+
+    def test_completions_and_link_busy_on_a_fuzz_corpus(self):
+        feasible = 0
+        for seed in range(12):
+            timing, topology, allocation, tau_in = FuzzPoint.from_seed(
+                seed
+            ).build()
+            try:
+                routing = compile_schedule(
+                    timing, topology, allocation, tau_in,
+                    CompilerConfig(
+                        seed=0, max_paths=16, max_restarts=2, retries=1
+                    ),
+                )
+            except SchedulingError:
+                continue
+            feasible += 1
+            result = ScheduledRoutingExecutor(
+                routing, timing, topology, allocation
+            ).run(invocations=8, warmup=4)
+            asap = timing.asap_schedule()
+            last = max(asap[t.name][1] for t in timing.tfg.output_tasks)
+            assert result.completion_times == pytest.approx(
+                [j * tau_in + last for j in range(8)], abs=1e-9
+            )
+            expected = _closed_form_busy(routing, 8)
+            observed = result.extra["link_busy"]
+            assert observed.keys() == expected.keys()
+            for link, busy in expected.items():
+                assert observed[link] == pytest.approx(busy, abs=1e-9)
+        assert feasible >= 6
+
+
+#: The three pipeline_sim points ISSUE 15 quotes, built as
+#: benchmarks/e2e/inputs.py builds them (DVB(5), B = 128, its compiler
+#: config), replayed for 24 invocations: (topology, load).
+BUDGET_POINTS = [("hypercube6", 0.9), ("ghc444", 0.3), ("torus8x8", 0.7714285714)]
+
+
+class TestEventBudget:
+    @pytest.mark.parametrize("name,load", BUDGET_POINTS)
+    def test_kernel_steps_within_two_per_flight(self, name, load):
+        """One timeline alarm per distinct instant plus one grant event
+        per link claim: at most 2F + sum(L) + T + 8 agenda steps (a
+        process per slot and per task took 4F + sum(L) + 4T)."""
+        setup = standard_setup(dvb_tfg(5), make_topology(name), 128.0)
+        routing = compile_schedule(
+            setup.timing, setup.topology, setup.allocation,
+            setup.tau_in_for_load(load),
+            CompilerConfig(seed=0, max_paths=48, max_restarts=4, retries=2),
+        )
+        executor = ScheduledRoutingExecutor(
+            routing, setup.timing, setup.topology, setup.allocation
+        )
+        tracer = TraceRecorder(categories=("sim",))
+        executor.run(config=RunConfig(invocations=24, warmup=6, tracer=tracer))
+        flights = 24 * sum(len(s) for s in routing.schedule.slots.values())
+        claims = 24 * sum(
+            len(slot.links)
+            for slots in routing.schedule.slots.values()
+            for slot in slots
+        )
+        tasks = 24 * len(setup.timing.tfg.tasks)
+        steps = len(tracer.instants("sim", name="step"))
+        assert claims < steps <= 2 * flights + claims + tasks + 8

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.compiler import compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
+from repro.core.switching import TransmissionSlot
 from repro.errors import (
     FaultedDeadlineError,
     FaultInjectionError,
@@ -136,6 +137,58 @@ class TestExecutorUnderFaults:
         trace = FaultTrace(link_faults=(LinkFault(spare, 10.0, duration=5.0),))
         result = executor.run(invocations=12, warmup=2, fault_trace=trace)
         assert not result.has_oi()
+
+    # Ties between an outage edge and a claim.  Slot m0 holds link (0, 1)
+    # over [130, 140] in invocation 3; the timeline instant before 130 is
+    # 120.  An outage that *starts* at the claim instant is seen by the
+    # claim; one *restored* at the claim instant is not yet over for it,
+    # whether it began before or after the previous timeline instant.
+    @pytest.mark.parametrize(
+        "start,duration",
+        [(130.0, None), (129.0, 1.0), (125.0, 5.0), (115.0, 15.0)],
+    )
+    def test_outage_edge_at_claim_instant_is_detected(
+        self, chain_exec, start, duration
+    ):
+        executor, *_ = chain_exec
+        assert executor.absolute_slots("m0", 3) == [(130.0, 140.0)]
+        trace = FaultTrace(link_faults=(LinkFault((0, 1), start, duration),))
+        with pytest.raises(LinkFailedError) as info:
+            executor.run(invocations=12, warmup=2, fault_trace=trace)
+        assert info.value.link == (0, 1)
+        assert info.value.detection_time == 130.0
+
+    def test_outage_just_after_claim_instant_is_not_detected(self, chain_exec):
+        """A holder keeps its grant: the window [130, 140] outlives an
+        outage over [130.001, 131.001]; a permanent one is met by the next
+        claim, at 170."""
+        executor, *_ = chain_exec
+        trace = FaultTrace(link_faults=(LinkFault((0, 1), 130.001, 1.0),))
+        result = executor.run(invocations=12, warmup=2, fault_trace=trace)
+        assert list(result.extra["fault_events"]) == [
+            (130.001, ("down", (0, 1))),
+            (131.001, ("up", (0, 1))),
+        ]
+        trace = FaultTrace(link_faults=(LinkFault((0, 1), 130.001),))
+        with pytest.raises(LinkFailedError) as info:
+            executor.run(invocations=12, warmup=2, fault_trace=trace)
+        assert info.value.detection_time == 170.0
+
+    def test_drift_contention_is_a_fault_error(self, chain_exec):
+        """An early clock moves m0's window [50, 60] onto [35, 45], into a
+        window of m1 re-routed over the same link: the claim queues behind
+        the holder, and the late hand-over is blamed on the machine."""
+        executor, routing, _, allocation = chain_exec
+        routing.schedule.slots["m1"] = tuple(
+            TransmissionSlot("m1", s.start, s.duration, (0, 1, 3))
+            for s in routing.schedule.slots["m1"]
+        )
+        assert executor.absolute_slots("m1", 0) == [(30.0, 40.0)]
+        executor.run(invocations=12, warmup=2)  # clean on a healthy machine
+        trace = FaultTrace(drifts=(ClockDrift(allocation["t0"], -15.0),))
+        with pytest.raises(FaultInjectionError, match="contention") as info:
+            executor.run(invocations=12, warmup=2, fault_trace=trace)
+        assert info.value.detection_time == 40.0
 
     def test_large_drift_misses_deadline(self, chain_exec):
         executor, routing, timing, allocation = chain_exec

@@ -148,3 +148,29 @@ class TestExecutorCoverage:
         )
         with pytest.raises(ScheduleValidationError):
             executor.run(invocations=12, warmup=2)
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            [(10.0, 7.0), (15.0, 5.0)],   # two windows overlap on (0, 1)
+            [(10.0, 10.0), (12.0, 3.0)],  # one nested inside the other
+        ],
+        ids=["overlapping", "nested"],
+    )
+    def test_windows_colliding_on_a_link_are_contention(self, good, windows):
+        """The second claim queues behind the first window's hold: whether
+        it is granted late (overlap) or its own window closes first
+        (nested), the replay reports contention.  The last window still
+        ends by the deadline, so only the dynamic check can see it."""
+        routing, timing, topology, allocation = good
+        (slot,) = routing.schedule.slots["m0"]
+        assert (slot.start, slot.duration) == (10.0, 10.0)
+        routing.schedule.slots["m0"] = tuple(
+            TransmissionSlot("m0", start, duration, slot.path)
+            for start, duration in windows
+        )
+        executor = ScheduledRoutingExecutor(
+            routing, timing, topology, allocation
+        )
+        with pytest.raises(ScheduleValidationError, match="contention"):
+            executor.run(invocations=12, warmup=2)

@@ -171,6 +171,49 @@ class TestProcess:
         with pytest.raises(SimulationError):
             env.run(until=process)
 
+    @pytest.mark.parametrize("foreign", [False, True])
+    def test_unhandled_bad_yield_fails_the_process_event(self, foreign):
+        """A non-event (or another environment's event) fails the process
+        like any other error: a waiter is told, the process is dead."""
+        env = Environment()
+        seen = []
+
+        def body(env):
+            yield Environment().timeout(1.0) if foreign else 42
+
+        def waiter(env, child):
+            try:
+                yield child
+            except SimulationError as error:
+                seen.append(str(error))
+
+        child = env.process(body(env))
+        env.process(waiter(env, child))
+        env.run()
+        assert not child.is_alive and not child.ok
+        assert len(seen) == 1
+        assert ("another environment" if foreign else "non-event") in seen[0]
+
+    def test_handled_bad_yield_resumes_at_the_next_yield(self):
+        """A process that catches the error and yields a real event is
+        resumed by it instead of being dropped (alive forever)."""
+        env = Environment()
+        log = []
+
+        def body(env):
+            try:
+                yield 42
+            except SimulationError:
+                log.append(("caught", env.now))
+            yield env.timeout(3.0)
+            log.append(("resumed", env.now))
+            return "done"
+
+        process = env.process(body(env))
+        assert env.run(until=process) == "done"
+        assert log == [("caught", 0.0), ("resumed", 3.0)]
+        assert not process.is_alive
+
     def test_exception_in_process_propagates(self):
         env = Environment()
 
