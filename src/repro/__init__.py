@@ -23,183 +23,91 @@ See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 figure-by-figure reproduction harness.
 """
 
-from repro.cache import CacheStats, ScheduleCache, schedule_cache_key
-from repro.check import (
-    ConformanceReport,
-    Finding,
-    FuzzReport,
-    analyze_schedule,
-    mutate_schedule,
-    run_fuzz,
-)
-from repro.core import (
-    CommunicationSchedule,
-    CompilerConfig,
-    ScheduledRouting,
-    ScheduledRoutingExecutor,
-    assign_paths,
-    compile_schedule,
-    lsd_assignment,
-)
-from repro.core.timebounds import compute_time_bounds
-from repro.diagnose import (
-    Diagnosis,
-    Refutation,
-    WrReport,
-    analyze_wormhole,
-    diagnose_instance,
-    explain_assignment,
-    verify_refutation,
-)
-from repro.errors import (
-    IntervalAllocationError,
-    IntervalSchedulingError,
-    ReproError,
-    ScheduleValidationError,
-    SchedulingError,
-    SimulationError,
-    StaticallyRefutedError,
-    UtilizationExceededError,
-)
-from repro.experiments import (
-    ExperimentSetup,
-    pipeline_comparison,
-    standard_setup,
-    utilization_comparison,
-)
-from repro.core.bounds import FeasibilityBounds, feasibility_bounds
-from repro.core.io import load_schedule, save_schedule
-from repro.core.verify import VerificationReport, verify_schedule
-from repro.metrics.jitter import JitterReport, jitter_report
-from repro.mapping import (
-    annealed_allocation,
-    bfs_allocation,
-    random_allocation,
-    sequential_allocation,
-)
-from repro.metrics import SpikeStats, load_sweep
-from repro.tfg import (
-    Message,
-    Task,
-    TaskFlowGraph,
-    TFGTiming,
-    dvb_tfg,
-    random_layered_tfg,
-    speeds_for_ratio,
-)
-from repro.topology import (
-    GeneralizedHypercube,
-    Mesh,
-    Torus,
-    binary_hypercube,
-    enumerate_minimal_paths,
-    lsd_to_msd_route,
-)
-from repro.results import RunConfig, RunResult
-from repro.solvers import available_backends, default_backend_name, get_backend
-from repro.trace import (
-    CompileProfile,
-    CompileProfiler,
-    TraceRecorder,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from repro.viz import (
-    link_occupancy_chart,
-    node_gantt,
-    sparkline,
-    trace_occupancy_chart,
-)
-from repro.wormhole import (
-    AdaptiveWormholeSimulator,
-    OiRisk,
-    WormholeSimulator,
-    predict_oi_risks,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveWormholeSimulator",
-    "CacheStats",
-    "CommunicationSchedule",
-    "CompileProfile",
-    "CompileProfiler",
-    "CompilerConfig",
-    "ConformanceReport",
-    "Diagnosis",
-    "ExperimentSetup",
-    "FeasibilityBounds",
-    "Finding",
-    "FuzzReport",
-    "GeneralizedHypercube",
-    "IntervalAllocationError",
-    "IntervalSchedulingError",
-    "JitterReport",
-    "Mesh",
-    "OiRisk",
-    "Message",
-    "Refutation",
-    "ReproError",
-    "RunConfig",
-    "RunResult",
-    "ScheduleCache",
-    "ScheduleValidationError",
-    "ScheduledRouting",
-    "ScheduledRoutingExecutor",
-    "SchedulingError",
-    "SimulationError",
-    "SpikeStats",
-    "StaticallyRefutedError",
-    "TFGTiming",
-    "Task",
-    "TaskFlowGraph",
-    "Torus",
-    "TraceRecorder",
-    "VerificationReport",
-    "UtilizationExceededError",
-    "WormholeSimulator",
-    "WrReport",
-    "analyze_schedule",
-    "analyze_wormhole",
-    "annealed_allocation",
-    "assign_paths",
-    "available_backends",
-    "bfs_allocation",
-    "binary_hypercube",
-    "compile_schedule",
-    "compute_time_bounds",
-    "default_backend_name",
-    "diagnose_instance",
-    "dvb_tfg",
-    "enumerate_minimal_paths",
-    "explain_assignment",
-    "feasibility_bounds",
-    "get_backend",
-    "jitter_report",
-    "link_occupancy_chart",
-    "load_schedule",
-    "load_sweep",
-    "lsd_assignment",
-    "lsd_to_msd_route",
-    "mutate_schedule",
-    "node_gantt",
-    "pipeline_comparison",
-    "predict_oi_risks",
-    "random_allocation",
-    "random_layered_tfg",
-    "run_fuzz",
-    "save_schedule",
-    "schedule_cache_key",
-    "sequential_allocation",
-    "sparkline",
-    "speeds_for_ratio",
-    "standard_setup",
-    "to_chrome_trace",
-    "trace_occupancy_chart",
-    "utilization_comparison",
-    "verify_refutation",
-    "verify_schedule",
-    "write_chrome_trace",
-    "__version__",
-]
+_exported, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AdaptiveWormholeSimulator": "wormhole.adaptive",
+    "CacheStats": "cache.store",
+    "CommunicationSchedule": "core.switching",
+    "CompileProfile": "trace.profile",
+    "CompileProfiler": "trace.profile",
+    "CompilerConfig": "core.compiler",
+    "ConformanceReport": "check.analyzer",
+    "Diagnosis": "diagnose.certificates",
+    "ExperimentSetup": "experiments.setup",
+    "FeasibilityBounds": "core.bounds",
+    "Finding": "check.analyzer",
+    "FuzzReport": "check.fuzz",
+    "GeneralizedHypercube": "topology.ghc",
+    "IntervalAllocationError": "errors",
+    "IntervalSchedulingError": "errors",
+    "JitterReport": "metrics.jitter",
+    "Mesh": "topology.mesh",
+    "OiRisk": "wormhole.analysis",
+    "Message": "tfg.graph",
+    "Refutation": "diagnose.certificates",
+    "ReproError": "errors",
+    "RunConfig": "results",
+    "RunResult": "results",
+    "ScheduleCache": "cache.store",
+    "ScheduleValidationError": "errors",
+    "ScheduledRouting": "core.compiler",
+    "ScheduledRoutingExecutor": "core.executor",
+    "SchedulingError": "errors",
+    "SimulationError": "errors",
+    "SpikeStats": "metrics.series",
+    "StaticallyRefutedError": "errors",
+    "TFGTiming": "tfg.analysis",
+    "Task": "tfg.graph",
+    "TaskFlowGraph": "tfg.graph",
+    "Torus": "topology.torus",
+    "TraceRecorder": "trace.tracer",
+    "VerificationReport": "core.verify",
+    "UtilizationExceededError": "errors",
+    "WormholeSimulator": "wormhole.simulator",
+    "WrReport": "diagnose.wormhole",
+    "analyze_schedule": "check.analyzer",
+    "analyze_wormhole": "diagnose.wormhole",
+    "annealed_allocation": "mapping.annealing",
+    "assign_paths": "core.assign_paths",
+    "available_backends": "solvers",
+    "bfs_allocation": "mapping.allocation",
+    "binary_hypercube": "topology.hypercube",
+    "compile_schedule": "core.compiler",
+    "compute_time_bounds": "core.timebounds",
+    "default_backend_name": "solvers",
+    "diagnose_instance": "diagnose.instance",
+    "dvb_tfg": "tfg.dvb",
+    "enumerate_minimal_paths": "topology.paths",
+    "explain_assignment": "diagnose.duals",
+    "feasibility_bounds": "core.bounds",
+    "get_backend": "solvers",
+    "jitter_report": "metrics.jitter",
+    "link_occupancy_chart": "viz.gantt",
+    "load_schedule": "core.io",
+    "load_sweep": "metrics.series",
+    "lsd_assignment": "core.assign_paths",
+    "lsd_to_msd_route": "topology.routing",
+    "mutate_schedule": "check.mutate",
+    "node_gantt": "viz.gantt",
+    "pipeline_comparison": "experiments.figures",
+    "predict_oi_risks": "wormhole.analysis",
+    "random_allocation": "mapping.allocation",
+    "random_layered_tfg": "tfg.synth",
+    "run_fuzz": "check.fuzz",
+    "save_schedule": "core.io",
+    "schedule_cache_key": "cache.keys",
+    "sequential_allocation": "mapping.allocation",
+    "sparkline": "viz.sparkline",
+    "speeds_for_ratio": "tfg.analysis",
+    "standard_setup": "experiments.setup",
+    "to_chrome_trace": "trace.export",
+    "trace_occupancy_chart": "viz.gantt",
+    "utilization_comparison": "experiments.figures",
+    "verify_refutation": "diagnose.verify",
+    "verify_schedule": "core.verify",
+    "write_chrome_trace": "trace.export",
+})
+__all__ = [*_exported, "__version__"]

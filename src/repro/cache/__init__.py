@@ -25,56 +25,29 @@ never in the scalar counters above.
 See ``docs/compiler.md`` for the key scheme and invalidation rules.
 """
 
-from repro.cache.artifacts import (
-    DeltaState,
-    artifact_key,
-    bounds_content,
-    pools_content,
-    warm_scope_key,
-)
-from repro.cache.keys import (
-    CACHE_VERSION,
-    cache_key_payload,
-    canonical_allocation,
-    canonical_config,
-    canonical_tfg,
-    canonical_timing,
-    canonical_topology,
-    diagnosis_cache_key,
-    hashed_fields,
-    schedule_cache_key,
-)
-from repro.cache.store import (
-    CacheStats,
-    ScheduleCache,
-    entry_to_error,
-    entry_to_routing,
-    error_to_entry,
-    persist_cache_stats,
-    routing_to_entry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_VERSION",
-    "CacheStats",
-    "DeltaState",
-    "ScheduleCache",
-    "artifact_key",
-    "bounds_content",
-    "cache_key_payload",
-    "canonical_allocation",
-    "canonical_config",
-    "canonical_tfg",
-    "canonical_timing",
-    "canonical_topology",
-    "diagnosis_cache_key",
-    "entry_to_error",
-    "entry_to_routing",
-    "error_to_entry",
-    "hashed_fields",
-    "persist_cache_stats",
-    "pools_content",
-    "routing_to_entry",
-    "schedule_cache_key",
-    "warm_scope_key",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CACHE_VERSION": "keys",
+    "CacheStats": "store",
+    "DeltaState": "artifacts",
+    "ScheduleCache": "store",
+    "artifact_key": "artifacts",
+    "bounds_content": "artifacts",
+    "cache_key_payload": "keys",
+    "canonical_allocation": "keys",
+    "canonical_config": "keys",
+    "canonical_tfg": "keys",
+    "canonical_timing": "keys",
+    "canonical_topology": "keys",
+    "diagnosis_cache_key": "keys",
+    "entry_to_error": "store",
+    "entry_to_routing": "store",
+    "error_to_entry": "store",
+    "hashed_fields": "keys",
+    "persist_cache_stats": "store",
+    "pools_content": "artifacts",
+    "routing_to_entry": "store",
+    "schedule_cache_key": "keys",
+    "warm_scope_key": "artifacts",
+})

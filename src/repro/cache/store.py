@@ -176,7 +176,7 @@ def persist_cache_stats(
         return None
     if isinstance(stats, CacheStats):
         stats = stats.as_dict()
-    directory = Path(cache_dir)
+    directory = Path(cache_dir).expanduser()
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / "cache-stats.json"
     payload = dict(stats)
@@ -364,7 +364,10 @@ class ScheduleCache:
     """
 
     def __init__(self, directory: str | Path | None = None):
-        self.directory = Path(directory) if directory is not None else None
+        # A shell leaves ``--cache-dir=~/x`` (or a quoted one) unexpanded.
+        self.directory = (
+            Path(directory).expanduser() if directory is not None else None
+        )
         self._memory: dict[str, dict[str, Any]] = {}
         self.stats = CacheStats()
 

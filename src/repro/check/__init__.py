@@ -27,27 +27,19 @@ See ``docs/verification.md`` for how the three verification tiers
 (static analyzer, crossbar replay, DES replay) fit together.
 """
 
-from repro.check.analyzer import (
-    ConformanceReport,
-    Finding,
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    analyze_schedule,
-)
-from repro.check.fuzz import FuzzPoint, FuzzReport, PointOutcome, run_fuzz
-from repro.check.mutate import MUTATIONS, MutatedSchedule, mutate_schedule
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConformanceReport",
-    "Finding",
-    "FuzzPoint",
-    "FuzzReport",
-    "MUTATIONS",
-    "MutatedSchedule",
-    "PointOutcome",
-    "SEVERITY_ERROR",
-    "SEVERITY_WARNING",
-    "analyze_schedule",
-    "mutate_schedule",
-    "run_fuzz",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ConformanceReport": "analyzer",
+    "Finding": "analyzer",
+    "FuzzPoint": "fuzz",
+    "FuzzReport": "fuzz",
+    "MUTATIONS": "mutate",
+    "MutatedSchedule": "mutate",
+    "PointOutcome": "fuzz",
+    "SEVERITY_ERROR": "analyzer",
+    "SEVERITY_WARNING": "analyzer",
+    "analyze_schedule": "analyzer",
+    "mutate_schedule": "mutate",
+    "run_fuzz": "fuzz",
+})

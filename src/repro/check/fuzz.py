@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.cache import ScheduleCache
+from repro.cache.store import ScheduleCache
 from repro.cache.store import error_to_entry, routing_to_entry
 from repro.check.analyzer import analyze_schedule
 from repro.core.compiler import CompilerConfig, ScheduledRouting, compile_schedule
@@ -286,7 +286,8 @@ def _check_prescreen(
     then demands (a) no backend found the point feasible and (b) every
     refutation's witness survives the independent replay verifier.
     """
-    from repro.diagnose import diagnose_instance, verify_refutation
+    from repro.diagnose.instance import diagnose_instance
+    from repro.diagnose.verify import verify_refutation
 
     timing, topology, allocation, tau_in = inputs
     diagnosis = diagnose_instance(timing, topology, allocation, tau_in)

@@ -21,10 +21,12 @@ import argparse
 import dataclasses
 import sys
 
+# Only what building the parser needs is imported here, none of it numpy
+# or ``repro.core``: each ``_cmd_*`` imports what it runs, so ``--help``,
+# ``lint`` and ``submit`` stay light and ``compile`` pays for no more
+# than a compile.
 from repro.errors import ReproError, RepairInfeasibleError, SchedulingError
-from repro.experiments import pipeline_comparison, utilization_comparison
 from repro.experiments.setup import ALLOCATORS, InstanceSpec
-from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.metrics import load_sweep
 from repro.report import format_spike, format_table
 from repro.solvers import BACKEND_NAMES
@@ -56,6 +58,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--allocator", choices=ALLOCATORS, default="sequential",
         help="task placement strategy (random/annealed honour --seed)",
     )
+    parser.set_defaults(usage_error=parser.error)
 
 
 def _add_lp_backend(parser: argparse.ArgumentParser, help: str) -> None:
@@ -65,16 +68,35 @@ def _add_lp_backend(parser: argparse.ArgumentParser, help: str) -> None:
 
 
 def _spec(args) -> InstanceSpec:
-    return InstanceSpec(
-        args.topology, args.bandwidth, args.models, args.allocator, args.seed
-    )
+    """The instance the common arguments name; a value it rejects is a
+    usage error (exit 2) like any other bad argument, not a traceback
+    with the exit code of "infeasible"."""
+    try:
+        return InstanceSpec(
+            args.topology, args.bandwidth, args.models, args.allocator,
+            args.seed,
+        )
+    except ValueError as error:
+        args.usage_error(str(error))
 
 
 def _setup(args):
     return _spec(args).build()
 
 
+def _setup_at_load(args):
+    """The setup and its input period at ``--load`` (exit 2 on a load
+    outside ``(0, 1]``)."""
+    setup = _setup(args)
+    try:
+        return setup, setup.tau_in_for_load(args.load)
+    except ValueError as error:
+        args.usage_error(str(error))
+
+
 def _cmd_utilization(args) -> int:
+    from repro.experiments.figures import utilization_comparison
+
     setup = _setup(args)
     loads = args.loads or load_sweep()
     points = utilization_comparison(setup, loads, seed=args.seed)
@@ -93,6 +115,9 @@ def _cmd_utilization(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from repro.core.compiler import CompilerConfig
+    from repro.experiments.figures import pipeline_comparison
+
     setup = _setup(args)
     loads = args.loads or load_sweep()
     points = pipeline_comparison(setup, loads, compiler_config=CompilerConfig(seed=args.seed))
@@ -120,8 +145,9 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    setup = _setup(args)
-    tau_in = setup.tau_in_for_load(args.load)
+    from repro.core.compiler import CompilerConfig, compile_schedule
+
+    setup, tau_in = _setup_at_load(args)
     cache = None
     if args.cache_dir is not None:
         from repro.cache import ScheduleCache
@@ -162,6 +188,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    from repro.core.compiler import CompilerConfig
     from repro.experiments.matrix import (
         format_matrix_result,
         run_feasibility_matrix,
@@ -193,8 +220,7 @@ def _cmd_diagnose(args) -> int:
 
     from repro.diagnose import analyze_wormhole, diagnose_instance
 
-    setup = _setup(args)
-    tau_in = setup.tau_in_for_load(args.load)
+    setup, tau_in = _setup_at_load(args)
     cache = None
     if args.cache_dir is not None:
         from repro.cache import ScheduleCache
@@ -386,6 +412,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_faults(args) -> int:
+    from repro.core.compiler import CompilerConfig
     from repro.faults.compare import fault_recovery_experiment
     from repro.results import RunConfig
 
@@ -421,11 +448,11 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.core.compiler import CompilerConfig, compile_schedule
     from repro.results import RunConfig
     from repro.trace import CompileProfiler, TraceRecorder, write_chrome_trace
 
-    setup = _setup(args)
-    tau_in = setup.tau_in_for_load(args.load)
+    setup, tau_in = _setup_at_load(args)
     tracer = TraceRecorder()
     run = RunConfig(
         invocations=args.invocations,

@@ -29,53 +29,33 @@ The compile pipeline (paper Fig. 3):
 :func:`~repro.core.compiler.compile_schedule` runs the whole pipeline.
 """
 
-from repro.core.assign_paths import AssignPathsResult, assign_paths, lsd_assignment
-from repro.core.assignment import PathAssignment
-from repro.core.compiler import CompilerConfig, ScheduledRouting, compile_schedule
-from repro.core.executor import ScheduledRoutingExecutor
-from repro.core.interval_allocation import IntervalAllocation, allocate_intervals
-from repro.core.pipeline import (
-    CompilationContext,
-    CompilerStage,
-    compile_stages,
-    run_stages,
-)
-from repro.core.interval_scheduling import IntervalSchedule, schedule_intervals
-from repro.core.subsets import maximal_subsets
-from repro.core.switching import (
-    CommunicationSchedule,
-    NodeSchedule,
-    SwitchCommand,
-    TransmissionSlot,
-)
-from repro.core.timebounds import IntervalSet, MessageTimeBounds, TimeBoundSet
-from repro.core.utilization import UtilizationReport, utilization_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssignPathsResult",
-    "CommunicationSchedule",
-    "CompilationContext",
-    "CompilerConfig",
-    "CompilerStage",
-    "IntervalAllocation",
-    "IntervalSchedule",
-    "IntervalSet",
-    "MessageTimeBounds",
-    "NodeSchedule",
-    "PathAssignment",
-    "ScheduledRouting",
-    "ScheduledRoutingExecutor",
-    "SwitchCommand",
-    "TimeBoundSet",
-    "TransmissionSlot",
-    "UtilizationReport",
-    "allocate_intervals",
-    "assign_paths",
-    "compile_schedule",
-    "compile_stages",
-    "lsd_assignment",
-    "maximal_subsets",
-    "run_stages",
-    "schedule_intervals",
-    "utilization_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AssignPathsResult": "assign_paths",
+    "CommunicationSchedule": "switching",
+    "CompilationContext": "pipeline",
+    "CompilerConfig": "compiler",
+    "CompilerStage": "pipeline",
+    "IntervalAllocation": "interval_allocation",
+    "IntervalSchedule": "interval_scheduling",
+    "IntervalSet": "timebounds",
+    "MessageTimeBounds": "timebounds",
+    "NodeSchedule": "switching",
+    "PathAssignment": "assignment",
+    "ScheduledRouting": "compiler",
+    "ScheduledRoutingExecutor": "executor",
+    "SwitchCommand": "switching",
+    "TimeBoundSet": "timebounds",
+    "TransmissionSlot": "switching",
+    "UtilizationReport": "utilization",
+    "allocate_intervals": "interval_allocation",
+    "assign_paths": "assign_paths",
+    "compile_schedule": "compiler",
+    "compile_stages": "pipeline",
+    "lsd_assignment": "assign_paths",
+    "maximal_subsets": "subsets",
+    "run_stages": "pipeline",
+    "schedule_intervals": "interval_scheduling",
+    "utilization_report": "utilization",
+})

@@ -36,13 +36,14 @@ from repro.core.timebounds import TimeBoundSet
 from repro.core.utilization import UtilizationReport
 from repro.errors import SchedulingError
 from repro.mapping.allocation import validate_allocation
-from repro.solvers import LPBackend, get_backend
+from repro.solvers import get_backend
+from repro.solvers.base import LPBackend
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Topology
 from repro.trace.profile import NULL_PROFILER, CompileProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache import ScheduleCache
+    from repro.cache.store import ScheduleCache
 
 __all__ = [
     "CompilerConfig",
@@ -204,7 +205,8 @@ def compile_schedule(
     delta = None
     warm_scope = None
     if cache is not None:
-        from repro.cache import DeltaState, schedule_cache_key, warm_scope_key
+        from repro.cache.artifacts import DeltaState, warm_scope_key
+        from repro.cache.keys import schedule_cache_key
 
         key = schedule_cache_key(timing, topology, allocation, tau_in, config)
         hit = cache.fetch(key, topology=topology)

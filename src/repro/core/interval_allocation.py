@@ -28,13 +28,13 @@ import numpy as np
 from repro.core.assignment import PathAssignment
 from repro.core.timebounds import TimeBoundSet
 from repro.errors import IntervalAllocationError
-from repro.solvers import (
+from repro.solvers import get_backend
+from repro.solvers.base import (
     LP_TOL,
     LPBackend,
     LPProblem,
     LPProblemBuilder,
     exceeds_tolerance,
-    get_backend,
 )
 from repro.topology.base import Link
 

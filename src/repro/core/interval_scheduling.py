@@ -36,14 +36,14 @@ import numpy as np
 from repro.core.assignment import PathAssignment
 from repro.core.interval_allocation import IntervalAllocation
 from repro.errors import IntervalSchedulingError
-from repro.solvers import (
+from repro.solvers import get_backend
+from repro.solvers.base import (
     LP_TOL,
     LPBackend,
     LPProblem,
     LPProblemBuilder,
     LPSolution,
     exceeds_tolerance,
-    get_backend,
 )
 
 __all__ = [

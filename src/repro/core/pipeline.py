@@ -49,7 +49,7 @@ from repro.errors import (
     SchedulingError,
     UtilizationExceededError,
 )
-from repro.solvers import LPBackend
+from repro.solvers.base import LPBackend
 from repro.trace.profile import NULL_PROFILER, CompileProfiler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.core.compiler
@@ -198,7 +198,7 @@ class PrescreenStage:
     name = "prescreen"
 
     def run(self, context: CompilationContext) -> None:
-        from repro.diagnose import diagnose_instance
+        from repro.diagnose.instance import diagnose_instance
         from repro.errors import StaticallyRefutedError
 
         with context.profiler.stage(self.name) as detail:

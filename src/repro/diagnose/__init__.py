@@ -21,38 +21,22 @@ analyses compiled *schedules*.  Three layers:
 See ``docs/diagnosis.md`` for the certificate taxonomy and CLI usage.
 """
 
-from repro.diagnose.certificates import (
-    REFUTE_MARGIN,
-    SCOPE_ASSIGNMENT,
-    SCOPE_INSTANCE,
-    Diagnosis,
-    Refutation,
-)
-from repro.diagnose.duals import explain_allocation_failure, explain_assignment
-from repro.diagnose.instance import diagnose_instance, forced_links
-from repro.diagnose.verify import verify_refutation
-from repro.diagnose.wormhole import (
-    WrFinding,
-    WrReport,
-    analyze_wormhole,
-    channel_dependency_graph,
-    find_dependency_cycle,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Diagnosis",
-    "REFUTE_MARGIN",
-    "Refutation",
-    "SCOPE_ASSIGNMENT",
-    "SCOPE_INSTANCE",
-    "WrFinding",
-    "WrReport",
-    "analyze_wormhole",
-    "channel_dependency_graph",
-    "diagnose_instance",
-    "explain_allocation_failure",
-    "explain_assignment",
-    "find_dependency_cycle",
-    "forced_links",
-    "verify_refutation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Diagnosis": "certificates",
+    "REFUTE_MARGIN": "certificates",
+    "Refutation": "certificates",
+    "SCOPE_ASSIGNMENT": "certificates",
+    "SCOPE_INSTANCE": "certificates",
+    "WrFinding": "wormhole",
+    "WrReport": "wormhole",
+    "analyze_wormhole": "wormhole",
+    "channel_dependency_graph": "wormhole",
+    "diagnose_instance": "instance",
+    "explain_allocation_failure": "duals",
+    "explain_assignment": "duals",
+    "find_dependency_cycle": "wormhole",
+    "forced_links": "instance",
+    "verify_refutation": "verify",
+})

@@ -24,7 +24,8 @@ from repro.core.interval_allocation import build_allocation_problem
 from repro.core.subsets import maximal_subsets
 from repro.core.timebounds import TimeBoundSet
 from repro.diagnose.certificates import SCOPE_ASSIGNMENT, Refutation
-from repro.solvers import LPBackend, get_backend
+from repro.solvers import get_backend
+from repro.solvers.base import LPBackend
 from repro.solvers.certificates import FarkasCertificate, infeasibility_certificate
 from repro.topology.base import Link
 

@@ -7,38 +7,20 @@ lives in DESIGN.md; paper-vs-measured outcomes are recorded in
 EXPERIMENTS.md.
 """
 
-from repro.experiments.setup import (
-    ExperimentSetup,
-    InstanceSpec,
-    standard_setup,
-)
-from repro.experiments.figures import (
-    PipelinePoint,
-    UtilizationPoint,
-    pipeline_comparison,
-    utilization_comparison,
-)
-from repro.experiments.matrix import (
-    MatrixResult,
-    MatrixRow,
-    feasibility_matrix,
-    format_matrix,
-    format_matrix_result,
-    run_feasibility_matrix,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentSetup",
-    "InstanceSpec",
-    "MatrixResult",
-    "MatrixRow",
-    "PipelinePoint",
-    "UtilizationPoint",
-    "feasibility_matrix",
-    "format_matrix",
-    "format_matrix_result",
-    "pipeline_comparison",
-    "run_feasibility_matrix",
-    "standard_setup",
-    "utilization_comparison",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ExperimentSetup": "setup",
+    "InstanceSpec": "setup",
+    "MatrixResult": "matrix",
+    "MatrixRow": "matrix",
+    "PipelinePoint": "figures",
+    "UtilizationPoint": "figures",
+    "feasibility_matrix": "matrix",
+    "format_matrix": "matrix",
+    "format_matrix_result": "matrix",
+    "pipeline_comparison": "figures",
+    "run_feasibility_matrix": "matrix",
+    "standard_setup": "setup",
+    "utilization_comparison": "figures",
+})

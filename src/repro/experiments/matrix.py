@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
-from repro.cache import CacheStats, ScheduleCache, persist_cache_stats
+from repro.cache.store import CacheStats, ScheduleCache, persist_cache_stats
 from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.pipeline import (
     CHECK_FLAGGED,

@@ -17,26 +17,17 @@ fail:
   survivability experiment shared by the CLI and the benchmark suite.
 """
 
-from repro.faults.injection import FaultInjector
-from repro.faults.models import (
-    ClockDrift,
-    FaultTrace,
-    LinkFault,
-    NodeFault,
-    generate_fault_trace,
-)
-from repro.faults.repair import RepairOutcome, affected_messages, repair_schedule
-from repro.faults.residual import ResidualTopology
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClockDrift",
-    "FaultInjector",
-    "FaultTrace",
-    "LinkFault",
-    "NodeFault",
-    "RepairOutcome",
-    "ResidualTopology",
-    "affected_messages",
-    "generate_fault_trace",
-    "repair_schedule",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ClockDrift": "models",
+    "FaultInjector": "injection",
+    "FaultTrace": "models",
+    "LinkFault": "models",
+    "NodeFault": "models",
+    "RepairOutcome": "repair",
+    "ResidualTopology": "residual",
+    "affected_messages": "repair",
+    "generate_fault_trace": "models",
+    "repair_schedule": "repair",
+})

@@ -45,7 +45,7 @@ from repro.topology.base import Link, Topology
 from repro.units import EPS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache import ScheduleCache
+    from repro.cache.store import ScheduleCache
 
 
 @dataclass(frozen=True)

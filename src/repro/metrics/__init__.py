@@ -11,34 +11,19 @@
   mean.
 """
 
-from repro.metrics.series import (
-    SpikeStats,
-    has_output_inconsistency,
-    load_sweep,
-    normalized_latency_stats,
-    normalized_throughput_stats,
-    output_intervals,
-)
-from repro.metrics.survivability import (
-    OutageReport,
-    SurvivabilityPoint,
-    deadline_misses,
-    outage_misses,
-    survivability_curve,
-    throughput_series,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OutageReport",
-    "SpikeStats",
-    "SurvivabilityPoint",
-    "deadline_misses",
-    "has_output_inconsistency",
-    "load_sweep",
-    "normalized_latency_stats",
-    "normalized_throughput_stats",
-    "outage_misses",
-    "output_intervals",
-    "survivability_curve",
-    "throughput_series",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "OutageReport": "survivability",
+    "SpikeStats": "series",
+    "SurvivabilityPoint": "survivability",
+    "deadline_misses": "survivability",
+    "has_output_inconsistency": "series",
+    "load_sweep": "series",
+    "normalized_latency_stats": "series",
+    "normalized_throughput_stats": "series",
+    "outage_misses": "survivability",
+    "output_intervals": "series",
+    "survivability_curve": "survivability",
+    "throughput_series": "survivability",
+})

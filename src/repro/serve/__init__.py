@@ -22,20 +22,17 @@ diagnose / check requests the way a production scheduling farm would:
 See ``docs/serve.md`` for the architecture walk-through.
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.jobs import BadRequest, Job, JobRequest, JobStore
-from repro.serve.runner import ServerThread, serve_forever
-from repro.serve.service import CompileService, ServeConfig, ServiceStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BadRequest",
-    "CompileService",
-    "Job",
-    "JobRequest",
-    "JobStore",
-    "ServeClient",
-    "ServeConfig",
-    "ServerThread",
-    "ServiceStats",
-    "serve_forever",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "BadRequest": "jobs",
+    "CompileService": "service",
+    "Job": "jobs",
+    "JobRequest": "jobs",
+    "JobStore": "jobs",
+    "ServeClient": "client",
+    "ServeConfig": "service",
+    "ServerThread": "runner",
+    "ServiceStats": "service",
+    "serve_forever": "runner",
+})

@@ -51,14 +51,10 @@ from threading import Lock
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.diagnose import Diagnosis
+    from repro.diagnose.certificates import Diagnosis
 
-from repro.cache import (
-    CacheStats,
-    ScheduleCache,
-    persist_cache_stats,
-    schedule_cache_key,
-)
+from repro.cache.keys import schedule_cache_key
+from repro.cache.store import CacheStats, ScheduleCache, persist_cache_stats
 from repro.pool import GracefulPool
 from repro.serve import worker
 from repro.serve.jobs import (
@@ -173,7 +169,7 @@ class CompileService:
     def start(self) -> None:
         """Create the shared cache, spool area, and worker pool."""
         if self.config.cache_dir is not None:
-            self.cache_dir = Path(self.config.cache_dir)
+            self.cache_dir = Path(self.config.cache_dir).expanduser()
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         else:
             self.cache_dir = Path(tempfile.mkdtemp(prefix="repro-serve-cache-"))
@@ -376,7 +372,7 @@ class CompileService:
         as negative schedule entries, which would poison compile
         lookups under different configs).
         """
-        from repro.diagnose import diagnose_instance
+        from repro.diagnose.instance import diagnose_instance
 
         setup, tau_in, _key = self._instance(request)
         with self._admit_lock:
@@ -419,7 +415,7 @@ class CompileService:
         outcomes whose entry never landed in the cache (a worker stub
         or a cache-less execution path cannot go stale).
         """
-        from repro.cache import diagnosis_cache_key
+        from repro.cache.keys import diagnosis_cache_key
 
         request = job.request
         key: str | None = None

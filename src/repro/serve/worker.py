@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import IO, Any, Mapping
 
-from repro.cache import ScheduleCache
+from repro.cache.store import ScheduleCache
 from repro.core.compiler import compile_schedule
 from repro.core.pipeline import verdict_code
 from repro.errors import SchedulingError
@@ -135,7 +135,7 @@ def _compile_result(
     if profile is not None and profile.stages:
         result["profile"] = profile.to_dict()
     if request.kind == "check":
-        from repro.check import analyze_schedule
+        from repro.check.analyzer import analyze_schedule
 
         report = analyze_schedule(
             routing.schedule,
@@ -157,7 +157,7 @@ def _diagnose_result(
     cache: ScheduleCache | None,
     spool: _Spool,
 ) -> dict[str, Any]:
-    from repro.diagnose import diagnose_instance
+    from repro.diagnose.instance import diagnose_instance
 
     spool.emit("stage", stage="diagnose")
     diagnosis = diagnose_instance(

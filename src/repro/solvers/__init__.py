@@ -48,49 +48,39 @@ compilation (the stages snapshot it per profiler stage).
 from __future__ import annotations
 
 import importlib.util
+from typing import TYPE_CHECKING
 
-from repro.solvers.base import (
-    LP_TOL,
-    CSRMatrix,
-    LPBackend,
-    LPProblem,
-    LPProblemBuilder,
-    LPSolution,
-    SolverTally,
-    TalliedBackend,
-    WarmStart,
-    exceeds_tolerance,
-)
-from repro.solvers.certificates import (
-    FarkasCertificate,
-    infeasibility_certificate,
-)
-from repro.solvers.reference import ReferenceSimplexBackend
-from repro.solvers.scipy_backend import SCIPY_METHODS, ScipyLinprogBackend
+from repro._lazy import lazy_exports
 
-__all__ = [
+if TYPE_CHECKING:
+    from repro.solvers.base import LPBackend, WarmStart
+
+_exported, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CSRMatrix": "base",
+    "FarkasCertificate": "certificates",
+    "LP_TOL": "base",
+    "LPBackend": "base",
+    "LPProblem": "base",
+    "LPProblemBuilder": "base",
+    "LPSolution": "base",
+    "ReferenceSimplexBackend": "reference",
+    "SCIPY_METHODS": "scipy_backend",
+    "ScipyLinprogBackend": "scipy_backend",
+    "SolverTally": "base",
+    "TalliedBackend": "base",
+    "WarmStart": "base",
+    "exceeds_tolerance": "base",
+    "infeasibility_certificate": "certificates",
+})
+__all__ = sorted([
+    *_exported,
     "BACKEND_NAMES",
-    "CSRMatrix",
-    "FarkasCertificate",
-    "LP_TOL",
-    "LPBackend",
-    "LPProblem",
-    "LPProblemBuilder",
-    "LPSolution",
-    "ReferenceSimplexBackend",
-    "SCIPY_METHODS",
-    "ScipyLinprogBackend",
-    "SolverTally",
-    "TalliedBackend",
-    "WarmStart",
     "available_backends",
     "clear_warm_scopes",
     "default_backend_name",
-    "exceeds_tolerance",
     "get_backend",
     "have_scipy",
-    "infeasibility_certificate",
-]
+])
 
 #: Names accepted by :func:`get_backend`.
 BACKEND_NAMES = ("auto", "highs", "ilp", "reference")
@@ -145,6 +135,8 @@ def get_backend(
     byte-identical to cold ones (pinned by property tests), so scoping
     never changes results, only wall time.
     """
+    from repro.solvers.scipy_backend import SCIPY_METHODS, ScipyLinprogBackend
+
     if name == "auto":
         name = default_backend_name()
     basis_cache = None
@@ -163,6 +155,8 @@ def get_backend(
             warm_start_reuse=warm_start, basis_cache=basis_cache
         )
     if name == "reference":
+        from repro.solvers.reference import ReferenceSimplexBackend
+
         return ReferenceSimplexBackend()
     raise ValueError(
         f"unknown LP backend {name!r} (expected one of {BACKEND_NAMES})"

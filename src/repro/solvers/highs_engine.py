@@ -33,44 +33,115 @@ plain ``linprog`` calls.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+import threading
+from importlib.machinery import (
+    EXTENSION_SUFFIXES,
+    ExtensionFileLoader,
+    FileFinder,
+)
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.solvers.base import (
-    CSRMatrix,
     LPProblem,
     LPSolution,
     WarmStart,
     failure_solution,
 )
 
+#: The canonical name of scipy's HiGHS pybind11 extension.
+_CORE = "scipy.optimize._highspy._core"
+
+#: linprog's message prefix per ``HighsModelStatus`` member name (the
+#: table of scipy's own HiGHS wrapper, owned here so a solve need not
+#: import ``scipy.optimize``; a test pins the two equal for every
+#: member).  A member not listed is "not recognized", as there.
+_STATUS_PREFIX = {
+    "kNotset": "",
+    "kLoadError": "",
+    "kModelError": "",
+    "kPresolveError": "",
+    "kSolveError": "",
+    "kPostsolveError": "",
+    "kModelEmpty": "",
+    "kObjectiveBound": "",
+    "kObjectiveTarget": "",
+    "kOptimal": "Optimization terminated successfully. ",
+    "kTimeLimit": "Time limit reached. ",
+    "kIterationLimit": "Iteration limit reached. ",
+    "kInfeasible": "The problem is infeasible. ",
+    "kUnbounded": "The problem is unbounded. ",
+    "kUnboundedOrInfeasible": "The problem is unbounded or infeasible. ",
+}
+
 _API: dict[str, Any] | None = None
 _UNAVAILABLE = False
+_LOAD_LOCK = threading.Lock()
+
+
+def status_message(model_status: Any, raw: str) -> str:
+    """linprog's message text for a HiGHS model status and raw string."""
+    prefix = _STATUS_PREFIX.get(
+        model_status.name, "The HiGHS status code was not recognized. "
+    )
+    return f"{prefix}(HiGHS Status {int(model_status)}: {raw})"
+
+
+def _load_core() -> Any:
+    """scipy's HiGHS extension module, without ``import scipy.optimize``.
+
+    ``scipy/optimize/__init__.py`` pulls in ~320 ``scipy.*`` modules to
+    hand over one pybind11 extension, so the extension is loaded by file
+    path instead — under its canonical name, so that a later real
+    ``import scipy.optimize`` (``linprog``, ``milp``, user code) reuses
+    this module object rather than initialising pybind11's types twice.
+    A layout the loader does not recognise takes the ordinary import.
+    """
+    loaded = sys.modules.get(_CORE)
+    if loaded is not None:
+        return loaded
+    try:
+        scipy = importlib.util.find_spec("scipy")  # imports nothing
+        roots = scipy.submodule_search_locations if scipy else None
+        for root in roots or ():
+            spec = FileFinder(
+                os.path.join(root, "optimize", "_highspy"),
+                (ExtensionFileLoader, EXTENSION_SUFFIXES),
+            ).find_spec(_CORE)
+            if spec is not None and spec.loader is not None:
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_CORE] = module
+                spec.loader.exec_module(module)
+                return module
+    except Exception:
+        sys.modules.pop(_CORE, None)
+    from scipy.optimize._highspy import _core
+
+    return _core
 
 
 def _api() -> dict[str, Any] | None:
-    """Lazily import scipy's private HiGHS bindings (None if absent)."""
+    """Lazily load scipy's private HiGHS bindings (None if absent)."""
     global _API, _UNAVAILABLE
-    if _API is not None:
+    if _API is not None or _UNAVAILABLE:
         return _API
-    if _UNAVAILABLE:
-        return None
-    try:
-        from scipy.optimize._highspy import _core as hc
-        from scipy.optimize._linprog_highs import (
-            _highs_to_scipy_status_message,
-        )
-
-        _API = {
-            "hc": hc,
-            "simplex_constants": hc.simplex_constants,
-            "status_message": _highs_to_scipy_status_message,
-            "inf": float(hc.kHighsInf),
-        }
-    except Exception:  # pragma: no cover - exercised in no-scipy CI job
-        _UNAVAILABLE = True
-        return None
+    # The import system's module lock does not cover a load by path,
+    # and serve reaches this from ``asyncio.to_thread`` workers.
+    with _LOAD_LOCK:
+        if _API is None and not _UNAVAILABLE:
+            try:
+                hc = _load_core()
+                _API = {
+                    "hc": hc,
+                    "simplex_constants": hc.simplex_constants,
+                    "inf": float(hc.kHighsInf),
+                }
+            except Exception:  # pragma: no cover - no-scipy CI job
+                _UNAVAILABLE = True
     return _API
 
 
@@ -128,7 +199,6 @@ class HighsEngine:
         hc = api["hc"]
         self._hc = hc
         self._inf = api["inf"]
-        self._status_message = api["status_message"]
         self._highs = hc._Highs()
         # Replicate linprog's effective option set exactly (bools that
         # HiGHS models as strings, the dual-simplex strategy default,
@@ -206,7 +276,7 @@ class HighsEngine:
                 "primal_status is "
                 f"{highs.solutionStatusToString(info.primal_solution_status)}"
             )
-        message = str(self._status_message(model_status, raw)[1])
+        message = status_message(model_status, raw)
         iterations = max(
             int(info.simplex_iteration_count), int(info.ipm_iteration_count)
         )

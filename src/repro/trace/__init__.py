@@ -17,26 +17,18 @@ Quick use::
     write_chrome_trace(tracer.events, "trace.json")   # open in Perfetto
 """
 
-from repro.trace.export import to_chrome_trace, write_chrome_trace
-from repro.trace.profile import (
-    NULL_PROFILER,
-    CompileProfile,
-    CompileProfiler,
-    NullProfiler,
-    StageProfile,
-)
-from repro.trace.tracer import NULL_TRACER, TraceEvent, Tracer, TraceRecorder
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CompileProfile",
-    "CompileProfiler",
-    "NULL_PROFILER",
-    "NULL_TRACER",
-    "NullProfiler",
-    "StageProfile",
-    "TraceEvent",
-    "Tracer",
-    "TraceRecorder",
-    "to_chrome_trace",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CompileProfile": "profile",
+    "CompileProfiler": "profile",
+    "NULL_PROFILER": "profile",
+    "NULL_TRACER": "tracer",
+    "NullProfiler": "profile",
+    "StageProfile": "profile",
+    "TraceEvent": "tracer",
+    "Tracer": "tracer",
+    "TraceRecorder": "tracer",
+    "to_chrome_trace": "export",
+    "write_chrome_trace": "export",
+})

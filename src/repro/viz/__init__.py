@@ -12,17 +12,12 @@ Terminal-friendly renderings used by the examples and handy in a REPL:
   measured series (throughput/latency per invocation).
 """
 
-from repro.viz.gantt import (
-    link_occupancy_chart,
-    node_gantt,
-    trace_occupancy_chart,
-)
-from repro.viz.sparkline import series_panel, sparkline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "link_occupancy_chart",
-    "node_gantt",
-    "series_panel",
-    "sparkline",
-    "trace_occupancy_chart",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "link_occupancy_chart": "gantt",
+    "node_gantt": "gantt",
+    "series_panel": "sparkline",
+    "sparkline": "sparkline",
+    "trace_occupancy_chart": "gantt",
+})

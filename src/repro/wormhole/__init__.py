@@ -13,15 +13,12 @@ alternates, and the output-generation interval oscillates — the behaviour
 scheduled routing is designed to eliminate.
 """
 
-from repro.wormhole.adaptive import AdaptiveWormholeSimulator
-from repro.wormhole.analysis import OiRisk, predict_oi_risks
-from repro.wormhole.simulator import WormholeSimulator
-from repro.wormhole.store_forward import StoreAndForwardSimulator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveWormholeSimulator",
-    "OiRisk",
-    "StoreAndForwardSimulator",
-    "WormholeSimulator",
-    "predict_oi_risks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "AdaptiveWormholeSimulator": "adaptive",
+    "OiRisk": "analysis",
+    "StoreAndForwardSimulator": "store_forward",
+    "WormholeSimulator": "simulator",
+    "predict_oi_risks": "analysis",
+})

@@ -286,3 +286,63 @@ class TestArgumentValidation:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--models", "0"], "models must be >= 1, got 0"),
+            (["--bandwidth", "-1"], "bandwidth must be > 0, got -1.0"),
+            (["--load", "0"], "normalized load must be in (0, 1], got 0.0"),
+            (["--load", "-0.5"], "normalized load must be in (0, 1], got -0.5"),
+        ],
+    )
+    def test_invalid_instance_is_a_usage_error(self, capsys, flags, message):
+        """Exit 2 and one ``error:`` line, not a traceback with the exit
+        code (1) that ``compile`` uses for an unschedulable instance."""
+        with pytest.raises(SystemExit) as stop:
+            main(["compile", *flags])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"repro-sr compile: error: {message}"
+        )
+
+    @pytest.mark.parametrize("command", ["diagnose", "trace", "submit"])
+    def test_every_common_argument_command_rejects_it(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--models", "0"])
+        assert stop.value.code == 2
+        assert "models must be >= 1" in capsys.readouterr().err
+
+    def test_infeasible_instance_still_exits_one(self, capsys):
+        code = main(["compile", "--bandwidth", "64", "--load", "0.99"])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("infeasible at load 0.99")
+
+
+class TestCacheDirTilde:
+    """``--cache-dir=~/x`` reaches the program unexpanded (so does a
+    quoted or Makefile-spelled one); it must not create ``./~``."""
+
+    def test_compile_and_matrix_write_under_home(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        home, cwd = tmp_path / "home", tmp_path / "cwd"
+        home.mkdir()
+        cwd.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.chdir(cwd)
+        point = ["--bandwidth", "128", "--models", "3"]
+        assert main(["compile", *point, "--cache-dir=~/c"]) == 0
+        # The line echoes the directory as typed.
+        assert "cache: miss (~/c)" in capsys.readouterr().out
+        assert main(["compile", *point, "--cache-dir=~/c"]) == 0
+        assert "cache: hit (~/c)" in capsys.readouterr().out
+        assert main([
+            "matrix", "--topologies", "hypercube6", "--bandwidths", "128",
+            "--loads", "0.5", "--models", "1", "--cache-dir=~/m",
+        ]) == 0
+        assert list((home / "c").rglob("*.json"))
+        assert (home / "m" / "cache-stats.json").exists()
+        assert list(cwd.iterdir()) == []

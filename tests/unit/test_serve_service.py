@@ -346,6 +346,23 @@ def test_shutdown_persists_cache_stats(tmp_path):
     _run(run())
 
 
+def test_tilde_cache_dir_lands_under_home(tmp_path, monkeypatch):
+    """``serve --cache-dir=~/farm`` reaches the service unexpanded."""
+    monkeypatch.setenv("HOME", str(tmp_path))
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+
+    async def run():
+        service = CompileService(ServeConfig(workers=0, cache_dir="~/farm"))
+        service.start()
+        assert service.cache_dir == tmp_path / "farm"
+        await service.shutdown()
+
+    _run(run())
+    assert (tmp_path / "farm").is_dir()
+    assert list((tmp_path / "cwd").iterdir()) == []
+
+
 def test_ephemeral_cache_removed_on_shutdown():
     async def run():
         service = _service()

@@ -175,6 +175,42 @@ class TestReferenceBackend:
             assert ours.success == scipys.success is False
 
 
+# -- the engine's own status text ---------------------------------------------
+
+@scipy_required
+class TestHighsStatusMessages:
+    """The engine composes linprog's message from its own table (so a
+    solve need not import ``scipy.optimize``); scipy's is the oracle."""
+
+    def test_table_equals_scipys_for_every_status(self):
+        from scipy.optimize._linprog_highs import (
+            _highs_to_scipy_status_message,
+        )
+
+        from repro.solvers import highs_engine
+
+        hc = highs_engine._api()["hc"]
+        highs = hc._Highs()
+        members = hc.HighsModelStatus.__members__
+        assert len(members) >= 16
+        for status in members.values():
+            text = highs.modelStatusToString(status)
+            # The two raw strings HighsEngine._run composes.
+            for raw in (text, f"model_status is {text}; primal_status is None"):
+                assert highs_engine.status_message(status, raw) == (
+                    _highs_to_scipy_status_message(status, raw)[1]
+                ), status
+
+    @pytest.mark.parametrize("build", (lp_infeasible, lp_unbounded))
+    def test_failure_message_equals_linprogs(self, build):
+        backend = ScipyLinprogBackend("highs")
+        assert backend._get_engine() is not None
+        ours = backend.solve(build())
+        theirs = backend._solve_linprog(build())
+        assert ours.success is theirs.success is False
+        assert ours.message == theirs.message
+
+
 # -- tally bookkeeping ---------------------------------------------------------
 
 class TestTally:
