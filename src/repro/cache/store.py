@@ -23,6 +23,11 @@ on a miss.  Disk writes are atomic (temp file + ``os.replace``) so
 parallel matrix workers sharing one cache directory never observe a
 torn entry; entries with an unknown format version or unparsable JSON
 are dropped and counted as invalidations.
+
+Behind a disk tier the memory tier is a bounded LRU (a long-lived serve
+worker otherwise keeps ~18 entries per cold compile forever): an evicted
+entry is simply the next disk hit, with the identical result.  A purely
+in-memory cache is the only copy of its entries and never evicts.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
@@ -348,6 +354,10 @@ def entry_to_error(entry: Mapping[str, Any]) -> SchedulingError:
     return error
 
 
+#: Entries the memory tier keeps when a disk tier backs it.
+_MEMORY_TIER_ENTRIES = 1024
+
+
 class ScheduleCache:
     """Content-addressed schedule cache (memory tier + optional disk tier).
 
@@ -360,7 +370,11 @@ class ScheduleCache:
         spread their directory operations over 256 subdirectories
         instead of contending on one — and survive the process;
         multiple processes may share the directory (writes are atomic).
-        When ``None`` the cache is purely in-memory.
+        The memory tier in front of it is then a least-recently-used
+        window of bounded size; eviction is invisible (the entry is
+        re-read from disk on its next use).
+        When ``None`` the cache is purely in-memory and keeps every
+        entry.
     """
 
     def __init__(self, directory: str | Path | None = None):
@@ -368,7 +382,7 @@ class ScheduleCache:
         self.directory = (
             Path(directory).expanduser() if directory is not None else None
         )
-        self._memory: dict[str, dict[str, Any]] = {}
+        self._memory: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -385,15 +399,31 @@ class ScheduleCache:
         assert self.directory is not None
         return self.directory / key[:2] / f"{key}.json"
 
+    def _remember(self, key: str, entry: dict[str, Any]) -> None:
+        """Make ``entry`` the memory tier's most recent; behind a disk
+        tier, evict the least recent one past the bound."""
+        self._memory[key] = entry
+        self._memory.move_to_end(key)
+        if (
+            self.directory is not None
+            and len(self._memory) > _MEMORY_TIER_ENTRIES
+        ):
+            self._memory.popitem(last=False)
+
+    def _lookup(self, key: str) -> dict[str, Any] | None:
+        """The entry under ``key``: memory first, then disk."""
+        entry = self._memory.get(key)
+        if entry is None and self.directory is not None:
+            entry = self._read_disk(key)
+        if entry is not None:
+            self._remember(key, entry)
+        return entry
+
     def fetch(
         self, key: str, topology: "Topology | None" = None
     ) -> "ScheduledRouting | None":
         """Look up a key; see the module docstring for the contract."""
-        entry = self._memory.get(key)
-        if entry is None and self.directory is not None:
-            entry = self._read_disk(key)
-            if entry is not None:
-                self._memory[key] = entry
+        entry = self._lookup(key)
         if entry is None:
             self.stats.misses += 1
             return None
@@ -434,11 +464,7 @@ class ScheduleCache:
 
     def fetch_diagnosis(self, key: str) -> Any | None:
         """Look up a stored diagnosis; ``None`` on miss or wrong kind."""
-        entry = self._memory.get(key)
-        if entry is None and self.directory is not None:
-            entry = self._read_disk(key)
-            if entry is not None:
-                self._memory[key] = entry
+        entry = self._lookup(key)
         if entry is None or entry.get("kind") != "diagnosis":
             self.stats.misses += 1
             return None
@@ -467,11 +493,7 @@ class ScheduleCache:
         Counts a per-stage hit or miss in :attr:`CacheStats.stages` and
         never touches the scalar schedule-level counters.
         """
-        entry = self._memory.get(key)
-        if entry is None and self.directory is not None:
-            entry = self._read_disk(key)
-            if entry is not None:
-                self._memory[key] = entry
+        entry = self._lookup(key)
         if (
             entry is None
             or entry.get("kind") != "artifact"
@@ -493,7 +515,7 @@ class ScheduleCache:
             "stage": stage,
             "payload": dict(payload),
         }
-        self._memory[key] = entry
+        self._remember(key, entry)
         self.stats.record_stage(stage, "stores")
         self._write_disk(key, entry)
 
@@ -513,7 +535,7 @@ class ScheduleCache:
         self._memory.clear()
 
     def _put(self, key: str, entry: dict[str, Any]) -> None:
-        self._memory[key] = entry
+        self._remember(key, entry)
         self.stats.stores += 1
         self._write_disk(key, entry)
 

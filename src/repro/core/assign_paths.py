@@ -30,6 +30,7 @@ from typing import Mapping
 from repro.core.assignment import PathAssignment
 from repro.core.timebounds import TimeBoundSet
 from repro.core.utilization import (
+    CandidateFrame,
     UtilizationReport,
     UtilizationState,
     utilization_report,
@@ -70,7 +71,7 @@ def assign_paths(
     max_restarts: int = 4,
     max_inner: int = 200,
     max_repositions: int = 25,
-    pools: Mapping[str, list[list[int]]] | None = None,
+    frame: CandidateFrame | None = None,
 ) -> AssignPathsResult:
     """Minimise peak utilisation ``U`` over path assignments.
 
@@ -96,26 +97,24 @@ def assign_paths(
     max_repositions:
         Cap on same-value peak-repositioning moves per descent (Fig. 4
         repositions unboundedly; a cap guarantees termination).
-    pools:
-        Pre-enumerated candidate pools (``message name -> paths``), in
-        the same per-message order ``minimal_path_pool`` yields —
-        callers that already enumerated the pools (delta compilation
-        keys artifacts on them) pass them in so they aren't enumerated
-        twice.  Must cover every endpoint and match the ``max_paths``
-        cap; ``None`` enumerates them here.
+    frame:
+        The compile's :class:`~repro.core.utilization.CandidateFrame`
+        for these ``bounds``, ``endpoints`` and ``max_paths`` — the
+        compiler pipeline builds one per compile and hands it to every
+        attempt (delta compilation keys artifacts on its pools).
+        ``None`` builds one here.
     """
     rng = random.Random(seed)
-    if pools is None:
-        enumerated: dict[str, list[list[int]]] = {}
-        for name, (src, dst) in endpoints.items():
-            enumerated[name] = topology.minimal_path_pool(src, dst, max_paths)
-        pools = enumerated
+    if frame is None:
+        frame = CandidateFrame(bounds, topology, endpoints, max_paths)
+    pools, validated = frame.pools, frame.validated
 
     def random_assignment() -> PathAssignment:
         return PathAssignment(
             topology,
             endpoints,
             {name: rng.choice(pool) for name, pool in pools.items()},
+            validated=validated,
         )
 
     total_inner = 0
@@ -124,8 +123,8 @@ def assign_paths(
     restarts_used = 0
 
     for restart in range(max_restarts + 1):
-        state = UtilizationState(bounds, random_assignment())
-        total_inner += _descend(state, bounds, pools, max_inner, max_repositions)
+        state = UtilizationState(bounds, random_assignment(), frame)
+        total_inner += _descend(state, bounds, max_inner, max_repositions)
         peak = state.peak().value
         if peak < best_peak - EPS:
             best = state.assignment.copy()
@@ -139,7 +138,7 @@ def assign_paths(
     assert best is not None
     return AssignPathsResult(
         assignment=best,
-        report=utilization_report(bounds, best),
+        report=utilization_report(bounds, best, frame),
         inner_iterations=total_inner,
         restarts=restarts_used,
     )
@@ -148,7 +147,6 @@ def assign_paths(
 def _descend(
     state: UtilizationState,
     bounds: TimeBoundSet,
-    pools: Mapping[str, list[list[int]]],
     max_inner: int,
     max_repositions: int,
 ) -> int:
@@ -164,13 +162,7 @@ def _descend(
         best_value = witness.value
         reposition_move: tuple[str, list[int]] | None = None
         for name in candidates:
-            current_path = state.assignment.path(name)
-            pool = [
-                path for path in pools[name] if tuple(path) != current_path
-            ]
-            for path, outcome in zip(
-                pool, state.evaluate_reroutes(name, pool)
-            ):
+            for path, outcome in state.evaluate_pool(name):
                 if outcome.value < best_value - EPS:
                     best_value = outcome.value
                     best_move = (name, path)

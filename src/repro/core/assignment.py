@@ -28,6 +28,10 @@ class PathAssignment:
     paths:
         Initial path per message; each is validated as a minimal simple
         path between the message's endpoints.
+    validated:
+        ``tuple(path) -> links`` memo of paths already validated on
+        ``topology``; assignments of one compile share the
+        ``CandidateFrame``'s, copies inherit their original's.
     """
 
     def __init__(
@@ -35,9 +39,11 @@ class PathAssignment:
         topology: Topology,
         endpoints: Mapping[str, tuple[int, int]],
         paths: Mapping[str, list[int]],
+        validated: dict[tuple[int, ...], tuple[Link, ...]] | None = None,
     ):
         self.topology = topology
         self.endpoints = dict(endpoints)
+        self._validated = {} if validated is None else validated
         missing = sorted(set(self.endpoints) - set(paths))
         if missing:
             raise RoutingError(f"no path provided for messages {missing}")
@@ -64,11 +70,19 @@ class PathAssignment:
         return len(self._paths[name]) - 1
 
     def set_path(self, name: str, path: list[int]) -> None:
-        """Reassign a message to a (validated) minimal path."""
+        """Reassign a message to a (validated) minimal path.
+
+        The endpoints are compared on every call; the simple / adjacent /
+        minimal checks run once per distinct path of the shared memo.
+        """
         src, dst = self.endpoints[name]
-        validate_path(self.topology, path, src, dst, require_minimal=True)
-        self._paths[name] = tuple(path)
-        self._links[name] = links_on_path(path)
+        key = tuple(path)
+        links = self._validated.get(key)
+        if links is None or key[0] != src or key[-1] != dst:
+            validate_path(self.topology, path, src, dst, require_minimal=True)
+            links = self._validated[key] = links_on_path(path)
+        self._paths[name] = key
+        self._links[name] = links
 
     def used_links(self) -> set[Link]:
         """All links used by at least one message."""
@@ -89,6 +103,7 @@ class PathAssignment:
             self.topology,
             self.endpoints,
             {name: list(path) for name, path in self._paths.items()},
+            validated=self._validated,
         )
 
     def as_dict(self) -> dict[str, tuple[int, ...]]:

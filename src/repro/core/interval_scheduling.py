@@ -15,7 +15,12 @@ has an optimum not exceeding the interval length.
 The paper notes the variable count can be O(2^N); we solve the LP by
 **column generation**: start from singleton sets, and repeatedly price in
 the maximum-dual-weight independent set of the conflict graph (found by a
-small branch-and-bound) until no set has reduced cost below zero.
+small branch-and-bound) until no set has reduced cost below zero.  The
+singleton round is never sent to a solver: its master is
+``min 1'y  s.t.  I y = p, y >= 0``, whose only feasible point is
+``y = p`` with equality duals exactly 1, so :class:`_PackingState`
+prices that closed form at construction — through the same ``absorb``
+that prices every solved round.
 
 A schedule has one such packing LP per active interval, and the LPs are
 mutually independent — :func:`schedule_intervals` therefore runs their
@@ -179,6 +184,11 @@ class _PackingState:
     per-cell Python loop.  :func:`schedule_interval` drives one state to
     convergence; :func:`schedule_intervals` drives many in lockstep so
     each round's LPs can be solved as one batch.
+
+    Construction absorbs the closed-form singleton round (module
+    docstring): a packing whose heaviest independent set weighs at most
+    1 under unit duals — one message, or a complete conflict graph — is
+    ``done`` at birth.
     """
 
     def __init__(
@@ -212,6 +222,16 @@ class _PackingState:
         self.solution: LPSolution | None = None
         self.solved_columns = 0
         self.done = not self.messages
+        if self.messages:
+            self.absorb(
+                LPSolution(
+                    success=True,
+                    x=self.p,
+                    objective=float(self.p.sum()),
+                    dual_eq=np.ones(n),
+                    iterations=0,
+                )
+            )
 
     def problem(self) -> LPProblem:
         """The current restricted master LP (minimise total duration)."""
@@ -310,11 +330,14 @@ def schedule_interval(
         (the allocation LP's ``p_hk`` values).
     interval_length:
         Length of the interval; the packing must fit inside it.
+    max_columns:
+        Cap on solver rounds, i.e. on columns priced in *after* the
+        singleton round (which is closed-form and costs no solve).
     backend:
         LP solver (see :mod:`repro.solvers`); the environment's best
         available backend by default.  A backend that cannot report
-        equality duals stops column generation after the singleton
-        round (conservative but valid).
+        equality duals stops column generation after its first solve
+        (conservative but valid).
 
     Raises
     ------
@@ -324,15 +347,21 @@ def schedule_interval(
         8x8 torus (Fig. 9).
     """
     state = _PackingState(assignment, interval, demands, interval_length)
-    if state.done:
-        return IntervalSchedule(interval, ())
-    if backend is None:
-        backend = get_backend()
+    if not state.done:
+        if backend is None:
+            backend = get_backend()
+        _converge(state, backend, max_columns)
+    return state.finish()
+
+
+def _converge(
+    state: _PackingState, backend: LPBackend, max_columns: int
+) -> None:
+    """Drive one state's column generation to convergence, solve by solve."""
     for _ in range(max_columns):
         state.absorb(backend.solve(state.problem()))
         if state.done:
             break
-    return state.finish()
 
 
 def greedy_schedule_interval(
@@ -395,6 +424,9 @@ def schedule_intervals(
     interval.  Intervals drop out of the lockstep as their pricing
     converges; the columns generated, the per-interval optima, and the
     fit-the-interval verdicts are identical to sequential solving.
+    The lockstep starts after the closed-form singleton round: intervals
+    that round already settled never reach the backend, and
+    ``max_columns`` caps the solver rounds that follow it.
     """
     if backend is None:
         backend = get_backend()
@@ -408,10 +440,7 @@ def schedule_intervals(
     active = [state for state in states.values() if not state.done]
     if not batch or len(active) <= 1:
         for state in active:
-            for _ in range(max_columns):
-                state.absorb(backend.solve(state.problem()))
-                if state.done:
-                    break
+            _converge(state, backend, max_columns)
     else:
         for _ in range(max_columns):
             pending = [state for state in active if not state.done]

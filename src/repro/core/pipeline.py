@@ -42,7 +42,11 @@ from repro.core.interval_scheduling import IntervalSchedule, schedule_intervals
 from repro.core.subsets import maximal_subsets
 from repro.core.switching import CommunicationSchedule, build_schedule
 from repro.core.timebounds import TimeBoundSet, compute_time_bounds
-from repro.core.utilization import UtilizationReport, utilization_report
+from repro.core.utilization import (
+    CandidateFrame,
+    UtilizationReport,
+    utilization_report,
+)
 from repro.errors import (
     IntervalAllocationError,
     IntervalSchedulingError,
@@ -130,6 +134,8 @@ class CompilationContext:
     local: list[str] = field(default_factory=list)
     bounds: TimeBoundSet | None = None
     endpoints: dict[str, tuple[int, int]] = field(default_factory=dict)
+    #: AssignPaths' per-compile constants; survives :meth:`reset_attempt`.
+    frame: CandidateFrame | None = None
     seed: int = 0
     attempt_number: int = 1
     assignment: PathAssignment | None = None
@@ -262,20 +268,21 @@ class AssignPathsStage:
             max_paths=context.config.max_paths,
         ) as detail:
             delta = context.delta
-            pools: dict[str, list[list[int]]] | None = None
+            frame = context.frame
+            if frame is None:
+                # Built here, not by compile_schedule, so callers that
+                # drive the stage objects over their own context get it.
+                frame = context.frame = CandidateFrame(
+                    context.bounds,
+                    context.topology,
+                    context.endpoints,
+                    context.config.max_paths,
+                )
             key: str | None = None
             if delta is not None:
                 # The candidate pools feed both the artifact key and (on
-                # a miss) the heuristic itself, so they are enumerated
-                # once, in endpoint order — the order the heuristic's
-                # RNG consumes them in.
-                pools = {
-                    name: context.topology.minimal_path_pool(
-                        src, dst, context.config.max_paths
-                    )
-                    for name, (src, dst) in context.endpoints.items()
-                }
-                key = delta.assignment_key(pools, context.seed)
+                # a miss) the heuristic itself.
+                key = delta.assignment_key(frame.pools, context.seed)
                 cached = delta.fetch_assignment(
                     key, context.topology, context.endpoints
                 )
@@ -283,7 +290,7 @@ class AssignPathsStage:
                     detail["artifact"] = "hit"
                     context.assignment = cached
                     context.report = utilization_report(
-                        context.bounds, cached
+                        context.bounds, cached, frame
                     )
                     return
             heuristic = assign_paths(
@@ -293,7 +300,7 @@ class AssignPathsStage:
                 seed=context.seed,
                 max_paths=context.config.max_paths,
                 max_restarts=context.config.max_restarts,
-                pools=pools,
+                frame=frame,
             )
             if delta is not None and key is not None:
                 detail["artifact"] = "store"

@@ -28,13 +28,13 @@ cheaply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.assignment import PathAssignment
 from repro.core.timebounds import MessageTimeBounds, TimeBoundSet
-from repro.topology.base import Link
+from repro.topology.base import Link, Topology
 from repro.topology.routing import links_on_path
 from repro.units import EPS
 
@@ -155,36 +155,111 @@ class PeakWitness:
         return f"link {self.link}"
 
 
-class UtilizationState:
-    """Incrementally maintained utilisation of an evolving assignment."""
+class CandidateFrame:
+    """What AssignPaths reads that no attempt, restart or candidate changes.
 
-    def __init__(self, bounds: TimeBoundSet, assignment: PathAssignment):
-        self.bounds = bounds
-        self.assignment = assignment
-        links = sorted(assignment.topology.links)
-        self.link_index: dict[Link, int] = {l: i for i, l in enumerate(links)}
-        self.link_list = links
-        K = bounds.intervals.count
-        L = len(links)
+    One per compile (``CompilationContext.frame``, built by the first
+    ``AssignPathsStage`` run), shared by every :class:`UtilizationState`,
+    :class:`~repro.core.assignment.PathAssignment` and utilisation
+    report of that compile: the sorted link list and its index, the
+    per-message constants (durations, forced loads, active-interval
+    ids), the candidate pools of ``endpoints`` (enumerated here, in
+    endpoint order — the order the heuristic's RNG consumes them in),
+    and three memos: link tuple → row ids, validated path → links, and
+    message → its (pool x link) 0/1 incidence.  It holds nothing that
+    depends on the current assignment, so sharing it moves no float.
+    """
+
+    def __init__(
+        self,
+        bounds: TimeBoundSet,
+        topology: Topology,
+        endpoints: Mapping[str, tuple[int, int]] | None = None,
+        max_paths: int | None = None,
+    ):
+        self.link_list = sorted(topology.links)
+        self.link_index: dict[Link, int] = {
+            link: j for j, link in enumerate(self.link_list)
+        }
         self.lengths = np.asarray(bounds.intervals.lengths)
-        # Per-message constants (independent of the chosen path).
         self.durations = np.array(
             [bounds.bounds[m].duration for m in bounds.order]
-        )
-        self.no_slack = np.array(
-            [bounds.bounds[m].no_slack for m in bounds.order], dtype=bool
         )
         # forced[i, k]: transmission time message i cannot move out of
         # interval k (its duration minus the capacity of its other active
         # intervals); zero when inactive in k.
         self.forced = forced_load_matrix(bounds)
         # Per-message active interval ids (paths are simple, so a
-        # message's links are distinct — fancy indexing below is safe).
-        self._active_ks = [
-            np.flatnonzero(bounds.activity[i])
-            for i in range(len(bounds.order))
-        ]
-        self._rows_memo: dict[tuple[Link, ...], np.ndarray] = {}
+        # message's links are distinct — fancy indexing is safe).
+        self.active_ks = [np.flatnonzero(row) for row in bounds.activity]
+        self.pools: dict[str, list[list[int]]] = {
+            name: topology.minimal_path_pool(src, dst, max_paths)
+            for name, (src, dst) in (endpoints or {}).items()
+        }
+        #: ``tuple(path) -> links`` of paths already validated on
+        #: ``topology`` (see ``PathAssignment.set_path``).
+        self.validated: dict[tuple[int, ...], tuple[Link, ...]] = {}
+        self._rows: dict[
+            tuple[Link, ...], tuple[np.ndarray, np.ndarray]
+        ] = {}
+        self._incidence: dict[str, np.ndarray] = {}
+
+    def link_rows(
+        self, links: tuple[Link, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Row ids of a path's links, flat and as a column (memoised)."""
+        pair = self._rows.get(links)
+        if pair is None:
+            rows = np.fromiter(
+                (self.link_index[link] for link in links),
+                dtype=np.int64,
+                count=len(links),
+            )
+            pair = self._rows[links] = (rows, rows[:, None])
+        return pair
+
+    def incidence_of(self, paths: Sequence[Sequence[int]]) -> np.ndarray:
+        """``(len(paths) x L)`` int8: 1 where a path crosses a link."""
+        incidence = np.zeros((len(paths), len(self.link_list)), dtype=np.int8)
+        for c, path in enumerate(paths):
+            incidence[c, self.link_rows(links_on_path(path))[0]] = 1
+        return incidence
+
+    def incidence(self, name: str) -> np.ndarray:
+        """:meth:`incidence_of` a message's candidate pool (built once)."""
+        incidence = self._incidence.get(name)
+        if incidence is None:
+            incidence = self._incidence[name] = self.incidence_of(
+                self.pools[name]
+            )
+        return incidence
+
+
+class UtilizationState:
+    """Incrementally maintained utilisation of an evolving assignment.
+
+    The assignment-independent constants come from a
+    :class:`CandidateFrame`; a state handed none builds a private one.
+    """
+
+    def __init__(
+        self,
+        bounds: TimeBoundSet,
+        assignment: PathAssignment,
+        frame: CandidateFrame | None = None,
+    ):
+        if frame is None:
+            frame = CandidateFrame(bounds, assignment.topology)
+        self.bounds = bounds
+        self.assignment = assignment
+        self.frame = frame
+        self.link_index = frame.link_index
+        self.link_list = frame.link_list
+        self.lengths = frame.lengths
+        self.durations = frame.durations
+        self.forced = frame.forced
+        K = bounds.intervals.count
+        L = len(frame.link_list)
         # Per-link state.  window_time and spot_max are incremental
         # caches: recomputing them from the (L x K) matrices on every
         # candidate-reroute evaluation dominated AssignPaths' cost on
@@ -199,27 +274,15 @@ class UtilizationState:
 
     # -- incremental maintenance ----------------------------------------
 
-    def _link_rows(self, links: tuple[Link, ...]) -> np.ndarray:
-        """Row ids of a path's links (memoised per link tuple)."""
-        rows = self._rows_memo.get(links)
-        if rows is None:
-            rows = np.fromiter(
-                (self.link_index[link] for link in links),
-                dtype=np.int64,
-                count=len(links),
-            )
-            self._rows_memo[links] = rows
-        return rows
-
     def _apply(self, name: str, links: tuple[Link, ...], sign: int) -> None:
         if not links:
             return
         i = self.bounds.index[name]
-        js = self._link_rows(links)
-        ks = self._active_ks[i]
+        js, js_column = self.frame.link_rows(links)
+        ks = self.frame.active_ks[i]
         self.total_time[js] += sign * self.durations[i]
-        block = self.active_count[np.ix_(js, ks)] + sign
-        self.active_count[np.ix_(js, ks)] = block
+        block = self.active_count[js_column, ks] + sign
+        self.active_count[js_column, ks] = block
         # Window time changes where the count crosses zero.
         if sign > 0:
             self.window_time[js] += (
@@ -295,47 +358,43 @@ class UtilizationState:
     def evaluate_reroutes(
         self, name: str, paths: list[list[int]]
     ) -> list[PeakWitness]:
-        """Peak witnesses for moving ``name`` to each candidate path.
+        """Peak witnesses for moving ``name`` to each of ``paths``."""
+        return self._evaluate(name, self.frame.incidence_of(paths))
 
-        The AssignPaths inner loop evaluates every alternative path of a
-        peak-crossing message; doing the whole pool in one call turns
-        per-candidate bookkeeping into a handful of (C x L) array
-        operations.  Pure: the candidate per-link quantities are computed
-        from signed link deltas against the current state, which is
-        never touched.
+    def evaluate_pool(self, name: str) -> list[tuple[list[int], PeakWitness]]:
+        """``(path, peak if taken)`` for every path of ``name``'s candidate
+        pool except the one it is on — the AssignPaths inner step."""
+        pool = self.frame.pools[name]
+        current = list(self.assignment.path(name))
+        others = [c for c, path in enumerate(pool) if path != current]
+        witnesses = self._evaluate(name, self.frame.incidence(name)[others])
+        return [(pool[c], w) for c, w in zip(others, witnesses)]
+
+    def _evaluate(self, name: str, incidence: np.ndarray) -> list[PeakWitness]:
+        """The one numeric core of candidate evaluation.
+
+        ``incidence`` is the (C x L) 0/1 link incidence of C candidate
+        paths; evaluating them together turns per-candidate bookkeeping
+        into a handful of (C x L) array operations.  Pure: the candidate
+        per-link quantities are computed from signed link deltas against
+        the current state, which is never touched.
         """
-        if not paths:
+        C = len(incidence)
+        if not C:
             return []
         i = self.bounds.index[name]
-        old_links = self.assignment.links(name)
-        old_set = set(old_links)
-        C = len(paths)
-        L = self.total_time.size
         # delta[c, j] is -1 when candidate c leaves link j, +1 when it
         # newly crosses it, 0 otherwise (links shared by both paths).
-        delta = np.zeros((C, L), dtype=np.int8)
-        for c, path in enumerate(paths):
-            new_links = links_on_path(path)
-            new_set = set(new_links)
-            delta[
-                c,
-                self._link_rows(
-                    tuple(l for l in old_links if l not in new_set)
-                ),
-            ] = -1
-            delta[
-                c,
-                self._link_rows(
-                    tuple(l for l in new_links if l not in old_set)
-                ),
-            ] = 1
+        delta = incidence - self.frame.incidence_of(
+            [self.assignment.path(name)]
+        )
         added = delta > 0
         removed = delta < 0
 
         # Adding/removing one message changes each link's window time and
         # spot maximum in only two possible ways, so both variants are
         # precomputed per link and selected by the delta sign.
-        ks = self._active_ks[i]
+        ks = self.frame.active_ks[i]
         lengths_k = self.lengths[ks]
         counts_k = self.active_count[:, ks]
         gained_if_added = (lengths_k[None, :] * (counts_k == 0)).sum(axis=1)
@@ -414,9 +473,10 @@ class UtilizationReport:
 def utilization_report(
     bounds: TimeBoundSet,
     assignment: PathAssignment,
+    frame: CandidateFrame | None = None,
 ) -> UtilizationReport:
     """Compute the full utilisation report for a fixed assignment."""
-    state = UtilizationState(bounds, assignment)
+    state = UtilizationState(bounds, assignment, frame)
     witness = state.peak()
     link_u = state.link_utilizations()
     per_link = {

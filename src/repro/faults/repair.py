@@ -37,7 +37,11 @@ from repro.core.compiler import (
     compile_schedule,
     schedule_from_assignment,
 )
-from repro.core.utilization import UtilizationState, utilization_report
+from repro.core.utilization import (
+    CandidateFrame,
+    UtilizationState,
+    utilization_report,
+)
 from repro.errors import RepairInfeasibleError, SchedulingError, TopologyError
 from repro.faults.residual import ResidualTopology
 from repro.tfg.analysis import TFGTiming
@@ -252,10 +256,9 @@ def _local_repair(
     assignment cannot be scheduled (the caller falls back to a full
     recompile).
     """
-    pools = {
-        name: residual.minimal_path_pool(*endpoints[name], max_pool)
-        for name in affected
-    }
+    frame = CandidateFrame(
+        bounds, residual, {name: endpoints[name] for name in affected}, max_pool
+    )
     # Seed each affected message with its first surviving candidate; the
     # unaffected messages keep their (still minimal, still live) paths.
     paths = {
@@ -263,13 +266,15 @@ def _local_repair(
         for name, path in routing.schedule.assignment.items()
     }
     for name in affected:
-        paths[name] = list(pools[name][0])
-    assignment = PathAssignment(residual, dict(endpoints), paths)
+        paths[name] = list(frame.pools[name][0])
+    assignment = PathAssignment(
+        residual, dict(endpoints), paths, validated=frame.validated
+    )
 
-    state = UtilizationState(bounds, assignment)
-    _descend_affected(state, pools)
+    state = UtilizationState(bounds, assignment, frame)
+    _descend_affected(state)
 
-    report = utilization_report(bounds, state.assignment)
+    report = utilization_report(bounds, state.assignment, frame)
     repaired = schedule_from_assignment(
         bounds, state.assignment, report, tau_in, local, config,
     )
@@ -282,27 +287,21 @@ def _local_repair(
     return repaired, rerouted
 
 
-def _descend_affected(
-    state: UtilizationState,
-    pools: Mapping[str, list[list[int]]],
-    max_rounds: int = 50,
-) -> None:
-    """Greedy peak-utilisation descent restricted to the affected messages.
+def _descend_affected(state: UtilizationState, max_rounds: int = 50) -> None:
+    """Greedy peak-utilisation descent restricted to the affected messages
+    (the ones the state's frame holds candidate pools for).
 
     A miniature of :func:`repro.core.assign_paths.assign_paths`'s inner
-    loop: in each round, try every candidate path of every affected
-    message and apply the single reroute with the largest peak reduction;
-    stop when no reroute improves the peak.
+    loop over the same batched per-message evaluation: in each round,
+    try every candidate path of every affected message and apply the
+    single reroute with the largest peak reduction; stop when no reroute
+    improves the peak.
     """
     for _ in range(max_rounds):
         best_value = state.peak().value
         best_move: tuple[str, list[int]] | None = None
-        for name, pool in pools.items():
-            current = state.assignment.path(name)
-            for path in pool:
-                if tuple(path) == current:
-                    continue
-                outcome = state.evaluate_reroute(name, path)
+        for name in state.frame.pools:
+            for path, outcome in state.evaluate_pool(name):
                 if outcome.value < best_value - EPS:
                     best_value = outcome.value
                     best_move = (name, path)

@@ -399,3 +399,104 @@ class TestEntryByteIdentity:
         stats = warm.extra.get("solver_stats")
         if stats is not None:
             assert "lp_wall_ms" not in stats
+
+
+class TestMemoryTierBound:
+    """Behind a disk tier the memory tier is a bounded LRU; alone it is
+    the only copy and keeps everything."""
+
+    CAP = 8
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        from repro.cache import store
+
+        monkeypatch.setattr(store, "_MEMORY_TIER_ENTRIES", self.CAP)
+
+    @staticmethod
+    def digest(routing):
+        from repro.core.io import schedule_to_dict
+
+        return json.dumps(schedule_to_dict(routing.schedule), sort_keys=True)
+
+    def test_disk_backed_tier_is_capped_and_eviction_is_invisible(
+        self, small_setup, tmp_path
+    ):
+        routing = compile_small(small_setup)
+        cache = ScheduleCache(tmp_path)
+        keys = [f"{i:064x}" for i in range(self.CAP + 50)]
+        for key in keys:
+            cache.store(key, routing)
+            assert len(cache) <= self.CAP
+        assert len(cache) == self.CAP
+        # The first key left memory long ago and is simply a disk hit.
+        assert cache.contains(keys[0])
+        replayed = cache.fetch(keys[0], topology=small_setup.topology)
+        assert self.digest(replayed) == self.digest(routing)
+        stats = cache.stats.as_dict()
+        assert stats["hits"] == 1 and stats["misses"] == 0
+        assert stats["stores"] == len(keys)
+        assert len(cache) == self.CAP
+
+    def test_hit_refreshes_recency(self, small_setup, tmp_path):
+        routing = compile_small(small_setup)
+        cache = ScheduleCache(tmp_path)
+        keys = [f"{i:064x}" for i in range(self.CAP + 1)]
+        for key in keys[: self.CAP]:
+            cache.store(key, routing)
+        cache.fetch(keys[0], topology=small_setup.topology)  # oldest, touched
+        cache.store(keys[self.CAP], routing)  # evicts the least recent
+        # keys[1] went; keys[0] stayed.  Prove it by removing the disk
+        # tier under the cache: only memory can answer now.
+        for path in tmp_path.rglob("*.json"):
+            path.unlink()
+        assert cache.contains(keys[0])
+        assert not cache.contains(keys[1])
+        assert cache.fetch(keys[0], topology=small_setup.topology) is not None
+
+    def test_memory_only_cache_never_evicts(self, small_setup):
+        routing = compile_small(small_setup)
+        cache = ScheduleCache()
+        keys = [f"{i:064x}" for i in range(self.CAP + 50)]
+        for key in keys:
+            cache.store(key, routing)
+        assert len(cache) == len(keys)
+        assert all(cache.contains(key) for key in keys)
+        assert cache.fetch(keys[0], topology=small_setup.topology) is not None
+
+    def test_artifacts_and_diagnoses_share_the_bound(
+        self, small_setup, tmp_path
+    ):
+        from repro.diagnose.instance import diagnose_instance
+
+        diagnosis = diagnose_instance(
+            small_setup.timing, small_setup.topology,
+            small_setup.allocation, small_setup.tau_in_for_load(0.5),
+        )
+        cache = ScheduleCache(tmp_path)
+        for i in range(self.CAP + 50):
+            cache.store_artifact(f"a{i:063x}", "stage", {"i": i})
+            cache.store_diagnosis(f"d{i:063x}", diagnosis)
+            assert len(cache) <= self.CAP
+        # Evicted long ago; both kinds come back from disk, then count
+        # against the bound like any other entry.
+        assert cache.fetch_artifact(f"a{0:063x}", "stage") == {"i": 0}
+        assert (
+            cache.fetch_diagnosis(f"d{0:063x}").to_dict()
+            == diagnosis.to_dict()
+        )
+        assert len(cache) == self.CAP
+
+    def test_compile_through_a_tiny_tier_still_replays(
+        self, small_setup, tmp_path
+    ):
+        """A cold compile stores more entries than the cap; the warm
+        compile is still a schedule-level hit with the same schedule."""
+        cache = ScheduleCache(tmp_path)
+        fresh = compile_small(small_setup, cache=cache)
+        assert len(list(tmp_path.rglob("*.json"))) >= 4
+        for i in range(self.CAP):  # push the compile's entries out
+            cache.store_artifact(f"f{i:063x}", "stage", {})
+        warm = compile_small(small_setup, cache=cache)
+        assert warm.extra["cache"]["hit"] is True
+        assert self.digest(warm) == self.digest(fresh)

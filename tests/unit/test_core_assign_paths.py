@@ -3,12 +3,18 @@
 import pytest
 
 from repro.core.assign_paths import assign_paths, lsd_assignment
-from repro.core.compiler import routed_and_local_messages
+from repro.core.compiler import (
+    CompilerConfig,
+    compile_schedule,
+    routed_and_local_messages,
+)
 from repro.core.timebounds import compute_time_bounds
-from repro.core.utilization import utilization_report
+from repro.core.utilization import CandidateFrame, utilization_report
+from repro.errors import UtilizationExceededError
+from repro.experiments import standard_setup
 from repro.tfg import TFGTiming
 from repro.tfg.graph import build_tfg
-from repro.topology import lsd_to_msd_route
+from repro.topology import Torus, lsd_to_msd_route
 
 
 def hotspot_case(cube3):
@@ -104,3 +110,46 @@ class TestAssignPaths:
                 max_paths=24, max_restarts=1,
             )
             assert heuristic.report.peak <= baseline.peak + 1e-9
+
+
+class CountingTorus(Torus):
+    """A torus that records every candidate-pool enumeration."""
+
+    def __init__(self, radices):
+        super().__init__(radices)
+        self.pool_calls = []
+
+    def minimal_path_pool(self, src, dst, max_paths=None):
+        self.pool_calls.append((src, dst))
+        return super().minimal_path_pool(src, dst, max_paths)
+
+
+class TestCandidateFramePerCompile:
+    def test_three_attempts_enumerate_each_pool_once(self, dvb5):
+        """8x8 torus, B=64, load 0.66 is U>1 under all three seeds: the
+        candidate frame outlives the attempts, so each routed message's
+        pool is enumerated once per compile, not once per attempt."""
+        torus = CountingTorus((8, 8))
+        setup = standard_setup(dvb5, torus, bandwidth=64.0)
+        routed, _ = routed_and_local_messages(setup.timing, setup.allocation)
+        torus.pool_calls.clear()
+        with pytest.raises(UtilizationExceededError):
+            compile_schedule(
+                setup.timing, torus, setup.allocation,
+                setup.tau_in_for_load(0.66), CompilerConfig(retries=2),
+            )
+        assert len(torus.pool_calls) == len(routed)
+        assert len(set(torus.pool_calls)) > 1
+
+    def test_handed_frame_gives_the_same_result(self, cube3):
+        bounds, endpoints = hotspot_case(cube3)
+        frame = CandidateFrame(bounds, cube3, endpoints, 48)
+        for seed in range(3):  # one frame serves every attempt's seed
+            alone = assign_paths(bounds, cube3, endpoints, seed=seed)
+            framed = assign_paths(
+                bounds, cube3, endpoints, seed=seed, frame=frame
+            )
+            assert framed.assignment.as_dict() == alone.assignment.as_dict()
+            assert framed.report == alone.report
+            assert framed.inner_iterations == alone.inner_iterations
+            assert framed.restarts == alone.restarts

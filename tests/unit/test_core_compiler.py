@@ -105,3 +105,19 @@ class TestCompile:
             timing, cube3, {"t0": 0, "t1": 1, "t2": 3}, tau_in=40.0
         )
         assert "ScheduledRouting" in repr(routing)
+
+    def test_lp_counts_are_pinned(self, dvb_setup_128):
+        """The closed-form singleton round removes solves, not simplex
+        work: the iteration count is the one measured before it existed
+        (those LPs took zero iterations), and the solve count is pinned
+        so a solve that creeps back names itself."""
+        pytest.importorskip("scipy")
+        setup = dvb_setup_128
+        routing = compile_schedule(
+            setup.timing, setup.topology, setup.allocation,
+            setup.tau_in_for_load(0.4), CompilerConfig(lp_backend="highs"),
+        )
+        stats = routing.extra["solver_stats"]
+        assert stats["lp_iterations"] == 117
+        assert stats["lp_solves"] == 33  # 51 with a solved singleton round
+        assert stats["lp_failures"] == 0

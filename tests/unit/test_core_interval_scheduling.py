@@ -1,14 +1,27 @@
 """Unit tests for interval scheduling over link-feasible sets (Section 5.3)."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.assignment import PathAssignment
+from repro.core.interval_allocation import IntervalAllocation
 from repro.core.interval_scheduling import (
     conflict_graph,
     max_weight_independent_set,
     schedule_interval,
+    schedule_intervals,
 )
 from repro.errors import IntervalSchedulingError
+from repro.solvers import (
+    BACKEND_NAMES,
+    LP_TOL,
+    available_backends,
+    get_backend,
+)
+from repro.solvers.base import LPProblemBuilder
+from repro.topology import binary_hypercube
 
 
 def assignment_with_paths(cube3, paths):
@@ -109,16 +122,12 @@ class TestScheduleInterval:
         # A packing that exceeds the interval by less than the shared
         # LP tolerance is solver rounding: the slots are rescaled to fit
         # exactly instead of raising.
-        from repro.solvers import LP_TOL
-
         demands = {"m0": 10.0 * (1.0 + 0.5 * LP_TOL)}
         schedule = schedule_interval(three_messages, 0, demands, 10.0)
         assert schedule.total_time == pytest.approx(10.0, abs=1e-12)
         assert schedule.total_time <= 10.0
 
     def test_overshoot_beyond_tolerance_band_raises(self, three_messages):
-        from repro.solvers import LP_TOL
-
         demands = {"m0": 10.0 * (1.0 + 10.0 * LP_TOL)}
         with pytest.raises(IntervalSchedulingError):
             schedule_interval(three_messages, 0, demands, 10.0)
@@ -140,3 +149,217 @@ class TestScheduleInterval:
         )
         assert schedule.total_time == pytest.approx(5.0)
         assert any(len(slot.messages) == 3 for slot in schedule.slots)
+
+
+# -- the closed-form singleton round -------------------------------------------
+
+USABLE_BACKENDS = [
+    name for name in BACKEND_NAMES
+    if name == "auto" or name in available_backends()
+]
+
+
+def master_problem(p, columns):
+    """``min 1'y  s.t.  A y = p, y >= 0`` for member-index columns."""
+    builder = LPProblemBuilder(len(columns))
+    builder.set_objective_vector(np.ones(len(columns)))
+    rows = [i for members in columns for i in members]
+    cols = [j for j, members in enumerate(columns) for _ in members]
+    builder.add_eq_rows(
+        p, rows=np.array(rows), cols=np.array(cols), values=np.ones(len(rows))
+    )
+    return builder.build()
+
+
+def seeded_demands(n, seed):
+    """``n`` demands log-uniform over ``[2 * LP_TOL, 1e9]``."""
+    rng = random.Random(f"demands:{n}:{seed}")
+    low, high = np.log10(2 * LP_TOL), 9.0
+    return np.array([10.0 ** rng.uniform(low, high) for _ in range(n)])
+
+
+@pytest.mark.parametrize("backend_name", USABLE_BACKENDS)
+class TestIdentityMasterIsClosedForm:
+    """What ``_PackingState.__init__`` assumes: the singleton master has
+    the solution ``y = p`` with duals exactly 1 — bit for bit."""
+
+    def test_alone(self, backend_name):
+        backend = get_backend(backend_name)
+        for n in range(1, 17):
+            for seed in range(6):
+                p = seeded_demands(n, seed)
+                solution = backend.solve(
+                    master_problem(p, [[i] for i in range(n)])
+                )
+                assert solution.success
+                assert np.array_equal(solution.x, p)
+                assert np.array_equal(solution.dual_eq, np.ones(n))
+
+    def test_stitched_between_other_blocks(self, backend_name):
+        backend = get_backend(backend_name)
+        for n in range(1, 17):
+            p = seeded_demands(n, 99)
+            other = master_problem(
+                seeded_demands(3, n), [[0], [1], [2], [0, 2]]
+            )
+            solutions = backend.solve_batch(
+                [other, master_problem(p, [[i] for i in range(n)]), other]
+            )
+            assert np.array_equal(solutions[1].x, p)
+            assert np.array_equal(solutions[1].dual_eq, np.ones(n))
+
+
+def random_packing_case(seed):
+    """Random minimal-path messages on the 4-cube with 1-3 intervals of
+    demands: a seeded random conflict graph per interval."""
+    rng = random.Random(f"packing:{seed}")
+    cube = binary_hypercube(4)
+    paths = {}
+    for i in range(rng.randint(1, 9)):
+        src, dst = rng.sample(range(cube.num_nodes), 2)
+        paths[f"m{i}"] = rng.choice(cube.minimal_path_pool(src, dst, 8))
+    endpoints = {name: (path[0], path[-1]) for name, path in paths.items()}
+    assignment = PathAssignment(cube, endpoints, paths)
+    cells = {
+        (name, k): rng.uniform(0.5, 20.0)
+        for k in range(rng.randint(1, 3))
+        for name in paths
+        if rng.random() < 0.8
+    }
+    return assignment, IntervalAllocation(tuple(paths), cells, 1.0)
+
+
+def reference_packings(assignment, allocation, backend, batch):
+    """The pre-closed-form column generation: the singleton round goes to
+    the backend like every other.  ``interval -> [(set, duration)]``."""
+    states = {}
+    for k in allocation.intervals_used():
+        demands = allocation.per_interval(k)
+        messages = sorted(n for n, p in demands.items() if p > LP_TOL)
+        states[k] = {
+            "messages": messages,
+            "adjacency": conflict_graph(assignment, messages),
+            "p": np.array([demands[m] for m in messages]),
+            "columns": [frozenset([m]) for m in messages],
+            "done": not messages,
+        }
+
+    def problem(state):
+        index = {name: i for i, name in enumerate(state["messages"])}
+        return master_problem(
+            state["p"],
+            [[index[m] for m in column] for column in state["columns"]],
+        )
+
+    def absorb(state, solution):
+        assert solution.success
+        state["x"], state["solved"] = solution.x, len(state["columns"])
+        weights = dict(zip(state["messages"], map(float, solution.dual_eq)))
+        candidate, weight = max_weight_independent_set(
+            state["adjacency"], weights
+        )
+        if weight <= 1.0 + LP_TOL or candidate in state["columns"]:
+            state["done"] = True
+        else:
+            state["columns"].append(candidate)
+
+    active = [s for s in states.values() if not s["done"]]
+    if not batch or len(active) <= 1:
+        for state in active:
+            while not state["done"]:
+                absorb(state, backend.solve(problem(state)))
+    else:
+        while pending := [s for s in active if not s["done"]]:
+            solutions = backend.solve_batch([problem(s) for s in pending])
+            for state, solution in zip(pending, solutions):
+                absorb(state, solution)
+    return {
+        k: [
+            (state["columns"][j], float(state["x"][j]))
+            for j in range(state["solved"])
+            if state["x"][j] > LP_TOL
+        ] if state["messages"] else []
+        for k, state in states.items()
+    }
+
+
+def packed(schedule):
+    return [(slot.messages, slot.duration) for slot in schedule.slots]
+
+
+class TestClosedFormRoundChangesNothing:
+    def test_random_conflict_graphs_match_solved_singleton_round(self):
+        backend = get_backend()
+        lengths = [1e6] * 3
+        multi_column = 0
+        for seed in range(200):
+            assignment, allocation = random_packing_case(seed)
+            for batch in (False, True):
+                expected = reference_packings(
+                    assignment, allocation, backend, batch
+                )
+                got = schedule_intervals(
+                    assignment, allocation, lengths, backend=backend,
+                    batch=batch,
+                )
+                assert {
+                    k: packed(schedule) for k, schedule in got.items()
+                } == expected, seed
+                if batch:
+                    continue
+                # Sequential solving is per interval, so the same
+                # reference serves the single-interval entry point.
+                for k, slots in expected.items():
+                    single = schedule_interval(
+                        assignment, k, allocation.per_interval(k), 1e6,
+                        backend=backend,
+                    )
+                    assert packed(single) == slots, seed
+                    multi_column += any(len(column) > 1 for column, _ in slots)
+        # The corpus is not all trivial packings (335 of 400 intervals).
+        assert multi_column >= 200
+
+
+class _NoSolveBackend:
+    """Fails the test if column generation reaches the solver."""
+
+    def solve(self, problem, warm_start=None):
+        raise AssertionError("a packing settled in closed form was solved")
+
+    solve_batch = solve
+
+
+class TestDoneAtConstruction:
+    def test_complete_conflict_graph_needs_no_solver(self, three_messages):
+        # m0 and m1 share link (1, 3): the heaviest independent set under
+        # unit duals weighs 1, so the singleton packing is the optimum.
+        demands = {"m0": 4.0, "m1": 5.0}
+        schedule = schedule_interval(
+            three_messages, 2, demands, 10.0, backend=_NoSolveBackend()
+        )
+        assert schedule.interval == 2
+        assert {(s.messages, s.duration) for s in schedule.slots} == {
+            (frozenset(["m0"]), 4.0), (frozenset(["m1"]), 5.0),
+        }
+
+    def test_batched_entry_point_skips_the_backend_too(self, three_messages):
+        allocation = IntervalAllocation(
+            ("m0", "m1"),
+            {("m0", 0): 4.0, ("m1", 0): 5.0, ("m1", 1): 2.0},
+            1.0,
+        )
+        schedules = schedule_intervals(
+            three_messages, allocation, [10.0, 10.0],
+            backend=_NoSolveBackend(),
+        )
+        assert schedules[0].total_time == 9.0
+        assert schedules[1].slots[0].messages == frozenset(["m1"])
+
+    def test_overshoot_still_raises(self, three_messages):
+        with pytest.raises(IntervalSchedulingError) as info:
+            schedule_interval(
+                three_messages, 1, {"m0": 6.0, "m1": 6.0}, 10.0,
+                backend=_NoSolveBackend(),
+            )
+        assert info.value.required == 12.0
+        assert info.value.available == 10.0

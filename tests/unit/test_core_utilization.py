@@ -1,12 +1,17 @@
 """Unit tests for path assignments and utilisation (Defs. 5.1-5.2)."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.assignment import PathAssignment
+from repro.core.compiler import routed_and_local_messages
 from repro.core.timebounds import compute_time_bounds
 from repro.core.utilization import (
     KIND_LINK,
     KIND_SPOT,
+    CandidateFrame,
     UtilizationState,
     utilization_report,
 )
@@ -157,8 +162,6 @@ class TestIncrementalMaintenance:
         for _ in range(3):
             state.reroute("m1", [0, 2, 3])
             state.reroute("m1", [0, 1, 3])
-        import numpy as np
-
         expected = (state.active_count > 0) @ np.asarray(
             bounds.intervals.lengths
         )
@@ -178,3 +181,134 @@ class TestIncrementalMaintenance:
         witness = UtilizationState(bounds, assignment).peak()
         assert witness.kind == KIND_LINK
         assert witness.interval == -1
+
+
+def dvb_frame(setup, load, max_paths):
+    """Bounds, endpoints and a candidate frame of a DVB setup."""
+    routed, _ = routed_and_local_messages(setup.timing, setup.allocation)
+    endpoints = {
+        name: (
+            setup.allocation[setup.tfg.message(name).src],
+            setup.allocation[setup.tfg.message(name).dst],
+        )
+        for name in routed
+    }
+    bounds = compute_time_bounds(
+        setup.timing, setup.tau_in_for_load(load), routed
+    )
+    frame = CandidateFrame(bounds, setup.topology, endpoints, max_paths)
+    return bounds, endpoints, frame
+
+
+def random_assignment(rng, setup, endpoints, frame, validated=None):
+    return PathAssignment(
+        setup.topology,
+        endpoints,
+        {name: rng.choice(pool) for name, pool in frame.pools.items()},
+        validated=validated,
+    )
+
+
+class TestCandidateFrame:
+    def test_incidence_difference_is_the_hand_built_delta(self, dvb_setup_128):
+        """``incidence[candidate] - incidence[current]`` is the -1/0/+1
+        row the evaluation used to assemble link by link."""
+        _, _, frame = dvb_frame(dvb_setup_128, 0.6, max_paths=48)
+        checked = 0
+        for name, pool in frame.pools.items():
+            incidence = frame.incidence(name)
+            assert incidence.dtype == np.int8
+            links = [
+                [(min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
+                for path in pool
+            ]
+            for current, old_links in enumerate(links):
+                for candidate, new_links in enumerate(links):
+                    by_hand = np.zeros(len(frame.link_list), dtype=np.int8)
+                    for link in old_links:
+                        if link not in new_links:
+                            by_hand[frame.link_index[link]] = -1
+                    for link in new_links:
+                        if link not in old_links:
+                            by_hand[frame.link_index[link]] = 1
+                    assert np.array_equal(
+                        incidence[candidate] - incidence[current], by_hand
+                    )
+                    checked += 1
+        assert checked > 1000
+
+    def test_shared_frame_state_equals_private_frame_state(
+        self, dvb_setup_128
+    ):
+        """200 seeded reroutes: a state on a frame other states use and a
+        state on its own private frame hold bit-identical arrays."""
+        setup = dvb_setup_128
+        bounds, endpoints, frame = dvb_frame(setup, 0.6, max_paths=16)
+        rng = random.Random(11)
+        start = random_assignment(rng, setup, endpoints, frame)
+        shared = UtilizationState(
+            bounds,
+            PathAssignment(
+                setup.topology, endpoints, start.as_dict(),
+                validated=frame.validated,
+            ),
+            frame,
+        )
+        private = UtilizationState(bounds, start)
+        assert private.frame is not frame
+        # A neighbour on the same frame, moving differently.
+        neighbour = UtilizationState(
+            bounds,
+            random_assignment(
+                rng, setup, endpoints, frame, validated=frame.validated
+            ),
+            frame,
+        )
+        movable = [n for n, pool in frame.pools.items() if len(pool) > 1]
+        for _ in range(200):
+            name = rng.choice(movable)
+            path = rng.choice(frame.pools[name])
+            by_pool = dict(
+                (tuple(p), w) for p, w in shared.evaluate_pool(name)
+            )
+            if tuple(path) in by_pool:
+                assert by_pool[tuple(path)] == private.evaluate_reroute(
+                    name, path
+                )
+            shared.reroute(name, path)
+            private.reroute(name, path)
+            other = rng.choice(movable)
+            neighbour.reroute(other, rng.choice(frame.pools[other]))
+        for array in (
+            "total_time", "window_time", "active_count", "spot_load",
+            "spot_max",
+        ):
+            assert np.array_equal(
+                getattr(shared, array), getattr(private, array)
+            ), array
+        assert shared.peak() == private.peak()
+        assert shared.assignment.as_dict() == private.assignment.as_dict()
+
+    def test_validation_memo_never_waives_a_check(self, cube3):
+        _, assignment = two_message_case(cube3)
+        memo = {}
+        shared = PathAssignment(
+            cube3,
+            assignment.endpoints,
+            assignment.as_dict(),
+            validated=memo,
+        )
+        assert (0, 1, 3) in memo and (1, 3) in memo
+        for _ in range(2):  # a failure is never remembered as a success
+            with pytest.raises(RoutingError, match="not minimal"):
+                shared.set_path("m1", [0, 1, 5, 7, 3])
+            with pytest.raises(RoutingError, match="not a link"):
+                shared.set_path("m1", [0, 3])
+            # Validated, memoised — and another message's endpoints.
+            with pytest.raises(RoutingError, match="do not match"):
+                shared.set_path("m2", [0, 1, 3])
+            with pytest.raises(RoutingError, match="do not match"):
+                shared.copy().set_path("m1", [1, 3])
+        assert shared.path("m1") == (0, 1, 3)
+        assert shared.path("m2") == (1, 3)
+        assert set(memo) == {(0, 1, 3), (1, 3)}
