@@ -333,46 +333,14 @@ def _cmd_check(args) -> int:
 def _cmd_lint(args) -> int:
     from pathlib import Path
 
-    from repro.lint import Baseline, ProjectContext, lint_project, rules_named
-    from repro.lint.output import RENDERERS
+    from repro.lint.engine import lint_paths
 
     root = Path(args.root)
     if not root.exists():
         print(f"error: scan root {root} does not exist", file=sys.stderr)
         return 2
-    try:
-        rules = rules_named(args.rules)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    baseline_path = Path(args.baseline)
-    project = ProjectContext.from_root(root)
-
-    if args.fix_baseline:
-        report = lint_project(project, rules=rules, baseline=None)
-        Baseline.from_findings(report.findings).save(baseline_path)
-        print(
-            f"baseline rewritten: {len(report.findings)} entr(ies) in "
-            f"{baseline_path}"
-        )
-        return 0
-
-    try:
-        baseline = (
-            Baseline.load(baseline_path) if not args.no_baseline else None
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = lint_project(project, rules=rules, baseline=baseline)
-    rendered = RENDERERS[args.format](report)
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        print(f"{args.format} report written to {args.out}")
-        print(report.summary())
-    else:
-        sys.stdout.write(rendered)
+    report = lint_paths(root)
+    sys.stdout.write(report.render())
     return 0 if report.ok else 1
 
 
@@ -741,35 +709,12 @@ def main(argv: list[str] | None = None) -> int:
 
     p_lint = sub.add_parser(
         "lint",
-        help="AST invariant linter (cache keys, determinism, trace, solver)",
+        help="determinism linter (no clock, ambient RNG or unordered "
+        "serialisation in the reproducible modules)",
     )
     p_lint.add_argument(
         "root", nargs="?", default="src",
         help="directory to scan (default: src)",
-    )
-    p_lint.add_argument(
-        "--rules", nargs="*", default=None, metavar="RULE",
-        help="run only these rule ids (default: all registered)",
-    )
-    p_lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (default: text)",
-    )
-    p_lint.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="write the report to a file instead of stdout",
-    )
-    p_lint.add_argument(
-        "--baseline", metavar="FILE", default="lint-baseline.json",
-        help="committed baseline file (default: lint-baseline.json)",
-    )
-    p_lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file (report all findings)",
-    )
-    p_lint.add_argument(
-        "--fix-baseline", action="store_true",
-        help="regenerate the baseline from current findings and exit",
     )
     p_lint.set_defaults(func=_cmd_lint)
 

@@ -92,9 +92,7 @@ class CompilerConfig:
         Name of the LP solver backend both LP stages use (see
         :func:`repro.solvers.get_backend`): ``"auto"`` (default —
         scipy's HiGHS when available, the pure-Python reference simplex
-        otherwise), ``"highs"``, ``"ilp"`` (HiGHS LPs
-        plus exact MILP capabilities, see
-        :mod:`repro.solvers.ilp_backend`) or ``"reference"``.
+        otherwise), ``"highs"`` or ``"reference"``.
     lp_batch:
         When True (default), the independent per-interval packing LPs
         of interval scheduling are solved through the backend's

@@ -1,49 +1,16 @@
-"""repro.lint — AST-based invariant linter for the repro codebase.
+"""repro.lint — the determinism linter for the repro codebase.
 
 Where ruff enforces style and mypy enforces types, this package
-enforces the *domain* invariants the rest of the system is built on:
-cache-key completeness, determinism of reproducible paths, trace
-taxonomy conformance, and the sparse/immutable solver contract.  Run it
-with ``repro-sr lint``; see ``docs/analysis.md`` for the rules, the
-pragma grammar, and the baseline workflow.
+enforces the one domain invariant nothing else can carry: no wall
+clock, ambient randomness or unordered serialisation in the modules
+whose output must be reproducible.  Run it with ``repro-sr lint``; see
+``docs/analysis.md`` for the scope, the audited allowlist and the
+self-check.  (The cache-key, trace-taxonomy and solver-contract
+invariants are enforced where a violation would happen — the same
+document says where.)
 """
 
-from repro.lint.baseline import Baseline
-from repro.lint.context import ModuleUnit, ProjectContext
-from repro.lint.engine import lint_paths, lint_project
-from repro.lint.findings import (
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    LintFinding,
-    LintReport,
-    sort_findings,
-)
-from repro.lint.output import render_json, render_sarif, render_text
-from repro.lint.registry import (
-    RULE_REGISTRY,
-    LintRule,
-    all_rules,
-    register_rule,
-    rules_named,
-)
+from repro.lint.engine import lint_paths, lint_sources
+from repro.lint.findings import LintFinding, LintReport
 
-__all__ = [
-    "Baseline",
-    "LintFinding",
-    "LintReport",
-    "LintRule",
-    "ModuleUnit",
-    "ProjectContext",
-    "RULE_REGISTRY",
-    "SEVERITY_ERROR",
-    "SEVERITY_WARNING",
-    "all_rules",
-    "lint_paths",
-    "lint_project",
-    "register_rule",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "rules_named",
-    "sort_findings",
-]
+__all__ = ["LintFinding", "LintReport", "lint_paths", "lint_sources"]

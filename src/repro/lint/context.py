@@ -1,64 +1,17 @@
-"""Parsed source units and the whole-project context rules consume.
+"""Parsed source units: what the determinism checker reads.
 
-A :class:`ModuleUnit` is one parsed file: path, dotted module name, AST,
-and the per-line suppression pragmas.  A :class:`ProjectContext` is the
-set of units one lint pass sees — rules that cross-check *between*
-modules (cache-key completeness reads the ``CompilerConfig`` dataclass
-in one file and the elide lists in another) resolve their peers through
-:meth:`ProjectContext.module`.
-
-Suppression pragmas
--------------------
-A finding is suppressed by a trailing comment on its line::
-
-    self._started = time.time()  # repro-lint: allow[determinism] -- uptime metric
-
-The bracket names one rule id (or ``*`` for any rule); everything after
-``--`` is the audit reason.  Pragmas are extracted with :mod:`tokenize`
-so string literals that merely *contain* the pragma text never
-suppress anything.
+A :class:`ModuleUnit` is one parsed file — path, dotted module name and
+AST.  Units come from a directory (:func:`units_from_root`, what
+``repro-sr lint`` scans) or from in-memory sources
+(:func:`units_from_sources`, what the self-check corpus and the unit
+tests lint without touching the filesystem).
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
-
-#: Pragma grammar: ``# repro-lint: allow[rule-id]`` with an optional
-#: ``-- reason`` tail.  Multiple pragmas may share one comment:
-#: ``allow[determinism] allow[trace-taxonomy]``.
-PRAGMA_PATTERN = re.compile(r"repro-lint:\s*((?:allow\[[\w*-]+\]\s*)+)")
-_ALLOW_PATTERN = re.compile(r"allow\[([\w*-]+)\]")
-
-
-def parse_suppressions(source: str) -> dict[int, frozenset[str]]:
-    """Per-line suppressed rule ids (``"*"`` suppresses every rule).
-
-    Tokenizes rather than regex-scanning raw lines so pragma text inside
-    string literals is inert.  A file that fails to tokenize (it will
-    also fail :func:`ast.parse`) yields no suppressions.
-    """
-    suppressions: dict[int, set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = PRAGMA_PATTERN.search(token.string)
-            if match is None:
-                continue
-            rules = set(_ALLOW_PATTERN.findall(match.group(1)))
-            if rules:
-                line = token.start[0]
-                suppressions.setdefault(line, set()).update(rules)
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return {}
-    return {line: frozenset(rules) for line, rules in suppressions.items()}
 
 
 @dataclass(frozen=True)
@@ -68,26 +21,18 @@ class ModuleUnit:
     Attributes
     ----------
     relpath:
-        POSIX path relative to the scanned root (baseline identity).
+        POSIX path relative to the scanned root.
     module:
         Dotted module name derived from the path
         (``repro/cache/keys.py`` → ``repro.cache.keys``;
         ``__init__.py`` maps to its package).
     tree:
         The parsed :class:`ast.Module`.
-    suppressions:
-        ``line -> rule ids`` pragma map from :func:`parse_suppressions`.
     """
 
     relpath: str
     module: str
-    source: str
     tree: ast.Module
-    suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
-
-    def suppresses(self, rule_id: str, line: int) -> bool:
-        rules = self.suppressions.get(line)
-        return rules is not None and (rule_id in rules or "*" in rules)
 
 
 def module_name_for(relpath: str) -> str:
@@ -100,71 +45,37 @@ def module_name_for(relpath: str) -> str:
     return ".".join(part for part in parts if part)
 
 
-class ProjectContext:
-    """Every module of one lint pass, addressable by dotted name."""
+def units_from_sources(sources: dict[str, str]) -> list[ModuleUnit]:
+    """Units of in-memory sources keyed by module name (``a.b`` →
+    ``a/b.py``), sorted by name."""
+    return [
+        ModuleUnit(
+            relpath=module.replace(".", "/") + ".py",
+            module=module,
+            tree=ast.parse(source),
+        )
+        for module, source in sorted(sources.items())
+    ]
 
-    def __init__(self, units: Iterable[ModuleUnit]) -> None:
-        self.units: tuple[ModuleUnit, ...] = tuple(units)
-        self.by_module: dict[str, ModuleUnit] = {
-            unit.module: unit for unit in self.units
-        }
 
-    def __len__(self) -> int:
-        return len(self.units)
+def units_from_root(root: Path | str) -> list[ModuleUnit]:
+    """Parse every ``*.py`` under ``root`` (sorted, deterministic).
 
-    def __iter__(self) -> Iterator[ModuleUnit]:
-        return iter(self.units)
-
-    def module(self, name: str) -> ModuleUnit | None:
-        """The unit of one dotted module name, when scanned."""
-        return self.by_module.get(name)
-
-    @classmethod
-    def from_sources(cls, sources: dict[str, str]) -> "ProjectContext":
-        """Build a context from in-memory sources, keyed by module name.
-
-        The self-check corpus and the rule unit tests use this to lint
-        synthetic files without touching the filesystem.  Paths are
-        derived from the module names (``a.b`` → ``a/b.py``).
-        """
-        units = []
-        for module, source in sorted(sources.items()):
-            relpath = module.replace(".", "/") + ".py"
-            units.append(
-                ModuleUnit(
-                    relpath=relpath,
-                    module=module,
-                    source=source,
-                    tree=ast.parse(source),
-                    suppressions=parse_suppressions(source),
-                )
+    Unparsable files are skipped — the linter's job is the determinism
+    discipline, not syntax checking (the interpreter and ruff both
+    report syntax errors already).
+    """
+    root = Path(root)
+    units = []
+    for path in sorted(root.rglob("*.py")):
+        relpath = path.relative_to(root).as_posix()
+        try:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+        except (OSError, SyntaxError, ValueError):
+            continue
+        units.append(
+            ModuleUnit(
+                relpath=relpath, module=module_name_for(relpath), tree=tree
             )
-        return cls(units)
-
-    @classmethod
-    def from_root(cls, root: Path | str) -> "ProjectContext":
-        """Parse every ``*.py`` under ``root`` (sorted, deterministic).
-
-        Unparsable files are skipped — the invariant linter's job is
-        domain rules, not syntax checking (the interpreter and ruff both
-        report syntax errors already).
-        """
-        root = Path(root)
-        units = []
-        for path in sorted(root.rglob("*.py")):
-            relpath = path.relative_to(root).as_posix()
-            try:
-                source = path.read_text(encoding="utf-8")
-                tree = ast.parse(source)
-            except (OSError, SyntaxError, ValueError):
-                continue
-            units.append(
-                ModuleUnit(
-                    relpath=relpath,
-                    module=module_name_for(relpath),
-                    source=source,
-                    tree=tree,
-                    suppressions=parse_suppressions(source),
-                )
-            )
-        return cls(units)
+        )
+    return units

@@ -1,66 +1,27 @@
-"""The lint engine: run rules over a project, apply pragmas + baseline."""
+"""The lint engine: run the determinism checker over parsed units."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.lint.baseline import Baseline
-from repro.lint.context import ProjectContext
-from repro.lint.findings import LintFinding, LintReport, sort_findings
-from repro.lint.registry import LintRule, rules_named
+from repro.lint.context import ModuleUnit, units_from_root, units_from_sources
+from repro.lint.determinism import check_module
+from repro.lint.findings import LintReport
 
 
-def lint_project(
-    project: ProjectContext,
-    rules: list[LintRule] | None = None,
-    baseline: Baseline | None = None,
-) -> LintReport:
-    """Run ``rules`` (default: all registered) over a parsed project.
-
-    Pipeline per finding: pragma suppression first (an inline
-    ``# repro-lint: allow[rule]`` on the finding's line wins and is
-    counted, not reported), then baseline absorption (multiset match on
-    the line-independent fingerprint).  What survives is live.
-    """
-    active = rules if rules is not None else rules_named(None)
-    raw: list[LintFinding] = []
-    for rule in active:
-        raw.extend(rule.check_project(project))
-
-    by_path = {unit.relpath: unit for unit in project}
-    unsuppressed: list[LintFinding] = []
-    suppressed = 0
-    for finding in raw:
-        unit = by_path.get(finding.path)
-        if unit is not None and unit.suppresses(finding.rule, finding.line):
-            suppressed += 1
-        else:
-            unsuppressed.append(finding)
-
-    if baseline is None:
-        live, absorbed, stale = unsuppressed, [], 0
-    else:
-        live, absorbed, stale = baseline.partition(unsuppressed)
-
+def lint_units(units: list[ModuleUnit]) -> LintReport:
+    """Every determinism finding in ``units``, in report order."""
+    findings = [finding for unit in units for finding in check_module(unit)]
     return LintReport(
-        findings=tuple(sort_findings(live)),
-        files_scanned=len(project),
-        rules_run=tuple(rule.id for rule in active),
-        suppressed=suppressed,
-        baselined=tuple(sort_findings(absorbed)),
-        stale_baseline=stale,
+        findings=tuple(sorted(findings)), files_scanned=len(units)
     )
 
 
-def lint_paths(
-    root: Path | str,
-    rule_ids: list[str] | None = None,
-    baseline_path: Path | str | None = None,
-) -> LintReport:
+def lint_sources(sources: dict[str, str]) -> LintReport:
+    """Lint in-memory sources keyed by dotted module name."""
+    return lint_units(units_from_sources(sources))
+
+
+def lint_paths(root: Path | str) -> LintReport:
     """Lint every ``*.py`` under ``root`` — the CLI entry point's core."""
-    project = ProjectContext.from_root(root)
-    rules = rules_named(rule_ids)
-    baseline = (
-        Baseline.load(baseline_path) if baseline_path is not None else None
-    )
-    return lint_project(project, rules=rules, baseline=baseline)
+    return lint_units(units_from_root(root))

@@ -1,156 +1,66 @@
-"""Structured lint findings, reports, and baseline-stable identities.
+"""Structured lint findings and the report of one pass.
 
-The shapes here mirror :mod:`repro.check.analyzer`: a rule never raises
+The shapes mirror :mod:`repro.check.analyzer`: the checker never raises
 on offending source — it yields :class:`LintFinding` records, and the
 engine aggregates them into a :class:`LintReport` with the same
-``ok``/``summary()`` ergonomics the conformance analyzer has.  The one
-extra concept is the **fingerprint**: a line-independent identity used
-by the committed baseline (``lint-baseline.json``), so a finding that
-merely moves when unrelated code is edited does not churn the baseline.
+``ok``/``summary()`` ergonomics the conformance analyzer has.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
-
-#: Finding severities (same vocabulary as ``repro.check``).
-SEVERITY_ERROR = "error"
-SEVERITY_WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LintFinding:
-    """One invariant violation (or advisory) in the source tree.
+    """One determinism violation in the source tree.
+
+    Findings order by path, line, column — the report order.
 
     Attributes
     ----------
-    rule:
-        Stable rule identifier (``"determinism"``, ``"cache-key"``, ...).
     path:
         Path of the offending file, relative to the scanned root, in
-        POSIX form — the identity the baseline keys on.
+        POSIX form.
     line, col:
         1-based line and 0-based column of the offending node.
-    symbol:
-        The offending name when one is identifiable (a call like
-        ``time.time``, a dataclass field, a category literal).
     detail:
-        Human-readable description of the violated invariant.
-    severity:
-        :data:`SEVERITY_ERROR` or :data:`SEVERITY_WARNING`.
+        Human-readable description of the violation, ending in its
+        family id (``det-wall-clock``, ``det-rng``, ``det-ordering``).
     """
 
-    rule: str
     path: str
     line: int
     col: int
-    symbol: str
     detail: str
-    severity: str = SEVERITY_ERROR
-
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline.
-
-        Deliberately excludes ``line``/``col`` so unrelated edits above
-        a baselined finding do not invalidate it; two *distinct*
-        findings that collide (same rule, path, symbol and detail) are
-        handled as a multiset by :class:`Baseline` matching.
-        """
-        return f"{self.rule}|{self.path}|{self.symbol}|{self.detail}"
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
 
     def __str__(self) -> str:
-        return (
-            f"[{self.severity}] {self.location()} {self.rule}: "
-            f"{self.detail}"
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "symbol": self.symbol,
-            "detail": self.detail,
-            "severity": self.severity,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "LintFinding":
-        return cls(
-            rule=str(payload["rule"]),
-            path=str(payload["path"]),
-            line=int(payload.get("line", 0)),
-            col=int(payload.get("col", 0)),
-            symbol=str(payload.get("symbol", "")),
-            detail=str(payload["detail"]),
-            severity=str(payload.get("severity", SEVERITY_ERROR)),
-        )
+        return f"[error] {self.location()} determinism: {self.detail}"
 
 
 @dataclass(frozen=True)
 class LintReport:
-    """Outcome of one lint pass over a source tree.
-
-    ``findings`` are the *live* violations: not pragma-suppressed and
-    not covered by the baseline.  ``suppressed`` counts per-line pragma
-    suppressions (kept as a count, not records — pragmas are the audited
-    in-source mechanism); ``baselined`` carries the findings a committed
-    baseline absorbed, so ``--fix-baseline`` can regenerate the file
-    without re-scanning.
-    """
+    """Outcome of one lint pass over a source tree."""
 
     findings: tuple[LintFinding, ...]
     files_scanned: int
-    rules_run: tuple[str, ...]
-    suppressed: int = 0
-    baselined: tuple[LintFinding, ...] = ()
-    stale_baseline: int = 0
 
     @property
     def ok(self) -> bool:
-        """True when no unsuppressed error-severity finding remains."""
-        return not any(f.severity == SEVERITY_ERROR for f in self.findings)
-
-    def by_rule(self) -> dict[str, int]:
-        """Live finding counts per rule id, sorted by rule id."""
-        counts = Counter(f.rule for f in self.findings)
-        return dict(sorted(counts.items()))
+        return not self.findings
 
     def summary(self) -> str:
-        head = (
+        return (
             f"{len(self.findings)} finding(s) over {self.files_scanned} "
-            f"file(s), {len(self.rules_run)} rule(s)"
+            "file(s)"
         )
-        parts = [head]
-        if self.suppressed:
-            parts.append(f"{self.suppressed} pragma-suppressed")
-        if self.baselined:
-            parts.append(f"{len(self.baselined)} baselined")
-        if self.stale_baseline:
-            parts.append(f"{self.stale_baseline} stale baseline entr(ies)")
-        return "; ".join(parts)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "files_scanned": self.files_scanned,
-            "rules_run": list(self.rules_run),
-            "suppressed": self.suppressed,
-            "stale_baseline": self.stale_baseline,
-            "by_rule": self.by_rule(),
-            "findings": [f.to_dict() for f in self.findings],
-            "baselined": [f.to_dict() for f in self.baselined],
-        }
-
-
-def sort_findings(findings: Iterable[LintFinding]) -> list[LintFinding]:
-    """Deterministic report order: path, line, column, rule."""
-    return sorted(
-        findings, key=lambda f: (f.path, f.line, f.col, f.rule, f.detail)
-    )
+    def render(self) -> str:
+        """One line per finding, then the summary and the verdict."""
+        lines = [str(finding) for finding in self.findings]
+        lines.append(self.summary())
+        lines.append("OK" if self.ok else "FAIL")
+        return "\n".join(lines) + "\n"

@@ -47,11 +47,6 @@ MIN_MEASURED_INVOCATIONS = 4
 class RunConfig:
     """Keyword-only bundle of run parameters, shared by every run path.
 
-    Every field declares a ``metadata`` role: ``"result"`` fields change
-    the *measured behaviour* of a run (what the paper's figures would
-    show — the fields replay comparisons trust), ``"observer"`` fields
-    watch a run without changing it.
-
     Attributes
     ----------
     invocations:
@@ -81,17 +76,13 @@ class RunConfig:
         ignore it.
     """
 
-    invocations: int = field(default=40, metadata={"role": "result"})
-    warmup: int = field(default=8, metadata={"role": "result"})
-    seed: int = field(default=0, metadata={"role": "result"})
-    fault_trace: "FaultTrace | None" = field(
-        default=None, metadata={"role": "result"}
-    )
-    tracer: Tracer = field(default=NULL_TRACER, metadata={"role": "observer"})
-    max_recoveries: int | None = field(
-        default=None, metadata={"role": "result"}
-    )
-    allocator: str | None = field(default=None, metadata={"role": "result"})
+    invocations: int = 40
+    warmup: int = 8
+    seed: int = 0
+    fault_trace: "FaultTrace | None" = None
+    tracer: Tracer = NULL_TRACER
+    max_recoveries: int | None = None
+    allocator: str | None = None
 
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with the given fields changed."""

@@ -313,7 +313,8 @@ class JobStore:
         excess = len(self._jobs) - self.history_limit
         if excess <= 0:
             return
-        for job_id in [
-            jid for jid, job in self._jobs.items() if job.terminal
-        ][:excess]:
+        # Oldest first, and no further than the ``excess`` terminal jobs
+        # to drop: a full store evicts on every add.
+        terminal = (jid for jid, job in self._jobs.items() if job.terminal)
+        for job_id in list(itertools.islice(terminal, excess)):
             del self._jobs[job_id]

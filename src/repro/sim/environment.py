@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -61,11 +61,11 @@ class Environment:
         """Start a new cooperative process driving ``generator``."""
         return Process(self, generator)
 
-    def all_of(self, events) -> AllOf:
+    def all_of(self, events: Iterable[Event]) -> AllOf:
         """An event firing once every event in ``events`` has fired."""
         return AllOf(self, events)
 
-    def any_of(self, events) -> AnyOf:
+    def any_of(self, events: Iterable[Event]) -> AnyOf:
         """An event firing once any event in ``events`` has fired."""
         return AnyOf(self, events)
 

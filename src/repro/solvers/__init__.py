@@ -30,11 +30,6 @@ Backend names
 ``highs``
     :class:`~repro.solvers.scipy_backend.ScipyLinprogBackend` with
     scipy's automatic HiGHS choice — the fast path.
-``ilp``
-    :class:`~repro.solvers.ilp_backend.IlpBackend` — HiGHS for the LP
-    stages (byte-identical schedules) plus exact mixed-integer solves
-    (``solve_integer``) used by the AssignPaths optimality-gap
-    reference.  Requires scipy ≥ 1.9 (``scipy.optimize.milp``).
 ``reference``
     :class:`~repro.solvers.reference.ReferenceSimplexBackend` — a
     deterministic numpy-only two-phase simplex for environments without
@@ -43,6 +38,10 @@ Backend names
 ``get_backend`` returns a **fresh instance** each call; a backend's
 :class:`~repro.solvers.base.SolverTally` therefore covers exactly one
 compilation (the stages snapshot it per profiler stage).
+
+Exact mixed-integer solves are not a backend: the AssignPaths
+optimality-gap reference calls
+:func:`repro.solvers.ilp_backend.solve_integer` directly.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ _exported, __getattr__, __dir__ = lazy_exports(__name__, {
     "LPProblemBuilder": "base",
     "LPSolution": "base",
     "ReferenceSimplexBackend": "reference",
-    "SCIPY_METHODS": "scipy_backend",
     "ScipyLinprogBackend": "scipy_backend",
     "SolverTally": "base",
     "TalliedBackend": "base",
@@ -83,7 +81,7 @@ __all__ = sorted([
 ])
 
 #: Names accepted by :func:`get_backend`.
-BACKEND_NAMES = ("auto", "highs", "ilp", "reference")
+BACKEND_NAMES = ("auto", "highs", "reference")
 
 #: Shared warm-start basis pools, keyed by scope string (see
 #: :func:`repro.cache.warm_scope_key`).  ``get_backend`` hands every
@@ -107,7 +105,7 @@ def default_backend_name() -> str:
 def available_backends() -> tuple[str, ...]:
     """Concrete backend names usable in this environment."""
     if have_scipy():
-        return ("highs", "ilp", "reference")
+        return ("highs", "reference")
     return ("reference",)
 
 
@@ -135,23 +133,15 @@ def get_backend(
     byte-identical to cold ones (pinned by property tests), so scoping
     never changes results, only wall time.
     """
-    from repro.solvers.scipy_backend import SCIPY_METHODS, ScipyLinprogBackend
-
     if name == "auto":
         name = default_backend_name()
-    basis_cache = None
-    if warm_start and warm_scope is not None:
-        basis_cache = _WARM_SCOPES.setdefault(warm_scope, {})
-    if name in SCIPY_METHODS:
-        return ScipyLinprogBackend(
-            method=name,
-            warm_start_reuse=warm_start,
-            basis_cache=basis_cache,
-        )
-    if name == "ilp":
-        from repro.solvers.ilp_backend import IlpBackend
+    if name == "highs":
+        from repro.solvers.scipy_backend import ScipyLinprogBackend
 
-        return IlpBackend(
+        basis_cache = None
+        if warm_start and warm_scope is not None:
+            basis_cache = _WARM_SCOPES.setdefault(warm_scope, {})
+        return ScipyLinprogBackend(
             warm_start_reuse=warm_start, basis_cache=basis_cache
         )
     if name == "reference":

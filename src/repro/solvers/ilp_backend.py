@@ -1,21 +1,16 @@
-"""The ILP backend: exact integer solves and the AssignPaths gap.
+"""The integer reference: exact MILP solves and the AssignPaths gap.
 
-:class:`IlpBackend` is the third concrete
-:class:`~repro.solvers.base.LPBackend`.  For the compiler's two LP
-stages it **delegates to HiGHS** (it subclasses
-:class:`~repro.solvers.scipy_backend.ScipyLinprogBackend`), so
-compiling with ``lp_backend="ilp"`` produces schedules byte-identical to
-``"highs"`` — a deliberate design point: column-generation pricing in
-interval scheduling needs exact equality duals, which
-``scipy.optimize.milp`` does not expose, so routing the *relaxations*
-through an integer solver would break pricing for no gain.  What the
-backend adds is :meth:`IlpBackend.solve_integer` — exact mixed-integer
-solves over the same canonical :class:`~repro.solvers.base.LPProblem`
-contract, via ``scipy.optimize.milp`` (HiGHS branch-and-bound).
+:func:`solve_integer` solves a canonical
+:class:`~repro.solvers.base.LPProblem` with integrality restrictions
+via ``scipy.optimize.milp`` (HiGHS branch-and-bound).  It is a function,
+not an :class:`~repro.solvers.base.LPBackend`: column-generation
+pricing in interval scheduling needs exact equality duals, which
+``milp`` does not expose, so the compiler's two LP stages have no use
+for an integer solver and always run on an LP backend.
 
-On top of that capability, :func:`assignment_gap` formulates **optimal
-path assignment** as an ILP and scores the paper's AssignPaths
-heuristic against it:
+On top of it, :func:`assignment_gap` formulates **optimal path
+assignment** as an ILP and scores the paper's AssignPaths heuristic
+against it:
 
 - binary ``x[m, p]`` for every message ``m`` and candidate minimal path
   ``p`` in its pool (the same ``minimal_path_pool`` enumeration the
@@ -43,110 +38,78 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.solvers.base import (
-    LPProblem,
-    LPProblemBuilder,
-    LPSolution,
-    WarmStart,
-)
-from repro.solvers.scipy_backend import ScipyLinprogBackend
+from repro.solvers.base import LPProblem, LPProblemBuilder, LPSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.assignment import PathAssignment
     from repro.core.timebounds import TimeBoundSet
     from repro.topology.base import Topology
 
-__all__ = ["AssignmentGap", "IlpBackend", "assignment_gap"]
+__all__ = ["AssignmentGap", "assignment_gap", "solve_integer"]
 
 
-class IlpBackend(ScipyLinprogBackend):
-    """HiGHS LPs plus exact MILP solves (``lp_backend="ilp"``).
+def solve_integer(
+    problem: LPProblem,
+    integrality: np.ndarray,
+    time_limit: float | None = None,
+) -> LPSolution:
+    """Solve a canonical problem with integrality restrictions.
 
-    LP solves (``solve``/``solve_batch``) are inherited from the HiGHS
-    backend unchanged — see the module docstring for why — so this
-    backend is safe anywhere ``"highs"`` is; :meth:`solve_integer` is
-    the additional capability.  Requires scipy >= 1.9
-    (``scipy.optimize.milp``).
+    ``integrality`` follows the ``scipy.optimize.milp`` convention per
+    variable (0 = continuous, 1 = integer).  Returns an
+    :class:`~repro.solvers.base.LPSolution`; ``dual_eq`` is always
+    ``None`` (MILPs have no LP duals) and ``iterations`` reports the
+    branch-and-bound node count.  Requires scipy >= 1.9.
     """
+    import time
 
-    def __init__(
-        self,
-        warm_start_reuse: bool = False,
-        basis_cache: dict[tuple[int, int, int], WarmStart] | None = None,
-    ) -> None:
-        super().__init__(
-            method="highs",
-            warm_start_reuse=warm_start_reuse,
-            basis_cache=basis_cache,
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    problem = problem.canonical()
+    constraints = []
+    if problem.a_eq is not None:
+        a_eq = sparse.csr_matrix(
+            (problem.a_eq.data, problem.a_eq.indices, problem.a_eq.indptr),
+            shape=problem.a_eq.shape,
         )
-        self.name = "ilp"
-
-    def solve_integer(
-        self,
-        problem: LPProblem,
-        integrality: np.ndarray,
-        time_limit: float | None = None,
-    ) -> LPSolution:
-        """Solve a canonical problem with integrality restrictions.
-
-        ``integrality`` follows the ``scipy.optimize.milp`` convention
-        per variable (0 = continuous, 1 = integer).  Returns an
-        :class:`~repro.solvers.base.LPSolution`; ``dual_eq`` is always
-        ``None`` (MILPs have no LP duals) and ``iterations`` reports the
-        branch-and-bound node count.  The solve is recorded in the
-        backend tally like any other solve.
-        """
-        import time
-
-        from scipy import sparse
-        from scipy.optimize import Bounds, LinearConstraint, milp
-
-        problem = problem.canonical()
-        constraints = []
-        if problem.a_eq is not None:
-            a_eq = sparse.csr_matrix(
-                (problem.a_eq.data, problem.a_eq.indices, problem.a_eq.indptr),
-                shape=problem.a_eq.shape,
-            )
-            constraints.append(
-                LinearConstraint(a_eq, problem.b_eq, problem.b_eq)
-            )
-        if problem.a_ub is not None:
-            a_ub = sparse.csr_matrix(
-                (problem.a_ub.data, problem.a_ub.indices, problem.a_ub.indptr),
-                shape=problem.a_ub.shape,
-            )
-            constraints.append(
-                LinearConstraint(a_ub, -np.inf, problem.b_ub)
-            )
-        options: dict[str, float] = {}
-        if time_limit is not None:
-            options["time_limit"] = float(time_limit)
-        start = time.perf_counter()
-        result = milp(
-            c=problem.c,
-            constraints=constraints,
-            integrality=np.asarray(integrality, dtype=np.int64),
-            bounds=Bounds(problem.bounds[:, 0], problem.bounds[:, 1]),
-            options=options or None,
+        constraints.append(
+            LinearConstraint(a_eq, problem.b_eq, problem.b_eq)
         )
-        wall_ms = (time.perf_counter() - start) * 1e3
-        x = (
-            np.asarray(result.x, dtype=np.float64)
-            if result.x is not None
-            else np.empty(0, dtype=np.float64)
+    if problem.a_ub is not None:
+        a_ub = sparse.csr_matrix(
+            (problem.a_ub.data, problem.a_ub.indices, problem.a_ub.indptr),
+            shape=problem.a_ub.shape,
         )
-        solution = LPSolution(
-            success=bool(result.success),
-            x=x,
-            objective=float(result.fun) if result.fun is not None else 0.0,
-            dual_eq=None,
-            iterations=int(getattr(result, "mip_node_count", 0) or 0),
-            message=str(result.message),
-            wall_ms=wall_ms,
+        constraints.append(
+            LinearConstraint(a_ub, -np.inf, problem.b_ub)
         )
-        self.tally.record(problem, solution)
-        return solution
+    options: dict[str, float] = {}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    start = time.perf_counter()
+    result = milp(
+        c=problem.c,
+        constraints=constraints,
+        integrality=np.asarray(integrality, dtype=np.int64),
+        bounds=Bounds(problem.bounds[:, 0], problem.bounds[:, 1]),
+        options=options or None,
+    )
+    wall_ms = (time.perf_counter() - start) * 1e3
+    x = (
+        np.asarray(result.x, dtype=np.float64)
+        if result.x is not None
+        else np.empty(0, dtype=np.float64)
+    )
+    return LPSolution(
+        success=bool(result.success),
+        x=x,
+        objective=float(result.fun) if result.fun is not None else 0.0,
+        dual_eq=None,
+        iterations=int(getattr(result, "mip_node_count", 0) or 0),
+        message=str(result.message),
+        wall_ms=wall_ms,
+    )
 
 
 @dataclass(frozen=True)
@@ -180,7 +143,6 @@ def assignment_gap(
     assignment: "PathAssignment | Mapping[str, Sequence[int]]",
     max_paths: int = 48,
     time_limit: float | None = 60.0,
-    backend: IlpBackend | None = None,
 ) -> AssignmentGap:
     """Score a heuristic assignment against the exact ILP optimum.
 
@@ -198,7 +160,6 @@ def assignment_gap(
     from repro.core.utilization import forced_load_matrix
     from repro.topology.routing import links_on_path
 
-    backend = backend if backend is not None else IlpBackend()
     if not isinstance(assignment, PathAssignment):
         assignment = PathAssignment(
             topology,
@@ -270,9 +231,7 @@ def assignment_gap(
 
     integrality = np.ones(num_vars, dtype=np.int64)
     integrality[z_col] = 0
-    solution = backend.solve_integer(
-        problem, integrality, time_limit=time_limit
-    )
+    solution = solve_integer(problem, integrality, time_limit=time_limit)
     if not solution.success or solution.x.size == 0:
         return AssignmentGap(
             heuristic_peak=heuristic_peak,

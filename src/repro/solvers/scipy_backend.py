@@ -39,27 +39,18 @@ from repro.solvers.base import (
     WarmStart,
 )
 
-#: linprog ``method`` values this backend accepts.
-SCIPY_METHODS = ("highs",)
-
 
 class ScipyLinprogBackend(TalliedBackend):
     """A :class:`~repro.solvers.base.LPBackend` backed by scipy's HiGHS."""
 
+    name = "highs"
+
     def __init__(
         self,
-        method: str = "highs",
         warm_start_reuse: bool = False,
         basis_cache: dict[tuple[int, int, int], WarmStart] | None = None,
     ) -> None:
-        if method not in SCIPY_METHODS:
-            raise ValueError(
-                f"unknown scipy linprog method {method!r} "
-                f"(expected one of {SCIPY_METHODS})"
-            )
         super().__init__()
-        self.name = method
-        self._method = method
         self._engine: object | None = None
         self._engine_probed = False
         self._warm_reuse = warm_start_reuse
@@ -135,7 +126,7 @@ class ScipyLinprogBackend(TalliedBackend):
             A_eq=None if problem.a_eq is None else problem.a_eq.to_dense(),
             b_eq=problem.b_eq,
             bounds=problem.bounds,
-            method=self._method,
+            method="highs",
         )
         dual_eq = None
         if (

@@ -78,11 +78,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 #: The complete event taxonomy (one entry per section of the module
-#: docstring above).  Producers must emit categories from this set —
-#: the ``trace-taxonomy`` lint rule statically checks every literal
-#: category in emit calls, :class:`TraceEvent` constructions and
-#: :class:`TraceRecorder` filters against it, so a typo'd category
-#: cannot silently vanish from filtered recordings.
+#: docstring above).  :class:`TraceEvent` and the
+#: :class:`TraceRecorder` filter reject anything else, so a typo'd
+#: category cannot silently vanish from filtered recordings.
 TRACE_CATEGORIES = (
     "sim",
     "link",
@@ -127,6 +125,13 @@ class TraceEvent:
     duration: float = 0.0
     track: str = ""
     args: Mapping[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.category not in TRACE_CATEGORIES:
+            raise ValueError(
+                f"unknown trace category {self.category!r} "
+                f"(expected one of {TRACE_CATEGORIES})"
+            )
 
     @property
     def end(self) -> float:
@@ -190,6 +195,13 @@ class TraceRecorder(Tracer):
     def __init__(self, categories: Iterable[str] | None = None) -> None:
         self._events: list[TraceEvent] = []
         self.categories = frozenset(categories) if categories is not None else None
+        if self.categories is not None:
+            unknown = sorted(self.categories.difference(TRACE_CATEGORIES))
+            if unknown:
+                raise ValueError(
+                    f"unknown trace categories {unknown} in recorder filter "
+                    f"(expected a subset of {TRACE_CATEGORIES})"
+                )
 
     def wants(self, category: str) -> bool:
         """True when events of ``category`` are being kept."""

@@ -113,8 +113,10 @@ def test_parsing_imports_no_numpy(argv):
     assert "repro.core" not in seen["modules"]
 
 
-#: package -> (len(__all__), digest of its sorted names) at the parent
-#: commit, where every facade imported its exports eagerly.
+#: package -> (len(__all__), digest of its sorted names) at the commit
+#: where every facade imported its exports eagerly; ``repro.solvers``
+#: re-pinned (21, "62ae551935f8") -> (20, ...) when ``SCIPY_METHODS``,
+#: a tuple with one legal value, was retired.
 FACADES = {
     "repro": (82, "8406d0ef2b4a"),
     "repro.cache": (22, "9d5abd879377"),
@@ -125,7 +127,7 @@ FACADES = {
     "repro.faults": (10, "6c84aa22dc59"),
     "repro.metrics": (12, "db71aa263f0d"),
     "repro.serve": (10, "e85814c0a70c"),
-    "repro.solvers": (21, "62ae551935f8"),
+    "repro.solvers": (20, "ad1abe797c09"),
     "repro.trace": (11, "13becf6184ca"),
     "repro.viz": (5, "d07162861215"),
     "repro.wormhole": (5, "e3b2e484384b"),
@@ -222,7 +224,8 @@ from scipy.optimize._highspy import _core
 from repro.solvers import highs_engine
 lp = linprog([1.0], A_eq=[[1.0]], b_eq=[1.0], method="highs")
 ip = milp([1.0], integrality=[1], bounds=scipy.optimize.Bounds(1, 5))
-ilp = get_backend("ilp").solve(tiny_lp())
+from repro.solvers.ilp_backend import solve_integer
+ilp = solve_integer(tiny_lp(), [1])
 extra.update(
     same=_core is highs_engine._api()["hc"] is sys.modules[%r],
     linprog=lp.status, milp=ip.status, ilp=ilp.success,

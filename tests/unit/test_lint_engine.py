@@ -1,30 +1,21 @@
-"""Unit tests for the lint engine: context, pragmas, baseline, report."""
+"""Unit tests for the lint engine: parsed units, finding order, report."""
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
-from repro.lint import (
-    Baseline,
-    LintFinding,
-    ProjectContext,
-    lint_project,
-    rules_named,
-    sort_findings,
+from repro.lint import LintFinding
+from repro.lint.context import (
+    module_name_for,
+    units_from_root,
+    units_from_sources,
 )
-from repro.lint.context import module_name_for, parse_suppressions
 from repro.lint.engine import lint_paths
 
 
 def finding(**overrides):
     payload = dict(
-        rule="determinism",
         path="repro/cache/mod.py",
         line=3,
         col=4,
-        symbol="time.time",
         detail="wall-clock read",
     )
     payload.update(overrides)
@@ -48,149 +39,30 @@ class TestContext:
         assert module_name_for("top.py") == "top"
 
     def test_from_sources_parses_and_indexes(self):
-        project = ProjectContext.from_sources({IN_SCOPE: "x = 1\n"})
-        unit = project.module(IN_SCOPE)
-        assert unit is not None
+        (unit,) = units_from_sources({IN_SCOPE: "x = 1\n"})
+        assert unit.module == IN_SCOPE
         assert unit.relpath == "repro/cache/synthetic.py"
-        assert len(project) == 1
 
     def test_from_root_is_sorted_and_skips_unparsable(self, tmp_path):
         (tmp_path / "b.py").write_text("x = 1\n")
         (tmp_path / "a.py").write_text("y = 2\n")
         (tmp_path / "broken.py").write_text("def (oops\n")
-        project = ProjectContext.from_root(tmp_path)
-        assert [u.relpath for u in project] == ["a.py", "b.py"]
-
-
-class TestPragmas:
-    def test_parse_single_and_wildcard(self):
-        source = (
-            "a = 1  # repro-lint: allow[determinism] -- audited\n"
-            "b = 2  # repro-lint: allow[*]\n"
-        )
-        supp = parse_suppressions(source)
-        assert supp[1] == frozenset({"determinism"})
-        assert supp[2] == frozenset({"*"})
-
-    def test_multiple_rules_one_comment(self):
-        supp = parse_suppressions(
-            "x = 1  # repro-lint: allow[determinism] allow[cache-key]\n"
-        )
-        assert supp[1] == frozenset({"determinism", "cache-key"})
-
-    def test_pragma_inside_string_is_inert(self):
-        supp = parse_suppressions(
-            's = "# repro-lint: allow[determinism]"\n'
-        )
-        assert supp == {}
-
-    def test_pragma_suppresses_finding(self):
-        source = VIOLATION.replace(
-            "return time.time()",
-            "return time.time()  # repro-lint: allow[determinism] -- test",
-        )
-        project = ProjectContext.from_sources({IN_SCOPE: source})
-        report = lint_project(project, rules=rules_named(["determinism"]))
-        assert report.findings == ()
-        assert report.suppressed == 1
-
-    def test_wrong_rule_pragma_does_not_suppress(self):
-        source = VIOLATION.replace(
-            "return time.time()",
-            "return time.time()  # repro-lint: allow[cache-key]",
-        )
-        project = ProjectContext.from_sources({IN_SCOPE: source})
-        report = lint_project(project, rules=rules_named(["determinism"]))
-        assert len(report.findings) == 1
-        assert report.suppressed == 0
+        units = units_from_root(tmp_path)
+        assert [u.relpath for u in units] == ["a.py", "b.py"]
 
 
 class TestFindings:
-    def test_fingerprint_is_line_independent(self):
-        a = finding(line=3, col=4)
-        b = finding(line=300, col=0)
-        assert a.fingerprint() == b.fingerprint()
-
     def test_sort_is_total_and_stable(self):
         findings = [
             finding(path="b.py", line=1),
             finding(path="a.py", line=9),
             finding(path="a.py", line=2),
         ]
-        ordered = sort_findings(findings)
-        assert [(f.path, f.line) for f in ordered] == [
+        assert [(f.path, f.line) for f in sorted(findings)] == [
             ("a.py", 2),
             ("a.py", 9),
             ("b.py", 1),
         ]
-
-    def test_report_round_trips_to_dict(self):
-        project = ProjectContext.from_sources({IN_SCOPE: VIOLATION})
-        report = lint_project(project, rules=rules_named(["determinism"]))
-        payload = report.to_dict()
-        assert payload["ok"] is False
-        assert payload["by_rule"] == {"determinism": 1}
-        restored = LintFinding.from_dict(payload["findings"][0])
-        assert restored == report.findings[0]
-
-
-class TestBaseline:
-    def test_absorbs_matching_finding(self):
-        project = ProjectContext.from_sources({IN_SCOPE: VIOLATION})
-        raw = lint_project(project, rules=rules_named(["determinism"]))
-        baseline = Baseline.from_findings(raw.findings)
-        report = lint_project(
-            project, rules=rules_named(["determinism"]), baseline=baseline
-        )
-        assert report.findings == ()
-        assert len(report.baselined) == 1
-        assert report.stale_baseline == 0
-        assert report.ok
-
-    def test_multiset_semantics(self):
-        two = (
-            "import time\n\n\ndef stamp():\n"
-            "    a = time.time()\n"
-            "    b = time.time()\n"
-            "    return a, b\n"
-        )
-        project = ProjectContext.from_sources({IN_SCOPE: two})
-        raw = lint_project(project, rules=rules_named(["determinism"]))
-        assert len(raw.findings) == 2
-        # A baseline holding ONE entry absorbs exactly one of the two.
-        baseline = Baseline.from_findings(raw.findings[:1])
-        report = lint_project(
-            project, rules=rules_named(["determinism"]), baseline=baseline
-        )
-        assert len(report.findings) == 1
-        assert len(report.baselined) == 1
-
-    def test_stale_entries_counted(self):
-        baseline = Baseline.from_findings([finding(detail="long gone")])
-        project = ProjectContext.from_sources({IN_SCOPE: "x = 1\n"})
-        report = lint_project(
-            project, rules=rules_named(["determinism"]), baseline=baseline
-        )
-        assert report.stale_baseline == 1
-
-    def test_save_is_byte_deterministic(self, tmp_path):
-        findings = [finding(symbol="b"), finding(symbol="a")]
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        Baseline.from_findings(findings).save(first)
-        Baseline.from_findings(list(reversed(findings))).save(second)
-        assert first.read_bytes() == second.read_bytes()
-        entries = json.loads(first.read_text())["entries"]
-        assert [e["symbol"] for e in entries] == ["a", "b"]
-        assert all("line" not in e for e in entries)
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": "bogus", "entries": []}')
-        with pytest.raises(ValueError, match="unsupported baseline version"):
-            Baseline.load(path)
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert len(Baseline.load(tmp_path / "absent.json")) == 0
 
 
 class TestEngine:
@@ -198,18 +70,7 @@ class TestEngine:
         mod = tmp_path / "repro" / "cache"
         mod.mkdir(parents=True)
         (mod / "synthetic.py").write_text(VIOLATION)
-        report = lint_paths(tmp_path, rule_ids=["determinism"])
+        report = lint_paths(tmp_path)
         assert len(report.findings) == 1
         assert report.findings[0].path == "repro/cache/synthetic.py"
-
-    def test_unknown_rule_id_rejected(self):
-        with pytest.raises(ValueError, match="unknown rule"):
-            rules_named(["not-a-rule"])
-
-    def test_all_four_rules_registered(self):
-        assert {rule.id for rule in rules_named(None)} == {
-            "cache-key",
-            "determinism",
-            "solver-contract",
-            "trace-taxonomy",
-        }
+        assert not report.ok

@@ -1,11 +1,8 @@
-"""Rendering tests: text, JSON, and SARIF 2.1.0 output."""
+"""Rendering tests: the text report."""
 
 from __future__ import annotations
 
-import json
-
-from repro.lint import ProjectContext, lint_project, rules_named
-from repro.lint.output import render_json, render_sarif, render_text
+from repro.lint import lint_sources
 
 VIOLATION = {
     "repro.cache.synthetic": (
@@ -14,54 +11,13 @@ VIOLATION = {
 }
 
 
-def make_report(sources=None):
-    project = ProjectContext.from_sources(sources or VIOLATION)
-    return lint_project(project, rules=rules_named(None))
-
-
 class TestText:
     def test_lists_findings_and_verdict(self):
-        text = render_text(make_report())
+        text = lint_sources(VIOLATION).render()
         assert "repro/cache/synthetic.py:5:" in text
         assert "determinism" in text
         assert text.rstrip().endswith("FAIL")
 
     def test_clean_report_says_ok(self):
-        text = render_text(make_report({"repro.other": "x = 1\n"}))
+        text = lint_sources({"repro.other": "x = 1\n"}).render()
         assert text.rstrip().endswith("OK")
-
-
-class TestJson:
-    def test_parses_and_carries_findings(self):
-        payload = json.loads(render_json(make_report()))
-        assert payload["ok"] is False
-        assert payload["by_rule"] == {"determinism": 1}
-        assert payload["findings"][0]["rule"] == "determinism"
-
-
-class TestSarif:
-    def test_minimal_valid_shape(self):
-        log = json.loads(render_sarif(make_report()))
-        assert log["version"] == "2.1.0"
-        (run,) = log["runs"]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert "determinism" in rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "determinism"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == (
-            "repro/cache/synthetic.py"
-        )
-        assert location["region"]["startLine"] == 5
-        assert result["partialFingerprints"]["reproLint/v1"]
-
-    def test_clean_run_has_no_results(self):
-        log = json.loads(render_sarif(make_report({"repro.other": "x = 1\n"})))
-        assert log["runs"][0]["results"] == []
-
-    def test_rendering_is_deterministic(self):
-        report = make_report()
-        assert render_sarif(report) == render_sarif(report)
-        assert render_json(report) == render_json(report)

@@ -62,6 +62,7 @@ def test_from_payload_resolves_topology_alias():
         {"config": {"prescreen": "no"}},
         {"config": {"max_paths": 3.7}},
         {"config": {"lp_backend": "nonsense"}},
+        {"config": {"lp_backend": "ilp"}},
     ],
 )
 def test_from_payload_rejects_bad_fields(patch):
@@ -83,14 +84,15 @@ def test_from_payload_requires_load():
 
 def test_config_overrides_sorted_and_applied():
     request = JobRequest.from_payload(
-        {**GOOD, "seed": 7, "config": {"max_paths": 3, "lp_backend": "ilp"}}
+        {**GOOD, "seed": 7,
+         "config": {"max_paths": 3, "lp_backend": "reference"}}
     )
     # Pairs are key-sorted so the signature is order-independent.
-    assert request.config == (("lp_backend", "ilp"), ("max_paths", 3))
+    assert request.config == (("lp_backend", "reference"), ("max_paths", 3))
     config = request.compiler_config()
     assert config.seed == 7
     assert config.max_paths == 3
-    assert config.lp_backend == "ilp"
+    assert config.lp_backend == "reference"
 
 
 def test_canonical_round_trip_preserves_identity():
@@ -134,8 +136,12 @@ def test_instance_signature_is_pinned():
     )
 
 
-def _job(store: JobStore, state: str = JOB_QUEUED) -> Job:
-    job = Job(id=store.new_id(), request=JobRequest.from_payload(GOOD), key="k")
+def _job(
+    store: JobStore, state: str = JOB_QUEUED, job_type: type[Job] = Job
+) -> Job:
+    job = job_type(
+        id=store.new_id(), request=JobRequest.from_payload(GOOD), key="k"
+    )
     store.add(job)
     if state != JOB_QUEUED:
         job.transition(state)
@@ -178,5 +184,36 @@ def test_store_evicts_only_terminal_jobs():
         assert store.get(done[1].id) is None
         assert store.get(done[-1].id) is done[-1]
         assert store.active() == [live]
+
+    asyncio.run(run())
+
+
+def test_full_store_evicts_in_bounded_work():
+    class CountingJob(Job):
+        reads = 0
+
+        @property
+        def terminal(self) -> bool:
+            CountingJob.reads += 1
+            return super().terminal
+
+    async def run():
+        limit = 64
+        store = JobStore(history_limit=limit)
+        live = _job(store, job_type=CountingJob)  # oldest, never terminal
+        done = [
+            _job(store, JOB_DONE, CountingJob) for _ in range(3 * limit - 1)
+        ]
+        assert len(store) == limit
+        assert store.get(live.id) is live
+        survivors = done[-(limit - 1):]
+        assert all(store.get(job.id) is job for job in survivors)
+        assert store.get(done[-limit].id) is None
+        # One more submit to the full store looks at the live job in
+        # front and the one terminal job it drops, not at all ``limit``.
+        CountingJob.reads = 0
+        _job(store, job_type=CountingJob)
+        assert CountingJob.reads <= 4
+        assert len(store) == limit and store.get(live.id) is live
 
     asyncio.run(run())

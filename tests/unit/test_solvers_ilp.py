@@ -1,4 +1,4 @@
-"""The ILP backend: integer solves, LP parity, the AssignPaths gap."""
+"""The integer reference: ``solve_integer`` and the AssignPaths gap."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.experiments import standard_setup
 from repro.solvers import get_backend
 from repro.solvers.base import LPProblem, LPProblemBuilder
-from repro.solvers.ilp_backend import IlpBackend, assignment_gap
+from repro.solvers.ilp_backend import assignment_gap, solve_integer
 from repro.tfg.graph import build_tfg
 from repro.topology import binary_hypercube
 
@@ -29,19 +29,6 @@ def small_problem():
 
 
 class TestIlpBackend:
-    def test_registry_resolves_ilp(self):
-        backend = get_backend("ilp")
-        assert isinstance(backend, IlpBackend)
-        assert backend.name == "ilp"
-
-    def test_lp_solves_match_highs(self):
-        problem = small_problem().canonical()
-        ilp = get_backend("ilp").solve(problem)
-        highs = get_backend("highs").solve(problem)
-        assert ilp.success and highs.success
-        assert ilp.objective == pytest.approx(highs.objective)
-        np.testing.assert_allclose(ilp.x, highs.x)
-
     def test_solve_integer_respects_integrality(self):
         # LP relaxation peaks at (1, 1) -> 2.0; all-integer is the same
         # here, so force a fractional-vs-integer split instead:
@@ -51,45 +38,21 @@ class TestIlpBackend:
         builder.add_ub_rows([3.0])
         builder.add_ub_entries([0], [0], [2.0])
         problem = builder.build()
-        backend = IlpBackend()
-        relaxed = backend.solve(problem)
+        relaxed = get_backend("highs").solve(problem)
         assert relaxed.x[0] == pytest.approx(1.5)
-        integer = backend.solve_integer(problem, np.array([1]))
+        integer = solve_integer(problem, np.array([1]))
         assert integer.success
         assert integer.x[0] == pytest.approx(1.0)
         assert integer.objective == pytest.approx(-1.0)
         assert integer.dual_eq is None
 
-    def test_solve_integer_recorded_in_tally(self):
-        backend = IlpBackend()
-        backend.solve_integer(small_problem().canonical(), np.array([1, 1]))
-        assert backend.tally.solves == 1
-
-    def test_compile_matches_highs_verdict_and_schedule(self, cube3):
-        import dataclasses
-
-        tfg = build_tfg(
-            "diamond",
-            [("s", 400), ("m1", 400), ("m2", 400), ("t", 400)],
-            [
-                ("a", "s", "m1", 640),
-                ("b", "s", "m2", 1280),
-                ("c", "m1", "t", 640),
-                ("d", "m2", "t", 1280),
-            ],
-        )
-        setup = standard_setup(tfg, cube3, bandwidth=64.0)
-        args = (
-            setup.timing, setup.topology, setup.allocation,
-            setup.tau_in_for_load(0.5),
-        )
-        via_ilp = compile_schedule(
-            *args, dataclasses.replace(CONFIG, lp_backend="ilp")
-        )
-        via_highs = compile_schedule(
-            *args, dataclasses.replace(CONFIG, lp_backend="highs")
-        )
-        assert via_ilp.schedule == via_highs.schedule
+    def test_solve_integer_agrees_at_an_integral_vertex(self):
+        problem = small_problem().canonical()
+        integer = solve_integer(problem, np.array([1, 1]))
+        relaxed = get_backend("highs").solve(problem)
+        assert integer.success and relaxed.success
+        assert integer.objective == pytest.approx(relaxed.objective)
+        np.testing.assert_allclose(integer.x, relaxed.x)
 
 
 class TestAssignmentGap:

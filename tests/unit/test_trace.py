@@ -20,6 +20,7 @@ from repro.trace import (
     write_chrome_trace,
 )
 from repro.trace.export import COMPILE_PID, SIM_PID
+from repro.trace.tracer import TRACE_CATEGORIES
 
 
 @pytest.fixture()
@@ -232,3 +233,35 @@ class TestCompileProfiler:
 class TestTracerContract:
     def test_recorder_is_a_tracer(self):
         assert isinstance(TraceRecorder(), Tracer)
+
+
+class TestTaxonomy:
+    """A category outside ``TRACE_CATEGORIES`` fails where it is used."""
+
+    def test_taxonomy_matches_docstring_sections(self):
+        import repro.trace.tracer as tracer_mod
+
+        assert len(TRACE_CATEGORIES) == len(set(TRACE_CATEGORIES)) == 12
+        for category in TRACE_CATEGORIES:
+            assert f"``{category}``" in tracer_mod.__doc__
+
+    def test_unknown_category_raises_at_the_emit(self):
+        rec = TraceRecorder()
+        with pytest.raises(ValueError, match="'compiler'"):
+            rec.instant("compiler", "stage", 0.0)
+        with pytest.raises(ValueError, match="'links'"):
+            rec.span("links", "occupy", 0.0, 1.0)
+        with pytest.raises(ValueError, match="'fault2'"):
+            TraceEvent(category="fault2", name="down", time=0.0)
+        assert rec.events == ()
+
+    def test_unknown_category_in_filter_raises(self):
+        with pytest.raises(ValueError, match="bogus"):
+            TraceRecorder(categories=["serve", "bogus"])
+
+    def test_null_tracer_stays_a_silent_no_op(self):
+        # The zero-cost contract: the null object constructs nothing,
+        # so it has nothing to validate.
+        NULL_TRACER.instant("bogus", "tick", 0.0)
+        NULL_TRACER.span("bogus", "tick", 0.0, 1.0)
+        assert NULL_TRACER.events == ()
