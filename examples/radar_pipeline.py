@@ -5,11 +5,11 @@ A classic radar processing chain (ADC -> per-channel beamform / pulse
 compression / doppler -> CFAR fusion -> tracking) put through the full
 toolchain, demonstrating the layered compile-time verdicts:
 
-1. **feasibility bounds** — assignment-invariant necessary conditions
-   (window structure, node throughput, bisection).  A placement that
-   fails these can never be scheduled, at any rate, before any LP runs;
-2. **the compiler** — the sufficient check: bounds may pass while the
-   LPs still prove the rate unreachable (necessary is not sufficient);
+1. **the static diagnoser** — assignment-invariant necessary conditions
+   (windows, forced links, node and bisection cuts, network volume).  A
+   point it refutes can never be scheduled, before any LP runs;
+2. **the compiler** — the sufficient check: the diagnoser may pass while
+   the LPs still prove the rate unreachable (necessary is not sufficient);
 3. the compiled schedule, visualized as link-occupancy bars.
 
 Run:  python examples/radar_pipeline.py
@@ -20,7 +20,7 @@ from repro import (
     SchedulingError,
     binary_hypercube,
     compile_schedule,
-    feasibility_bounds,
+    diagnose_instance,
     link_occupancy_chart,
     standard_setup,
 )
@@ -39,14 +39,15 @@ def main() -> None:
     compiled = None
     for bandwidth in (64.0, 128.0):
         setup = standard_setup(tfg, topology, bandwidth=bandwidth)
-        bounds = feasibility_bounds(
-            setup.timing, topology, setup.allocation
-        )
         verdicts = []
         for load in LOADS:
             tau_in = setup.tau_in_for_load(load)
-            if not bounds.admits(tau_in):
-                verdicts.append(f"{load:.1f}:bound")
+            diagnosis = diagnose_instance(
+                setup.timing, topology, setup.allocation, tau_in
+            )
+            if diagnosis.refuted:
+                kinds = sorted({r.kind for r in diagnosis.refutations})
+                verdicts.append(f"{load:.1f}:refuted({','.join(kinds)})")
                 continue
             try:
                 routing = compile_schedule(
@@ -57,21 +58,15 @@ def main() -> None:
                 compiled = routing
             except SchedulingError as error:
                 verdicts.append(f"{load:.1f}:{error.stage}")
-        rows.append((
-            f"{int(bandwidth)}",
-            "ok" if bounds.structurally_feasible else "never schedulable",
-            f"{bounds.min_period:.1f}",
-            "  ".join(verdicts),
-        ))
+        rows.append((f"{int(bandwidth)}", "  ".join(verdicts)))
 
     print(format_table(
-        ("B (bytes/us)", "window check", "min period bound (us)",
-         "per-load verdict"),
+        ("B (bytes/us)", "per-load verdict"),
         rows,
-        title="Radar chain: bounds (necessary) vs compiler (sufficient)",
+        title="Radar chain: diagnoser (necessary) vs compiler (sufficient)",
     ))
     print(
-        "\n'bound' = rejected by the assignment-invariant bounds alone; "
+        "\n'refuted(kind)' = rejected by the static certificates alone; "
         "a stage name = the LP pipeline proved it; OK = schedule compiled "
         "and machine-validated."
     )

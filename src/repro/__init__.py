@@ -37,7 +37,6 @@ _exported, __getattr__, __dir__ = lazy_exports(__name__, {
     "ConformanceReport": "check.analyzer",
     "Diagnosis": "diagnose.certificates",
     "ExperimentSetup": "experiments.setup",
-    "FeasibilityBounds": "core.bounds",
     "Finding": "check.analyzer",
     "FuzzReport": "check.fuzz",
     "GeneralizedHypercube": "topology.ghc",
@@ -82,7 +81,6 @@ _exported, __getattr__, __dir__ = lazy_exports(__name__, {
     "dvb_tfg": "tfg.dvb",
     "enumerate_minimal_paths": "topology.paths",
     "explain_assignment": "diagnose.duals",
-    "feasibility_bounds": "core.bounds",
     "get_backend": "solvers",
     "jitter_report": "metrics.jitter",
     "link_occupancy_chart": "viz.gantt",
@@ -100,7 +98,6 @@ _exported, __getattr__, __dir__ = lazy_exports(__name__, {
     "save_schedule": "core.io",
     "schedule_cache_key": "cache.keys",
     "sequential_allocation": "mapping.allocation",
-    "sparkline": "viz.sparkline",
     "speeds_for_ratio": "tfg.analysis",
     "standard_setup": "experiments.setup",
     "to_chrome_trace": "trace.export",

@@ -37,9 +37,9 @@ def lazy_exports(
         value = namespace[name] = getattr(module, name)
         return value
 
-    # An export named like the submodule that defines it (``assign_paths``,
-    # ``sparkline``) cannot wait for first use: importing the submodule
-    # binds the *module* over the name and ``__getattr__`` is never asked.
+    # An export named like the submodule that defines it (``assign_paths``)
+    # cannot wait for first use: importing the submodule binds the
+    # *module* over the name and ``__getattr__`` is never asked.
     for name, module in exports.items():
         if name == module:
             resolve(name)

@@ -519,17 +519,6 @@ class ScheduleCache:
         self.stats.record_stage(stage, "stores")
         self._write_disk(key, entry)
 
-    def invalidate(self, key: str) -> None:
-        """Drop one entry from both tiers."""
-        dropped = self._memory.pop(key, None) is not None
-        if self.directory is not None:
-            path = self._disk_path(key)
-            if path.exists():
-                path.unlink()
-                dropped = True
-        if dropped:
-            self.stats.invalidations += 1
-
     def clear(self) -> None:
         """Drop the in-memory tier (disk entries stay)."""
         self._memory.clear()

@@ -52,7 +52,6 @@ on schedule content):
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from os import PathLike
@@ -134,22 +133,6 @@ class Finding:
             "span": list(self.span) if self.span is not None else None,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Finding":
-        link = payload.get("link")
-        span = payload.get("span")
-        message = payload.get("message")
-        node = payload.get("node")
-        return cls(
-            severity=str(payload["severity"]),
-            code=str(payload["code"]),
-            detail=str(payload.get("detail", "")),
-            message=None if message is None else str(message),
-            link=None if link is None else (int(link[0]), int(link[1])),
-            node=None if node is None else int(node),
-            span=None if span is None else (float(span[0]), float(span[1])),
-        )
-
 
 @dataclass
 class ConformanceReport:
@@ -167,12 +150,6 @@ class ConformanceReport:
     def errors(self) -> tuple[Finding, ...]:
         return tuple(
             f for f in self.findings if f.severity == SEVERITY_ERROR
-        )
-
-    @property
-    def warnings(self) -> tuple[Finding, ...]:
-        return tuple(
-            f for f in self.findings if f.severity == SEVERITY_WARNING
         )
 
     @property
@@ -202,25 +179,6 @@ class ConformanceReport:
             "findings": [f.to_dict() for f in self.findings],
             "checks": list(self.checks),
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ConformanceReport":
-        return cls(
-            tau_in=float(payload["tau_in"]),
-            findings=tuple(
-                Finding.from_dict(f) for f in payload.get("findings", ())
-            ),
-            checks=tuple(str(c) for c in payload.get("checks", ())),
-        )
-
-    def to_json(self) -> str:
-        """The report as a JSON document; round-trips via :meth:`from_json`
-        so results cross process boundaries without pickling."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, document: str) -> "ConformanceReport":
-        return cls.from_dict(json.loads(document))
 
     def emit(self, tracer: "Tracer") -> int:
         """Emit every finding as a ``check``-category trace instant.

@@ -94,6 +94,18 @@ def _setup_at_load(args):
         args.usage_error(str(error))
 
 
+def _schedule_file(args, read):
+    """``read(args.schedule)``; a file that is missing or holds no
+    loadable schedule is a usage error (exit 2), not a traceback."""
+    try:
+        return read(args.schedule)
+    except (OSError, ValueError, LookupError, TypeError, ReproError) as error:
+        args.usage_error(
+            f"cannot read schedule {args.schedule}: "
+            f"{type(error).__name__}: {error}"
+        )
+
+
 def _cmd_utilization(args) -> int:
     from repro.experiments.figures import utilization_comparison
 
@@ -311,13 +323,16 @@ def _cmd_check(args) -> int:
     from repro.core.io import load_schedule
 
     topology = make_topology(args.topology)
-    schedule = load_schedule(args.schedule) if args.revalidate else None
-    if schedule is None:
+    if args.revalidate:
+        report = analyze_schedule(
+            _schedule_file(args, load_schedule), topology
+        )
+    else:
         from repro.check.analyzer import analyze_file
 
-        report = analyze_file(args.schedule, topology)
-    else:
-        report = analyze_schedule(schedule, topology)
+        report = _schedule_file(
+            args, lambda path: analyze_file(path, topology)
+        )
     print(f"{args.schedule} on {topology.name}:")
     print(report.summary())
     if args.trace:
@@ -363,7 +378,7 @@ def _cmd_inspect(args) -> int:
     from repro.core.io import load_schedule
     from repro.viz import link_occupancy_chart, node_gantt
 
-    schedule = load_schedule(args.schedule)
+    schedule = _schedule_file(args, load_schedule)
     messages = len(schedule.slots)
     print(
         f"{args.schedule}: period {schedule.tau_in:g} us, {messages} "
@@ -534,9 +549,14 @@ def _cmd_submit(args) -> int:
         **dataclasses.asdict(_spec(args)),
     }
     with ServeClient(args.host, args.port) as client:
-        status, body = client.submit(
-            payload, wait=not args.no_wait, timeout=args.timeout
-        )
+        try:
+            status, body = client.submit(
+                payload, wait=not args.no_wait, timeout=args.timeout
+            )
+        except OSError as error:
+            args.usage_error(
+                f"no compile farm at {args.host}:{args.port}: {error}"
+            )
         if args.json:
             print(json.dumps(body, indent=2, sort_keys=True))
         else:
@@ -684,7 +704,7 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", metavar="FILE", default=None,
         help="write the findings as Chrome trace events",
     )
-    p_check.set_defaults(func=_cmd_check)
+    p_check.set_defaults(func=_cmd_check, usage_error=p_check.error)
 
     p_fuzz = sub.add_parser(
         "fuzz",
@@ -818,7 +838,7 @@ def main(argv: list[str] | None = None) -> int:
         "--occupancy", type=int, metavar="TOP", default=0,
         help="show the TOP busiest links",
     )
-    p_inspect.set_defaults(func=_cmd_inspect)
+    p_inspect.set_defaults(func=_cmd_inspect, usage_error=p_inspect.error)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -57,9 +57,6 @@ class NodeSchedule:
     node: int
     commands: tuple[SwitchCommand, ...]
 
-    def commands_for(self, message: str) -> tuple[SwitchCommand, ...]:
-        return tuple(c for c in self.commands if c.message == message)
-
 
 @dataclass(frozen=True)
 class TransmissionSlot:

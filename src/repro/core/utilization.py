@@ -62,9 +62,9 @@ def forced_load_matrix(bounds: TimeBoundSet) -> np.ndarray:
 
     Vectorised :func:`window_demand` over every (message, interval) pair,
     zeroed where the message is inactive.  Shared by the incremental
-    :class:`UtilizationState` and the static per-link reports of
-    :func:`link_loads` so the two layers can never disagree on what
-    "forced" means.
+    :class:`UtilizationState` and the ILP reference
+    (:func:`repro.solvers.ilp_backend.assignment_gap`) so the two can
+    never disagree on what "forced" means.
     """
     lengths = np.asarray(bounds.intervals.lengths)
     durations = np.array([bounds.bounds[m].duration for m in bounds.order])
@@ -85,7 +85,6 @@ class LinkLoad:
     messages: tuple[str, ...]
     total_time: float       # summed transmission durations
     window_time: float      # union length of the messages' active intervals
-    spot_ratios: tuple[float, ...]  # forced load / interval length, per interval
 
     @property
     def utilization(self) -> float:
@@ -93,11 +92,6 @@ class LinkLoad:
         if self.window_time <= EPS:
             return 0.0
         return self.total_time / self.window_time
-
-    @property
-    def max_spot(self) -> float:
-        """Sharpened ``U_jk`` maximised over intervals."""
-        return max(self.spot_ratios, default=0.0)
 
 
 def link_loads(
@@ -108,11 +102,9 @@ def link_loads(
 
     The mapping need not be a full path assignment — the static
     diagnoser feeds it the *forced* links only — but the arithmetic
-    (durations, activity windows, forced loads) is identical to what
-    :class:`UtilizationState` maintains incrementally, via the shared
-    :func:`forced_load_matrix`.
+    (durations, activity windows) is identical to what
+    :class:`UtilizationState` maintains incrementally.
     """
-    forced = forced_load_matrix(bounds)
     lengths = np.asarray(bounds.intervals.lengths)
     activity = bounds.activity
     per_link: dict[Link, list[int]] = {}
@@ -125,13 +117,11 @@ def link_loads(
         total = float(sum(bounds.bounds[n].duration for n in names))
         any_active = activity[rows].any(axis=0)
         window = float(lengths[any_active].sum())
-        spot = forced[rows].sum(axis=0) / lengths
         loads[link] = LinkLoad(
             link=link,
             messages=names,
             total_time=total,
             window_time=window,
-            spot_ratios=tuple(float(s) for s in spot),
         )
     return loads
 
@@ -347,19 +337,6 @@ class UtilizationState:
                 best_spot, KIND_SPOT, self.link_list[j_spot], k_spot
             )
         return PeakWitness(best_link, KIND_LINK, self.link_list[j_link], -1)
-
-    def evaluate_reroute(self, name: str, new_path: list[int]) -> PeakWitness:
-        """Peak utilisation if ``name`` moved to ``new_path``.
-
-        Pure: no state is mutated and no path validation runs.
-        """
-        return self.evaluate_reroutes(name, [new_path])[0]
-
-    def evaluate_reroutes(
-        self, name: str, paths: list[list[int]]
-    ) -> list[PeakWitness]:
-        """Peak witnesses for moving ``name`` to each of ``paths``."""
-        return self._evaluate(name, self.frame.incidence_of(paths))
 
     def evaluate_pool(self, name: str) -> list[tuple[list[int], PeakWitness]]:
         """``(path, peak if taken)`` for every path of ``name``'s candidate

@@ -31,6 +31,10 @@ Certificate taxonomy (``kind`` values)
     A topology cut (a node's link star, or the canonical bisection) is
     saturated: messages that must cross it demand more cut service time
     than ``|cut| x window`` provides.
+``cut-exclusive``
+    Packing bound on a node's link star: more messages each needing over
+    half of one shared window must cross it than it has links, and no
+    two of them fit on one link (``demand``/``capacity`` are counts).
 ``network-capacity``
     Volume bound: summed ``duration x minimal-distance`` over all routed
     messages exceeds total link time in the frame.
@@ -49,12 +53,10 @@ another assignment might still succeed, so they never gate compilation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.topology.base import Link
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 #: Certificates valid for every path assignment (prescreen acts on these).
 SCOPE_INSTANCE = "instance"
@@ -139,14 +141,6 @@ class Refutation:
             scope=str(payload.get("scope", SCOPE_INSTANCE)),
         )
 
-    def to_json(self) -> str:
-        """The certificate as a JSON document (see :meth:`from_json`)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, document: str) -> "Refutation":
-        return cls.from_dict(json.loads(document))
-
     def describe(self) -> str:
         """Terminal-friendly single line."""
         parts = [f"[{self.kind}] {self.detail}"]
@@ -193,30 +187,6 @@ class Diagnosis:
         body = ", ".join(f"{k} x{n}" for k, n in sorted(kinds.items()))
         return f"{label}: {body}"
 
-    def emit(self, tracer: Tracer = NULL_TRACER) -> None:
-        """Emit one ``diagnose``-category instant per certificate.
-
-        Mirrors :meth:`repro.check.analyzer.ConformanceReport.emit`: the
-        event sits at the start of the violated window (0 for
-        non-temporal kinds) on a ``diagnose:<kind>`` track.
-        """
-        if not tracer.enabled:
-            return
-        for r in self.refutations:
-            time = r.window[0] if r.window is not None else 0.0
-            tracer.instant(
-                "diagnose",
-                r.kind,
-                time,
-                track=f"diagnose:{r.kind}",
-                detail=r.detail,
-                scope=r.scope,
-                demand=r.demand,
-                capacity=r.capacity,
-                messages=list(r.messages),
-                links=[list(link) for link in r.links],
-            )
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "tau_in": self.tau_in,
@@ -236,13 +206,3 @@ class Diagnosis:
             checks=tuple(str(c) for c in payload.get("checks", ())),
             elapsed_ms=float(payload.get("elapsed_ms", 0.0)),
         )
-
-    def to_json(self) -> str:
-        """The diagnosis as a JSON document; round-trips via
-        :meth:`from_json` so admission verdicts cross the wire without
-        pickling."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, document: str) -> "Diagnosis":
-        return cls.from_dict(json.loads(document))

@@ -96,6 +96,13 @@ def forced_links(topology: Topology, src: int, dst: int) -> tuple[Link, ...]:
     return tuple(sorted(forced))
 
 
+def _star(topology: Topology, node: int) -> tuple[Link, ...]:
+    """The links at ``node``: the cut every message docked there crosses."""
+    return tuple(
+        sorted(link_between(node, v) for v in topology.neighbors(node))
+    )
+
+
 class _HallViolation:
     """Worst violated Hall window for one resource (internal)."""
 
@@ -353,12 +360,40 @@ def diagnose_instance(
             continue
         rows = [bounds.index[name] for name in crossing]
         degree = topology.degree(node)
+        # Messages sharing one window and each longer than half of it
+        # cannot pairwise share a link, so each needs a star link of its
+        # own: a packing bound the volume argument below cannot see.
+        rivals: dict[tuple[float, float], list[str]] = {}
+        for name in crossing:
+            bound = bounds.bounds[name]
+            if exceeds_capacity(2.0 * bound.duration, bound.active_length):
+                rivals.setdefault(
+                    (bound.release, bound.deadline), []
+                ).append(name)
+        for shared, names in rivals.items():
+            if len(names) > degree:
+                refutations.append(
+                    Refutation(
+                        kind="cut-exclusive",
+                        detail=(
+                            f"node {node}: {len(names)} messages each fill "
+                            f"more than half of their common window but "
+                            f"only {degree} links leave the node"
+                        ),
+                        messages=tuple(names),
+                        links=_star(topology, node),
+                        # A window as long as the frame wraps onto
+                        # release == deadline.
+                        window=shared
+                        if shared[0] != shared[1]
+                        else (0.0, tau_in),
+                        demand=float(len(names)),
+                        capacity=float(degree),
+                    )
+                )
         violation = _worst_overload(bounds, rows, multiplicity=degree)
         if violation is None:
             continue
-        star = tuple(
-            sorted(link_between(node, v) for v in topology.neighbors(node))
-        )
         refutations.append(
             Refutation(
                 kind="cut-overload",
@@ -368,7 +403,7 @@ def diagnose_instance(
                     f"{violation.demand:.4f} > {violation.capacity:.4f}"
                 ),
                 messages=violation.messages,
-                links=star,
+                links=_star(topology, node),
                 window=violation.window,
                 demand=violation.demand,
                 capacity=violation.capacity,

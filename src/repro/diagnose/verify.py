@@ -186,7 +186,7 @@ def verify_refutation(
                     )
         demand = sum(demands.values())
         capacity = available * len(refutation.links)
-    elif kind == "cut-overload":
+    elif kind in ("cut-overload", "cut-exclusive"):
         cut = set(refutation.links)
         for name in refutation.messages:
             message = timing.tfg.message(name)
@@ -195,8 +195,20 @@ def verify_refutation(
                 problems.append(
                     f"{name!r} does not have to cross the claimed cut"
                 )
-        demand = sum(demands.values())
-        capacity = available * len(refutation.links)
+        if kind == "cut-overload":
+            demand = sum(demands.values())
+            capacity = available * len(refutation.links)
+        else:  # one link each: the claim counts messages against links
+            for name in refutation.messages:
+                if 2.0 * demands[name] <= available * (
+                    1.0 + REFUTE_MARGIN / 10.0
+                ):
+                    problems.append(
+                        f"{name!r} fills at most half the window: it can "
+                        "share a link"
+                    )
+            demand = float(len(refutation.messages))
+            capacity = float(len(refutation.links))
     elif kind == "network-capacity":
         demand = 0.0
         for name in refutation.messages:

@@ -16,7 +16,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "MatrixRow": "matrix",
     "PipelinePoint": "figures",
     "UtilizationPoint": "figures",
-    "feasibility_matrix": "matrix",
     "format_matrix": "matrix",
     "format_matrix_result": "matrix",
     "pipeline_comparison": "figures",

@@ -10,7 +10,6 @@ fan compilation out over worker processes (``jobs=N``; every matrix
 point is an independent compilation) and reuse a content-addressed
 :class:`~repro.cache.ScheduleCache` so repeated sweeps — including the
 infeasible points, via negative entries — skip the LP work entirely.
-:func:`feasibility_matrix` keeps the historical serial signature.
 """
 
 from __future__ import annotations
@@ -52,13 +51,6 @@ class MatrixRow:
     @property
     def feasible_count(self) -> int:
         return sum(1 for v in self.verdicts if v == OK)
-
-    @property
-    def highest_feasible_load(self) -> float | None:
-        feasible = [
-            load for load, v in zip(self.loads, self.verdicts) if v == OK
-        ]
-        return max(feasible) if feasible else None
 
 
 @dataclass(frozen=True)
@@ -308,27 +300,6 @@ def run_feasibility_matrix(
         prescreen=config.prescreen,
         interrupted=interrupted,
     )
-
-
-def feasibility_matrix(
-    tfg: TaskFlowGraph,
-    topologies: list[Topology],
-    bandwidths: list[float],
-    loads: list[float],
-    config: CompilerConfig | None = None,
-    allocation=None,
-) -> list[MatrixRow]:
-    """Compile the workload at every (topology, bandwidth, load) point.
-
-    ``allocation`` may be a callable ``(tfg, topology) -> Allocation`` to
-    override the default sequential placement.  The historical serial
-    API; see :func:`run_feasibility_matrix` for jobs/cache control.
-    """
-    result = run_feasibility_matrix(
-        tfg, topologies, bandwidths, loads, config=config,
-        allocation=allocation,
-    )
-    return list(result.rows)
 
 
 def format_matrix(rows: list[MatrixRow]) -> str:

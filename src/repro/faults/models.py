@@ -67,10 +67,6 @@ class LinkFault:
         """Absolute restore instant (``inf`` for permanent faults)."""
         return float("inf") if self.duration is None else self.start + self.duration
 
-    def active_at(self, time: float) -> bool:
-        """True while the outage holds at ``time``."""
-        return self.start <= time < self.end
-
 
 @dataclass(frozen=True)
 class NodeFault:
@@ -143,12 +139,6 @@ class FaultTrace:
         """Links that never come back — the repair engine's input."""
         return frozenset(
             f.link for f in self.all_link_faults(topology) if f.permanent
-        )
-
-    def failed_links_at(self, time: float, topology: Topology) -> frozenset[Link]:
-        """Links down at one instant (transient and permanent alike)."""
-        return frozenset(
-            f.link for f in self.all_link_faults(topology) if f.active_at(time)
         )
 
     def drift_of(self, node: int) -> float:

@@ -72,11 +72,6 @@ ALLOWLIST: dict[tuple[str, str], str] = {
     ): "TalliedBackend measures solver wall time; lp_wall_ms is "
     "reporting-only and stripped from cache entries by routing_to_entry",
     (
-        "repro.serve.loadgen",
-        "det-wall-clock",
-    ): "load generator is a measurement harness; latencies are the "
-    "product, not an artifact input",
-    (
         "repro.solvers.ilp_backend",
         "det-wall-clock",
     ): "ILP reference solves time themselves for optimality-gap "

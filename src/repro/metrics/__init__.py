@@ -16,14 +16,10 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "OutageReport": "survivability",
     "SpikeStats": "series",
-    "SurvivabilityPoint": "survivability",
-    "deadline_misses": "survivability",
     "has_output_inconsistency": "series",
     "load_sweep": "series",
     "normalized_latency_stats": "series",
     "normalized_throughput_stats": "series",
     "outage_misses": "survivability",
     "output_intervals": "series",
-    "survivability_curve": "survivability",
-    "throughput_series": "survivability",
 })

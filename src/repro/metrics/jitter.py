@@ -39,11 +39,6 @@ class JitterReport:
     worst_earliness: float
 
     @property
-    def peak_to_peak_normalized(self) -> float:
-        """Peak-to-peak jitter as a fraction of the period."""
-        return self.peak_to_peak / self.tau_in
-
-    @property
     def is_jitter_free(self) -> bool:
         """True for a perfectly periodic output stream."""
         return (

@@ -1,38 +1,24 @@
-"""Survivability metrics: what a fault costs and how often repair wins.
+"""Survivability metrics: what a fault costs before its repair lands.
 
-Three questions a real-time deployment asks of scheduled routing that
-the paper does not:
-
-1. **How many deadlines die in the outage window?**  Between the fault
-   instant and the moment a repaired schedule is applied, every
-   scheduled transmission crossing the dead link is lost —
-   :func:`outage_misses` counts the lost message instances and the
-   pipeline invocations they doom, directly from the compiled schedule's
-   absolute slot times.
-2. **How irregular does the output get?**  :func:`throughput_series`
-   and :func:`deadline_misses` turn a degraded run's completion series
-   into the degraded-mode throughput/jitter figures (jitter itself comes
-   from :func:`repro.metrics.jitter.jitter_report`).
-3. **How much damage can the machine absorb?**
-   :func:`survivability_curve` subjects a compiled schedule to ``trials``
-   random ``k``-link failures per ``k`` and reports how often local
-   repair, full recompilation, or nothing at all restores the guarantee.
+A question a real-time deployment asks of scheduled routing that the
+paper does not: **how many deadlines die in the outage window?**
+Between the fault instant and the moment a repaired schedule is applied,
+every scheduled transmission crossing the dead link is lost —
+:func:`outage_misses` counts the lost message instances and the pipeline
+invocations they doom, directly from the compiled schedule's absolute
+slot times.  (Degraded-mode jitter comes from
+:func:`repro.metrics.jitter.jitter_report`.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable
 
-import random
-
-from repro.topology.base import Link, Topology
+from repro.topology.base import Link
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.compiler import CompilerConfig, ScheduledRouting
     from repro.core.executor import ScheduledRoutingExecutor
-    from repro.tfg.analysis import TFGTiming
-    from repro.results import RunResult
 
 
 # -- outage-window accounting -------------------------------------------------
@@ -96,125 +82,3 @@ def outage_misses(
         missed_instances=tuple(missed),
         missed_invocations=tuple(sorted(doomed)),
     )
-
-
-# -- degraded-mode series -----------------------------------------------------
-
-def throughput_series(result: "RunResult") -> list[float]:
-    """Per-interval normalized throughput ``tau_in / delta_out``.
-
-    Constant 1.0 for a healthy scheduled run; dips below 1.0 mark the
-    degraded-mode intervals of a faulted run.
-    """
-    return [
-        result.tau_in / delta if delta > 0 else float("inf")
-        for delta in result.intervals
-    ]
-
-
-def deadline_misses(result: "RunResult", deadline: float) -> int:
-    """Invocations (post warm-up) whose latency exceeded ``deadline``.
-
-    ``deadline`` is an absolute latency budget in microseconds — e.g.
-    ``2 * result.critical_path_length`` for "twice the unloaded
-    pipeline".
-    """
-    if deadline <= 0:
-        raise ValueError(f"deadline must be positive, got {deadline}")
-    return sum(1 for latency in result.latencies if latency > deadline)
-
-
-# -- survivability over k random failures -------------------------------------
-
-@dataclass(frozen=True)
-class SurvivabilityPoint:
-    """Repair outcomes of ``trials`` random ``k``-link failures."""
-
-    k: int
-    trials: int
-    unaffected: int
-    local_repairs: int
-    recompiles: int
-    infeasible: int
-    mean_repair_ms: float
-    mean_rerouted: float
-
-    @property
-    def survival_rate(self) -> float:
-        """Fraction of failure scenarios after which a valid schedule
-        exists on the residual machine."""
-        return (self.unaffected + self.local_repairs + self.recompiles) / self.trials
-
-    @property
-    def local_rate(self) -> float:
-        """Fraction repaired without touching any healthy message."""
-        return self.local_repairs / self.trials
-
-
-def survivability_curve(
-    routing: "ScheduledRouting",
-    timing: "TFGTiming",
-    topology: Topology,
-    allocation: Mapping[str, int],
-    k_values: Sequence[int] = (1, 2, 3),
-    trials: int = 20,
-    seed: int = 0,
-    config: "CompilerConfig | None" = None,
-    candidate_links: Sequence[Link] | None = None,
-) -> list[SurvivabilityPoint]:
-    """Repair-outcome statistics over random ``k``-link failure scenarios.
-
-    For each ``k`` in ``k_values``, draws ``trials`` seeded random sets
-    of ``k`` links (from ``candidate_links``, default: all links),
-    permanently fails them, and runs the repair engine.  Deterministic
-    per ``seed``.
-    """
-    from repro.errors import RepairInfeasibleError
-    from repro.faults.repair import repair_schedule
-
-    pool = list(candidate_links) if candidate_links else list(topology.links)
-    points: list[SurvivabilityPoint] = []
-    for k in k_values:
-        if k > len(pool):
-            raise ValueError(
-                f"cannot fail k={k} links out of {len(pool)} candidates"
-            )
-        rng = random.Random(seed * 1_000_003 + k)
-        unaffected = local = recompiled = infeasible = 0
-        repair_ms: list[float] = []
-        rerouted: list[int] = []
-        for _ in range(trials):
-            failed = rng.sample(pool, k)
-            try:
-                outcome = repair_schedule(
-                    routing, timing, topology, allocation, failed,
-                    config=config,
-                )
-            except RepairInfeasibleError:
-                infeasible += 1
-                continue
-            if outcome.strategy == "none":
-                unaffected += 1
-            elif outcome.strategy == "local":
-                local += 1
-            else:
-                recompiled += 1
-            repair_ms.append(outcome.repair_wall_ms)
-            rerouted.append(outcome.messages_rerouted)
-        points.append(
-            SurvivabilityPoint(
-                k=k,
-                trials=trials,
-                unaffected=unaffected,
-                local_repairs=local,
-                recompiles=recompiled,
-                infeasible=infeasible,
-                mean_repair_ms=(
-                    sum(repair_ms) / len(repair_ms) if repair_ms else 0.0
-                ),
-                mean_rerouted=(
-                    sum(rerouted) / len(rerouted) if rerouted else 0.0
-                ),
-            )
-        )
-    return points

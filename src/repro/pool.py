@@ -76,11 +76,6 @@ class GracefulPool:
     # -- submission ------------------------------------------------------
 
     @property
-    def executor(self) -> ProcessPoolExecutor:
-        """The wrapped executor (for ``loop.run_in_executor`` callers)."""
-        return self._executor
-
-    @property
     def draining(self) -> bool:
         """True once a drain started; no new work is accepted."""
         return self._draining.is_set()

@@ -148,11 +148,6 @@ class RunResult:
     # -- measured series -----------------------------------------------------
 
     @property
-    def completions(self) -> tuple[float, ...]:
-        """All completion instants (alias of :attr:`completion_times`)."""
-        return self.completion_times
-
-    @property
     def measured_completions(self) -> tuple[float, ...]:
         """Completion times after the warm-up window."""
         return self.completion_times[self.warmup:]

@@ -15,9 +15,7 @@ diagnose / check requests the way a production scheduling farm would:
   including the chunked stage-progress stream;
 - :mod:`~repro.serve.runner` — the ``repro-sr serve`` daemon loop and a
   background :class:`ServerThread` for tests/benchmarks;
-- :mod:`~repro.serve.client` — blocking client (``repro-sr submit``);
-- :mod:`~repro.serve.loadgen` — the seeded mixed-load benchmark behind
-  ``BENCH_serve.json`` and the CI smoke gate.
+- :mod:`~repro.serve.client` — blocking client (``repro-sr submit``).
 
 See ``docs/serve.md`` for the architecture walk-through.
 """

@@ -1,11 +1,9 @@
 """Blocking HTTP client for the farm (stdlib ``http.client``).
 
 One :class:`ServeClient` wraps one keep-alive connection; it is **not**
-thread-safe — the load generator gives each worker thread its own
-client, which is also what exercises the server's connection
-concurrency.  A dropped connection is re-opened and the request retried
-once (idempotent by design: submissions dedup server-side through
-single-flight).
+thread-safe — give each thread its own client.  A dropped connection
+is re-opened and the request retried once (idempotent by design:
+submissions dedup server-side through single-flight).
 """
 
 from __future__ import annotations

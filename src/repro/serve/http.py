@@ -18,8 +18,8 @@ GET    ``/v1/healthz``             Liveness (also reports draining).
 
 Status mapping: 400 malformed payload, 404 unknown job/path, 405 wrong
 method, 503 submitting while draining, 500 handler crash.  Connections
-are keep-alive by default (the load generator reuses one connection per
-worker thread); an event stream always closes its connection when done,
+are keep-alive by default (a :class:`~repro.serve.client.ServeClient`
+reuses its one connection); an event stream always closes its connection when done,
 as chunked encoding is the response's framing.
 """
 

@@ -7,13 +7,12 @@ on this kernel.  It provides:
   binary-heap agenda and deterministic FIFO ordering of simultaneous
   events,
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AllOf`, :class:`~repro.sim.events.AnyOf` —
-  one-shot events processes can wait on,
+  :class:`~repro.sim.events.AllOf` — one-shot events processes can wait
+  on,
 - :class:`~repro.sim.process.Process` — generator-based cooperative
   processes (``yield env.timeout(3)``),
 - :class:`~repro.sim.resources.Resource` — an FCFS-queued resource (a
   network link, a processor),
-- :class:`~repro.sim.resources.Store` — an unbounded FIFO message queue,
 - :class:`~repro.sim.monitor.Monitor` — timestamped series recording.
 
 Example
@@ -32,14 +31,13 @@ Example
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, Event, Interrupt, Timeout
 from repro.sim.monitor import Monitor
 from repro.sim.process import Process
-from repro.sim.resources import Request, Resource, Store
+from repro.sim.resources import Request, Resource
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",
@@ -47,6 +45,5 @@ __all__ = [
     "Process",
     "Request",
     "Resource",
-    "Store",
     "Timeout",
 ]

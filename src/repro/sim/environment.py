@@ -6,7 +6,7 @@ import heapq
 from typing import Any, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Process
 from repro.trace.tracer import NULL_TRACER, Tracer
 
@@ -65,10 +65,6 @@ class Environment:
         """An event firing once every event in ``events`` has fired."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event firing once any event in ``events`` has fired."""
-        return AnyOf(self, events)
-
     # -- agenda ---------------------------------------------------------
 
     def schedule(self, event: Event, delay: float = 0.0) -> None:
@@ -86,10 +82,6 @@ class Environment:
                 due=self._now + delay,
                 event=type(event).__name__,
             )
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._agenda[0][0] if self._agenda else float("inf")
 
     def step(self) -> None:
         """Process the single next event on the agenda."""

@@ -122,8 +122,8 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+class AllOf(Event):
+    """Fires when *all* child events have fired; value maps event->value."""
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -145,28 +145,10 @@ class _Condition(Event):
             self.fail(event.value)
             return
         self._unfired -= 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, Any]:
-        # Only events that have actually fired (been processed by the
-        # agenda) — a Timeout is "triggered" from construction but has not
-        # occurred until its instant arrives.
-        return {e: e.value for e in self.events if e.processed and e.ok}
-
-
-class AllOf(_Condition):
-    """Fires when *all* child events have fired; value maps event->value."""
-
-    def _satisfied(self) -> bool:
-        return self._unfired == 0
-
-
-class AnyOf(_Condition):
-    """Fires when *any* child event has fired; value maps event->value."""
-
-    def _satisfied(self) -> bool:
-        return self._unfired < len(self.events)
+        if self._unfired == 0:
+            # Only events that have actually fired (been processed by the
+            # agenda) — a Timeout is "triggered" from construction but has
+            # not occurred until its instant arrives.
+            self.succeed(
+                {e: e.value for e in self.events if e.processed and e.ok}
+            )

@@ -28,33 +28,8 @@ class Monitor:
         self._times.append(time)
         self._values.append(value)
 
-    @property
-    def times(self) -> list[float]:
-        """Observation timestamps (copy)."""
-        return list(self._times)
-
-    @property
-    def values(self) -> list[Any]:
-        """Observation values (copy)."""
-        return list(self._values)
-
     def __len__(self) -> int:
         return len(self._times)
 
     def __iter__(self) -> Iterator[tuple[float, Any]]:
         return iter(zip(self._times, self._values))
-
-    def last(self) -> tuple[float, Any]:
-        """The most recent observation."""
-        if not self._times:
-            raise IndexError(f"monitor {self.name!r} is empty")
-        return self._times[-1], self._values[-1]
-
-    def intervals(self) -> list[float]:
-        """Differences between successive observation times.
-
-        For a monitor recording output-task completions, this is exactly
-        the output-generation-interval series whose constancy defines
-        freedom from output inconsistency (paper Eq. 1).
-        """
-        return [b - a for a, b in zip(self._times, self._times[1:])]

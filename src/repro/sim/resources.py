@@ -1,4 +1,4 @@
-"""FCFS resources and FIFO stores for the kernel.
+"""FCFS resources for the kernel.
 
 :class:`Resource` models anything with finite simultaneous capacity and a
 first-come-first-served wait queue — in this library, a network link under
@@ -148,36 +148,3 @@ class Resource:
         label = self.name or f"Resource@{id(self):#x}"
         state = " DOWN" if self._failed else ""
         return f"<{label} {self.count}/{self.capacity} queued={self.queue_length}{state}>"
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``.
-
-    Used for message mailboxes: producers ``put`` items, consumers ``yield
-    store.get()`` and resume when an item is available.
-    """
-
-    def __init__(self, env: "Environment", name: str = ""):
-        self.env = env
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item, waking the oldest waiting getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """An event that fires with the next available item."""
-        event = Event(self.env)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event

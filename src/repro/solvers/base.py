@@ -93,11 +93,6 @@ class CSRMatrix:
         self.indptr = np.asarray(indptr, dtype=np.int32)
         self.shape = (int(shape[0]), int(shape[1]))
 
-    @property
-    def nnz(self) -> int:
-        """Number of stored entries."""
-        return int(self.data.size)
-
     @classmethod
     def from_coo(
         cls,
@@ -168,7 +163,7 @@ class CSRMatrix:
         return out
 
     def __repr__(self) -> str:
-        return f"<CSRMatrix {self.shape[0]}x{self.shape[1]} nnz={self.nnz}>"
+        return f"<CSRMatrix {self.shape[0]}x{self.shape[1]} nnz={self.data.size}>"
 
 
 def as_bounds_array(bounds: Any, num_variables: int) -> np.ndarray:
@@ -282,7 +277,7 @@ class LPProblemBuilder:
     The builder is append-only: allocate constraint rows with
     :meth:`add_eq_rows` / :meth:`add_ub_rows` (optionally passing the
     block's triplets in the same call), scatter extra coefficients with
-    :meth:`add_eq_entries` / :meth:`add_ub_entries`, then :meth:`build`.
+    :meth:`add_ub_entries`, then :meth:`build`.
     All index/value arguments are numpy arrays (or array-likes); no
     per-coefficient Python loop runs anywhere.
 
@@ -307,18 +302,6 @@ class LPProblemBuilder:
         self._ub_vals: list[np.ndarray] = []
         self._ub_rhs: list[np.ndarray] = []
         self._num_ub = 0
-
-    @property
-    def num_variables(self) -> int:
-        return self._n
-
-    @property
-    def num_eq_rows(self) -> int:
-        return self._num_eq
-
-    @property
-    def num_ub_rows(self) -> int:
-        return self._num_ub
 
     def set_objective(self, cols: Any, values: Any) -> None:
         """Scatter objective coefficients (``c[cols] = values``)."""
@@ -386,14 +369,6 @@ class LPProblemBuilder:
                 np.asarray(rows, dtype=np.int64) + base, cols, values,
             )
         return base
-
-    def add_eq_entries(self, rows: Any, cols: Any, values: Any) -> None:
-        """COO entries into already-allocated equality rows (absolute
-        row indices)."""
-        self._append(
-            self._eq_rows, self._eq_cols, self._eq_vals,
-            np.asarray(rows, dtype=np.int64), cols, values,
-        )
 
     def add_ub_entries(self, rows: Any, cols: Any, values: Any) -> None:
         """COO entries into already-allocated ``<=`` rows (absolute

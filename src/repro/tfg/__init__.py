@@ -10,14 +10,12 @@ periodic input arrival.  This package provides:
   the ASAP schedule with per-message windows, and critical paths,
 - :func:`~repro.tfg.dvb.dvb_tfg` — the DARPA Vision Benchmark workload of
   the paper's Fig. 1 (reconstructed; see module docstring),
-- :func:`~repro.tfg.synth.random_layered_tfg` — seeded random workloads,
-- :mod:`~repro.tfg.io` — dict/JSON round-tripping.
+- :func:`~repro.tfg.synth.random_layered_tfg` — seeded random workloads.
 """
 
 from repro.tfg.analysis import CriticalPath, TFGTiming, speeds_for_ratio
 from repro.tfg.dvb import dvb_tfg
 from repro.tfg.graph import Message, Task, TaskFlowGraph
-from repro.tfg.io import tfg_from_dict, tfg_to_dict
 from repro.tfg.synth import random_layered_tfg
 
 __all__ = [
@@ -29,6 +27,4 @@ __all__ = [
     "dvb_tfg",
     "random_layered_tfg",
     "speeds_for_ratio",
-    "tfg_from_dict",
-    "tfg_to_dict",
 ]

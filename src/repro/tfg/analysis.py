@@ -202,11 +202,6 @@ class TFGTiming:
             chain.insert(0, src)
         return CriticalPath(tuple(chain), best_finish[tail])
 
-    def min_period(self) -> float:
-        """The smallest feasible input period, ``tau_c``: any faster and
-        work accumulates without bound at the slowest task (Section 2)."""
-        return self.tau_c
-
     def __repr__(self) -> str:
         return (
             f"<TFGTiming {self.tfg.name!r}: tau_c={self.tau_c:.3f}us, "

@@ -8,9 +8,7 @@ explore that axis on the same workloads:
 - :func:`merge_tasks` — fuse two tasks into one (their connecting
   messages become local and disappear),
 - :func:`merge_linear_chains` — coarsen every single-in/single-out chain,
-  the classic granularity knob,
-- :func:`scale_message_sizes` — scale the communication volume,
-- :func:`level_decomposition` — ASAP levels, for allocation heuristics.
+  the classic granularity knob.
 
 All transforms return new graphs; inputs are never mutated.
 """
@@ -86,39 +84,3 @@ def merge_linear_chains(tfg: TaskFlowGraph) -> TaskFlowGraph:
         if fusable is None:
             return current
         current = merge_tasks(current, fusable.src, fusable.dst)
-
-
-def scale_message_sizes(tfg: TaskFlowGraph, factor: float) -> TaskFlowGraph:
-    """A copy of the graph with every message size scaled by ``factor``."""
-    if factor <= 0:
-        raise TFGError(f"scale factor must be positive, got {factor}")
-    result = TaskFlowGraph(name=f"{tfg.name}x{factor:g}")
-    for task in tfg.tasks:
-        result.add_task(task.name, task.ops)
-    for message in tfg.messages:
-        result.add_message(
-            message.name, message.src, message.dst,
-            message.size_bytes * factor,
-        )
-    result.validate()
-    return result
-
-
-def level_decomposition(tfg: TaskFlowGraph) -> list[tuple[str, ...]]:
-    """Tasks grouped by ASAP level (level 0 = input tasks).
-
-    Levels are a cheap allocation hint: tasks in one level never
-    communicate with each other and run concurrently in the pipeline.
-    """
-    level: dict[str, int] = {}
-    for name in tfg.topological_order():
-        incoming = tfg.messages_in(name)
-        level[name] = (
-            0 if not incoming
-            else 1 + max(level[m.src] for m in incoming)
-        )
-    depth = max(level.values(), default=0)
-    groups: list[list[str]] = [[] for _ in range(depth + 1)]
-    for name in tfg.topological_order():
-        groups[level[name]].append(name)
-    return [tuple(group) for group in groups]

@@ -12,7 +12,7 @@ those families plus open meshes:
 - :class:`~repro.topology.mesh.Mesh` — open mesh (no wraparound),
 - :mod:`~repro.topology.routing` — the deterministic LSD->MSD routing
   function used by wormhole routing, and path utilities,
-- :mod:`~repro.topology.paths` — enumeration/sampling of the multiple
+- :mod:`~repro.topology.paths` — enumeration of the multiple
   equivalent minimal paths that scheduled routing exploits.
 
 Links are **undirected and half-duplex** (paper Section 4.1): at any
@@ -21,12 +21,11 @@ instant a link carries at most one message, in one direction.
 
 from repro.topology.analysis import TopologySummary, summarize
 from repro.topology.base import Link, Topology, link_between
-from repro.topology.embedding import hamiltonian_path, ring_allocation
 from repro.topology.ghc import GeneralizedHypercube
 from repro.topology.hypercube import binary_hypercube
 from repro.topology.mesh import Mesh
 from repro.topology.routing import links_on_path, lsd_to_msd_route, validate_path
-from repro.topology.paths import enumerate_minimal_paths, sample_minimal_path
+from repro.topology.paths import enumerate_minimal_paths
 from repro.topology.registry import (
     STANDARD_TOPOLOGIES,
     TOPOLOGY_ALIASES,
@@ -46,13 +45,10 @@ __all__ = [
     "Torus",
     "binary_hypercube",
     "enumerate_minimal_paths",
-    "hamiltonian_path",
     "link_between",
     "links_on_path",
     "lsd_to_msd_route",
     "make_topology",
-    "ring_allocation",
-    "sample_minimal_path",
     "summarize",
     "topology_names",
     "validate_path",

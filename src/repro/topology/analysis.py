@@ -2,8 +2,8 @@
 
 Quantities a designer reads off a candidate machine before committing to
 it: diameter, average distance, bisection width, and per-node capacity.
-The design-sweep example and the bounds analysis
-(:mod:`repro.core.bounds`) build on these.
+The design-sweep example and the static diagnoser's cut bounds
+(:mod:`repro.diagnose.instance`) build on these.
 """
 
 from __future__ import annotations

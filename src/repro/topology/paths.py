@@ -1,4 +1,4 @@
-"""Enumeration and sampling of the minimal paths between two nodes.
+"""Enumeration of the minimal paths between two nodes.
 
 Scheduled routing "makes use of the multiple equivalent paths between
 non-adjacent nodes" (paper abstract): the path-assignment heuristic needs,
@@ -14,7 +14,6 @@ works with the capped pool and the random-restart outer loop compensates.
 
 from __future__ import annotations
 
-import random
 from itertools import product
 from typing import Iterator
 
@@ -97,51 +96,3 @@ def enumerate_minimal_paths(
         if max_paths is not None and len(result) >= max_paths:
             break
     return result
-
-
-def count_minimal_paths(topology: Topology, src: int, dst: int) -> int:
-    """Closed-form count of minimal paths (multinomial over dimensions,
-    times the product of per-dimension direction choices)."""
-    if src == dst:
-        return 1
-    from math import factorial
-
-    total = 0
-    for combo in product(*_move_lists(topology, src, dst)):
-        lengths = [len(walk) for walk in combo if walk]
-        numer = factorial(sum(lengths))
-        for length in lengths:
-            numer //= factorial(length)
-        total += numer
-    return total
-
-
-def sample_minimal_path(
-    topology: Topology,
-    src: int,
-    dst: int,
-    rng: random.Random,
-) -> list[int]:
-    """A random minimal path, drawn without enumerating the full set.
-
-    Picks a random direction per tied dimension and then a uniformly random
-    interleaving of the remaining moves.  (Across direction choices the
-    distribution is close to, not exactly, uniform; the path-assignment
-    heuristic only needs diversity, not exact uniformity.)
-    """
-    if src == dst:
-        return [src]
-    walks = [rng.choice(options) for options in _move_lists(topology, src, dst)]
-    digits = list(topology.address(src))
-    positions = [0] * len(walks)
-    path = [src]
-    pending = [dim for dim, walk in enumerate(walks) if walk]
-    while pending:
-        weights = [len(walks[dim]) - positions[dim] for dim in pending]
-        dim = rng.choices(pending, weights=weights)[0]
-        digits[dim] = walks[dim][positions[dim]]
-        positions[dim] += 1
-        path.append(topology.node_at(digits))
-        if positions[dim] == len(walks[dim]):
-            pending.remove(dim)
-    return path

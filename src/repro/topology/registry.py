@@ -2,10 +2,9 @@
 
 The paper's evaluation (and every CLI/service entry point in this repo)
 works over four canonical 64-node interconnects.  This module gives
-them stable wire names so that the CLI, the serve farm's HTTP requests
-and the load generator all resolve ``"hypercube6"`` (or a paper-style
-alias like ``"6cube"``) to the same machine without importing each
-other.
+them stable wire names so that the CLI and the serve farm's HTTP
+requests resolve ``"hypercube6"`` (or a paper-style alias like
+``"6cube"``) to the same machine without importing each other.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ text table or as ``compile``-category trace events alongside a run trace.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -59,15 +58,6 @@ class StageProfile:
             "detail": {k: _json_safe(v) for k, v in self.detail.items()},
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "StageProfile":
-        return cls(
-            stage=str(payload["stage"]),
-            wall_ms=float(payload["wall_ms"]),
-            start_ms=float(payload["start_ms"]),
-            detail=dict(payload.get("detail", {})),
-        )
-
 
 @dataclass(frozen=True)
 class CompileProfile:
@@ -103,27 +93,6 @@ class CompileProfile:
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready payload: ``{"stages": [...]}``."""
         return {"stages": [stage.to_dict() for stage in self.stages]}
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CompileProfile":
-        return cls(
-            stages=tuple(
-                StageProfile.from_dict(s) for s in payload.get("stages", ())
-            )
-        )
-
-    def to_json(self) -> str:
-        """The profile as a JSON document (wire transfer, artifacts).
-
-        Round-trips exactly through :meth:`from_json`: every field —
-        including per-stage LP tallies like ``lp_wall_ms`` — survives,
-        so results can cross process boundaries without pickling.
-        """
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, document: str) -> "CompileProfile":
-        return cls.from_dict(json.loads(document))
 
     def trace_events(self) -> list[TraceEvent]:
         """The profile as ``compile``-category spans (wall-clock us,

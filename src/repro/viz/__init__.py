@@ -7,9 +7,7 @@ Terminal-friendly renderings used by the examples and handy in a REPL:
 - :func:`~repro.viz.gantt.link_occupancy_chart` — per-link busy bars for
   a communication schedule,
 - :func:`~repro.viz.gantt.trace_occupancy_chart` — per-link busy bars
-  measured from a recorded run trace (:mod:`repro.trace`),
-- :func:`~repro.viz.sparkline.sparkline` — a unicode mini-plot of a
-  measured series (throughput/latency per invocation).
+  measured from a recorded run trace (:mod:`repro.trace`).
 """
 
 from repro._lazy import lazy_exports
@@ -17,7 +15,5 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "link_occupancy_chart": "gantt",
     "node_gantt": "gantt",
-    "series_panel": "sparkline",
-    "sparkline": "sparkline",
     "trace_occupancy_chart": "gantt",
 })

@@ -130,7 +130,13 @@ def trace_occupancy_chart(
         fraction = busy_time(spans) / span
         intervals = [(s - origin, e - origin) for s, e, _ in spans]
         bar = _bar(intervals, span, width)
-        owners = sorted({owner for _, _, owner in spans if owner})
+        # SR spans are owned by a message name, WR spans by a
+        # (message, invocation) flight key: show the message either way.
+        owners = sorted({
+            owner if isinstance(owner, str) else owner[0]
+            for _, _, owner in spans
+            if owner
+        })
         suffix = f"  [{', '.join(owners)}]" if owners else ""
         lines.append(f"{track:>10} {fraction:5.1%} |{bar}|{suffix}")
     return "\n".join(lines)

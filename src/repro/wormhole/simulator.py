@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.errors import AllocationError, SimulationError
+from repro.errors import SimulationError
 from repro.mapping.allocation import validate_allocation
 from repro.results import (
     MIN_MEASURED_INVOCATIONS,
@@ -503,21 +503,3 @@ def _find_cycle(graph: Mapping, successors: Callable | None = None) -> list | No
                 path.pop()
                 stack.pop()
     return None
-
-
-def check_allocation_capacity(
-    timing: TFGTiming,
-    allocation: Mapping[str, int],
-    tau_in: float,
-) -> None:
-    """Sanity check: the total execution time of tasks sharing a node must
-    fit inside one period, or the pipeline can never keep up regardless of
-    routing."""
-    by_node: dict[int, float] = {}
-    for name, node in allocation.items():
-        by_node[node] = by_node.get(node, 0.0) + timing.exec_time(name)
-    overloaded = {n: t for n, t in by_node.items() if t > tau_in + 1e-9}
-    if overloaded:
-        raise AllocationError(
-            f"nodes overloaded for tau_in={tau_in}: {overloaded}"
-        )

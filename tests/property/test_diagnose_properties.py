@@ -1,8 +1,8 @@
 """Property tests pinning the diagnoser to the compiler's arithmetic.
 
 Satellite guarantee: the utilisation/time-bound arithmetic used by the
-static diagnoser (:func:`repro.core.utilization.link_loads` over the
-shared :func:`forced_load_matrix`) must agree exactly with what the
+static diagnoser (:func:`repro.core.utilization.link_loads`, and
+:func:`forced_load_matrix` beside it) must agree exactly with what the
 compiler's :class:`UtilizationState` maintains incrementally — same
 bounds, same forced loads, same ``U_j`` — on randomly generated
 instances.  Plus the prescreen soundness property over the head of the

@@ -144,7 +144,7 @@ def _assert_identical(built: AllocationProblem, oracle: AllocationProblem):
     assert np.array_equal(_dense(lhs.a_eq), _dense(rhs.a_eq))
     assert np.array_equal(np.asarray(lhs.b_eq), np.asarray(rhs.b_eq))
     if rhs.a_ub is None:
-        assert lhs.a_ub is None or lhs.a_ub.nnz == 0
+        assert lhs.a_ub is None or lhs.a_ub.data.size == 0
     else:
         assert np.array_equal(_dense(lhs.a_ub), _dense(rhs.a_ub))
         assert np.array_equal(np.asarray(lhs.b_ub), np.asarray(rhs.b_ub))

@@ -3,7 +3,6 @@
 from hypothesis import given, strategies as st
 
 from repro.tfg import TFGTiming, random_layered_tfg
-from repro.tfg.io import tfg_from_dict, tfg_to_dict
 
 
 tfgs = st.builds(
@@ -21,10 +20,6 @@ class TestStructure:
         order = {name: i for i, name in enumerate(tfg.topological_order())}
         for message in tfg.messages:
             assert order[message.src] < order[message.dst]
-
-    @given(tfgs)
-    def test_io_roundtrip(self, tfg):
-        assert tfg_to_dict(tfg_from_dict(tfg_to_dict(tfg))) == tfg_to_dict(tfg)
 
     @given(tfgs)
     def test_degree_bookkeeping(self, tfg):

@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.assignment import PathAssignment
 from repro.core.timebounds import compute_time_bounds
-from repro.core.utilization import UtilizationState, utilization_report
+from repro.core.utilization import (
+    CandidateFrame,
+    UtilizationState,
+    utilization_report,
+)
 from repro.tfg import TFGTiming, random_layered_tfg
 from repro.topology import binary_hypercube
 from repro.topology.paths import enumerate_minimal_paths
@@ -87,15 +91,16 @@ class TestIncrementalConsistency:
 
     @given(reroute_scenario())
     @settings(max_examples=20)
-    def test_evaluate_reroute_is_side_effect_free(self, scenario):
+    def test_evaluate_pool_is_side_effect_free(self, scenario):
         if scenario is None:
             return
         bounds, assignment, moves = scenario
-        state = UtilizationState(bounds, assignment)
+        frame = CandidateFrame(bounds, TOPOLOGY, assignment.endpoints, 12)
+        state = UtilizationState(bounds, assignment, frame)
         before = state.peak().value
         snapshot = state.total_time.copy()
-        for name, path in moves:
-            state.evaluate_reroute(name, path)
+        for name, _path in moves:
+            state.evaluate_pool(name)
         # Add/subtract cycles leave float residues ~1e-16; the EPS used
         # in all schedule comparisons is 1e-9, so tolerate below that.
         assert abs(state.peak().value - before) < 1e-9

@@ -21,6 +21,14 @@ from repro.tfg.graph import build_tfg
 from repro.topology import binary_hypercube
 
 CONFIG = CompilerConfig(seed=0, max_paths=16, max_restarts=2, retries=1)
+#: Both assignment stages keep their artifact under their own key: the
+#: heuristic's (``assignment_key``) and the LSD->MSD baseline's
+#: (``lsd_assignment_key``; over HTTP: ``{"use_assign_paths": false}``).
+both_assignment_stages = pytest.mark.parametrize(
+    "config",
+    [CONFIG, dataclasses.replace(CONFIG, use_assign_paths=False)],
+    ids=["assign-paths", "lsd"],
+)
 
 
 def diamond_setup(cube3, b_size=1280.0, bandwidth=64.0):
@@ -110,9 +118,12 @@ class TestDeltaCompile:
         assert stages["allocate+schedule"]["stores"] == 4
         assert stages["build-schedule"]["stores"] == 1
 
-    def test_full_prefix_replay_after_monolithic_loss(self, cube3, tmp_path):
+    @both_assignment_stages
+    def test_full_prefix_replay_after_monolithic_loss(
+        self, cube3, tmp_path, config
+    ):
         setup = diamond_setup(cube3)
-        fresh = compile_with(setup, ScheduleCache(tmp_path))
+        fresh = compile_with(setup, ScheduleCache(tmp_path), config=config)
         # Drop only the monolithic entry; every stage artifact survives.
         entry_path = next(
             p for p in tmp_path.rglob("*.json")
@@ -120,7 +131,7 @@ class TestDeltaCompile:
         )
         entry_path.unlink()
         reopened = ScheduleCache(tmp_path)
-        warm = compile_with(setup, reopened)
+        warm = compile_with(setup, reopened, config=config)
         stats = reopened.stats.as_dict()
         assert stats["hits"] == 0 and stats["misses"] == 1
         stages = stats["stages"]
@@ -128,19 +139,22 @@ class TestDeltaCompile:
             assert stages[name]["misses"] == 0, name
         assert stages["allocate+schedule"]["hits"] == 4
         assert stages["build-schedule"]["hits"] == 1
-        assert warm.schedule == fresh.schedule
+        assert stripped_entry(warm) == stripped_entry(fresh)
 
-    def test_partial_reuse_on_size_perturbation(self, cube3, tmp_path):
-        compile_with(diamond_setup(cube3), ScheduleCache(tmp_path))
+    @both_assignment_stages
+    def test_partial_reuse_on_size_perturbation(self, cube3, tmp_path, config):
+        compile_with(
+            diamond_setup(cube3), ScheduleCache(tmp_path), config=config
+        )
         perturbed = diamond_setup(cube3, b_size=640.0)
         delta_cache = ScheduleCache(tmp_path)
-        delta = compile_with(perturbed, delta_cache)
+        delta = compile_with(perturbed, delta_cache, config=config)
         stages = delta_cache.stats.as_dict()["stages"]
         # Only the subset containing the perturbed message re-runs.
         assert stages["allocate+schedule"]["hits"] == 3
         assert stages["allocate+schedule"]["misses"] == 1
         cold = compile_with(
-            perturbed, ScheduleCache(tmp_path / "cold")
+            perturbed, ScheduleCache(tmp_path / "cold"), config=config
         )
         assert stripped_entry(delta) == stripped_entry(cold)
 

@@ -78,6 +78,9 @@ class TestStructuralFindings:
         assert not report.ok
         assert report.counts() == {"bad-frame": 1}
         assert report.checks == ("frame",)
+        # What a serve ``check`` job puts on the wire for a bad schedule.
+        (finding,) = report.to_dict()["findings"]
+        assert (finding["severity"], finding["code"]) == ("error", "bad-frame")
 
     def test_slot_outside_frame_and_empty(self, cube3):
         schedule = build(10.0, {

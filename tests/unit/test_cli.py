@@ -228,12 +228,16 @@ class TestTraceCommand:
         code = main([
             "trace", "--mode", "wr", "--topology", "hypercube6",
             "--models", "5", "--load", "0.5", "--invocations", "8",
-            "--warmup", "4", "--out", str(target),
+            "--warmup", "4", "--out", str(target), "--chart", "5",
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "WR run" in out
         assert "compile profile" not in out
+        # Link owners are (message, invocation) flights: shown by name.
+        chart = out[out.index("traced link occupancy"):].splitlines()[1:6]
+        assert len(chart) == 5 and all("  [" in row for row in chart)
+        assert "(" not in "".join(row.split("|")[-1] for row in chart)
         doc = json.loads(target.read_text())
         cats = {record.get("cat") for record in doc["traceEvents"]}
         assert "flight" in cats and "compile" not in cats
@@ -314,6 +318,39 @@ class TestArgumentValidation:
             main([command, "--models", "0"])
         assert stop.value.code == 2
         assert "models must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "inspect"])
+    @pytest.mark.parametrize(
+        "content", [None, "not json", '{"a": 1}'],
+        ids=["absent", "garbage", "wrong-json"],
+    )
+    def test_unreadable_schedule_exits_2(
+        self, capsys, tmp_path, command, content
+    ):
+        target = tmp_path / "omega.json"
+        if content is not None:
+            target.write_text(content)
+        with pytest.raises(SystemExit) as stop:
+            main([command, str(target)])
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(
+            f"repro-sr {command}: error: cannot read schedule {target}: "
+        )
+
+    def test_submit_without_a_farm_exits_2(self, capsys):
+        import socket
+
+        with socket.socket() as probe:  # a port nobody listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(SystemExit) as stop:
+            main(["submit", "--port", str(port)])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            f"repro-sr submit: error: no compile farm at 127.0.0.1:{port}: "
+        )
 
     def test_infeasible_instance_still_exits_one(self, capsys):
         code = main(["compile", "--bandwidth", "64", "--load", "0.99"])

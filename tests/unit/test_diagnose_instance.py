@@ -43,6 +43,19 @@ def two_on_one_link(cube3, sizes, tau_in=100.0):
     return timing, cube3, allocation, tau_in
 
 
+def fan_out_of_node_zero(cube3, size):
+    """Node 0 (3 links) sends four equal messages released together, to
+    its three neighbours and to node 3 (two hops, no forced link)."""
+    tfg = build_tfg(
+        "fan",
+        [("s", 400)] + [(f"d{i}", 400) for i in range(4)],
+        [(f"m{i}", "s", f"d{i}", size) for i in range(4)],
+    )
+    timing = TFGTiming(tfg, 128.0, speeds=40.0)
+    allocation = {"s": 0, "d0": 1, "d1": 2, "d2": 4, "d3": 3}
+    return timing, cube3, allocation, 100.0
+
+
 class TestTrivialCertificates:
     def test_period_below_tau_c(self, dvb_setup_128):
         s = dvb_setup_128
@@ -96,27 +109,64 @@ class TestOverloadCertificates:
         assert diagnosis.refuted
         assert "cut-overload" in {r.kind for r in diagnosis.refutations}
 
-    def test_feasible_point_not_refuted(self, dvb_setup_128):
-        s = dvb_setup_128
+    def test_cut_exclusive_where_the_volume_fits(self, cube3):
+        # 4 x 6us through 3 links x 10us fits by volume and no link is
+        # forced to carry two, but no two 6us messages share one link
+        # inside their common 10us window: four need four links.
+        case = fan_out_of_node_zero(cube3, 768)
+        diagnosis = diagnose_instance(*case)
+        assert {r.kind for r in diagnosis.refutations} == {"cut-exclusive"}
+        (witness,) = diagnosis.refutations
+        assert witness.messages == ("m0", "m1", "m2", "m3")
+        assert witness.links == ((0, 1), (0, 2), (0, 4))
+        assert (witness.demand, witness.capacity) == (4.0, 3.0)
+        # Exactly half a window each: two pack into one link's window.
+        assert not diagnose_instance(*fan_out_of_node_zero(cube3, 640)).refuted
+
+    @pytest.mark.parametrize("load", [0.2, 1.0])
+    def test_dvb8_b64_6cube_refuted(self, cube6, load):
+        """The fusion node's e_k fan-in: more half-window messages than
+        links, whatever the period (the window is tau_c at every load)."""
+        setup = standard_setup(dvb_tfg(8), cube6, bandwidth=64.0)
         diagnosis = diagnose_instance(
-            s.timing, s.topology, s.allocation, s.tau_in_for_load(0.5)
+            setup.timing, cube6, setup.allocation, setup.tau_in_for_load(load)
         )
-        assert not diagnosis.refuted
-        assert diagnosis.checks  # the checks ran and were recorded
+        assert {r.kind for r in diagnosis.refutations} == {"cut-exclusive"}
+        for refutation in diagnosis.refutations:
+            assert verify_refutation(
+                setup.timing, cube6, setup.allocation,
+                setup.tau_in_for_load(load), refutation,
+            ) == []
+
+    def test_feasible_point_not_refuted(self, dvb_setup_128, dvb_setup_64):
+        # DVB(5) on the 6-cube: also at B = 64, where DVB(8) is refuted.
+        for s in (dvb_setup_128, dvb_setup_64):
+            diagnosis = diagnose_instance(
+                s.timing, s.topology, s.allocation, s.tau_in_for_load(0.5)
+            )
+            assert not diagnosis.refuted
+            assert diagnosis.checks  # the checks ran and were recorded
 
     def test_single_message_fits(self, cube3):
         timing, topo, allocation, tau_in = two_on_one_link(cube3, [1280])
         diagnosis = diagnose_instance(timing, topo, allocation, tau_in)
         assert not diagnosis.refuted
 
+    def test_co_located_tasks_load_no_link(self, cube3):
+        # The overloaded pair again, but source and sink share a node.
+        timing, topo, _, tau_in = two_on_one_link(cube3, [1280, 1280])
+        local = {task.name: 1 for task in timing.tfg.tasks}
+        assert not diagnose_instance(timing, topo, local, tau_in).refuted
+
 
 class TestSoundness:
     def test_refuted_instances_fail_to_compile(self, cube3):
-        timing, topo, allocation, tau_in = two_on_one_link(
-            cube3, [1280, 1280]
-        )
-        with pytest.raises(SchedulingError):
-            compile_schedule(timing, topo, allocation, tau_in)
+        for case in (
+            two_on_one_link(cube3, [1280, 1280]),
+            fan_out_of_node_zero(cube3, 768),
+        ):
+            with pytest.raises(SchedulingError):
+                compile_schedule(*case)
 
     def test_every_witness_survives_independent_replay(
         self, refuted_instance, cube3
@@ -124,6 +174,7 @@ class TestSoundness:
         cases = [
             refuted_instance,
             two_on_one_link(cube3, [1280, 1280]),
+            fan_out_of_node_zero(cube3, 768),
         ]
         for timing, topo, allocation, tau_in in cases:
             diagnosis = diagnose_instance(timing, topo, allocation, tau_in)
@@ -133,6 +184,25 @@ class TestSoundness:
                     timing, topo, allocation, tau_in, refutation
                 )
                 assert problems == []
+
+    def test_forged_cut_exclusive_claims_do_not_replay(self, cube3):
+        import dataclasses
+
+        case = fan_out_of_node_zero(cube3, 768)
+        (genuine,) = diagnose_instance(*case).refutations
+        assert verify_refutation(*case, genuine) == []
+        # Three rivals on a three-link star is no overload ...
+        fewer = dataclasses.replace(genuine, messages=genuine.messages[:3])
+        assert any(
+            "overload claim false" in p
+            for p in verify_refutation(*case, fewer)
+        )
+        # ... and at half a window each, any two could share a link.
+        halves = fan_out_of_node_zero(cube3, 640)
+        assert any(
+            "can share a link" in p
+            for p in verify_refutation(*halves, genuine)
+        )
 
     def test_instance_refutations_are_instance_scoped(self, refuted_instance):
         timing, topo, allocation, tau_in = refuted_instance

@@ -23,14 +23,13 @@ MODULE_NAMES = [
     "repro.topology.hypercube",
     "repro.topology.mesh",
     "repro.topology.torus",
-    "repro.viz.sparkline",
 ]
 
 
 @pytest.mark.parametrize("name", MODULE_NAMES)
 def test_module_doctests(name):
     # importlib rather than attribute access: package __init__ re-exports
-    # (e.g. ``repro.viz.sparkline`` the function) shadow submodule
+    # (e.g. ``repro.core.assign_paths`` the function) shadow submodule
     # attributes of the same name.
     module = importlib.import_module(name)
     results = doctest.testmod(module, verbose=False)

@@ -18,16 +18,11 @@ class TestLinkFault:
         fault = LinkFault((0, 1), start=5.0)
         assert fault.permanent
         assert fault.end == float("inf")
-        assert fault.active_at(5.0)
-        assert fault.active_at(1e9)
-        assert not fault.active_at(4.9)
 
     def test_transient_window(self):
         fault = LinkFault((0, 1), start=5.0, duration=10.0)
         assert not fault.permanent
         assert fault.end == 15.0
-        assert fault.active_at(14.999)
-        assert not fault.active_at(15.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ReproError):
@@ -57,12 +52,6 @@ class TestFaultTrace:
         assert trace.permanent_failed_links(cube3) == frozenset(
             {(0, 1), (0, 2), (0, 4)}
         )
-
-    def test_failed_links_at(self, cube3):
-        trace = FaultTrace(link_faults=(LinkFault((1, 3), 5.0, duration=2.0),))
-        assert trace.failed_links_at(4.0, cube3) == frozenset()
-        assert trace.failed_links_at(6.0, cube3) == frozenset({(1, 3)})
-        assert trace.failed_links_at(7.5, cube3) == frozenset()
 
     def test_drift_accumulates_per_node(self):
         trace = FaultTrace(drifts=(ClockDrift(2, 0.5), ClockDrift(2, 0.25)))

@@ -116,20 +116,23 @@ def test_parsing_imports_no_numpy(argv):
 #: package -> (len(__all__), digest of its sorted names) at the commit
 #: where every facade imported its exports eagerly; ``repro.solvers``
 #: re-pinned (21, "62ae551935f8") -> (20, ...) when ``SCIPY_METHODS``,
-#: a tuple with one legal value, was retired.
+#: a tuple with one legal value, was retired, and four more when the
+#: reachability audit deleted exports no traffic executed: ``repro``
+#: (82, "8406d0ef2b4a"), ``repro.experiments`` (13, "5b9216d971e0"),
+#: ``repro.metrics`` (12, "db71aa263f0d"), ``repro.viz`` (5, "d07162861215").
 FACADES = {
-    "repro": (82, "8406d0ef2b4a"),
+    "repro": (79, "27603b94d060"),
     "repro.cache": (22, "9d5abd879377"),
     "repro.check": (12, "34cb9802d02a"),
     "repro.core": (26, "b9a638d2a323"),
     "repro.diagnose": (15, "d8d82b6d3701"),
-    "repro.experiments": (13, "5b9216d971e0"),
+    "repro.experiments": (12, "b62378ae4254"),
     "repro.faults": (10, "6c84aa22dc59"),
-    "repro.metrics": (12, "db71aa263f0d"),
+    "repro.metrics": (8, "02e7c9d40f8b"),
     "repro.serve": (10, "e85814c0a70c"),
     "repro.solvers": (20, "ad1abe797c09"),
     "repro.trace": (11, "13becf6184ca"),
-    "repro.viz": (5, "d07162861215"),
+    "repro.viz": (3, "ff45f9a04a2d"),
     "repro.wormhole": (5, "e3b2e484384b"),
 }
 
@@ -185,34 +188,30 @@ class TestFacadesAreCompleteAndUnchanged:
 
 COLLISIONS = {
     "submodule_first": """
-import repro.core.assign_paths, repro.viz.sparkline
+import repro.core.assign_paths
 from repro.core import assign_paths
-from repro.viz import sparkline
 """,
     "facade_first": """
 from repro.core import assign_paths
-from repro.viz import sparkline
-import repro.core.assign_paths, repro.viz.sparkline
+import repro.core.assign_paths
 """,
 }
 
 
 @pytest.mark.parametrize("order", COLLISIONS)
 def test_export_named_like_its_submodule_stays_the_function(order):
-    """``repro.core.assign_paths`` and ``repro.viz.sparkline`` are both
-    a function and the submodule defining it; the import system binds
-    the submodule over a lazy name, so these two resolve eagerly."""
+    """``repro.core.assign_paths`` is both a function and the submodule
+    defining it; the import system binds the submodule over a lazy name,
+    so it resolves eagerly."""
     seen = run_child(COLLISIONS[order] + """
 import types, repro
-again = [repro.core.assign_paths, repro.viz.sparkline,
-         repro.assign_paths, repro.sparkline, assign_paths, sparkline]
-exec("from repro.core import assign_paths as a; "
-     "from repro.viz import sparkline as s; again += [a, s]")
+again = [repro.core.assign_paths, repro.assign_paths, assign_paths]
+exec("from repro.core import assign_paths as a; again += [a]")
 extra = {"functions": [isinstance(f, types.FunctionType) for f in again],
          "homes": sorted({f.__module__ for f in again})}
 """)
-    assert all(seen["functions"]) and len(seen["functions"]) == 8
-    assert seen["homes"] == ["repro.core.assign_paths", "repro.viz.sparkline"]
+    assert all(seen["functions"]) and len(seen["functions"]) == 4
+    assert seen["homes"] == ["repro.core.assign_paths"]
 
 
 @needs_scipy

@@ -21,7 +21,7 @@ class TestDeterminismScope:
         assert in_scope("repro.serve.jobs")
         assert in_scope("repro.core.pipeline")
         assert not in_scope("repro.cachelike")
-        assert not in_scope("repro.core.bounds")
+        assert not in_scope("repro.core.timebounds")
         assert not in_scope("repro.experiments")
 
     def test_out_of_scope_module_never_flagged(self):

@@ -43,11 +43,6 @@ class TestJitterReport:
         assert report.worst_earliness == pytest.approx(4.4)
         assert not report.is_jitter_free
 
-    def test_normalized_peak_to_peak(self):
-        completions = [0.0, 10.0, 30.0, 40.0]
-        report = jitter_report(completions, tau_in=20.0)
-        assert report.peak_to_peak_normalized == pytest.approx(10.0 / 20.0)
-
     def test_uniform_drift_is_lateness(self):
         # Regression: every interval is tau_in/2, so the stream slides
         # ever earlier relative to the real-time grid.  The old

@@ -1,16 +1,10 @@
-"""Unit tests for survivability metrics (outage accounting + curves)."""
+"""Unit tests for survivability metrics (outage accounting)."""
 
 import pytest
 
 from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
-from repro.metrics.survivability import (
-    deadline_misses,
-    outage_misses,
-    survivability_curve,
-    throughput_series,
-)
-from repro.results import RunResult
+from repro.metrics.survivability import outage_misses
 
 
 @pytest.fixture()
@@ -76,78 +70,3 @@ class TestOutageMisses:
             executor, [spare], (0.0, 1e9), invocations=12
         )
         assert report.num_missed_deliveries == 0
-
-
-class TestSeriesMetrics:
-    def _result(self, intervals, tau_in=10.0):
-        times = [100.0]
-        for delta in intervals:
-            times.append(times[-1] + delta)
-        return RunResult(
-            tau_in=tau_in,
-            completion_times=tuple(times),
-            warmup=0,
-            critical_path_length=50.0,
-        )
-
-    def test_throughput_series_flags_degradation(self):
-        result = self._result([10.0, 20.0, 10.0, 10.0])
-        series = throughput_series(result)
-        assert series[0] == pytest.approx(1.0)
-        assert series[1] == pytest.approx(0.5)
-
-    def test_deadline_misses_counts_late_invocations(self):
-        # Completion drifting later each period -> growing latency.
-        result = self._result([12.0, 12.0, 12.0, 12.0])
-        assert deadline_misses(result, deadline=1e6) == 0
-        assert deadline_misses(result, deadline=105.0) > 0
-
-    def test_deadline_misses_rejects_nonpositive(self):
-        result = self._result([10.0, 10.0, 10.0])
-        with pytest.raises(ValueError):
-            deadline_misses(result, deadline=0.0)
-
-
-class TestSurvivabilityCurve:
-    def test_curve_on_small_setup(self, compiled):
-        routing, _, setup = compiled
-        points = survivability_curve(
-            routing, setup.timing, setup.topology, setup.allocation,
-            k_values=(1,), trials=4, seed=0,
-        )
-        (point,) = points
-        assert point.k == 1
-        assert point.trials == 4
-        assert (
-            point.unaffected + point.local_repairs + point.recompiles
-            + point.infeasible
-            == 4
-        )
-        assert 0.0 <= point.survival_rate <= 1.0
-        assert point.local_rate <= point.survival_rate
-
-    def test_curve_deterministic(self, compiled):
-        routing, _, setup = compiled
-        kwargs = dict(k_values=(1,), trials=3, seed=5)
-        a = survivability_curve(
-            routing, setup.timing, setup.topology, setup.allocation, **kwargs
-        )
-        b = survivability_curve(
-            routing, setup.timing, setup.topology, setup.allocation, **kwargs
-        )
-        # Everything but the wall-clock repair latency must reproduce.
-        def fingerprint(pts):
-            return [
-                (p.k, p.trials, p.unaffected, p.local_repairs, p.recompiles,
-                 p.infeasible, p.mean_rerouted)
-                for p in pts
-            ]
-        assert fingerprint(a) == fingerprint(b)
-
-    def test_rejects_oversized_k(self, compiled):
-        routing, _, setup = compiled
-        with pytest.raises(ValueError):
-            survivability_curve(
-                routing, setup.timing, setup.topology, setup.allocation,
-                k_values=(3,), trials=1, candidate_links=[(0, 1)],
-            )

@@ -70,7 +70,6 @@ class TestRunResult:
     def test_measured_completions_exclude_warmup(self):
         result = make_result()
         assert result.measured_completions == (20.0, 30.0, 40.0, 50.0)
-        assert result.completions == result.completion_times
 
     def test_intervals_and_latencies(self):
         result = make_result()

@@ -114,12 +114,6 @@ class TestEnvironment:
         with pytest.raises(SimulationError):
             Environment().step()
 
-    def test_peek(self):
-        env = Environment()
-        assert env.peek() == float("inf")
-        env.timeout(2.5)
-        assert env.peek() == 2.5
-
     def test_initial_time(self):
         env = Environment(initial_time=100.0)
         env.timeout(5.0)
@@ -313,18 +307,6 @@ class TestConditions:
 
         process = env.process(body(env))
         assert env.run(until=process) == (5.0, ["a", "b"])
-
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-
-        def body(env):
-            result = yield env.any_of([t1, t2])
-            return (env.now, list(result.values()))
-
-        process = env.process(body(env))
-        assert env.run(until=process) == (1.0, ["fast"])
 
     def test_empty_all_of_fires_immediately(self):
         env = Environment()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, Monitor, Resource, Store
+from repro.sim import Environment, Monitor, Resource
 
 
 class TestResource:
@@ -145,65 +145,12 @@ class TestResourceFailure:
         assert "DOWN" not in repr(resource)
 
 
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-        store.put("item")
-        got = store.get()
-        assert got.triggered and got.value == "item"
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def consumer(env):
-            item = yield store.get()
-            received.append((env.now, item))
-
-        env.process(consumer(env))
-
-        def producer(env):
-            yield env.timeout(4.0)
-            store.put("late")
-
-        env.process(producer(env))
-        env.run()
-        assert received == [(4.0, "late")]
-
-    def test_fifo_item_order(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert store.get().value == 1
-        assert store.get().value == 2
-
-    def test_fifo_getter_order(self):
-        env = Environment()
-        store = Store(env)
-        first, second = store.get(), store.get()
-        store.put("a")
-        assert first.triggered and not second.triggered
-        assert first.value == "a"
-
-    def test_len(self):
-        env = Environment()
-        store = Store(env)
-        assert len(store) == 0
-        store.put("x")
-        assert len(store) == 1
-
-
 class TestMonitor:
     def test_records_and_iterates(self):
         monitor = Monitor("m")
         monitor.record(1.0, "a")
         monitor.record(2.0, "b")
         assert list(monitor) == [(1.0, "a"), (2.0, "b")]
-        assert monitor.times == [1.0, 2.0]
-        assert monitor.values == ["a", "b"]
         assert len(monitor) == 2
 
     def test_rejects_time_travel(self):
@@ -217,16 +164,3 @@ class TestMonitor:
         monitor.record(5.0, 1)
         monitor.record(5.0, 2)
         assert len(monitor) == 2
-
-    def test_last(self):
-        monitor = Monitor()
-        with pytest.raises(IndexError):
-            monitor.last()
-        monitor.record(1.0, "x")
-        assert monitor.last() == (1.0, "x")
-
-    def test_intervals(self):
-        monitor = Monitor()
-        for t in (10.0, 30.0, 45.0):
-            monitor.record(t, None)
-        assert monitor.intervals() == [20.0, 15.0]

@@ -94,9 +94,6 @@ class TestCriticalPath:
         assert cp.length == 10.0
         assert timing.tau_m == 0.0
 
-    def test_min_period_is_tau_c(self, tiny_timing):
-        assert tiny_timing.min_period() == tiny_timing.tau_c
-
 
 class TestSpeedsForRatio:
     def test_paper_calibration(self, dvb5):

@@ -4,12 +4,7 @@ import pytest
 
 from repro.errors import TFGError
 from repro.tfg.synth import chain_tfg, fan_tfg
-from repro.tfg.transforms import (
-    level_decomposition,
-    merge_linear_chains,
-    merge_tasks,
-    scale_message_sizes,
-)
+from repro.tfg.transforms import merge_linear_chains, merge_tasks
 
 
 class TestMergeTasks:
@@ -82,41 +77,3 @@ class TestMergeLinearChains:
         assert sum(t.ops for t in merged.tasks) == pytest.approx(
             sum(t.ops for t in dvb5.tasks)
         )
-
-
-class TestScaleMessageSizes:
-    def test_scaling(self, tiny_tfg):
-        scaled = scale_message_sizes(tiny_tfg, 2.0)
-        for original, doubled in zip(tiny_tfg.messages, scaled.messages):
-            assert doubled.size_bytes == original.size_bytes * 2
-
-    def test_invalid_factor(self, tiny_tfg):
-        with pytest.raises(TFGError):
-            scale_message_sizes(tiny_tfg, 0.0)
-
-
-class TestLevelDecomposition:
-    def test_chain_levels(self):
-        tfg = chain_tfg(4)
-        assert level_decomposition(tfg) == [
-            ("t0",), ("t1",), ("t2",), ("t3",),
-        ]
-
-    def test_diamond_levels(self, diamond_tfg):
-        levels = level_decomposition(diamond_tfg)
-        assert levels[0] == ("s",)
-        assert set(levels[1]) == {"m1", "m2"}
-        assert levels[2] == ("t",)
-
-    def test_levels_partition_tasks(self, dvb5):
-        levels = level_decomposition(dvb5)
-        flattened = [name for level in levels for name in level]
-        assert sorted(flattened) == sorted(t.name for t in dvb5.tasks)
-
-    def test_no_intra_level_messages(self, dvb5):
-        levels = level_decomposition(dvb5)
-        index = {
-            name: i for i, level in enumerate(levels) for name in level
-        }
-        for message in dvb5.messages:
-            assert index[message.src] < index[message.dst]

@@ -11,7 +11,6 @@ from repro.tfg.dvb import (
     SIZE_I,
     STAGE_OPS,
 )
-from repro.tfg.io import load_tfg, save_tfg, tfg_from_dict, tfg_to_dict
 from repro.tfg.synth import chain_tfg, fan_tfg
 
 
@@ -67,9 +66,9 @@ class TestSynth:
     def test_reproducible_per_seed(self):
         a = random_layered_tfg(seed=11)
         b = random_layered_tfg(seed=11)
-        assert tfg_to_dict(a) == tfg_to_dict(b)
+        assert (a.tasks, a.messages) == (b.tasks, b.messages)
         c = random_layered_tfg(seed=12)
-        assert tfg_to_dict(a) != tfg_to_dict(c)
+        assert (a.tasks, a.messages) != (c.tasks, c.messages)
 
     def test_every_interior_task_connected(self):
         tfg = random_layered_tfg(seed=3, layers=5, width=4, edge_probability=0.2)
@@ -119,33 +118,3 @@ class TestSynth:
     def test_fan_validation(self):
         with pytest.raises(TFGError):
             fan_tfg(0)
-
-
-class TestIO:
-    def test_dict_roundtrip(self, dvb5):
-        data = tfg_to_dict(dvb5)
-        rebuilt = tfg_from_dict(data)
-        assert tfg_to_dict(rebuilt) == data
-        assert rebuilt.num_tasks == dvb5.num_tasks
-
-    def test_file_roundtrip(self, tmp_path, tiny_tfg):
-        path = tmp_path / "tfg.json"
-        save_tfg(tiny_tfg, path)
-        loaded = load_tfg(path)
-        assert tfg_to_dict(loaded) == tfg_to_dict(tiny_tfg)
-
-    def test_malformed_dict_rejected(self):
-        with pytest.raises(TFGError):
-            tfg_from_dict({"name": "x", "tasks": []})
-
-    def test_roundtrip_revalidates(self):
-        data = {
-            "name": "bad",
-            "tasks": [{"name": "a", "ops": 1.0}, {"name": "b", "ops": 1.0}],
-            "messages": [
-                {"name": "m1", "src": "a", "dst": "b", "size_bytes": 1.0},
-                {"name": "m2", "src": "b", "dst": "a", "size_bytes": 1.0},
-            ],
-        }
-        with pytest.raises(TFGError, match="cycle"):
-            tfg_from_dict(data)

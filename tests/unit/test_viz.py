@@ -5,7 +5,7 @@ import pytest
 from repro.core.compiler import compile_schedule
 from repro.tfg import TFGTiming
 from repro.tfg.synth import chain_tfg
-from repro.viz import link_occupancy_chart, node_gantt, series_panel, sparkline
+from repro.viz import link_occupancy_chart, node_gantt
 from repro.viz.gantt import _bar
 
 
@@ -70,29 +70,3 @@ class TestLinkOccupancy:
         for line in text.splitlines()[1:]:
             fraction = float(line.split("%")[0].split()[-1])
             assert 0.0 < fraction <= 100.0
-
-
-class TestSparkline:
-    def test_constant_series_is_flat(self):
-        assert sparkline([5.0, 5.0, 5.0]) == "▄▄▄"
-
-    def test_extremes_map_to_extremes(self):
-        line = sparkline([0.0, 10.0])
-        assert line[0] == "▁"
-        assert line[-1] == "█"
-
-    def test_length_matches_series(self):
-        assert len(sparkline(list(range(17)))) == 17
-
-    def test_empty(self):
-        assert sparkline([]) == ""
-
-    def test_series_panel(self):
-        panel = series_panel("intervals", [10.0, 12.0, 10.0], unit="us")
-        assert "intervals" in panel
-        assert "min 10.000" in panel
-        assert "max 12.000" in panel
-        assert "3 samples" in panel
-
-    def test_series_panel_empty(self):
-        assert "(empty)" in series_panel("x", [])
