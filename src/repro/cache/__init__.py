@@ -18,9 +18,11 @@ Beyond the monolithic schedule key, the cache also holds per-stage
 **artifacts** (:mod:`repro.cache.artifacts`): content-keyed outputs of
 the expensive pipeline stages, so a near-identical instance — one
 message resized, one link dropped — resumes mid-pipeline instead of
-recompiling cold.  Artifact traffic is counted per stage under
-``cache.stats.stages`` (surfaced as ``"stages"`` in ``as_dict()``),
-never in the scalar counters above.
+recompiling cold.  Artifact traffic is counted per stage (``"stages"``
+in ``cache.stats.as_dict()``), never in the schedule-level counters
+above.  Every kind of entry goes through ``cache.get(key, kinds, decode,
+scope)`` / ``cache.put(key, entry, scope)``; one its decoder rejects is
+dropped and recomputed.
 
 See ``docs/compiler.md`` for the key scheme and invalidation rules.
 """
@@ -34,7 +36,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "ScheduleCache": "store",
     "artifact_key": "artifacts",
     "bounds_content": "artifacts",
-    "cache_key_payload": "keys",
     "canonical_allocation": "keys",
     "canonical_config": "keys",
     "canonical_tfg": "keys",

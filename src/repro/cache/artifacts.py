@@ -17,45 +17,42 @@ keys** for the expensive pipeline stages:
   interval lengths plus each member's duration, activity row and path
   links (everything the two LPs consume).  Failures are stored as
   *negative* artifacts so a delta recompile replays the feedback/retry
-  loop byte-identically;
-- ``build-schedule`` — the final Omega, keyed on the bounds digest, the
-  assignment content digest and the per-subset artifact keys.
+  loop byte-identically.
 
 Keys hash actual stage **inputs**, never instance provenance, so an
 artifact is reused exactly when stage determinism guarantees the same
 output — byte-identity of delta recompiles (modulo wall times and LP
 tallies) falls out by construction and is enforced by the fuzz corpus'
-delta differential.  Cheap stages (time bounds, the utilisation gate,
-maximal subsets) are recomputed; their content digests feed the keys of
-the stages downstream.
+delta differential.  Every other stage is recomputed: a layer exists
+only where EXPERIMENTS.md ("Which cache layers earn their keep") shows
+its replay beating the stage — Omega assembly and the LSD→MSD route cost
+what their validated decode costs, so they have none.
 
-:class:`DeltaState` carries the digests through one compilation and
-brokers fetch/store against the :class:`~repro.cache.store.ScheduleCache`
-artifact tier; per-stage hit/miss/store counters land in
-``CacheStats.stages`` (never in the scalar schedule-level counters).
+:class:`DeltaState` is the artifact codec over ``ScheduleCache.get`` /
+``put``; traffic is counted under the stage name (``"stages"`` in
+``CacheStats.as_dict()``), never in the schedule-level counters.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.cache.keys import (
     CACHE_VERSION,
     canonical_allocation,
+    canonical_config,
     canonical_topology,
+    content_digest,
 )
+from repro.cache.store import ScheduleCache, entry_to_error, error_to_entry
+from repro.core.assignment import PathAssignment
+from repro.core.interval_allocation import IntervalAllocation
+from repro.core.interval_scheduling import FeasibleSetSlot, IntervalSchedule
+from repro.errors import SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ScheduleCache
-    from repro.core.assignment import PathAssignment
     from repro.core.compiler import CompilerConfig
-    from repro.core.interval_allocation import IntervalAllocation
-    from repro.core.interval_scheduling import IntervalSchedule
-    from repro.core.switching import CommunicationSchedule
     from repro.core.timebounds import TimeBoundSet
-    from repro.errors import SchedulingError
     from repro.tfg.analysis import TFGTiming
     from repro.topology.base import Topology
 
@@ -67,16 +64,12 @@ __all__ = [
     "warm_scope_key",
 ]
 
-#: Artifact stage names (also the ``CacheStats.stages`` counter keys).
+#: Artifact stage names (also the ``CacheStats`` scopes they count under).
 STAGE_ASSIGN = "assign-paths"
 STAGE_INTERVAL = "allocate+schedule"
-STAGE_SCHEDULE = "build-schedule"
 
-
-def _digest(payload: Any) -> str:
-    """SHA-256 hex digest of a canonical-JSON payload."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+#: What an ``allocate+schedule`` artifact holds, unless it is negative.
+SubsetOutcome = tuple[IntervalAllocation, dict[int, IntervalSchedule]]
 
 
 def artifact_key(stage: str, inputs: Mapping[str, Any]) -> str:
@@ -87,7 +80,7 @@ def artifact_key(stage: str, inputs: Mapping[str, Any]) -> str:
     diagnosis keys, and :data:`~repro.cache.keys.CACHE_VERSION` retires
     old artifacts whenever the payload layout changes.
     """
-    return _digest(
+    return content_digest(
         {"version": CACHE_VERSION, "artifact": stage, "inputs": dict(inputs)}
     )
 
@@ -148,7 +141,7 @@ def warm_scope_key(
     solves are byte-identical to cold ones (PR 7 property tests).
     """
     tfg = timing.tfg
-    return _digest(
+    return content_digest(
         {
             "version": CACHE_VERSION,
             "scope": "warm-start",
@@ -161,56 +154,49 @@ def warm_scope_key(
     )
 
 
-def _assignment_content(assignment: "PathAssignment") -> list[list[Any]]:
-    return [
-        [name, list(assignment.path(name))] for name in assignment.messages
-    ]
-
-
 class DeltaState:
-    """Digest bookkeeping + artifact broker for one delta compilation.
+    """Artifact keys + codec for one delta compilation.
 
     Created by :func:`~repro.core.compiler.compile_schedule` whenever a
     cache is attached and the monolithic key missed; the pipeline stages
-    consult it through ``context.delta``.  Instance-level digests are
-    computed once; attempt-level digests (assignment, subsets) are wiped
-    by :meth:`reset_attempt` alongside the context's artifacts.
+    consult it through ``context.delta``.  A stale or damaged payload is
+    ``ScheduleCache.get``'s invalidated miss.
+
+    ``timing``, ``topology``, ``allocation`` and ``tau_in`` are unused
+    (keys hash stage inputs read off the context); they stay because
+    ``benchmarks/e2e/compile_op.py`` constructs this class positionally
+    and only a benchmark PR may edit it (ROADMAP item 1 narrows the
+    signature to ``DeltaState(cache, config)``).
     """
 
     def __init__(
         self,
-        cache: "ScheduleCache",
+        cache: ScheduleCache,
         timing: "TFGTiming",
         topology: "Topology",
         allocation: Mapping[str, int],
         tau_in: float,
         config: "CompilerConfig",
     ) -> None:
-        from repro.solvers import default_backend_name
-
         self.cache = cache
         self.config = config
-        backend = config.lp_backend
-        self.backend_name = (
-            default_backend_name() if backend == "auto" else backend
-        )
-        self.topology_digest = _digest(canonical_topology(topology))
-        self.allocation_digest = _digest(canonical_allocation(allocation))
-        self.tau_in = float(tau_in)
-        # Recorded as the stages run.
+        self.backend_name: str = canonical_config(config)["lp_backend"]
+        # Recorded by the time-bounds stage.
         self.bounds_digest: str | None = None
-        self.assignment_digest: str | None = None
-        self.subset_keys: list[str] = []
 
-    def reset_attempt(self) -> None:
-        """Wipe attempt-scoped digests before a retry under a new seed."""
-        self.assignment_digest = None
-        self.subset_keys = []
+    def _put(self, key: str, stage: str, payload: dict[str, Any]) -> None:
+        entry = {
+            "format": CACHE_VERSION,
+            "kind": "artifact",
+            "stage": stage,
+            "payload": payload,
+        }
+        self.cache.put(key, entry, stage)
 
     # -- time bounds (recomputed; digest feeds downstream keys) ----------
 
     def record_bounds(self, bounds: "TimeBoundSet") -> None:
-        self.bounds_digest = _digest(bounds_content(bounds))
+        self.bounds_digest = content_digest(bounds_content(bounds))
 
     # -- path assignment --------------------------------------------------
 
@@ -231,57 +217,35 @@ class DeltaState:
             },
         )
 
-    def lsd_assignment_key(self) -> str:
-        """Artifact key of the deterministic LSD→MSD baseline assignment."""
-        return artifact_key(
-            STAGE_ASSIGN,
-            {
-                "kind": "lsd",
-                "bounds": self.bounds_digest,
-                "topology": self.topology_digest,
-                "allocation": self.allocation_digest,
-            },
-        )
-
     def fetch_assignment(
         self,
         key: str,
         topology: "Topology",
         endpoints: Mapping[str, tuple[int, int]],
-    ) -> "PathAssignment | None":
-        """Rebuild a stored assignment; ``None`` on miss or stale payload."""
-        from repro.core.assignment import PathAssignment
-        from repro.errors import ReproError
+    ) -> PathAssignment | None:
+        """Rebuild a stored assignment; ``None`` on a miss."""
 
-        payload = self.cache.fetch_artifact(key, STAGE_ASSIGN)
-        if payload is None:
-            return None
-        try:
+        def decode(entry: dict[str, Any]) -> PathAssignment:
             paths = {
                 str(name): [int(n) for n in path]
-                for name, path in payload["paths"]
+                for name, path in entry["payload"]["paths"]
             }
-            assignment = PathAssignment(topology, dict(endpoints), paths)
-        except (KeyError, TypeError, ValueError, ReproError):
-            return None
-        self.record_assignment(assignment)
-        return assignment
+            return PathAssignment(topology, dict(endpoints), paths)
 
-    def store_assignment(self, key: str, assignment: "PathAssignment") -> None:
-        self.cache.store_artifact(
-            key, STAGE_ASSIGN, {"paths": _assignment_content(assignment)}
-        )
-        self.record_assignment(assignment)
+        return self.cache.get(key, ("artifact",), decode, STAGE_ASSIGN)
 
-    def record_assignment(self, assignment: "PathAssignment") -> None:
-        self.assignment_digest = _digest(_assignment_content(assignment))
+    def store_assignment(self, key: str, assignment: PathAssignment) -> None:
+        paths = [
+            [name, list(assignment.path(name))] for name in assignment.messages
+        ]
+        self._put(key, STAGE_ASSIGN, {"paths": paths})
 
     # -- per-subset interval allocation + scheduling ----------------------
 
     def subset_key(
         self,
         bounds: "TimeBoundSet",
-        assignment: "PathAssignment",
+        assignment: PathAssignment,
         subset: tuple[str, ...],
         index: int,
     ) -> str:
@@ -291,10 +255,9 @@ class DeltaState:
         between them) consume: the interval lengths, and per member its
         duration, activity row and path links.  The resolved backend
         name is included (different solvers may legitimately pick
-        different optima); the perf-only ``lp_batch``/``lp_warm_start``
-        knobs are not (batched and warm-started solves are
-        byte-identical).  ``index`` pins the error metadata
-        (``subset_index``) of negative artifacts.
+        different optima); the perf-only ``lp_warm_start`` knob is not
+        (warm-started solves are byte-identical).  ``index`` pins the
+        error metadata (``subset_index``) of negative artifacts.
         """
         messages = []
         for name in subset:
@@ -321,65 +284,53 @@ class DeltaState:
 
     def fetch_subset(
         self, key: str, subset: tuple[str, ...]
-    ) -> "tuple[IntervalAllocation, dict[int, IntervalSchedule]] | None":
+    ) -> SubsetOutcome | None:
         """Replay one subset's stored outcome.
 
         Returns the (allocation, interval schedules) pair on a success
-        hit, ``None`` on a miss or stale payload — and **raises** the
-        recorded :class:`~repro.errors.SchedulingError` on a negative
-        hit, exactly as the live feedback loop would, so the compiler's
-        retry machinery replays byte-identically.
+        hit, ``None`` on a miss — and **raises** the recorded
+        :class:`~repro.errors.SchedulingError` on a negative hit,
+        exactly as the live feedback loop would, so the compiler's retry
+        machinery replays byte-identically.
         """
-        from repro.cache.store import entry_to_error
-        from repro.core.interval_allocation import IntervalAllocation
-        from repro.core.interval_scheduling import (
-            FeasibleSetSlot,
-            IntervalSchedule,
-        )
 
-        payload = self.cache.fetch_artifact(key, STAGE_INTERVAL)
-        if payload is None:
-            return None
-        try:
+        def decode(entry: dict[str, Any]) -> SubsetOutcome | SchedulingError:
+            payload = entry["payload"]
             if payload.get("outcome") == "failure":
-                error = entry_to_error(payload["error"])
-            else:
-                allocation = IntervalAllocation(
-                    subset=subset,
-                    allocation={
-                        (str(name), int(k)): float(t)
-                        for name, k, t in payload["cells"]
-                    },
-                    load_factor=float(payload["load_factor"]),
+                return entry_to_error(payload["error"])
+            allocation = IntervalAllocation(
+                subset=subset,
+                allocation={
+                    (str(name), int(k)): float(t)
+                    for name, k, t in payload["cells"]
+                },
+                load_factor=float(payload["load_factor"]),
+            )
+            schedules = {
+                int(k): IntervalSchedule(
+                    interval=int(k),
+                    slots=tuple(
+                        FeasibleSetSlot(
+                            messages=frozenset(str(m) for m in slot_messages),
+                            duration=float(duration),
+                        )
+                        for slot_messages, duration in slots
+                    ),
                 )
-                schedules = {
-                    int(k): IntervalSchedule(
-                        interval=int(k),
-                        slots=tuple(
-                            FeasibleSetSlot(
-                                messages=frozenset(
-                                    str(m) for m in slot_messages
-                                ),
-                                duration=float(duration),
-                            )
-                            for slot_messages, duration in slots
-                        ),
-                    )
-                    for k, slots in payload["schedules"]
-                }
-        except (KeyError, TypeError, ValueError):
-            return None
-        if payload.get("outcome") == "failure":
-            self.subset_keys.append(key)
-            raise error
-        self.subset_keys.append(key)
-        return allocation, schedules
+                for k, slots in payload["schedules"]
+            }
+            return allocation, schedules
+
+        hit = self.cache.get(key, ("artifact",), decode, STAGE_INTERVAL)
+        if isinstance(hit, SchedulingError):
+            raise hit
+        return hit
 
     def store_subset(
         self,
         key: str,
-        allocation: "IntervalAllocation",
-        schedules: "Mapping[int, IntervalSchedule]",
+        allocation: IntervalAllocation,
+        schedules: Mapping[int, IntervalSchedule],
     ) -> None:
         payload = {
             "outcome": "success",
@@ -398,50 +349,12 @@ class DeltaState:
                 for k, schedule in schedules.items()
             ],
         }
-        self.cache.store_artifact(key, STAGE_INTERVAL, payload)
-        self.subset_keys.append(key)
+        self._put(key, STAGE_INTERVAL, payload)
 
-    def store_subset_failure(self, key: str, error: "SchedulingError") -> None:
+    def store_subset_failure(self, key: str, error: SchedulingError) -> None:
         """Record a negative artifact replaying the exact stage error."""
-        from repro.cache.store import error_to_entry
-
-        self.cache.store_artifact(
+        self._put(
             key,
             STAGE_INTERVAL,
             {"outcome": "failure", "error": error_to_entry(error)},
-        )
-        self.subset_keys.append(key)
-
-    # -- the assembled schedule ------------------------------------------
-
-    def schedule_key(self) -> str:
-        """Artifact key of the final Omega for this attempt's artifacts."""
-        return artifact_key(
-            STAGE_SCHEDULE,
-            {
-                "bounds": self.bounds_digest,
-                "assignment": self.assignment_digest,
-                "subsets": list(self.subset_keys),
-            },
-        )
-
-    def fetch_schedule(self, key: str) -> "CommunicationSchedule | None":
-        from repro.core.io import schedule_from_dict
-        from repro.errors import ReproError
-
-        payload = self.cache.fetch_artifact(key, STAGE_SCHEDULE)
-        if payload is None:
-            return None
-        try:
-            return schedule_from_dict(payload["schedule"])
-        except (KeyError, TypeError, ValueError, ReproError):
-            return None
-
-    def store_schedule(
-        self, key: str, schedule: "CommunicationSchedule"
-    ) -> None:
-        from repro.core.io import schedule_to_dict
-
-        self.cache.store_artifact(
-            key, STAGE_SCHEDULE, {"schedule": schedule_to_dict(schedule)}
         )

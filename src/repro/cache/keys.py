@@ -38,11 +38,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.base import Topology
 
 #: Version stamp baked into every key and every stored entry.
-#: ``/2``: perf-only solver knobs (``lp_batch``/``lp_warm_start``) are
-#: now elided from :func:`canonical_config` unconditionally — entries
-#: written under ``/1`` keys (which hashed non-default knob values)
-#: would otherwise shadow or miss the unified key space.
+#: ``/2``: ``perf``-role config fields (``lp_warm_start``) are elided
+#: from :func:`canonical_config` unconditionally — entries written under
+#: ``/1`` keys (which hashed non-default knob values) would otherwise
+#: shadow or miss the unified key space.
 CACHE_VERSION = "repro.cache/2"
+
+
+def content_digest(payload: Any) -> str:
+    """SHA-256 hex digest of a payload's canonical JSON: every key of
+    every namespace (schedule, diagnosis, artifact, warm scope) is one."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @functools.cache
@@ -125,13 +132,13 @@ def canonical_config(config: "CompilerConfig") -> dict[str, Any]:
     ``key("auto") == key(resolved)`` within one environment, which is
     what content addressing promises.
 
-    ``perf``-role knobs are elided **unconditionally**: batched and
-    warm-started solves are byte-identical to sequential cold ones
-    (pinned by the PR 7 property tests), so every knob combination must
-    hash to the same key.  Eliding only default values — the pre-``/2``
-    behaviour — fragmented the key space: a sweep run with
-    ``lp_batch=False`` could not reuse entries a default-config run had
-    already compiled, despite producing byte-identical schedules.
+    ``perf``-role knobs are elided **unconditionally**: warm-started
+    solves are byte-identical to cold ones (pinned by the PR 7 property
+    tests), so every knob combination must hash to the same key.
+    Eliding only default values — the pre-``/2`` behaviour — fragmented
+    the key space: a sweep run with ``lp_warm_start=True`` could not
+    reuse entries a default-config run had already compiled, despite
+    producing byte-identical schedules.
     """
     from repro.solvers import default_backend_name
 
@@ -143,24 +150,6 @@ def canonical_config(config: "CompilerConfig") -> dict[str, Any]:
     return fields
 
 
-def cache_key_payload(
-    timing: "TFGTiming",
-    topology: "Topology",
-    allocation: Mapping[str, int],
-    tau_in: float,
-    config: "CompilerConfig",
-) -> dict[str, Any]:
-    """The full canonical payload a key hashes (exposed for tests)."""
-    return {
-        "version": CACHE_VERSION,
-        "timing": canonical_timing(timing),
-        "topology": canonical_topology(topology),
-        "allocation": canonical_allocation(allocation),
-        "tau_in": float(tau_in),
-        "config": canonical_config(config),
-    }
-
-
 def schedule_cache_key(
     timing: "TFGTiming",
     topology: "Topology",
@@ -169,9 +158,16 @@ def schedule_cache_key(
     config: "CompilerConfig",
 ) -> str:
     """SHA-256 hex digest of the canonical compilation inputs."""
-    payload = cache_key_payload(timing, topology, allocation, tau_in, config)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return content_digest(
+        {
+            "version": CACHE_VERSION,
+            "timing": canonical_timing(timing),
+            "topology": canonical_topology(topology),
+            "allocation": canonical_allocation(allocation),
+            "tau_in": float(tau_in),
+            "config": canonical_config(config),
+        }
+    )
 
 
 def diagnosis_cache_key(
@@ -189,14 +185,14 @@ def diagnosis_cache_key(
     diagnosed under any config hits the same entry.  The ``"analysis"``
     marker keeps the key space disjoint from schedule keys.
     """
-    payload = {
-        "version": CACHE_VERSION,
-        "analysis": "diagnosis",
-        "timing": canonical_timing(timing),
-        "topology": canonical_topology(topology),
-        "allocation": canonical_allocation(allocation),
-        "tau_in": float(tau_in),
-        "sync_margin": float(sync_margin),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return content_digest(
+        {
+            "version": CACHE_VERSION,
+            "analysis": "diagnosis",
+            "timing": canonical_timing(timing),
+            "topology": canonical_topology(topology),
+            "allocation": canonical_allocation(allocation),
+            "tau_in": float(tau_in),
+            "sync_margin": float(sync_margin),
+        }
+    )

@@ -1,7 +1,7 @@
 """The schedule cache: an in-memory tier over an optional on-disk tier.
 
 Entries are JSON documents addressed by the content key of
-:mod:`repro.cache.keys`.  Three kinds exist:
+:mod:`repro.cache.keys`.  Four kinds exist:
 
 - ``"schedule"`` — a successful compilation: the serialized
   :class:`~repro.core.switching.CommunicationSchedule` (via
@@ -11,17 +11,20 @@ Entries are JSON documents addressed by the content key of
   :class:`~repro.errors.SchedulingError` a compilation raised, so the
   feasibility matrix's infeasible points also hit on warm runs instead
   of re-running the LPs just to fail identically;
+- ``"diagnosis"`` — a :class:`~repro.diagnose.Diagnosis` under a
+  :func:`~repro.cache.keys.diagnosis_cache_key`;
 - ``"artifact"`` — one pipeline stage's output under an artifact key
-  from :mod:`repro.cache.artifacts`, the unit of delta compilation.
-  Artifact traffic is counted in :attr:`CacheStats.stages` (per stage
-  name), never in the scalar schedule-level counters, so delta
-  recompiles don't skew schedule hit rates.
+  from :mod:`repro.cache.artifacts`, the unit of delta compilation,
+  counted per stage so delta recompiles don't skew schedule hit rates.
 
-:meth:`ScheduleCache.fetch` returns a rebuilt routing on a schedule hit,
-**raises** the reconstructed error on a failure hit, and returns ``None``
-on a miss.  Disk writes are atomic (temp file + ``os.replace``) so
-parallel matrix workers sharing one cache directory never observe a
-torn entry; entries with an unknown format version or unparsable JSON
+Every kind goes through :meth:`ScheduleCache.get` and
+:meth:`ScheduleCache.put`, so all count, bound and invalidate the same
+way.  :meth:`ScheduleCache.fetch`, the schedule codec over that pair,
+returns a rebuilt routing on a schedule hit, **raises** the
+reconstructed error on a failure hit, and returns ``None`` on a miss.
+Disk writes are atomic (temp file + ``os.replace``) so parallel matrix
+workers sharing one cache directory never observe a torn entry; entries
+of an unknown format version, unparsable, or rejected by their decoder
 are dropped and counted as invalidations.
 
 Behind a disk tier the memory tier is a bounded LRU (a long-lived serve
@@ -38,7 +41,7 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
 from repro.cache.keys import CACHE_VERSION
 from repro.core.assignment import PathAssignment
@@ -48,6 +51,7 @@ from repro.core.utilization import utilization_report
 from repro.errors import (
     IntervalAllocationError,
     IntervalSchedulingError,
+    ReproError,
     SchedulingError,
     StaticallyRefutedError,
     UtilizationExceededError,
@@ -57,45 +61,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiler import ScheduledRouting
     from repro.topology.base import Topology
 
+T = TypeVar("T")
+
+
+#: The scope of schedule, failure and diagnosis entries (an artifact's is
+#: its stage name).
+SCHEDULE_SCOPE = "schedule"
+
 
 @dataclass
 class CacheStats:
-    """Hit/miss/store/invalidation counters of one cache instance."""
+    """Event counters of one cache instance: ``scope -> event -> count``.
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    invalidations: int = 0
-    #: Per-stage artifact counters of the delta-compilation tier, keyed
-    #: ``stage name -> {"hits" | "misses" | "stores": int}``.  Kept
-    #: separate from the scalar schedule-level counters above so
-    #: artifact traffic never skews schedule hit rates (which CI gates
-    #: on for the matrix and serve load tests).
-    stages: dict[str, dict[str, int]] = field(default_factory=dict)
+    A scope is :data:`SCHEDULE_SCOPE` or an artifact stage name, so
+    artifact traffic never skews the schedule-level hit rate (which CI
+    gates on for the matrix and serve load tests).  :meth:`as_dict`
+    renders the schedule scope as top-level members and every other
+    scope under ``"stages"``.
+    """
 
-    #: The raw counter names (everything except the derived hit rate).
-    FIELDS = ("hits", "misses", "stores", "invalidations")
-    #: Counter names tracked per artifact stage.
-    STAGE_FIELDS = ("hits", "misses", "stores")
+    counts: dict[str, dict[str, int]] = field(default_factory=dict)
+
+    #: The events a scope counts; ``"stages"`` rows render the first three.
+    EVENTS = ("hits", "misses", "stores", "invalidations")
+
+    def count(self, scope: str, event: str, n: int = 1) -> None:
+        """Add ``n`` to one counter (the scope's row is auto-created)."""
+        row = self.counts.setdefault(scope, dict.fromkeys(self.EVENTS, 0))
+        row[event] += n
+
+    def _schedule(self, event: str) -> int:
+        return self.counts.get(SCHEDULE_SCOPE, {}).get(event, 0)
+
+    hits = property(lambda self: self._schedule("hits"))
+    misses = property(lambda self: self._schedule("misses"))
+    stores = property(lambda self: self._schedule("stores"))
 
     @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
+    def invalidations(self) -> int:
+        """Entries dropped as torn, old-format or undecodable, any scope."""
+        return sum(row["invalidations"] for row in self.counts.values())
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def stage(self, name: str) -> dict[str, int]:
-        """The (auto-created) counter dict of one artifact stage."""
-        return self.stages.setdefault(
-            name, {event: 0 for event in self.STAGE_FIELDS}
-        )
-
-    def record_stage(self, name: str, event: str) -> None:
-        """Count one artifact-stage ``"hits"``/``"misses"``/``"stores"``."""
-        self.stage(name)[event] += 1
+        """Fraction of schedule lookups served from the cache (0 when unused)."""
+        hits, misses = self._schedule("hits"), self._schedule("misses")
+        return hits / (hits + misses) if hits + misses else 0.0
 
     def as_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -105,102 +116,80 @@ class CacheStats:
             "invalidations": self.invalidations,
             "hit_rate": round(self.hit_rate, 4),
         }
-        if self.stages:
-            payload["stages"] = {
-                name: dict(counters)
-                for name, counters in sorted(self.stages.items())
-            }
+        stages = {
+            scope: {event: row[event] for event in self.EVENTS[:3]}
+            for scope, row in sorted(self.counts.items())
+            if scope != SCHEDULE_SCOPE
+        }
+        if stages:
+            payload["stages"] = stages
         return payload
 
-    def snapshot(self) -> dict[str, Any]:
-        """The raw counters, for :meth:`since` deltas across a task."""
-        snap: dict[str, Any] = {
-            name: getattr(self, name) for name in self.FIELDS
-        }
-        snap["stages"] = {
-            name: dict(counters) for name, counters in self.stages.items()
-        }
-        return snap
+    def snapshot(self) -> dict[str, dict[str, int]]:
+        """A copy of the table, for :meth:`since` deltas across a task."""
+        return {scope: dict(row) for scope, row in self.counts.items()}
 
-    def since(self, before: Mapping[str, Any]) -> dict[str, Any]:
-        """Counter deltas relative to an earlier :meth:`snapshot`.
+    def since(
+        self, before: Mapping[str, Mapping[str, int]]
+    ) -> dict[str, dict[str, int]]:
+        """The rows that moved since an earlier :meth:`snapshot`.
 
         Worker processes ship these per-task deltas back to the parent
-        (matrix fan-out, serve farm), which :meth:`merge`\\ s them — so
-        aggregated totals sum correctly even when one long-lived worker
-        cache serves many tasks.  Stage counters ride along under
-        ``"stages"`` (omitted when no stage moved).
+        (serve farm), which :meth:`merge`\\ s them — so aggregated totals
+        sum correctly even when one long-lived worker cache serves many
+        tasks.
         """
-        delta: dict[str, Any] = {
-            name: getattr(self, name) - int(before.get(name, 0))
-            for name in self.FIELDS
-        }
-        before_stages: Mapping[str, Mapping[str, int]] = (
-            before.get("stages") or {}
-        )
-        stages: dict[str, dict[str, int]] = {}
-        for name, counters in self.stages.items():
-            prior = before_stages.get(name, {})
+        delta: dict[str, dict[str, int]] = {}
+        for scope, row in self.counts.items():
+            prior = before.get(scope, {})
             moved = {
-                event: counters.get(event, 0) - int(prior.get(event, 0))
-                for event in self.STAGE_FIELDS
+                event: n - int(prior.get(event, 0)) for event, n in row.items()
             }
             if any(moved.values()):
-                stages[name] = moved
-        if stages:
-            delta["stages"] = stages
+                delta[scope] = moved
         return delta
 
-    def merge(self, other: "CacheStats | Mapping[str, Any]") -> None:
-        """Add another instance's (or delta dict's) counters into this one."""
+    def merge(
+        self, other: "CacheStats | Mapping[str, Mapping[str, int]]"
+    ) -> None:
+        """Add another instance's (or :meth:`since` delta's) counters."""
         if isinstance(other, CacheStats):
-            other = other.snapshot()
-        for name in self.FIELDS:
-            setattr(self, name, getattr(self, name) + int(other.get(name, 0)))
-        stage_counts: Mapping[str, Mapping[str, int]] = (
-            other.get("stages") or {}
-        )
-        for name, counters in stage_counts.items():
-            mine = self.stage(name)
-            for event in self.STAGE_FIELDS:
-                mine[event] += int(counters.get(event, 0))
+            other = other.counts
+        for scope, row in other.items():
+            for event, n in row.items():
+                self.count(scope, event, int(n))
 
 
-def persist_cache_stats(
-    cache_dir: str | Path, stats: "Mapping[str, float | int] | CacheStats | None"
-) -> Path | None:
+def persist_cache_stats(cache_dir: str | Path, stats: CacheStats) -> Path:
     """Atomically write aggregated cache counters next to the entries.
 
     Both graceful-shutdown consumers of the compiler — the experiment
     matrix's ``jobs=N`` fan-out and the ``repro.serve`` worker pool —
     call this from their :class:`~repro.pool.GracefulPool` shutdown
     hooks, so even a SIGTERM-drained run leaves
-    ``<cache_dir>/cache-stats.json`` behind.  Returns the written path
-    (``None`` when there was nothing to persist).
+    ``<cache_dir>/cache-stats.json`` behind.  Returns the written path.
     """
-    if stats is None:
-        return None
-    if isinstance(stats, CacheStats):
-        stats = stats.as_dict()
-    directory = Path(cache_dir).expanduser()
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "cache-stats.json"
-    payload = dict(stats)
-    lookups = payload.get("hits", 0) + payload.get("misses", 0)
-    payload.setdefault(
-        "hit_rate",
-        round(payload.get("hits", 0) / lookups, 4) if lookups else 0.0,
+    path = Path(cache_dir).expanduser() / "cache-stats.json"
+    _write_atomic(path, stats.as_dict())
+    return path
+
+
+def _write_atomic(path: Path, document: Mapping[str, Any]) -> None:
+    """Write one JSON document via a sibling temp file + ``os.replace``,
+    so processes sharing the directory never observe a torn one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    blob = json.dumps(document, sort_keys=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name[:8]}-", suffix=".tmp"
     )
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stats-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, sort_keys=True)
+            handle.write(blob)
         os.replace(tmp, path)
-    except BaseException:  # pragma: no cover - cleanup path
-        if os.path.exists(tmp):
+    except BaseException:
+        if os.path.exists(tmp):  # pragma: no cover - cleanup path
             os.unlink(tmp)
         raise
-    return path
 
 
 #: ``solver_stats`` keys that report wall-clock measurements.  They are
@@ -410,68 +399,73 @@ class ScheduleCache:
         ):
             self._memory.popitem(last=False)
 
-    def _lookup(self, key: str) -> dict[str, Any] | None:
-        """The entry under ``key``: memory first, then disk."""
+    def get(
+        self,
+        key: str,
+        kinds: tuple[str, ...],
+        decode: Callable[[dict[str, Any]], T],
+        scope: str = SCHEDULE_SCOPE,
+    ) -> T | None:
+        """The decoded entry under ``key`` (memory first, then disk), or
+        ``None`` on a miss; counts one hit or miss under ``scope``.
+
+        An entry of another kind (or artifact stage than ``scope``) is
+        a miss, never replayed.  One of the right kind whose ``decode``
+        raises ``KeyError``/``TypeError``/``ValueError``/``ReproError``
+        is stale or damaged: it is dropped from both tiers, counted as
+        an invalidation and reported as a miss, so the caller recomputes
+        and overwrites it.
+        """
         entry = self._memory.get(key)
         if entry is None and self.directory is not None:
-            entry = self._read_disk(key)
-        if entry is not None:
-            self._remember(key, entry)
-        return entry
+            entry = self._read_disk(key, scope)
+        if (
+            entry is not None
+            and entry.get("kind") in kinds
+            and (entry["kind"] != "artifact" or entry.get("stage") == scope)
+        ):
+            try:
+                value = decode(entry)
+            except (KeyError, TypeError, ValueError, ReproError):
+                self._invalidate(key, scope)
+            else:
+                self._remember(key, entry)
+                self.stats.count(scope, "hits")
+                return value
+        self.stats.count(scope, "misses")
+        return None
+
+    def put(
+        self, key: str, entry: dict[str, Any], scope: str = SCHEDULE_SCOPE
+    ) -> None:
+        """Record ``entry`` in both tiers; counts one store under ``scope``."""
+        self._remember(key, entry)
+        self.stats.count(scope, "stores")
+        if self.directory is not None:
+            _write_atomic(self._disk_path(key), entry)
 
     def fetch(
         self, key: str, topology: "Topology | None" = None
     ) -> "ScheduledRouting | None":
         """Look up a key; see the module docstring for the contract."""
-        entry = self._lookup(key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        if entry.get("kind") not in ("schedule", "failure"):
-            # A diagnosis (or future) entry under a schedule key: a bug
-            # upstream, but never replay it as a compilation result.
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        if entry["kind"] == "failure":
-            raise entry_to_error(entry)
-        return entry_to_routing(entry, topology, key)
+
+        def decode(entry: dict[str, Any]) -> "ScheduledRouting | SchedulingError":
+            if entry["kind"] == "failure":
+                return entry_to_error(entry)
+            return entry_to_routing(entry, topology, key)
+
+        hit = self.get(key, ("schedule", "failure"), decode)
+        if isinstance(hit, SchedulingError):
+            raise hit
+        return hit
 
     def store(self, key: str, routing: "ScheduledRouting") -> None:
         """Record a successful compilation."""
-        self._put(key, routing_to_entry(routing))
+        self.put(key, routing_to_entry(routing))
 
     def store_failure(self, key: str, error: SchedulingError) -> None:
         """Record a compilation failure (negative caching)."""
-        self._put(key, error_to_entry(error))
-
-    def store_diagnosis(self, key: str, diagnosis: Any) -> None:
-        """Record a :class:`~repro.diagnose.Diagnosis` (positive or not).
-
-        Diagnosis entries use keys from
-        :func:`~repro.cache.keys.diagnosis_cache_key`, a key space
-        disjoint from schedule keys, so they never shadow a compiled
-        schedule.
-        """
-        self._put(
-            key,
-            {
-                "format": CACHE_VERSION,
-                "kind": "diagnosis",
-                "diagnosis": diagnosis.to_dict(),
-            },
-        )
-
-    def fetch_diagnosis(self, key: str) -> Any | None:
-        """Look up a stored diagnosis; ``None`` on miss or wrong kind."""
-        entry = self._lookup(key)
-        if entry is None or entry.get("kind") != "diagnosis":
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        from repro.diagnose.certificates import Diagnosis
-
-        return Diagnosis.from_dict(entry["diagnosis"])
+        self.put(key, error_to_entry(error))
 
     def contains(self, key: str) -> bool:
         """Whether a key is present in either tier.
@@ -487,66 +481,11 @@ class ScheduleCache:
             return self._disk_path(key).exists()
         return False
 
-    def fetch_artifact(self, key: str, stage: str) -> dict[str, Any] | None:
-        """Look up one stage artifact; ``None`` on miss or wrong kind.
-
-        Counts a per-stage hit or miss in :attr:`CacheStats.stages` and
-        never touches the scalar schedule-level counters.
-        """
-        entry = self._lookup(key)
-        if (
-            entry is None
-            or entry.get("kind") != "artifact"
-            or entry.get("stage") != stage
-        ):
-            self.stats.record_stage(stage, "misses")
-            return None
-        self.stats.record_stage(stage, "hits")
-        payload = entry.get("payload")
-        return payload if isinstance(payload, dict) else None
-
-    def store_artifact(
-        self, key: str, stage: str, payload: Mapping[str, Any]
-    ) -> None:
-        """Record one stage artifact (per-stage store counter only)."""
-        entry = {
-            "format": CACHE_VERSION,
-            "kind": "artifact",
-            "stage": stage,
-            "payload": dict(payload),
-        }
-        self._remember(key, entry)
-        self.stats.record_stage(stage, "stores")
-        self._write_disk(key, entry)
-
     def clear(self) -> None:
         """Drop the in-memory tier (disk entries stay)."""
         self._memory.clear()
 
-    def _put(self, key: str, entry: dict[str, Any]) -> None:
-        self._remember(key, entry)
-        self.stats.stores += 1
-        self._write_disk(key, entry)
-
-    def _write_disk(self, key: str, entry: dict[str, Any]) -> None:
-        if self.directory is None:
-            return
-        path = self._disk_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(entry, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):  # pragma: no cover - cleanup path
-                os.unlink(tmp)
-            raise
-
-    def _read_disk(self, key: str) -> dict[str, Any] | None:
+    def _read_disk(self, key: str, scope: str) -> dict[str, Any] | None:
         path = self._disk_path(key)
         if not path.exists():
             return None
@@ -556,10 +495,16 @@ class ScheduleCache:
             entry = None
         if not isinstance(entry, dict) or entry.get("format") != CACHE_VERSION:
             # Torn write, tampering, or a stale format: drop and count.
-            self.stats.invalidations += 1
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing unlink
-                pass
+            self._invalidate(key, scope)
             return None
         return entry
+
+    def _invalidate(self, key: str, scope: str) -> None:
+        """Drop ``key`` from both tiers and count it under ``scope``."""
+        self._memory.pop(key, None)
+        self.stats.count(scope, "invalidations")
+        if self.directory is not None:
+            try:
+                self._disk_path(key).unlink()
+            except OSError:  # pragma: no cover - racing unlink
+                pass

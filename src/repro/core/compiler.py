@@ -93,14 +93,6 @@ class CompilerConfig:
         :func:`repro.solvers.get_backend`): ``"auto"`` (default —
         scipy's HiGHS when available, the pure-Python reference simplex
         otherwise), ``"highs"`` or ``"reference"``.
-    lp_batch:
-        When True (default), the independent per-interval packing LPs
-        of interval scheduling are solved through the backend's
-        ``solve_batch`` — one block-diagonal HiGHS solve per
-        column-generation round instead of one solve per interval.
-        Verdicts and generated columns are identical either way; this
-        only changes solver wall time.  Perf-only: never part of cache
-        keys.
     lp_warm_start:
         When True, the backend caches optimal bases by problem
         structure and warm-starts structurally identical solves —
@@ -130,7 +122,6 @@ class CompilerConfig:
     sync_margin: float = field(default=0.0, metadata={"role": "hashed"})
     lp_backend: str = field(default="auto", metadata={"role": "hashed"})
     prescreen: bool = field(default=False, metadata={"role": "hashed"})
-    lp_batch: bool = field(default=True, metadata={"role": "perf"})
     lp_warm_start: bool = field(default=False, metadata={"role": "perf"})
 
 

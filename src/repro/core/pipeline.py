@@ -158,8 +158,6 @@ class CompilationContext:
         self.allocations = []
         self.interval_schedules = []
         self.schedule = None
-        if self.delta is not None:
-            self.delta.reset_attempt()
 
 
 @runtime_checkable
@@ -319,30 +317,13 @@ class LsdAssignmentStage:
             self.name,
             attempt=context.attempt_number,
             messages=len(context.endpoints),
-        ) as detail:
-            delta = context.delta
-            key: str | None = None
-            if delta is not None:
-                key = delta.lsd_assignment_key()
-                cached = delta.fetch_assignment(
-                    key, context.topology, context.endpoints
-                )
-                if cached is not None:
-                    detail["artifact"] = "hit"
-                    context.assignment = cached
-                    context.report = utilization_report(
-                        context.bounds, cached
-                    )
-                    return
+        ):
             context.assignment = lsd_assignment(
                 context.topology, context.endpoints
             )
             context.report = utilization_report(
                 context.bounds, context.assignment
             )
-            if delta is not None and key is not None:
-                detail["artifact"] = "store"
-                delta.store_assignment(key, context.assignment)
 
 
 class UtilizationGateStage:
@@ -464,7 +445,6 @@ class IntervalStage:
                     interval_allocation,
                     context.bounds.intervals.lengths,
                     backend=context.backend,
-                    batch=context.config.lp_batch,
                 )
                 return interval_allocation, schedules
             except IntervalSchedulingError as error:
@@ -490,23 +470,10 @@ class BuildScheduleStage:
         with context.profiler.stage(
             self.name, attempt=context.attempt_number
         ) as detail:
-            delta = context.delta
-            key: str | None = None
-            if delta is not None:
-                key = delta.schedule_key()
-                cached = delta.fetch_schedule(key)
-                if cached is not None:
-                    detail["artifact"] = "hit"
-                    detail["commands"] = cached.num_commands
-                    context.schedule = cached
-                    return
             context.schedule = build_schedule(
                 context.bounds, context.assignment, context.interval_schedules
             )
             detail["commands"] = context.schedule.num_commands
-            if delta is not None and key is not None:
-                detail["artifact"] = "store"
-                delta.store_schedule(key, context.schedule)
 
 
 #: Stages downstream of path assignment — shared by a fresh compile and

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.cache.keys import CACHE_VERSION, diagnosis_cache_key
 from repro.core.timebounds import TimeBoundSet, compute_time_bounds
 from repro.core.utilization import link_loads
 from repro.diagnose.certificates import (
@@ -222,12 +223,14 @@ def diagnose_instance(
     started = time.perf_counter()
     key: str | None = None
     if cache is not None:
-        from repro.cache.keys import diagnosis_cache_key
-
         key = diagnosis_cache_key(
             timing, topology, allocation, tau_in, sync_margin
         )
-        cached = cache.fetch_diagnosis(key)
+        cached = cache.get(
+            key,
+            ("diagnosis",),
+            lambda entry: Diagnosis.from_dict(entry["diagnosis"]),
+        )
         if cached is not None:
             return cached
     checks: list[str] = []
@@ -487,5 +490,12 @@ def _finish(
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
     if cache is not None and key is not None:
-        cache.store_diagnosis(key, diagnosis)
+        cache.put(
+            key,
+            {
+                "format": CACHE_VERSION,
+                "kind": "diagnosis",
+                "diagnosis": diagnosis.to_dict(),
+            },
+        )
     return diagnosis

@@ -73,10 +73,7 @@ class MatrixResult:
 
     @property
     def hit_rate(self) -> float:
-        if not self.cache_stats:
-            return 0.0
-        lookups = self.cache_stats["hits"] + self.cache_stats["misses"]
-        return self.cache_stats["hits"] / lookups if lookups else 0.0
+        return self.cache_stats["hit_rate"] if self.cache_stats else 0.0
 
     @property
     def statically_refuted(self) -> int:
@@ -157,7 +154,7 @@ def _matrix_cell(payload: tuple) -> tuple[int, str, dict | None]:
     verdict = _compile_point(
         tfg, topology, bandwidth, load, config, placed, cache, analyze
     )
-    stats = cache.stats.as_dict() if cache is not None else None
+    stats = cache.stats.snapshot() if cache is not None else None
     return index, verdict, stats
 
 
@@ -240,10 +237,8 @@ def run_feasibility_matrix(
         verdicts: list[str] = ["-"] * len(points)
         # A CacheStats accumulator (not a plain counter dict) so the
         # per-stage artifact counters each worker ships back merge
-        # alongside the scalar hit/miss totals.
-        totals: CacheStats | None = (
-            CacheStats() if cache_dir is not None else None
-        )
+        # alongside the schedule-level hit/miss totals.
+        totals = CacheStats()
         hooks = (
             [lambda: persist_cache_stats(cache_dir, totals)]
             if cache_dir is not None
@@ -257,10 +252,10 @@ def run_feasibility_matrix(
                     continue
                 index, verdict, stats = future.result()
                 verdicts[index] = verdict
-                if totals is not None and stats is not None:
+                if stats is not None:
                     totals.merge(stats)
             interrupted = pool.draining
-        cache_stats = totals.as_dict() if totals is not None else None
+        cache_stats = totals.as_dict() if cache_dir is not None else None
     else:
         cache_dir = (
             str(cache) if isinstance(cache, (str, Path)) else None
@@ -275,8 +270,8 @@ def run_feasibility_matrix(
             for topology, bandwidth, load in points
         ]
         cache_stats = cache.stats.as_dict() if cache is not None else None
-        if cache_dir is not None:
-            persist_cache_stats(cache_dir, cache_stats)
+        if cache is not None and cache_dir is not None:
+            persist_cache_stats(cache_dir, cache.stats)
 
     rows: list[MatrixRow] = []
     stride = len(loads)

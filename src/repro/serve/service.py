@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import json
 import shutil
 import tempfile
@@ -53,7 +52,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.diagnose.certificates import Diagnosis
 
-from repro.cache.keys import schedule_cache_key
+from repro.cache.keys import diagnosis_cache_key, schedule_cache_key
 from repro.cache.store import CacheStats, ScheduleCache, persist_cache_stats
 from repro.pool import GracefulPool
 from repro.serve import worker
@@ -152,8 +151,8 @@ class CompileService:
         self._spool_dir: Path | None = None
         self._inflight: dict[str, Job] = {}
         self._results: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        #: (setup, tau_in, schedule key) per instance identity; built
-        #: once in the event loop, then read-only from admission threads.
+        #: (setup, tau_in, schedule key) per request while its job is in
+        #: flight; touched on the event-loop thread alone.
         self._instances: dict[JobRequest, tuple[Any, float, str]] = {}
         self._admit_lock = Lock()
         self._tasks: set[asyncio.Task] = set()
@@ -238,15 +237,6 @@ class CompileService:
             self._trace("coalesce", flight)
             return flight
 
-        job = Job(
-            id=self.store.new_id(),
-            request=request,
-            key=self._instance(request)[2],
-        )
-        self.store.add(job)
-        job.add_event("enqueue", queue_depth=len(self._inflight))
-        self._trace("enqueue", job)
-
         done = self._results.get(signature)
         if done is not None and not self._memo_valid(done):
             # The backing cache entry vanished (cleared, pruned, or the
@@ -255,6 +245,17 @@ class CompileService:
             # memo and recompile.
             self._results.pop(signature, None)
             done = None
+
+        # A finished duplicate takes its key from the memo and builds nothing.
+        job = Job(
+            id=self.store.new_id(),
+            request=request,
+            key=done["key"] if done is not None else self._instance(request)[2],
+        )
+        self.store.add(job)
+        job.add_event("enqueue", queue_depth=len(self._inflight))
+        self._trace("enqueue", job)
+
         if done is not None:
             self.stats.fast_hits += 1
             job.result = done.get("result")
@@ -272,14 +273,9 @@ class CompileService:
         return job
 
     def _instance(self, request: JobRequest) -> tuple[Any, float, str]:
-        """Memoized (setup, tau_in, schedule key) for a request.
-
-        Keyed on the request with ``kind`` normalized away: compile,
-        check and diagnose requests for the same point share one built
-        instance and one content key.
-        """
-        identity = dataclasses.replace(request, kind="compile")
-        entry = self._instances.get(identity)
+        """(setup, tau_in, schedule key) for a request, built once per
+        flight: single-flight dedup means one job owns each entry."""
+        entry = self._instances.get(request)
         if entry is None:
             setup = request.build()
             tau_in = setup.tau_in_for_load(request.load)
@@ -290,7 +286,7 @@ class CompileService:
                 tau_in,
                 request.compiler_config(),
             )
-            entry = self._instances[identity] = (setup, tau_in, key)
+            entry = self._instances[request] = (setup, tau_in, key)
         return entry
 
     # -- job execution ---------------------------------------------------
@@ -310,12 +306,15 @@ class CompileService:
     async def _admit_and_dispatch(self, job: Job) -> None:
         request = job.request
         if self.config.admission and request.kind != "diagnose":
-            diagnosis = await asyncio.to_thread(self._admit, request)
+            setup, tau_in, _key = self._instance(request)
+            diagnosis = await asyncio.to_thread(
+                self._admit, request, setup, tau_in
+            )
             if diagnosis.refuted:
                 job.result = {
                     "feasible": False,
                     "verdict": "REF",
-                    "tau_in": self._instance(request)[1],
+                    "tau_in": tau_in,
                     "diagnosis": diagnosis.to_dict(),
                 }
                 self.stats.rejected += 1
@@ -363,7 +362,9 @@ class CompileService:
         job.transition(JOB_DONE, verdict=result.get("verdict"))
         self._trace("complete", job)
 
-    def _admit(self, request: JobRequest) -> "Diagnosis":
+    def _admit(
+        self, request: JobRequest, setup: Any, tau_in: float
+    ) -> "Diagnosis":
         """Admission fast path (thread-side): statically diagnose.
 
         Serialized by a lock — diagnoses are millisecond-cheap, and the
@@ -374,7 +375,6 @@ class CompileService:
         """
         from repro.diagnose.instance import diagnose_instance
 
-        setup, tau_in, _key = self._instance(request)
         with self._admit_lock:
             return diagnose_instance(
                 setup.timing,
@@ -391,18 +391,22 @@ class CompileService:
         Each entry records the cache key backing the outcome
         (``backing``), so :meth:`_memo_valid` can later check that the
         shared cache still holds that entry before answering from the
-        memo — invalidating the cache invalidates the memo with it.
+        memo — invalidating the cache invalidates the memo with it —
+        and the job's ``key``, so a duplicate answered from the memo
+        builds no instance.  The flight's own instance is dropped here
+        (kept, it was the daemon's one unbounded structure).
         """
-        if not job.terminal:
-            return
-        self._results[signature] = {
-            "state": job.state,
-            "result": job.result,
-            "error": job.error,
-            "backing": self._backing_key(job),
-        }
-        while len(self._results) > self.config.history_limit:
-            self._results.popitem(last=False)
+        if job.terminal:
+            self._results[signature] = {
+                "state": job.state,
+                "result": job.result,
+                "error": job.error,
+                "key": job.key,
+                "backing": self._backing_key(job),
+            }
+            while len(self._results) > self.config.history_limit:
+                self._results.popitem(last=False)
+        self._instances.pop(job.request, None)
 
     def _backing_key(self, job: Job) -> str | None:
         """The shared-cache key whose entry vouches for this outcome.
@@ -415,8 +419,6 @@ class CompileService:
         outcomes whose entry never landed in the cache (a worker stub
         or a cache-less execution path cannot go stale).
         """
-        from repro.cache.keys import diagnosis_cache_key
-
         request = job.request
         key: str | None = None
         if job.state == JOB_DONE and request.kind in ("compile", "check"):

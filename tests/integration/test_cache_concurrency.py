@@ -85,7 +85,9 @@ def test_concurrent_readers_never_see_torn_entries(tmp_path):
             total_reads[kind] += n
     assert total_reads["torn"] == 0
     assert total_reads["failure"] > 0  # readers did overlap live entries
-    assert sum(s["stores"] for s in write_stats) == 2 * 30 * len(KEYS)
+    assert sum(
+        s["schedule"]["stores"] for s in write_stats
+    ) == 2 * 30 * len(KEYS)
     # Every key settled to a complete, parseable entry.
     final = ScheduleCache(cache_dir)
     for key in KEYS:

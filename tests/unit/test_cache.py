@@ -19,6 +19,12 @@ from repro.errors import SchedulingError, UtilizationExceededError
 CONFIG = CompilerConfig(seed=0, max_paths=16, max_restarts=2, retries=1)
 
 
+def artifact_entry(stage, payload):
+    """The envelope ``DeltaState`` puts around one stage's payload."""
+    return {"format": CACHE_VERSION, "kind": "artifact", "stage": stage,
+            "payload": payload}
+
+
 def compile_small(setup, load=0.5, cache=None, config=CONFIG):
     return compile_schedule(
         setup.timing,
@@ -93,6 +99,20 @@ class TestDiskTier:
         assert kinds.count("schedule") == 1
         assert kinds.count("artifact") == len(entries) - 1
         assert len(entries) > 1
+
+    def test_omega_is_serialised_once(self, tmp_path):
+        """A cached cold compile writes the schedule entry and no second
+        copy of Omega beside it (its replay lost to re-assembly)."""
+        from repro.experiments.setup import standard_setup
+        from repro.tfg import dvb_tfg
+        from repro.topology import make_topology
+
+        setup = standard_setup(dvb_tfg(5), make_topology("hypercube6"), 128)
+        compile_small(setup, cache=ScheduleCache(tmp_path))
+        assert sum(
+            '"schedule": {' in path.read_text()
+            for path in tmp_path.rglob("*.json")
+        ) == 1
 
     def test_stale_format_invalidated_and_recompiled(
         self, small_setup, tmp_path
@@ -288,7 +308,6 @@ class TestKeyScheme:
             name for name, role in roles.items() if role == "hashed"
         }
         fields = canonical_config(CompilerConfig())
-        assert "lp_batch" not in fields
         assert "lp_warm_start" not in fields
         assert "seed" in fields
 
@@ -354,9 +373,7 @@ class TestKeyScheme:
         assert schedule_cache_key(*instance(), reference) == pinned
         assert schedule_cache_key(
             *instance(),
-            dataclasses.replace(
-                reference, lp_batch=False, lp_warm_start=True
-            ),
+            dataclasses.replace(reference, lp_warm_start=True),
         ) == pinned
         assert schedule_cache_key(
             *instance(), dataclasses.replace(reference, seed=1)
@@ -366,6 +383,58 @@ class TestKeyScheme:
         assert diagnosis_cache_key(*instance()) == (
             "541bedbdf4edf026f6ac301cb1573b87ba3768c7e122484b3fc2d577689db809"
         )
+
+    def test_entries_are_pinned_across_commits(self, tmp_path):
+        """Literal digests of every kind of entry a compile, a refused
+        compile and a diagnosis leave on disk (the reference backend, so
+        no HiGHS build moves them): key and bytes, per kind."""
+        import hashlib
+
+        from repro.diagnose.instance import diagnose_instance
+        from repro.errors import IntervalAllocationError
+        from repro.experiments.setup import standard_setup
+        from repro.tfg import dvb_tfg
+        from repro.topology import make_topology
+
+        config = CompilerConfig(lp_backend="reference", retries=0)
+        cache = ScheduleCache(tmp_path)
+        good = standard_setup(dvb_tfg(5), make_topology("hypercube6"), 128)
+        instance = (
+            good.timing, good.topology, good.allocation,
+            good.tau_in_for_load(0.5),
+        )
+        compile_schedule(*instance, config, cache=cache)
+        diagnose_instance(*instance, cache=cache)
+        bad = standard_setup(dvb_tfg(3), make_topology("torus4x4x4"), 64)
+        with pytest.raises(IntervalAllocationError):
+            compile_schedule(
+                bad.timing, bad.topology, bad.allocation,
+                bad.tau_in_for_load(0.7), config, cache=cache,
+            )
+
+        groups: dict[str, list[str]] = {}
+        for path in sorted(tmp_path.rglob("*.json")):
+            entry = json.loads(path.read_text())
+            if entry["kind"] == "diagnosis":
+                entry["diagnosis"]["elapsed_ms"] = 0.0  # its one wall clock
+            group = entry["stage"] if entry["kind"] == "artifact" else entry["kind"]
+            groups.setdefault(group, []).append(
+                f"{path.stem}:{json.dumps(entry, sort_keys=True)}"
+            )
+        assert {
+            group: (
+                len(lines),
+                hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16],
+            )
+            for group, lines in groups.items()
+        } == {
+            "schedule": (1, "590eabec7678818e"),
+            "failure": (1, "f06ec29ec9acb605"),
+            "diagnosis": (1, "3dfba69466537831"),
+            "assign-paths": (2, "f182422678970d31"),
+            # Nine positive and one negative (the refused subset).
+            "allocate+schedule": (10, "4624faf97d3e7e99"),
+        }
 
     def test_backend_choice_perturbs_key(self, small_setup):
         # Different LP engines may pick different (equally valid)
@@ -529,17 +598,20 @@ class TestMemoryTierBound:
             small_setup.allocation, small_setup.tau_in_for_load(0.5),
         )
         cache = ScheduleCache(tmp_path)
+        entry = {"format": CACHE_VERSION, "kind": "diagnosis",
+                 "diagnosis": diagnosis.to_dict()}
         for i in range(self.CAP + 50):
-            cache.store_artifact(f"a{i:063x}", "stage", {"i": i})
-            cache.store_diagnosis(f"d{i:063x}", diagnosis)
+            cache.put(f"a{i:063x}", artifact_entry("stage", {"i": i}), "stage")
+            cache.put(f"d{i:063x}", entry)
             assert len(cache) <= self.CAP
         # Evicted long ago; both kinds come back from disk, then count
         # against the bound like any other entry.
-        assert cache.fetch_artifact(f"a{0:063x}", "stage") == {"i": 0}
-        assert (
-            cache.fetch_diagnosis(f"d{0:063x}").to_dict()
-            == diagnosis.to_dict()
-        )
+        assert cache.get(
+            f"a{0:063x}", ("artifact",), lambda e: e["payload"], "stage"
+        ) == {"i": 0}
+        assert cache.get(
+            f"d{0:063x}", ("diagnosis",), lambda e: e["diagnosis"]
+        ) == diagnosis.to_dict()
         assert len(cache) == self.CAP
 
     def test_compile_through_a_tiny_tier_still_replays(
@@ -551,7 +623,7 @@ class TestMemoryTierBound:
         fresh = compile_small(small_setup, cache=cache)
         assert len(list(tmp_path.rglob("*.json"))) >= 4
         for i in range(self.CAP):  # push the compile's entries out
-            cache.store_artifact(f"f{i:063x}", "stage", {})
+            cache.put(f"f{i:063x}", artifact_entry("stage", {}), "stage")
         warm = compile_small(small_setup, cache=cache)
         assert warm.extra["cache"]["hit"] is True
         assert self.digest(warm) == self.digest(fresh)

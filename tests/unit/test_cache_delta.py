@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 
@@ -9,21 +10,23 @@ import pytest
 
 from repro.cache import (
     CACHE_VERSION,
+    CacheStats,
     ScheduleCache,
     artifact_key,
     schedule_cache_key,
 )
 from repro.cache.store import routing_to_entry
 from repro.core.compiler import CompilerConfig, compile_schedule
+from repro.diagnose.instance import diagnose_instance
 from repro.errors import SchedulingError
 from repro.experiments import standard_setup
 from repro.tfg.graph import build_tfg
 from repro.topology import binary_hypercube
 
 CONFIG = CompilerConfig(seed=0, max_paths=16, max_restarts=2, retries=1)
-#: Both assignment stages keep their artifact under their own key: the
-#: heuristic's (``assignment_key``) and the LSD->MSD baseline's
-#: (``lsd_assignment_key``; over HTTP: ``{"use_assign_paths": false}``).
+#: The heuristic keeps its artifact (``assignment_key``); the LSD->MSD
+#: baseline (over HTTP: ``{"use_assign_paths": false}``) is a closed form
+#: that always recomputes.  Delta compilation must hold under both.
 both_assignment_stages = pytest.mark.parametrize(
     "config",
     [CONFIG, dataclasses.replace(CONFIG, use_assign_paths=False)],
@@ -46,6 +49,19 @@ def diamond_setup(cube3, b_size=1280.0, bandwidth=64.0):
     return standard_setup(tfg, cube3, bandwidth=bandwidth)
 
 
+def refused_setup():
+    """A chain whose sequential placement overloads one 3-cube link."""
+    from repro.mapping import sequential_allocation
+    from repro.tfg.synth import chain_tfg
+
+    return standard_setup(
+        chain_tfg(4, ops=400.0, size_bytes=1280.0),
+        binary_hypercube(3),
+        bandwidth=64.0,
+        allocator=sequential_allocation,
+    )
+
+
 def compile_with(setup, cache, load=0.5, config=CONFIG):
     return compile_schedule(
         setup.timing,
@@ -57,6 +73,29 @@ def compile_with(setup, cache, load=0.5, config=CONFIG):
     )
 
 
+def normalised(entry):
+    """An entry minus what a replaying recompile legitimately moves: LP
+    tallies (fewer solves) and a diagnosis' wall clock."""
+    entry = json.loads(json.dumps(entry))
+    entry.pop("solver_stats", None)
+    entry.get("diagnosis", {}).pop("elapsed_ms", None)
+    return entry
+
+
+def group_of(entry):
+    return entry["stage"] if entry["kind"] == "artifact" else entry["kind"]
+
+
+#: Per kind of entry: one member whose loss its decoder cannot survive.
+DAMAGE = {
+    "schedule": lambda e: e["schedule"].pop("tau_in"),
+    "failure": lambda e: e.pop("message"),
+    "diagnosis": lambda e: e["diagnosis"].pop("tau_in"),
+    "assign-paths": lambda e: e["payload"].pop("paths"),
+    "allocate+schedule": lambda e: e["payload"].pop("cells"),
+}
+
+
 def stripped_entry(routing):
     """Canonical entry minus solver tallies (delta runs solve fewer LPs)."""
     entry = routing_to_entry(routing)
@@ -64,30 +103,44 @@ def stripped_entry(routing):
     return entry
 
 
+def put_artifact(cache, key, stage, payload):
+    """``DeltaState``'s envelope around one stage's payload."""
+    entry = {"format": CACHE_VERSION, "kind": "artifact", "stage": stage,
+             "payload": payload}
+    cache.put(key, entry, stage)
+
+
+def get_artifact(cache, key, stage):
+    return cache.get(key, ("artifact",), lambda e: e["payload"], stage)
+
+
 class TestArtifactStore:
     def test_roundtrip(self, tmp_path):
         cache = ScheduleCache(tmp_path)
         key = artifact_key("demo", {"input": 1})
-        assert cache.fetch_artifact(key, "demo") is None
-        cache.store_artifact(key, "demo", {"value": [1, 2, 3]})
-        assert cache.fetch_artifact(key, "demo") == {"value": [1, 2, 3]}
+        assert get_artifact(cache, key, "demo") is None
+        put_artifact(cache, key, "demo", {"value": [1, 2, 3]})
+        assert get_artifact(cache, key, "demo") == {"value": [1, 2, 3]}
         # Survives a fresh cache object over the same directory.
-        assert ScheduleCache(tmp_path).fetch_artifact(key, "demo") == {
+        assert get_artifact(ScheduleCache(tmp_path), key, "demo") == {
             "value": [1, 2, 3]
         }
 
     def test_stage_mismatch_misses(self, tmp_path):
         cache = ScheduleCache(tmp_path)
         key = artifact_key("demo", {"input": 1})
-        cache.store_artifact(key, "demo", {"value": 1})
-        assert cache.fetch_artifact(key, "other") is None
+        put_artifact(cache, key, "demo", {"value": 1})
+        assert get_artifact(cache, key, "other") is None
+        # Another stage's (or kind's) entry is a miss, not a stale one.
+        assert cache.fetch(key) is None
+        assert cache.stats.invalidations == 0 and cache.contains(key)
 
     def test_counters_are_per_stage_only(self, tmp_path):
         cache = ScheduleCache(tmp_path)
         key = artifact_key("demo", {"input": 1})
-        cache.fetch_artifact(key, "demo")
-        cache.store_artifact(key, "demo", {"value": 1})
-        cache.fetch_artifact(key, "demo")
+        get_artifact(cache, key, "demo")
+        put_artifact(cache, key, "demo", {"value": 1})
+        get_artifact(cache, key, "demo")
         stats = cache.stats.as_dict()
         assert stats["hits"] == 0 and stats["misses"] == 0
         assert stats["stores"] == 0
@@ -99,7 +152,7 @@ class TestArtifactStore:
         cache = ScheduleCache(tmp_path)
         key = artifact_key("demo", {"input": 1})
         assert not cache.contains(key)
-        cache.store_artifact(key, "demo", {"value": 1})
+        put_artifact(cache, key, "demo", {"value": 1})
         assert cache.contains(key)
         assert ScheduleCache(tmp_path).contains(key)  # disk tier
         stats = cache.stats.as_dict()
@@ -116,7 +169,25 @@ class TestDeltaCompile:
         stages = stats["stages"]
         assert stages["assign-paths"]["stores"] == 1
         assert stages["allocate+schedule"]["stores"] == 4
-        assert stages["build-schedule"]["stores"] == 1
+
+    @both_assignment_stages
+    def test_artifact_census(self, cube3, tmp_path, config):
+        """What a cold compile leaves on disk beside the schedule entry:
+        one artifact per memoised stage run, nothing for the rest."""
+        routing = compile_with(
+            diamond_setup(cube3), ScheduleCache(tmp_path), config=config
+        )
+        entries = [
+            json.loads(p.read_text()) for p in tmp_path.rglob("*.json")
+        ]
+        census = collections.Counter(
+            e["stage"] for e in entries if e["kind"] == "artifact"
+        )
+        expected = {"allocate+schedule": len(routing.subsets)}
+        if config.use_assign_paths:
+            expected["assign-paths"] = 1
+        assert census == expected
+        assert len(entries) == sum(expected.values()) + 1
 
     @both_assignment_stages
     def test_full_prefix_replay_after_monolithic_loss(
@@ -135,10 +206,8 @@ class TestDeltaCompile:
         stats = reopened.stats.as_dict()
         assert stats["hits"] == 0 and stats["misses"] == 1
         stages = stats["stages"]
-        for name in ("assign-paths", "allocate+schedule", "build-schedule"):
-            assert stages[name]["misses"] == 0, name
+        assert all(row["misses"] == 0 for row in stages.values()), stages
         assert stages["allocate+schedule"]["hits"] == 4
-        assert stages["build-schedule"]["hits"] == 1
         assert stripped_entry(warm) == stripped_entry(fresh)
 
     @both_assignment_stages
@@ -159,15 +228,7 @@ class TestDeltaCompile:
         assert stripped_entry(delta) == stripped_entry(cold)
 
     def test_negative_subset_artifact_replays_failure(self, tmp_path):
-        from repro.mapping import sequential_allocation
-        from repro.tfg.synth import chain_tfg
-
-        setup = standard_setup(
-            chain_tfg(4, ops=400.0, size_bytes=1280.0),
-            binary_hypercube(3),
-            bandwidth=64.0,
-            allocator=sequential_allocation,
-        )
+        setup = refused_setup()
         with pytest.raises(SchedulingError) as first:
             compile_with(setup, ScheduleCache(tmp_path))
         # Drop the monolithic negative entry; the stored per-stage
@@ -183,6 +244,73 @@ class TestDeltaCompile:
         assert type(second.value) is type(first.value)
         assert str(second.value) == str(first.value)
         assert second.value.stage == first.value.stage
+
+    @pytest.mark.parametrize("group", DAMAGE)
+    def test_damaged_entry_degrades_to_one_recompile(
+        self, cube3, tmp_path, group
+    ):
+        """A parsable entry with one member gone is an invalidated miss:
+        the caller recomputes, gets the fault-free result, and leaves the
+        good entry behind (a ``schedule`` one used to raise ``KeyError``
+        on every compile of its instance)."""
+        setup = refused_setup() if group == "failure" else diamond_setup(cube3)
+        args = (
+            setup.timing, setup.topology, setup.allocation,
+            setup.tau_in_for_load(0.5),
+        )
+
+        def outcome(cache):
+            if group == "diagnosis":
+                diagnosis = diagnose_instance(*args, cache=cache)
+                return normalised({"diagnosis": diagnosis.to_dict()})
+            try:
+                return stripped_entry(
+                    compile_schedule(*args, CONFIG, cache=cache)
+                )
+            except SchedulingError as error:
+                return type(error), str(error)
+
+        expected = outcome(ScheduleCache(tmp_path))
+        on_disk = {
+            path: json.loads(path.read_text())
+            for path in sorted(tmp_path.rglob("*.json"))
+        }
+        victim, good = next(
+            (path, entry) for path, entry in on_disk.items()
+            if group_of(entry) == group
+        )
+        if good["kind"] == "artifact":
+            # Reach the artifact tier: lose the monolithic entry above it.
+            next(
+                path for path, entry in on_disk.items()
+                if entry["kind"] == "schedule"
+            ).unlink()
+        damaged = json.loads(victim.read_text())
+        DAMAGE[group](damaged)
+        victim.write_text(json.dumps(damaged, sort_keys=True))
+
+        cache = ScheduleCache(tmp_path)
+        assert outcome(cache) == expected
+        assert cache.stats.invalidations == 1
+        assert normalised(json.loads(victim.read_text())) == normalised(good)
+        again = ScheduleCache(tmp_path)
+        assert outcome(again) == expected
+        assert again.stats.as_dict()["invalidations"] == 0
+
+    def test_stats_deltas_round_trip(self, cube3, tmp_path):
+        """Worker-style ``since(snapshot)`` deltas, merged by a parent,
+        reproduce the worker cache's own ``as_dict()``, stages included."""
+        cache = ScheduleCache(tmp_path)
+        totals = CacheStats()
+        for b_size in (1280.0, 640.0, 640.0):  # cold, delta, hit
+            before = cache.stats.snapshot()
+            compile_with(diamond_setup(cube3, b_size=b_size), cache)
+            totals.merge(cache.stats.since(before))
+        assert totals.as_dict() == cache.stats.as_dict()
+        assert totals.as_dict()["stages"]["allocate+schedule"] == {
+            "hits": 3, "misses": 5, "stores": 5,
+        }
+        assert totals.hits == 1 and totals.hit_rate == pytest.approx(1 / 3)
 
     def test_delta_disabled_without_cache(self, cube3):
         # No cache, no delta state: compilation still works unchanged.
@@ -248,8 +376,8 @@ class TestWarmStartScope:
 
 class TestPerfKnobKeyIdentity:
     def test_all_perf_knob_combos_share_one_key(self, cube3):
-        # Regression: lp_batch/lp_warm_start once fragmented the key
-        # space into four identities for byte-identical outputs.
+        # Regression: perf knobs once fragmented the key space into
+        # one identity per combination for byte-identical outputs.
         setup = diamond_setup(cube3)
         keys = {
             schedule_cache_key(
@@ -257,11 +385,8 @@ class TestPerfKnobKeyIdentity:
                 setup.topology,
                 setup.allocation,
                 setup.tau_in_for_load(0.5),
-                dataclasses.replace(
-                    CONFIG, lp_batch=batch, lp_warm_start=warm
-                ),
+                dataclasses.replace(CONFIG, lp_warm_start=warm),
             )
-            for batch in (False, True)
             for warm in (False, True)
         }
         assert len(keys) == 1

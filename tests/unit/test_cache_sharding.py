@@ -52,12 +52,15 @@ def test_disk_entries_are_sharded_by_key_prefix(tmp_path):
 
 def test_stats_snapshot_since_merge():
     stats = CacheStats()
-    stats.hits, stats.misses = 3, 2
+    stats.count("schedule", "hits", 3)
+    stats.count("schedule", "misses", 2)
+    stats.count("idle-stage", "stores")
     before = stats.snapshot()
-    stats.hits += 4
-    stats.stores += 1
+    stats.count("schedule", "hits", 4)
+    stats.count("schedule", "stores")
     delta = stats.since(before)
-    assert delta == {"hits": 4, "misses": 0, "stores": 1, "invalidations": 0}
+    assert delta == {"schedule": {
+        "hits": 4, "misses": 0, "stores": 1, "invalidations": 0}}
 
     totals = CacheStats()
     totals.merge(delta)
@@ -68,12 +71,11 @@ def test_stats_snapshot_since_merge():
 
 
 def test_persist_cache_stats_writes_atomic_json(tmp_path):
-    stats = CacheStats(hits=9, misses=1, stores=1)
+    stats = CacheStats()
+    stats.merge({"schedule": {"hits": 9, "misses": 1, "stores": 1}})
     path = persist_cache_stats(tmp_path / "cache", stats)
-    assert path is not None and path.name == "cache-stats.json"
-    payload = json.loads(path.read_text())
-    assert payload["hits"] == 9
-    assert payload["hit_rate"] == 0.9
-    # Mapping input and None input are accepted too.
-    assert persist_cache_stats(tmp_path / "cache", {"hits": 1, "misses": 1})
-    assert persist_cache_stats(tmp_path / "cache", None) is None
+    assert path.name == "cache-stats.json"
+    assert json.loads(path.read_text()) == stats.as_dict() == {
+        "hits": 9, "misses": 1, "stores": 1, "invalidations": 0,
+        "hit_rate": 0.9,
+    }

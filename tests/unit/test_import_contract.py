@@ -122,7 +122,7 @@ def test_parsing_imports_no_numpy(argv):
 #: ``repro.metrics`` (12, "db71aa263f0d"), ``repro.viz`` (5, "d07162861215").
 FACADES = {
     "repro": (79, "27603b94d060"),
-    "repro.cache": (22, "9d5abd879377"),
+    "repro.cache": (21, "c674411a4c8f"),
     "repro.check": (12, "34cb9802d02a"),
     "repro.core": (26, "b9a638d2a323"),
     "repro.diagnose": (15, "d8d82b6d3701"),

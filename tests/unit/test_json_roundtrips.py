@@ -1,6 +1,6 @@
 """JSON round-trips for the result types something decodes again.
 
-Diagnoses come back out of the schedule cache (``fetch_diagnosis``), so
+Diagnoses come back out of the schedule cache (``ScheduleCache.get``), so
 ``to_dict`` -> JSON -> ``from_dict`` must be lossless for them; profiles
 and conformance reports are only ever encoded, so for them the contract
 is that ``to_dict`` is JSON-safe.

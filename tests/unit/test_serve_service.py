@@ -147,6 +147,36 @@ def test_finished_duplicates_hit_result_memo():
     _run(run())
 
 
+def test_built_instances_live_only_while_their_job_is_in_flight():
+    """Regression: ``_instances`` kept one built setup (TFG + 64-node
+    topology + timing) per never-seen request forever, the one structure
+    ``history_limit`` did not bound."""
+    async def run():
+        service = _service(history_limit=4)
+        service.start()
+        try:
+            service._execute = lambda task: {"feasible": True, "verdict": "OK"}
+            payloads = [
+                dict(PAYLOAD, load=load)
+                for load in (0.2, 0.21, 0.22, 0.23, 0.24, 0.25)
+            ]
+            jobs = [service.submit(payload) for payload in payloads]
+            assert len(service._instances) == 6  # all in flight
+            for job in jobs:
+                assert await job.wait(timeout=10)
+            assert len(service._instances) == 0
+            # A finished duplicate is answered, key and all, from the
+            # memo: it builds nothing.
+            duplicate = service.submit(payloads[5])
+            assert duplicate.terminal and duplicate.key == jobs[5].key
+            assert service.stats.fast_hits == 1
+            assert len(service._instances) == 0
+        finally:
+            await service.shutdown()
+
+    _run(run())
+
+
 def test_memo_invalidated_when_backing_cache_entry_vanishes():
     """Regression: the result memo once outlived cache invalidation.
 
@@ -166,7 +196,7 @@ def test_memo_invalidated_when_backing_cache_entry_vanishes():
             def execute(task):
                 # Simulate the worker landing the schedule entry in the
                 # shared cache (existence is what backs the memo).
-                service.cache.store_artifact(key, "stub", {"ok": 1})
+                service.cache.put(key, {"kind": "stub"})
                 return {"feasible": True, "verdict": "OK"}
 
             service._execute = execute
@@ -305,8 +335,8 @@ def test_worker_cache_deltas_merge_into_service_stats():
             service._execute = lambda task: {
                 "feasible": True,
                 "verdict": "OK",
-                "cache_stats": {"hits": 2, "misses": 1, "stores": 1,
-                                "invalidations": 0},
+                "cache_stats": {"schedule": {
+                    "hits": 2, "misses": 1, "stores": 1, "invalidations": 0}},
             }
             job = service.submit(PAYLOAD)
             assert await job.wait(timeout=10)
@@ -329,8 +359,8 @@ def test_shutdown_persists_cache_stats(tmp_path):
             service._execute = lambda task: {
                 "feasible": True,
                 "verdict": "OK",
-                "cache_stats": {"hits": 3, "misses": 1, "stores": 1,
-                                "invalidations": 0},
+                "cache_stats": {"schedule": {
+                    "hits": 3, "misses": 1, "stores": 1, "invalidations": 0}},
             }
             job = service.submit(PAYLOAD)
             assert await job.wait(timeout=10)

@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""``python tools/cache_audit.py``: per cache layer, does a hit beat recomputing?
+
+Runs the ``cache_replay`` grid (DVB(5), B = 128, four machines, three loads)
+and prints, for each layer ``ScheduleCache`` holds and for the two PR 22
+deleted (kept as the record of why), the range over the points that compile of
+the median ``compute | store | replay(disk) | replay(mem)`` ms and entry bytes.
+A row whose replay is no faster than its compute at some point is marked: that
+layer has stopped earning its keep.  Prints, gates nothing.
+"""
+
+import statistics
+import sys
+import tempfile
+import timeit
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from repro.cache import (CACHE_VERSION, DeltaState, ScheduleCache,  # noqa: E402
+                         diagnosis_cache_key, schedule_cache_key)
+from repro.core import pipeline  # noqa: E402
+from repro.core.compiler import CompilerConfig, compile_schedule  # noqa: E402
+from repro.core.io import schedule_from_dict, schedule_to_dict  # noqa: E402
+from repro.core.utilization import utilization_report  # noqa: E402
+from repro.diagnose.instance import diagnose_instance  # noqa: E402
+from repro.errors import SchedulingError  # noqa: E402
+from repro.experiments.setup import InstanceSpec  # noqa: E402
+
+GRID = [(name, load) for name in ("hypercube6", "ghc444", "torus8x8", "torus4x4x4")
+        for load in (0.2, 0.4285714286, 0.7714285714)]
+CONFIG = CompilerConfig(seed=0, max_paths=48, max_restarts=4, retries=2)
+
+
+def audit(rows, tmp, layer, keys, compute, store, replay) -> None:
+    """One layer at one point: the median ms of seven calls of each thunk, in
+    this order (``replay(cache)`` must hit), and the bytes under ``keys``."""
+    warm = ScheduleCache(tmp)
+    thunks = (compute, store, lambda: replay(ScheduleCache(tmp)), lambda: replay(warm))
+    took = [statistics.median(timeit.repeat(thunk, number=1, repeat=7)) * 1000.0
+            for thunk in thunks]
+    size = sum((Path(tmp) / k[:2] / f"{k}.json").stat().st_size for k in keys)
+    rows.setdefault(layer, []).append((*took, size))
+
+
+def audit_point(rows, tmp, name: str, load: float) -> None:
+    setup = InstanceSpec(name, 128.0, models=5).build()
+    problem = (setup.timing, setup.topology, setup.allocation, setup.tau_in_for_load(load))
+    cache, key = ScheduleCache(tmp), schedule_cache_key(*problem, CONFIG)
+    try:
+        routing = compile_schedule(*problem, CONFIG)
+    except SchedulingError:
+        return  # refused: its 290-byte failure entry replays in 0.05 ms
+    audit(rows, tmp, "schedule entry", [key], lambda: compile_schedule(*problem, CONFIG),
+          lambda: cache.store(key, routing), lambda c: c.fetch(key, setup.topology))
+    dkey, found = diagnosis_cache_key(*problem), diagnose_instance(*problem)
+    audit(rows, tmp, "diagnosis", [dkey], lambda: diagnose_instance(*problem),
+          lambda: cache.put(dkey, {"format": CACHE_VERSION, "kind": "diagnosis",
+                                   "diagnosis": found.to_dict()}),
+          lambda c: diagnose_instance(*problem, cache=c))
+    # The stages of the attempt that compiled, run over their own context.
+    delta = DeltaState(cache, *problem, CONFIG)
+    ctx = pipeline.CompilationContext(
+        tau_in=problem[3], config=CONFIG, timing=setup.timing,
+        topology=setup.topology, allocation=setup.allocation, delta=delta)
+    pipeline.TimeBoundsStage().run(ctx)  # records the bounds digest in ``delta``
+    ctx.reset_attempt(CONFIG.seed + routing.attempts - 1, routing.attempts)
+    assign, gate, subsets, intervals, build = pipeline.compile_stages(CONFIG)
+
+    def run(stage, cached=None):
+        # ``is None``, not truth: an empty ScheduleCache is falsy.
+        ctx.delta = None if cached is None else DeltaState(cached, *problem, CONFIG)
+        if cached is not None:
+            ctx.delta.record_bounds(ctx.bounds)
+        if stage is intervals:
+            ctx.allocations, ctx.interval_schedules = [], []
+        stage.run(ctx)
+
+    run(assign)
+    akey = delta.assignment_key(ctx.frame.pools, ctx.seed)
+    audit(rows, tmp, "assign-paths", [akey], lambda: run(assign),
+          lambda: delta.store_assignment(akey, ctx.assignment), lambda c: run(assign, c))
+    for stage in (gate, subsets, intervals):
+        run(stage)
+    solved = list(zip(ctx.allocations, ctx.interval_schedules))
+    skeys = [delta.subset_key(ctx.bounds, ctx.assignment, subset, i)
+             for i, subset in enumerate(ctx.subsets)]
+    audit(rows, tmp, "allocate+schedule", skeys, lambda: run(intervals),
+          lambda: [delta.store_subset(k, *pair) for k, pair in zip(skeys, solved)],
+          lambda c: run(intervals, c))
+    audit(rows, tmp, "(deleted) build-schedule", ["0" * 64], lambda: run(build),
+          lambda: cache.put("0" * 64, {  # Omega a second time
+              "format": CACHE_VERSION, "kind": "artifact", "stage": build.name,
+              "payload": {"schedule": schedule_to_dict(ctx.schedule)}}, build.name),
+          lambda c: c.get("0" * 64, ("artifact",), lambda entry: schedule_from_dict(
+              entry["payload"]["schedule"]), build.name))
+    lsd = pipeline.LsdAssignmentStage()
+    audit(rows, tmp, "(deleted) LSD assignment", ["1" * 64], lambda: run(lsd),
+          lambda: delta.store_assignment("1" * 64, ctx.assignment),
+          lambda c: utilization_report(ctx.bounds, DeltaState(
+              c, *problem, CONFIG).fetch_assignment("1" * 64, problem[1], ctx.endpoints)))
+
+
+def main() -> None:
+    rows: dict[str, list[tuple]] = {}  # layer -> (4 medians, bytes) per point
+    for name, load in GRID:
+        with tempfile.TemporaryDirectory() as tmp:
+            audit_point(rows, tmp, name, load)
+    heads = ("compute ms", "store ms", "replay(disk) ms", "replay(mem) ms", "bytes")
+    print(f"{'layer':26}" + "".join(f"{head:>17}" for head in heads))
+    for layer, points in rows.items():
+        *walls, sizes = zip(*points)
+        cells = [f"{min(c):.2f}-{max(c):.2f}" for c in walls] + [f"{min(sizes)}-{max(sizes)}"]
+        lost = sum(max(disk, mem) >= compute for compute, _, disk, mem, _ in points)
+        print(f"{layer:26}" + "".join(f"{cell:>17}" for cell in cells) + (
+            f"  <-- replay >= compute at {lost} of {len(points)} points" * bool(lost)))
+
+
+if __name__ == "__main__":
+    main()
