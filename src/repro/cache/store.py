@@ -1,7 +1,7 @@
 """The schedule cache: an in-memory tier over an optional on-disk tier.
 
 Entries are JSON documents addressed by the content key of
-:mod:`repro.cache.keys`.  Four kinds exist:
+:mod:`repro.cache.keys`.  Four kinds exist, in two homes on disk:
 
 - ``"schedule"`` — a successful compilation: the serialized
   :class:`~repro.core.switching.CommunicationSchedule` (via
@@ -22,10 +22,19 @@ Every kind goes through :meth:`ScheduleCache.get` and
 way.  :meth:`ScheduleCache.fetch`, the schedule codec over that pair,
 returns a rebuilt routing on a schedule hit, **raises** the
 reconstructed error on a failure hit, and returns ``None`` on a miss.
-Disk writes are atomic (temp file + ``os.replace``) so parallel matrix
-workers sharing one cache directory never observe a torn entry; entries
-of an unknown format version, unparsable, or rejected by their decoder
-are dropped and counted as invalidations.
+
+One rule picks an entry's home on disk.  The kinds something outside
+``get`` addresses by *path* (the serve memo's backing check, the
+benchmark's codec probe) — schedule, failure, diagnosis: one per compile
+— are files ``<dir>/<key[:2]>/<key>.json``, written atomically (temp
+file + ``os.replace``).  Artifacts, ~17 per cold compile and read only
+by ``get``, are lines (key, tab, entry JSON) of one append-only pack per
+directory, each a single ``O_APPEND`` write, found through a per-object
+``key -> (offset, length)`` index built on the first artifact probe and
+extended from the bytes appended since; a key's last line wins.  Sharing
+processes never observe a torn entry of either home; entries of an
+unknown format version, unparsable, or rejected by their decoder are
+dropped and counted as invalidations.
 
 Behind a disk tier the memory tier is a bounded LRU (a long-lived serve
 worker otherwise keeps ~18 entries per cold compile forever): an evicted
@@ -174,13 +183,22 @@ def persist_cache_stats(cache_dir: str | Path, stats: CacheStats) -> Path:
     return path
 
 
+def _in_directory(directory: Path, create: Callable[[], T]) -> T:
+    """``create()``, making ``directory`` first only if it proves missing."""
+    try:
+        return create()
+    except FileNotFoundError:
+        directory.mkdir(parents=True, exist_ok=True)
+        return create()
+
+
 def _write_atomic(path: Path, document: Mapping[str, Any]) -> None:
     """Write one JSON document via a sibling temp file + ``os.replace``,
     so processes sharing the directory never observe a torn one."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     blob = json.dumps(document, sort_keys=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name[:8]}-", suffix=".tmp"
+    prefix = f".{path.name[:8]}-"
+    fd, tmp = _in_directory(
+        path.parent, lambda: tempfile.mkstemp(".tmp", prefix, path.parent)
     )
     try:
         with os.fdopen(fd, "w") as handle:
@@ -353,12 +371,14 @@ class ScheduleCache:
     Parameters
     ----------
     directory:
-        When given, entries are also persisted as
-        ``<directory>/<key[:2]>/<key>.json`` — sharded by the first two
+        When given, entries are also persisted — artifacts as records of
+        ``<directory>/artifacts.pack``, every other kind as
+        ``<directory>/<key[:2]>/<key>.json``, sharded by the first two
         hex digits of the content key so concurrent worker processes
         spread their directory operations over 256 subdirectories
         instead of contending on one — and survive the process;
-        multiple processes may share the directory (writes are atomic).
+        multiple processes may share the directory (file writes are
+        atomic renames, pack writes single appends).
         The memory tier in front of it is then a least-recently-used
         window of bounded size; eviction is invisible (the entry is
         re-read from disk on its next use).
@@ -373,6 +393,10 @@ class ScheduleCache:
         )
         self._memory: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self.stats = CacheStats()
+        # The pack (unused without a directory) as last seen: key -> span, size.
+        self._pack = (self.directory or Path()) / "artifacts.pack"
+        self._index: dict[str, tuple[int, int]] = {}
+        self._indexed = 0
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -418,7 +442,7 @@ class ScheduleCache:
         """
         entry = self._memory.get(key)
         if entry is None and self.directory is not None:
-            entry = self._read_disk(key, scope)
+            entry = self._read_disk(key, scope, packed="artifact" in kinds)
         if (
             entry is not None
             and entry.get("kind") in kinds
@@ -441,8 +465,19 @@ class ScheduleCache:
         """Record ``entry`` in both tiers; counts one store under ``scope``."""
         self._remember(key, entry)
         self.stats.count(scope, "stores")
-        if self.directory is not None:
+        if self.directory is None:
+            return
+        if entry.get("kind") != "artifact":
             _write_atomic(self._disk_path(key), entry)
+            return
+        record = f"{key}\t{json.dumps(entry, sort_keys=True)}\n".encode()
+        # One O_APPEND write(2): never interleaved, and ``tell()`` is its end.
+        with _in_directory(self.directory, lambda: open(self._pack, "ab", 0)) as f:
+            f.write(record)
+            start = f.tell() - len(record)
+        self._index[key] = (start, len(record))
+        if self._indexed == start:  # nobody else wrote in between
+            self._indexed += len(record)
 
     def fetch(
         self, key: str, topology: "Topology | None" = None
@@ -477,21 +512,23 @@ class ScheduleCache:
         """
         if key in self._memory:
             return True
-        if self.directory is not None:
-            return self._disk_path(key).exists()
-        return False
+        if self.directory is None:
+            return False
+        return self._disk_path(key).exists() or self._packed(key) is not None
 
     def clear(self) -> None:
         """Drop the in-memory tier (disk entries stay)."""
         self._memory.clear()
 
-    def _read_disk(self, key: str, scope: str) -> dict[str, Any] | None:
-        path = self._disk_path(key)
-        if not path.exists():
-            return None
+    def _read_disk(self, key: str, scope: str, packed: bool) -> dict[str, Any] | None:
         try:
-            entry = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
+            raw = self._packed(key) if packed else self._disk_path(key).read_bytes()
+            if raw is None:
+                return None
+            entry = json.loads(raw)
+        except FileNotFoundError:
+            return None
+        except (ValueError, OSError):
             entry = None
         if not isinstance(entry, dict) or entry.get("format") != CACHE_VERSION:
             # Torn write, tampering, or a stale format: drop and count.
@@ -499,11 +536,39 @@ class ScheduleCache:
             return None
         return entry
 
+    def _packed(self, key: str) -> bytes | None:
+        """The JSON of ``key``'s last line in the pack (``b""`` if its span no
+        longer holds one), first indexing what any writer appended since."""
+        try:
+            size = os.stat(self._pack).st_size
+            if size < self._indexed:  # cleared or swapped under us
+                self._index.clear()
+                self._indexed = 0
+            if size == self._indexed and key not in self._index:
+                return None  # the common miss: one stat
+            with open(self._pack, "rb") as pack:
+                pack.seek(self._indexed)
+                # Whole lines only: a partial tail is indexed once it ends.
+                for line in pack.read(size - self._indexed).split(b"\n")[:-1]:
+                    name = line.partition(b"\t")[0].decode("latin-1")
+                    self._index[name] = (self._indexed, len(line) + 1)
+                    self._indexed += len(line) + 1
+                if key not in self._index:
+                    return None
+                pack.seek(self._index[key][0])
+                line = pack.read(self._index[key][1])
+        except FileNotFoundError:
+            self._index.clear()
+            self._indexed = 0
+            return None
+        name, _, body = line.partition(b"\t")
+        return body if name == key.encode() and body.endswith(b"\n") else b""
+
     def _invalidate(self, key: str, scope: str) -> None:
         """Drop ``key`` from both tiers and count it under ``scope``."""
         self._memory.pop(key, None)
         self.stats.count(scope, "invalidations")
-        if self.directory is not None:
+        if self.directory is not None and self._index.pop(key, None) is None:
             try:
                 self._disk_path(key).unlink()
             except OSError:  # pragma: no cover - racing unlink

@@ -9,7 +9,10 @@ pickled schedules, no live topology objects).
 Each worker process keeps **one** :class:`~repro.cache.ScheduleCache`
 per cache directory for its whole life (:func:`_cache_for`): the memory
 tier warms up across tasks, while the shared disk tier makes results
-visible to the service front-end and to sibling workers.  Per-task
+visible to the service front-end and to sibling workers: the schedule or
+failure entry is the one file a task creates (the path the front-end's
+memo check probes), its stage artifacts are lines of the directory's pack
+(see :mod:`repro.cache.store`).  Per-task
 cache-counter deltas (:meth:`~repro.cache.CacheStats.since`) ride back
 on every result so the service can aggregate totals that sum correctly.
 
@@ -73,13 +76,15 @@ class _Spool:
             payload.update(args)
             self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
             self._handle.flush()
-        except (OSError, TypeError, ValueError):  # pragma: no cover
-            self._handle = None
+        except (OSError, TypeError, ValueError):
+            self.close()
 
     def close(self) -> None:
         if self._handle is not None:
             try:
                 self._handle.close()
+            except OSError:  # the flush of a failed write fails again
+                pass
             finally:
                 self._handle = None
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -19,6 +23,45 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+# -- cache directories -----------------------------------------------------------
+
+def pack_lines(directory) -> list[bytes]:
+    """The artifact pack of a cache directory, one ``<key>\\t<JSON>\\n``
+    record per element (``[]`` when no artifact was ever stored)."""
+    pack = Path(directory) / "artifacts.pack"
+    data = pack.read_bytes() if pack.exists() else b""
+    return re.findall(rb"[^\n]*\n|[^\n]+$", data)  # "\n" only, tail kept
+
+
+def cache_entries(directory) -> dict[str, dict]:
+    """``key -> entry`` of everything a cache directory holds, in key
+    order: one per ``<key[:2]>/<key>.json`` file (schedule, failure,
+    diagnosis) plus, from the pack, each artifact key's last record — the
+    one layout-aware helper the cache tests share."""
+    entries = {
+        path.stem: json.loads(path.read_text())
+        for path in Path(directory).glob("*/*.json")
+    }
+    for line in pack_lines(directory):
+        key, _, body = line.partition(b"\t")
+        entries[key.decode()] = json.loads(body)
+    return dict(sorted(entries.items()))
+
+
+def rewrite_entry(directory, key: str, entry: dict) -> None:
+    """Overwrite ``key``'s entry in place, whichever home it lives in."""
+    blob = json.dumps(entry, sort_keys=True)
+    path = Path(directory) / key[:2] / f"{key}.json"
+    if path.exists():
+        path.write_text(blob)
+        return
+    head = f"{key}\t".encode()
+    (Path(directory) / "artifacts.pack").write_bytes(b"".join(
+        head + blob.encode() + b"\n" if line.startswith(head) else line
+        for line in pack_lines(directory)
+    ))
 
 
 # -- topologies ----------------------------------------------------------------

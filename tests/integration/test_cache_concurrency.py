@@ -4,7 +4,8 @@ Satellite guarantees pinned here:
 
 - **No torn reads** — readers racing writers on the same keys see a
   complete entry or a miss, never a half-written JSON document (the
-  writers' tempfile + ``os.replace`` rename is what makes this hold).
+  writers' tempfile + ``os.replace`` rename is what makes this hold for
+  entry files, one ``O_APPEND`` write per record for the artifact pack).
 - **No duplicate solves beyond single-flight** — a burst of identical
   requests against a live farm dispatches exactly one compilation.
 - **Stats sum correctly** — per-process counter deltas merged by the
@@ -14,10 +15,11 @@ Satellite guarantees pinned here:
 from __future__ import annotations
 
 import json
+import time
 from concurrent.futures import ProcessPoolExecutor
 from threading import Thread
 
-from repro.cache import CacheStats, ScheduleCache
+from repro.cache import CACHE_VERSION, CacheStats, ScheduleCache
 from repro.errors import SchedulingError, UtilizationExceededError
 from repro.serve import ServeClient, ServeConfig, ServerThread
 
@@ -65,6 +67,77 @@ def _store_disjoint(args):
         key = f"{worker_id:x}{i:x}".ljust(64, "f")
         cache.store_failure(key, UtilizationExceededError(2.0))
     return cache.stats.since(before)
+
+
+def _artifact(worker_id, i):
+    """A key and a payload big enough to span several pages."""
+    return f"{worker_id:02x}{i:04x}".ljust(64, "a"), {
+        "worker": worker_id, "i": i, "fill": [worker_id] * (200 + 37 * i),
+    }
+
+
+def _append_artifacts(args):
+    """Put a worker-private range of artifacts into the shared pack."""
+    cache_dir, worker_id, count = args
+    cache = ScheduleCache(cache_dir)
+    for i in range(count):
+        key, payload = _artifact(worker_id, i)
+        cache.put(key, {"format": CACHE_VERSION, "kind": "artifact",
+                        "stage": "demo", "payload": payload}, "demo")
+    return cache.stats.since({})
+
+
+def _probe_artifacts(args):
+    """One long-lived object probing every key, round after round, until
+    the writers have landed them all: a probe is a miss or the right
+    payload, never a damaged record."""
+    cache_dir, workers, count = args
+    cache = ScheduleCache(cache_dir)
+    wrong, deadline = 0, time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        cache.clear()  # every probe goes to the pack, not the memory tier
+        seen = 0
+        for worker_id in range(workers):
+            for i in range(count):
+                key, payload = _artifact(worker_id, i)
+                got = cache.get(key, ("artifact",), lambda e: e["payload"], "demo")
+                seen += got is not None
+                wrong += got is not None and got != payload
+        if seen == workers * count:
+            break
+    return wrong, cache.stats.invalidations, seen
+
+
+def test_concurrent_appends_never_tear_the_pack(tmp_path):
+    """N processes x M artifact puts into one directory: every line of
+    the pack is one whole record, and a fresh cache gets all N x M back."""
+    cache_dir, workers, count = tmp_path / "cache", 3, 40
+    with ProcessPoolExecutor(max_workers=4) as pool:
+        probe = pool.submit(_probe_artifacts, (cache_dir, workers, count))
+        stores = list(pool.map(
+            _append_artifacts,
+            [(cache_dir, wid, count) for wid in range(workers)],
+        ))
+        assert probe.result(timeout=120) == (0, 0, workers * count)
+    assert sum(s["demo"]["stores"] for s in stores) == workers * count
+    assert [p.name for p in cache_dir.iterdir()] == ["artifacts.pack"]
+    lines = (cache_dir / "artifacts.pack").read_bytes().split(b"\n")
+    assert lines.pop() == b"" and len(lines) == workers * count
+    expected = dict(
+        _artifact(wid, i) for wid in range(workers) for i in range(count)
+    )
+    for line in lines:  # neither torn nor interleaved
+        key, _, body = line.partition(b"\t")
+        assert json.loads(body)["payload"] == expected.pop(key.decode())
+    fresh = ScheduleCache(cache_dir)
+    for wid in range(workers):
+        for i in range(count):
+            key, payload = _artifact(wid, i)
+            assert fresh.get(
+                key, ("artifact",), lambda e: e["payload"], "demo"
+            ) == payload
+    assert fresh.stats.as_dict()["stages"]["demo"]["hits"] == workers * count
+    assert fresh.stats.invalidations == 0
 
 
 def test_concurrent_readers_never_see_torn_entries(tmp_path):

@@ -15,6 +15,7 @@ from repro.cache import (
 from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.verify import verify_schedule
 from repro.errors import SchedulingError, UtilizationExceededError
+from tests.conftest import cache_entries
 
 CONFIG = CompilerConfig(seed=0, max_paths=16, max_restarts=2, retries=1)
 
@@ -88,10 +89,7 @@ class TestDiskTier:
     def test_entries_are_versioned_json(self, small_setup, tmp_path):
         cache = ScheduleCache(tmp_path)
         compile_small(small_setup, cache=cache)
-        entries = [
-            json.loads(path.read_text())
-            for path in tmp_path.rglob("*.json")
-        ]
+        entries = list(cache_entries(tmp_path).values())
         assert all(e["format"] == CACHE_VERSION for e in entries)
         # One monolithic schedule entry; the rest are the per-stage
         # artifacts the delta path stores alongside it.
@@ -110,8 +108,8 @@ class TestDiskTier:
         setup = standard_setup(dvb_tfg(5), make_topology("hypercube6"), 128)
         compile_small(setup, cache=ScheduleCache(tmp_path))
         assert sum(
-            '"schedule": {' in path.read_text()
-            for path in tmp_path.rglob("*.json")
+            '"schedule": {' in json.dumps(entry)
+            for entry in cache_entries(tmp_path).values()
         ) == 1
 
     def test_stale_format_invalidated_and_recompiled(
@@ -413,13 +411,12 @@ class TestKeyScheme:
             )
 
         groups: dict[str, list[str]] = {}
-        for path in sorted(tmp_path.rglob("*.json")):
-            entry = json.loads(path.read_text())
+        for key, entry in cache_entries(tmp_path).items():
             if entry["kind"] == "diagnosis":
                 entry["diagnosis"]["elapsed_ms"] = 0.0  # its one wall clock
             group = entry["stage"] if entry["kind"] == "artifact" else entry["kind"]
             groups.setdefault(group, []).append(
-                f"{path.stem}:{json.dumps(entry, sort_keys=True)}"
+                f"{key}:{json.dumps(entry, sort_keys=True)}"
             )
         assert {
             group: (
@@ -621,7 +618,7 @@ class TestMemoryTierBound:
         compile is still a schedule-level hit with the same schedule."""
         cache = ScheduleCache(tmp_path)
         fresh = compile_small(small_setup, cache=cache)
-        assert len(list(tmp_path.rglob("*.json"))) >= 4
+        assert len(cache_entries(tmp_path)) >= 4
         for i in range(self.CAP):  # push the compile's entries out
             cache.put(f"f{i:063x}", artifact_entry("stage", {}), "stage")
         warm = compile_small(small_setup, cache=cache)

@@ -22,6 +22,7 @@ from repro.errors import SchedulingError
 from repro.experiments import standard_setup
 from repro.tfg.graph import build_tfg
 from repro.topology import binary_hypercube
+from tests.conftest import cache_entries, pack_lines, rewrite_entry
 
 CONFIG = CompilerConfig(seed=0, max_paths=16, max_restarts=2, retries=1)
 #: The heuristic keeps its artifact (``assignment_key``); the LSD->MSD
@@ -155,6 +156,7 @@ class TestArtifactStore:
         put_artifact(cache, key, "demo", {"value": 1})
         assert cache.contains(key)
         assert ScheduleCache(tmp_path).contains(key)  # disk tier
+        assert list(cache_entries(tmp_path)) == [key]
         stats = cache.stats.as_dict()
         assert stats["hits"] == 0 and stats["misses"] == 0
 
@@ -177,9 +179,7 @@ class TestDeltaCompile:
         routing = compile_with(
             diamond_setup(cube3), ScheduleCache(tmp_path), config=config
         )
-        entries = [
-            json.loads(p.read_text()) for p in tmp_path.rglob("*.json")
-        ]
+        entries = list(cache_entries(tmp_path).values())
         census = collections.Counter(
             e["stage"] for e in entries if e["kind"] == "artifact"
         )
@@ -271,28 +271,26 @@ class TestDeltaCompile:
                 return type(error), str(error)
 
         expected = outcome(ScheduleCache(tmp_path))
-        on_disk = {
-            path: json.loads(path.read_text())
-            for path in sorted(tmp_path.rglob("*.json"))
-        }
+        on_disk = cache_entries(tmp_path)
         victim, good = next(
-            (path, entry) for path, entry in on_disk.items()
+            (key, entry) for key, entry in on_disk.items()
             if group_of(entry) == group
         )
         if good["kind"] == "artifact":
             # Reach the artifact tier: lose the monolithic entry above it.
-            next(
-                path for path, entry in on_disk.items()
+            key = next(
+                key for key, entry in on_disk.items()
                 if entry["kind"] == "schedule"
-            ).unlink()
-        damaged = json.loads(victim.read_text())
+            )
+            (tmp_path / key[:2] / f"{key}.json").unlink()
+        damaged = json.loads(json.dumps(good))
         DAMAGE[group](damaged)
-        victim.write_text(json.dumps(damaged, sort_keys=True))
+        rewrite_entry(tmp_path, victim, damaged)
 
         cache = ScheduleCache(tmp_path)
         assert outcome(cache) == expected
         assert cache.stats.invalidations == 1
-        assert normalised(json.loads(victim.read_text())) == normalised(good)
+        assert normalised(cache_entries(tmp_path)[victim]) == normalised(good)
         again = ScheduleCache(tmp_path)
         assert outcome(again) == expected
         assert again.stats.as_dict()["invalidations"] == 0
@@ -316,6 +314,114 @@ class TestDeltaCompile:
         # No cache, no delta state: compilation still works unchanged.
         routing = compile_with(diamond_setup(cube3), None)
         assert routing.schedule is not None
+
+
+def truncate_last(lines):
+    return lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]
+
+
+def garbage_mid_pack(lines):
+    return lines[:2] + [b"\xff\x00 not\ta record\r\n", b"\n"] + lines[2:]
+
+
+def other_format(lines):
+    return [lines[0].replace(b"repro.cache/2", b"repro.cache/0")] + lines[1:]
+
+
+def duplicated_key(lines):
+    # A damaged first record of a key whose good record comes later.
+    return [lines[-1].replace(b'"cells"', b'"sells"')] + lines
+
+
+#: fault -> (what it does to the pack's lines, or ``None`` to delete the
+#: pack; damaged records, each worth exactly one invalidation).
+PACK_FAULTS = {
+    "truncated-last-record": (truncate_last, 1),
+    "garbage-mid-pack": (garbage_mid_pack, 0),
+    "other-format": (other_format, 1),
+    "duplicated-key-last-wins": (duplicated_key, 0),
+    "truncated-to-zero-live": (lambda lines: [], 0),
+    "deleted-live": (None, 0),
+}
+
+
+class TestArtifactPack:
+    """Stage artifacts are lines of one append-only pack per directory:
+    what a compile creates on disk, and what a damaged pack costs."""
+
+    def test_file_creation_budget(self, cube3, tmp_path):
+        """K cached cold compiles of distinct instances create K entry
+        files and one pack — a count, in the style of the executor's
+        kernel-step budget (one file per artifact made this ~7 K here and
+        ~18 K on the benchmark's instances)."""
+        cache = ScheduleCache(tmp_path)
+        expected: collections.Counter = collections.Counter()
+        loads = (0.3, 0.5, 0.7)
+        for load in loads:
+            routing = compile_with(diamond_setup(cube3), cache, load=load)
+            assert routing.attempts == 1
+            expected["assign-paths"] += 1
+            expected["allocate+schedule"] += len(routing.subsets)
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert len(files) == len(loads) + 1
+        assert sorted(p.suffix for p in files) == [".json"] * len(loads) + [".pack"]
+        census = collections.Counter(
+            json.loads(line.partition(b"\t")[2])["stage"]
+            for line in pack_lines(tmp_path)
+        )
+        assert census == expected
+        assert sum(census.values()) == sum(
+            row["stores"] for row in cache.stats.as_dict()["stages"].values()
+        )
+
+    @staticmethod
+    def replay(setup, cache):
+        """Compile through the artifact tier: lose the schedule entry
+        above it first.  Returns the canonical outcome."""
+        for path in cache.directory.glob("*/*.json"):
+            if json.loads(path.read_text())["kind"] == "schedule":
+                path.unlink()
+        cache.clear()
+        return stripped_entry(compile_with(setup, cache))
+
+    @pytest.mark.parametrize("fault", PACK_FAULTS)
+    def test_pack_fault_degrades_to_recompute(self, cube3, tmp_path, fault):
+        """Every way a pack can be damaged ends in the fault-free outcome,
+        one invalidation per damaged record, and a good record appended:
+        the next fresh cache replays everything and drops nothing."""
+        setup = diamond_setup(cube3)
+        damage, damaged_records = PACK_FAULTS[fault]
+        expected = stripped_entry(compile_with(setup, ScheduleCache(tmp_path)))
+        cache = ScheduleCache(tmp_path)
+        if fault.endswith("-live"):
+            # The object has indexed the pack the fault then pulls away.
+            assert self.replay(setup, cache) == expected
+            assert cache.stats.as_dict()["stages"]["allocate+schedule"][
+                "misses"] == 0
+        pack = tmp_path / "artifacts.pack"
+        if damage is None:
+            pack.unlink()
+        else:
+            pack.write_bytes(b"".join(damage(pack_lines(tmp_path))))
+
+        assert self.replay(setup, cache) == expected
+        # A record torn by a dead writer shares its line with the next
+        # append, so its one invalidation may fall to the second reader.
+        second = ScheduleCache(tmp_path)
+        assert self.replay(setup, second) == expected
+        assert (
+            cache.stats.invalidations + second.stats.invalidations
+            == damaged_records
+        )
+        healed = ScheduleCache(tmp_path)
+        assert self.replay(setup, healed) == expected
+        assert healed.stats.invalidations == 0
+        stages = healed.stats.as_dict()["stages"]
+        assert all(
+            row["misses"] == 0 and row["stores"] == 0
+            for row in stages.values()
+        ), stages
+        assert all(line.endswith(b"\n") for line in pack_lines(tmp_path))
 
 
 class TestWarmStartScope:

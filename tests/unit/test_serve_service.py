@@ -327,6 +327,50 @@ def test_spool_progress_events_reach_job():
     _run(run())
 
 
+def test_failed_spool_write_closes_its_descriptor(tmp_path, monkeypatch):
+    """A spool whose write fails (ENOSPC, its directory removed mid-job)
+    is closed, not dropped: the worker outlives thousands of jobs and
+    leaked one descriptor per failed spool.  Progress is best-effort, so
+    the compile result is the one a spool-less task returns."""
+    import errno
+
+    from repro.serve import worker
+    from repro.serve.jobs import JobRequest
+
+    opened = []
+
+    class FullDisk:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def close(self):
+            self.handle.close()
+
+    def open_on_a_full_disk(path, mode, **kwargs):
+        opened.append(open(path, mode, **kwargs))
+        return FullDisk(opened[-1])
+
+    def result_of(task):
+        result = worker.execute_request(task)
+        result.pop("profile"), result["solver_stats"].pop("lp_wall_ms")
+        return result
+
+    task = {"request": JobRequest.from_payload(PAYLOAD).canonical()}
+    expected = result_of(task)
+    monkeypatch.setattr(worker, "open", open_on_a_full_disk, raising=False)
+    spool = worker._Spool(str(tmp_path / "job.events.jsonl"))
+    spool.emit("stage", stage="time-bounds")
+    assert spool._handle is None and opened[0].closed
+    spool.emit("stage", stage="assign-paths")  # a closed spool stays silent
+
+    spooled = result_of({**task, "spool": str(tmp_path / "job2.events.jsonl")})
+    assert spooled == expected and spooled["verdict"] == "OK"
+    assert len(opened) == 2 and opened[1].closed
+
+
 def test_worker_cache_deltas_merge_into_service_stats():
     async def run():
         service = _service()

@@ -6,12 +6,16 @@ and prints, for each layer ``ScheduleCache`` holds and for the two PR 22
 deleted (kept as the record of why), the range over the points that compile of
 the median ``compute | store | replay(disk) | replay(mem)`` ms and entry bytes.
 A row whose replay is no faster than its compute at some point is marked: that
-layer has stopped earning its keep.  Prints, gates nothing.
+layer has stopped earning its keep.  A last line says what a cached cold
+compile pays the disk tier: files created, ``put`` calls and ms inside them.
+Prints, gates nothing.
 """
 
+import os
 import statistics
 import sys
 import tempfile
+import time
 import timeit
 from pathlib import Path
 
@@ -39,8 +43,36 @@ def audit(rows, tmp, layer, keys, compute, store, replay) -> None:
     thunks = (compute, store, lambda: replay(ScheduleCache(tmp)), lambda: replay(warm))
     took = [statistics.median(timeit.repeat(thunk, number=1, repeat=7)) * 1000.0
             for thunk in thunks]
-    size = sum((Path(tmp) / k[:2] / f"{k}.json").stat().st_size for k in keys)
-    rows.setdefault(layer, []).append((*took, size))
+    rows.setdefault(layer, []).append((*took, sum(entry_bytes(tmp, k) for k in keys)))
+
+
+def entry_bytes(tmp, key: str) -> int:
+    """Bytes of one entry's JSON: its own file, or (an artifact) the body of
+    the key's last record in the directory's pack."""
+    path = Path(tmp) / key[:2] / f"{key}.json"
+    if path.exists():
+        return path.stat().st_size
+    head = key.encode() + b"\t"
+    lines = (Path(tmp) / "artifacts.pack").read_bytes().split(b"\n")
+    return len([line for line in lines if line.startswith(head)][-1]) - len(head)
+
+
+def cold_cost(problem) -> tuple[int, int, float]:
+    """(files created, ``put`` calls, ms inside them) of one cached cold
+    compile into an empty directory."""
+    with tempfile.TemporaryDirectory() as fresh:
+        cache, spent = ScheduleCache(fresh), []
+        put = cache.put
+
+        def timed_put(*args) -> None:
+            began = time.perf_counter()
+            put(*args)
+            spent.append(time.perf_counter() - began)
+
+        cache.put = timed_put  # DeltaState and store() both call through it
+        compile_schedule(*problem, CONFIG, cache=cache)
+        files = sum(len(names) for _, _, names in os.walk(fresh))
+    return files, len(spent), sum(spent) * 1000.0
 
 
 def audit_point(rows, tmp, name: str, load: float) -> None:
@@ -51,6 +83,7 @@ def audit_point(rows, tmp, name: str, load: float) -> None:
         routing = compile_schedule(*problem, CONFIG)
     except SchedulingError:
         return  # refused: its 290-byte failure entry replays in 0.05 ms
+    rows.setdefault("cold", []).append(cold_cost(problem))
     audit(rows, tmp, "schedule entry", [key], lambda: compile_schedule(*problem, CONFIG),
           lambda: cache.store(key, routing), lambda c: c.fetch(key, setup.topology))
     dkey, found = diagnosis_cache_key(*problem), diagnose_instance(*problem)
@@ -108,12 +141,16 @@ def main() -> None:
             audit_point(rows, tmp, name, load)
     heads = ("compute ms", "store ms", "replay(disk) ms", "replay(mem) ms", "bytes")
     print(f"{'layer':26}" + "".join(f"{head:>17}" for head in heads))
+    files, puts, put_ms = zip(*rows.pop("cold"))
     for layer, points in rows.items():
         *walls, sizes = zip(*points)
         cells = [f"{min(c):.2f}-{max(c):.2f}" for c in walls] + [f"{min(sizes)}-{max(sizes)}"]
         lost = sum(max(disk, mem) >= compute for compute, _, disk, mem, _ in points)
         print(f"{layer:26}" + "".join(f"{cell:>17}" for cell in cells) + (
             f"  <-- replay >= compute at {lost} of {len(points)} points" * bool(lost)))
+    print(f"cached cold compile: {min(files)}-{max(files)} files created (its entry + the "
+          f"pack, once per directory), {min(puts)}-{max(puts)} puts, "
+          f"{min(put_ms):.2f}-{max(put_ms):.2f} ms in put")
 
 
 if __name__ == "__main__":
