@@ -87,11 +87,7 @@ def run_utilization_bench(benchmark, dvb, topology, bandwidth, title):
     setup = standard_setup(dvb, topology, bandwidth)
 
     def sweep():
-        return utilization_comparison(
-            setup, LOADS, seed=0,
-            max_paths=COMPILER.max_paths,
-            max_restarts=COMPILER.max_restarts,
-        )
+        return utilization_comparison(setup, LOADS, seed=0)
 
     points = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print_utilization_figure(title, points)

@@ -44,6 +44,7 @@ in-memory cache is the only copy of its entries and never evicts.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -573,3 +574,16 @@ class ScheduleCache:
                 self._disk_path(key).unlink()
             except OSError:  # pragma: no cover - racing unlink
                 pass
+
+
+@functools.cache
+def process_cache(directory: str | None) -> ScheduleCache | None:
+    """This process's one :class:`ScheduleCache` on ``directory``.
+
+    What a pool worker (the compile farm's, the matrix's) opens per task:
+    the memory tier and the pack index then warm up across tasks — a
+    fresh object scans ``artifacts.pack`` from byte 0 on its first
+    artifact probe — and a task reports its own share of the counters as
+    ``cache.stats.since(before)``.
+    """
+    return ScheduleCache(directory) if directory is not None else None

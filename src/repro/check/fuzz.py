@@ -200,18 +200,11 @@ class FuzzReport:
 
 
 def _entry_digest(routing: ScheduledRouting) -> str:
-    """Canonical JSON digest of a compilation result.
-
-    Wall-clock solver timings are stripped — they vary run to run and
-    say nothing about *what* was compiled.
-    """
-    entry = routing_to_entry(routing)
-    stats = entry.get("solver_stats")
-    if isinstance(stats, dict):
-        entry["solver_stats"] = {
-            k: v for k, v in stats.items() if k != "lp_wall_ms"
-        }
-    return json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON digest of a compilation result (the cache entry,
+    which already leaves out wall-clock solver timings)."""
+    return json.dumps(
+        routing_to_entry(routing), sort_keys=True, separators=(",", ":")
+    )
 
 
 def _error_digest(error: SchedulingError) -> str:
@@ -476,9 +469,7 @@ def _check_delta(
         )
 
 
-def check_point(
-    point: FuzzPoint, cache_root: Path | None = None
-) -> PointOutcome:
+def check_point(point: FuzzPoint) -> PointOutcome:
     """Run every differential at one point and collect disagreements."""
     outcome = PointOutcome(point=point)
     backends = ["reference"] + (["highs"] if have_scipy() else [])
@@ -510,7 +501,7 @@ def check_point(
                 point, backend, inputs, result, outcome.disagreements
             )
 
-    with tempfile.TemporaryDirectory(dir=cache_root) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         for backend in backends:
             _check_cache(
                 point, backend, inputs, runs[backend], Path(tmp),
@@ -524,8 +515,7 @@ def check_point(
     return outcome
 
 
-def shrink_point(point: FuzzPoint, cache_root: Path | None = None,
-                 attempts: int = 6) -> FuzzPoint:
+def shrink_point(point: FuzzPoint, attempts: int = 6) -> FuzzPoint:
     """Greedily look for a smaller point showing the same kind of failure.
 
     Tries progressively smaller (layers, width) variants of the failing
@@ -549,7 +539,7 @@ def shrink_point(point: FuzzPoint, cache_root: Path | None = None,
                 topology=point.topology,
                 load=point.load,
             )
-            if not check_point(candidate, cache_root).ok:
+            if not check_point(candidate).ok:
                 return candidate
     return best
 

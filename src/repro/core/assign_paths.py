@@ -39,6 +39,13 @@ from repro.topology.base import Topology
 from repro.topology.routing import lsd_to_msd_route
 from repro.units import EPS
 
+#: Safety cap on iterative-improvement steps per descent.
+MAX_DESCENT_STEPS = 200
+
+#: Cap on same-value peak-repositioning moves per descent (Fig. 4
+#: repositions unboundedly; a cap guarantees termination).
+MAX_REPOSITIONS = 25
+
 
 @dataclass(frozen=True)
 class AssignPathsResult:
@@ -69,8 +76,6 @@ def assign_paths(
     seed: int = 0,
     max_paths: int = 48,
     max_restarts: int = 4,
-    max_inner: int = 200,
-    max_repositions: int = 25,
     frame: CandidateFrame | None = None,
 ) -> AssignPathsResult:
     """Minimise peak utilisation ``U`` over path assignments.
@@ -92,11 +97,6 @@ def assign_paths(
     max_restarts:
         Random restarts after the first descent (the Fig. 4 escape from
         local minima).
-    max_inner:
-        Safety cap on iterative-improvement steps per descent.
-    max_repositions:
-        Cap on same-value peak-repositioning moves per descent (Fig. 4
-        repositions unboundedly; a cap guarantees termination).
     frame:
         The compile's :class:`~repro.core.utilization.CandidateFrame`
         for these ``bounds``, ``endpoints`` and ``max_paths`` — the
@@ -124,7 +124,7 @@ def assign_paths(
 
     for restart in range(max_restarts + 1):
         state = UtilizationState(bounds, random_assignment(), frame)
-        total_inner += _descend(state, bounds, max_inner, max_repositions)
+        total_inner += _descend(state, bounds)
         peak = state.peak().value
         if peak < best_peak - EPS:
             best = state.assignment.copy()
@@ -144,17 +144,12 @@ def assign_paths(
     )
 
 
-def _descend(
-    state: UtilizationState,
-    bounds: TimeBoundSet,
-    max_inner: int,
-    max_repositions: int,
-) -> int:
+def _descend(state: UtilizationState, bounds: TimeBoundSet) -> int:
     """One iterative-improvement descent; returns iterations performed."""
-    repositions_left = max_repositions
+    repositions_left = MAX_REPOSITIONS
     iterations = 0
     seen_positions: set = set()
-    for iterations in range(1, max_inner + 1):
+    for iterations in range(1, MAX_DESCENT_STEPS + 1):
         witness = state.peak()
         seen_positions.add(witness.position())
         candidates = _reroutable_messages(state, bounds, witness)

@@ -79,7 +79,7 @@ class PathAssignment:
         key = tuple(path)
         links = self._validated.get(key)
         if links is None or key[0] != src or key[-1] != dst:
-            validate_path(self.topology, path, src, dst, require_minimal=True)
+            validate_path(self.topology, path, src, dst)
             links = self._validated[key] = links_on_path(path)
         self._paths[name] = key
         self._links[name] = links

@@ -37,7 +37,6 @@ from repro.core.utilization import UtilizationReport
 from repro.errors import SchedulingError
 from repro.mapping.allocation import validate_allocation
 from repro.solvers import get_backend
-from repro.solvers.base import LPBackend
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Topology
 from repro.trace.profile import NULL_PROFILER, CompileProfiler
@@ -265,9 +264,6 @@ def schedule_from_assignment(
     tau_in: float,
     local: list[str],
     config: CompilerConfig,
-    attempt_number: int = 1,
-    profiler: CompileProfiler | None = None,
-    backend: LPBackend | None = None,
 ) -> ScheduledRouting:
     """Run the post-assignment compiler stages for a fixed path assignment.
 
@@ -278,20 +274,15 @@ def schedule_from_assignment(
     re-assigning only the fault-affected messages, so a repair reuses the
     exact machinery (and validation) of a fresh compile.
     """
-    profiler = profiler if profiler is not None else NULL_PROFILER
-    if backend is None:
-        backend = get_backend(
-            config.lp_backend, warm_start=config.lp_warm_start
-        )
     context = CompilationContext(
         tau_in=tau_in,
         config=config,
-        profiler=profiler,
-        backend=backend,
+        backend=get_backend(
+            config.lp_backend, warm_start=config.lp_warm_start
+        ),
     )
     context.bounds = bounds
     context.local = list(local)
-    context.attempt_number = attempt_number
     context.assignment = assignment
     context.report = report
     run_stages(POST_ASSIGNMENT_STAGES, context)

@@ -62,6 +62,13 @@ __all__ = [
     "schedule_intervals",
 ]
 
+#: Branch-and-bound nodes a pricing call visits before settling for its best.
+MWIS_NODE_BUDGET = 100_000
+
+#: Solver rounds (one priced column each) a packing may take after the
+#: closed-form singleton round.
+MAX_PRICING_ROUNDS = 500
+
 
 @dataclass(frozen=True)
 class FeasibleSetSlot:
@@ -110,14 +117,13 @@ def conflict_graph(
 def max_weight_independent_set(
     adjacency: dict[str, set[str]],
     weights: dict[str, float],
-    node_budget: int = 100_000,
 ) -> tuple[frozenset[str], float]:
     """(Near-)maximum-weight independent set by budgeted branch and bound.
 
     Vertices with non-positive weight are dropped up front (they never
     help).  Exact on the small conflict graphs typical of one interval;
     on large sparse graphs — where the suffix bound prunes poorly and the
-    search would go exponential — the ``node_budget`` caps exploration
+    search would go exponential — :data:`MWIS_NODE_BUDGET` caps exploration
     and the best set found so far is returned.  Used as a column-
     generation pricer, a non-optimal set only makes the pricing
     conservative (columns stop being added earlier); every generated
@@ -157,7 +163,7 @@ def max_weight_independent_set(
         if (
             i >= len(vertices)
             or weight + suffix_weight[i] <= best_weight
-            or visited > node_budget
+            or visited > MWIS_NODE_BUDGET
         ):
             return
         vertex = vertices[i]
@@ -314,7 +320,6 @@ def schedule_interval(
     interval: int,
     demands: dict[str, float],
     interval_length: float,
-    max_columns: int = 500,
     backend: LPBackend | None = None,
 ) -> IntervalSchedule:
     """Pack one interval's demands into link-feasible sets.
@@ -330,9 +335,6 @@ def schedule_interval(
         (the allocation LP's ``p_hk`` values).
     interval_length:
         Length of the interval; the packing must fit inside it.
-    max_columns:
-        Cap on solver rounds, i.e. on columns priced in *after* the
-        singleton round (which is closed-form and costs no solve).
     backend:
         LP solver (see :mod:`repro.solvers`); the environment's best
         available backend by default.  A backend that cannot report
@@ -350,15 +352,13 @@ def schedule_interval(
     if not state.done:
         if backend is None:
             backend = get_backend()
-        _converge(state, backend, max_columns)
+        _converge(state, backend)
     return state.finish()
 
 
-def _converge(
-    state: _PackingState, backend: LPBackend, max_columns: int
-) -> None:
+def _converge(state: _PackingState, backend: LPBackend) -> None:
     """Drive one state's column generation to convergence, solve by solve."""
-    for _ in range(max_columns):
+    for _ in range(MAX_PRICING_ROUNDS):
         state.absorb(backend.solve(state.problem()))
         if state.done:
             break
@@ -368,7 +368,6 @@ def greedy_schedule_interval(
     assignment: PathAssignment,
     interval: int,
     demands: dict[str, float],
-    interval_length: float | None = None,
 ) -> IntervalSchedule:
     """A largest-demand-first list-scheduling packer.
 
@@ -378,10 +377,8 @@ def greedy_schedule_interval(
     message) and runs it until its smallest member drains.  Its makespan
     upper-bounds the column-generation LP optimum — a property the test
     suite checks — and unlike the LP it never *under*-reports, so
-    ``greedy fits`` implies ``LP fits``.
-
-    ``interval_length`` is accepted for signature symmetry but not
-    enforced; callers compare ``total_time`` themselves.
+    ``greedy fits`` implies ``LP fits``.  No interval length is enforced;
+    callers compare ``total_time`` themselves.
     """
     remaining = {
         name: demand for name, demand in demands.items() if demand > LP_TOL
@@ -412,7 +409,6 @@ def schedule_intervals(
     interval_lengths: Sequence[float],
     backend: LPBackend | None = None,
     batch: bool = True,
-    max_columns: int = 500,
 ) -> dict[int, IntervalSchedule]:
     """Schedule every interval used by one subset's allocation.
 
@@ -426,7 +422,7 @@ def schedule_intervals(
     fit-the-interval verdicts are identical to sequential solving.
     The lockstep starts after the closed-form singleton round: intervals
     that round already settled never reach the backend, and
-    ``max_columns`` caps the solver rounds that follow it.
+    :data:`MAX_PRICING_ROUNDS` caps the solver rounds that follow it.
     """
     if backend is None:
         backend = get_backend()
@@ -440,9 +436,9 @@ def schedule_intervals(
     active = [state for state in states.values() if not state.done]
     if not batch or len(active) <= 1:
         for state in active:
-            _converge(state, backend, max_columns)
+            _converge(state, backend)
     else:
-        for _ in range(max_columns):
+        for _ in range(MAX_PRICING_ROUNDS):
             pending = [state for state in active if not state.done]
             if not pending:
                 break

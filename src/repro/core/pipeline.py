@@ -130,7 +130,6 @@ class CompilationContext:
     delta: "DeltaState | None" = None
 
     # Artifacts, in pipeline order.
-    routed: list[str] = field(default_factory=list)
     local: list[str] = field(default_factory=list)
     bounds: TimeBoundSet | None = None
     endpoints: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -230,7 +229,7 @@ class TimeBoundsStage:
     def run(self, context: CompilationContext) -> None:
         timing, allocation = context.timing, context.allocation
         routed, local = routed_and_local_messages(timing, allocation)
-        context.routed, context.local = routed, local
+        context.local = local
         with context.profiler.stage(
             self.name, messages=len(routed), local_messages=len(local)
         ):

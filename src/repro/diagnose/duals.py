@@ -17,7 +17,6 @@ conflict, so these certificates explain rather than prescreen.
 
 from __future__ import annotations
 
-from typing import Sequence
 
 from repro.core.assignment import PathAssignment
 from repro.core.interval_allocation import build_allocation_problem
@@ -127,7 +126,6 @@ def explain_assignment(
     bounds: TimeBoundSet,
     assignment: PathAssignment,
     backend: LPBackend | None = None,
-    subsets: Sequence[tuple[str, ...]] | None = None,
 ) -> tuple[Refutation, ...]:
     """Farkas certificates for every unallocatable maximal subset.
 
@@ -139,13 +137,8 @@ def explain_assignment(
     """
     if backend is None:
         backend = get_backend()
-    groups = (
-        list(subsets)
-        if subsets is not None
-        else maximal_subsets(bounds, assignment)
-    )
     refutations: list[Refutation] = []
-    for index, subset in enumerate(groups):
+    for index, subset in enumerate(maximal_subsets(bounds, assignment)):
         refutation = explain_allocation_failure(
             bounds, assignment, tuple(subset), index, backend
         )

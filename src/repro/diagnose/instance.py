@@ -126,7 +126,6 @@ def _worst_overload(
     bounds: TimeBoundSet,
     rows: Sequence[int],
     multiplicity: int,
-    weights: Sequence[float] | None = None,
 ) -> _HallViolation | None:
     """The most violated Hall window for messages pinned to one resource.
 
@@ -146,11 +145,6 @@ def _worst_overload(
     durations = np.array([bounds.bounds[bounds.order[i]].duration for i in rows])
     active_lengths = activity @ lengths
     any_active = activity.any(axis=0)
-    weight = (
-        np.asarray(list(weights), dtype=float)
-        if weights is not None
-        else np.ones(len(rows))
-    )
 
     def boundary_index(value: float) -> int:
         best = min(range(len(boundaries)), key=lambda i: abs(boundaries[i] - value))
@@ -187,7 +181,7 @@ def _worst_overload(
     for mask, window, full in candidates:
         within = activity[:, mask] @ lengths[mask]
         demand_each = np.maximum(0.0, durations - (active_lengths - within))
-        demand = float((demand_each * weight).sum())
+        demand = float(demand_each.sum())
         capacity = float(lengths[mask & any_active].sum()) * multiplicity
         if not exceeds_capacity(demand, capacity):
             continue

@@ -20,7 +20,7 @@ simulation required:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Topology
@@ -30,8 +30,6 @@ from repro.wormhole.analysis import OiRisk, predict_oi_risks
 #: A directed channel ``(u, v)`` — the half of link ``{u, v}`` that
 #: carries flits from ``u`` to ``v``.
 Channel = tuple[int, int]
-
-Router = Callable[[Topology, int, int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -155,10 +153,9 @@ def analyze_wormhole(
     topology: Topology,
     allocation: Mapping[str, int],
     tau_in: float,
-    router: Router = lsd_to_msd_route,
     all_pairs: bool = False,
 ) -> WrReport:
-    """Static WR hazards for one instance under a deterministic router.
+    """Static WR hazards for one instance under LSD->MSD routing.
 
     With ``all_pairs=False`` (default) the dependency graph covers the
     instance's actual message routes — "can *these* messages deadlock".
@@ -178,7 +175,7 @@ def analyze_wormhole(
             src, dst = allocation[message.src], allocation[message.dst]
             if src != dst:
                 pairs.append((src, dst))
-    routes = [router(topology, src, dst) for src, dst in pairs]
+    routes = [lsd_to_msd_route(topology, src, dst) for src, dst in pairs]
     graph = channel_dependency_graph(routes)
     findings: list[WrFinding] = []
     cycle = find_dependency_cycle(graph)
@@ -194,9 +191,7 @@ def analyze_wormhole(
                 channels=cycle,
             )
         )
-    risks = tuple(
-        predict_oi_risks(timing, topology, allocation, tau_in, router=router)
-    )
+    risks = tuple(predict_oi_risks(timing, topology, allocation, tau_in))
     for risk in risks:
         findings.append(
             WrFinding(

@@ -78,10 +78,10 @@ class StaticallyRefutedError(SchedulingError):
 
     stage = "prescreen"
 
-    def __init__(self, refutations: tuple[dict, ...] | list[dict], detail: str = ""):
+    def __init__(self, refutations: tuple[dict, ...] | list[dict]):
         self.refutations = tuple(dict(r) for r in refutations)
         kinds = sorted({str(r.get("kind", "?")) for r in self.refutations})
-        summary = detail or (
+        summary = (
             self.refutations[0].get("detail", "") if self.refutations else ""
         )
         suffix = f": {summary}" if summary else ""
@@ -186,14 +186,13 @@ class FaultedDeadlineError(FaultInjectionError):
     injected fault (clock drift eating the margin, or an outage window
     swallowing the transmission slot)."""
 
-    def __init__(self, message_name: str, due: float, actual: float,
-                 cause: str = "clock drift"):
+    def __init__(self, message_name: str, due: float, actual: float):
         self.message_name = message_name
         self.due = due
         self.actual = actual
         super().__init__(
             f"message {message_name!r} delivery at {actual:.6f} misses "
-            f"deadline {due:.6f} under {cause}",
+            f"deadline {due:.6f} under clock drift",
             actual,
         )
 

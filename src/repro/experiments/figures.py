@@ -51,8 +51,6 @@ def utilization_comparison(
     setup: ExperimentSetup,
     loads: list[float],
     seed: int = 0,
-    max_paths: int = 48,
-    max_restarts: int = 4,
 ) -> list[UtilizationPoint]:
     """Peak utilisation of LSD->MSD vs AssignPaths at each load."""
     routed, endpoints = _routed_endpoints(setup)
@@ -63,14 +61,7 @@ def utilization_comparison(
         baseline = utilization_report(
             bounds, lsd_assignment(setup.topology, endpoints)
         )
-        heuristic = assign_paths(
-            bounds,
-            setup.topology,
-            endpoints,
-            seed=seed,
-            max_paths=max_paths,
-            max_restarts=max_restarts,
-        )
+        heuristic = assign_paths(bounds, setup.topology, endpoints, seed=seed)
         points.append(
             UtilizationPoint(
                 load=load,

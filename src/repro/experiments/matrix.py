@@ -20,12 +20,16 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
-from repro.cache.store import CacheStats, ScheduleCache, persist_cache_stats
+from repro.cache.store import (
+    CacheStats,
+    ScheduleCache,
+    persist_cache_stats,
+    process_cache,
+)
 from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.pipeline import (
     CHECK_FLAGGED,
     OK,
-    STAGE_VERDICT_CODES,
     STATICALLY_REFUTED,
     verdict_code,
 )
@@ -34,9 +38,6 @@ from repro.experiments.setup import standard_setup
 from repro.pool import GracefulPool
 from repro.tfg.graph import TaskFlowGraph
 from repro.topology.base import Topology
-
-#: Back-compat alias — the verdict codes live with the stage pipeline.
-STAGE_CODES = STAGE_VERDICT_CODES
 
 
 @dataclass(frozen=True)
@@ -143,18 +144,19 @@ def _compile_point(
 def _matrix_cell(payload: tuple) -> tuple[int, str, dict | None]:
     """Worker-process entry: one (topology, bandwidth, load) point.
 
-    Module-level so :class:`ProcessPoolExecutor` can pickle it.  Each
-    call opens its own cache handle on the shared directory (the disk
-    tier is multi-process safe; the memory tier is per-process) and
-    ships its counters back for aggregation.
+    Module-level so :class:`ProcessPoolExecutor` can pickle it.  Every
+    cell a worker runs shares that process's one cache handle on the
+    directory (:func:`~repro.cache.store.process_cache`) and ships its
+    own counter deltas back for aggregation, as farm tasks do.
     """
     (index, tfg, topology, bandwidth, load, config, placed, cache_dir,
      analyze) = payload
-    cache = ScheduleCache(cache_dir) if cache_dir is not None else None
+    cache = process_cache(cache_dir)
+    before = cache.stats.snapshot() if cache is not None else None
     verdict = _compile_point(
         tfg, topology, bandwidth, load, config, placed, cache, analyze
     )
-    stats = cache.stats.snapshot() if cache is not None else None
+    stats = cache.stats.since(before) if cache is not None else None
     return index, verdict, stats
 
 

@@ -129,7 +129,6 @@ def fault_recovery_experiment(
     invocations: int | None = None,
     warmup: int | None = None,
     config: CompilerConfig | None = None,
-    horizon_fraction: float = 0.5,
     run: RunConfig | None = None,
 ) -> FaultRecoveryReport:
     """Inject, detect, repair, and compare against adaptive wormhole.
@@ -148,8 +147,8 @@ def fault_recovery_experiment(
     5. runs :class:`~repro.wormhole.adaptive.AdaptiveWormholeSimulator`
        under the identical trace for the degraded-mode comparison.
 
-    ``horizon_fraction`` places fault start times inside the first
-    fraction of the replay window so detection happens mid-run.
+    Fault start times fall inside the first half of the replay window so
+    detection happens mid-run.
 
     ``run`` bundles the run parameters (invocations, warm-up, seed,
     tracer) as a :class:`~repro.results.RunConfig`; the per-call
@@ -174,7 +173,7 @@ def fault_recovery_experiment(
         for slot in slots
         for link in slot.links
     }))
-    horizon = max(horizon_fraction * invocations * tau_in, tau_in)
+    horizon = max(0.5 * invocations * tau_in, tau_in)
     trace = generate_fault_trace(
         setup.topology,
         seed=seed,

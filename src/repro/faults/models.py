@@ -162,12 +162,9 @@ def generate_fault_trace(
     topology: Topology,
     seed: int = 0,
     n_link_faults: int = 1,
-    n_node_faults: int = 0,
     n_drifts: int = 0,
     horizon: float = 100.0,
     transient_fraction: float = 0.0,
-    mean_outage: float = 10.0,
-    max_drift: float = 1.0,
     candidate_links: tuple[Link, ...] | None = None,
 ) -> FaultTrace:
     """Seeded deterministic fault-trace generation.
@@ -179,17 +176,15 @@ def generate_fault_trace(
     seed:
         Seeds every random choice; identical seeds yield identical traces
         (the property the SR-vs-WR survivability comparison relies on).
-    n_link_faults, n_node_faults, n_drifts:
-        How many faults of each class to draw.
+    n_link_faults, n_drifts:
+        How many link faults and clock drifts to draw (node faults are
+        built by hand: :class:`NodeFault`).
     horizon:
         Fault start times are drawn uniformly from ``[0, horizon)``.
     transient_fraction:
-        Probability a drawn link/node fault is transient rather than
-        permanent.
-    mean_outage:
-        Mean duration of transient outages (exponential).
-    max_drift:
-        Drift offsets are drawn uniformly from ``[-max_drift, max_drift]``.
+        Probability a drawn link fault is transient rather than
+        permanent; outages are exponential with mean 10 us.  Drift
+        offsets are uniform in ``[-1, 1]`` us.
     candidate_links:
         Restrict link faults to this pool (e.g. the links a compiled
         schedule actually uses, so every drawn fault is *felt*); defaults
@@ -206,30 +201,19 @@ def generate_fault_trace(
     for link in rng.sample(pool, n_link_faults):
         start = rng.uniform(0.0, horizon)
         duration = (
-            rng.expovariate(1.0 / mean_outage)
+            rng.expovariate(1.0 / 10.0)
             if rng.random() < transient_fraction
             else None
         )
         link_faults.append(LinkFault(link, start, duration))
-    node_faults = []
-    if n_node_faults:
-        for node in rng.sample(range(topology.num_nodes), n_node_faults):
-            start = rng.uniform(0.0, horizon)
-            duration = (
-                rng.expovariate(1.0 / mean_outage)
-                if rng.random() < transient_fraction
-                else None
-            )
-            node_faults.append(NodeFault(node, start, duration))
     drifts = tuple(
-        ClockDrift(node, rng.uniform(-max_drift, max_drift))
+        ClockDrift(node, rng.uniform(-1.0, 1.0))
         for node in (
             rng.sample(range(topology.num_nodes), n_drifts) if n_drifts else ()
         )
     )
     return FaultTrace(
         link_faults=tuple(sorted(link_faults, key=lambda f: (f.start, f.link))),
-        node_faults=tuple(sorted(node_faults, key=lambda f: (f.start, f.node))),
         drifts=drifts,
         seed=seed,
     )

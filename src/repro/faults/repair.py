@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.core.assignment import PathAssignment
 from repro.core.compiler import (
@@ -48,8 +48,11 @@ from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Link, Topology
 from repro.units import EPS
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ScheduleCache
+#: Cap on residual candidate paths per affected message.
+MAX_REPAIR_POOL = 48
+
+#: Cap on reroutes one local repair applies (each strictly lowers the peak).
+MAX_DESCENT_ROUNDS = 50
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,6 @@ def repair_schedule(
     failed_links,
     config: CompilerConfig | None = None,
     allow_local: bool = True,
-    max_pool: int = 48,
-    cache: "ScheduleCache | None" = None,
 ) -> RepairOutcome:
     """Repair a compiled schedule after permanent link failures.
 
@@ -133,15 +134,6 @@ def repair_schedule(
     allow_local:
         Set False to force the full-recompilation path (used by tests
         and ablations).
-    max_pool:
-        Cap on residual candidate paths per affected message.
-    cache:
-        Optional :class:`~repro.cache.ScheduleCache` consulted by the
-        full-recompilation path.  The cache key includes the residual
-        topology's *link set*, so repeated repairs after the same fault
-        pattern (common across survivability sweeps) reuse the
-        recompiled schedule, while different patterns of equal size
-        never collide.
 
     Raises
     ------
@@ -186,7 +178,6 @@ def repair_schedule(
             repaired, rerouted = _local_repair(
                 bounds, residual, endpoints, routing, affected,
                 routing.tau_in, list(routing.local_messages), config,
-                max_pool,
             )
             return RepairOutcome(
                 routing=repaired,
@@ -207,7 +198,6 @@ def repair_schedule(
             allocation,
             routing.tau_in,
             _recompile_config(config),
-            cache=cache,
         )
     except SchedulingError as error:
         raise RepairInfeasibleError(
@@ -247,7 +237,6 @@ def _local_repair(
     tau_in: float,
     local: list[str],
     config: CompilerConfig,
-    max_pool: int,
 ):
     """Reroute only the affected messages, then re-run downstream stages.
 
@@ -257,7 +246,8 @@ def _local_repair(
     recompile).
     """
     frame = CandidateFrame(
-        bounds, residual, {name: endpoints[name] for name in affected}, max_pool
+        bounds, residual, {name: endpoints[name] for name in affected},
+        MAX_REPAIR_POOL,
     )
     # Seed each affected message with its first surviving candidate; the
     # unaffected messages keep their (still minimal, still live) paths.
@@ -287,7 +277,7 @@ def _local_repair(
     return repaired, rerouted
 
 
-def _descend_affected(state: UtilizationState, max_rounds: int = 50) -> None:
+def _descend_affected(state: UtilizationState) -> None:
     """Greedy peak-utilisation descent restricted to the affected messages
     (the ones the state's frame holds candidate pools for).
 
@@ -297,7 +287,7 @@ def _descend_affected(state: UtilizationState, max_rounds: int = 50) -> None:
     single reroute with the largest peak reduction; stop when no reroute
     improves the peak.
     """
-    for _ in range(max_rounds):
+    for _ in range(MAX_DESCENT_ROUNDS):
         best_value = state.peak().value
         best_move: tuple[str, list[int]] | None = None
         for name in state.frame.pools:

@@ -57,15 +57,13 @@ def annealed_allocation(
     topology: Topology,
     seed: int = 0,
     iterations: int = 4000,
-    initial_temperature: float = 1.0,
-    congestion_weight: float = 4.0,
 ) -> Allocation:
     """Anneal a one-task-per-node placement.
 
-    Objective: ``communication_cost + congestion_weight * num_messages *
-    congestion`` (both terms in byte-hops), minimised by swap/move
-    proposals under a geometric cooling schedule.  Deterministic per
-    ``seed``.
+    Objective: ``communication_cost + 4 * congestion``
+    (both terms in byte-hops), minimised by swap/move proposals under a
+    geometric cooling schedule that starts at the initial cost.
+    Deterministic per ``seed``.
     """
     if tfg.num_tasks > topology.num_nodes:
         raise AllocationError(
@@ -77,7 +75,7 @@ def annealed_allocation(
 
     def objective(allocation: Mapping[str, int]) -> float:
         return communication_cost(tfg, topology, allocation) + (
-            congestion_weight * placement_congestion(tfg, topology, allocation)
+            4.0 * placement_congestion(tfg, topology, allocation)
         )
 
     current_cost = objective(current)
@@ -85,7 +83,7 @@ def annealed_allocation(
     best_cost = current_cost
     free_nodes = sorted(set(range(topology.num_nodes)) - set(current.values()))
 
-    temperature = initial_temperature * max(current_cost, 1.0)
+    temperature = max(current_cost, 1.0)
     cooling = (1e-3) ** (1.0 / max(iterations, 1))
 
     for _ in range(iterations):

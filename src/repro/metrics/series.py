@@ -41,15 +41,18 @@ def output_intervals(completion_times: Sequence[float]) -> list[float]:
     return [b - a for a, b in zip(completion_times, completion_times[1:])]
 
 
+#: Relative tolerance of the OI test (DESIGN.md section 6, "OI detection").
+OI_REL_TOL = 1e-6
+
+
 def has_output_inconsistency(
     intervals: Sequence[float],
     tau_in: float,
-    rel_tol: float = 1e-6,
 ) -> bool:
     """Paper Eq. 1: pipelining is consistent iff every output interval
     equals ``tau_in``.  Measured intervals are compared with a relative
     tolerance to absorb floating-point noise."""
-    tol = rel_tol * tau_in
+    tol = OI_REL_TOL * tau_in
     return any(abs(delta - tau_in) > tol for delta in intervals)
 
 
@@ -88,8 +91,8 @@ def normalized_latency_stats(
     )
 
 
-def load_sweep(points: int = 12, low: float = 0.2, high: float = 1.0) -> list[float]:
-    """Evenly spaced normalized-load values.
+def load_sweep(points: int = 12) -> list[float]:
+    """Evenly spaced normalized-load values over ``[0.2, 1.0]``.
 
     The paper selects "twelve different values of the input period between
     its minimum value of tau_c and 5*tau_c" — i.e. loads spanning
@@ -102,7 +105,6 @@ def load_sweep(points: int = 12, low: float = 0.2, high: float = 1.0) -> list[fl
     """
     if points < 2:
         raise ValueError(f"need at least 2 sweep points, got {points}")
-    if not 0 < low < high <= 1.0:
-        raise ValueError(f"invalid load range [{low}, {high}]")
+    low, high = 0.2, 1.0
     step = (high - low) / (points - 1)
     return [round(low + i * step, 10) for i in range(points)]

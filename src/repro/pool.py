@@ -113,11 +113,11 @@ class GracefulPool:
         for future in pending:
             future.cancel()
 
-    def drain(self, timeout: float | None = None) -> None:
+    def drain(self) -> None:
         """Block until every in-flight future is done (or cancelled)."""
         with self._lock:
             pending = list(self._pending)
-        wait(pending, timeout=timeout)
+        wait(pending)
 
     def install_signal_handlers(self) -> None:
         """Route SIGTERM/SIGINT to :meth:`initiate_drain`.

@@ -7,14 +7,12 @@ from typing import Sequence
 from repro.metrics.series import SpikeStats
 
 
-def format_spike(stats: SpikeStats, digits: int = 3) -> str:
-    """Render a spike as ``min/mean/max`` (collapses when constant)."""
-    if stats.is_constant(10 ** -digits):
-        return f"{stats.mean:.{digits}f}"
-    return (
-        f"{stats.minimum:.{digits}f}/{stats.mean:.{digits}f}/"
-        f"{stats.maximum:.{digits}f}"
-    )
+def format_spike(stats: SpikeStats) -> str:
+    """Render a spike as ``min/mean/max`` to three decimals (collapses
+    when constant at that precision)."""
+    if stats.is_constant(1e-3):
+        return f"{stats.mean:.3f}"
+    return f"{stats.minimum:.3f}/{stats.mean:.3f}/{stats.maximum:.3f}"
 
 
 def format_table(

@@ -11,12 +11,8 @@ module is the single contract:
   :meth:`WormholeSimulator.run` (and subclasses), the faults
   comparator, and the CLI;
 - :class:`RunResult` is the one measured-behaviour shape
-  (completions, intervals, latencies, jitter, ``has_oi``, optional
-  ``trace``) that metrics, report, and viz code consume.
-
-The deprecated ``PipelineRunResult`` alias and the
-``FaultRecoveryReport.sr_post_repair`` property were removed after one
-deprecation cycle; see ``docs/api.md`` for the migration table.
+  (completion times, intervals, latencies, jitter, ``has_oi``,
+  optional ``trace``) that metrics, report, and viz code consume.
 """
 
 from __future__ import annotations
@@ -69,11 +65,6 @@ class RunConfig:
     max_recoveries:
         Wormhole-only deadlock-recovery budget (``None`` = the
         simulator's default); ignored by the SR executor.
-    allocator:
-        Task-placement strategy name (``"sequential"``, ``"bfs"``,
-        ``"random"``, ``"annealed"``) for layers that build the setup
-        themselves (the CLI); runners receiving an explicit allocation
-        ignore it.
     """
 
     invocations: int = 40
@@ -82,7 +73,6 @@ class RunConfig:
     fault_trace: "FaultTrace | None" = None
     tracer: Tracer = NULL_TRACER
     max_recoveries: int | None = None
-    allocator: str | None = None
 
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with the given fields changed."""
@@ -176,9 +166,9 @@ class RunResult:
         """Normalized latency spike (lambda / Lambda)."""
         return normalized_latency_stats(self.latencies, self.critical_path_length)
 
-    def has_oi(self, rel_tol: float = 1e-6) -> bool:
+    def has_oi(self) -> bool:
         """Output inconsistency: output intervals not all equal to tau_in."""
-        return has_output_inconsistency(self.intervals, self.tau_in, rel_tol)
+        return has_output_inconsistency(self.intervals, self.tau_in)
 
     def jitter(self) -> "JitterReport":
         """Magnitude of the output-timing irregularity (post warm-up).

@@ -48,6 +48,9 @@ _REASONS = {
 #: Largest accepted request body; a job payload is a few hundred bytes.
 _MAX_BODY = 1 << 20
 
+#: Hard cap on ``?wait=1`` blocking, seconds.
+_MAX_WAIT = 600.0
+
 
 class _HttpError(Exception):
     """Terminates one request with a status + JSON error body."""
@@ -98,7 +101,12 @@ async def _read_request(
             break
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _HttpError(400, "malformed Content-Length")
     if length > _MAX_BODY:
         raise _HttpError(400, f"body too large ({length} bytes)")
     body = await reader.readexactly(length) if length else b""
@@ -143,10 +151,7 @@ async def _handle_post_jobs(service: CompileService, query: str,
         raise _HttpError(400, str(error)) from None
     params = parse_qs(query)
     if params.get("wait", ["0"])[-1] in ("1", "true", "yes"):
-        timeout = min(
-            float(params.get("timeout", [service.config.wait_timeout])[-1]),
-            service.config.wait_timeout,
-        )
+        timeout = min(float(params.get("timeout", [_MAX_WAIT])[-1]), _MAX_WAIT)
         finished = await job.wait(timeout)
         _json_response(
             writer, 200 if finished else 202, job.snapshot(), keep_alive
@@ -219,6 +224,13 @@ async def _handle_connection(service: CompileService,
                 break
             except asyncio.CancelledError:
                 # Event loop going down mid-keep-alive: close quietly.
+                break
+            except _HttpError as error:
+                # Unreadable request: where the next one starts is unknown,
+                # so answer and close (``close`` flushes the response).
+                _json_response(
+                    writer, error.status, {"error": error.detail}, False
+                )
                 break
             if request is None:
                 break

@@ -287,7 +287,7 @@ class JobStore:
     on in the schedule cache — the store is for polling, not archival).
     """
 
-    def __init__(self, history_limit: int = 512) -> None:
+    def __init__(self, history_limit: int) -> None:
         self.history_limit = history_limit
         self._jobs: dict[str, Job] = {}
         self._ids = itertools.count(1)

@@ -20,7 +20,6 @@ from typing import Any
 
 from repro.serve.http import start_http_server
 from repro.serve.service import CompileService, ServeConfig
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = ["ServerThread", "serve_forever"]
 
@@ -53,7 +52,7 @@ async def _serve(service: CompileService, stop: asyncio.Event,
     return 0
 
 
-def serve_forever(config: ServeConfig, tracer: Tracer = NULL_TRACER) -> int:
+def serve_forever(config: ServeConfig) -> int:
     """Run the daemon until SIGTERM/SIGINT; returns an exit code.
 
     Signals flip one asyncio event; the teardown path then drains the
@@ -61,7 +60,7 @@ def serve_forever(config: ServeConfig, tracer: Tracer = NULL_TRACER) -> int:
     :class:`~repro.pool.GracefulPool` semantics) before the process
     exits.
     """
-    service = CompileService(config, tracer=tracer)
+    service = CompileService(config)
 
     async def main() -> int:
         stop = asyncio.Event()
@@ -88,9 +87,8 @@ class ServerThread:
     graceful drain before returning.
     """
 
-    def __init__(self, config: ServeConfig | None = None,
-                 tracer: Tracer = NULL_TRACER) -> None:
-        self.service = CompileService(config or ServeConfig(), tracer=tracer)
+    def __init__(self, config: ServeConfig) -> None:
+        self.service = CompileService(config)
         self.port: int = 0
         self._ready = threading.Event()
         self._stop: asyncio.Event | None = None
@@ -107,17 +105,17 @@ class ServerThread:
 
         asyncio.run(main())
 
-    def start(self, timeout: float = 30.0) -> "ServerThread":
+    def start(self) -> "ServerThread":
         self._thread.start()
-        if not self._ready.wait(timeout):
+        if not self._ready.wait(30.0):
             raise RuntimeError("serve thread failed to come up")
         self.port = getattr(self.service, "bound_port", 0)
         return self
 
-    def stop(self, timeout: float = 60.0) -> None:
+    def stop(self) -> None:
         if self._loop is not None and self._stop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout)
+        self._thread.join(60.0)
 
     def __enter__(self) -> "ServerThread":
         return self.start()

@@ -90,8 +90,6 @@ class ServeConfig:
     cache_dir: str | Path | None = None
     admission: bool = True
     history_limit: int = 4096
-    #: Hard cap on ``?wait=1`` blocking, seconds.
-    wait_timeout: float = 600.0
 
 
 @dataclass
@@ -138,9 +136,8 @@ class CompileService:
     on the event-loop thread.
     """
 
-    def __init__(self, config: ServeConfig | None = None,
-                 tracer: Tracer = NULL_TRACER):
-        self.config = config or ServeConfig()
+    def __init__(self, config: ServeConfig, tracer: Tracer = NULL_TRACER):
+        self.config = config
         self.tracer = tracer
         self.store = JobStore(history_limit=self.config.history_limit)
         self.stats = ServiceStats()

@@ -7,7 +7,8 @@ dicts out, so nothing but builtins crosses the process boundary (no
 pickled schedules, no live topology objects).
 
 Each worker process keeps **one** :class:`~repro.cache.ScheduleCache`
-per cache directory for its whole life (:func:`_cache_for`): the memory
+per cache directory for its whole life
+(:func:`~repro.cache.store.process_cache`): the memory
 tier warms up across tasks, while the shared disk tier makes results
 visible to the service front-end and to sibling workers: the schedule or
 failure entry is the one file a task creates (the path the front-end's
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from typing import IO, Any, Mapping
 
-from repro.cache.store import ScheduleCache
+from repro.cache.store import ScheduleCache, process_cache
 from repro.core.compiler import compile_schedule
 from repro.core.pipeline import verdict_code
 from repro.errors import SchedulingError
@@ -37,19 +38,6 @@ from repro.serve.jobs import JobRequest
 from repro.trace.profile import CompileProfiler
 
 __all__ = ["execute_request"]
-
-#: One long-lived cache per (process, cache directory).
-_CACHES: dict[str, ScheduleCache] = {}
-
-
-def _cache_for(cache_dir: str | None) -> ScheduleCache | None:
-    if cache_dir is None:
-        return None
-    cache = _CACHES.get(cache_dir)
-    if cache is None:
-        cache = _CACHES[cache_dir] = ScheduleCache(cache_dir)
-    return cache
-
 
 class _Spool:
     """Append-only JSON-lines progress writer (one line per event).
@@ -190,7 +178,7 @@ def execute_request(task: Mapping[str, Any]) -> dict[str, Any]:
     task's cache-counter *deltas* for the service to aggregate.
     """
     request = JobRequest.from_canonical(task["request"])
-    cache = _cache_for(task.get("cache_dir"))
+    cache = process_cache(task.get("cache_dir"))
     before = cache.stats.snapshot() if cache is not None else None
     spool = _Spool(task.get("spool"))
     try:

@@ -24,8 +24,6 @@ class Environment:
 
     Parameters
     ----------
-    initial_time:
-        Starting value of :attr:`now` (default 0.0).
     tracer:
         Structured event sink (:mod:`repro.trace`).  Defaults to the
         null tracer; when enabled, the kernel emits ``sim``-category
@@ -33,8 +31,8 @@ class Environment:
         built on this environment emit their own categories.
     """
 
-    def __init__(self, initial_time: float = 0.0, tracer: Tracer | None = None):
-        self._now = float(initial_time)
+    def __init__(self, tracer: Tracer | None = None):
+        self._now = 0.0
         self._agenda: list[tuple[float, int, Event]] = []
         self._next_id = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER

@@ -55,17 +55,17 @@ import numpy as np
 LP_TOL = 1e-7
 
 
-def exceeds_tolerance(value: float, limit: float, tol: float = LP_TOL) -> bool:
+def exceeds_tolerance(value: float, limit: float) -> bool:
     """True when ``value`` exceeds ``limit`` beyond the shared tolerance.
 
     The band is relative for limits above 1 and absolute below
-    (``tol * max(1, |limit|)``), matching the historical behaviour of
+    (``LP_TOL * max(1, |limit|)``), matching the historical behaviour of
     both LP stages.  Values inside the band are treated as equal to the
     limit: the allocation stage accepts load factors up to
     ``1 + LP_TOL`` and the scheduling stage rescales packings that
     overshoot the interval by at most ``LP_TOL * interval_length``.
     """
-    return value > limit + tol * max(1.0, abs(limit))
+    return value > limit + LP_TOL * max(1.0, abs(limit))
 
 
 class CSRMatrix:

@@ -35,6 +35,9 @@ from repro.solvers.base import LP_TOL, LPBackend, LPProblem, LPProblemBuilder
 
 __all__ = ["FarkasCertificate", "infeasibility_certificate"]
 
+#: Slack of :meth:`FarkasCertificate.verify`'s sign and gap checks.
+VERIFY_TOL = 1e-6
+
 
 def _shifted_arrays(
     problem: LPProblem,
@@ -101,7 +104,7 @@ class FarkasCertificate:
     upper_indices: tuple[int, ...]
     violation: float
 
-    def verify(self, problem: LPProblem, tol: float = 1e-6) -> bool:
+    def verify(self, problem: LPProblem) -> bool:
         """Re-check the Farkas conditions against the problem data."""
         a_eq, b_eq, a_ub, b_ub, upper_idx, uppers = _shifted_arrays(problem)
         n = problem.num_variables
@@ -113,25 +116,24 @@ class FarkasCertificate:
             gap += float(lam @ b_eq)
         if a_ub is not None:
             mu = np.asarray(self.dual_ub)
-            if (mu < -tol).any():
+            if (mu < -VERIFY_TOL).any():
                 return False
             combo -= a_ub.T @ mu
             gap -= float(mu @ b_ub)
         nu = np.asarray(self.dual_upper)
         if nu.size:
-            if (nu < -tol).any() or nu.size != uppers.size:
+            if (nu < -VERIFY_TOL).any() or nu.size != uppers.size:
                 return False
             if tuple(int(j) for j in upper_idx) != self.upper_indices:
                 return False
             combo[upper_idx] -= nu
             gap -= float(nu @ uppers)
-        return bool(combo.max(initial=0.0) <= tol and gap > tol)
+        return bool(combo.max(initial=0.0) <= VERIFY_TOL and gap > VERIFY_TOL)
 
 
 def infeasibility_certificate(
     problem: LPProblem,
     backend: LPBackend,
-    tol: float = LP_TOL,
 ) -> FarkasCertificate | None:
     """Extract and verify a Farkas certificate for an infeasible LP.
 
@@ -186,7 +188,7 @@ def infeasibility_certificate(
     if not solution.success:
         return None
     violation = -float(solution.objective)
-    if violation <= tol:
+    if violation <= LP_TOL:
         return None
     x = np.asarray(solution.x)
     certificate = FarkasCertificate(

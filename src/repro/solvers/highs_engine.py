@@ -288,7 +288,6 @@ class HighsEngine:
         self,
         problem: LPProblem,
         warm_start: WarmStart | None = None,
-        capture_basis: bool = True,
     ) -> LPSolution:
         """Solve one canonical problem; bit-identical to linprog."""
         signature = _structure_signature(problem)
@@ -336,12 +335,11 @@ class HighsEngine:
         x = np.array(solution.col_value, dtype=np.float64)
         dual_rows = np.array(solution.row_dual, dtype=np.float64)
         handle: WarmStart | None = None
-        if capture_basis:
-            basis = self._highs.getBasis()
-            if basis.valid:
-                handle = WarmStart(
-                    backend="highs", signature=signature, payload=basis
-                )
+        basis = self._highs.getBasis()
+        if basis.valid:
+            handle = WarmStart(
+                backend="highs", signature=signature, payload=basis
+            )
         return LPSolution(
             success=True,
             x=x,

@@ -49,6 +49,9 @@ _RCOST_TOL = 1e-9
 #: Pivot entries at or below this magnitude are treated as zero.
 _PIVOT_TOL = 1e-10
 
+#: Pivots one solve may spend before it fails with "iteration limit".
+_MAX_ITERATIONS = 100_000
+
 #: Phase-1 objective above this value means the LP is infeasible.
 _FEAS_TOL = 1e-7
 
@@ -87,7 +90,6 @@ class _Tableau:
         self,
         costs: np.ndarray,
         allowed: np.ndarray,
-        max_iterations: int,
     ) -> tuple[str, np.ndarray]:
         """Run the simplex; returns ``(status, reduced_costs)``.
 
@@ -100,7 +102,7 @@ class _Tableau:
             candidates = np.flatnonzero(allowed & (r < -_RCOST_TOL))
             if candidates.size == 0:
                 return "optimal", r
-            if self.iterations > max_iterations:
+            if self.iterations > _MAX_ITERATIONS:
                 return "iterations", r
             if self.iterations < bland_after:
                 j = int(candidates[np.argmin(r[candidates])])
@@ -124,10 +126,6 @@ class ReferenceSimplexBackend(TalliedBackend):
     """Deterministic numpy-only LP backend (see module docstring)."""
 
     name = "reference"
-
-    def __init__(self, max_iterations: int = 100_000) -> None:
-        super().__init__()
-        self.max_iterations = max_iterations
 
     def _solve(
         self, problem: LPProblem, warm_start: WarmStart | None = None
@@ -222,9 +220,7 @@ class ReferenceSimplexBackend(TalliedBackend):
         if num_art:
             phase1 = np.zeros(total)
             phase1[art_columns] = 1.0
-            status, _ = tableau.minimize(
-                phase1, np.ones(total, dtype=bool), self.max_iterations
-            )
+            status, _ = tableau.minimize(phase1, np.ones(total, dtype=bool))
             infeasibility = sum(
                 tableau.rhs[i]
                 for i, j in enumerate(tableau.basis)
@@ -245,9 +241,7 @@ class ReferenceSimplexBackend(TalliedBackend):
         # Phase 2: the true objective; artificials may not re-enter.
         costs = np.zeros(total)
         costs[:n] = c
-        status, r = tableau.minimize(
-            costs, ~art_columns, self.max_iterations
-        )
+        status, r = tableau.minimize(costs, ~art_columns)
         if status != "optimal":
             return failure_solution(
                 f"phase-2 {status}", iterations=tableau.iterations

@@ -52,10 +52,9 @@ def validate_path(
     path: list[int],
     src: int,
     dst: int,
-    require_minimal: bool = True,
 ) -> None:
     """Raise :class:`~repro.errors.RoutingError` unless ``path`` is a valid
-    (optionally minimal) simple route from ``src`` to ``dst``."""
+    minimal simple route from ``src`` to ``dst``."""
     if not path:
         raise RoutingError("empty path")
     if path[0] != src or path[-1] != dst:
@@ -69,7 +68,7 @@ def validate_path(
             raise RoutingError(
                 f"path hop {u}->{v} is not a link of {topology.name}"
             )
-    if require_minimal and len(path) - 1 != topology.distance(src, dst):
+    if len(path) - 1 != topology.distance(src, dst):
         raise RoutingError(
             f"path of {len(path) - 1} hops is not minimal for {src}->{dst} "
             f"(distance {topology.distance(src, dst)})"

@@ -265,17 +265,13 @@ class TraceRecorder(Tracer):
         """Distinct non-empty tracks, in first-seen order."""
         return list(dict.fromkeys(e.track for e in self._events if e.track))
 
-    def occupancy(
-        self, category: str = "link", name: str = "occupy"
-    ) -> dict[str, list[tuple[float, float, Any]]]:
-        """Per-track busy windows ``(start, end, owner)``, time-sorted.
-
-        The default pulls link-occupancy spans — the timeline the
-        Gantt renderers and the golden-trace tests consume.
-        """
+    def occupancy(self) -> dict[str, list[tuple[float, float, Any]]]:
+        """Per-link busy windows ``(start, end, owner)``, time-sorted:
+        the ``link``/``occupy`` spans, the timeline the Gantt renderers
+        and the golden-trace tests consume."""
         timelines: dict[str, list[tuple[float, float, Any]]] = {}
         for event in self._events:
-            if event.category != category or event.name != name:
+            if event.category != "link" or event.name != "occupy":
                 continue
             timelines.setdefault(event.track, []).append(
                 (event.time, event.end, event.args.get("owner"))

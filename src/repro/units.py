@@ -31,19 +31,19 @@ def transmission_time(size_bytes: float, bandwidth: float) -> float:
     return size_bytes / bandwidth
 
 
-def close(a: float, b: float, tol: float = EPS) -> bool:
+def close(a: float, b: float) -> bool:
     """True when two schedule times are equal within tolerance."""
-    return abs(a - b) <= tol
+    return abs(a - b) <= EPS
 
 
-def le(a: float, b: float, tol: float = EPS) -> bool:
+def le(a: float, b: float) -> bool:
     """Tolerant ``a <= b`` for schedule times."""
-    return a <= b + tol
+    return a <= b + EPS
 
 
-def lt(a: float, b: float, tol: float = EPS) -> bool:
+def lt(a: float, b: float) -> bool:
     """Tolerant strict ``a < b`` for schedule times."""
-    return a < b - tol
+    return a < b - EPS
 
 
 def wrap(t: float, period: float) -> float:

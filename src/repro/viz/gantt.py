@@ -88,9 +88,7 @@ def link_occupancy_chart(
 
 def trace_occupancy_chart(
     recorder: "TraceRecorder",
-    width: int = 64,
     top: int | None = None,
-    window: tuple[float, float] | None = None,
 ) -> str:
     """Busy bars of *measured* link occupancy from a recorded trace.
 
@@ -98,21 +96,9 @@ def trace_occupancy_chart(
     intent (one frame), this draws what a traced run actually did over
     the whole simulation: every ``link``/``occupy`` span the
     :class:`~repro.trace.tracer.TraceRecorder` captured, one row per
-    link, busiest first.  ``window`` restricts the chart to an absolute
-    time interval (e.g. one steady-state period).
+    link, busiest first, in bars of 64 cells.
     """
     occupancy = recorder.occupancy()
-    if window is not None:
-        t0, t1 = window
-        occupancy = {
-            track: [
-                (max(start, t0), min(end, t1), owner)
-                for start, end, owner in spans
-                if start < t1 and end > t0
-            ]
-            for track, spans in occupancy.items()
-        }
-        occupancy = {k: v for k, v in occupancy.items() if v}
     if not occupancy:
         return "trace recorded no link occupancy"
     origin = min(s for spans in occupancy.values() for s, _, _ in spans)
@@ -129,7 +115,7 @@ def trace_occupancy_chart(
     for track, spans in ranked:
         fraction = busy_time(spans) / span
         intervals = [(s - origin, e - origin) for s, e, _ in spans]
-        bar = _bar(intervals, span, width)
+        bar = _bar(intervals, span, 64)
         # SR spans are owned by a message name, WR spans by a
         # (message, invocation) flight key: show the message either way.
         owners = sorted({

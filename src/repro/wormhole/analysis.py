@@ -49,12 +49,11 @@ def predict_oi_risks(
     topology: Topology,
     allocation: Mapping[str, int],
     tau_in: float,
-    router=lsd_to_msd_route,
 ) -> list[OiRisk]:
     """Message pairs satisfying the Section 3 collision conditions.
 
-    For every ordered pair of routed messages sharing a link under the
-    routing function, checks whether the later message's next-invocation
+    For every ordered pair of routed messages sharing a link under
+    LSD->MSD routing, checks whether the later message's next-invocation
     availability instant falls inside the earlier message's baseline
     occupancy of the shared link (the claim's
     ``t_s^0(M2) < t_s^1(M1) < t_f^0(M2)`` pattern, generalized to any
@@ -67,7 +66,7 @@ def predict_oi_risks(
         dst = allocation[message.dst]
         if src == dst:
             continue
-        links = set(links_on_path(router(topology, src, dst)))
+        links = set(links_on_path(lsd_to_msd_route(topology, src, dst)))
         available = schedule[message.src][1]
         busy_until = available + timing.xmit_time(message.name)
         routed.append((message.name, links, available, busy_until))

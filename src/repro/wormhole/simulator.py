@@ -49,8 +49,6 @@ from repro.trace.tracer import TraceRecorder
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.models import FaultTrace
 
-Router = Callable[[Topology, int, int], list[int]]
-
 #: Fault-blocked flights are aborted and retried at most this many times
 #: each before the run is declared stuck (a deterministic router facing a
 #: permanent failure re-requests the same dead link forever; adaptive
@@ -70,9 +68,6 @@ class WormholeSimulator:
     allocation:
         Task name -> node id.  Nodes may host several tasks (they share
         the node's AP).
-    router:
-        The deterministic routing function; defaults to LSD->MSD, the
-        function used throughout the paper.
     virtual_channels:
         Number of virtual channels per physical link.  1 (default) is the
         paper's primary model; 2 is the "stricter model" of Section 6 in
@@ -90,7 +85,6 @@ class WormholeSimulator:
         timing: TFGTiming,
         topology: Topology,
         allocation: Mapping[str, int],
-        router: Router = lsd_to_msd_route,
         virtual_channels: int = 1,
     ):
         validate_allocation(timing.tfg, topology, allocation, exclusive=False)
@@ -102,18 +96,17 @@ class WormholeSimulator:
         self.tfg = timing.tfg
         self.topology = topology
         self.allocation = dict(allocation)
-        self.router = router
         self.virtual_channels = virtual_channels
         self._route_cache: dict[tuple[int, int], list[int]] = {}
 
     # -- routing ---------------------------------------------------------
 
     def route(self, src_node: int, dst_node: int) -> list[int]:
-        """The (cached, validated) route the routing function assigns."""
+        """The (cached, validated) LSD->MSD route, the paper's routing."""
         key = (src_node, dst_node)
         path = self._route_cache.get(key)
         if path is None:
-            path = self.router(self.topology, src_node, dst_node)
+            path = lsd_to_msd_route(self.topology, src_node, dst_node)
             validate_path(self.topology, path, src_node, dst_node)
             self._route_cache[key] = path
         return path

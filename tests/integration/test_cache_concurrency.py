@@ -15,13 +15,20 @@ Satellite guarantees pinned here:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from threading import Thread
 
+import pytest
+
 from repro.cache import CACHE_VERSION, CacheStats, ScheduleCache
 from repro.errors import SchedulingError, UtilizationExceededError
+from repro.experiments.matrix import run_feasibility_matrix
 from repro.serve import ServeClient, ServeConfig, ServerThread
+from repro.tfg import dvb_tfg
+from repro.topology import make_topology
 
 KEYS = [f"{i:02x}" + "0" * 62 for i in range(16)]  # spread over 16 shards
 
@@ -190,6 +197,38 @@ def test_merged_deltas_match_disk_ground_truth(tmp_path):
     for path in on_disk:  # all complete documents
         entry = json.loads(path.read_text())
         assert entry["kind"] == "failure"
+
+
+def test_matrix_workers_open_one_cache_each(tmp_path, monkeypatch):
+    """``matrix --jobs 2``: one :class:`ScheduleCache` per worker process,
+    not one per cell, and the merged per-cell deltas equal the serial
+    run's totals and the ground truth visible on disk."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the counting __init__ reaches workers by fork only")
+    log = tmp_path / "constructed.log"
+    real_init = ScheduleCache.__init__
+
+    def counting_init(self, directory=None):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        real_init(self, directory)
+
+    monkeypatch.setattr(ScheduleCache, "__init__", counting_init)
+    grid = (dvb_tfg(3), [make_topology("hypercube6")], [128.0],
+            [0.2, 0.4, 0.6, 0.8, 1.0])
+    parallel = run_feasibility_matrix(*grid, jobs=2, cache=tmp_path / "par")
+    workers = log.read_text().split()
+    assert 1 <= len(workers) <= 2 and len(set(workers)) == len(workers)
+    assert str(os.getpid()) not in workers
+    serial = run_feasibility_matrix(*grid, jobs=1, cache=tmp_path / "ser")
+    assert parallel.rows == serial.rows
+    assert parallel.cache_stats == serial.cache_stats
+    assert parallel.cache_stats["stores"] == 5 == len(
+        list((tmp_path / "par").glob("*/*.json"))
+    )
+    assert json.loads(
+        (tmp_path / "par" / "cache-stats.json").read_text()
+    ) == parallel.cache_stats
 
 
 def test_request_burst_dispatches_single_compile(tmp_path):

@@ -9,6 +9,8 @@ admission control, the result memo, and event streaming.
 from __future__ import annotations
 
 import json
+import logging
+import socket
 
 import pytest
 
@@ -151,6 +153,35 @@ def test_malformed_payloads_get_400(client):
     response = conn.getresponse()
     assert response.status == 400
     response.read()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"GARBAGE\r\n\r\n",
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n",
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: many\r\n\r\n",
+        b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+    ],
+    ids=["request-line", "oversized-body", "non-integer-length",
+         "negative-length"],
+)
+def test_unreadable_request_gets_its_400(server, client, raw, caplog):
+    """A request ``_read_request`` itself rejects is answered with the
+    one-line JSON 400 docs/serve.md promises, then the connection closes
+    — not a bare close with a traceback in the daemon's log."""
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        with socket.create_connection(("127.0.0.1", server.port), 10) as sock:
+            sock.sendall(raw)
+            answer = b""
+            while chunk := sock.recv(4096):  # until the server closes
+                answer += chunk
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert b"Connection: close" in head
+    assert set(json.loads(body)) == {"error"}
+    assert not caplog.records
+    assert client.healthz()["ok"] is True  # a new connection still works
 
 
 def test_unknown_job_and_route(client):

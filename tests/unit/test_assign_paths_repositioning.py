@@ -42,13 +42,6 @@ class TestRepositioning:
         assert result.report.peak == pytest.approx(2.0)
         assert result.inner_iterations >= 1
 
-    def test_reposition_budget_zero_also_terminates(self, cube3, pinned_peak):
-        bounds, endpoints = pinned_peak
-        result = assign_paths(
-            bounds, cube3, endpoints, seed=1, max_repositions=0
-        )
-        assert result.report.peak == pytest.approx(2.0)
-
     def test_many_seeds_agree_on_value(self, cube3, pinned_peak):
         bounds, endpoints = pinned_peak
         peaks = {

@@ -120,9 +120,7 @@ class TestInstanceSpec:
 
 class TestUtilizationComparison:
     def test_heuristic_never_worse(self, small_setup):
-        points = utilization_comparison(
-            small_setup, [0.3, 0.7, 1.0], seed=0, max_restarts=1
-        )
+        points = utilization_comparison(small_setup, [0.3, 0.7, 1.0], seed=0)
         assert len(points) == 3
         for point in points:
             assert point.u_heuristic <= point.u_lsd + 1e-9

@@ -77,19 +77,9 @@ class TestLoadSweep:
         assert points[-1] == 1.0
         assert points == sorted(points)
 
-    def test_custom_range(self):
-        points = load_sweep(points=5, low=0.5, high=0.9)
-        assert len(points) == 5
-        assert points[0] == 0.5
-        assert points[-1] == pytest.approx(0.9)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             load_sweep(points=1)
-        with pytest.raises(ValueError):
-            load_sweep(low=0.0)
-        with pytest.raises(ValueError):
-            load_sweep(low=0.9, high=0.5)
 
 
 class TestReport:

@@ -38,7 +38,6 @@ class TestRunConfig:
         assert config.fault_trace is None
         assert config.tracer is NULL_TRACER
         assert config.max_recoveries is None
-        assert config.allocator is None
 
     def test_keyword_only(self):
         with pytest.raises(TypeError):

@@ -114,12 +114,6 @@ class TestEnvironment:
         with pytest.raises(SimulationError):
             Environment().step()
 
-    def test_initial_time(self):
-        env = Environment(initial_time=100.0)
-        env.timeout(5.0)
-        env.run()
-        assert env.now == 105.0
-
 
 class TestProcess:
     def test_sequential_timeouts(self):

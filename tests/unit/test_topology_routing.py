@@ -82,7 +82,6 @@ class TestValidatePath:
         # 0 -> 1 -> 3 -> 2 reaches 2 in 3 hops; distance is 1.
         with pytest.raises(RoutingError):
             validate_path(cube3, [0, 1, 3, 2], 0, 2)
-        validate_path(cube3, [0, 1, 3, 2], 0, 2, require_minimal=False)
 
     def test_rejects_empty(self, cube3):
         with pytest.raises(RoutingError):
