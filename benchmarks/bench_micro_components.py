@@ -34,20 +34,17 @@ def test_des_kernel_event_throughput(benchmark):
 
 
 def test_des_resource_contention(benchmark):
-    """1000 processes contending FCFS for one resource."""
+    """1000 claims contending FCFS for one resource."""
 
     def run():
         env = Environment()
         resource = Resource(env, capacity=1)
 
-        def user(env):
-            request = resource.request()
-            yield request
-            yield env.timeout(0.5)
-            resource.release(request)
+        def granted(claim):
+            env.call_later(0.5, resource.release, claim)
 
         for _ in range(1000):
-            env.process(user(env))
+            resource.claim(on_grant=granted)
         env.run()
         return env.now
 

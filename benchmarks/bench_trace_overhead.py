@@ -40,43 +40,34 @@ TOLERANCE = float(os.environ.get("TRACE_OVERHEAD_TOL", "0.02"))
 
 
 class BareEnvironment(Environment):
-    """The kernel agenda exactly as it was before tracing existed."""
+    """The kernel agenda with its tracing branch deleted (the untraced
+    ``run`` loop has none)."""
 
-    def schedule(self, event, delay=0.0):
+    def call_later(self, delay, fn, arg):
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        heapq.heappush(self._agenda, (self._now + delay, self._next_id, event))
+        heapq.heappush(self._agenda, (self._now + delay, self._next_id, fn, arg))
         self._next_id += 1
-
-    def step(self):
-        if not self._agenda:
-            raise SimulationError("step() on an empty agenda")
-        when, _, event = heapq.heappop(self._agenda)
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks or ():
-            callback(event)
-        if not callbacks and event._ok is False:
-            raise event.value
 
 
 class BareResource(Resource):
     """Grant/release without the occupancy/blocked span emission."""
 
-    def release(self, request):
+    def release(self, claim):
         try:
-            self._holders.remove(request)
+            self._holders.remove(claim)
         except ValueError:
             raise SimulationError(
-                f"release of a request not holding {self.name or 'resource'}"
+                f"release of a claim not holding {self.name or 'resource'}"
             ) from None
         while self._queue and self.count < self.capacity and not self._failed:
             self._grant(self._queue.popleft())
 
-    def _grant(self, req):
-        self._holders.append(req)
-        req.grant_time = self.env.now
-        req.succeed(req)
+    def _grant(self, claim):
+        self._holders.append(claim)
+        claim.grant_time = self.env.now
+        if claim.on_grant is not None:
+            self.env.call_later(0.0, claim.on_grant, claim)
 
 
 def _sr_replay_seconds(executor, monkeypatch, bare: bool) -> float:

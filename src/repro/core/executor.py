@@ -52,7 +52,7 @@ from repro.results import (
     RunResult,
     resolve_run_config,
 )
-from repro.sim import Environment, Event, Monitor, Resource
+from repro.sim import Claim, Environment, Monitor, Resource
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Link, Topology
 from repro.trace.tracer import TraceRecorder
@@ -190,20 +190,17 @@ class ScheduledRoutingExecutor:
                 detection_time=env.now,
             )
 
-        def late_grant(
-            link: Link, message_name: str, asked: float, _grant: Event
-        ) -> None:
+        def late_grant(link: Link, message_name: str, asked: float, _: Claim) -> None:
             if env.now - asked > EPS:
                 raise contention(link, message_name)
 
-        def fire(alarm: Event) -> None:
-            now = alarm.value
+        def fire(now: float) -> None:
             for message_name, path, held, duration in releases.pop(now, ()):
-                for (link, resource), request in zip(path, held):
-                    if request.grant_time is None:
+                for (link, resource), claim in zip(path, held):
+                    if claim.grant_time is None:
                         # The window closed with its claim still queued.
                         raise contention(link, message_name)
-                    resource.release(request)
+                    resource.release(claim)
                     link_busy[link] += duration
             for message_name, path, duration, file_release in claims.pop(now, ()):
                 held = []
@@ -215,14 +212,12 @@ class ScheduledRoutingExecutor:
                                 track=str(link), message=message_name,
                             )
                         raise LinkFailedError(link, message_name, now)
-                    request = resource.request(message_name)
-                    if request.grant_time is None:
+                    claim = resource.claim(message_name)
+                    if claim.grant_time is None:
                         # Queued behind a holder: contention unless FCFS
                         # hands the link over within EPS of this instant.
-                        request.add_callback(
-                            partial(late_grant, link, message_name, now)
-                        )
-                    held.append(request)
+                        claim.on_grant = partial(late_grant, link, message_name, now)
+                    held.append(claim)
                 file_release((message_name, path, held, duration))
             for task_name, invocation, run_start in finishes.pop(now, ()):
                 if tracing:
@@ -289,14 +284,14 @@ class ScheduledRoutingExecutor:
                     (task.name, j, run_start)
                 )
 
-        def arm(_: Event) -> None:
+        def arm(_: None) -> None:
             for instant in sorted({*releases, *claims, *finishes}):
-                env.timeout(instant, instant).add_callback(fire)
+                env.call_later(instant, fire, instant)
 
         # Armed from the agenda at t=0, behind the injector's processes:
         # an outage starting exactly at a claim instant is then seen by
         # the claim, and one restored exactly then is not yet.
-        env.event().succeed().add_callback(arm)
+        env.call_later(0.0, arm, None)
         env.run()
 
         if len(completions) != invocations:  # pragma: no cover - defensive

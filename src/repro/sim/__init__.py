@@ -3,16 +3,16 @@
 The wormhole-routing baseline and the scheduled-routing executor both run
 on this kernel.  It provides:
 
-- :class:`~repro.sim.environment.Environment` — the event loop with a
-  binary-heap agenda and deterministic FIFO ordering of simultaneous
-  events,
+- :class:`~repro.sim.environment.Environment` — the event loop: a heap of
+  ``fn(arg)`` entries (events, ``call_later`` callbacks), FIFO on ties,
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.AllOf` — one-shot events processes can wait
   on,
 - :class:`~repro.sim.process.Process` — generator-based cooperative
   processes (``yield env.timeout(3)``),
 - :class:`~repro.sim.resources.Resource` — an FCFS-queued resource (a
-  network link, a processor),
+  network link, a processor) taken by ``claim`` (a
+  :class:`~repro.sim.resources.Claim` with an optional grant callback),
 - :class:`~repro.sim.monitor.Monitor` — timestamped series recording.
 
 Example
@@ -31,19 +31,18 @@ Example
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import AllOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.monitor import Monitor
 from repro.sim.process import Process
-from repro.sim.resources import Request, Resource
+from repro.sim.resources import Claim, Resource
 
 __all__ = [
     "AllOf",
+    "Claim",
     "Environment",
     "Event",
-    "Interrupt",
     "Monitor",
     "Process",
-    "Request",
     "Resource",
     "Timeout",
 ]

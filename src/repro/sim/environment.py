@@ -3,37 +3,40 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.errors import SimulationError
-from repro.sim.events import AllOf, Event, Timeout
+from repro.errors import InvalidDelayError, SimulationError
+from repro.sim.events import AllOf, Event, Timeout, _process_event
 from repro.sim.process import Process
 from repro.trace.tracer import NULL_TRACER, Tracer
+
+
+def _label(fn: Callable[[Any], None], arg: Any) -> str:
+    """A ``sim`` instant's name for an entry: event class or callback name."""
+    return (type(arg) if fn is _process_event else getattr(fn, "func", fn)).__name__
 
 
 class Environment:
     """Simulation clock and agenda.
 
-    Events scheduled for the same instant are processed in scheduling
-    order (FIFO), which makes runs fully deterministic — important both for
-    reproducible benchmarks and for modelling FCFS link arbitration in the
-    wormhole simulator, where "first come" must mean the same thing on
-    every run.  The FIFO tie-break counter is **per environment**, so two
-    environments never share ordering state and replays are reproducible
-    regardless of what else ran in the process.
+    The agenda holds entries ``(time, seq, fn, arg)`` — a triggered
+    :class:`Event`, or a bare callback (:meth:`call_later`) — and runs
+    those due at one instant in scheduling order: runs are deterministic,
+    and FCFS link arbitration means the same thing on every run.  The tie
+    counter is per environment, so replays never share ordering state.
 
     Parameters
     ----------
     tracer:
         Structured event sink (:mod:`repro.trace`).  Defaults to the
         null tracer; when enabled, the kernel emits ``sim``-category
-        instants for event scheduling and agenda steps, and resources
+        instants for entry scheduling and agenda steps, and resources
         built on this environment emit their own categories.
     """
 
     def __init__(self, tracer: Tracer | None = None):
         self._now = 0.0
-        self._agenda: list[tuple[float, int, Event]] = []
+        self._agenda: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._next_id = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Hot-path guard: one attribute read instead of a method call per
@@ -65,45 +68,30 @@ class Environment:
 
     # -- agenda ---------------------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Place a triggered event on the agenda ``delay`` from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        heapq.heappush(self._agenda, (self._now + delay, self._next_id, event))
+    def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` ``delay`` from now (FIFO among same-time entries)."""
+        if not delay >= 0:  # rejects negatives and NaN in one test
+            raise InvalidDelayError(
+                f"delay must be a non-negative duration, got {delay!r}: "
+                "entries cannot run in the past"
+            )
+        due = self._now + delay
+        heapq.heappush(self._agenda, (due, self._next_id, fn, arg))
         self._next_id += 1
         if self._tracing:
-            self.tracer.instant(
-                "sim",
-                "schedule",
-                self._now,
-                track="kernel",
-                due=self._now + delay,
-                event=type(event).__name__,
-            )
+            self.tracer.instant("sim", "schedule", self._now, track="kernel",
+                                due=due, event=_label(fn, arg))
 
     def step(self) -> None:
-        """Process the single next event on the agenda."""
+        """Process the single next entry on the agenda."""
         if not self._agenda:
             raise SimulationError("step() on an empty agenda")
-        when, _, event = heapq.heappop(self._agenda)
-        if when < self._now:  # pragma: no cover - guarded by schedule()
-            raise SimulationError("agenda went backwards in time")
+        when, _, fn, arg = heapq.heappop(self._agenda)
         self._now = when
         if self._tracing:
-            self.tracer.instant(
-                "sim",
-                "step",
-                when,
-                track="kernel",
-                event=type(event).__name__,
-            )
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks or ():
-            callback(event)
-        # An event nobody waited on that failed would silently swallow its
-        # exception; surface it instead (mirrors simpy's behaviour).
-        if not callbacks and event._ok is False:
-            raise event.value
+            self.tracer.instant("sim", "step", when, track="kernel",
+                                event=_label(fn, arg))
+        fn(arg)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the event loop.
@@ -129,8 +117,15 @@ class Environment:
             raise SimulationError(
                 f"run(until={horizon}) is in the past (now={self._now})"
             )
-        while self._agenda and self._agenda[0][0] <= horizon:
-            self.step()
+        # step() inlined: this loop runs every entry of every simulation.
+        agenda, pop, tracing = self._agenda, heapq.heappop, self._tracing
+        while agenda and agenda[0][0] <= horizon:
+            when, _, fn, arg = pop(agenda)
+            self._now = when
+            if tracing:
+                self.tracer.instant("sim", "step", when, track="kernel",
+                                    event=_label(fn, arg))
+            fn(arg)
         if horizon != float("inf"):
             self._now = horizon
         return None

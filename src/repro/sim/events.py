@@ -11,12 +11,23 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.errors import InvalidDelayError, SimulationError
+from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.environment import Environment
 
 _UNSET = object()
+
+
+def _process_event(event: "Event") -> None:
+    """A triggered event's agenda entry: run its callbacks."""
+    callbacks, event.callbacks = event.callbacks, None
+    for callback in callbacks or ():
+        callback(event)
+    # An event nobody waited on that failed would silently swallow its
+    # exception; surface it instead (mirrors simpy's behaviour).
+    if not callbacks and event._ok is False:
+        raise event.value
 
 
 class Event:
@@ -64,7 +75,7 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        self.env.call_later(0.0, _process_event, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -75,7 +86,7 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
-        self.env.schedule(self)
+        self.env.call_later(0.0, _process_event, self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -102,24 +113,11 @@ class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if not delay >= 0:  # rejects negatives and NaN in one test
-            raise InvalidDelayError(
-                f"Timeout delay must be a non-negative duration, got "
-                f"{delay!r}: events cannot fire in the past"
-            )
         super().__init__(env)
         self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
+        env.call_later(delay, _process_event, self)
 
 
 class AllOf(Event):
@@ -128,9 +126,8 @@ class AllOf(Event):
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self.events = tuple(events)
-        for event in self.events:
-            if event.env is not env:
-                raise SimulationError("condition mixes events from different environments")
+        if any(event.env is not env for event in self.events):
+            raise SimulationError("condition mixes events from different environments")
         self._unfired = len(self.events)
         if not self.events:
             self.succeed({})

@@ -24,7 +24,10 @@ routing's repair engine against.
 
 from __future__ import annotations
 
-from repro.topology.base import Topology, link_between
+from typing import AbstractSet, Iterator, Mapping
+
+from repro.sim import Resource
+from repro.topology.base import Link, Topology, link_between
 from repro.wormhole.simulator import WormholeSimulator
 
 
@@ -55,11 +58,11 @@ class AdaptiveWormholeSimulator(WormholeSimulator):
 
     def _plan_hop(
         self,
-        links,
+        links: Mapping[Link, Resource],
         current: int,
         dst: int,
-        taken: frozenset = frozenset(),
-        visited: frozenset = frozenset(),
+        taken: AbstractSet[Link] = frozenset(),
+        visited: AbstractSet[int] = frozenset(),
         allow_misroute: bool = True,
     ) -> int:
         """The next node the adaptive header advances toward.
@@ -119,27 +122,31 @@ class AdaptiveWormholeSimulator(WormholeSimulator):
                 return neighbor
         return candidates[0]
 
-    # The base class keeps routing logic inside message_flight; rather
-    # than duplicate the whole run() body, it exposes the link sequence
-    # through `_flight_links`, which we make dynamic here.
-    def _flight_links(self, links, src_node: int, dst_node: int):
-        current = src_node
+    def _flight_links(
+        self, links: Mapping[Link, Resource], src_node: int, dst_node: int
+    ) -> Iterator[Link]:
+        """The hop-by-hop walk: each ``next`` plans the next hop from the
+        link state at that instant, within a hop budget of
+        :attr:`MISROUTE_HOP_FACTOR` times the healthy route length."""
         budget = self.MISROUTE_HOP_FACTOR * max(
             self.topology.distance(src_node, dst_node), 1
         )
-        taken: set = set()
+        taken: set[Link] = set()
         visited = {src_node}
-        hops = 0
-        while current != dst_node:
+        current, hops = src_node, 0
+
+        def hop() -> Link | None:
+            nonlocal current, hops
+            if current == dst_node:
+                return None
             neighbor = self._plan_hop(
-                links, current, dst_node,
-                taken=frozenset(taken),
-                visited=frozenset(visited),
+                links, current, dst_node, taken=taken, visited=visited,
                 allow_misroute=hops < budget,
             )
             link = link_between(current, neighbor)
             taken.add(link)
             visited.add(neighbor)
-            yield link
-            current = neighbor
-            hops += 1
+            current, hops = neighbor, hops + 1
+            return link
+
+        return iter(hop, None)

@@ -30,7 +30,7 @@ always zero.  See DESIGN.md, "Substitutions".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.errors import SimulationError
 from repro.mapping.allocation import validate_allocation
@@ -40,7 +40,7 @@ from repro.results import (
     RunResult,
     resolve_run_config,
 )
-from repro.sim import Environment, Event, Interrupt, Monitor, Resource
+from repro.sim import Claim, Environment, Monitor, Resource
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Link, Topology
 from repro.topology.routing import links_on_path, lsd_to_msd_route, validate_path
@@ -54,6 +54,44 @@ if TYPE_CHECKING:  # pragma: no cover
 #: permanent failure re-requests the same dead link forever; adaptive
 #: routing re-plans around it on the first retry).
 MAX_FAULT_ABORTS_PER_FLIGHT = 3
+
+
+class _MessageRow(NamedTuple):  # per run: what a message's flights need
+    name: str
+    src: int
+    dst: int
+    xmit: float
+    dst_task: str
+    track: str
+
+
+class _TaskRow(NamedTuple):  # per run: what a task's instances need
+    ap: Resource
+    exec_time: float
+    track: str
+    out: tuple[_MessageRow, ...]
+
+
+class _Flight:
+    """A message instance in flight: ``route`` to go, ``held``, claiming."""
+
+    __slots__ = ("message", "j", "key", "launched", "route", "held", "link",
+                 "claim")
+    route: Iterator[Link]
+    held: list[tuple[Link, Claim]]
+    link: Link
+    claim: Claim
+
+    def __init__(self, message: _MessageRow, j: int, launched: float):
+        self.message = message
+        self.j = j
+        self.key = (message.name, j)
+        self.launched = launched
+
+
+_Key = tuple[str, int]  # (message, invocation): one flight
+_Waiting = Mapping[_Key, _Flight]
+_Links = Mapping[Link, Resource]
 
 
 class WormholeSimulator:
@@ -98,6 +136,7 @@ class WormholeSimulator:
         self.allocation = dict(allocation)
         self.virtual_channels = virtual_channels
         self._route_cache: dict[tuple[int, int], list[int]] = {}
+        self._links_cache: dict[tuple[int, int], tuple[Link, ...]] = {}
 
     # -- routing ---------------------------------------------------------
 
@@ -111,13 +150,15 @@ class WormholeSimulator:
             self._route_cache[key] = path
         return path
 
-    def _flight_links(self, links, src_node: int, dst_node: int):
-        """The sequence of links a flight acquires, in order.
-
-        The base class follows the deterministic routing function; the
-        adaptive subclass re-plans each hop from live link state.
-        """
-        yield from links_on_path(self.route(src_node, dst_node))
+    def _flight_links(
+        self, links: _Links, src_node: int, dst_node: int
+    ) -> Iterator[Link]:
+        """A flight attempt's links, one per ``next``: the (cached) route's
+        here, re-planned per hop from live link state when adaptive."""
+        key = (src_node, dst_node)
+        if key not in self._links_cache:
+            self._links_cache[key] = links_on_path(self.route(*key))
+        return iter(self._links_cache[key])
 
     # -- simulation ------------------------------------------------------------
 
@@ -192,165 +233,168 @@ class WormholeSimulator:
             node: Resource(env, capacity=1, name=f"AP{node}")
             for node in set(self.allocation.values())
         }
+
+        # -- per-run tables ------------------------------------------------
+        tfg, allocation = self.tfg, self.allocation
         xmit_scale = float(self.virtual_channels)
-
-        deliveries: dict[tuple[str, int], Event] = {}
-        instance_done: dict[tuple[str, int], Event] = {}
-        arrivals: dict[int, Event] = {}
-        for j in range(invocations):
-            for message in self.tfg.messages:
-                deliveries[(message.name, j)] = env.event()
-            for task in self.tfg.tasks:
-                instance_done[(task.name, j)] = env.event()
-            arrivals[j] = env.event()
-
-        outputs_pending = {j: len(self.tfg.output_tasks) for j in range(invocations)}
-        # Completion instants, recorded in invocation order (pipelining
-        # orders instance j before j+1); Monitor gives O(1) length checks
-        # in the recovery loop below, unlike the copying ``times`` view.
+        tasks: dict[str, _TaskRow] = {}
+        for task in tfg.tasks:
+            node = allocation[task.name]
+            out = tuple(
+                _MessageRow(
+                    message.name, node, allocation[message.dst],
+                    self.timing.xmit_time(message.name) * xmit_scale,
+                    message.dst, f"msg {message.name}",
+                )
+                for message in tfg.messages_out(task.name)
+            )
+            tasks[task.name] = _TaskRow(
+                aps[node], self.timing.exec_time(task.name), f"node{node}", out
+            )
+        # Dependencies left per task instance: its incoming messages (or,
+        # for an input task, the external input) plus, after the first
+        # invocation, the task's own previous instance.
+        inputs = [t.name for t in tfg.tasks if not tfg.messages_in(t.name)]
+        pending: dict[tuple[str, int], int] = {
+            (task.name, j): max(len(tfg.messages_in(task.name)), 1) + (j > 0)
+            for j in range(invocations)
+            for task in tfg.tasks
+        }
+        outputs_pending = [len(tfg.output_tasks)] * invocations
+        # Completion instants, in invocation order (pipelining orders
+        # instance j before j+1).
         completions = Monitor("completions")
-
-        def input_source():
-            """External input arrivals every tau_in."""
-            for j in range(invocations):
-                yield env.timeout(tau_in if j else 0.0)
-                arrivals[j].succeed(j)
-
-        # Flights blocked on a link request, for deadlock recovery:
-        # key -> (pending request, its link, links already held).
-        waiting: dict[tuple[str, int], tuple] = {}
+        # Flights blocked on a link claim, for deadlock recovery.
+        waiting: dict[_Key, _Flight] = {}
+        flights: dict[_Key, _Flight] = {}
         # Diagnostics: time spent blocked per link, across the whole run.
         link_waits: dict[Link, float] = {}
+        hold = self.hold_entire_path
+        tracing = tracer.enabled
+        call = env.call_later
+        flight_links = self._flight_links
 
-        def message_flight(message, j):
-            """Acquire the route link by link (FCFS), transmit, release.
+        # -- tasks -----------------------------------------------------------
+        def input_arrival(j: int) -> None:  # every tau_in
+            call(0.0, inputs_met, j)
+            if j + 1 < invocations:
+                call(tau_in, input_arrival, j + 1)
 
-            The link sequence comes from :meth:`_flight_links` — static
-            LSD->MSD for this class, re-planned per hop by the adaptive
-            subclass.  On :class:`~repro.sim.events.Interrupt` (deadlock
-            recovery) the flight drops everything it holds, backs off one
-            transmission time, and starts over from the source.
-            """
-            key = (message.name, j)
-            src_node = self.allocation[message.src]
-            dst_node = self.allocation[message.dst]
-            launched = env.now
-            if src_node == dst_node:
-                deliveries[key].succeed()
-                return
-            if not self.hold_entire_path:
-                # Store-and-forward: hold one link at a time, retransmit
-                # the whole message per hop.  No hold-and-wait, hence no
-                # deadlock — Interrupt never reaches these flights.
-                for link in self._flight_links(links, src_node, dst_node):
-                    request = links[link].request(owner=key)
-                    yield request
-                    waited = request.grant_time - request.request_time
-                    if waited > 0:
-                        link_waits[link] = link_waits.get(link, 0.0) + waited
-                    yield env.timeout(
-                        self.timing.xmit_time(message.name) * xmit_scale
-                    )
-                    links[link].release(request)
-                if tracer.enabled:
-                    tracer.span(
-                        "flight", message.name, launched, env.now,
-                        track=f"msg {message.name}", invocation=j,
-                    )
-                deliveries[key].succeed()
-                return
-            while True:
-                held = []
-                aborted = False
-                for link in self._flight_links(links, src_node, dst_node):
-                    request = links[link].request(owner=key)
-                    waiting[key] = (request, link, held)
-                    try:
-                        yield request
-                    except Interrupt as interrupt:
-                        waiting.pop(key, None)
-                        if request.triggered:
-                            links[link].release(request)
-                        else:
-                            links[link].cancel(request)
-                        for held_link, held_request in held:
-                            links[held_link].release(held_request)
-                        if tracer.enabled:
-                            tracer.instant(
-                                "flight", "abort", env.now,
-                                track=f"msg {message.name}", invocation=j,
-                                cause=str(interrupt.cause),
-                            )
-                        aborted = True
-                        break
-                    waiting.pop(key, None)
-                    waited = request.grant_time - request.request_time
-                    if waited > 0:
-                        link_waits[link] = link_waits.get(link, 0.0) + waited
-                    held.append((link, request))
-                if not aborted:
-                    break
-                # Back off so the flight that won the broken cycle can
-                # drain instead of immediately re-colliding.
-                yield env.timeout(
-                    self.timing.xmit_time(message.name) * xmit_scale
-                )
-            yield env.timeout(self.timing.xmit_time(message.name) * xmit_scale)
-            for link, request in held:
-                links[link].release(request)
-            if tracer.enabled:
-                tracer.span(
-                    "flight", message.name, launched, env.now,
-                    track=f"msg {message.name}", invocation=j,
-                )
-            deliveries[key].succeed()
+        def inputs_met(j: int) -> None:
+            for name in inputs:
+                dependency_met((name, j))
 
-        def task_instance(task, j, spawn_flight):
-            """One invocation of one task on its node's AP."""
-            waits = [deliveries[(m.name, j)] for m in self.tfg.messages_in(task.name)]
-            if not waits:
-                waits.append(arrivals[j])
-            if j > 0:
-                waits.append(instance_done[(task.name, j - 1)])
-            yield env.all_of(waits)
-            ap = aps[self.allocation[task.name]]
-            grant = ap.request(owner=(task.name, j))
-            yield grant
-            exec_start = env.now
-            yield env.timeout(self.timing.exec_time(task.name))
-            ap.release(grant)
-            if tracer.enabled:
-                tracer.span(
-                    "task", task.name, exec_start, env.now,
-                    track=f"node{self.allocation[task.name]}", invocation=j,
-                )
-            instance_done[(task.name, j)].succeed(env.now)
-            for message in self.tfg.messages_out(task.name):
-                spawn_flight(message, j)
-            if not self.tfg.messages_out(task.name):
+        def dependency_met(instance: tuple[str, int]) -> None:
+            left = pending[instance] - 1
+            pending[instance] = left
+            if left == 0:
+                call(0.0, task_ready, instance)
+
+        def task_ready(instance: tuple[str, int]) -> None:
+            tasks[instance[0]].ap.claim(instance, ap_granted)
+
+        def ap_granted(claim: Claim) -> None:
+            call(tasks[claim.owner[0]].exec_time, exec_end, claim)
+
+        def exec_end(claim: Claim) -> None:
+            name, j = claim.owner
+            row = tasks[name]
+            row.ap.release(claim)
+            now = env.now
+            if tracing:
+                assert claim.grant_time is not None
+                tracer.span("task", name, claim.grant_time, now,
+                            track=row.track, invocation=j)
+            if j + 1 < invocations:
+                call(0.0, dependency_met, (name, j + 1))
+            for message in row.out:
+                call(0.0, flight_boot, (message, j))
+            if not row.out:
                 outputs_pending[j] -= 1
                 if outputs_pending[j] == 0:
-                    completions.record(env.now, j)
-                    if tracer.enabled:
-                        tracer.instant(
-                            "run", "completion", env.now,
-                            track="outputs", invocation=j,
-                        )
+                    completions.record(now, j)
+                    if tracing:
+                        tracer.instant("run", "completion", now,
+                                       track="outputs", invocation=j)
 
-        env.process(input_source())
-        flight_processes: dict[tuple[str, int], object] = {}
+        # -- flights ---------------------------------------------------------
+        def flight_boot(launch: tuple[_MessageRow, int]) -> None:
+            message, j = launch
+            if message.src == message.dst:
+                call(0.0, dependency_met, (message.dst_task, j))
+                return
+            flight = flights[(message.name, j)] = _Flight(message, j, env.now)
+            start_attempt(flight)
 
-        def spawn_flight(message, j):
-            process = env.process(message_flight(message, j))
-            flight_processes[(message.name, j)] = process
-            return process
+        def start_attempt(flight: _Flight) -> None:
+            """Acquire the route from the source (again, after an abort)."""
+            flight.held = []
+            flight.route = flight_links(links, flight.message.src,
+                                        flight.message.dst)
+            claim_next(flight)
 
-        for j in range(invocations):
-            for task in self.tfg.tasks:
-                env.process(task_instance(task, j, spawn_flight))
+        def claim_next(flight: _Flight) -> None:
+            link = next(flight.route, None)
+            if link is None:
+                if hold:
+                    call(flight.message.xmit, transmit_end, flight)
+                else:
+                    arrive(flight)
+                return
+            flight.link = link
+            flight.claim = links[link].claim(flight.key, hop_granted)
+            if hold:
+                waiting[flight.key] = flight
 
+        def hop_granted(claim: Claim) -> None:
+            flight = flights[claim.owner]
+            link = flight.link
+            # Grant callbacks run at the grant instant.
+            waited = env.now - claim.request_time
+            if waited > 0:
+                link_waits[link] = link_waits.get(link, 0.0) + waited
+            flight.held.append((link, claim))
+            if hold:
+                del waiting[flight.key]
+                claim_next(flight)
+            else:
+                # Store-and-forward: retransmit the whole message per hop.
+                call(flight.message.xmit, transmit_end, flight)
+
+        def transmit_end(flight: _Flight) -> None:
+            for link, claim in flight.held:
+                links[link].release(claim)
+            if hold:
+                arrive(flight)
+            else:
+                flight.held = []
+                claim_next(flight)
+
+        def arrive(flight: _Flight) -> None:
+            message = flight.message
+            if tracing:
+                tracer.span("flight", message.name, flight.launched, env.now,
+                            track=message.track, invocation=flight.j)
+            del flights[flight.key]
+            call(0.0, dependency_met, (message.dst_task, flight.j))
+
+        def abort(flight: _Flight) -> None:
+            """Drop all the blocked flight holds and restart it later."""
+            del waiting[flight.key]
+            links[flight.link].cancel(flight.claim)
+            for link, claim in flight.held:
+                links[link].release(claim)
+            if tracing:
+                tracer.instant("flight", "abort", env.now,
+                               track=flight.message.track, invocation=flight.j,
+                               cause="deadlock recovery")
+            # Back off so the flight that won the broken cycle can drain
+            # instead of immediately re-colliding.
+            call(flight.message.xmit, start_attempt, flight)
+
+        call(0.0, input_arrival, 0)
         recoveries = 0
-        fault_aborts: dict[tuple[str, int], int] = {}
+        fault_aborts: dict[_Key, int] = {}
         budget = (
             max_recoveries if max_recoveries is not None else 500 * invocations
         )
@@ -375,12 +419,12 @@ class WormholeSimulator:
                     f"blocked messages: {blocked}{detail}"
                 )
             recoveries += 1
-            if tracer.enabled:
+            if tracing:
                 tracer.instant(
                     "flight", "recovery", env.now,
                     track=f"msg {victim[0]}", invocation=victim[1],
                 )
-            flight_processes[victim].interrupt(cause="deadlock recovery")
+            abort(waiting[victim])
 
         completion_times = tuple(time for time, _ in completions)
         extra = {
@@ -402,7 +446,7 @@ class WormholeSimulator:
         )
 
     @staticmethod
-    def _pick_recovery_victim(waiting, links):
+    def _pick_recovery_victim(waiting: _Waiting, links: _Links) -> _Key | None:
         """The blocked flight to abort.
 
         Walks the wait-for graph (flight -> holders of the link it waits
@@ -414,26 +458,23 @@ class WormholeSimulator:
         recreates the identical stuck state.
         """
 
-        def blockers(key: tuple) -> set:
+        def blockers(key: _Key) -> set:
             # A flight re-requesting a link it already holds (possible
             # under adaptive misrouting) is a self-edge: a one-node cycle
             # the DFS finds like any other.
             return {
-                request.owner
-                for request in links[waiting[key][1]].holders
-                if request.owner in waiting
+                claim.owner
+                for claim in links[waiting[key].link].holders
+                if claim.owner in waiting
             }
 
         cycle = _find_cycle(waiting, blockers)
-        if cycle is None:
-            return None
-        _, j, name = min(
-            (len(waiting[key][2]), key[1], key[0]) for key in cycle
-        )
-        return (name, j)
+        return None if cycle is None else _fewest_held(waiting, cycle)
 
     @staticmethod
-    def _pick_fault_victim(waiting, links, fault_aborts):
+    def _pick_fault_victim(
+        waiting: _Waiting, links: _Links, fault_aborts: dict[_Key, int]
+    ) -> _Key | None:
         """A flight stalled on a *failed* link to abort and retry.
 
         Fault detection reuses the recovery machinery: the aborted flight
@@ -445,18 +486,22 @@ class WormholeSimulator:
         """
         candidates = [
             key
-            for key, (_, wanted_link, _) in waiting.items()
-            if links[wanted_link].failed
+            for key, flight in waiting.items()
+            if links[flight.link].failed
             and fault_aborts.get(key, 0) < MAX_FAULT_ABORTS_PER_FLIGHT
         ]
         if not candidates:
             return None
-        _, j, name = min(
-            (len(waiting[key][2]), key[1], key[0]) for key in candidates
-        )
-        fault_aborts[(name, j)] = fault_aborts.get((name, j), 0) + 1
-        return (name, j)
+        victim = _fewest_held(waiting, candidates)
+        fault_aborts[victim] = fault_aborts.get(victim, 0) + 1
+        return victim
 
+
+def _fewest_held(waiting: _Waiting, keys: Iterable[_Key]) -> _Key:
+    """The flight holding the fewest links (then earliest invocation, then
+    name): the least transmission progress lost by aborting it."""
+    _, j, name = min((len(waiting[key].held), key[1], key[0]) for key in keys)
+    return (name, j)
 
 
 def _find_cycle(graph: Mapping, successors: Callable | None = None) -> list | None:
@@ -464,13 +509,14 @@ def _find_cycle(graph: Mapping, successors: Callable | None = None) -> list | No
 
     Iterative three-color DFS; deterministic given the (insertion-ordered)
     adjacency so recovery victims are reproducible.  A node's children
-    (``successors(node)``, default ``graph[node]``) are asked for on reaching it.
+    (``successors(node)``, default ``graph[node]``) are asked for on
+    reaching it, and only the nodes the search reaches are coloured.
     """
     successors = successors or graph.__getitem__
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in graph}
+    GREY, BLACK = 1, 2
+    color: dict = {}  # absent = white
     for root in graph:
-        if color[root] != WHITE:
+        if root in color:
             continue
         stack = [(root, iter(sorted(successors(root), key=str)))]
         color[root] = GREY
@@ -479,11 +525,12 @@ def _find_cycle(graph: Mapping, successors: Callable | None = None) -> list | No
             node, children = stack[-1]
             advanced = False
             for child in children:
-                if child not in color:
+                if child not in graph:
                     continue
-                if color[child] == GREY:
+                state = color.get(child)
+                if state == GREY:
                     return path[path.index(child):]
-                if color[child] == WHITE:
+                if state is None:
                     color[child] = GREY
                     path.append(child)
                     stack.append(

@@ -45,21 +45,18 @@ class TestResourceInvariants:
         grant_order: list[int] = []
         peak = [0]
 
-        def user(env, index, hold):
-            request = resource.request(owner=index)
-            yield request
-            grant_order.append(index)
+        def granted(claim):
+            grant_order.append(claim.owner)
             peak[0] = max(peak[0], resource.count)
             assert resource.count <= capacity
-            yield env.timeout(hold)
-            resource.release(request)
+            env.call_later(holds[claim.owner], resource.release, claim)
 
-        for index, hold in enumerate(holds):
-            env.process(user(env, index, hold))
+        for index in range(len(holds)):
+            resource.claim(owner=index, on_grant=granted)
         env.run()
         assert resource.count == 0
         assert peak[0] <= capacity
-        # All requests were made at t=0 in spawn order: grants are FIFO.
+        # All claims were made at t=0 in index order: grants are FIFO.
         assert grant_order == list(range(len(holds)))
 
     @given(st.lists(st.floats(min_value=0.1, max_value=5.0),
@@ -68,14 +65,11 @@ class TestResourceInvariants:
         env = Environment()
         resource = Resource(env, capacity=1)
 
-        def user(env, hold):
-            request = resource.request()
-            yield request
-            yield env.timeout(hold)
-            resource.release(request)
+        def granted(claim):
+            env.call_later(claim.owner, resource.release, claim)
 
         for hold in holds:
-            env.process(user(env, hold))
+            resource.claim(owner=hold, on_grant=granted)
         env.run()
         # Serialized on capacity 1: finish time is the sum of holds.
         assert env.now == sum(holds)

@@ -180,9 +180,10 @@ BUDGET_POINTS = [("hypercube6", 0.9), ("ghc444", 0.3), ("torus8x8", 0.7714285714
 class TestEventBudget:
     @pytest.mark.parametrize("name,load", BUDGET_POINTS)
     def test_kernel_steps_within_two_per_flight(self, name, load):
-        """One timeline alarm per distinct instant plus one grant event
-        per link claim: at most 2F + sum(L) + T + 8 agenda steps (a
-        process per slot and per task took 4F + sum(L) + 4T)."""
+        """One timeline alarm per distinct instant plus one grant entry
+        per *queued* link claim: at most 2F + T + Q + 1 agenda steps.  A
+        claim granted on the spot schedules nothing (it took one step
+        per link claim, 2F + sum(L) + T + 8 in all)."""
         setup = standard_setup(dvb_tfg(5), make_topology(name), 128.0)
         routing = compile_schedule(
             setup.timing, setup.topology, setup.allocation,
@@ -201,5 +202,9 @@ class TestEventBudget:
             for slot in slots
         )
         tasks = 24 * len(setup.timing.tfg.tasks)
-        steps = len(tracer.instants("sim", name="step"))
-        assert claims < steps <= 2 * flights + claims + tasks + 8
+        steps = [e.args["event"] for e in tracer.instants("sim", name="step")]
+        queued = steps.count("late_grant")
+        assert set(steps) <= {"arm", "fire", "late_grant"}
+        assert steps.count("arm") == 1
+        assert queued < claims
+        assert len(steps) <= 2 * flights + tasks + queued + 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, Environment, Event, Interrupt
+from repro.sim import AllOf, Environment, Event
 
 
 class TestEvent:
@@ -109,6 +109,23 @@ class TestEnvironment:
         env.run()
         with pytest.raises(SimulationError):
             env.run(until=1.0)
+
+    def test_bare_callbacks_share_the_fifo_with_events(self):
+        """A ``call_later`` entry and an event due at one instant run in
+        the order they were scheduled, whichever kind each is."""
+        env = Environment()
+        order = []
+        env.call_later(1.0, order.append, "call-a")
+        env.timeout(1.0).add_callback(lambda e: order.append("event"))
+        env.call_later(1.0, order.append, "call-b")
+        env.call_later(0.5, order.append, "early")
+        env.run()
+        assert order == ["early", "call-a", "event", "call-b"]
+        assert env.now == 1.0
+
+    def test_bare_callback_into_past_rejected(self):
+        with pytest.raises(SimulationError):
+            Environment().call_later(-1.0, print, None)
 
     def test_step_on_empty_agenda_rejected(self):
         with pytest.raises(SimulationError):
@@ -244,37 +261,6 @@ class TestProcess:
         env.process(failer(env))
         env.run()
         assert caught == ["bad gate"]
-
-    def test_interrupt(self):
-        env = Environment()
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
-
-        victim = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(3.0)
-            victim.interrupt(cause="wake")
-
-        env.process(interrupter(env))
-        env.run()
-        assert log == [(3.0, "wake")]
-
-    def test_interrupt_finished_process_rejected(self):
-        env = Environment()
-
-        def body(env):
-            yield env.timeout(1.0)
-
-        process = env.process(body(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
 
     def test_process_is_alive(self):
         env = Environment()

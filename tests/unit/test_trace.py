@@ -106,21 +106,13 @@ class TestResourceTracing:
         env = Environment(tracer=rec)
         link = Resource(env, name="(0, 1)")
 
-        def holder():
-            req = link.request(owner="M1")
-            yield req
-            yield env.timeout(5.0)
-            link.release(req)
+        def hold(duration):
+            return lambda claim: env.call_later(duration, link.release, claim)
 
-        def waiter():
-            yield env.timeout(1.0)
-            req = link.request(owner="M2")
-            yield req
-            yield env.timeout(2.0)
-            link.release(req)
-
-        env.process(holder())
-        env.process(waiter())
+        link.claim(owner="M1", on_grant=hold(5.0))
+        env.call_later(
+            1.0, lambda _: link.claim(owner="M2", on_grant=hold(2.0)), None
+        )
         env.run()
         occupancy = rec.occupancy()["(0, 1)"]
         assert occupancy == [(0.0, 5.0, "M1"), (5.0, 7.0, "M2")]

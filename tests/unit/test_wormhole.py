@@ -1,12 +1,19 @@
 """Unit tests for the wormhole-routing simulator and run results."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+import repro.wormhole as wormhole_package
 from repro.errors import SimulationError
-from repro.tfg import TFGTiming
+from repro.experiments import standard_setup
+from repro.tfg import TFGTiming, dvb_tfg
 from repro.tfg.graph import build_tfg
 from repro.tfg.synth import chain_tfg
-from repro.results import RunResult
+from repro.topology import make_topology
+from repro.trace import TraceRecorder
+from repro.results import RunConfig, RunResult
 from repro.wormhole import WormholeSimulator
 
 
@@ -145,3 +152,94 @@ class TestPipelineOrdering:
         result = simulator.run(tau_in=25.0, invocations=15, warmup=0)
         completions = result.completion_times
         assert all(b > a for a, b in zip(completions, completions[1:]))
+
+
+def _tie_case(cube3, tasks, messages, allocation):
+    tfg = build_tfg("tie", [(name, 400) for name in tasks], messages)
+    timing = TFGTiming(tfg, 128.0, speeds=40.0)
+    tracer = TraceRecorder(categories=("link",))
+    WormholeSimulator(timing, cube3, allocation).run(
+        40.0, config=RunConfig(invocations=8, warmup=4, tracer=tracer)
+    )
+    return [owner for _, _, owner in tracer.occupancy()["(1, 3)"][:4]]
+
+
+class TestFlatLoop:
+    """The run loop is per-stage agenda entries in the order the
+    generator resumes they replaced ran (DESIGN.md §6)."""
+
+    @pytest.mark.parametrize("via_hop", [False, True])
+    def test_same_instant_tie_grant_order(self, cube3, via_hop):
+        """Two flights want link (1, 3) at t = 10.  Directly: b's flight
+        boots first (task order) and wins.  Via a hop: a's flight (route
+        0-1-3) boots first but asks for (1, 3) only from its first hop's
+        grant entry, behind b's boot.  Both orders are the parent's."""
+        if via_hop:
+            owners = _tie_case(
+                cube3, ["a", "b", "c"],
+                [("Ma", "a", "c", 1280), ("Mb", "b", "c", 1280)],
+                {"a": 0, "b": 1, "c": 3},
+            )
+        else:
+            owners = _tie_case(
+                cube3, ["b", "a", "c", "d"],
+                [("Mb", "b", "d", 1280), ("Ma", "a", "c", 1280)],
+                {"a": 1, "c": 3, "b": 3, "d": 1},
+            )
+        assert owners == [("Mb", 0), ("Ma", 0), ("Mb", 1), ("Ma", 1)]
+
+    #: (topology, load, agenda steps the generator-per-flight loop took).
+    BUDGET_POINTS = [
+        ("hypercube6", 0.3, 7442),
+        ("ghc444", 0.3, 7034),
+        ("torus8x8", 0.7714285714, 13328),
+    ]
+
+    @pytest.mark.parametrize("name,load,parent_steps", BUDGET_POINTS)
+    def test_kernel_step_budget(self, name, load, parent_steps):
+        """Exactly one agenda step per input arrival and its fan-out,
+        task stage (ready, AP grant, exec end), met dependency, flight
+        boot, link grant, transmission end and recovery back-off — and
+        nothing else (no process starts or exits, no condition events)."""
+        setup = standard_setup(dvb_tfg(5), make_topology(name), 128.0)
+        tracer = TraceRecorder(categories=("sim", "link"))
+        result = WormholeSimulator(
+            setup.timing, setup.topology, setup.allocation
+        ).run(
+            setup.tau_in_for_load(load),
+            config=RunConfig(invocations=24, warmup=6, tracer=tracer),
+        )
+        tfg, allocation = setup.timing.tfg, setup.allocation
+        runs = 24
+        messages = len(tfg.messages)
+        routed = sum(
+            1 for m in tfg.messages if allocation[m.src] != allocation[m.dst]
+        )
+        tasks = runs * len(tfg.tasks)
+        dependencies = runs * messages + (runs - 1) * len(tfg.tasks)
+        # One occupancy record per granted link claim (an abort can free
+        # a link in the instant it was granted: a zero-length record).
+        grants = sum(
+            1 for hold in tracer.select("link", "occupy")
+            if not hold.track.startswith("AP")
+        )
+        recoveries = result.extra["recoveries"]
+        steps = len(tracer.instants("sim", name="step"))
+        assert steps == (
+            2 * runs + 3 * tasks + dependencies + runs * messages
+            + grants + runs * routed + recoveries
+        )
+        if not recoveries:
+            assert grants == runs * sum(
+                setup.topology.distance(allocation[m.src], allocation[m.dst])
+                for m in tfg.messages
+            )
+        assert steps < parent_steps
+
+
+def test_no_generator_process_in_the_wormhole_package():
+    package = Path(wormhole_package.__file__).parent
+    for source in package.glob("*.py"):
+        text = source.read_text()
+        assert "env.process(" not in text, source.name
+        assert not re.search(r"\byield\b", text), source.name
