@@ -211,13 +211,14 @@ def _write_atomic(path: Path, document: Mapping[str, Any]) -> None:
         raise
 
 
-#: ``solver_stats`` keys that report wall-clock measurements.  They are
-#: live telemetry of *this* compilation, not properties of the cached
-#: artifact: storing them made two byte-identical compilations produce
-#: different cache entries (and re-served stale timings as if they were
-#: fresh).  :func:`routing_to_entry` strips them; cache hits simply
-#: have no timing, which is the truth.
+#: What times *this* process instead of describing the instance: the
+#: ``solver_stats`` wall time and a served result's per-stage ``profile``.
+#: :func:`routing_to_entry` strips the former, so a cache hit has no
+#: timing, which is the truth.  Every other byte a compile, a cache or a
+#: served result emits is compared across processes by the fuzzer's
+#: determinism leg (:func:`repro.check.fuzz.determinism_leg`).
 VOLATILE_SOLVER_STATS = ("lp_wall_ms",)
+VOLATILE_RESULT_FIELDS = ("profile",)
 
 
 def _stable_solver_stats(

@@ -35,24 +35,40 @@ and cross-checked along three independent axes:
   point must be infeasible on *every* backend, and every refutation's
   witness must survive the independent replay verifier
   (:func:`repro.diagnose.verify_refutation`).
+- **determinism differential** — once per run, two child processes with
+  different hash seeds, clocks and RNG states compile every point (cold,
+  then delta, through a fresh disk cache) and serve a fixed request
+  list; every cache key, cache file and served result must have the same
+  SHA-256 in both (:func:`determinism_leg`).
 
-Any disagreement is shrunk (smaller TFG variants re-checked under the
-same seed) and written to a JSON reproducer file — see
+Any disagreement of a seed is shrunk (smaller TFG variants re-checked
+under the same seed) and written to a JSON reproducer file — see
 ``docs/verification.md`` for the format.  The ``repro-sr fuzz`` CLI and
 the CI fuzz job drive :func:`run_fuzz` over a fixed seed corpus.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.cache.store import ScheduleCache
-from repro.cache.store import error_to_entry, routing_to_entry
+from repro.cache.keys import schedule_cache_key
+from repro.cache.store import (
+    VOLATILE_RESULT_FIELDS,
+    ScheduleCache,
+    _stable_solver_stats,
+    error_to_entry,
+    persist_cache_stats,
+    routing_to_entry,
+)
 from repro.check.analyzer import analyze_schedule
 from repro.core.compiler import CompilerConfig, ScheduledRouting, compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
@@ -177,15 +193,18 @@ class FuzzReport:
 
     outcomes: list[PointOutcome]
     reproducers: list[Path]
+    #: Determinism-leg disagreements no seed owns (co-located, requests).
+    determinism: list[str]
     elapsed_s: float
 
     @property
     def ok(self) -> bool:
-        return all(o.ok for o in self.outcomes)
+        return not self.disagreements
 
     @property
     def disagreements(self) -> list[str]:
-        return [d for o in self.outcomes for d in o.disagreements]
+        seeded = [d for o in self.outcomes for d in o.disagreements]
+        return seeded + self.determinism
 
     def summary(self) -> str:
         feasible = sum(1 for o in self.outcomes if o.verdict == "feasible")
@@ -515,6 +534,138 @@ def check_point(point: FuzzPoint) -> PointOutcome:
     return outcome
 
 
+# -- determinism differential ---------------------------------------------
+
+#: ``(PYTHONHASHSEED, seconds added to time.time())`` of the leg's two
+#: children: string hashes, so set and dict-of-str orders, differ between
+#: them, and so do the clock and the entropy-seeded random/numpy state.
+_CHILDREN = (("0", 0.0), ("4242", 31_536_000.0))
+
+#: A child's script; the clock is skewed before ``repro`` is imported.
+_CHILD = """\
+import json, sys, time
+clock = time.time
+time.time = lambda: clock() + {skew!r}
+from repro.check.fuzz import determinism_manifest
+json.dump(determinism_manifest({seeds!r}), sys.stdout)
+"""
+
+#: Requests the leg serves: DVB(5) on the 6-cube as each kind of job, and
+#: the 8x8 torus at B=64 (refuted by the diagnoser) diagnosed and compiled.
+_REQUESTS = [
+    {"kind": kind, "topology": topology, "bandwidth": bandwidth,
+     "models": 5, "load": load}
+    for kind, topology, bandwidth, load in (
+        ("compile", "hypercube6", 128.0, 0.5),
+        ("check", "hypercube6", 128.0, 0.5),
+        ("diagnose", "hypercube6", 128.0, 0.5),
+        ("diagnose", "torus8x8", 64.0, 1.0),
+        ("compile", "torus8x8", 64.0, 1.0),
+    )
+]
+
+#: Folded onto half the mesh's nodes, this point keeps four communicating
+#: task pairs on one node each.  No corpus seed and no request co-locates
+#: two, so without it no ``local_messages`` order is compared.
+_COLOCATED = FuzzPoint(228, 3, 3, 0.9, "mesh33", 0.5)
+
+
+def determinism_inputs(
+    seeds: Iterable[int],
+) -> Iterator[tuple[str, FuzzPoint, "PointInputs"]]:
+    """``(label, point, inputs)`` of every compile the leg runs."""
+    for seed in seeds:
+        point = FuzzPoint.from_seed(seed)
+        yield f"seed {seed}", point, point.build()
+    timing, topology, allocation, tau_in = _COLOCATED.build()
+    folded = {t: n % (topology.num_nodes // 2) for t, n in allocation.items()}
+    yield "colocated", _COLOCATED, (timing, topology, folded, tau_in)
+
+
+def _file_digests(directory: Path) -> dict[str, str]:
+    """SHA-256 of every file under ``directory``, by relative path."""
+    return {
+        path.relative_to(directory).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*")) if path.is_file()
+    }
+
+
+def determinism_manifest(seeds: Iterable[int]) -> dict[str, dict[str, str]]:
+    """``label -> item -> digest`` of what this process emits: per input
+    of :func:`determinism_inputs`, the cache keys of the point and of its
+    perturbation and every file of a fresh cache directory after the cold
+    compile, the delta compile and ``persist_cache_stats``; per request
+    of :data:`_REQUESTS`, the served result less its volatile fields and
+    every file of its cache directory."""
+    from repro.serve.jobs import JobRequest
+    from repro.serve.worker import execute_request
+
+    backend = "highs" if have_scipy() else "reference"
+    config = CompilerConfig(lp_backend=backend, **_CONFIG)
+    manifest: dict[str, dict[str, str]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, point, inputs in determinism_inputs(seeds):
+            directory = Path(tmp) / label
+            cache = ScheduleCache(directory)
+            items = {"key": schedule_cache_key(*inputs, config)}
+            _compile(inputs, backend, cache=cache)
+            perturbed = _perturb(point, inputs)
+            if perturbed is not None:
+                items["delta key"] = schedule_cache_key(*perturbed, config)
+                _compile(perturbed, backend, cache=cache)
+            persist_cache_stats(directory, cache.stats)
+            manifest[label] = {**items, **_file_digests(directory)}
+        for number, payload in enumerate(_REQUESTS):
+            directory = Path(tmp) / f"request{number}"
+            request = JobRequest.from_payload(payload).canonical()
+            result = execute_request({"request": request, "cache_dir": str(directory)})
+            for name in VOLATILE_RESULT_FIELDS:
+                result.pop(name, None)
+            result["solver_stats"] = _stable_solver_stats(result.get("solver_stats"))
+            blob = json.dumps(result, sort_keys=True).encode()
+            manifest["request " + " ".join(map(str, payload.values()))] = {
+                "result": hashlib.sha256(blob).hexdigest(),
+                **_file_digests(directory),
+            }
+    return manifest
+
+
+def determinism_leg(seeds: Sequence[int]) -> dict[str, str]:
+    """The cross-process byte differential: ``label -> disagreement``,
+    empty when both :data:`_CHILDREN` emit the same manifest."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c",
+             _CHILD.format(skew=skew, seeds=list(seeds))],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for hash_seed, skew in _CHILDREN
+    ]
+    outputs = [child.communicate() for child in children]
+    for (hash_seed, _), child, (_, err) in zip(_CHILDREN, children, outputs):
+        if child.returncode != 0:
+            last = (err.strip().splitlines() or ["no output"])[-1]
+            return {"determinism leg": f"child with PYTHONHASHSEED="
+                    f"{hash_seed} exited {child.returncode}: {last}"}
+    first, second = (json.loads(out) for out, _ in outputs)
+    moved: dict[str, str] = {}
+    for label in sorted(first.keys() | second.keys()):
+        mine, theirs = first.get(label, {}), second.get(label, {})
+        items = sorted(
+            item for item in mine.keys() | theirs.keys()
+            if mine.get(item) != theirs.get(item)
+        )
+        if items:
+            moved[label] = "bytes differ between two processes: " + ", ".join(items)
+    return moved
+
+
 def shrink_point(point: FuzzPoint, attempts: int = 6) -> FuzzPoint:
     """Greedily look for a smaller point showing the same kind of failure.
 
@@ -565,10 +716,11 @@ def run_fuzz(
     out_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> FuzzReport:
-    """Fuzz every seed; shrink + write a reproducer per disagreement."""
+    """Fuzz every seed, then run the determinism leg over all of them;
+    shrink a disagreeing seed's point and write a reproducer for it."""
     started = time.perf_counter()
+    seeds = list(seeds)
     outcomes: list[PointOutcome] = []
-    reproducers: list[Path] = []
     for seed in seeds:
         point = FuzzPoint.from_seed(seed)
         outcome = check_point(point)
@@ -578,8 +730,6 @@ def run_fuzz(
                 shrunk = check_point(small)
                 if not shrunk.ok:
                     outcome = shrunk
-            if out_dir is not None:
-                reproducers.append(write_reproducer(outcome, Path(out_dir)))
         outcomes.append(outcome)
         if progress is not None:
             status = "ok" if outcome.ok else "DISAGREE"
@@ -587,8 +737,18 @@ def run_fuzz(
                 f"seed {seed}: {outcome.verdict or 'error'} "
                 f"[{','.join(outcome.backends)}] {status}"
             )
+    by_label = {f"seed {o.point.seed}": o.disagreements for o in outcomes}
+    determinism: list[str] = []
+    for label, disagreement in determinism_leg(seeds).items():
+        by_label.get(label, determinism).append(f"{label}: {disagreement}")
+    reproducers = (
+        [write_reproducer(o, Path(out_dir)) for o in outcomes if not o.ok]
+        if out_dir is not None
+        else []
+    )
     return FuzzReport(
         outcomes=outcomes,
         reproducers=reproducers,
+        determinism=determinism,
         elapsed_s=time.perf_counter() - started,
     )

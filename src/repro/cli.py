@@ -22,9 +22,9 @@ import dataclasses
 import sys
 
 # Only what building the parser needs is imported here, none of it numpy
-# or ``repro.core``: each ``_cmd_*`` imports what it runs, so ``--help``,
-# ``lint`` and ``submit`` stay light and ``compile`` pays for no more
-# than a compile.
+# or ``repro.core``: each ``_cmd_*`` imports what it runs, so ``--help``
+# and ``submit`` stay light and ``compile`` pays for no more than a
+# compile.
 from repro.errors import ReproError, RepairInfeasibleError, SchedulingError
 from repro.experiments.setup import ALLOCATORS, InstanceSpec
 from repro.metrics import load_sweep
@@ -342,20 +342,6 @@ def _cmd_check(args) -> int:
         emitted = report.emit(tracer)
         write_chrome_trace(tracer.events, args.trace)
         print(f"{emitted} finding event(s) written to {args.trace}")
-    return 0 if report.ok else 1
-
-
-def _cmd_lint(args) -> int:
-    from pathlib import Path
-
-    from repro.lint.engine import lint_paths
-
-    root = Path(args.root)
-    if not root.exists():
-        print(f"error: scan root {root} does not exist", file=sys.stderr)
-        return 2
-    report = lint_paths(root)
-    sys.stdout.write(report.render())
     return 0 if report.ok else 1
 
 
@@ -709,7 +695,7 @@ def main(argv: list[str] | None = None) -> int:
     p_fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzz: both LP backends, cold+warm cache, "
-             "analyzer vs replay verdicts",
+             "analyzer vs replay verdicts, bytes across two processes",
     )
     p_fuzz.add_argument(
         "--count", type=int, default=24, help="number of fuzz points"
@@ -726,17 +712,6 @@ def main(argv: list[str] | None = None) -> int:
         "--verbose", action="store_true", help="print one line per point"
     )
     p_fuzz.set_defaults(func=_cmd_fuzz)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="determinism linter (no clock, ambient RNG or unordered "
-        "serialisation in the reproducible modules)",
-    )
-    p_lint.add_argument(
-        "root", nargs="?", default="src",
-        help="directory to scan (default: src)",
-    )
-    p_lint.set_defaults(func=_cmd_lint)
 
     p_faults = sub.add_parser(
         "faults",

@@ -53,7 +53,7 @@ another assignment might still succeed, so they never gate compilation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.topology.base import Link
@@ -157,13 +157,14 @@ class Diagnosis:
 
     ``checks`` records which analyses ran (so an empty refutation list
     is distinguishable from an analysis that was skipped), and
-    ``elapsed_ms`` the static-analysis wall time.
+    ``elapsed_ms`` the wall time of a fresh diagnosis: telemetry, not
+    value, so ``==`` and :meth:`to_dict` leave it out (a cache hit: 0).
     """
 
     tau_in: float
     refutations: tuple[Refutation, ...] = ()
     checks: tuple[str, ...] = ()
-    elapsed_ms: float = 0.0
+    elapsed_ms: float = field(default=0.0, compare=False)
 
     @property
     def refuted(self) -> bool:
@@ -193,7 +194,6 @@ class Diagnosis:
             "refuted": self.refuted,
             "refutations": [r.to_dict() for r in self.refutations],
             "checks": list(self.checks),
-            "elapsed_ms": self.elapsed_ms,
         }
 
     @classmethod
@@ -204,5 +204,4 @@ class Diagnosis:
                 Refutation.from_dict(r) for r in payload.get("refutations", ())
             ),
             checks=tuple(str(c) for c in payload.get("checks", ())),
-            elapsed_ms=float(payload.get("elapsed_ms", 0.0)),
         )

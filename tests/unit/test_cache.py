@@ -412,8 +412,6 @@ class TestKeyScheme:
 
         groups: dict[str, list[str]] = {}
         for key, entry in cache_entries(tmp_path).items():
-            if entry["kind"] == "diagnosis":
-                entry["diagnosis"]["elapsed_ms"] = 0.0  # its one wall clock
             group = entry["stage"] if entry["kind"] == "artifact" else entry["kind"]
             groups.setdefault(group, []).append(
                 f"{key}:{json.dumps(entry, sort_keys=True)}"
@@ -427,7 +425,9 @@ class TestKeyScheme:
         } == {
             "schedule": (1, "590eabec7678818e"),
             "failure": (1, "f06ec29ec9acb605"),
-            "diagnosis": (1, "3dfba69466537831"),
+            # Re-pinned from 3dfba69466537831 when the entry stopped
+            # storing ``elapsed_ms`` (a wall time this test zeroed).
+            "diagnosis": (1, "40432c80052284ce"),
             "assign-paths": (2, "f182422678970d31"),
             # Nine positive and one negative (the refused subset).
             "allocate+schedule": (10, "4624faf97d3e7e99"),
@@ -520,6 +520,27 @@ class TestEntryByteIdentity:
         stats = warm.extra.get("solver_stats")
         if stats is not None:
             assert "lp_wall_ms" not in stats
+
+    def test_diagnosis_entries_are_byte_identical(self, small_setup, tmp_path):
+        """The diagnosis entry used to store ``elapsed_ms``, a wall time,
+        so two diagnoses of one instance wrote different bytes."""
+        from repro.diagnose.instance import diagnose_instance
+
+        instance = (
+            small_setup.timing, small_setup.topology,
+            small_setup.allocation, small_setup.tau_in_for_load(0.5),
+        )
+        blobs = []
+        for run in ("first", "second"):
+            fresh = diagnose_instance(
+                *instance, cache=ScheduleCache(tmp_path / run)
+            )
+            assert fresh.elapsed_ms > 0.0  # a fresh diagnosis is timed
+            (path,) = (tmp_path / run).glob("*/*.json")
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+        hit = diagnose_instance(*instance, cache=ScheduleCache(tmp_path / run))
+        assert hit == fresh and hit.elapsed_ms == 0.0  # a hit is not
 
 
 class TestMemoryTierBound:

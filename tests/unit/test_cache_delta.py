@@ -76,10 +76,9 @@ def compile_with(setup, cache, load=0.5, config=CONFIG):
 
 def normalised(entry):
     """An entry minus what a replaying recompile legitimately moves: LP
-    tallies (fewer solves) and a diagnosis' wall clock."""
+    tallies (fewer solves)."""
     entry = json.loads(json.dumps(entry))
     entry.pop("solver_stats", None)
-    entry.get("diagnosis", {}).pop("elapsed_ms", None)
     return entry
 
 

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import json
 
+from repro.cache.store import routing_to_entry
 from repro.check import FuzzPoint, run_fuzz
 from repro.check.fuzz import (
     PointOutcome,
+    _compile,
     check_point,
+    determinism_inputs,
+    determinism_leg,
     shrink_point,
     write_reproducer,
 )
+from repro.solvers import have_scipy
 
 
 class TestFuzzPoint:
@@ -115,6 +120,31 @@ class TestDeltaDifferential:
                 point, "reference", point.build(), tmp_path, disagreements
             )
             assert disagreements == []
+
+
+class TestDeterminismLeg:
+    def test_two_processes_emit_the_same_bytes(self):
+        # Twelve seeds cold + delta, the co-located input and every
+        # served request, under two hash seeds, clocks and RNG states.
+        assert determinism_leg(range(12)) == {}
+
+    def test_every_serialised_order_is_exercised(self):
+        """Each list an entry serialises has >= 2 members on some input
+        the leg compiles, so an order taken from a set or a hash-ordered
+        dict would reach the bytes it compares."""
+        backend = "highs" if have_scipy() else "reference"
+        lengths: dict[str, list[int]] = {
+            "subsets": [], "local_messages": [], "cells": []
+        }
+        for _label, _point, inputs in determinism_inputs(range(12)):
+            verdict, routing = _compile(inputs, backend)
+            if verdict != "feasible":
+                continue
+            entry = routing_to_entry(routing)
+            lengths["subsets"] += map(len, entry["subsets"])
+            lengths["local_messages"].append(len(entry["local_messages"]))
+            lengths["cells"] += (len(a["cells"]) for a in entry["allocations"])
+        assert all(max(seen) >= 2 for seen in lengths.values()), lengths
 
 
 class TestReproducers:

@@ -91,7 +91,7 @@ class TestCompileImportsOnlyWhatItRuns:
     def test_subsystems_a_compile_never_runs_are_absent(self, seen):
         for module in (
             "concurrent.futures.process", "repro.wormhole", "repro.check",
-            "repro.diagnose", "repro.serve", "repro.lint", "repro.sim",
+            "repro.diagnose", "repro.serve", "repro.sim",
             "repro.core.executor",
         ):
             assert module not in seen["modules"], module
@@ -103,9 +103,7 @@ class TestCompileImportsOnlyWhatItRuns:
         assert len(seen["modules"]) <= 300
 
 
-@pytest.mark.parametrize(
-    "argv", (["--help"], ["lint", "--help"], ["submit", "--help"])
-)
+@pytest.mark.parametrize("argv", (["--help"], ["submit", "--help"]))
 def test_parsing_imports_no_numpy(argv):
     seen = main_child(argv)
     assert seen["code"] == 0

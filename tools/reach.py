@@ -47,7 +47,6 @@ repro-sr check T/bad.json --trace T/findings.json
 repro-sr check T/missing.json
 repro-sr inspect T/s.json --gantt 0 --occupancy 5
 repro-sr fuzz --base-seed 20 --count 6 --out T/fuzz --verbose
-repro-sr lint src
 repro-sr faults --topology 6cube --fail-links 1 --drifts 1 --invocations 16 --warmup 4
 repro-sr trace --mode sr --models 5 --chart 5 --out T/sr.json
 repro-sr trace --mode wr --models 5 --chart 5 --out T/wr.json
