@@ -17,10 +17,9 @@ fall out of one mechanism:
   (``lp_solves`` / ``lp_iterations`` / ``lp_wall_ms``) to the stage
   detail — which the tracer forwards as ``compile`` events;
 - because every stage wraps itself in ``context.profiler.stage``, a
-  :class:`~repro.trace.profile.CompileProfiler` constructed with
-  ``on_enter``/``on_stage`` callbacks observes the pipeline live,
-  stage by stage — the progress hook the ``repro.serve`` compile farm
-  streams to clients while a job runs;
+  :class:`~repro.trace.profile.CompileProfiler` records the pipeline
+  stage by stage — the record the ``repro.serve`` compile farm returns
+  with each result and replays as the job's ``stage`` events;
 - a stage fails by raising the stage-specific
   :class:`~repro.errors.SchedulingError` subclass; :func:`verdict_code`
   maps any such error to the matrix's verdict abbreviation.

@@ -16,8 +16,9 @@ GET    ``/v1/stats``               Service / cache counters.
 GET    ``/v1/healthz``             Liveness (also reports draining).
 ====== =========================== ==========================================
 
-Status mapping: 400 malformed payload, 404 unknown job/path, 405 wrong
-method, 503 submitting while draining, 500 handler crash.  Connections
+Status mapping: 400 malformed payload or ``timeout``, 404 unknown
+job/path, 405 wrong method, 503 submitting while draining, 500 handler
+crash.  Connections
 are keep-alive by default (a :class:`~repro.serve.client.ServeClient`
 reuses its one connection); an event stream always closes its connection when done,
 as chunked encoding is the response's framing.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
@@ -134,6 +136,21 @@ async def _stream_events(service: CompileService, job: Job,
     await writer.drain()
 
 
+def _wait_seconds(query: str) -> float | None:
+    """How long ``?wait=1[&timeout=S]`` blocks; ``None`` answers at once.
+
+    Raises ``ValueError`` on a timeout that is not a finite,
+    non-negative number.
+    """
+    params = parse_qs(query)
+    timeout = float(params.get("timeout", [_MAX_WAIT])[-1])
+    if not 0.0 <= timeout < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"timeout must be finite and >= 0, got {timeout}")
+    if params.get("wait", ["0"])[-1] not in ("1", "true", "yes"):
+        return None
+    return min(timeout, _MAX_WAIT)
+
+
 async def _handle_post_jobs(service: CompileService, query: str,
                             body: bytes, keep_alive: bool,
                             writer: asyncio.StreamWriter) -> None:
@@ -145,13 +162,16 @@ async def _handle_post_jobs(service: CompileService, query: str,
         service.stats.malformed += 1
         raise _HttpError(400, "request body is not valid JSON") from None
     try:
+        timeout = _wait_seconds(query)
+    except ValueError as error:
+        service.stats.malformed += 1
+        raise _HttpError(400, str(error)) from None
+    try:
         job = service.submit(payload)
     except BadRequest as error:
         service.stats.malformed += 1
         raise _HttpError(400, str(error)) from None
-    params = parse_qs(query)
-    if params.get("wait", ["0"])[-1] in ("1", "true", "yes"):
-        timeout = min(float(params.get("timeout", [_MAX_WAIT])[-1]), _MAX_WAIT)
+    if timeout is not None:
         finished = await job.wait(timeout)
         _json_response(
             writer, 200 if finished else 202, job.snapshot(), keep_alive

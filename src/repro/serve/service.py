@@ -22,11 +22,12 @@ submitted request flows through four gates, cheapest first:
    on-disk cache (``workers=0`` executes inline on a thread — the
    single-process mode tests and smoke runs use).
 
-Stage-level progress spooled by the worker's
-:class:`~repro.trace.profile.CompileProfiler` callbacks is tailed into
-``Job.events`` while the compilation runs, which is what the chunked
-``/v1/jobs/<id>/events`` stream and the polling ``/v1/jobs/<id>`` view
-both read.
+The worker's result is its one channel back: when it arrives, each
+stage of the :class:`~repro.trace.profile.CompileProfiler` record it
+carries (``result["profile"]["stages"]``) becomes one ``stage`` event in
+``Job.events``, in order, before the terminal transition.  Those events
+and the live lifecycle ones are what the chunked
+``/v1/jobs/<id>/events`` stream reads.
 
 Every gate emits a ``serve``-category trace instant (``enqueue`` /
 ``admit`` / ``reject`` / ``dispatch`` / ``complete`` / ``coalesce`` /
@@ -38,8 +39,6 @@ yields a load timeline alongside the compiler's own events.
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import json
 import shutil
 import tempfile
 import time
@@ -145,7 +144,6 @@ class CompileService:
         self.cache: ScheduleCache | None = None
         self.cache_dir: Path | None = None
         self._ephemeral_cache = False
-        self._spool_dir: Path | None = None
         self._inflight: dict[str, Job] = {}
         self._results: OrderedDict[str, dict[str, Any]] = OrderedDict()
         #: (setup, tau_in, schedule key) per request while its job is in
@@ -163,7 +161,7 @@ class CompileService:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Create the shared cache, spool area, and worker pool."""
+        """Create the shared cache and the worker pool."""
         if self.config.cache_dir is not None:
             self.cache_dir = Path(self.config.cache_dir).expanduser()
             self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -171,7 +169,6 @@ class CompileService:
             self.cache_dir = Path(tempfile.mkdtemp(prefix="repro-serve-cache-"))
             self._ephemeral_cache = True
         self.cache = ScheduleCache(self.cache_dir)
-        self._spool_dir = Path(tempfile.mkdtemp(prefix="repro-serve-spool-"))
         if self.config.workers > 0:
             self.pool = GracefulPool(
                 max_workers=self.config.workers,
@@ -199,8 +196,6 @@ class CompileService:
             await asyncio.to_thread(self.pool.shutdown, True)
         else:
             self._persist_stats()
-        if self._spool_dir is not None:
-            shutil.rmtree(self._spool_dir, ignore_errors=True)
         if self._ephemeral_cache and self.cache_dir is not None:
             shutil.rmtree(self.cache_dir, ignore_errors=True)
 
@@ -327,33 +322,24 @@ class CompileService:
             job.transition(JOB_ADMITTED, admission="skipped")
         self._trace("admit", job)
 
-        assert self._spool_dir is not None and self.cache_dir is not None
-        spool = self._spool_dir / f"{job.id}.events.jsonl"
+        assert self.cache_dir is not None
         payload = {
             "request": request.canonical(),
             "cache_dir": str(self.cache_dir),
-            "spool": str(spool),
         }
         self.stats.dispatched += 1
         job.transition(JOB_RUNNING)
         self._trace("dispatch", job)
-        tail = asyncio.get_running_loop().create_task(
-            self._tail_spool(job, spool)
-        )
-        try:
-            if self.pool is not None:
-                future = self.pool.submit(self._execute, payload)
-                result = await asyncio.wrap_future(future)
-            else:
-                result = await asyncio.to_thread(self._execute, payload)
-        finally:
-            tail.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await tail
-            spool.unlink(missing_ok=True)
+        if self.pool is not None:
+            future = self.pool.submit(self._execute, payload)
+            result = await asyncio.wrap_future(future)
+        else:
+            result = await asyncio.to_thread(self._execute, payload)
         delta = result.pop("cache_stats", None)
         if delta:
             self.stats.worker_cache.merge(delta)
+        for stage in result.get("profile", {}).get("stages", ()):
+            job.add_event("stage", **stage)
         job.result = result
         self.stats.completed += 1
         job.transition(JOB_DONE, verdict=result.get("verdict"))
@@ -441,47 +427,6 @@ class CompileService:
         if backing is None:
             return True
         return self.cache is not None and self.cache.contains(backing)
-
-    # -- progress streaming ----------------------------------------------
-
-    async def _tail_spool(self, job: Job, path: Path) -> None:
-        """Mirror worker progress lines into ``job.events`` live.
-
-        Cancelled when the worker result arrives; the cancellation
-        handler pumps once more so no trailing stage event is lost.
-        """
-        offset = 0
-        try:
-            while True:
-                offset = self._pump_spool(job, path, offset)
-                await asyncio.sleep(0.02)
-        except asyncio.CancelledError:
-            self._pump_spool(job, path, offset)
-            raise
-
-    @staticmethod
-    def _pump_spool(job: Job, path: Path, offset: int) -> int:
-        """Consume complete spool lines past ``offset``; new offset."""
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read()
-        except OSError:
-            return offset
-        end = data.rfind(b"\n")
-        if end < 0:
-            return offset
-        for line in data[:end].split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                event = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(event, dict):
-                name = str(event.pop("event", "progress"))
-                job.add_event(name, **event)
-        return offset + end + 1
 
     # -- observability ---------------------------------------------------
 

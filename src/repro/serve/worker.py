@@ -17,17 +17,15 @@ memo check probes), its stage artifacts are lines of the directory's pack
 cache-counter deltas (:meth:`~repro.cache.CacheStats.since`) ride back
 on every result so the service can aggregate totals that sum correctly.
 
-Stage-level progress is spooled, not returned: when the task names a
-``spool`` path, a :class:`~repro.trace.profile.CompileProfiler` with an
-``on_enter`` callback appends one JSON line per compiler stage as it
-starts, and the service tails that file to stream live progress to
-clients while the compilation is still running.
+The result is the task's one channel back: a compile's
+:class:`~repro.trace.profile.CompileProfiler` record rides in
+``result["profile"]``, and the service turns its stages into the job's
+``stage`` events when the result arrives.
 """
 
 from __future__ import annotations
 
-import json
-from typing import IO, Any, Mapping
+from typing import Any, Mapping
 
 from repro.cache.store import ScheduleCache, process_cache
 from repro.core.compiler import compile_schedule
@@ -39,60 +37,15 @@ from repro.trace.profile import CompileProfiler
 
 __all__ = ["execute_request"]
 
-class _Spool:
-    """Append-only JSON-lines progress writer (one line per event).
-
-    Lines are flushed immediately so the service can tail the file
-    while the compilation runs.  Write failures are swallowed: progress
-    is best-effort and must never abort the stage it observes (the
-    profiler-callback contract).
-    """
-
-    def __init__(self, path: str | None) -> None:
-        self._handle: IO[str] | None = None
-        if path is not None:
-            try:
-                self._handle = open(path, "a", encoding="utf-8")
-            except OSError:
-                self._handle = None
-
-    def emit(self, event: str, **args: Any) -> None:
-        if self._handle is None:
-            return
-        try:
-            payload: dict[str, Any] = {"event": event}
-            payload.update(args)
-            self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            self._handle.flush()
-        except (OSError, TypeError, ValueError):
-            self.close()
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:  # the flush of a failed write fails again
-                pass
-            finally:
-                self._handle = None
-
 
 def _compile_result(
     request: JobRequest,
     setup: ExperimentSetup,
     tau_in: float,
     cache: ScheduleCache | None,
-    spool: _Spool,
 ) -> dict[str, Any]:
     """Run a ``compile`` (or the compile half of a ``check``) task."""
-    profiler = CompileProfiler(
-        on_enter=lambda name, detail: spool.emit(
-            "stage", stage=name, **detail
-        ),
-        on_stage=lambda sp: spool.emit(
-            "stage-done", stage=sp.stage, wall_ms=round(sp.wall_ms, 3)
-        ),
-    )
+    profiler = CompileProfiler()
     try:
         routing = compile_schedule(
             setup.timing,
@@ -148,11 +101,9 @@ def _diagnose_result(
     setup: ExperimentSetup,
     tau_in: float,
     cache: ScheduleCache | None,
-    spool: _Spool,
 ) -> dict[str, Any]:
     from repro.diagnose.instance import diagnose_instance
 
-    spool.emit("stage", stage="diagnose")
     diagnosis = diagnose_instance(
         setup.timing,
         setup.topology,
@@ -172,24 +123,20 @@ def _diagnose_result(
 def execute_request(task: Mapping[str, Any]) -> dict[str, Any]:
     """Execute one farm task; the pool's target function.
 
-    ``task`` carries the request's canonical form plus the shared cache
-    directory and an optional progress-spool path.  The returned dict is
+    ``task`` is ``{"request", "cache_dir"}``: the request's canonical
+    form and the shared cache directory.  The returned dict is
     JSON-able end to end and always includes ``cache_stats`` — this
     task's cache-counter *deltas* for the service to aggregate.
     """
     request = JobRequest.from_canonical(task["request"])
     cache = process_cache(task.get("cache_dir"))
     before = cache.stats.snapshot() if cache is not None else None
-    spool = _Spool(task.get("spool"))
-    try:
-        setup = request.build()
-        tau_in = setup.tau_in_for_load(request.load)
-        if request.kind == "diagnose":
-            result = _diagnose_result(request, setup, tau_in, cache, spool)
-        else:
-            result = _compile_result(request, setup, tau_in, cache, spool)
-    finally:
-        spool.close()
+    setup = request.build()
+    tau_in = setup.tau_in_for_load(request.load)
+    if request.kind == "diagnose":
+        result = _diagnose_result(request, setup, tau_in, cache)
+    else:
+        result = _compile_result(request, setup, tau_in, cache)
     if cache is not None and before is not None:
         result["cache_stats"] = cache.stats.since(before)
     return result

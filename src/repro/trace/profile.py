@@ -5,7 +5,10 @@ wall-clock cost; this module answers *where*.  A :class:`CompileProfiler`
 is passed to :func:`~repro.core.compiler.compile_schedule`; every stage
 wraps itself in :meth:`CompileProfiler.stage` and attaches structured
 detail (message counts, LP variable counts).  The result renders as a
-text table or as ``compile``-category trace events alongside a run trace.
+text table or as ``compile``-category trace events alongside a run trace,
+and crosses process boundaries as :meth:`CompileProfile.to_dict` (the
+serve worker's ``result["profile"]``, whose stages the service replays
+as a job's ``stage`` events).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.trace.tracer import TraceEvent
 
@@ -50,7 +53,7 @@ class StageProfile:
         return " ".join(f"{k}={v}" for k, v in self.detail.items())
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready payload (wire transfer, progress events)."""
+        """JSON-ready payload (wire transfer, a job's ``stage`` events)."""
         return {
             "stage": self.stage,
             "wall_ms": self.wall_ms,
@@ -115,41 +118,17 @@ class CompileProfiler:
 
     Nested/repeated stage names are fine (retry attempts, per-subset
     LP solves each record their own row).
-
-    Parameters
-    ----------
-    on_enter:
-        Called with ``(stage_name, detail)`` the moment a stage starts —
-        the progress hook of the staged pipeline
-        (:mod:`repro.core.pipeline`): every stage wraps itself in
-        :meth:`stage`, so a callback here observes the compilation
-        stage-by-stage as it runs.  The serve farm streams these as
-        live job progress events.
-    on_stage:
-        Called with the completed :class:`StageProfile` when a stage
-        finishes (including its late detail and LP tallies).
-
-    Callbacks run on the compiling thread/process; they must not raise
-    (an exception would abort the stage it observes).
     """
 
-    def __init__(
-        self,
-        on_enter: Callable[[str, Mapping[str, Any]], None] | None = None,
-        on_stage: Callable[[StageProfile], None] | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._origin = time.perf_counter()
         self._stages: list[StageProfile] = []
-        self._on_enter = on_enter
-        self._on_stage = on_stage
 
     @contextmanager
     def stage(self, name: str, **detail: Any) -> Iterator[dict]:
         """Profile one stage; mutate the yielded dict to add late detail
         (sizes known only after the stage body ran)."""
         late: dict[str, Any] = dict(detail)
-        if self._on_enter is not None:
-            self._on_enter(name, dict(late))
         start = time.perf_counter()
         try:
             yield late
@@ -162,8 +141,6 @@ class CompileProfiler:
                 detail=late,
             )
             self._stages.append(profile)
-            if self._on_stage is not None:
-                self._on_stage(profile)
 
     @property
     def profile(self) -> CompileProfile:

@@ -86,15 +86,12 @@ def test_submit_nowait_then_poll(client):
             break
         time.sleep(0.05)
     assert snap["state"] == "done"
-    # The snapshot carries the stage progress mirrored from the worker.
-    names = [e["event"] for e in snap["events"]] if "events" in snap else []
     # /v1/jobs/<id> omits events; the dedicated stream endpoint has them.
     events = list(client.events(job_id))
     kinds = [e["event"] for e in events]
     assert kinds[0] == "enqueue"
-    assert "stage" in kinds  # worker progress reached the stream
+    assert "stage" in kinds  # the worker's profile reached the stream
     assert kinds[-1] == "done"
-    del names
 
 
 def test_event_stream_replays_for_finished_job(client):
@@ -155,6 +152,22 @@ def test_malformed_payloads_get_400(client):
     response.read()
 
 
+@pytest.mark.parametrize("timeout", ["abc", "nan", "-1"])
+def test_malformed_timeout_gets_400_before_submission(client, timeout):
+    """A ``timeout`` that is not a finite, non-negative number is a 400
+    counted as malformed, and no job is submitted: the caller is never
+    told "failed" about a job that still compiles."""
+    before = client.stats()["service"]
+    status, body = client.request(
+        "POST", f"/v1/jobs?wait=1&timeout={timeout}", {**FAST, "models": 2}
+    )
+    assert status == 400 and set(body) == {"error"}
+    after = client.stats()["service"]
+    assert after["submitted"] == before["submitted"]
+    assert after["malformed"] == before["malformed"] + 1
+    assert client.healthz()["ok"] is True
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -212,6 +225,19 @@ def test_worker_pool_mode_round_trip(tmp_path):
             assert status == 200
             assert body["state"] == "done"
             assert body["result"]["feasible"] is True
+            # The child's profile is the one source of stage events: one
+            # per profiled stage, in order, between running and done.
+            events = list(client.events(body["id"]))
+            kinds = [e["event"] for e in events]
+            stages = body["result"]["profile"]["stages"]
+            assert stages and "stage-done" not in kinds
+            first = kinds.index("stage")
+            assert kinds[first - 1] == "running"
+            assert kinds[first:] == ["stage"] * len(stages) + ["done"]
+            assert [
+                {k: e[k] for k in ("stage", "wall_ms", "start_ms", "detail")}
+                for e in events[first:-1]
+            ] == stages
             # A duplicate is answered without a second child dispatch.
             status2, body2 = client.submit(FAST, wait=True)
             assert status2 == 200 and body2["state"] == "done"

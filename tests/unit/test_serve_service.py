@@ -72,6 +72,7 @@ def test_submit_executes_and_completes():
             assert job.result == {"feasible": True, "verdict": "OK"}
             assert len(calls) == 1
             task = calls[0]
+            assert set(task) == {"request", "cache_dir"}
             assert task["request"]["models"] == 4
             assert task["cache_dir"] == str(service.cache_dir)
             assert service.stats.dispatched == 1
@@ -300,75 +301,37 @@ def test_worker_exception_is_firewalled_to_failed():
 
 
 def test_spool_progress_events_reach_job():
+    """The worker's one channel back is its result: each stage of the
+    profile it carries becomes one ``stage`` event, in order, between
+    ``running`` and ``done``, and the result itself is stored unchanged."""
+    stages = [
+        {"stage": "time-bounds", "wall_ms": 1.5, "start_ms": 0.1,
+         "detail": {"messages": 12}},
+        {"stage": "assign-paths", "wall_ms": 7.25, "start_ms": 1.7,
+         "detail": {"restarts": 2}},
+    ]
+    result = {"feasible": True, "verdict": "OK", "profile": {"stages": stages}}
+
     async def run():
         service = _service()
         service.start()
         try:
-            def worker_with_progress(task):
-                with open(task["spool"], "a") as handle:
-                    for stage in ("prescreen", "time-bounds"):
-                        handle.write(
-                            json.dumps({"event": "stage", "stage": stage})
-                            + "\n"
-                        )
-                time.sleep(0.08)  # give the 20ms tail a chance to pump
-                return {"feasible": True, "verdict": "OK"}
-
-            service._execute = worker_with_progress
+            service._execute = lambda task: json.loads(json.dumps(result))
             job = service.submit(PAYLOAD)
             assert await job.wait(timeout=10)
-            stages = [
-                e["stage"] for e in job.events if e["event"] == "stage"
+            assert job.result == result
+            names = [e["event"] for e in job.events]
+            assert names == [
+                "enqueue", "admitted", "running", "stage", "stage", "done"
             ]
-            assert stages == ["prescreen", "time-bounds"]
+            assert [
+                {k: e[k] for k in ("stage", "wall_ms", "start_ms", "detail")}
+                for e in job.events if e["event"] == "stage"
+            ] == stages
         finally:
             await service.shutdown()
 
     _run(run())
-
-
-def test_failed_spool_write_closes_its_descriptor(tmp_path, monkeypatch):
-    """A spool whose write fails (ENOSPC, its directory removed mid-job)
-    is closed, not dropped: the worker outlives thousands of jobs and
-    leaked one descriptor per failed spool.  Progress is best-effort, so
-    the compile result is the one a spool-less task returns."""
-    import errno
-
-    from repro.serve import worker
-    from repro.serve.jobs import JobRequest
-
-    opened = []
-
-    class FullDisk:
-        def __init__(self, handle):
-            self.handle = handle
-
-        def write(self, text):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        def close(self):
-            self.handle.close()
-
-    def open_on_a_full_disk(path, mode, **kwargs):
-        opened.append(open(path, mode, **kwargs))
-        return FullDisk(opened[-1])
-
-    def result_of(task):
-        result = worker.execute_request(task)
-        result.pop("profile"), result["solver_stats"].pop("lp_wall_ms")
-        return result
-
-    task = {"request": JobRequest.from_payload(PAYLOAD).canonical()}
-    expected = result_of(task)
-    monkeypatch.setattr(worker, "open", open_on_a_full_disk, raising=False)
-    spool = worker._Spool(str(tmp_path / "job.events.jsonl"))
-    spool.emit("stage", stage="time-bounds")
-    assert spool._handle is None and opened[0].closed
-    spool.emit("stage", stage="assign-paths")  # a closed spool stays silent
-
-    spooled = result_of({**task, "spool": str(tmp_path / "job2.events.jsonl")})
-    assert spooled == expected and spooled["verdict"] == "OK"
-    assert len(opened) == 2 and opened[1].closed
 
 
 def test_worker_cache_deltas_merge_into_service_stats():
