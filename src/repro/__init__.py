@@ -31,8 +31,6 @@ _exported, __getattr__, __dir__ = lazy_exports(__name__, {
     "AdaptiveWormholeSimulator": "wormhole.adaptive",
     "CacheStats": "cache.store",
     "CommunicationSchedule": "core.switching",
-    "CompileProfile": "trace.profile",
-    "CompileProfiler": "trace.profile",
     "CompilerConfig": "core.compiler",
     "ConformanceReport": "check.analyzer",
     "Diagnosis": "diagnose.certificates",

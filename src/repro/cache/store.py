@@ -406,7 +406,7 @@ class ScheduleCache:
     def __repr__(self) -> str:
         tier = str(self.directory) if self.directory else "memory"
         return (
-            f"<ScheduleCache [{tier}] {len(self._memory)} entries, "
+            f"<ScheduleCache [{tier}] {len(self._memory)} in memory, "
             f"{self.stats.hits}h/{self.stats.misses}m>"
         )
 

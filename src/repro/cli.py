@@ -419,7 +419,7 @@ def _cmd_faults(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.core.compiler import CompilerConfig, compile_schedule
     from repro.results import RunConfig
-    from repro.trace import CompileProfiler, TraceRecorder, write_chrome_trace
+    from repro.trace import TraceRecorder, stage_table, write_chrome_trace
 
     setup, tau_in = _setup_at_load(args)
     tracer = TraceRecorder()
@@ -429,11 +429,9 @@ def _cmd_trace(args) -> int:
         seed=args.seed,
         tracer=tracer,
     )
-    events = []
     if args.mode == "sr":
         from repro.core.executor import ScheduledRoutingExecutor
 
-        profiler = CompileProfiler()
         try:
             routing = compile_schedule(
                 setup.timing,
@@ -441,7 +439,7 @@ def _cmd_trace(args) -> int:
                 setup.allocation,
                 tau_in,
                 CompilerConfig(seed=args.seed),
-                profiler=profiler,
+                tracer=tracer,
             )
         except SchedulingError as error:
             print(f"infeasible at load {args.load}: {error}")
@@ -453,9 +451,7 @@ def _cmd_trace(args) -> int:
         from repro.cp import replay_schedule
 
         replay_schedule(routing.schedule, setup.topology, tracer=tracer)
-        profile = profiler.profile
-        events.extend(profile.trace_events())
-        print(profile.table())
+        print(stage_table(tracer.events))
         print()
     else:
         from repro.wormhole import WormholeSimulator
@@ -463,7 +459,6 @@ def _cmd_trace(args) -> int:
         result = WormholeSimulator(
             setup.timing, setup.topology, setup.allocation
         ).run(tau_in, config=run)
-    events.extend(tracer.events)
     print(
         f"{args.mode.upper()} run on {setup.topology.name} @ load {args.load} "
         f"(tau_in={tau_in:g}us): {len(result.completion_times)} invocations, "
@@ -471,7 +466,7 @@ def _cmd_trace(args) -> int:
         f"jitter peak-to-peak={result.jitter().peak_to_peak:.3f}us"
     )
     print(
-        f"captured {len(events)} trace events on "
+        f"captured {len(tracer)} trace events on "
         f"{len(tracer.tracks())} tracks"
     )
     if args.chart:
@@ -479,7 +474,7 @@ def _cmd_trace(args) -> int:
 
         print()
         print(trace_occupancy_chart(tracer, top=args.chart))
-    write_chrome_trace(events, args.out)
+    write_chrome_trace(tracer.events, args.out)
     print(f"Chrome trace written to {args.out} (open in https://ui.perfetto.dev)")
     return 0
 

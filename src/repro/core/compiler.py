@@ -39,7 +39,7 @@ from repro.mapping.allocation import validate_allocation
 from repro.solvers import get_backend
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Topology
-from repro.trace.profile import NULL_PROFILER, CompileProfiler
+from repro.trace.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.store import ScheduleCache
@@ -161,16 +161,15 @@ def compile_schedule(
     allocation: Mapping[str, int],
     tau_in: float,
     config: CompilerConfig | None = None,
-    profiler: CompileProfiler | None = None,
+    tracer: Tracer = NULL_TRACER,
     cache: "ScheduleCache | None" = None,
 ) -> ScheduledRouting:
     """Compile a contention-free communication schedule for one period.
 
-    Pass a :class:`~repro.trace.profile.CompileProfiler` to record
-    per-stage wall time and problem sizes; the resulting
-    :class:`~repro.trace.profile.CompileProfile` also lands in the
-    returned routing's ``extra["compile_profile"]``.  LP solver totals
-    (backend name, solves, iterations, wall time) always land in
+    Pass a :class:`~repro.trace.tracer.TraceRecorder` to record each
+    stage run's wall time and problem sizes as a ``compile`` span
+    (:func:`~repro.trace.export.stage_table` renders them).  LP solver
+    totals (backend name, solves, iterations, wall time) always land in
     ``extra["solver_stats"]``.
 
     Pass a :class:`~repro.cache.ScheduleCache` to reuse prior results:
@@ -186,7 +185,6 @@ def compile_schedule(
     fails.
     """
     config = config or CompilerConfig()
-    profiler = profiler if profiler is not None else NULL_PROFILER
     validate_allocation(timing.tfg, topology, allocation, exclusive=False)
 
     key = ""  # set iff a cache is attached
@@ -219,7 +217,7 @@ def compile_schedule(
     context = CompilationContext(
         tau_in=tau_in,
         config=config,
-        profiler=profiler,
+        tracer=tracer,
         backend=backend,
         timing=timing,
         topology=topology,
@@ -318,6 +316,4 @@ def _package(context: CompilationContext) -> ScheduledRouting:
             "max_variables": tally.max_variables,
             "max_constraints": tally.max_constraints,
         }
-    if context.profiler is not NULL_PROFILER:
-        routing.extra["compile_profile"] = context.profiler.profile
     return routing

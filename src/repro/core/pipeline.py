@@ -11,15 +11,12 @@ fall out of one mechanism:
 
 - :func:`compile_stages` declares the per-attempt stage list for a
   config; :func:`run_stages` is the (deliberately dumb) driver;
-- every stage reports wall time and problem sizes through
-  ``context.profiler`` under the same stage names the profiler has
-  always used, and the LP stages add their backend's solver tally
-  (``lp_solves`` / ``lp_iterations`` / ``lp_wall_ms``) to the stage
-  detail — which the tracer forwards as ``compile`` events;
-- because every stage wraps itself in ``context.profiler.stage``, a
-  :class:`~repro.trace.profile.CompileProfiler` records the pipeline
-  stage by stage — the record the ``repro.serve`` compile farm returns
-  with each result and replays as the job's ``stage`` events;
+- every stage times itself through ``context.tracer.stage`` with its
+  problem sizes as detail, and the LP stages add their backend's solver
+  tally (``lp_solves`` / ``lp_iterations`` / ``lp_wall_ms``) to it; a
+  :class:`~repro.trace.tracer.TraceRecorder` keeps each stage run as
+  one ``compile`` span — the record the ``repro.serve`` compile farm
+  returns with each result and replays as the job's ``stage`` events;
 - a stage fails by raising the stage-specific
   :class:`~repro.errors.SchedulingError` subclass; :func:`verdict_code`
   maps any such error to the matrix's verdict abbreviation.
@@ -53,7 +50,7 @@ from repro.errors import (
     UtilizationExceededError,
 )
 from repro.solvers.base import LPBackend
-from repro.trace.profile import NULL_PROFILER, CompileProfiler
+from repro.trace.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with repro.core.compiler
     from repro.cache.artifacts import DeltaState
@@ -118,7 +115,7 @@ class CompilationContext:
     # fault-repair engine does).
     tau_in: float
     config: "CompilerConfig"
-    profiler: CompileProfiler = NULL_PROFILER
+    tracer: Tracer = NULL_TRACER
     backend: LPBackend | None = None
     timing: "TFGTiming | None" = None
     topology: "Topology | None" = None
@@ -164,8 +161,8 @@ class CompilerStage(Protocol):
 
     A stage mutates the :class:`CompilationContext` in place and fails
     by raising a :class:`~repro.errors.SchedulingError` subclass; it is
-    responsible for its own ``context.profiler`` stage (names are part
-    of the profiler's public output and must stay stable).
+    responsible for its own ``context.tracer`` stage (names are part
+    of the stage rows' public output and must stay stable).
     """
 
     name: str
@@ -203,7 +200,7 @@ class PrescreenStage:
         from repro.diagnose.instance import diagnose_instance
         from repro.errors import StaticallyRefutedError
 
-        with context.profiler.stage(self.name) as detail:
+        with context.tracer.stage(self.name) as detail:
             diagnosis = diagnose_instance(
                 context.timing,
                 context.topology,
@@ -229,7 +226,7 @@ class TimeBoundsStage:
         timing, allocation = context.timing, context.allocation
         routed, local = routed_and_local_messages(timing, allocation)
         context.local = local
-        with context.profiler.stage(
+        with context.tracer.stage(
             self.name, messages=len(routed), local_messages=len(local)
         ):
             context.bounds = compute_time_bounds(
@@ -257,7 +254,7 @@ class AssignPathsStage:
     name = "assign-paths"
 
     def run(self, context: CompilationContext) -> None:
-        with context.profiler.stage(
+        with context.tracer.stage(
             self.name,
             attempt=context.attempt_number,
             messages=len(context.endpoints),
@@ -311,7 +308,7 @@ class LsdAssignmentStage:
     name = "assign-paths(lsd)"
 
     def run(self, context: CompilationContext) -> None:
-        with context.profiler.stage(
+        with context.tracer.stage(
             self.name,
             attempt=context.attempt_number,
             messages=len(context.endpoints),
@@ -344,7 +341,7 @@ class MaximalSubsetsStage:
     name = "maximal-subsets"
 
     def run(self, context: CompilationContext) -> None:
-        with context.profiler.stage(
+        with context.tracer.stage(
             self.name, attempt=context.attempt_number
         ) as detail:
             context.subsets = maximal_subsets(
@@ -359,7 +356,7 @@ class IntervalStage:
     Runs the paper's Fig. 3 feedback arrow per maximal subset: when
     interval scheduling reports an unpackable interval, the allocation
     LP is re-solved with the congested interval's total demand capped
-    below the overflow.  Each subset gets its own profiler stage
+    below the overflow.  Each subset gets its own traced stage
     (``allocate+schedule[i]``), whose detail includes the LP backend's
     solve/iteration/wall-time tally for exactly that subset.
     """
@@ -371,7 +368,7 @@ class IntervalStage:
         num_intervals = len(bounds.intervals.lengths)
         delta = context.delta
         for index, subset in enumerate(context.subsets):
-            with context.profiler.stage(
+            with context.tracer.stage(
                 f"{self.name}[{index}]",
                 attempt=context.attempt_number,
                 messages=len(subset),
@@ -465,7 +462,7 @@ class BuildScheduleStage:
     name = "build-schedule"
 
     def run(self, context: CompilationContext) -> None:
-        with context.profiler.stage(
+        with context.tracer.stage(
             self.name, attempt=context.attempt_number
         ) as detail:
             context.schedule = build_schedule(

@@ -16,7 +16,8 @@ GET    ``/v1/stats``               Service / cache counters.
 GET    ``/v1/healthz``             Liveness (also reports draining).
 ====== =========================== ==========================================
 
-Status mapping: 400 malformed payload or ``timeout``, 404 unknown
+Status mapping: 400 malformed payload or ``timeout`` (or an unreadable
+request: a line over 64 KiB, more than 100 header lines), 404 unknown
 job/path, 405 wrong method, 503 submitting while draining, 500 handler
 crash.  Connections
 are keep-alive by default (a :class:`~repro.serve.client.ServeClient`
@@ -49,6 +50,9 @@ _REASONS = {
 
 #: Largest accepted request body; a job payload is a few hundred bytes.
 _MAX_BODY = 1 << 20
+
+#: Most header lines one request may send (``http.client``'s own cap).
+_MAX_HEADERS = 100
 
 #: Hard cap on ``?wait=1`` blocking, seconds.
 _MAX_WAIT = 600.0
@@ -89,20 +93,25 @@ async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, dict[str, str], bytes] | None:
     """Parse one request; ``None`` on clean EOF (client closed)."""
-    line = await reader.readline()
-    if not line:
-        return None
-    parts = line.decode("latin-1").strip().split()
-    if len(parts) != 3:
-        raise _HttpError(400, "malformed request line")
-    method, target = parts[0].upper(), parts[1]
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = raw.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+    try:
+        line = await reader.readline()
+        if not line:
+            return None
+        parts = line.decode("latin-1").strip().split()
+        if len(parts) != 3:
+            raise _HttpError(400, "malformed request line")
+        method, target = parts[0].upper(), parts[1]
+        headers: dict[str, str] = {}
+        for _ in range(_MAX_HEADERS + 1):
+            raw = await reader.readline()
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = raw.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _HttpError(400, f"more than {_MAX_HEADERS} header lines")
+    except ValueError:  # readline's answer to a line over its 64 KiB limit
+        raise _HttpError(400, "request or header line too long") from None
     try:
         length = int(headers.get("content-length", "0") or "0")
     except ValueError:

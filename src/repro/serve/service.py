@@ -23,8 +23,8 @@ submitted request flows through four gates, cheapest first:
    single-process mode tests and smoke runs use).
 
 The worker's result is its one channel back: when it arrives, each
-stage of the :class:`~repro.trace.profile.CompileProfiler` record it
-carries (``result["profile"]["stages"]``) becomes one ``stage`` event in
+``compile`` span it carries as a stage row
+(``result["profile"]["stages"]``) becomes one ``stage`` event in
 ``Job.events``, in order, before the terminal transition.  Those events
 and the live lifecycle ones are what the chunked
 ``/v1/jobs/<id>/events`` stream reads.
@@ -43,7 +43,7 @@ import shutil
 import tempfile
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from threading import Lock
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -114,15 +114,11 @@ class ServiceStats:
     worker_cache: CacheStats = field(default_factory=CacheStats)
 
     def as_dict(self) -> dict[str, int]:
+        """The request counters (``worker_cache`` is reported apart)."""
         return {
-            "submitted": self.submitted,
-            "malformed": self.malformed,
-            "coalesced": self.coalesced,
-            "fast_hits": self.fast_hits,
-            "rejected": self.rejected,
-            "dispatched": self.dispatched,
-            "completed": self.completed,
-            "failed": self.failed,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "worker_cache"
         }
 
 
@@ -203,10 +199,15 @@ class CompileService:
         """GracefulPool shutdown hook: flush merged cache counters."""
         if self.cache_dir is None or self.cache is None:
             return
+        persist_cache_stats(self.cache_dir, self._farm_cache_stats())
+
+    def _farm_cache_stats(self) -> CacheStats:
+        """The front cache's counters merged with every worker's."""
         combined = CacheStats()
-        combined.merge(self.cache.stats)
+        if self.cache is not None:
+            combined.merge(self.cache.stats)
         combined.merge(self.stats.worker_cache)
-        persist_cache_stats(self.cache_dir, combined)
+        return combined
 
     # -- submission ------------------------------------------------------
 
@@ -432,10 +433,6 @@ class CompileService:
 
     def stats_snapshot(self) -> dict[str, Any]:
         """The ``/v1/stats`` payload."""
-        cache = CacheStats()
-        if self.cache is not None:
-            cache.merge(self.cache.stats)
-        cache.merge(self.stats.worker_cache)
         payload: dict[str, Any] = {
             "uptime_s": round(time.time() - self._started, 3),
             "workers": self.config.workers,
@@ -443,7 +440,7 @@ class CompileService:
             "queue_depth": len(self._inflight),
             "jobs_tracked": len(self.store),
             "service": self.stats.as_dict(),
-            "cache": cache.as_dict(),
+            "cache": self._farm_cache_stats().as_dict(),
         }
         if self.cache_dir is not None:
             payload["cache_dir"] = str(self.cache_dir)

@@ -17,10 +17,12 @@ memo check probes), its stage artifacts are lines of the directory's pack
 cache-counter deltas (:meth:`~repro.cache.CacheStats.since`) ride back
 on every result so the service can aggregate totals that sum correctly.
 
-The result is the task's one channel back: a compile's
-:class:`~repro.trace.profile.CompileProfiler` record rides in
-``result["profile"]``, and the service turns its stages into the job's
-``stage`` events when the result arrives.
+The result is the task's one channel back: a compile's ``compile``
+spans ride in ``result["profile"]`` as
+:func:`~repro.trace.export.stage_rows`, on a feasible and an infeasible
+result alike, and the service turns them into the job's ``stage``
+events when the result arrives.  A cache hit runs no stage and so
+carries no profile.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from repro.core.pipeline import verdict_code
 from repro.errors import SchedulingError
 from repro.experiments.setup import ExperimentSetup
 from repro.serve.jobs import JobRequest
-from repro.trace.profile import CompileProfiler
+from repro.trace.export import stage_rows
+from repro.trace.tracer import TraceRecorder
 
 __all__ = ["execute_request"]
 
@@ -43,9 +46,9 @@ def _compile_result(
     setup: ExperimentSetup,
     tau_in: float,
     cache: ScheduleCache | None,
+    tracer: TraceRecorder,
 ) -> dict[str, Any]:
     """Run a ``compile`` (or the compile half of a ``check``) task."""
-    profiler = CompileProfiler()
     try:
         routing = compile_schedule(
             setup.timing,
@@ -53,7 +56,7 @@ def _compile_result(
             setup.allocation,
             tau_in,
             request.compiler_config(),
-            profiler=profiler,
+            tracer=tracer,
             cache=cache,
         )
     except SchedulingError as error:
@@ -77,9 +80,6 @@ def _compile_result(
     }
     if routing.extra.get("solver_stats") is not None:
         result["solver_stats"] = dict(routing.extra["solver_stats"])
-    profile = routing.extra.get("compile_profile")
-    if profile is not None and profile.stages:
-        result["profile"] = profile.to_dict()
     if request.kind == "check":
         from repro.check.analyzer import analyze_schedule
 
@@ -133,10 +133,14 @@ def execute_request(task: Mapping[str, Any]) -> dict[str, Any]:
     before = cache.stats.snapshot() if cache is not None else None
     setup = request.build()
     tau_in = setup.tau_in_for_load(request.load)
+    tracer = TraceRecorder()
     if request.kind == "diagnose":
         result = _diagnose_result(request, setup, tau_in, cache)
     else:
-        result = _compile_result(request, setup, tau_in, cache)
+        result = _compile_result(request, setup, tau_in, cache, tracer)
+    stages = stage_rows(tracer.events)
+    if stages:
+        result["profile"] = {"stages": stages}
     if cache is not None and before is not None:
         result["cache_stats"] = cache.stats.since(before)
     return result

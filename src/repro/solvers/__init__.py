@@ -37,7 +37,7 @@ Backend names
 
 ``get_backend`` returns a **fresh instance** each call; a backend's
 :class:`~repro.solvers.base.SolverTally` therefore covers exactly one
-compilation (the stages snapshot it per profiler stage).
+compilation (the stages snapshot it per traced stage).
 
 Exact mixed-integer solves are not a backend: the AssignPaths
 optimality-gap reference calls

@@ -24,8 +24,8 @@ interval of a schedule), so the contract is sparse-first and batch-aware:
   previous solution's ``warm_start`` handle to reuse its basis);
 - :class:`SolverTally` accumulates per-backend statistics — including
   batch and warm-start counters — that the compiler stages copy into
-  :class:`~repro.trace.profile.CompileProfiler` detail (and hence into
-  ``compile``-category trace events).
+  their stage detail (and hence into ``compile``-category trace
+  events).
 
 Problems handed to ``solve()``/``solve_batch()`` must be **canonical**
 (sparse matrices, array bounds).  The one-release dense-field

@@ -1,11 +1,11 @@
-"""Structured tracing & profiling for runs and compilations.
+"""Structured tracing for runs and compilations.
 
 - :mod:`repro.trace.tracer` — the event model: :class:`TraceEvent`,
   the no-op :class:`Tracer` / :data:`NULL_TRACER`, and the in-memory
-  :class:`TraceRecorder`;
-- :mod:`repro.trace.export` — Chrome/Perfetto ``trace.json`` export;
-- :mod:`repro.trace.profile` — compiler stage wall-time/LP-size
-  profiling.
+  :class:`TraceRecorder` (whose :meth:`~TraceRecorder.stage` times the
+  compiler's stages as ``compile`` spans);
+- :mod:`repro.trace.export` — Chrome/Perfetto ``trace.json`` export,
+  and the ``compile`` spans as stage rows or a stage table.
 
 Quick use::
 
@@ -20,15 +20,12 @@ Quick use::
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "CompileProfile": "profile",
-    "CompileProfiler": "profile",
-    "NULL_PROFILER": "profile",
     "NULL_TRACER": "tracer",
-    "NullProfiler": "profile",
-    "StageProfile": "profile",
     "TraceEvent": "tracer",
     "Tracer": "tracer",
     "TraceRecorder": "tracer",
+    "stage_rows": "export",
+    "stage_table": "export",
     "to_chrome_trace": "export",
     "write_chrome_trace": "export",
 })

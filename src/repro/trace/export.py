@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome/Perfetto ``trace.json`` and text timelines.
+"""Trace exporters: Chrome/Perfetto ``trace.json`` and compile stages.
 
 The Chrome trace event format (the JSON array flavour understood by
 ``chrome://tracing`` and https://ui.perfetto.dev) maps cleanly onto our
@@ -6,12 +6,16 @@ events: every :class:`~repro.trace.tracer.TraceEvent` track becomes one
 named thread, spans become complete (``"ph": "X"``) events and instants
 become ``"ph": "i"`` events.  Model time is microseconds, which is also
 the format's timestamp unit, so timestamps pass through unscaled.
+
+The ``compile`` spans (one per compiler stage run) also render as JSON
+rows (:func:`stage_rows`, the serve worker's ``result["profile"]``) and
+as a text table (:func:`stage_table`, ``repro-sr trace --mode sr``).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Any, Iterable, Mapping
 
 from repro.trace.tracer import TraceEvent
 
@@ -106,3 +110,60 @@ def write_chrome_trace(events: Iterable[TraceEvent], path: str) -> str:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(to_chrome_trace(events), handle, default=str)
     return path
+
+
+def _json_safe(value: Any) -> Any:
+    """Coerce a stage-detail value into a JSON-representable one.
+
+    Stage details are almost always numbers and strings; anything
+    exotic (tuples, sets, objects) is flattened so stage rows can cross
+    process boundaries as JSON instead of pickles.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(_json_safe(v) for v in value)
+    if isinstance(value, Mapping):
+        return {str(k): _json_safe(v) for k, v in value.items()}
+    return repr(value)
+
+
+def stage_rows(events: Iterable[TraceEvent]) -> list[dict[str, Any]]:
+    """The ``compile`` spans as ``{"stage", "wall_ms", "start_ms",
+    "detail"}`` dicts with JSON-safe detail, in execution order."""
+    return [
+        {
+            "stage": span.name,
+            "wall_ms": span.duration / 1000.0,
+            "start_ms": span.time / 1000.0,
+            "detail": {k: _json_safe(v) for k, v in span.args.items()},
+        }
+        for span in events
+        if span.category == "compile"
+    ]
+
+
+def stage_table(events: Iterable[TraceEvent]) -> str:
+    """Text table of the ``compile`` spans: wall time, share, detail."""
+    from repro.report import format_table
+
+    spans = [span for span in events if span.category == "compile"]
+    total_ms = sum(span.duration for span in spans) / 1000.0
+    total = total_ms or 1.0
+    rows = [
+        (
+            span.name,
+            f"{span.duration / 1000.0:.2f}",
+            f"{span.duration / 1000.0 / total:6.1%}",
+            " ".join(f"{k}={v}" for k, v in span.args.items()),
+        )
+        for span in spans
+    ]
+    rows.append(("TOTAL", f"{total_ms:.2f}", "100.0%", ""))
+    return format_table(
+        ("stage", "wall ms", "share", "detail"),
+        rows,
+        title="compile profile",
+    )

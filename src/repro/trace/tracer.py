@@ -50,8 +50,10 @@ Event taxonomy (``category`` values)
     ``detection`` and ``repair`` milestones from the survivability
     experiment.
 ``compile``
-    Compiler stage spans (wall-clock, from
-    :class:`~repro.trace.profile.CompileProfiler`).
+    Compiler stage spans (:meth:`Tracer.stage`, one per stage run, on
+    the ``compiler`` track): wall-clock microseconds since the
+    recorder was created, with the stage's detail (message counts, LP
+    sizes and solver tally) in ``args``.
 ``check``
     Conformance-analyzer findings
     (:meth:`repro.check.analyzer.ConformanceReport.emit`): one instant
@@ -74,8 +76,10 @@ Event taxonomy (``category`` values)
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 #: The complete event taxonomy (one entry per section of the module
 #: docstring above).  :class:`TraceEvent` and the
@@ -109,7 +113,8 @@ class TraceEvent:
         Event name within the category (``"occupy"``, ``"blocked"``...).
     time:
         Start instant.  Simulation events use model microseconds;
-        compiler events use wall-clock milliseconds re-based to zero.
+        compiler events use wall-clock microseconds since the recorder
+        was created.
     duration:
         Span length; ``0.0`` marks an instant event.
     track:
@@ -170,6 +175,13 @@ class Tracer:
     ) -> None:
         """Record an interval event ``[start, end]``."""
 
+    @contextmanager
+    def stage(self, name: str, **detail: Any) -> Iterator[dict[str, Any]]:
+        """Time one compiler stage; mutate the yielded dict to add late
+        detail (sizes known only after the stage body ran).  Here the
+        detail goes nowhere."""
+        yield detail
+
     @property
     def events(self) -> tuple[TraceEvent, ...]:
         """Recorded events (empty for non-recording tracers)."""
@@ -194,6 +206,7 @@ class TraceRecorder(Tracer):
 
     def __init__(self, categories: Iterable[str] | None = None) -> None:
         self._events: list[TraceEvent] = []
+        self._origin = time.perf_counter()
         self.categories = frozenset(categories) if categories is not None else None
         if self.categories is not None:
             unknown = sorted(self.categories.difference(TRACE_CATEGORIES))
@@ -228,6 +241,26 @@ class TraceRecorder(Tracer):
             self._events.append(
                 TraceEvent(category, name, start, end - start, track, args)
             )
+
+    @contextmanager
+    def stage(self, name: str, **detail: Any) -> Iterator[dict[str, Any]]:
+        """Time one compiler stage as a ``compile`` span on track
+        ``compiler``, recorded on exit (errors included) with the final
+        detail as its ``args``."""
+        start = time.perf_counter()
+        try:
+            yield detail
+        finally:
+            end = time.perf_counter()
+            if self.wants("compile"):
+                self._events.append(TraceEvent(
+                    "compile",
+                    name,
+                    (start - self._origin) * 1e6,
+                    max(end - start, 1e-6) * 1e6,
+                    "compiler",
+                    detail,
+                ))
 
     # -- queries ---------------------------------------------------------
 

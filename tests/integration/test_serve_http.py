@@ -175,9 +175,15 @@ def test_malformed_timeout_gets_400_before_submission(client, timeout):
         b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n",
         b"POST /v1/jobs HTTP/1.1\r\nContent-Length: many\r\n\r\n",
         b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /v1/healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+        + b"\r\nConnection: close\r\n\r\n",
+        b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n"
+        + b"X-Pad: 1\r\n" * 100 + b"\r\n",
     ],
     ids=["request-line", "oversized-body", "non-integer-length",
-         "negative-length"],
+         "negative-length", "overlong-request-line", "overlong-header-line",
+         "header-flood"],
 )
 def test_unreadable_request_gets_its_400(server, client, raw, caplog):
     """A request ``_read_request`` itself rejects is answered with the

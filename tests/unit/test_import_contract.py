@@ -118,8 +118,11 @@ def test_parsing_imports_no_numpy(argv):
 #: reachability audit deleted exports no traffic executed: ``repro``
 #: (82, "8406d0ef2b4a"), ``repro.experiments`` (13, "5b9216d971e0"),
 #: ``repro.metrics`` (12, "db71aa263f0d"), ``repro.viz`` (5, "d07162861215").
+#: ``repro`` (79, "27603b94d060") and ``repro.trace`` (11, "13becf6184ca")
+#: re-pinned when the compile profile became ``compile`` spans: the five
+#: profile names went, ``stage_rows``/``stage_table`` came.
 FACADES = {
-    "repro": (79, "27603b94d060"),
+    "repro": (77, "8b8e26c8facc"),
     "repro.cache": (21, "c674411a4c8f"),
     "repro.check": (12, "34cb9802d02a"),
     "repro.core": (26, "b9a638d2a323"),
@@ -129,7 +132,7 @@ FACADES = {
     "repro.metrics": (8, "02e7c9d40f8b"),
     "repro.serve": (10, "e85814c0a70c"),
     "repro.solvers": (20, "ad1abe797c09"),
-    "repro.trace": (11, "13becf6184ca"),
+    "repro.trace": (8, "e71627522de3"),
     "repro.viz": (3, "ff45f9a04a2d"),
     "repro.wormhole": (5, "e3b2e484384b"),
 }

@@ -1,9 +1,9 @@
 """JSON round-trips for the result types something decodes again.
 
 Diagnoses come back out of the schedule cache (``ScheduleCache.get``), so
-``to_dict`` -> JSON -> ``from_dict`` must be lossless for them; profiles
-and conformance reports are only ever encoded, so for them the contract
-is that ``to_dict`` is JSON-safe.
+``to_dict`` -> JSON -> ``from_dict`` must be lossless for them; stage
+rows and conformance reports are only ever encoded, so for them the
+contract is that the encoding is JSON-safe.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 
 from repro.diagnose.certificates import Diagnosis, Refutation
-from repro.trace.profile import CompileProfile, StageProfile
+from repro.trace.export import stage_rows
+from repro.trace.tracer import TraceRecorder
 
 
 def through_json(payload: dict) -> dict:
@@ -19,15 +20,12 @@ def through_json(payload: dict) -> dict:
 
 
 def test_profile_exotic_detail_values_are_json_safe():
-    profile = CompileProfile(
-        stages=(
-            StageProfile(
-                "x", 1.0, 0.0,
-                {"set": {3, 1, 2}, "obj": object(), "none": None},
-            ),
-        )
-    )
-    detail = through_json(profile.to_dict())["stages"][0]["detail"]
+    rec = TraceRecorder()
+    with rec.stage("x", set={3, 1, 2}, obj=object(), none=None):
+        pass
+    detail = through_json({"stages": stage_rows(rec.events)})["stages"][0][
+        "detail"
+    ]
     assert detail["set"] == [1, 2, 3]
     assert isinstance(detail["obj"], str)  # repr fallback
     assert detail["none"] is None

@@ -19,8 +19,10 @@ from repro.serve.jobs import (
     JOB_FAILED,
     JOB_REJECTED,
     BadRequest,
+    JobRequest,
 )
 from repro.serve.service import CompileService, ServeConfig
+from repro.serve.worker import execute_request
 from repro.trace.tracer import TraceRecorder
 
 PAYLOAD = {
@@ -39,6 +41,38 @@ REFUTED = {
     "models": 16,
     "load": 1.0,
 }
+
+
+#: The served stage rows of a feasible DVB(5)/hypercube6 compile at load
+#: 0.5, generated at the commit before stage timings became ``compile``
+#: spans: every stage in order, with its detail apart from ``lp_wall_ms``.
+_LP = {"lp_batches": 0, "lp_batched_solves": 0, "lp_warm_started": 0}
+DVB5_STAGES = [
+    ("time-bounds", {"messages": 29, "local_messages": 0}),
+    ("assign-paths", {"attempt": 1, "messages": 29, "max_paths": 48}),
+    ("maximal-subsets", {"attempt": 1, "subsets": 6}),
+    ("allocate+schedule[0]", {"attempt": 1, "messages": 3, "lp_vars": 6,
+                              "lp_solves": 1, "lp_iterations": 0, **_LP}),
+    ("allocate+schedule[1]", {"attempt": 1, "messages": 11, "lp_vars": 22,
+                              "lp_solves": 13, "lp_iterations": 73, **_LP}),
+    ("allocate+schedule[2]", {"attempt": 1, "messages": 4, "lp_vars": 8,
+                              "lp_solves": 3, "lp_iterations": 0, **_LP}),
+    ("allocate+schedule[3]", {"attempt": 1, "messages": 6, "lp_vars": 12,
+                              "lp_solves": 5, "lp_iterations": 5, **_LP}),
+    ("allocate+schedule[4]", {"attempt": 1, "messages": 4, "lp_vars": 8,
+                              "lp_solves": 2, "lp_iterations": 0, **_LP}),
+    ("allocate+schedule[5]", {"attempt": 1, "messages": 1, "lp_vars": 2,
+                              "lp_solves": 1, "lp_iterations": 0, **_LP}),
+    ("build-schedule", {"attempt": 1, "commands": 174}),
+]
+
+
+def _served(payload, cache_dir=None) -> dict:
+    """One worker task, run in this process."""
+    request = JobRequest.from_payload(payload)
+    return execute_request(
+        {"request": request.canonical(), "cache_dir": cache_dir}
+    )
 
 
 def _service(tmp_path=None, **overrides) -> CompileService:
@@ -328,6 +362,55 @@ def test_spool_progress_events_reach_job():
                 {k: e[k] for k in ("stage", "wall_ms", "start_ms", "detail")}
                 for e in job.events if e["event"] == "stage"
             ] == stages
+        finally:
+            await service.shutdown()
+
+    _run(run())
+
+
+def test_served_profile_keeps_the_parent_stage_rows():
+    """The worker's ``profile`` is the stage rows of its ``compile``
+    spans: the same stages, row keys and detail as before they were
+    spans (only the wall-clock ``lp_wall_ms`` may differ)."""
+    result = _served({**PAYLOAD, "models": 5, "load": 0.5})
+    rows = json.loads(json.dumps(result["profile"]))["stages"]
+    assert all(
+        list(row) == ["stage", "wall_ms", "start_ms", "detail"]
+        for row in rows
+    )
+    assert [
+        (row["stage"], [
+            item for item in row["detail"].items() if item[0] != "lp_wall_ms"
+        ])
+        for row in rows
+    ] == [(stage, list(detail.items())) for stage, detail in DVB5_STAGES]
+
+
+def test_infeasible_compile_keeps_its_stages(tmp_path):
+    """A compile that raises ``SchedulingError`` has run its stages and
+    ships them; a cache hit, negative or positive, runs none."""
+    cache_dir = str(tmp_path / "cache")
+    result = _served(REFUTED, cache_dir)
+    assert result["verdict"] == "U>1" and not result["feasible"]
+    names = [row["stage"] for row in result["profile"]["stages"]]
+    assert names[:2] == ["time-bounds", "assign-paths"]
+    assert "profile" not in _served(REFUTED, cache_dir)
+    assert "profile" in _served(PAYLOAD, cache_dir)
+    assert "profile" not in _served(PAYLOAD, cache_dir)
+
+
+def test_infeasible_job_gets_its_stage_events():
+    async def run():
+        service = _service(admission=False)
+        service.start()
+        try:
+            job = service.submit(REFUTED)
+            assert await job.wait(timeout=60)
+            assert job.state == JOB_DONE and job.result["verdict"] == "U>1"
+            names = [e["event"] for e in job.events]
+            first = names.index("stage")
+            stages = job.result["profile"]["stages"]
+            assert names[first:] == ["stage"] * len(stages) + ["done"]
         finally:
             await service.shutdown()
 

@@ -1,4 +1,4 @@
-"""Unit tests of the tracing layer: tracer, exporters, compile profiler."""
+"""Unit tests of the tracing layer: tracer, exporters, compile stages."""
 
 from __future__ import annotations
 
@@ -10,12 +10,12 @@ from repro.sim import Environment, Resource
 from repro.tfg import TFGTiming
 from repro.tfg.graph import build_tfg
 from repro.trace import (
-    NULL_PROFILER,
     NULL_TRACER,
-    CompileProfiler,
     TraceEvent,
     Tracer,
     TraceRecorder,
+    stage_rows,
+    stage_table,
     to_chrome_trace,
     write_chrome_trace,
 )
@@ -184,42 +184,48 @@ class TestChromeExport:
         assert any(r.get("ph") == "X" for r in doc["traceEvents"])
 
 
-class TestCompileProfiler:
+class TestCompileStageSpans:
     def test_stages_record_wall_time_and_late_detail(self):
-        profiler = CompileProfiler()
-        with profiler.stage("alpha", messages=3) as detail:
+        rec = TraceRecorder()
+        with rec.stage("alpha", messages=3) as detail:
             detail["subsets"] = 2
-        with profiler.stage("beta"):
+        with rec.stage("beta"):
             pass
-        profile = profiler.profile
-        assert [s.stage for s in profile.stages] == ["alpha", "beta"]
-        alpha = profile.stages[0]
-        assert alpha.detail == {"messages": 3, "subsets": 2}
-        assert alpha.wall_ms >= 0.0
-        assert profile.total_ms >= alpha.wall_ms
+        alpha, beta = rec.spans("compile", track="compiler")
+        assert (alpha.name, beta.name) == ("alpha", "beta")
+        assert alpha.args == {"messages": 3, "subsets": 2}
+        assert 0.0 <= alpha.time <= alpha.end <= beta.time
+        rows = stage_rows(rec.events)
+        assert [row["stage"] for row in rows] == ["alpha", "beta"]
+        assert rows[0]["wall_ms"] == pytest.approx(alpha.duration / 1000.0)
+        assert rows[0]["start_ms"] == pytest.approx(alpha.time / 1000.0)
 
     def test_stage_recorded_even_on_error(self):
-        profiler = CompileProfiler()
+        rec = TraceRecorder()
         with pytest.raises(RuntimeError):
-            with profiler.stage("failing"):
+            with rec.stage("failing"):
                 raise RuntimeError("boom")
-        assert [s.stage for s in profiler.profile.stages] == ["failing"]
+        assert [row["stage"] for row in stage_rows(rec.events)] == ["failing"]
 
-    def test_table_and_trace_events(self):
-        profiler = CompileProfiler()
-        with profiler.stage("alpha", messages=3):
+    def test_stage_table_and_rows_read_only_compile_spans(self):
+        rec = TraceRecorder()
+        rec.span("link", "occupy", 0.0, 1.0, track="L")
+        with rec.stage("alpha", messages=3):
             pass
-        profile = profiler.profile
-        table = profile.table()
+        table = stage_table(rec.events)
+        assert "compile profile" in table
         assert "alpha" in table and "messages=3" in table
-        (event,) = profile.trace_events()
-        assert event.category == "compile" and event.track == "compiler"
-        assert event.is_span
+        assert table.splitlines()[-1].startswith("TOTAL")
+        assert len(stage_rows(rec.events)) == 1
+        filtered = TraceRecorder(categories=("link",))
+        with filtered.stage("alpha"):
+            pass
+        assert filtered.events == ()
 
-    def test_null_profiler_is_inert(self):
-        with NULL_PROFILER.stage("anything", size=1) as detail:
+    def test_null_tracer_stage_is_inert(self):
+        with NULL_TRACER.stage("anything", size=1) as detail:
             detail["late"] = True
-        assert NULL_PROFILER.profile.stages == ()
+        assert NULL_TRACER.events == ()
 
 
 class TestTracerContract:
