@@ -31,11 +31,12 @@ from repro.core.assignment import PathAssignment
 from repro.core.timebounds import TimeBoundSet
 from repro.core.utilization import (
     CandidateFrame,
+    PeakWitness,
     UtilizationReport,
     UtilizationState,
     utilization_report,
 )
-from repro.topology.base import Topology
+from repro.topology.base import Link, Topology
 from repro.topology.routing import lsd_to_msd_route
 from repro.units import EPS
 
@@ -148,7 +149,7 @@ def _descend(state: UtilizationState, bounds: TimeBoundSet) -> int:
     """One iterative-improvement descent; returns iterations performed."""
     repositions_left = MAX_REPOSITIONS
     iterations = 0
-    seen_positions: set = set()
+    seen_positions: set[tuple[str, Link, int]] = set()
     for iterations in range(1, MAX_DESCENT_STEPS + 1):
         witness = state.peak()
         seen_positions.add(witness.position())
@@ -180,11 +181,11 @@ def _descend(state: UtilizationState, bounds: TimeBoundSet) -> int:
 def _reroutable_messages(
     state: UtilizationState,
     bounds: TimeBoundSet,
-    witness,
+    witness: PeakWitness,
 ) -> list[str]:
     """Multi-hop messages crossing the peak link (and, for a hot-spot,
     active in the peak interval) — the Fig. 4 reroute candidates."""
-    names = []
+    names: list[str] = []
     for name in state.assignment.messages_on(witness.link):
         if state.assignment.hops(name) < 2:
             continue  # single-hop messages have a unique minimal path

@@ -20,7 +20,12 @@ singleton round is never sent to a solver: its master is
 ``min 1'y  s.t.  I y = p, y >= 0``, whose only feasible point is
 ``y = p`` with equality duals exactly 1, so :class:`_PackingState`
 prices that closed form at construction — through the same ``absorb``
-that prices every solved round.
+that prices every solved round.  A packing of **one message** (3 228 of
+3 640 per ``matrix_cold`` pass) is that closed form and nothing more:
+its one slot is its demand, so its state stops before the conflict
+graph, the ``LPSolution`` and the independent-set search, and
+``finish`` reads the demand where it would read a solution — the same
+fit-or-rescale rule every packing ends in.
 
 A schedule has one such packing LP per active interval, and the LPs are
 mutually independent — :func:`schedule_intervals` therefore runs their
@@ -193,8 +198,9 @@ class _PackingState:
 
     Construction absorbs the closed-form singleton round (module
     docstring): a packing whose heaviest independent set weighs at most
-    1 under unit duals — one message, or a complete conflict graph — is
-    ``done`` at birth.
+    1 under unit duals — a complete conflict graph — is ``done`` at
+    birth, and one of at most one message is done before it has any of
+    the column-generation machinery.
     """
 
     def __init__(
@@ -209,10 +215,6 @@ class _PackingState:
         self.messages = sorted(
             name for name, p in demands.items() if p > LP_TOL
         )
-        self._index = {name: i for i, name in enumerate(self.messages)}
-        self.adjacency = (
-            conflict_graph(assignment, self.messages) if self.messages else {}
-        )
         self.p = np.array(
             [demands[m] for m in self.messages], dtype=np.float64
         )
@@ -220,24 +222,27 @@ class _PackingState:
         self.columns: list[frozenset[str]] = [
             frozenset([m]) for m in self.messages
         ]
+        self.solution: LPSolution | None = None
+        self.solved_columns = n
+        self.done = n < 2
+        if self.done:  # its slot is its demand: finish reads p
+            return
+        self._index = {name: i for i, name in enumerate(self.messages)}
+        self.adjacency = conflict_graph(assignment, self.messages)
         self.known: set[frozenset[str]] = set(self.columns)
         # Singleton columns form an identity incidence to start from.
         self._rows: list[np.ndarray] = [np.arange(n, dtype=np.int64)]
         self._cols: list[np.ndarray] = [np.arange(n, dtype=np.int64)]
         self._nnz = n
-        self.solution: LPSolution | None = None
-        self.solved_columns = 0
-        self.done = not self.messages
-        if self.messages:
-            self.absorb(
-                LPSolution(
-                    success=True,
-                    x=self.p,
-                    objective=float(self.p.sum()),
-                    dual_eq=np.ones(n),
-                    iterations=0,
-                )
+        self.absorb(
+            LPSolution(
+                success=True,
+                x=self.p,
+                objective=float(self.p.sum()),
+                dual_eq=np.ones(n),
+                iterations=0,
             )
+        )
 
     def problem(self) -> LPProblem:
         """The current restricted master LP (minimise total duration)."""
@@ -290,10 +295,7 @@ class _PackingState:
 
     def finish(self) -> IntervalSchedule:
         """Check the converged packing against the interval length."""
-        if not self.messages:
-            return IntervalSchedule(self.interval, ())
-        assert self.solution is not None
-        x = self.solution.x
+        x = self.p if self.solution is None else self.solution.x
         durations = [float(x[j]) for j in range(self.solved_columns)]
         total = sum(d for d in durations if d > LP_TOL)
         if exceeds_tolerance(total, self.interval_length):

@@ -17,6 +17,7 @@ are available for transmission in which interval (paper Section 5.1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,10 +204,12 @@ def compute_time_bounds(
         models the CP clock-synchronization margin of the paper's
         concluding remarks.
     """
-    if extra_duration < 0:
+    if not extra_duration >= 0:  # rejects negatives and NaN in one test
         raise SchedulingError(
             f"sync margin must be non-negative, got {extra_duration}"
         )
+    if not math.isfinite(extra_duration):
+        raise SchedulingError(f"sync margin must be finite, got {extra_duration}")
     if tau_in < timing.tau_c - EPS:
         raise SchedulingError(
             f"tau_in={tau_in} below tau_c={timing.tau_c}: infinite "

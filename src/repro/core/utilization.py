@@ -22,13 +22,15 @@
 
 :class:`UtilizationState` supports O(path length x K) incremental updates
 so the AssignPaths inner loop can evaluate hundreds of candidate reroutes
-cheaply.
+cheaply: a candidate gets hypothetical values only on the links it or
+the current path crosses, and every other link keeps its current one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,7 +71,7 @@ def forced_load_matrix(bounds: TimeBoundSet) -> np.ndarray:
     lengths = np.asarray(bounds.intervals.lengths)
     durations = np.array([bounds.bounds[m].duration for m in bounds.order])
     active_lengths = bounds.activity @ lengths
-    forced = np.maximum(
+    forced: np.ndarray = np.maximum(
         0.0,
         durations[:, None] - (active_lengths[:, None] - lengths[None, :]),
     )
@@ -155,9 +157,10 @@ class CandidateFrame:
     per-message constants (durations, forced loads, active-interval
     ids), the candidate pools of ``endpoints`` (enumerated here, in
     endpoint order — the order the heuristic's RNG consumes them in),
-    and three memos: link tuple → row ids, validated path → links, and
-    message → its (pool x link) 0/1 incidence.  It holds nothing that
-    depends on the current assignment, so sharing it moves no float.
+    and three memos: link tuple → row ids and (link, interval) cells,
+    validated path → links, and message → the links its pool crosses.
+    It holds nothing that depends on the current assignment, so sharing
+    it moves no float.
     """
 
     def __init__(
@@ -166,7 +169,7 @@ class CandidateFrame:
         topology: Topology,
         endpoints: Mapping[str, tuple[int, int]] | None = None,
         max_paths: int | None = None,
-    ):
+    ) -> None:
         self.link_list = sorted(topology.links)
         self.link_index: dict[Link, int] = {
             link: j for j, link in enumerate(self.link_list)
@@ -179,8 +182,7 @@ class CandidateFrame:
         # interval k (its duration minus the capacity of its other active
         # intervals); zero when inactive in k.
         self.forced = forced_load_matrix(bounds)
-        # Per-message active interval ids (paths are simple, so a
-        # message's links are distinct — fancy indexing is safe).
+        # Per-message active interval ids.
         self.active_ks = [np.flatnonzero(row) for row in bounds.activity]
         self.pools: dict[str, list[list[int]]] = {
             name: topology.minimal_path_pool(src, dst, max_paths)
@@ -192,12 +194,13 @@ class CandidateFrame:
         self._rows: dict[
             tuple[Link, ...], tuple[np.ndarray, np.ndarray]
         ] = {}
-        self._incidence: dict[str, np.ndarray] = {}
+        self._touched: dict[str, _Touched] = {}
 
     def link_rows(
         self, links: tuple[Link, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Row ids of a path's links, flat and as a column (memoised)."""
+        """Row ids of a path's links, and the flat ``row * K + k`` ids of
+        their (link, interval) cells, link-major (memoised)."""
         pair = self._rows.get(links)
         if pair is None:
             rows = np.fromiter(
@@ -205,24 +208,55 @@ class CandidateFrame:
                 dtype=np.int64,
                 count=len(links),
             )
-            pair = self._rows[links] = (rows, rows[:, None])
+            K = self.lengths.size
+            cells = (rows[:, None] * K + np.arange(K)).ravel()
+            pair = self._rows[links] = (rows, cells)
         return pair
 
-    def incidence_of(self, paths: Sequence[Sequence[int]]) -> np.ndarray:
-        """``(len(paths) x L)`` int8: 1 where a path crosses a link."""
-        incidence = np.zeros((len(paths), len(self.link_list)), dtype=np.int8)
+    def touched(self, name: str) -> "_Touched":
+        """:meth:`touched_by` ``name``'s candidate pool (built once)."""
+        touched = self._touched.get(name)
+        if touched is None:
+            touched = self._touched[name] = self.touched_by(self.pools[name])
+        return touched
+
+    def touched_by(self, paths: list[list[int]]) -> "_Touched":
+        """The links any of ``paths`` crosses, and how a move between
+        two of them leaves each (see :class:`_Touched`)."""
+        incidence = np.zeros((len(paths), len(self.link_list)), np.int8)
         for c, path in enumerate(paths):
             incidence[c, self.link_rows(links_on_path(path))[0]] = 1
-        return incidence
+        rows = np.flatnonzero(incidence.any(axis=0))
+        on = incidence[:, rows].astype(np.int32)
+        return _Touched(
+            rows,
+            set(rows.tolist()),
+            on * rows.size + np.arange(rows.size, dtype=np.int32),
+            (1 - on) * rows.size,
+        )
 
-    def incidence(self, name: str) -> np.ndarray:
-        """:meth:`incidence_of` a message's candidate pool (built once)."""
-        incidence = self._incidence.get(name)
-        if incidence is None:
-            incidence = self._incidence[name] = self.incidence_of(
-                self.pools[name]
-            )
-        return incidence
+
+class _Touched(NamedTuple):
+    """The links a set of paths crosses: ascending rows, and as a set.
+
+    A move from path ``a`` to path ``b`` leaves touched link ``t`` in
+    state ``delta + 1`` — 0 the message leaves it, 1 as it was, 2 it
+    newly crosses it — and ``enter[b] + leave[a]`` is the flat index
+    ``state * |rows| + t`` of those states, per link.
+    """
+
+    rows: np.ndarray
+    row_set: set[int]
+    enter: np.ndarray
+    leave: np.ndarray
+
+
+#: Per link, the three states a move can leave it in (``_Touched``).
+#: ``_SIGNS`` scales the message's own load into each state;
+#: ``_CROSSING`` is the interval count at which that state moves the
+#: count across zero (never, for the unchanged state).
+_SIGNS = np.array([[-1.0], [0.0], [1.0]])
+_CROSSING = np.array([[[1]], [[-1]], [[0]]])
 
 
 class UtilizationState:
@@ -237,7 +271,7 @@ class UtilizationState:
         bounds: TimeBoundSet,
         assignment: PathAssignment,
         frame: CandidateFrame | None = None,
-    ):
+    ) -> None:
         if frame is None:
             frame = CandidateFrame(bounds, assignment.topology)
         self.bounds = bounds
@@ -259,39 +293,85 @@ class UtilizationState:
         self.spot_load = np.zeros((L, K))        # summed forced load
         self.window_time = np.zeros(L)           # sum of len_k with count>0
         self.spot_max = np.zeros(L)              # max_k spot_load/len_k
-        for name in assignment.messages:
-            self._apply(name, assignment.links(name), sign=+1)
+        self._ranking: list[tuple[list[float], list[int]]] | None = None
+        self._accumulate(
+            [(name, assignment.links(name)) for name in assignment.messages],
+            sign=+1,
+        )
 
     # -- incremental maintenance ----------------------------------------
 
-    def _apply(self, name: str, links: tuple[Link, ...], sign: int) -> None:
-        if not links:
+    def _accumulate(
+        self, placed: Sequence[tuple[str, tuple[Link, ...]]], sign: int
+    ) -> None:
+        """Add (``sign=+1``) or remove (``-1``) messages on their links.
+
+        The one way the arrays change: the constructor places every
+        message in one call, :meth:`reroute` removes one and adds it
+        back.  Every per-link float is accumulated in ``placed`` order by
+        ``np.add.at`` (unbuffered, in index order), so placing all
+        messages at once leaves the arrays bit-identical to placing them
+        one by one.  A message's window increment on a link is the sum,
+        over its own active intervals, of the lengths whose count it
+        moves across zero, summed as one row of a ``(links x own
+        intervals)`` block — a row sum that does not depend on how many
+        rows the block has.  ``spot_max`` is recomputed once, at the end.
+        """
+        frame = self.frame
+        ids: list[int] = []
+        rows: list[np.ndarray] = []
+        cells: list[np.ndarray] = []
+        for name, links in placed:
+            if links:
+                link_rows, link_cells = frame.link_rows(links)
+                ids.append(self.bounds.index[name])
+                rows.append(link_rows)
+                cells.append(link_cells)
+        if not ids:
             return
-        i = self.bounds.index[name]
-        js, js_column = self.frame.link_rows(links)
-        ks = self.frame.active_ks[i]
-        self.total_time[js] += sign * self.durations[i]
-        block = self.active_count[js_column, ks] + sign
-        self.active_count[js_column, ks] = block
-        # Window time changes where the count crosses zero.
-        if sign > 0:
-            self.window_time[js] += (
-                self.lengths[ks] * (block == 1)
-            ).sum(axis=1)
+        sizes = [r.size for r in rows]
+        js = np.concatenate(rows)
+        msg = np.repeat(ids, sizes)
+        np.add.at(self.total_time, js, sign * self.durations[msg])
+        span = np.concatenate(cells)
+        np.add.at(
+            self.spot_load.reshape(-1), span,
+            (sign * self.forced[msg]).ravel(),
+        )
+        # The cells the placed messages are active in, link-major and
+        # interval-ascending, and the count each placement leaves there.
+        active = span[self.bounds.activity[msg].ravel()]
+        counts = self.active_count.reshape(-1)
+        earlier: np.ndarray | int = (
+            _earlier_repeats(active) if len(ids) > 1 else 0
+        )
+        after = counts[active] + sign * (earlier + 1)
+        np.add.at(counts, active, np.int32(sign))
+        crossed = self.lengths[active % self.lengths.size] * (
+            after == (1 if sign > 0 else 0)
+        )
+        widths = [frame.active_ks[i].size for i in ids]
+        if len(set(widths)) == 1:
+            increment = crossed.reshape(js.size, widths[0]).sum(axis=1)
         else:
-            self.window_time[js] -= (
-                self.lengths[ks] * (block == 0)
-            ).sum(axis=1)
-        self.spot_load[js] += sign * self.forced[i]
+            pair_width = np.repeat(widths, sizes)
+            increment = np.empty(js.size)
+            for width in set(widths):
+                same = pair_width == width
+                increment[same] = crossed[
+                    np.repeat(same, pair_width)
+                ].reshape(-1, width).sum(axis=1)
+        np.add.at(self.window_time, js, sign * increment)
         self.spot_max[js] = (
             self.spot_load[js] / self.lengths[None, :]
         ).max(axis=1)
+        self._ranking = None
 
     def reroute(self, name: str, new_path: list[int]) -> None:
         """Move a message to a new path, updating utilisation state."""
-        self._apply(name, self.assignment.links(name), sign=-1)
+        self._accumulate([(name, self.assignment.links(name))], sign=-1)
         self.assignment.set_path(name, new_path)
-        self._apply(name, self.assignment.links(name), sign=+1)
+        self._accumulate([(name, self.assignment.links(name))], sign=+1)
 
     # -- utilisation queries ------------------------------------------------
 
@@ -304,7 +384,21 @@ class UtilizationState:
 
     def spot_ratios(self) -> np.ndarray:
         """Sharpened ``U_jk``: summed forced load over interval length."""
-        return self.spot_load / self.lengths[None, :]
+        ratios: np.ndarray = self.spot_load / self.lengths[None, :]
+        return ratios
+
+    def _ranked(self) -> list[tuple[list[float], list[int]]]:
+        """Link ``U`` and spot maxima of the current state, each with the
+        link rows in descending order, ties by ascending row (so the
+        first row is the one ``np.argmax`` picks).  Built once per
+        change; until the next, every evaluation reads the links its
+        candidates leave untouched here."""
+        if self._ranking is None:
+            self._ranking = [
+                (values.tolist(), np.argsort(-values, kind="stable").tolist())
+                for values in (self.link_utilizations(), self.spot_max)
+            ]
+        return self._ranking
 
     def peak(self) -> PeakWitness:
         """The peak utilisation ``U`` and its location.
@@ -315,24 +409,24 @@ class UtilizationState:
         Otherwise the peak is the largest link utilisation — the quantity
         the paper's Figs. 5/6 plot.
         """
-        return self._peak_from(
-            self.total_time,
-            self.window_time,
-            self.spot_max,
-            lambda j: self.spot_load[j],
+        (link_u, link_order), (spot_max, spot_order) = self._ranked()
+        j_link, j_spot = link_order[0], spot_order[0]
+        return self._witness(
+            link_u[j_link], j_link, spot_max[j_spot], j_spot,
+            lambda: self.spot_load[j_spot],
         )
 
-    def _peak_from(self, total_time, window_time, spot_max, spot_row):
-        """Peak witness over (possibly hypothetical) per-link arrays."""
-        link_u = np.zeros_like(total_time)
-        loaded = window_time > EPS
-        link_u[loaded] = total_time[loaded] / window_time[loaded]
-        j_link = int(np.argmax(link_u))
-        best_link = float(link_u[j_link])
-        j_spot = int(np.argmax(spot_max))
-        best_spot = float(spot_max[j_spot])
+    def _witness(
+        self,
+        best_link: float,
+        j_link: int,
+        best_spot: float,
+        j_spot: int,
+        spot_row: Callable[[], np.ndarray],
+    ) -> PeakWitness:
+        """Peak witness from the link and spot maxima and their rows."""
         if best_spot >= best_link - EPS and best_spot > 1.0 + EPS:
-            k_spot = int(np.argmax(spot_row(j_spot) / self.lengths))
+            k_spot = int(np.argmax(spot_row() / self.lengths))
             return PeakWitness(
                 best_spot, KIND_SPOT, self.link_list[j_spot], k_spot
             )
@@ -342,91 +436,116 @@ class UtilizationState:
         """``(path, peak if taken)`` for every path of ``name``'s candidate
         pool except the one it is on — the AssignPaths inner step."""
         pool = self.frame.pools[name]
-        current = list(self.assignment.path(name))
-        others = [c for c, path in enumerate(pool) if path != current]
-        witnesses = self._evaluate(name, self.frame.incidence(name)[others])
+        path = list(self.assignment.path(name))
+        try:
+            touched, on = self.frame.touched(name), pool.index(path)
+        except ValueError:  # a path off the pool: its links count too
+            touched, on = self.frame.touched_by(pool + [path]), len(pool)
+        others = [c for c in range(len(pool)) if c != on]
+        if not others:
+            return []
+        picks = touched.enter[others] + touched.leave[on]
+        witnesses = self._evaluate(name, touched, picks)
         return [(pool[c], w) for c, w in zip(others, witnesses)]
 
-    def _evaluate(self, name: str, incidence: np.ndarray) -> list[PeakWitness]:
+    def _evaluate(
+        self, name: str, touched: _Touched, picks: np.ndarray
+    ) -> list[PeakWitness]:
         """The one numeric core of candidate evaluation.
 
-        ``incidence`` is the (C x L) 0/1 link incidence of C candidate
-        paths; evaluating them together turns per-candidate bookkeeping
-        into a handful of (C x L) array operations.  Pure: the candidate
-        per-link quantities are computed from signed link deltas against
-        the current state, which is never touched.
+        Only the links in ``touched.rows`` get hypothetical values, and
+        each can be in just three states, so the per-link arithmetic is
+        a handful of ``(3 x |rows|)`` operations, and ``picks`` (one row
+        per candidate, see :class:`_Touched`) selects each candidate's
+        state per link.  Every other link keeps its current value, so
+        its maximum comes from :meth:`_ranked`; the two maxima meet under
+        ``np.argmax``'s rule (the larger value, the lower row on a tie).
+        Pure: the state is never touched.
         """
-        C = len(incidence)
-        if not C:
-            return []
         i = self.bounds.index[name]
-        # delta[c, j] is -1 when candidate c leaves link j, +1 when it
-        # newly crosses it, 0 otherwise (links shared by both paths).
-        delta = incidence - self.frame.incidence_of(
-            [self.assignment.path(name)]
-        )
-        added = delta > 0
-        removed = delta < 0
-
-        # Adding/removing one message changes each link's window time and
-        # spot maximum in only two possible ways, so both variants are
-        # precomputed per link and selected by the delta sign.
+        rows = touched.rows
         ks = self.frame.active_ks[i]
-        lengths_k = self.lengths[ks]
-        counts_k = self.active_count[:, ks]
-        gained_if_added = (lengths_k[None, :] * (counts_k == 0)).sum(axis=1)
-        lost_if_removed = (lengths_k[None, :] * (counts_k == 1)).sum(axis=1)
-        ratios = self.lengths[None, :]
-        spot_if_added = (
-            (self.spot_load + self.forced[i][None, :]) / ratios
-        ).max(axis=1)
-        spot_if_removed = (
-            (self.spot_load - self.forced[i][None, :]) / ratios
-        ).max(axis=1)
-
-        total = self.total_time[None, :] + delta * self.durations[i]
-        window = (
-            self.window_time[None, :]
-            + np.where(added, gained_if_added[None, :], 0.0)
-            - np.where(removed, lost_if_removed[None, :], 0.0)
+        counts_k = self.active_count[rows[:, None], ks]
+        # Window lost if removed / gained if added, per link.
+        crossing = (
+            self.lengths[ks] * (counts_k[None, :, :] == _CROSSING)
+        ).sum(axis=2)
+        window = self.window_time[rows] + _SIGNS * crossing
+        total = self.total_time[rows] + self.durations[i] * _SIGNS
+        link_u = np.zeros((3, rows.size))
+        np.divide(total, window, out=link_u, where=window > EPS)
+        forced = self.forced[i]
+        spot = (
+            (self.spot_load[rows][None, :, :] + _SIGNS[:, :, None] * forced)
+            / self.lengths
+        ).max(axis=2)
+        # chosen[0]: link U, chosen[1]: spot maximum, per move and link.
+        chosen = np.take(
+            np.concatenate((link_u, spot)).reshape(2, -1), picks, axis=1
         )
-        spot_max = np.where(
-            added,
-            spot_if_added[None, :],
-            np.where(removed, spot_if_removed[None, :], self.spot_max[None, :]),
+        (best_links, best_spots) = chosen.max(axis=2).tolist()
+        (j_links, j_spots) = rows[chosen.argmax(axis=2)].tolist()
+
+        other_link, other_spot = (
+            _untouched_max(values, order, touched.row_set)
+            for values, order in self._ranked()
         )
-
-        link_u = np.zeros_like(total)
-        loaded = window > EPS
-        np.divide(total, window, out=link_u, where=loaded)
-        j_link = link_u.argmax(axis=1)
-        best_link = link_u[np.arange(C), j_link]
-        j_spot = spot_max.argmax(axis=1)
-        best_spot = spot_max[np.arange(C), j_spot]
-
         witnesses: list[PeakWitness] = []
-        for c in range(C):
-            if (
-                best_spot[c] >= best_link[c] - EPS
-                and best_spot[c] > 1.0 + EPS
-            ):
-                j = int(j_spot[c])
-                row = self.spot_load[j] + delta[c, j] * self.forced[i]
-                k_spot = int(np.argmax(row / self.lengths))
-                witnesses.append(
-                    PeakWitness(
-                        float(best_spot[c]), KIND_SPOT, self.link_list[j],
-                        k_spot,
-                    )
-                )
-            else:
-                witnesses.append(
-                    PeakWitness(
-                        float(best_link[c]), KIND_LINK,
-                        self.link_list[int(j_link[c])], -1,
-                    )
-                )
+        for c in range(len(picks)):
+            best_link, j_link = _first_max(
+                (best_links[c], j_links[c]), other_link
+            )
+            best_spot, j_spot = _first_max(
+                (best_spots[c], j_spots[c]), other_spot
+            )
+            witnesses.append(self._witness(
+                best_link, j_link, best_spot, j_spot,
+                lambda c=c, j=j_spot: self._spot_row_if(
+                    j, rows, picks[c], forced
+                ),
+            ))
         return witnesses
+
+    def _spot_row_if(
+        self, j: int, rows: np.ndarray, picks: np.ndarray, forced: np.ndarray
+    ) -> np.ndarray:
+        """Link ``j``'s spot loads after the move with these ``picks``."""
+        row: np.ndarray = self.spot_load[j]
+        t = int(np.searchsorted(rows, j))
+        if t < rows.size and rows[t] == j:
+            row = row + np.int8(picks[t] // rows.size - 1) * forced
+        return row
+
+
+def _earlier_repeats(values: np.ndarray) -> np.ndarray:
+    """Per entry, how many earlier entries hold the same value."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    runs = np.diff(np.r_[starts, ordered.size])
+    earlier = np.empty(values.size, dtype=np.int64)
+    earlier[order] = np.arange(values.size) - np.repeat(starts, runs)
+    return earlier
+
+
+def _untouched_max(
+    values: list[float], order: list[int], touched: set[int]
+) -> tuple[float, int]:
+    """The first row of ``order`` off ``touched`` and its value
+    (``(-inf, -1)`` when every link is touched)."""
+    for j in order:
+        if j not in touched:
+            return values[j], j
+    return -math.inf, -1
+
+
+def _first_max(
+    first: tuple[float, int], second: tuple[float, int]
+) -> tuple[float, int]:
+    """``np.argmax``'s pick between two (value, row) maxima."""
+    if second[0] > first[0] or (second[0] == first[0] and second[1] < first[1]):
+        return second
+    return first
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ tasks take the same time.  Twelve input periods are swept between
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -123,6 +124,8 @@ class InstanceSpec:
         object.__setattr__(self, "topology", canonical)
         if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not math.isfinite(self.bandwidth):
+            raise ValueError(f"bandwidth must be finite, got {self.bandwidth}")
         if self.models < 1:
             raise ValueError(f"models must be >= 1, got {self.models}")
         if self.allocator not in ALLOCATORS:

@@ -152,6 +152,19 @@ def test_malformed_payloads_get_400(client):
     response.read()
 
 
+def test_infinite_bandwidth_gets_400_counted_malformed(client):
+    """``Infinity`` is valid to Python's JSON reader; an instance at
+    infinite bandwidth is not one (it would "compile" to U = 0 and echo
+    ``Infinity`` back, which is not JSON)."""
+    before = client.stats()["service"]
+    status, body = client.submit({**FAST, "bandwidth": float("inf")})
+    assert status == 400
+    assert body == {"error": "bandwidth must be finite, got inf"}
+    after = client.stats()["service"]
+    assert after["malformed"] == before["malformed"] + 1
+    assert after["submitted"] == before["submitted"]
+
+
 @pytest.mark.parametrize("timeout", ["abc", "nan", "-1"])
 def test_malformed_timeout_gets_400_before_submission(client, timeout):
     """A ``timeout`` that is not a finite, non-negative number is a 400

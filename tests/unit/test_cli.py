@@ -298,6 +298,7 @@ class TestArgumentValidation:
             (["--bandwidth", "-1"], "bandwidth must be > 0, got -1.0"),
             (["--load", "0"], "normalized load must be in (0, 1], got 0.0"),
             (["--load", "-0.5"], "normalized load must be in (0, 1], got -0.5"),
+            (["--bandwidth", "inf"], "bandwidth must be finite, got inf"),
         ],
     )
     def test_invalid_instance_is_a_usage_error(self, capsys, flags, message):

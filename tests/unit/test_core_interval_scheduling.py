@@ -363,3 +363,81 @@ class TestDoneAtConstruction:
             )
         assert info.value.required == 12.0
         assert info.value.available == 10.0
+
+
+class TestOneMessagePackings:
+    """A one-message packing is its demand through the fit-or-rescale
+    rule; the literals were generated at the commit before such packings
+    stopped building a packing state."""
+
+    LENGTH = 7.3
+
+    def test_demand_equal_to_the_length(self, three_messages):
+        schedule = schedule_interval(
+            three_messages, 4, {"m0": self.LENGTH, "m1": 0.0}, self.LENGTH,
+            backend=_NoSolveBackend(),
+        )
+        assert packed(schedule) == [(frozenset(["m0"]), 7.3)]
+
+    @pytest.mark.parametrize(
+        "demand", [7.300000364999999, 7.30000073], ids=["inside", "edge"]
+    )
+    def test_demand_inside_the_band_is_rescaled_to_the_length(
+        self, three_messages, demand
+    ):
+        assert demand > self.LENGTH
+        schedule = schedule_interval(
+            three_messages, 2, {"m2": demand}, self.LENGTH,
+            backend=_NoSolveBackend(),
+        )
+        ((members, duration),) = packed(schedule)
+        assert members == frozenset(["m2"])
+        assert duration.hex() == "0x1.d333333333333p+2" == self.LENGTH.hex()
+
+    def test_demand_beyond_the_band_raises(self, three_messages):
+        with pytest.raises(IntervalSchedulingError) as info:
+            schedule_interval(
+                three_messages, 1, {"m1": 7.300000730000001}, self.LENGTH,
+                backend=_NoSolveBackend(),
+            )
+        assert info.value.interval_index == 1
+        assert info.value.required == 7.300000730000001
+        assert info.value.available == 7.3
+
+    def test_mixed_intervals_keep_the_parent_slots(
+        self, three_messages, monkeypatch
+    ):
+        from repro.core import interval_scheduling
+
+        graphs = []
+        real = interval_scheduling.conflict_graph
+        monkeypatch.setattr(
+            interval_scheduling, "conflict_graph",
+            lambda assignment, messages: graphs.append(messages)
+            or real(assignment, messages),
+        )
+        allocation = IntervalAllocation(
+            ("m0", "m1", "m2"),
+            {
+                ("m0", 0): 2.5, ("m2", 0): 3.0,
+                ("m1", 1): 4.0,
+                ("m0", 2): 1.25, ("m1", 2): 2.0, ("m2", 2): 1.5,
+                ("m2", 3): 6.0 * (1 + 0.25 * LP_TOL), ("m1", 3): 1e-9,
+            },
+            1.0,
+        )
+        schedules = schedule_intervals(
+            three_messages, allocation, [4.0, 5.0, 6.0, 6.0]
+        )
+        assert {k: packed(s) for k, s in schedules.items()} == {
+            0: [(frozenset(["m2"]), 0.5), (frozenset(["m0", "m2"]), 2.5)],
+            1: [(frozenset(["m1"]), 4.0)],
+            2: [
+                (frozenset(["m0"]), 1.25),
+                (frozenset(["m1"]), 0.5),
+                (frozenset(["m1", "m2"]), 1.5),
+            ],
+            3: [(frozenset(["m2"]), 6.0)],
+        }
+        # Only the two multi-message intervals built a conflict graph.
+        assert graphs == [["m0", "m2"], ["m0", "m1", "m2"]]

@@ -94,6 +94,13 @@ class TestComputeTimeBounds:
         with pytest.raises(SchedulingError):
             compute_time_bounds(chain_timing, 100.0, extra_duration=-1.0)
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_margin_rejected(self, chain_timing, margin):
+        """NaN passes ``margin < 0``; it and +inf must still be refused up
+        front, like a negative margin, not turn every peak into NaN."""
+        with pytest.raises(SchedulingError, match="sync margin must be"):
+            compute_time_bounds(chain_timing, 100.0, extra_duration=margin)
+
 
 class TestIntervalSet:
     def test_boundaries_cover_frame(self, chain_timing):

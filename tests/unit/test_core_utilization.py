@@ -213,17 +213,21 @@ def random_assignment(rng, setup, endpoints, frame, validated=None):
 
 class TestCandidateFrame:
     def test_incidence_difference_is_the_hand_built_delta(self, dvb_setup_128):
-        """``incidence[candidate] - incidence[current]`` is the -1/0/+1
-        row the evaluation used to assemble link by link."""
+        """``enter[candidate] + leave[current]``, decoded, is the -1/0/+1
+        row the evaluation used to assemble link by link, and the touched
+        rows are exactly the links some pool path crosses."""
         _, _, frame = dvb_frame(dvb_setup_128, 0.6, max_paths=48)
         checked = 0
         for name, pool in frame.pools.items():
-            incidence = frame.incidence(name)
-            assert incidence.dtype == np.int8
+            touched = frame.touched(name)
             links = [
                 [(min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
                 for path in pool
             ]
+            crossed = {frame.link_index[link] for path in links for link in path}
+            assert touched.rows.tolist() == sorted(crossed)
+            assert touched.row_set == crossed
+            t = touched.rows.size
             for current, old_links in enumerate(links):
                 for candidate, new_links in enumerate(links):
                     by_hand = np.zeros(len(frame.link_list), dtype=np.int8)
@@ -233,9 +237,11 @@ class TestCandidateFrame:
                     for link in new_links:
                         if link not in old_links:
                             by_hand[frame.link_index[link]] = 1
-                    assert np.array_equal(
-                        incidence[candidate] - incidence[current], by_hand
-                    )
+                    picks = touched.enter[candidate] + touched.leave[current]
+                    assert np.array_equal(picks % t, np.arange(t))
+                    decoded = np.zeros(len(frame.link_list), dtype=np.int8)
+                    decoded[touched.rows] = picks // t - 1
+                    assert np.array_equal(decoded, by_hand)
                     checked += 1
         assert checked > 1000
 
@@ -312,3 +318,151 @@ class TestCandidateFrame:
         assert shared.path("m1") == (0, 1, 3)
         assert shared.path("m2") == (1, 3)
         assert set(memo) == {(0, 1, 3), (1, 3)}
+
+
+def full_width_witnesses(state, name, paths):
+    """The candidate evaluation over every link (the arithmetic before
+    it was restricted to touched links): per candidate, each link's
+    hypothetical total, window and spot maximum, then ``np.argmax``."""
+    frame = state.frame
+    i = state.bounds.index[name]
+
+    def row(path):
+        incidence = np.zeros(len(frame.link_list), dtype=np.int8)
+        for u, v in zip(path, path[1:]):
+            incidence[frame.link_index[(min(u, v), max(u, v))]] = 1
+        return incidence
+
+    current = row(state.assignment.path(name))
+    ks = frame.active_ks[i]
+    counts = state.active_count[:, ks]
+    gained = (state.lengths[ks][None, :] * (counts == 0)).sum(axis=1)
+    lost = (state.lengths[ks][None, :] * (counts == 1)).sum(axis=1)
+    ratios = state.lengths[None, :]
+    spot_added = ((state.spot_load + state.forced[i]) / ratios).max(axis=1)
+    spot_removed = ((state.spot_load - state.forced[i]) / ratios).max(axis=1)
+    witnesses = []
+    for path in paths:
+        delta = row(path) - current
+        added, removed = delta > 0, delta < 0
+        total = state.total_time + delta * state.durations[i]
+        window = (
+            state.window_time
+            + np.where(added, gained, 0.0)
+            - np.where(removed, lost, 0.0)
+        )
+        spot = np.where(
+            added, spot_added, np.where(removed, spot_removed, state.spot_max)
+        )
+        link_u = np.zeros_like(total)
+        np.divide(total, window, out=link_u, where=window > 1e-9)
+        j_link, j_spot = int(np.argmax(link_u)), int(np.argmax(spot))
+        if spot[j_spot] >= link_u[j_link] - 1e-9 and spot[j_spot] > 1 + 1e-9:
+            loads = state.spot_load[j_spot] + delta[j_spot] * state.forced[i]
+            witnesses.append((float(spot[j_spot]), KIND_SPOT, j_spot,
+                              int(np.argmax(loads / state.lengths))))
+        else:
+            witnesses.append((float(link_u[j_link]), KIND_LINK, j_link, -1))
+    return witnesses
+
+
+def as_tuple(state, witness):
+    return (witness.value, witness.kind, state.link_index[witness.link],
+            witness.interval)
+
+
+class TestTouchedLinkEvaluation:
+    @pytest.mark.parametrize("load", [0.3, 0.6, 1.0])
+    def test_equals_the_full_width_arithmetic_bit_for_bit(
+        self, dvb_setup_128, load
+    ):
+        """Seeded random states and reroutes: every candidate's witness
+        (value, kind, link, interval) equals the all-links evaluation,
+        ties between touched and untouched links included."""
+        setup = dvb_setup_128
+        bounds, endpoints, frame = dvb_frame(setup, load, max_paths=16)
+        rng = random.Random(f"touched:{load}")
+        movable = [n for n, pool in frame.pools.items() if len(pool) > 1]
+        compared = spots = 0
+        for _ in range(3):
+            state = UtilizationState(
+                bounds,
+                random_assignment(
+                    rng, setup, endpoints, frame, validated=frame.validated
+                ),
+                frame,
+            )
+            for _ in range(25):
+                for name in movable:
+                    evaluated = state.evaluate_pool(name)
+                    paths = [path for path, _ in evaluated]
+                    assert [
+                        as_tuple(state, w) for _, w in evaluated
+                    ] == full_width_witnesses(state, name, paths), name
+                    compared += len(evaluated)
+                    spots += sum(w.kind == KIND_SPOT for _, w in evaluated)
+                name = rng.choice(movable)
+                state.reroute(name, rng.choice(frame.pools[name]))
+        assert compared > 5000
+        if load == 1.0:
+            assert spots > 0
+
+    def test_current_path_off_the_pool_is_touched_too(self, cube3):
+        """A message on a path its (truncated) pool lacks: the path's
+        links count as touched, and both pool paths score exactly as
+        under a pool that holds the current path."""
+        tfg = build_tfg(
+            "corner",
+            [("s", 400), ("d", 400), ("t", 400), ("u", 400)],
+            [("m", "s", "d", 1280), ("n", "t", "u", 1280)],
+        )
+        bounds = compute_time_bounds(TFGTiming(tfg, 128.0, speeds=40.0), 100.0)
+        endpoints = {"m": (0, 7), "n": (1, 3)}
+        narrow = CandidateFrame(bounds, cube3, endpoints, max_paths=2)
+        wide = CandidateFrame(bounds, cube3, endpoints)
+        off_pool = next(p for p in wide.pools["m"] if p not in narrow.pools["m"])
+        paths = {"m": off_pool, "n": [1, 3]}
+        on_narrow = UtilizationState(
+            bounds, PathAssignment(cube3, endpoints, paths), narrow
+        )
+        on_wide = UtilizationState(
+            bounds, PathAssignment(cube3, endpoints, paths), wide
+        )
+        narrow_scores = on_narrow.evaluate_pool("m")
+        wide_scores = dict(
+            (tuple(path), w) for path, w in on_wide.evaluate_pool("m")
+        )
+        assert [path for path, _ in narrow_scores] == narrow.pools["m"]
+        for path, witness in narrow_scores:
+            assert witness == wide_scores[tuple(path)]
+        assert [
+            as_tuple(on_narrow, w) for _, w in narrow_scores
+        ] == full_width_witnesses(on_narrow, "m", narrow.pools["m"])
+
+
+class TestOnePassBuild:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_placing_messages_one_by_one(self, dvb_setup_128, seed):
+        """The constructor's single accumulation leaves the arrays
+        bit-identical to placing each message in turn."""
+        setup = dvb_setup_128
+        bounds, endpoints, frame = dvb_frame(setup, 0.6, max_paths=48)
+        rng = random.Random(seed)
+        assignment = random_assignment(rng, setup, endpoints, frame)
+        built = UtilizationState(bounds, assignment, frame)
+        placed = UtilizationState(bounds, assignment, frame)
+        for array in (
+            placed.total_time, placed.active_count, placed.spot_load,
+            placed.window_time, placed.spot_max,
+        ):
+            array.fill(0)
+        for name in assignment.messages:
+            placed._accumulate([(name, assignment.links(name))], sign=+1)
+        for array in (
+            "total_time", "window_time", "active_count", "spot_load",
+            "spot_max",
+        ):
+            assert np.array_equal(
+                getattr(built, array), getattr(placed, array)
+            ), array
+        assert built.peak() == placed.peak()

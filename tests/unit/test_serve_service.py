@@ -130,6 +130,35 @@ def test_malformed_payload_raises_bad_request():
     _run(run())
 
 
+@pytest.mark.parametrize(
+    ("admission", "state", "verdict"),
+    [(True, JOB_REJECTED, "REF"), (False, JOB_DONE, "ERR")],
+)
+def test_nan_sync_margin_gets_a_verdict_not_a_crash(admission, state, verdict):
+    """``{"sync_margin": NaN}`` is valid JSON to Python.  It is refused
+    as a sync margin — by admission, or by the compiler's time-bounds
+    stage — instead of failing the job on an ``AssertionError`` deep in
+    path assignment."""
+    async def run():
+        service = _service(admission=admission)
+        service.start()
+        try:
+            job = service.submit(
+                {**PAYLOAD, "config": {"sync_margin": float("nan")}}
+            )
+            assert await job.wait(timeout=60)
+            assert job.error is None
+            assert job.state == state
+            assert job.result["verdict"] == verdict
+            assert "sync margin must be non-negative, got nan" in json.dumps(
+                job.result
+            )
+        finally:
+            await service.shutdown()
+
+    _run(run())
+
+
 def test_single_flight_coalesces_concurrent_duplicates():
     async def run():
         service = _service()
