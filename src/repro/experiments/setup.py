@@ -126,6 +126,13 @@ class InstanceSpec:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
         if not math.isfinite(self.bandwidth):
             raise ValueError(f"bandwidth must be finite, got {self.bandwidth}")
+        if self.bandwidth < REFERENCE_BANDWIDTH:
+            # Speeds are calibrated at the reference bandwidth, so below it
+            # the longest message outlasts the task-time message window.
+            raise ValueError(
+                f"bandwidth must be >= {REFERENCE_BANDWIDTH:g} (the "
+                f"calibration bandwidth), got {self.bandwidth}"
+            )
         if self.models < 1:
             raise ValueError(f"models must be >= 1, got {self.models}")
         if self.allocator not in ALLOCATORS:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -62,6 +64,19 @@ def rewrite_entry(directory, key: str, entry: dict) -> None:
         head + blob.encode() + b"\n" if line.startswith(head) else line
         for line in pack_lines(directory)
     ))
+
+
+# -- bit pins --------------------------------------------------------------------
+
+@functools.cache
+def pins():
+    """``tools/pins.py``, the one writer of every bit pin: a pinned test
+    asserts ``pins().produce(name) == pins().pinned(name)``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "pins.py"
+    spec = importlib.util.spec_from_file_location("pins", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- topologies ----------------------------------------------------------------

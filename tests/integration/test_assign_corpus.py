@@ -1,44 +1,27 @@
-"""AssignPaths reproduces a corpus pinned before its evaluator's rewrite.
+"""AssignPaths reproduces its pinned corpus.
 
 ``tests/data/assign_corpus.json`` holds, for every AssignPaths attempt of
 80 compiles (the 32 ``matrix_cold`` instances of seed 0 and the 48 fuzz
 seeds), a SHA-256 of the ``evaluate_pool`` outputs in call order (path,
 peak as ``float.hex``, witness kind, link and interval), the final
 assignment, the utilisation report with its floats as ``float.hex``, and
-the iteration and restart counts.  It was written by
-``tools/assign_corpus.py`` at the commit before candidate evaluation was
-restricted to the links a reroute touches: any difference is a change of
-the heuristic, not of its implementation.
+the iteration and restart counts.  ``tools/pins.py`` writes it from the
+producer this test replays, so any difference is a change of the
+heuristic that a re-pin must show (docs/verification.md "Re-pinning").
 """
 
 from __future__ import annotations
 
-import importlib.util
-import json
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[2]
-CORPUS = json.loads((ROOT / "tests/data/assign_corpus.json").read_text())
+from tests.conftest import pins
 
-
-def _generator():
-    spec = importlib.util.spec_from_file_location(
-        "assign_corpus", ROOT / "tools/assign_corpus.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+CORPUS = pins().pinned("assign_corpus")
 
 
 @pytest.fixture(scope="module")
 def replayed():
-    generator = _generator()
-    return {
-        case: generator.record(settings, problem)
-        for case, settings, problem in generator.cases()
-    }
+    return pins().produce("assign_corpus")
 
 
 def test_corpus_covers_retries_and_verdicts():

@@ -165,6 +165,22 @@ def test_infinite_bandwidth_gets_400_counted_malformed(client):
     assert after["submitted"] == before["submitted"]
 
 
+@pytest.mark.parametrize("bandwidth", [16, 63.99])
+def test_bandwidth_below_calibration_gets_400_counted_malformed(
+    client, bandwidth
+):
+    """Below B = 64 the longest DVB message outlasts its window: a 400
+    counted as malformed, not a 500 from the firewall."""
+    before = client.stats()["service"]
+    status, body = client.submit({**FAST, "bandwidth": bandwidth})
+    assert status == 400
+    assert body == {"error": "bandwidth must be >= 64 (the calibration "
+                             f"bandwidth), got {float(bandwidth)}"}
+    after = client.stats()["service"]
+    assert after["malformed"] == before["malformed"] + 1
+    assert after["submitted"] == before["submitted"]
+
+
 @pytest.mark.parametrize("timeout", ["abc", "nan", "-1"])
 def test_malformed_timeout_gets_400_before_submission(client, timeout):
     """A ``timeout`` that is not a finite, non-negative number is a 400

@@ -1,4 +1,4 @@
-"""The wormhole simulators reproduce a corpus pinned before their rewrite.
+"""The wormhole simulators reproduce their pinned corpus.
 
 ``tests/data/wr_corpus.json`` holds, for 316 runs (the eleven
 ``pipeline_sim`` points and 48 fuzz seeds under the base,
@@ -6,39 +6,23 @@
 seeded fault-injection leg), every completion time as ``float.hex``, the
 recovery count, the per-link wait totals in insertion order, the fault
 events and aborts or the error raised, and digests of the non-``sim``
-trace.  It was written by ``tools/wr_corpus.py`` at the commit before the
-simulator became one flat callback loop: any difference is a change of
-the model, not of its implementation.
+trace.  ``tools/pins.py`` writes it from the producer this test replays,
+so any difference is a change of the model that a re-pin must show
+(docs/verification.md "Re-pinning").
 """
 
 from __future__ import annotations
 
-import importlib.util
-import json
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[2]
-CORPUS = json.loads((ROOT / "tests/data/wr_corpus.json").read_text())
+from tests.conftest import pins
 
-
-def _generator():
-    spec = importlib.util.spec_from_file_location(
-        "wr_corpus", ROOT / "tools/wr_corpus.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+CORPUS = pins().pinned("wr_corpus")
 
 
 @pytest.fixture(scope="module")
 def replayed():
-    generator = _generator()
-    return {
-        case: generator._record(run, traced)
-        for case, traced, run in generator.cases()
-    }
+    return pins().produce("wr_corpus")
 
 
 def test_corpus_covers_every_variant_and_outcome():

@@ -15,7 +15,7 @@ from repro.cache import (
 from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.verify import verify_schedule
 from repro.errors import SchedulingError, UtilizationExceededError
-from tests.conftest import cache_entries
+from tests.conftest import cache_entries, pins
 
 CONFIG = CompilerConfig(seed=0, max_paths=16, max_restarts=2, retries=1)
 
@@ -349,89 +349,20 @@ class TestKeyScheme:
             canonical_config(Drifted())
 
     def test_key_space_is_pinned_across_commits(self):
-        """Literal digests: a refactor that moves any key fails here."""
-        from repro.cache import diagnosis_cache_key
-        from repro.experiments.setup import standard_setup
-        from repro.tfg import dvb_tfg
-        from repro.topology import make_topology
+        """Digests in tests/data/pins.json: a refactor that moves any key
+        fails here; a warm start is not part of the identity."""
+        keys = pins().produce("cache.key_space")
+        assert keys == pins().pinned("cache.key_space")
+        assert keys["lp_warm_start"] == keys["reference"] != keys["seed=1"]
 
-        def instance():
-            setup = standard_setup(
-                dvb_tfg(5), make_topology("hypercube6"), 128
-            )
-            return (
-                setup.timing, setup.topology, setup.allocation,
-                setup.tau_in_for_load(0.5),
-            )
-
-        reference = CompilerConfig(lp_backend="reference")
-        pinned = (
-            "935fd1fe2815563f0ae56e10df30caaeb11869fe7860469d1d91d66ce5ee3eef"
-        )
-        assert schedule_cache_key(*instance(), reference) == pinned
-        assert schedule_cache_key(
-            *instance(),
-            dataclasses.replace(reference, lp_warm_start=True),
-        ) == pinned
-        assert schedule_cache_key(
-            *instance(), dataclasses.replace(reference, seed=1)
-        ) == (
-            "def70a7c82de7a93d8358700770368d07f21f41cfd98c43ce3085a418d47119c"
-        )
-        assert diagnosis_cache_key(*instance()) == (
-            "541bedbdf4edf026f6ac301cb1573b87ba3768c7e122484b3fc2d577689db809"
-        )
-
-    def test_entries_are_pinned_across_commits(self, tmp_path):
-        """Literal digests of every kind of entry a compile, a refused
-        compile and a diagnosis leave on disk (the reference backend, so
-        no HiGHS build moves them): key and bytes, per kind."""
-        import hashlib
-
-        from repro.diagnose.instance import diagnose_instance
-        from repro.errors import IntervalAllocationError
-        from repro.experiments.setup import standard_setup
-        from repro.tfg import dvb_tfg
-        from repro.topology import make_topology
-
-        config = CompilerConfig(lp_backend="reference", retries=0)
-        cache = ScheduleCache(tmp_path)
-        good = standard_setup(dvb_tfg(5), make_topology("hypercube6"), 128)
-        instance = (
-            good.timing, good.topology, good.allocation,
-            good.tau_in_for_load(0.5),
-        )
-        compile_schedule(*instance, config, cache=cache)
-        diagnose_instance(*instance, cache=cache)
-        bad = standard_setup(dvb_tfg(3), make_topology("torus4x4x4"), 64)
-        with pytest.raises(IntervalAllocationError):
-            compile_schedule(
-                bad.timing, bad.topology, bad.allocation,
-                bad.tau_in_for_load(0.7), config, cache=cache,
-            )
-
-        groups: dict[str, list[str]] = {}
-        for key, entry in cache_entries(tmp_path).items():
-            group = entry["stage"] if entry["kind"] == "artifact" else entry["kind"]
-            groups.setdefault(group, []).append(
-                f"{key}:{json.dumps(entry, sort_keys=True)}"
-            )
-        assert {
-            group: (
-                len(lines),
-                hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16],
-            )
-            for group, lines in groups.items()
-        } == {
-            "schedule": (1, "590eabec7678818e"),
-            "failure": (1, "f06ec29ec9acb605"),
-            # Re-pinned from 3dfba69466537831 when the entry stopped
-            # storing ``elapsed_ms`` (a wall time this test zeroed).
-            "diagnosis": (1, "40432c80052284ce"),
-            "assign-paths": (2, "f182422678970d31"),
-            # Nine positive and one negative (the refused subset).
-            "allocate+schedule": (10, "4624faf97d3e7e99"),
-        }
+    def test_entries_are_pinned_across_commits(self):
+        """Per kind of entry a compile, a refused compile and a diagnosis
+        leave on disk, the count and a digest of keys and bytes equal
+        tests/data/pins.json (the reference backend, so no HiGHS build
+        moves them)."""
+        groups = pins().produce("cache.entry_groups")
+        assert groups == pins().pinned("cache.entry_groups")
+        assert groups["failure"][0] == 1  # the refused compile was refused
 
     def test_backend_choice_perturbs_key(self, small_setup):
         # Different LP engines may pick different (equally valid)

@@ -299,6 +299,10 @@ class TestArgumentValidation:
             (["--load", "0"], "normalized load must be in (0, 1], got 0.0"),
             (["--load", "-0.5"], "normalized load must be in (0, 1], got -0.5"),
             (["--bandwidth", "inf"], "bandwidth must be finite, got inf"),
+            (["--bandwidth", "16"], "bandwidth must be >= 64 (the "
+             "calibration bandwidth), got 16.0"),
+            (["--bandwidth", "63.99"], "bandwidth must be >= 64 (the "
+             "calibration bandwidth), got 63.99"),
         ],
     )
     def test_invalid_instance_is_a_usage_error(self, capsys, flags, message):
@@ -357,6 +361,18 @@ class TestArgumentValidation:
         code = main(["compile", "--bandwidth", "64", "--load", "0.99"])
         assert code == 1
         assert capsys.readouterr().out.startswith("infeasible at load 0.99")
+
+    def test_the_calibration_bandwidth_gets_a_verdict(self, capsys):
+        """B = 64 is the lowest bandwidth whose longest message fits the
+        task-time window: a verdict (here U > 1), not a usage error."""
+        code = main([
+            "compile", "--topology", "hypercube6", "--models", "5",
+            "--load", "0.5", "--bandwidth", "64",
+        ])
+        assert code == 1
+        assert capsys.readouterr().out.startswith(
+            "infeasible at load 0.5: peak utilisation 1.4800 > 1"
+        )
 
 
 class TestCacheDirTilde:

@@ -1,5 +1,7 @@
 """Unit tests for the allocation <-> interval-scheduling feedback loop."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.assignment import PathAssignment
@@ -8,10 +10,13 @@ from repro.core.interval_allocation import allocate_intervals
 from repro.core.timebounds import compute_time_bounds
 from repro.errors import (
     IntervalAllocationError,
+    IntervalSchedulingError,
     SchedulingError,
 )
-from repro.tfg import TFGTiming
+from repro.experiments.setup import standard_setup
+from repro.tfg import TFGTiming, dvb_tfg
 from repro.tfg.graph import build_tfg
+from repro.topology import make_topology
 
 
 @pytest.fixture()
@@ -136,3 +141,22 @@ class TestCompilerFeedback:
         # Feedback only engages on failure; a clean compile is identical.
         assert a.paths == b.paths
         assert a.schedule.num_commands == b.schedule.num_commands
+    def test_feedback_rescues_a_pinned_point(self):
+        """The Fig. 3 arrow is load-bearing: DVB(5) on the 8x8 torus at
+        B = 128 and load 0.7714 (a ``cache_replay`` point whose digest
+        expected/seed0.json pins), under the ``matrix_cold`` settings,
+        compiles on its first attempt only because a capped re-solve
+        rescues an interval packing the first allocation overfills."""
+        setup = standard_setup(dvb_tfg(5), make_topology("torus8x8"), 128.0)
+        problem = (
+            setup.timing, setup.topology, setup.allocation,
+            setup.tau_in_for_load(0.7714285714),
+        )
+        config = CompilerConfig(
+            seed=0, max_paths=48, max_restarts=4, retries=2
+        )
+        assert compile_schedule(*problem, config).attempts == 1
+        with pytest.raises(IntervalSchedulingError):
+            compile_schedule(
+                *problem, dataclasses.replace(config, feedback_rounds=0)
+            )

@@ -22,6 +22,7 @@ from repro.solvers import (
 )
 from repro.solvers.base import LPProblemBuilder
 from repro.topology import binary_hypercube
+from tests.conftest import pins
 
 
 def assignment_with_paths(cube3, paths):
@@ -367,8 +368,7 @@ class TestDoneAtConstruction:
 
 class TestOneMessagePackings:
     """A one-message packing is its demand through the fit-or-rescale
-    rule; the literals were generated at the commit before such packings
-    stopped building a packing state."""
+    rule."""
 
     LENGTH = 7.3
 
@@ -404,9 +404,9 @@ class TestOneMessagePackings:
         assert info.value.required == 7.300000730000001
         assert info.value.available == 7.3
 
-    def test_mixed_intervals_keep_the_parent_slots(
-        self, three_messages, monkeypatch
-    ):
+    def test_mixed_intervals_keep_their_pinned_slots(self, monkeypatch):
+        """One-message, multi-message and rescaled intervals in one call
+        pack as tests/data/pins.json holds them."""
         from repro.core import interval_scheduling
 
         graphs = []
@@ -416,28 +416,8 @@ class TestOneMessagePackings:
             lambda assignment, messages: graphs.append(messages)
             or real(assignment, messages),
         )
-        allocation = IntervalAllocation(
-            ("m0", "m1", "m2"),
-            {
-                ("m0", 0): 2.5, ("m2", 0): 3.0,
-                ("m1", 1): 4.0,
-                ("m0", 2): 1.25, ("m1", 2): 2.0, ("m2", 2): 1.5,
-                ("m2", 3): 6.0 * (1 + 0.25 * LP_TOL), ("m1", 3): 1e-9,
-            },
-            1.0,
+        assert pins().produce("intervals.mixed_packings") == pins().pinned(
+            "intervals.mixed_packings"
         )
-        schedules = schedule_intervals(
-            three_messages, allocation, [4.0, 5.0, 6.0, 6.0]
-        )
-        assert {k: packed(s) for k, s in schedules.items()} == {
-            0: [(frozenset(["m2"]), 0.5), (frozenset(["m0", "m2"]), 2.5)],
-            1: [(frozenset(["m1"]), 4.0)],
-            2: [
-                (frozenset(["m0"]), 1.25),
-                (frozenset(["m1"]), 0.5),
-                (frozenset(["m1", "m2"]), 1.5),
-            ],
-            3: [(frozenset(["m2"]), 6.0)],
-        }
         # Only the two multi-message intervals built a conflict graph.
         assert graphs == [["m0", "m2"], ["m0", "m1", "m2"]]

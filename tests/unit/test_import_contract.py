@@ -10,7 +10,6 @@ its last stdout line.
 from __future__ import annotations
 
 import ast
-import hashlib
 import importlib
 import json
 import os
@@ -21,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.solvers import have_scipy
+from tests.conftest import pins
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 CORE = "scipy.optimize._highspy._core"
@@ -111,31 +111,9 @@ def test_parsing_imports_no_numpy(argv):
     assert "repro.core" not in seen["modules"]
 
 
-#: package -> (len(__all__), digest of its sorted names) at the commit
-#: where every facade imported its exports eagerly; ``repro.solvers``
-#: re-pinned (21, "62ae551935f8") -> (20, ...) when ``SCIPY_METHODS``,
-#: a tuple with one legal value, was retired, and four more when the
-#: reachability audit deleted exports no traffic executed: ``repro``
-#: (82, "8406d0ef2b4a"), ``repro.experiments`` (13, "5b9216d971e0"),
-#: ``repro.metrics`` (12, "db71aa263f0d"), ``repro.viz`` (5, "d07162861215").
-#: ``repro`` (79, "27603b94d060") and ``repro.trace`` (11, "13becf6184ca")
-#: re-pinned when the compile profile became ``compile`` spans: the five
-#: profile names went, ``stage_rows``/``stage_table`` came.
-FACADES = {
-    "repro": (77, "8b8e26c8facc"),
-    "repro.cache": (21, "c674411a4c8f"),
-    "repro.check": (12, "34cb9802d02a"),
-    "repro.core": (26, "b9a638d2a323"),
-    "repro.diagnose": (15, "d8d82b6d3701"),
-    "repro.experiments": (12, "b62378ae4254"),
-    "repro.faults": (10, "6c84aa22dc59"),
-    "repro.metrics": (8, "02e7c9d40f8b"),
-    "repro.serve": (10, "e85814c0a70c"),
-    "repro.solvers": (20, "ad1abe797c09"),
-    "repro.trace": (8, "e71627522de3"),
-    "repro.viz": (3, "ff45f9a04a2d"),
-    "repro.wormhole": (5, "e3b2e484384b"),
-}
+#: package -> [len(__all__), digest of its sorted names], as
+#: tests/data/pins.json holds them.
+FACADES = pins().pinned("import.facades")
 
 
 def declared_exports(package: str) -> dict[str, str]:
@@ -154,10 +132,8 @@ class TestFacadesAreCompleteAndUnchanged:
     @pytest.mark.parametrize("package", FACADES)
     def test_all_is_the_parent_list(self, package):
         names = importlib.import_module(package).__all__
-        count, digest = FACADES[package]
-        assert len(names) == len(set(names)) == count
-        joined = " ".join(sorted(names)).encode()
-        assert hashlib.sha256(joined).hexdigest()[:12] == digest
+        assert len(names) == len(set(names))
+        assert pins().produce("import.facades")[package] == FACADES[package]
 
     @pytest.mark.parametrize("package", FACADES)
     def test_every_name_resolves_to_its_defining_module(self, package):

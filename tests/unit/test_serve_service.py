@@ -24,6 +24,7 @@ from repro.serve.jobs import (
 from repro.serve.service import CompileService, ServeConfig
 from repro.serve.worker import execute_request
 from repro.trace.tracer import TraceRecorder
+from tests.conftest import pins
 
 PAYLOAD = {
     "kind": "compile",
@@ -41,30 +42,6 @@ REFUTED = {
     "models": 16,
     "load": 1.0,
 }
-
-
-#: The served stage rows of a feasible DVB(5)/hypercube6 compile at load
-#: 0.5, generated at the commit before stage timings became ``compile``
-#: spans: every stage in order, with its detail apart from ``lp_wall_ms``.
-_LP = {"lp_batches": 0, "lp_batched_solves": 0, "lp_warm_started": 0}
-DVB5_STAGES = [
-    ("time-bounds", {"messages": 29, "local_messages": 0}),
-    ("assign-paths", {"attempt": 1, "messages": 29, "max_paths": 48}),
-    ("maximal-subsets", {"attempt": 1, "subsets": 6}),
-    ("allocate+schedule[0]", {"attempt": 1, "messages": 3, "lp_vars": 6,
-                              "lp_solves": 1, "lp_iterations": 0, **_LP}),
-    ("allocate+schedule[1]", {"attempt": 1, "messages": 11, "lp_vars": 22,
-                              "lp_solves": 13, "lp_iterations": 73, **_LP}),
-    ("allocate+schedule[2]", {"attempt": 1, "messages": 4, "lp_vars": 8,
-                              "lp_solves": 3, "lp_iterations": 0, **_LP}),
-    ("allocate+schedule[3]", {"attempt": 1, "messages": 6, "lp_vars": 12,
-                              "lp_solves": 5, "lp_iterations": 5, **_LP}),
-    ("allocate+schedule[4]", {"attempt": 1, "messages": 4, "lp_vars": 8,
-                              "lp_solves": 2, "lp_iterations": 0, **_LP}),
-    ("allocate+schedule[5]", {"attempt": 1, "messages": 1, "lp_vars": 2,
-                              "lp_solves": 1, "lp_iterations": 0, **_LP}),
-    ("build-schedule", {"attempt": 1, "commands": 174}),
-]
 
 
 def _served(payload, cache_dir=None) -> dict:
@@ -397,22 +374,19 @@ def test_spool_progress_events_reach_job():
     _run(run())
 
 
-def test_served_profile_keeps_the_parent_stage_rows():
+def test_served_profile_keeps_its_pinned_stage_rows():
     """The worker's ``profile`` is the stage rows of its ``compile``
-    spans: the same stages, row keys and detail as before they were
-    spans (only the wall-clock ``lp_wall_ms`` may differ)."""
+    spans: every stage in order with its detail, as tests/data/pins.json
+    holds them (only the wall-clock ``lp_wall_ms`` is left out)."""
     result = _served({**PAYLOAD, "models": 5, "load": 0.5})
     rows = json.loads(json.dumps(result["profile"]))["stages"]
     assert all(
         list(row) == ["stage", "wall_ms", "start_ms", "detail"]
         for row in rows
     )
-    assert [
-        (row["stage"], [
-            item for item in row["detail"].items() if item[0] != "lp_wall_ms"
-        ])
-        for row in rows
-    ] == [(stage, list(detail.items())) for stage, detail in DVB5_STAGES]
+    assert pins().produce("serve.dvb5_stages") == pins().pinned(
+        "serve.dvb5_stages"
+    )
 
 
 def test_infeasible_compile_keeps_its_stages(tmp_path):

@@ -11,6 +11,7 @@ compile pays the disk tier: files created, ``put`` calls and ms inside them.
 Prints, gates nothing.
 """
 
+import itertools
 import os
 import statistics
 import sys
@@ -19,8 +20,10 @@ import time
 import timeit
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from benchmarks.e2e import inputs  # noqa: E402
 from repro.cache import (CACHE_VERSION, DeltaState, ScheduleCache,  # noqa: E402
                          diagnosis_cache_key, schedule_cache_key)
 from repro.core import pipeline  # noqa: E402
@@ -31,9 +34,7 @@ from repro.diagnose.instance import diagnose_instance  # noqa: E402
 from repro.errors import SchedulingError  # noqa: E402
 from repro.experiments.setup import InstanceSpec  # noqa: E402
 
-GRID = [(name, load) for name in ("hypercube6", "ghc444", "torus8x8", "torus4x4x4")
-        for load in (0.2, 0.4285714286, 0.7714285714)]
-CONFIG = CompilerConfig(seed=0, max_paths=48, max_restarts=4, retries=2)
+CONFIG = CompilerConfig(**inputs.COMPILER_FIELDS)
 
 
 def audit(rows, tmp, layer, keys, compute, store, replay) -> None:
@@ -136,7 +137,7 @@ def audit_point(rows, tmp, name: str, load: float) -> None:
 
 def main() -> None:
     rows: dict[str, list[tuple]] = {}  # layer -> (4 medians, bytes) per point
-    for name, load in GRID:
+    for name, load in itertools.product(inputs.ALL_TOPOLOGIES, inputs.CACHE_LOADS):
         with tempfile.TemporaryDirectory() as tmp:
             audit_point(rows, tmp, name, load)
     heads = ("compute ms", "store ms", "replay(disk) ms", "replay(mem) ms", "bytes")

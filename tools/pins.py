@@ -1,0 +1,344 @@
+#!/usr/bin/env python3
+"""``python tools/pins.py``: write every bit pin, print the name of each that moved.
+
+A *pin* is a recorded output that a test or the benchmark asserts a run
+reproduces bit for bit.  :data:`PINS` is the one table of them: name ->
+the file it lives in -> the function that produces it.  A pin whose file
+is ``tests/data/pins.json`` is one key of that file; every other file is
+one producer's output.  The tests compare :func:`produce` with
+:func:`pinned`, so the tool has no check mode and no flags: run it, and
+``git diff`` is the whole pin diff.  When a change may move a pin, and
+what the change must then show: docs/verification.md "Re-pinning".
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import functools
+import hashlib
+import importlib
+import itertools
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from benchmarks.e2e import inputs  # noqa: E402
+from repro.cache import ScheduleCache, diagnosis_cache_key, schedule_cache_key  # noqa: E402
+from repro.check.fuzz import _CONFIG as FUZZ_CONFIG, FuzzPoint  # noqa: E402
+from repro.core import pipeline  # noqa: E402
+from repro.core.assignment import PathAssignment  # noqa: E402
+from repro.core.compiler import CompilerConfig, compile_schedule  # noqa: E402
+from repro.core.interval_allocation import IntervalAllocation  # noqa: E402
+from repro.core.interval_scheduling import schedule_intervals  # noqa: E402
+from repro.core.utilization import UtilizationState  # noqa: E402
+from repro.diagnose.instance import diagnose_instance  # noqa: E402
+from repro.errors import SchedulingError  # noqa: E402
+from repro.faults.models import generate_fault_trace  # noqa: E402
+from repro.results import RunConfig  # noqa: E402
+from repro.serve.jobs import JobRequest  # noqa: E402
+from repro.serve.worker import execute_request  # noqa: E402
+from repro.solvers import LP_TOL  # noqa: E402
+from repro.topology import binary_hypercube  # noqa: E402
+from repro.topology.routing import links_on_path, lsd_to_msd_route  # noqa: E402
+from repro.trace.tracer import TRACE_CATEGORIES, TraceRecorder  # noqa: E402
+from repro.wormhole import (AdaptiveWormholeSimulator,  # noqa: E402
+                            StoreAndForwardSimulator, WormholeSimulator)
+
+FUZZ_SEEDS = range(48)
+
+# -- wr_corpus: what every wormhole simulator variant returns -------------------
+
+VARIANTS = {"base": WormholeSimulator,
+            "vc2": functools.partial(WormholeSimulator, virtual_channels=2),
+            "adaptive": AdaptiveWormholeSimulator, "saf": StoreAndForwardSimulator}
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def wr_record(variant: str, problem, config: RunConfig, traced: bool) -> dict:
+    """What one simulator run returned, exactly: completion times as
+    ``float.hex``, recoveries, per-link waits in insertion order, fault
+    events and aborts, or the error; traced, digests of the events of every
+    category but ``sim``, in order and as a multiset."""
+    timing, topology, allocation, tau_in = problem
+    sim, record = VARIANTS[variant](timing, topology, allocation), {}
+    if traced:
+        tracer = TraceRecorder(set(TRACE_CATEGORIES) - {"sim"})
+        with contextlib.suppress(Exception):  # the events up to an error count
+            sim.run(tau_in, config=dataclasses.replace(config, tracer=tracer))
+        lines = [repr((e.category, e.name, e.time.hex(), e.duration.hex(), e.track,
+                       sorted((k, repr(v)) for k, v in e.args.items())))
+                 for e in tracer.events]
+        record = {"trace_events": len(lines), "trace_sequence": _digest(lines),
+                  "trace_multiset": _digest(sorted(lines))}
+    try:
+        result = sim.run(tau_in, config=config)
+    except Exception as error:  # noqa: BLE001 - the error is the record
+        return {**record, "error": [type(error).__name__, str(error)]}
+    extra = result.extra
+    record |= {
+        "completion_times": [t.hex() for t in result.completion_times],
+        "extra_keys": sorted(extra),
+        "recoveries": extra["recoveries"],
+        "link_waits": [[str(link), wait.hex()] for link, wait in extra["link_waits"].items()],
+    }
+    if "fault_events" in extra:
+        record["fault_events"] = [[time.hex(), kind, str(link)]
+                                  for time, (kind, link) in extra["fault_events"]]
+        record["fault_aborts"] = extra["fault_aborts"]
+    return record
+
+
+def wr_corpus() -> dict:
+    """Per run: the ``pipeline_sim`` points and the fuzz seeds under every
+    variant, and a seeded fault-injection leg on two machines."""
+    instances, corpus = inputs.Instances(), {}
+    config = RunConfig(invocations=inputs.SIM_INVOCATIONS, warmup=inputs.SIM_WARMUP)
+    for name, load in inputs.SIM_POINTS:
+        problem = instances.dvb(5, name, 128.0, load)
+        for variant in VARIANTS:
+            corpus[f"pipeline/{name}@{load}/{variant}"] = wr_record(
+                variant, problem, config, traced=True)
+    for seed in FUZZ_SEEDS:
+        problem, config = FuzzPoint.from_seed(seed).build(), RunConfig(invocations=12, warmup=4)
+        for variant in VARIANTS:
+            corpus[f"fuzz/{seed}/{variant}"] = wr_record(variant, problem, config, traced=False)
+    for name, load in (("hypercube6", 0.3), ("torus8x8", 0.2)):
+        problem = timing, topology, allocation, tau_in = instances.dvb(5, name, 128.0, load)
+        used = tuple(sorted({
+            link
+            for m in timing.tfg.messages if allocation[m.src] != allocation[m.dst]
+            for link in links_on_path(lsd_to_msd_route(
+                topology, allocation[m.src], allocation[m.dst]))
+        }))
+        for seed, count, transient in itertools.product(range(5), (2, 4), (0.0, 1.0)):
+            config = RunConfig(invocations=12, warmup=4, fault_trace=generate_fault_trace(
+                topology, seed=seed, n_link_faults=count, horizon=6 * tau_in,
+                transient_fraction=transient, candidate_links=used))
+            for variant in ("base", "adaptive"):
+                corpus[f"faults/{name}@{load}/seed{seed}/x{count}/transient{transient}/"
+                       f"{variant}"] = wr_record(variant, problem, config, traced=True)
+    return corpus
+
+
+# -- assign_corpus: what AssignPaths computes on every attempt ------------------
+
+def _grid_order(op: dict) -> tuple:
+    """``matrix_cold``'s ops in grid order (``op_list`` shuffles them)."""
+    return ((1, op["tfg_seed"]) if op["kind"] == "random" else
+            (0, op["models"], inputs.ALL_TOPOLOGIES.index(op["topology"]),
+             op["bandwidth"], op["load"]))
+
+
+def assign_corpus() -> dict:
+    """Per compile: the seed-0 ``matrix_cold`` ops and the fuzz seeds, each
+    under its own compiler settings."""
+    instances, corpus = inputs.Instances(), {}
+    for op in sorted(inputs.op_list("matrix_cold", 0), key=_grid_order):
+        case = (f"random/{op['tfg_seed']}" if op["kind"] == "random" else
+                f"dvb{op['models']}/{op['topology']}/{op['bandwidth']}/{op['load']}")
+        corpus[f"matrix/{case}"] = assign_record(inputs.COMPILER_FIELDS,
+                                                 instances.compile_op(op))
+    for seed in FUZZ_SEEDS:
+        corpus[f"fuzz/{seed}"] = assign_record(FUZZ_CONFIG, FuzzPoint.from_seed(seed).build())
+    return corpus
+
+
+def assign_record(settings: dict, problem) -> dict:
+    """Every AssignPaths attempt of one compile, and its verdict: per attempt
+    the number of ``evaluate_pool`` calls and a digest of their outputs in
+    call order, the assignment, the report (floats as ``float.hex``) and the
+    iteration counts."""
+    attempts: list[dict] = []
+    real_assign, real_evaluate = pipeline.assign_paths, UtilizationState.evaluate_pool
+
+    def evaluate_pool(state, name):
+        outcomes = real_evaluate(state, name)
+        for path, witness in outcomes:
+            attempts[-1]["sha"].update(repr((
+                list(path), witness.value.hex(), witness.kind,
+                list(witness.link), witness.interval,
+            )).encode() + b"\n")
+        attempts[-1]["evaluations"] += 1
+        return outcomes
+
+    def assign_paths(*args, **kwargs):
+        attempts.append({"evaluations": 0, "sha": hashlib.sha256()})
+        result = real_assign(*args, **kwargs)
+        report = result.report
+        attempts[-1] |= {
+            "evaluate_pool": attempts[-1].pop("sha").hexdigest(),
+            "assignment": {name: list(path) for name, path
+                           in sorted(result.assignment.as_dict().items())},
+            "report": {
+                "peak": report.peak.hex(),
+                "witness_kind": report.witness_kind,
+                "witness_link": list(report.witness_link),
+                "witness_interval": report.witness_interval,
+                "link_utilizations": [[list(link), value.hex()]
+                                      for link, value in report.link_utilizations.items()],
+                "max_spot": report.max_spot.hex(),
+            },
+            "inner_iterations": result.inner_iterations,
+            "restarts": result.restarts,
+        }
+        return result
+
+    with mock.patch.object(pipeline, "assign_paths", assign_paths), \
+            mock.patch.object(UtilizationState, "evaluate_pool", evaluate_pool):
+        try:
+            compile_schedule(*problem, CompilerConfig(**settings))
+            verdict = "feasible"
+        except SchedulingError as error:
+            verdict = type(error).__name__
+    return {"verdict": verdict, "attempts": attempts}
+
+
+# -- seed0: the benchmark's outcomes ----------------------------------------------
+
+def benchmark_outcomes() -> dict:
+    """Verdicts and digests of an untraced seed-0 run of every workload, as
+    ``run.py --write-expected`` writes them (it exits 1 on a moved outcome)."""
+    run = subprocess.run(
+        [sys.executable, "benchmarks/e2e/run.py", "--workload", "all", "--seed", "0",
+         "--trace", "0", "--write-expected"], cwd=ROOT, capture_output=True, text=True)
+    if "expected outcomes written" not in run.stdout:
+        sys.exit(f"run.py wrote no outcomes:\n{run.stderr[-4000:]}")
+    return json.loads((ROOT / PINS["seed0"][0]).read_text())
+
+
+# -- pins.json: literals the unit tests compare against -----------------------------
+
+def cache_key_space() -> dict:
+    """Schedule and diagnosis keys of DVB(5) on the 6-cube at load 0.5."""
+    problem = inputs.Instances().dvb(5, "hypercube6", 128.0, 0.5)
+    reference = CompilerConfig(lp_backend="reference")
+    return {
+        "reference": schedule_cache_key(*problem, reference),
+        "lp_warm_start": schedule_cache_key(
+            *problem, dataclasses.replace(reference, lp_warm_start=True)),
+        "seed=1": schedule_cache_key(*problem, dataclasses.replace(reference, seed=1)),
+        "diagnosis": diagnosis_cache_key(*problem),
+    }
+
+
+def cache_entry_groups() -> dict:
+    """Per kind of entry (per stage, for an artifact) that a compile, a
+    refused compile and a diagnosis leave on disk: the count, and a digest
+    of keys and bytes (the reference backend, so no HiGHS build moves it)."""
+    instances, config = inputs.Instances(), CompilerConfig(lp_backend="reference", retries=0)
+    good = instances.dvb(5, "hypercube6", 128.0, 0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ScheduleCache(tmp)
+        compile_schedule(*good, config, cache=cache)
+        diagnose_instance(*good, cache=cache)
+        with contextlib.suppress(SchedulingError):
+            compile_schedule(*instances.dvb(3, "torus4x4x4", 64.0, 0.7), config, cache=cache)
+        entries = {path.stem: path.read_text() for path in Path(tmp).glob("*/*.json")}
+        for line in (Path(tmp) / "artifacts.pack").read_text().splitlines():
+            key, _, body = line.partition("\t")
+            entries[key] = body  # the key's last record is its entry
+    groups: dict[str, list[str]] = {}
+    for key, body in sorted(entries.items()):
+        entry = json.loads(body)
+        group = entry["stage"] if entry["kind"] == "artifact" else entry["kind"]
+        groups.setdefault(group, []).append(f"{key}:{json.dumps(entry, sort_keys=True)}")
+    return {group: [len(lines), _digest(lines)[:16]] for group, lines in groups.items()}
+
+
+def served_stages() -> list:
+    """The stage rows a served DVB(5)/6-cube compile at load 0.5 ships, in
+    order, each with its detail apart from the wall-clock ``lp_wall_ms``."""
+    request = JobRequest.from_payload({"kind": "compile", "topology": "hypercube6",
+                                       "bandwidth": 128, "models": 5, "load": 0.5})
+    result = execute_request({"request": request.canonical(), "cache_dir": None})
+    return [[row["stage"], [[k, v] for k, v in row["detail"].items() if k != "lp_wall_ms"]]
+            for row in result["profile"]["stages"]]
+
+
+def mixed_packings() -> dict:
+    """``schedule_intervals`` on the 3-cube (m0 and m1 share link (1, 3)) over
+    one- and multi-message intervals and a demand rescaled to its length."""
+    paths = {"m0": [0, 1, 3], "m1": [1, 3], "m2": [4, 5]}
+    assignment = PathAssignment(binary_hypercube(3),
+                                {n: (p[0], p[-1]) for n, p in paths.items()}, paths)
+    allocation = IntervalAllocation(("m0", "m1", "m2"), {
+        ("m0", 0): 2.5, ("m2", 0): 3.0, ("m1", 1): 4.0,
+        ("m0", 2): 1.25, ("m1", 2): 2.0, ("m2", 2): 1.5,
+        ("m2", 3): 6.0 * (1 + 0.25 * LP_TOL), ("m1", 3): 1e-9}, 1.0)
+    schedules = schedule_intervals(assignment, allocation, [4.0, 5.0, 6.0, 6.0])
+    return {str(k): [[sorted(slot.messages), slot.duration] for slot in schedule.slots]
+            for k, schedule in schedules.items()}
+
+
+FACADES = ["repro"] + [f"repro.{name}" for name in (
+    "cache", "check", "core", "diagnose", "experiments", "faults", "metrics", "serve",
+    "solvers", "trace", "viz", "wormhole")]
+
+
+def facade_exports() -> dict:
+    """Per lazy facade, ``len(__all__)`` and a digest of its sorted names."""
+    exports = {package: importlib.import_module(package).__all__ for package in FACADES}
+    return {package: [len(names), _digest([" ".join(sorted(names))])[:12]]
+            for package, names in exports.items()}
+
+
+# -- the table ------------------------------------------------------------------
+
+PINS_FILE = "tests/data/pins.json"
+PINS = {
+    "wr_corpus": ("tests/data/wr_corpus.json", wr_corpus),
+    "assign_corpus": ("tests/data/assign_corpus.json", assign_corpus),
+    "seed0": ("benchmarks/e2e/expected/seed0.json", benchmark_outcomes),
+    "cache.key_space": (PINS_FILE, cache_key_space),
+    "cache.entry_groups": (PINS_FILE, cache_entry_groups),
+    "serve.dvb5_stages": (PINS_FILE, served_stages),
+    "intervals.mixed_packings": (PINS_FILE, mixed_packings),
+    "import.facades": (PINS_FILE, facade_exports),
+}
+
+
+def produce(name: str):
+    """What ``name``'s producer returns now, as JSON reads it back."""
+    return json.loads(json.dumps(PINS[name][1]()))
+
+
+def pinned(name: str):
+    """What ``name``'s file holds for it."""
+    path = PINS[name][0]
+    document = json.loads((ROOT / path).read_text())
+    return document[name] if path == PINS_FILE else document
+
+
+def _dump(value) -> str:
+    return json.dumps(value, indent=1) + "\n"
+
+
+def _stored(name: str) -> str | None:
+    with contextlib.suppress(FileNotFoundError, KeyError):
+        return _dump(pinned(name))
+    return None
+
+
+def main() -> None:
+    before, files = {name: _stored(name) for name in PINS}, {}
+    for name, (path, _) in PINS.items():
+        files.setdefault(path, {})[name] = produce(name)
+    for path, values in files.items():
+        (ROOT / path).write_text(_dump(values if path == PINS_FILE else values.popitem()[1]))
+    for name in PINS:
+        if _stored(name) != before[name]:
+            print(name)
+
+
+if __name__ == "__main__":
+    main()
