@@ -45,10 +45,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "entry_to_error": "store",
     "entry_to_routing": "store",
     "error_to_entry": "store",
-    "hashed_fields": "keys",
     "persist_cache_stats": "store",
     "pools_content": "artifacts",
     "routing_to_entry": "store",
     "schedule_cache_key": "keys",
-    "warm_scope_key": "artifacts",
 })

@@ -37,13 +37,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.cache.keys import (
-    CACHE_VERSION,
-    canonical_allocation,
-    canonical_config,
-    canonical_topology,
-    content_digest,
-)
+from repro.cache.keys import CACHE_VERSION, canonical_config, content_digest
 from repro.cache.store import ScheduleCache, entry_to_error, error_to_entry
 from repro.core.assignment import PathAssignment
 from repro.core.interval_allocation import IntervalAllocation
@@ -61,7 +55,6 @@ __all__ = [
     "artifact_key",
     "bounds_content",
     "pools_content",
-    "warm_scope_key",
 ]
 
 #: Artifact stage names (also the ``CacheStats`` scopes they count under).
@@ -121,37 +114,6 @@ def pools_content(
     return [
         [name, [list(path) for path in pool]] for name, pool in pools.items()
     ]
-
-
-def warm_scope_key(
-    timing: "TFGTiming",
-    topology: "Topology",
-    allocation: Mapping[str, int],
-    backend_name: str,
-) -> str:
-    """The warm-start basis scope of one structural problem family.
-
-    Deliberately **excludes** message sizes, task speeds, bandwidth and
-    the period: LP *structure* (which variables and constraints exist)
-    follows from the task/message/topology/allocation skeleton, so
-    matrix cells differing only in load — and delta recompiles of
-    size-perturbed instances — share one basis pool.  Safety does not
-    rest on this key: the backend re-checks the per-problem structure
-    signature before applying any cached basis, and warm-started HiGHS
-    solves are byte-identical to cold ones (PR 7 property tests).
-    """
-    tfg = timing.tfg
-    return content_digest(
-        {
-            "version": CACHE_VERSION,
-            "scope": "warm-start",
-            "tasks": [task.name for task in tfg.tasks],
-            "messages": [[m.name, m.src, m.dst] for m in tfg.messages],
-            "topology": canonical_topology(topology),
-            "allocation": canonical_allocation(allocation),
-            "backend": backend_name,
-        }
-    )
 
 
 class DeltaState:
@@ -255,9 +217,8 @@ class DeltaState:
         between them) consume: the interval lengths, and per member its
         duration, activity row and path links.  The resolved backend
         name is included (different solvers may legitimately pick
-        different optima); the perf-only ``lp_warm_start`` knob is not
-        (warm-started solves are byte-identical).  ``index`` pins the
-        error metadata (``subset_index``) of negative artifacts.
+        different optima).  ``index`` pins the error metadata
+        (``subset_index``) of negative artifacts.
         """
         messages = []
         for name in subset:

@@ -10,9 +10,9 @@ payload and hashes it with SHA-256, so the key is
   dict insertion tricks (every mapping is emitted with sorted keys;
   floats round-trip exactly through ``repr``);
 - **complete** — any input that can change the compiled schedule is in
-  the payload, including every ``hashed``-role :class:`~repro.core.
-  compiler.CompilerConfig` field, so perturbing a single one yields a
-  different key;
+  the payload, including every :class:`~repro.core.compiler.
+  CompilerConfig` field, so perturbing a single one yields a different
+  key;
 - **structural for topologies** — the key hashes the actual link set,
   not the topology's display name, so two residual topologies that both
   print as ``hypercube(6)-2down`` but lost different links get
@@ -26,7 +26,6 @@ deserializing wrongly (the invalidation rule — see ``docs/compiler.md``).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 from typing import TYPE_CHECKING, Any, Mapping
@@ -38,44 +37,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.base import Topology
 
 #: Version stamp baked into every key and every stored entry.
-#: ``/2``: ``perf``-role config fields (``lp_warm_start``) are elided
-#: from :func:`canonical_config` unconditionally — entries written under
-#: ``/1`` keys (which hashed non-default knob values) would otherwise
-#: shadow or miss the unified key space.
+#: ``/2``: the (since deleted) LP warm-start knob left the config
+#: payload — entries written under ``/1`` keys (which hashed its
+#: non-default values) would otherwise shadow or miss.
 CACHE_VERSION = "repro.cache/2"
 
 
 def content_digest(payload: Any) -> str:
     """SHA-256 hex digest of a payload's canonical JSON: every key of
-    every namespace (schedule, diagnosis, artifact, warm scope) is one."""
+    every namespace (schedule, diagnosis, artifact) is one."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-@functools.cache
-def hashed_fields(
-    config_type: type[Any],
-) -> tuple[dataclasses.Field[Any], ...]:
-    """The fields of a config dataclass that are part of cache identity.
-
-    Each field states its own role in ``metadata`` — ``"hashed"``
-    (identity) or ``"perf"`` (changes solver wall time but provably not
-    the compiled schedule; always elided).  The table is computed once
-    per class; a field with neither role raises here, so a new knob
-    cannot reach a key without an explicit hash-or-elide decision.
-    """
-    fields = dataclasses.fields(config_type)
-    undecided = [
-        f.name
-        for f in fields
-        if f.metadata.get("role") not in ("hashed", "perf")
-    ]
-    if undecided:
-        raise ValueError(
-            f"{config_type.__name__} fields {undecided} declare no cache "
-            'role; add metadata={"role": "hashed"} or {"role": "perf"}'
-        )
-    return tuple(f for f in fields if f.metadata["role"] == "hashed")
 
 
 def canonical_tfg(tfg: "TaskFlowGraph") -> dict[str, Any]:
@@ -120,7 +92,7 @@ def canonical_allocation(allocation: Mapping[str, int]) -> list[list[Any]]:
 
 
 def canonical_config(config: "CompilerConfig") -> dict[str, Any]:
-    """Every :func:`hashed <hashed_fields>` config field, by name.
+    """Every config field, by name.
 
     ``lp_backend`` is canonicalized to the backend ``"auto"`` *resolves
     to in this environment*, not the literal string.  Hashing the
@@ -132,20 +104,15 @@ def canonical_config(config: "CompilerConfig") -> dict[str, Any]:
     ``key("auto") == key(resolved)`` within one environment, which is
     what content addressing promises.
 
-    ``perf``-role knobs are elided **unconditionally**: warm-started
-    solves are byte-identical to cold ones (pinned by the PR 7 property
-    tests), so every knob combination must hash to the same key.
-    Eliding only default values — the pre-``/2`` behaviour — fragmented
-    the key space: a sweep run with ``lp_warm_start=True`` could not
-    reuse entries a default-config run had already compiled, despite
-    producing byte-identical schedules.
+    No field is left out: a knob that could not change the schedule has
+    no reason to exist, and one that can must move the key.
     """
     from repro.solvers import default_backend_name
 
     fields = {
-        f.name: getattr(config, f.name) for f in hashed_fields(type(config))
+        f.name: getattr(config, f.name) for f in dataclasses.fields(config)
     }
-    if fields.get("lp_backend") == "auto":
+    if fields["lp_backend"] == "auto":
         fields["lp_backend"] = default_backend_name()
     return fields
 

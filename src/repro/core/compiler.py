@@ -57,12 +57,9 @@ __all__ = [
 class CompilerConfig:
     """Knobs of the scheduled-routing compiler.
 
-    Every field declares its cache role in ``metadata``: ``"hashed"``
-    fields are part of a compilation's identity (cache keys, serve's
-    override whitelist), ``"perf"`` fields change solver wall time but
-    provably not the schedule and are elided from every key.  The role
-    is the only place that decision is stated; see
-    :func:`repro.cache.keys.hashed_fields`.
+    Every field is part of a compilation's identity: each one is hashed
+    into the cache keys (:func:`repro.cache.keys.canonical_config`) and
+    each one is a serve override.
 
     Attributes
     ----------
@@ -92,15 +89,6 @@ class CompilerConfig:
         :func:`repro.solvers.get_backend`): ``"auto"`` (default —
         scipy's HiGHS when available, the pure-Python reference simplex
         otherwise), ``"highs"`` or ``"reference"``.
-    lp_warm_start:
-        When True, the backend caches optimal bases by problem
-        structure and warm-starts structurally identical solves —
-        within one compilation, and (when a cache is attached) across
-        compilations of the same structural family via the
-        :func:`~repro.cache.warm_scope_key` basis registry, so delta
-        recompiles and matrix cells differing only in load start their
-        LPs from the prior basis.  Off by default; perf-only: never
-        part of cache keys.
     prescreen:
         When True, run the static instance diagnoser
         (:mod:`repro.diagnose`) before any path assignment or LP work
@@ -112,16 +100,15 @@ class CompilerConfig:
         unchanged.
     """
 
-    seed: int = field(default=0, metadata={"role": "hashed"})
-    use_assign_paths: bool = field(default=True, metadata={"role": "hashed"})
-    max_paths: int = field(default=48, metadata={"role": "hashed"})
-    max_restarts: int = field(default=4, metadata={"role": "hashed"})
-    retries: int = field(default=2, metadata={"role": "hashed"})
-    feedback_rounds: int = field(default=2, metadata={"role": "hashed"})
-    sync_margin: float = field(default=0.0, metadata={"role": "hashed"})
-    lp_backend: str = field(default="auto", metadata={"role": "hashed"})
-    prescreen: bool = field(default=False, metadata={"role": "hashed"})
-    lp_warm_start: bool = field(default=False, metadata={"role": "perf"})
+    seed: int = 0
+    use_assign_paths: bool = True
+    max_paths: int = 48
+    max_restarts: int = 4
+    retries: int = 2
+    feedback_rounds: int = 2
+    sync_margin: float = 0.0
+    lp_backend: str = "auto"
+    prescreen: bool = False
 
 
 @dataclass
@@ -189,9 +176,8 @@ def compile_schedule(
 
     key = ""  # set iff a cache is attached
     delta = None
-    warm_scope = None
     if cache is not None:
-        from repro.cache.artifacts import DeltaState, warm_scope_key
+        from repro.cache.artifacts import DeltaState
         from repro.cache.keys import schedule_cache_key
 
         key = schedule_cache_key(timing, topology, allocation, tau_in, config)
@@ -201,24 +187,12 @@ def compile_schedule(
         # Monolithic miss: compile with per-stage artifact reuse, so a
         # near-identical instance resumes mid-pipeline instead of cold.
         delta = DeltaState(cache, timing, topology, allocation, tau_in, config)
-        if config.lp_warm_start:
-            # Scope warm-start bases to the structural problem family
-            # (sizes excluded), so delta recompiles and matrix cells
-            # differing only in load share one basis pool.
-            warm_scope = warm_scope_key(
-                timing, topology, allocation, delta.backend_name
-            )
 
-    backend = get_backend(
-        config.lp_backend,
-        warm_start=config.lp_warm_start,
-        warm_scope=warm_scope,
-    )
     context = CompilationContext(
         tau_in=tau_in,
         config=config,
         tracer=tracer,
-        backend=backend,
+        backend=get_backend(config.lp_backend),
         timing=timing,
         topology=topology,
         allocation=allocation,
@@ -275,9 +249,7 @@ def schedule_from_assignment(
     context = CompilationContext(
         tau_in=tau_in,
         config=config,
-        backend=get_backend(
-            config.lp_backend, warm_start=config.lp_warm_start
-        ),
+        backend=get_backend(config.lp_backend),
     )
     context.bounds = bounds
     context.local = list(local)
@@ -312,7 +284,6 @@ def _package(context: CompilationContext) -> ScheduledRouting:
             "lp_failures": tally.failures,
             "lp_batches": tally.batches,
             "lp_batched_solves": tally.batched_solves,
-            "lp_warm_started": tally.warm_started,
             "max_variables": tally.max_variables,
             "max_constraints": tally.max_constraints,
         }

@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, get_type_hints
 
-from repro.cache.keys import hashed_fields
 from repro.core.compiler import CompilerConfig
 from repro.errors import ReproError
 from repro.experiments.setup import InstanceSpec
@@ -97,7 +96,7 @@ class JobRequest(InstanceSpec):
     The inherited :class:`~repro.experiments.setup.InstanceSpec` fields
     pin the problem instance exactly as the CLI flags of the same names
     do; ``config`` holds :class:`~repro.core.compiler.CompilerConfig`
-    overrides — any ``hashed``-role field, typed as the field declares
+    overrides — any field, typed as the field declares
     (unknown keys are rejected, not ignored — a typo must not silently
     change the cache key).
     """
@@ -189,7 +188,6 @@ class JobRequest(InstanceSpec):
 
 
 _REQUEST_TYPES = get_type_hints(JobRequest)
-_CONFIG_TYPES = get_type_hints(CompilerConfig)
 
 #: ``(name, declared type, required)`` of every scalar request field.
 _WIRE_FIELDS = tuple(
@@ -198,11 +196,9 @@ _WIRE_FIELDS = tuple(
     if f.name != "config"
 )
 
-#: ``config`` keys a request may override: the ``hashed`` fields of
-#: :class:`CompilerConfig`, each typed as declared there.
-_OVERRIDE_TYPES = {
-    f.name: _CONFIG_TYPES[f.name] for f in hashed_fields(CompilerConfig)
-}
+#: ``config`` keys a request may override: every field of
+#: :class:`CompilerConfig`, typed as declared there.
+_OVERRIDE_TYPES = get_type_hints(CompilerConfig)
 
 
 @dataclass

@@ -12,11 +12,7 @@ Problems are assembled sparsely through
 :class:`~repro.solvers.base.LPProblemBuilder` (COO triplets, CSR
 storage); backends additionally expose ``solve_batch`` (independent
 problems stitched into one block-diagonal solve where the backend
-supports it) and warm starts (``solution.warm_start`` handles, or
-``get_backend(name, warm_start=True)`` for automatic basis reuse across
-structurally identical problems; add ``warm_scope=<key>`` to share one
-basis pool across backend instances of the same structural problem
-family).  Dense matrix fields on ``solve()`` were removed after their
+supports it).  Dense matrix fields on ``solve()`` were removed after their
 one-release deprecation window; build problems through
 :class:`~repro.solvers.base.LPProblemBuilder` or
 :meth:`~repro.solvers.base.LPProblem.from_dense`.
@@ -52,7 +48,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.solvers.base import LPBackend, WarmStart
+    from repro.solvers.base import LPBackend
 
 _exported, __getattr__, __dir__ = lazy_exports(__name__, {
     "CSRMatrix": "base",
@@ -66,7 +62,6 @@ _exported, __getattr__, __dir__ = lazy_exports(__name__, {
     "ScipyLinprogBackend": "scipy_backend",
     "SolverTally": "base",
     "TalliedBackend": "base",
-    "WarmStart": "base",
     "exceeds_tolerance": "base",
     "infeasibility_certificate": "certificates",
 })
@@ -74,7 +69,6 @@ __all__ = sorted([
     *_exported,
     "BACKEND_NAMES",
     "available_backends",
-    "clear_warm_scopes",
     "default_backend_name",
     "get_backend",
     "have_scipy",
@@ -82,14 +76,6 @@ __all__ = sorted([
 
 #: Names accepted by :func:`get_backend`.
 BACKEND_NAMES = ("auto", "highs", "reference")
-
-#: Shared warm-start basis pools, keyed by scope string (see
-#: :func:`repro.cache.warm_scope_key`).  ``get_backend`` hands every
-#: backend instance created under one scope the same dict, so optimal
-#: bases survive across the otherwise per-compilation backend lifetime.
-#: Bases are small (two int arrays per problem structure) and scopes are
-#: per structural family, so the registry stays bounded in practice.
-_WARM_SCOPES: dict[str, dict[tuple[int, int, int], WarmStart]] = {}
 
 
 def have_scipy() -> bool:
@@ -109,41 +95,14 @@ def available_backends() -> tuple[str, ...]:
     return ("reference",)
 
 
-def clear_warm_scopes() -> None:
-    """Drop every shared warm-start basis pool (tests, memory pressure)."""
-    _WARM_SCOPES.clear()
-
-
-def get_backend(
-    name: str = "auto",
-    warm_start: bool = False,
-    warm_scope: str | None = None,
-) -> LPBackend:
-    """Instantiate the named LP backend (see module docstring).
-
-    ``warm_start=True`` asks the backend to cache optimal bases keyed by
-    problem structure and reuse them for structurally identical solves
-    (HiGHS backends only; the reference simplex ignores it).
-
-    ``warm_scope`` (implies nothing without ``warm_start=True``) names a
-    shared basis pool: every backend created under the same scope string
-    reuses one cache, so bases survive the per-compilation backend
-    lifetime — the cross-cell/delta reuse the compiler keys off
-    :func:`repro.cache.warm_scope_key`.  Warm-started HiGHS solves are
-    byte-identical to cold ones (pinned by property tests), so scoping
-    never changes results, only wall time.
-    """
+def get_backend(name: str = "auto") -> LPBackend:
+    """Instantiate the named LP backend (see module docstring)."""
     if name == "auto":
         name = default_backend_name()
     if name == "highs":
         from repro.solvers.scipy_backend import ScipyLinprogBackend
 
-        basis_cache = None
-        if warm_start and warm_scope is not None:
-            basis_cache = _WARM_SCOPES.setdefault(warm_scope, {})
-        return ScipyLinprogBackend(
-            warm_start_reuse=warm_start, basis_cache=basis_cache
-        )
+        return ScipyLinprogBackend()
     if name == "reference":
         from repro.solvers.reference import ReferenceSimplexBackend
 

@@ -15,15 +15,13 @@ interval of a schedule), so the contract is sparse-first and batch-aware:
   a :meth:`CSRMatrix.to_dense` adapter for dense solvers such as the
   pure-Python reference simplex);
 - :class:`LPSolution` is the uniform result: primal point and equality
-  duals as **read-only numpy arrays**, iteration count, wall time, and
-  an opaque :class:`WarmStart` handle a backend may attach;
-- :class:`LPBackend` adds two capabilities beyond single
+  duals as **read-only numpy arrays**, iteration count and wall time;
+- :class:`LPBackend` adds one capability beyond single
   :meth:`~LPBackend.solve` calls: :meth:`~LPBackend.solve_batch` (a
   backend may stitch independent problems into one block-diagonal solve
-  and de-stitch the primal/dual blocks) and warm starting (pass a
-  previous solution's ``warm_start`` handle to reuse its basis);
+  and de-stitch the primal/dual blocks);
 - :class:`SolverTally` accumulates per-backend statistics — including
-  batch and warm-start counters — that the compiler stages copy into
+  batch counters — that the compiler stages copy into
   their stage detail (and hence into ``compile``-category trace
   events).
 
@@ -432,23 +430,6 @@ class LPProblemBuilder:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class WarmStart:
-    """An opaque basis handle a backend attaches to its solutions.
-
-    Pass it back to ``solve(problem, warm_start=...)`` on a problem with
-    the **same constraint structure** (same variable/row counts — e.g.
-    a matrix cell differing only in load) to resume from the previous
-    optimal basis instead of solving cold.  The payload is
-    backend-private and process-local: never serialize it, never hand a
-    handle to a different backend (it is simply ignored).
-    """
-
-    backend: str
-    signature: tuple[int, int, int]
-    payload: Any
-
-
 def _readonly(values: Any) -> np.ndarray:
     """A read-only float64 view of ``values`` (no copy when possible)."""
     array = np.asarray(values, dtype=np.float64)
@@ -483,9 +464,6 @@ class LPSolution:
         evenly.
     message:
         Backend diagnostic (failure reason).
-    warm_start:
-        Opaque basis handle for warm-starting a structurally identical
-        problem (``None`` when the backend does not support it).
     """
 
     success: bool
@@ -495,7 +473,6 @@ class LPSolution:
     iterations: int
     wall_ms: float = 0.0
     message: str = ""
-    warm_start: WarmStart | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", _readonly(self.x))
@@ -509,8 +486,7 @@ class SolverTally:
 
     ``solves`` counts *logical* LPs (a batched call contributes one per
     stitched block); ``batches``/``batched_solves`` count
-    :meth:`LPBackend.solve_batch` calls and the problems they carried;
-    ``warm_started`` counts solves that applied a warm-start basis.
+    :meth:`LPBackend.solve_batch` calls and the problems they carried.
     """
 
     solves: int = 0
@@ -521,7 +497,6 @@ class SolverTally:
     max_constraints: int = 0
     batches: int = 0
     batched_solves: int = 0
-    warm_started: int = 0
 
     def record(self, problem: LPProblem, solution: LPSolution) -> None:
         self.solves += 1
@@ -538,9 +513,6 @@ class SolverTally:
         self.batches += 1
         self.batched_solves += num_problems
 
-    def record_warm_start(self) -> None:
-        self.warm_started += 1
-
     def snapshot(self) -> "SolverTally":
         """A value copy, used to compute per-stage deltas."""
         return replace(self)
@@ -553,7 +525,6 @@ class SolverTally:
             "lp_wall_ms": round(self.wall_ms - earlier.wall_ms, 3),
             "lp_batches": self.batches - earlier.batches,
             "lp_batched_solves": self.batched_solves - earlier.batched_solves,
-            "lp_warm_started": self.warm_started - earlier.warm_started,
         }
 
 
@@ -565,14 +536,12 @@ class LPBackend(Protocol):
     tally: SolverTally
 
     def solve(
-        self, problem: LPProblem, warm_start: WarmStart | None = None
+        self, problem: LPProblem, warm_start: object = None
     ) -> LPSolution:  # pragma: no cover
         ...
 
     def solve_batch(
-        self,
-        problems: Sequence[LPProblem],
-        warm_starts: Sequence[WarmStart | None] | None = None,
+        self, problems: Sequence[LPProblem], warm_starts: object = None
     ) -> list[LPSolution]:  # pragma: no cover
         ...
 
@@ -603,24 +572,24 @@ class TalliedBackend:
         )
 
     def solve(
-        self, problem: LPProblem, warm_start: WarmStart | None = None
+        self, problem: LPProblem, warm_start: object = None
     ) -> LPSolution:
+        """Inert keyword: the e2e ``TracedBackend`` forwards it (ROADMAP 1b)."""
         problem = self._admit(problem)
         start = time.perf_counter()
-        solution = self._solve(problem, warm_start=warm_start)
+        solution = self._solve(problem)
         wall_ms = (time.perf_counter() - start) * 1000.0
         solution = replace(solution, wall_ms=wall_ms)
         self.tally.record(problem, solution)
         return solution
 
     def solve_batch(
-        self,
-        problems: Sequence[LPProblem],
-        warm_starts: Sequence[WarmStart | None] | None = None,
+        self, problems: Sequence[LPProblem], warm_starts: object = None
     ) -> list[LPSolution]:
+        """Inert keyword: the e2e ``TracedBackend`` forwards it (ROADMAP 1b)."""
         admitted = [self._admit(p) for p in problems]
         start = time.perf_counter()
-        solutions = self._solve_batch(admitted, warm_starts)
+        solutions = self._solve_batch(admitted)
         wall_ms = (time.perf_counter() - start) * 1000.0
         share = wall_ms / len(admitted) if admitted else 0.0
         stamped: list[LPSolution] = []
@@ -631,25 +600,13 @@ class TalliedBackend:
         self.tally.record_batch(len(admitted))
         return stamped
 
-    def _solve(
-        self, problem: LPProblem, warm_start: WarmStart | None = None
-    ) -> LPSolution:
+    def _solve(self, problem: LPProblem) -> LPSolution:
         raise NotImplementedError
 
-    def _solve_batch(
-        self,
-        problems: Sequence[LPProblem],
-        warm_starts: Sequence[WarmStart | None] | None = None,
-    ) -> list[LPSolution]:
+    def _solve_batch(self, problems: Sequence[LPProblem]) -> list[LPSolution]:
         """Sequential fallback; backends with a real batched path
         (block-diagonal stitching) override this."""
-        starts: Sequence[WarmStart | None] = (
-            warm_starts if warm_starts is not None else [None] * len(problems)
-        )
-        return [
-            self._solve(problem, warm_start=ws)
-            for problem, ws in zip(problems, starts)
-        ]
+        return [self._solve(problem) for problem in problems]
 
     def __repr__(self) -> str:
         return f"<LPBackend {self.name}: {self.tally.solves} solves>"

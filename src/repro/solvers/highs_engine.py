@@ -9,21 +9,13 @@ backend and passes models to it directly, replicating linprog's exact
 option set and model layout so solutions (primal, duals, iteration
 counts) are bit-identical to what ``linprog(method="highs")`` returns.
 
-On top of the single-solve path it adds the two capabilities the
-redesigned :mod:`repro.solvers` API exposes:
-
-- :meth:`HighsEngine.solve_stitched` — several independent LPs stitched
-  into one block-diagonal model, solved in a single HiGHS call and
-  de-stitched into per-block :class:`~repro.solvers.base.LPSolution`
-  values.  By separability each block's objective value is exactly the
-  block's own optimum (the block may sit at a different optimal vertex
-  than a standalone solve would pick — callers that need a specific
-  vertex solve sequentially).
-- warm starts — an optimal solve returns its simplex basis as an opaque
-  :class:`~repro.solvers.base.WarmStart`; passing it back for a
-  structurally identical problem seeds ``Highs.setBasis`` so the solver
-  resumes from that basis (typically 0 iterations when only the RHS or
-  bounds moved slightly).
+On top of the single-solve path, :meth:`HighsEngine.solve_stitched`
+solves several independent LPs stitched into one block-diagonal model in
+a single HiGHS call and de-stitches them into per-block
+:class:`~repro.solvers.base.LPSolution` values.  By separability each
+block's objective value is exactly the block's own optimum (the block
+may sit at a different optimal vertex than a standalone solve would
+pick — callers that need a specific vertex solve sequentially).
 
 Everything here degrades gracefully: :func:`available` is False when
 scipy (or its private ``_highspy`` layout) is missing, and
@@ -46,12 +38,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.solvers.base import (
-    LPProblem,
-    LPSolution,
-    WarmStart,
-    failure_solution,
-)
+from repro.solvers.base import LPProblem, LPSolution, failure_solution
 
 #: The canonical name of scipy's HiGHS pybind11 extension.
 _CORE = "scipy.optimize._highspy._core"
@@ -151,7 +138,7 @@ def available() -> bool:
 
 
 def _structure_signature(problem: LPProblem) -> tuple[int, int, int]:
-    """(columns, ub rows, eq rows) — what a warm basis must match."""
+    """(columns, ub rows, eq rows) of a problem."""
     m_ub = 0 if problem.b_ub is None else len(problem.b_ub)
     m_eq = 0 if problem.b_eq is None else len(problem.b_eq)
     return (problem.num_variables, m_ub, m_eq)
@@ -284,14 +271,9 @@ class HighsEngine:
 
     # -- single solve --------------------------------------------------
 
-    def solve(
-        self,
-        problem: LPProblem,
-        warm_start: WarmStart | None = None,
-    ) -> LPSolution:
+    def solve(self, problem: LPProblem) -> LPSolution:
         """Solve one canonical problem; bit-identical to linprog."""
-        signature = _structure_signature(problem)
-        n, m_ub, m_eq = signature
+        _, m_ub, m_eq = _structure_signature(problem)
         rows, cols, values = _block_coo(problem, 0, 0, m_ub)
         lhs = np.concatenate(
             (
@@ -314,32 +296,12 @@ class HighsEngine:
             lhs,
             rhs,
         )
-        applied_warm = False
-        if (
-            warm_start is not None
-            and warm_start.signature == signature
-            and warm_start.payload is not None
-        ):
-            self._highs.setBasis(warm_start.payload)
-            applied_warm = True
         ok, info, message, iterations = self._run()
         if not ok:
-            if applied_warm:
-                # A stale basis can stall the solver; retry cold before
-                # reporting failure so warm starts never change verdicts.
-                self._highs.clearSolver()
-                ok, info, message, iterations = self._run()
-            if not ok:
-                return failure_solution(message, iterations)
+            return failure_solution(message, iterations)
         solution = self._highs.getSolution()
         x = np.array(solution.col_value, dtype=np.float64)
         dual_rows = np.array(solution.row_dual, dtype=np.float64)
-        handle: WarmStart | None = None
-        basis = self._highs.getBasis()
-        if basis.valid:
-            handle = WarmStart(
-                backend="highs", signature=signature, payload=basis
-            )
         return LPSolution(
             success=True,
             x=x,
@@ -347,7 +309,6 @@ class HighsEngine:
             dual_eq=dual_rows[m_ub:] if m_eq else np.empty(0),
             iterations=iterations,
             message=message,
-            warm_start=handle,
         )
 
     # -- stitched batch solve ------------------------------------------

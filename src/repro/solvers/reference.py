@@ -39,7 +39,6 @@ from repro.solvers.base import (
     LPProblem,
     LPSolution,
     TalliedBackend,
-    WarmStart,
     failure_solution,
 )
 
@@ -127,11 +126,7 @@ class ReferenceSimplexBackend(TalliedBackend):
 
     name = "reference"
 
-    def _solve(
-        self, problem: LPProblem, warm_start: WarmStart | None = None
-    ) -> LPSolution:
-        # The dense tableau has no basis to seed: ``warm_start`` handles
-        # from other backends are accepted and ignored.
+    def _solve(self, problem: LPProblem) -> LPSolution:
         c = np.asarray(problem.c, dtype=float)
         n = c.size
         lows = np.zeros(n)

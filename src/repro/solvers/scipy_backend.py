@@ -1,4 +1,4 @@
-"""LP backends on scipy's HiGHS: direct engine, batched, warm-startable.
+"""LP backends on scipy's HiGHS: direct engine, batched.
 
 One method is exposed: ``highs`` (HiGHS picks simplex or IPM itself).
 Solves go through :class:`repro.solvers.highs_engine.HighsEngine`, a
@@ -7,19 +7,11 @@ persistent in-process HiGHS instance configured to be bit-identical to
 (~2 ms/call in the compile hot loop); if the private bindings the engine
 needs are unavailable, every call falls back to plain ``linprog``.
 
-Beyond single solves the backend implements the two redesigned-API
-capabilities:
-
-- ``solve_batch`` stitches the independent problems into one
-  block-diagonal HiGHS solve and de-stitches per-block primals/duals
-  (objectives are exact per block by separability); a non-optimal
-  stitched solve falls back to sequential solves so failing blocks get
-  linprog-identical diagnostics.
-- warm starts — solutions carry an opaque
-  :class:`~repro.solvers.base.WarmStart` basis handle; pass it back (or
-  construct the backend with ``warm_start_reuse=True`` to let it cache
-  bases keyed by problem structure) and structurally identical problems
-  resume from the previous optimal basis.
+Beyond single solves, ``solve_batch`` stitches the independent problems
+into one block-diagonal HiGHS solve and de-stitches per-block
+primals/duals (objectives are exact per block by separability); a
+non-optimal stitched solve falls back to sequential solves so failing
+blocks get linprog-identical diagnostics.
 
 scipy is imported lazily, so importing this module — or the solver
 registry — never requires scipy; environments without it use the
@@ -32,12 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.solvers.base import (
-    LPProblem,
-    LPSolution,
-    TalliedBackend,
-    WarmStart,
-)
+from repro.solvers.base import LPProblem, LPSolution, TalliedBackend
 
 
 class ScipyLinprogBackend(TalliedBackend):
@@ -45,25 +32,10 @@ class ScipyLinprogBackend(TalliedBackend):
 
     name = "highs"
 
-    def __init__(
-        self,
-        warm_start_reuse: bool = False,
-        basis_cache: dict[tuple[int, int, int], WarmStart] | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._engine: object | None = None
         self._engine_probed = False
-        self._warm_reuse = warm_start_reuse
-        # An injected basis cache is how warm starts survive across
-        # backend instances: ``get_backend(..., warm_scope=...)`` hands
-        # every backend of one structural problem family the same dict,
-        # so a delta recompile (or the next matrix cell) starts from the
-        # previous compile's optimal bases.  Safety is per-solve: a
-        # basis is only applied when the problem's structure signature
-        # matches the one it was recorded under.
-        self._basis_cache: dict[tuple[int, int, int], WarmStart] = (
-            basis_cache if basis_cache is not None else {}
-        )
 
     def _get_engine(self) -> "object | None":
         if not self._engine_probed:
@@ -74,45 +46,28 @@ class ScipyLinprogBackend(TalliedBackend):
                 self._engine = highs_engine.HighsEngine()
         return self._engine
 
-    def _solve(
-        self, problem: LPProblem, warm_start: WarmStart | None = None
-    ) -> LPSolution:
+    def _solve(self, problem: LPProblem) -> LPSolution:
         from repro.solvers import highs_engine
 
         engine = self._get_engine()
         if engine is None:
             return self._solve_linprog(problem)
         assert isinstance(engine, highs_engine.HighsEngine)
-        signature = highs_engine._structure_signature(problem)
-        applied = warm_start
-        if applied is None and self._warm_reuse:
-            applied = self._basis_cache.get(signature)
-        if applied is not None and applied.signature != signature:
-            applied = None
-        solution = engine.solve(problem, warm_start=applied)
-        if applied is not None and solution.success:
-            self.tally.record_warm_start()
-        if self._warm_reuse and solution.warm_start is not None:
-            self._basis_cache[signature] = solution.warm_start
-        return solution
+        return engine.solve(problem)
 
-    def _solve_batch(
-        self,
-        problems: Sequence[LPProblem],
-        warm_starts: Sequence[WarmStart | None] | None = None,
-    ) -> list[LPSolution]:
+    def _solve_batch(self, problems: Sequence[LPProblem]) -> list[LPSolution]:
         from repro.solvers import highs_engine
 
         engine = self._get_engine()
-        if engine is None or len(problems) <= 1 or warm_starts is not None:
-            return super()._solve_batch(problems, warm_starts)
+        if engine is None or len(problems) <= 1:
+            return super()._solve_batch(problems)
         assert isinstance(engine, highs_engine.HighsEngine)
         stitched = engine.solve_stitched(problems)
         if stitched is None:
             # The combined model failed (some block infeasible or a
             # solver error): solve sequentially so each block carries
             # its own linprog-identical verdict and diagnostics.
-            return super()._solve_batch(problems, warm_starts)
+            return super()._solve_batch(problems)
         return stitched
 
     def _solve_linprog(self, problem: LPProblem) -> LPSolution:

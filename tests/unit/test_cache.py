@@ -274,8 +274,8 @@ class TestKeyScheme:
         )
 
     def test_config_field_perturbs_key(self, small_setup):
-        # The role on the field is the whole decision: perturbing a
-        # ``hashed`` field moves the key, a ``perf`` field does not.
+        # Every field is identity: perturbing any one moves the key, so
+        # a new knob cannot be left out of it.
         from repro.solvers import default_backend_name
 
         unresolved = (
@@ -292,68 +292,14 @@ class TestKeyScheme:
             moved = self.base_key(small_setup) != self.base_key(
                 small_setup, config=other
             )
-            assert moved == (field.metadata["role"] == "hashed"), field.name
-
-    def test_roles_partition_compiler_config(self):
-        from repro.cache.keys import canonical_config, hashed_fields
-
-        roles = {
-            f.name: f.metadata["role"]
-            for f in dataclasses.fields(CompilerConfig)
-        }
-        assert set(roles.values()) == {"hashed", "perf"}
-        assert {f.name for f in hashed_fields(CompilerConfig)} == {
-            name for name, role in roles.items() if role == "hashed"
-        }
-        fields = canonical_config(CompilerConfig())
-        assert "lp_warm_start" not in fields
-        assert "seed" in fields
-
-    def test_field_without_a_valid_role_cannot_reach_a_key(self):
-        # ``hashed_fields`` is the role check: a knob with no role, or a
-        # misspelt one, raises at the first key (and at ``import
-        # repro.serve.jobs``), naming itself.
-        from repro.cache.keys import canonical_config, hashed_fields
-
-        hashed = {"role": "hashed"}
-
-        @dataclasses.dataclass(frozen=True)
-        class RoleLess:
-            seed: int = dataclasses.field(default=0, metadata=hashed)
-            new_knob: int = 0
-
-        @dataclasses.dataclass(frozen=True)
-        class Misspelt:
-            seed: int = dataclasses.field(default=0, metadata=hashed)
-            knob: int = dataclasses.field(
-                default=0, metadata={"role": "hsahed"}
-            )
-
-        with pytest.raises(
-            ValueError, match=r"RoleLess.*'new_knob'.*no cache role"
-        ):
-            hashed_fields(RoleLess)
-        with pytest.raises(
-            ValueError, match=r"Misspelt.*'knob'.*no cache role"
-        ):
-            hashed_fields(Misspelt)
-
-        @dataclasses.dataclass(frozen=True)
-        class Drifted(CompilerConfig):
-            new_knob: int = 0
-            typo: int = dataclasses.field(
-                default=0, metadata={"role": "hashd"}
-            )
-
-        with pytest.raises(ValueError, match=r"new_knob.*typo.*no cache role"):
-            canonical_config(Drifted())
+            assert moved, field.name
 
     def test_key_space_is_pinned_across_commits(self):
         """Digests in tests/data/pins.json: a refactor that moves any key
-        fails here; a warm start is not part of the identity."""
+        fails here."""
         keys = pins().produce("cache.key_space")
         assert keys == pins().pinned("cache.key_space")
-        assert keys["lp_warm_start"] == keys["reference"] != keys["seed=1"]
+        assert keys["reference"] != keys["seed=1"]
 
     def test_entries_are_pinned_across_commits(self):
         """Per kind of entry a compile, a refused compile and a diagnosis

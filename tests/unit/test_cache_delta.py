@@ -13,7 +13,6 @@ from repro.cache import (
     CacheStats,
     ScheduleCache,
     artifact_key,
-    schedule_cache_key,
 )
 from repro.cache.store import routing_to_entry
 from repro.core.compiler import CompilerConfig, compile_schedule
@@ -423,78 +422,6 @@ class TestArtifactPack:
         assert all(line.endswith(b"\n") for line in pack_lines(tmp_path))
 
 
-class TestWarmStartScope:
-    def test_scoped_backends_share_one_basis_pool(self):
-        from repro.solvers import clear_warm_scopes, get_backend
-
-        pytest.importorskip("scipy")
-        clear_warm_scopes()
-        try:
-            a = get_backend("highs", warm_start=True, warm_scope="s1")
-            b = get_backend("highs", warm_start=True, warm_scope="s1")
-            other = get_backend("highs", warm_start=True, warm_scope="s2")
-            unscoped = get_backend("highs", warm_start=True)
-            assert a._basis_cache is b._basis_cache
-            assert other._basis_cache is not a._basis_cache
-            assert unscoped._basis_cache is not a._basis_cache
-        finally:
-            clear_warm_scopes()
-
-    def test_warm_scope_key_ignores_sizes(self, cube3):
-        from repro.cache import warm_scope_key
-
-        setup = diamond_setup(cube3)
-        resized = diamond_setup(cube3, b_size=640.0)
-        assert warm_scope_key(
-            setup.timing, setup.topology, setup.allocation, "highs"
-        ) == warm_scope_key(
-            resized.timing, resized.topology, resized.allocation, "highs"
-        )
-        assert warm_scope_key(
-            setup.timing, setup.topology, setup.allocation, "highs"
-        ) != warm_scope_key(
-            setup.timing, setup.topology, setup.allocation, "reference"
-        )
-
-    def test_warm_delta_identical_to_cold(self, cube3, tmp_path):
-        pytest.importorskip("scipy")
-        from repro.solvers import clear_warm_scopes
-
-        clear_warm_scopes()
-        try:
-            warm_config = dataclasses.replace(CONFIG, lp_warm_start=True)
-            setup = diamond_setup(cube3)
-            compile_with(
-                setup, ScheduleCache(tmp_path), config=warm_config
-            )
-            perturbed = diamond_setup(cube3, b_size=640.0)
-            delta = compile_with(
-                perturbed, ScheduleCache(tmp_path), config=warm_config
-            )
-            cold = compile_with(
-                perturbed, ScheduleCache(tmp_path / "cold"), config=CONFIG
-            )
-            assert stripped_entry(delta) == stripped_entry(cold)
-        finally:
-            clear_warm_scopes()
-
-
 class TestPerfKnobKeyIdentity:
-    def test_all_perf_knob_combos_share_one_key(self, cube3):
-        # Regression: perf knobs once fragmented the key space into
-        # one identity per combination for byte-identical outputs.
-        setup = diamond_setup(cube3)
-        keys = {
-            schedule_cache_key(
-                setup.timing,
-                setup.topology,
-                setup.allocation,
-                setup.tau_in_for_load(0.5),
-                dataclasses.replace(CONFIG, lp_warm_start=warm),
-            )
-            for warm in (False, True)
-        }
-        assert len(keys) == 1
-
     def test_cache_version_bumped(self):
         assert CACHE_VERSION == "repro.cache/2"

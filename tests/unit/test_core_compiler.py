@@ -11,6 +11,7 @@ from repro.errors import SchedulingError, UtilizationExceededError
 from repro.tfg import TFGTiming
 from repro.tfg.graph import build_tfg
 from repro.tfg.synth import chain_tfg
+from tests.conftest import pins
 
 
 class TestRoutedLocalSplit:
@@ -106,18 +107,10 @@ class TestCompile:
         )
         assert "ScheduledRouting" in repr(routing)
 
-    def test_lp_counts_are_pinned(self, dvb_setup_128):
-        """The closed-form singleton round removes solves, not simplex
-        work: the iteration count is the one measured before it existed
-        (those LPs took zero iterations), and the solve count is pinned
-        so a solve that creeps back names itself."""
+    def test_lp_counts_are_pinned(self):
+        """LP iterations, solves and failures of a HiGHS compile equal
+        tests/data/pins.json: a solve that creeps back (or simplex work
+        that moves) names itself."""
         pytest.importorskip("scipy")
-        setup = dvb_setup_128
-        routing = compile_schedule(
-            setup.timing, setup.topology, setup.allocation,
-            setup.tau_in_for_load(0.4), CompilerConfig(lp_backend="highs"),
-        )
-        stats = routing.extra["solver_stats"]
-        assert stats["lp_iterations"] == 117
-        assert stats["lp_solves"] == 33  # 51 with a solved singleton round
-        assert stats["lp_failures"] == 0
+        counts = pins().produce("solvers.lp_counts")
+        assert counts == pins().pinned("solvers.lp_counts")

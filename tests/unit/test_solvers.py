@@ -249,7 +249,7 @@ class TestTally:
         assert snap.solves == 3
 
 
-# -- the sparse builder / batch / warm-start API -------------------------------
+# -- the sparse builder / batch API --------------------------------------------
 
 def _builder_mixed():
     """lp_mixed() assembled through the sparse builder."""
@@ -376,25 +376,6 @@ class TestSparseAPI:
         backend.solve_batch([lp_transport(), _builder_mixed()])
         assert backend.tally.batches == 1
         assert backend.tally.batched_solves == 2
-
-    @scipy_required
-    def test_warm_start_reuses_basis(self):
-        backend = get_backend("highs", warm_start=True)
-        first = backend.solve(lp_mixed())
-        assert first.success
-        again = backend.solve(lp_mixed())
-        assert again.success
-        assert backend.tally.warm_started == 1
-        assert again.objective == pytest.approx(first.objective, abs=1e-12)
-
-    @scipy_required
-    def test_explicit_warm_start_handle(self):
-        backend = get_backend("highs")
-        first = backend.solve(lp_mixed())
-        assert first.warm_start is not None
-        again = backend.solve(lp_mixed(), warm_start=first.warm_start)
-        assert again.success
-        assert backend.tally.warm_started == 1
 
 
 # -- the compile path stays sparse on HiGHS ------------------------------------

@@ -224,8 +224,6 @@ def cache_key_space() -> dict:
     reference = CompilerConfig(lp_backend="reference")
     return {
         "reference": schedule_cache_key(*problem, reference),
-        "lp_warm_start": schedule_cache_key(
-            *problem, dataclasses.replace(reference, lp_warm_start=True)),
         "seed=1": schedule_cache_key(*problem, dataclasses.replace(reference, seed=1)),
         "diagnosis": diagnosis_cache_key(*problem),
     }
@@ -280,6 +278,14 @@ def mixed_packings() -> dict:
             for k, schedule in schedules.items()}
 
 
+def lp_counts() -> dict:
+    """LP iterations, solves and failures of a HiGHS compile of DVB(5) on the
+    6-cube at B=128 and load 0.4."""
+    problem = inputs.Instances().dvb(5, "hypercube6", 128.0, 0.4)
+    stats = compile_schedule(*problem, CompilerConfig(lp_backend="highs")).extra["solver_stats"]
+    return {name: stats[name] for name in ("lp_iterations", "lp_solves", "lp_failures")}
+
+
 FACADES = ["repro"] + [f"repro.{name}" for name in (
     "cache", "check", "core", "diagnose", "experiments", "faults", "metrics", "serve",
     "solvers", "trace", "viz", "wormhole")]
@@ -303,6 +309,7 @@ PINS = {
     "cache.entry_groups": (PINS_FILE, cache_entry_groups),
     "serve.dvb5_stages": (PINS_FILE, served_stages),
     "intervals.mixed_packings": (PINS_FILE, mixed_packings),
+    "solvers.lp_counts": (PINS_FILE, lp_counts),
     "import.facades": (PINS_FILE, facade_exports),
 }
 
