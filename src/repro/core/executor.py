@@ -288,9 +288,10 @@ class ScheduledRoutingExecutor:
             for instant in sorted({*releases, *claims, *finishes}):
                 env.call_later(instant, fire, instant)
 
-        # Armed from the agenda at t=0, behind the injector's processes:
-        # an outage starting exactly at a claim instant is then seen by
-        # the claim, and one restored exactly then is not yet.
+        # Armed from the agenda at t=0, behind the injector's outage
+        # entries: an outage starting exactly at a claim instant is then
+        # seen by the claim, and one restored exactly then (its entry
+        # filed when the outage began) is not yet.
         env.call_later(0.0, arm, None)
         env.run()
 

@@ -37,8 +37,8 @@ class SimulationError(ReproError):
 
 
 class InvalidDelayError(SimulationError, ValueError):
-    """A negative (or non-finite) delay was passed where the kernel needs
-    a forward-in-time duration (``Timeout``, ``Environment.call_later``).
+    """A negative or NaN delay was passed where the kernel needs a
+    forward-in-time duration (``Environment.call_later``).
 
     Subclasses both :class:`SimulationError` (the library contract) and
     :class:`ValueError` (the historical type), so existing ``except

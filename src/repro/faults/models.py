@@ -25,11 +25,24 @@ seed, so SR and WR runs can be subjected to *identical* fault histories.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.topology.base import Link, Topology, link_between
+
+
+def _check_outage(start: float, duration: float | None) -> None:
+    """The rule every outage keeps: it starts at a finite instant >= 0
+    and lasts a finite time > 0, or (``None``) forever."""
+    if not 0.0 <= start < math.inf:
+        raise ReproError(f"fault start must be finite and >= 0, got {start}")
+    if duration is not None and not 0.0 < duration < math.inf:
+        raise ReproError(
+            "fault duration must be None (permanent) or finite and > 0, "
+            f"got {duration}"
+        )
 
 
 @dataclass(frozen=True)
@@ -51,12 +64,7 @@ class LinkFault:
     duration: float | None = None
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ReproError(f"fault start must be >= 0, got {self.start}")
-        if self.duration is not None and self.duration <= 0:
-            raise ReproError(
-                f"transient fault duration must be > 0, got {self.duration}"
-            )
+        _check_outage(self.start, self.duration)
 
     @property
     def permanent(self) -> bool:
@@ -75,6 +83,9 @@ class NodeFault:
     node: int
     start: float
     duration: float | None = None
+
+    def __post_init__(self) -> None:
+        _check_outage(self.start, self.duration)
 
     @property
     def permanent(self) -> bool:

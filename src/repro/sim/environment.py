@@ -3,27 +3,25 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import InvalidDelayError, SimulationError
-from repro.sim.events import AllOf, Event, Timeout, _process_event
-from repro.sim.process import Process
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 
-def _label(fn: Callable[[Any], None], arg: Any) -> str:
-    """A ``sim`` instant's name for an entry: event class or callback name."""
-    return (type(arg) if fn is _process_event else getattr(fn, "func", fn)).__name__
+def _label(fn: Callable[[Any], None]) -> str:
+    """A ``sim`` instant's name for an entry: its callback's name."""
+    return getattr(fn, "func", fn).__name__
 
 
 class Environment:
     """Simulation clock and agenda.
 
-    The agenda holds entries ``(time, seq, fn, arg)`` — a triggered
-    :class:`Event`, or a bare callback (:meth:`call_later`) — and runs
-    those due at one instant in scheduling order: runs are deterministic,
-    and FCFS link arbitration means the same thing on every run.  The tie
-    counter is per environment, so replays never share ordering state.
+    The agenda holds entries ``(time, seq, fn, arg)``, each scheduled by
+    :meth:`call_later`, and runs those due at one instant in scheduling
+    order: runs are deterministic, and FCFS link arbitration means the
+    same thing on every run.  The tie counter is per environment, so
+    replays never share ordering state.
 
     Parameters
     ----------
@@ -48,26 +46,6 @@ class Environment:
         """Current simulation time."""
         return self._now
 
-    # -- event construction helpers ------------------------------------
-
-    def event(self) -> Event:
-        """A fresh pending event bound to this environment."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` time units from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: Generator) -> Process:
-        """Start a new cooperative process driving ``generator``."""
-        return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """An event firing once every event in ``events`` has fired."""
-        return AllOf(self, events)
-
-    # -- agenda ---------------------------------------------------------
-
     def call_later(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
         """Run ``fn(arg)`` ``delay`` from now (FIFO among same-time entries)."""
         if not delay >= 0:  # rejects negatives and NaN in one test
@@ -80,52 +58,45 @@ class Environment:
         self._next_id += 1
         if self._tracing:
             self.tracer.instant("sim", "schedule", self._now, track="kernel",
-                                due=due, event=_label(fn, arg))
+                                due=due, event=_label(fn))
 
-    def step(self) -> None:
-        """Process the single next entry on the agenda."""
-        if not self._agenda:
-            raise SimulationError("step() on an empty agenda")
-        when, _, fn, arg = heapq.heappop(self._agenda)
-        self._now = when
-        if self._tracing:
-            self.tracer.instant("sim", "step", when, track="kernel",
-                                event=_label(fn, arg))
-        fn(arg)
-
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run the event loop.
-
-        ``until`` may be ``None`` (run until the agenda drains), a time
-        (run up to and including that instant), or an :class:`Event`
-        (run until it is processed; returns its value).
-        """
-        if isinstance(until, Event):
-            stop = until
-            while not stop.processed:
-                if not self._agenda:
-                    raise SimulationError(
-                        "agenda drained before the awaited event fired"
-                    )
-                self.step()
-            if not stop.ok:
-                raise stop.value
-            return stop.value
-
+    def run(self, until: Optional[float] = None) -> None:
+        """Run the agenda until it drains, or up to and including the
+        instant ``until`` (the clock then reads ``until``)."""
         horizon = float("inf") if until is None else float(until)
-        if horizon < self._now:
+        if not horizon >= self._now:  # rejects the past and NaN in one test
             raise SimulationError(
-                f"run(until={horizon}) is in the past (now={self._now})"
+                f"run(until={horizon}) is not at or after now={self._now}"
             )
-        # step() inlined: this loop runs every entry of every simulation.
+        # This loop runs every entry of every simulation.
         agenda, pop, tracing = self._agenda, heapq.heappop, self._tracing
         while agenda and agenda[0][0] <= horizon:
             when, _, fn, arg = pop(agenda)
             self._now = when
             if tracing:
                 self.tracer.instant("sim", "step", when, track="kernel",
-                                    event=_label(fn, arg))
+                                    event=_label(fn))
             fn(arg)
         if horizon != float("inf"):
             self._now = horizon
-        return None
+
+    # -- generator driver ----------------------------------------------
+
+    def timeout(self, delay: float) -> float:
+        """What a :meth:`process` generator yields to sleep ``delay``."""
+        return delay
+
+    def process(self, generator: Generator[float, None, None]) -> None:
+        """Run ``generator`` from now on, sleeping each delay it yields.
+
+        Each yield is one agenda entry.  Only the ``sim.events_per_s``
+        probe of ``benchmarks/e2e/rounds.py`` drives generators (N tickers
+        x M ``yield env.timeout(1.0)``); the driver goes once that probe
+        calls :meth:`call_later` (ROADMAP item 1b).
+        """
+        self.call_later(0.0, self._resume, generator)
+
+    def _resume(self, generator: Generator[float, None, None]) -> None:
+        delay = next(generator, None)
+        if delay is not None:
+            self.call_later(delay, self._resume, generator)

@@ -12,8 +12,8 @@ class TestEventOrdering:
         env = Environment()
         fired: list[tuple[float, int]] = []
         for index, delay in enumerate(delays):
-            env.timeout(delay).add_callback(
-                lambda e, index=index: fired.append((env.now, index))
+            env.call_later(
+                delay, lambda index: fired.append((env.now, index)), index
             )
         env.run()
         times = [t for t, _ in fired]
@@ -26,9 +26,7 @@ class TestEventOrdering:
         env = Environment()
         fired: list[int] = []
         for index in range(len(delays)):
-            env.timeout(5.0).add_callback(
-                lambda e, index=index: fired.append(index)
-            )
+            env.call_later(5.0, fired.append, index)
         env.run()
         assert fired == list(range(len(delays)))
 

@@ -18,6 +18,7 @@ from repro.tfg import TFGTiming
 from repro.tfg.synth import chain_tfg
 from repro.wormhole import WormholeSimulator
 from repro.wormhole.adaptive import AdaptiveWormholeSimulator
+from tests.conftest import pins
 
 
 @pytest.fixture()
@@ -46,13 +47,11 @@ class TestFaultInjector:
 
         observed = {}
 
-        def probe():
-            yield env.timeout(6.0)
-            observed["during"] = links[(0, 1)].failed
-            yield env.timeout(20.0)
-            observed["after"] = links[(0, 1)].failed
+        def probe(when):
+            observed[when] = links[(0, 1)].failed
 
-        env.process(probe())
+        env.call_later(6.0, probe, "during")
+        env.call_later(26.0, probe, "after")
         env.run()
         assert observed == {"during": True, "after": False}
         assert list(injector.events) == [
@@ -81,11 +80,10 @@ class TestFaultInjector:
 
         observed = {}
 
-        def probe():
-            yield env.timeout(12.0)  # first outage over, second still on
-            observed["mid"] = links[(0, 1)].failed
+        def probe(when):
+            observed[when] = links[(0, 1)].failed
 
-        env.process(probe())
+        env.call_later(12.0, probe, "mid")  # first outage over, second on
         env.run()
         assert observed["mid"] is True
         assert not links[(0, 1)].failed  # both outages over
@@ -99,6 +97,13 @@ class TestFaultInjector:
         injector = FaultInjector(env, links, trace, cube3)
         env.run()
         assert injector.failed_links() == frozenset({(0, 1), (0, 2), (0, 4)})
+
+
+def test_fault_timelines_are_pinned():
+    """Every runner under link, node and same-instant outages: completion
+    times, fault events, error class and detection time, and the non-
+    ``sim`` trace, bit for bit."""
+    assert pins().produce("faults.timelines") == pins().pinned("faults.timelines")
 
 
 class TestExecutorUnderFaults:

@@ -1,5 +1,7 @@
 """Unit tests for fault models, trace generation and residual topologies."""
 
+import math
+
 import pytest
 
 from repro.errors import ReproError, TopologyError
@@ -29,6 +31,21 @@ class TestLinkFault:
             LinkFault((0, 1), start=-1.0)
         with pytest.raises(ReproError):
             LinkFault((0, 1), start=0.0, duration=0.0)
+
+
+@pytest.mark.parametrize("fault,where", [(LinkFault, (0, 1)), (NodeFault, 0)])
+@pytest.mark.parametrize("start,duration", [
+    (math.nan, None), (math.inf, None), (-3.0, None), (-0.5, 1.0),
+    (5.0, math.inf), (5.0, math.nan), (5.0, 0.0), (5.0, -1.0),
+])
+def test_outages_that_cannot_happen_are_rejected(fault, where, start, duration):
+    """Both outage classes keep one rule at construction: a finite start
+    >= 0, and a duration that is None or finite and > 0.  A NaN start
+    would down the link at t = 0; an infinite duration would pass for
+    transient, so repair would not route around a link that never
+    returns."""
+    with pytest.raises(ReproError):
+        fault(where, start, duration)
 
 
 class TestNodeFault:

@@ -1,15 +1,12 @@
 """Unit tests for the schedule-repair engine."""
 
-import hashlib
-import json
-
 import pytest
 
 from repro.core.compiler import CompilerConfig, compile_schedule
-from repro.core.io import schedule_to_dict
 from repro.core.verify import verify_schedule
 from repro.errors import RepairInfeasibleError
 from repro.faults.repair import affected_messages, repair_schedule
+from tests.conftest import pins
 
 
 @pytest.fixture()
@@ -162,46 +159,13 @@ class TestRepairSchedule:
 
 
 class TestPinnedLocalRepair:
-    def test_six_cube_repair_is_pinned(self, dvb_setup_128):
+    def test_six_cube_repair_is_pinned(self):
         """DVB(5) on the 6-cube at load 0.5 with three links down: local
         repair over seven affected messages, four descent moves.  The
         descent shares AssignPaths' batched candidate evaluation; the
         repaired paths and the Omega digest are the ones the
         path-at-a-time loop produced."""
         pytest.importorskip("scipy")
-        setup = dvb_setup_128
-        config = CompilerConfig(lp_backend="highs")
-        routing = compile_schedule(
-            setup.timing, setup.topology, setup.allocation,
-            setup.tau_in_for_load(0.5), config,
-        )
-        outcome = repair_schedule(
-            routing, setup.timing, setup.topology, setup.allocation,
-            [(17, 19), (1, 3), (1, 5)], config,
-        )
-        assert outcome.strategy == "local"
-        assert outcome.rerouted_messages == (
-            "b1", "c2", "b3", "b4", "e3", "f", "i",
-        )
-        assert {
-            name: outcome.routing.schedule.assignment[name]
-            for name in outcome.affected_messages
-        } == {
-            "b1": (1, 9, 11, 3),
-            "c2": (4, 12, 13, 9),
-            "b3": (1, 17, 21, 5),
-            "b4": (1, 0, 2, 6),
-            "e3": (15, 13, 5, 21, 17),
-            "f": (17, 16, 18),
-            "i": (17, 16, 18, 19),
-        }
-        assert outcome.peak_utilization == 0.98
-        digest = hashlib.sha256(
-            json.dumps(
-                schedule_to_dict(outcome.routing.schedule), sort_keys=True
-            ).encode("utf-8")
-        ).hexdigest()
-        assert digest == (
-            "fba770a6014056a81f009707763bab48"
-            "e78012a4b9362b1ced7984ab6ff02206"
-        )
+        outcome = pins().produce("faults.six_cube_repair")
+        assert outcome == pins().pinned("faults.six_cube_repair")
+        assert outcome["strategy"] == "local"

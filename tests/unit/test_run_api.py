@@ -1,7 +1,7 @@
 """Unit tests of the unified run API: RunConfig and RunResult.
 
 Also covers the kernel-validation satellites that rode along with the
-API change: negative ``Timeout`` delays raising a
+API change: negative and NaN ``call_later`` delays raising a
 :class:`~repro.errors.SimulationError` subclass, and the FIFO tie-break
 counter being per environment.
 """
@@ -128,7 +128,7 @@ class TestTimeoutValidation:
     def test_negative_delay_raises_simulation_error(self):
         env = Environment()
         with pytest.raises(InvalidDelayError) as excinfo:
-            env.timeout(-1.0)
+            env.call_later(-1.0, print, None)
         assert isinstance(excinfo.value, SimulationError)
         assert isinstance(excinfo.value, ValueError)  # historical contract
         assert "non-negative" in str(excinfo.value)
@@ -136,7 +136,7 @@ class TestTimeoutValidation:
     def test_nan_delay_rejected(self):
         env = Environment()
         with pytest.raises(InvalidDelayError):
-            env.timeout(math.nan)
+            env.call_later(math.nan, print, None)
 
 
 class TestPerEnvironmentFifo:
@@ -150,10 +150,8 @@ class TestPerEnvironmentFifo:
             order: list[str] = []
             for tag in ("a", "b", "c", "d"):
                 if interleave:
-                    noisy.timeout(1.0)  # advances any shared counter
-                env.timeout(1.0).add_callback(
-                    lambda e, tag=tag: order.append(tag)
-                )
+                    noisy.call_later(1.0, print, None)  # advances any shared counter
+                env.call_later(1.0, order.append, tag)
             env.run()
             return order
 

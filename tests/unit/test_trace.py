@@ -49,7 +49,7 @@ class TestNullTracer:
     def test_default_environment_uses_null_tracer(self):
         env = Environment()
         assert env.tracer is NULL_TRACER
-        env.timeout(1.0)
+        env.call_later(1.0, print, None)
         env.run()
         assert env.tracer.events == ()
 
@@ -123,10 +123,16 @@ class TestResourceTracing:
     def test_sim_category_captures_kernel_activity(self):
         rec = TraceRecorder(categories=("sim",))
         env = Environment(tracer=rec)
-        env.timeout(1.0)
+
+        def tick(_):
+            pass
+
+        env.call_later(1.0, tick, None)
         env.run()
-        assert rec.select("sim", "schedule")
-        assert rec.select("sim", "step")
+        (schedule,) = rec.select("sim", "schedule")
+        (step,) = rec.select("sim", "step")
+        assert schedule.args == {"due": 1.0, "event": "tick"}
+        assert (step.time, step.args) == (1.0, {"event": "tick"})
 
 
 class TestCrossbarTracing:

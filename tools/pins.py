@@ -35,12 +35,16 @@ from repro.check.fuzz import _CONFIG as FUZZ_CONFIG, FuzzPoint  # noqa: E402
 from repro.core import pipeline  # noqa: E402
 from repro.core.assignment import PathAssignment  # noqa: E402
 from repro.core.compiler import CompilerConfig, compile_schedule  # noqa: E402
+from repro.core.executor import ScheduledRoutingExecutor  # noqa: E402
 from repro.core.interval_allocation import IntervalAllocation  # noqa: E402
 from repro.core.interval_scheduling import schedule_intervals  # noqa: E402
+from repro.core.io import schedule_to_dict  # noqa: E402
 from repro.core.utilization import UtilizationState  # noqa: E402
 from repro.diagnose.instance import diagnose_instance  # noqa: E402
 from repro.errors import SchedulingError  # noqa: E402
-from repro.faults.models import generate_fault_trace  # noqa: E402
+from repro.faults.models import (FaultTrace, LinkFault, NodeFault,  # noqa: E402
+                                 generate_fault_trace)
+from repro.faults.repair import repair_schedule  # noqa: E402
 from repro.results import RunConfig  # noqa: E402
 from repro.serve.jobs import JobRequest  # noqa: E402
 from repro.serve.worker import execute_request  # noqa: E402
@@ -64,6 +68,16 @@ def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _trace_lines(tracer: TraceRecorder) -> list[str]:
+    return [repr((e.category, e.name, e.time.hex(), e.duration.hex(), e.track,
+                  sorted((k, repr(v)) for k, v in e.args.items())))
+            for e in tracer.events]
+
+
+def _fault_events(events) -> list:
+    return [[time.hex(), kind, str(link)] for time, (kind, link) in events]
+
+
 def wr_record(variant: str, problem, config: RunConfig, traced: bool) -> dict:
     """What one simulator run returned, exactly: completion times as
     ``float.hex``, recoveries, per-link waits in insertion order, fault
@@ -75,9 +89,7 @@ def wr_record(variant: str, problem, config: RunConfig, traced: bool) -> dict:
         tracer = TraceRecorder(set(TRACE_CATEGORIES) - {"sim"})
         with contextlib.suppress(Exception):  # the events up to an error count
             sim.run(tau_in, config=dataclasses.replace(config, tracer=tracer))
-        lines = [repr((e.category, e.name, e.time.hex(), e.duration.hex(), e.track,
-                       sorted((k, repr(v)) for k, v in e.args.items())))
-                 for e in tracer.events]
+        lines = _trace_lines(tracer)
         record = {"trace_events": len(lines), "trace_sequence": _digest(lines),
                   "trace_multiset": _digest(sorted(lines))}
     try:
@@ -92,8 +104,7 @@ def wr_record(variant: str, problem, config: RunConfig, traced: bool) -> dict:
         "link_waits": [[str(link), wait.hex()] for link, wait in extra["link_waits"].items()],
     }
     if "fault_events" in extra:
-        record["fault_events"] = [[time.hex(), kind, str(link)]
-                                  for time, (kind, link) in extra["fault_events"]]
+        record["fault_events"] = _fault_events(extra["fault_events"])
         record["fault_aborts"] = extra["fault_aborts"]
     return record
 
@@ -128,6 +139,75 @@ def wr_corpus() -> dict:
                 corpus[f"faults/{name}@{load}/seed{seed}/x{count}/transient{transient}/"
                        f"{variant}"] = wr_record(variant, problem, config, traced=True)
     return corpus
+
+
+# -- faults.timelines: every runner under injected outages ---------------------
+
+def fault_record(run, config: RunConfig) -> dict:
+    """One traced fault run: completion times and fault events, or the
+    error's class, message and detection time; and a digest of the events
+    of every category but ``sim``, in order."""
+    tracer = TraceRecorder(set(TRACE_CATEGORIES) - {"sim"})
+    try:
+        result = run(config=dataclasses.replace(config, tracer=tracer))
+        record = {"completion_times": [t.hex() for t in result.completion_times],
+                  "fault_events": _fault_events(result.extra["fault_events"])}
+    except Exception as error:  # noqa: BLE001 - the error is the record
+        detected = getattr(error, "detection_time", None)
+        record = {"error": [type(error).__name__, str(error),
+                            None if detected is None else detected.hex()]}
+    lines = _trace_lines(tracer)
+    return record | {"trace_events": len(lines), "trace_sequence": _digest(lines)}
+
+
+def fault_timelines() -> dict:
+    """WR, adaptive WR, store-and-forward and the SR replay of DVB(5) on two
+    machines under seven fault traces each: seeded permanent and transient
+    outages of scheduled links, a transient and a permanent node fault,
+    outages of unscheduled links only, outages that share an instant with
+    t = 0, a period instant and each other, and one that starts on a claim
+    instant of the replay.  The reference LP backend compiles the
+    schedules, so no HiGHS build moves them."""
+    instances, runs = inputs.Instances(), {}
+    config = RunConfig(invocations=12, warmup=4)
+    for name, load in (("hypercube6", 0.3), ("ghc444", 0.6)):
+        problem = timing, topology, allocation, tau_in = instances.dvb(5, name, 128.0, load)
+        routing = compile_schedule(*problem, CompilerConfig(**inputs.COMPILER_FIELDS,
+                                                            lp_backend="reference"))
+        executor = ScheduledRoutingExecutor(routing, timing, topology, allocation)
+        slots = sorted((slot for slots in executor.routing.schedule.slots.values()
+                        for slot in slots), key=lambda slot: (slot.start, slot.message))
+        used = tuple(sorted({link for slot in slots for link in slot.links}))
+        spare = tuple(sorted(set(topology.links) - set(used)))
+        claim = executor.absolute_slots(slots[0].message, 2)[0][0]
+        source = allocation[timing.tfg.message(slots[-1].message).src]
+        traces = {kind: generate_fault_trace(
+            topology, seed=seed, n_link_faults=count, horizon=6 * tau_in,
+            transient_fraction=transient, candidate_links=used)
+            for kind, seed, count, transient in (
+                ("permanent", 1, 2, 0.0), ("transient", 2, 3, 1.0))}
+        traces |= {
+            "node_transient": FaultTrace(node_faults=(
+                NodeFault(source, 2.5 * tau_in, tau_in / 3),)),
+            "node_permanent": FaultTrace(node_faults=(NodeFault(source, 4 * tau_in),)),
+            "spare": FaultTrace(link_faults=(
+                LinkFault(spare[0], tau_in, tau_in), LinkFault(spare[1], 2 * tau_in))),
+            "same_instant": FaultTrace(link_faults=(
+                LinkFault(spare[0], 0.0, tau_in / 2),
+                LinkFault(used[1], 3 * tau_in, tau_in / 4),
+                LinkFault(used[1], 3 * tau_in, tau_in / 2),
+                LinkFault(used[2], 3 * tau_in))),
+            "claim_instant": FaultTrace(link_faults=(
+                LinkFault(slots[0].links[0], claim, tau_in / 8),
+                LinkFault(spare[1], claim))),
+        }
+        runners = {variant: functools.partial(VARIANTS[variant](timing, topology, allocation).run,
+                                              tau_in) for variant in ("base", "adaptive", "saf")}
+        runners["sr"] = executor.run
+        for (kind, trace), (variant, run) in itertools.product(traces.items(), runners.items()):
+            runs[f"{name}@{load}/{kind}/{variant}"] = fault_record(
+                run, dataclasses.replace(config, fault_trace=trace))
+    return runs
 
 
 # -- assign_corpus: what AssignPaths computes on every attempt ------------------
@@ -286,6 +366,25 @@ def lp_counts() -> dict:
     return {name: stats[name] for name in ("lp_iterations", "lp_solves", "lp_failures")}
 
 
+def six_cube_repair() -> dict:
+    """Repair of a HiGHS compile of DVB(5) on the 6-cube at B=128 and load
+    0.5 with links (17, 19), (1, 3) and (1, 5) down: strategy, rerouted
+    messages, their repaired paths, peak U and the Omega digest."""
+    problem = inputs.Instances().dvb(5, "hypercube6", 128.0, 0.5)
+    config = CompilerConfig(lp_backend="highs")
+    outcome = repair_schedule(compile_schedule(*problem, config), *problem[:3],
+                              [(17, 19), (1, 3), (1, 5)], config)
+    schedule = outcome.routing.schedule
+    return {
+        "strategy": outcome.strategy,
+        "rerouted_messages": list(outcome.rerouted_messages),
+        "paths": {name: list(schedule.assignment[name]) for name in outcome.affected_messages},
+        "peak_utilization": outcome.peak_utilization,
+        "omega": hashlib.sha256(json.dumps(schedule_to_dict(schedule), sort_keys=True)
+                                .encode()).hexdigest(),
+    }
+
+
 FACADES = ["repro"] + [f"repro.{name}" for name in (
     "cache", "check", "core", "diagnose", "experiments", "faults", "metrics", "serve",
     "solvers", "trace", "viz", "wormhole")]
@@ -311,6 +410,8 @@ PINS = {
     "intervals.mixed_packings": (PINS_FILE, mixed_packings),
     "solvers.lp_counts": (PINS_FILE, lp_counts),
     "import.facades": (PINS_FILE, facade_exports),
+    "faults.timelines": (PINS_FILE, fault_timelines),
+    "faults.six_cube_repair": (PINS_FILE, six_cube_repair),
 }
 
 
