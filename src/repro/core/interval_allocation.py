@@ -29,13 +29,7 @@ from repro.core.assignment import PathAssignment
 from repro.core.timebounds import TimeBoundSet
 from repro.errors import IntervalAllocationError
 from repro.solvers import get_backend
-from repro.solvers.base import (
-    LP_TOL,
-    LPBackend,
-    LPProblem,
-    LPProblemBuilder,
-    exceeds_tolerance,
-)
+from repro.solvers.base import LP_TOL, LPBackend, LPProblem, exceeds_tolerance
 from repro.topology.base import Link
 
 __all__ = [
@@ -183,135 +177,79 @@ def build_allocation_problem(
     wants — an infeasible ray then combines *actual* capacities, not
     scaled ones.
     """
-    lengths = np.asarray(bounds.intervals.lengths, dtype=np.float64)
-    num_k = int(lengths.size)
-
-    # Variable layout: one x per (message, active interval) [, then z].
-    # Row-major nonzero of the subset's activity slice enumerates the
-    # pairs message-by-message with intervals ascending — exactly the
-    # legacy per-message loop order.
-    sub_rows = np.array(
-        [bounds.index[name] for name in subset], dtype=np.int64
-    )
-    sub_activity = bounds.activity[sub_rows] if subset else np.zeros(
-        (0, num_k), dtype=bool
-    )
-    msg_of_var, var_ks = np.nonzero(sub_activity)
-    num_x = int(var_ks.size)
-    counts = sub_activity.sum(axis=1).astype(np.int64)
-    var_starts = np.zeros(len(subset) + 1, dtype=np.int64)
-    np.cumsum(counts, out=var_starts[1:])
-    variables = tuple(
-        (subset[int(i)], int(k)) for i, k in zip(msg_of_var, var_ks)
-    )
-    num_cols = num_x if fixed_capacity else num_x + 1
-    z_index = num_x
-
-    builder = LPProblemBuilder(num_cols)
-
-    # Equality (3): per message, allocations sum to its duration.  The
-    # variable ids of message i are the contiguous block
-    # var_starts[i]:var_starts[i+1], so the whole system is one scatter.
-    durations = np.array(
-        [bounds.bounds[name].duration for name in subset], dtype=np.float64
-    )
-    builder.add_eq_rows(
-        durations,
-        rows=msg_of_var,
-        cols=np.arange(num_x, dtype=np.int64),
-        values=np.ones(num_x),
-    )
-
-    # Inequality (4): per (link, interval), sum of allocations bounded
-    # by the interval length (scaled by z in the compiler's form).  Each
-    # (link, interval) pair is encoded as link_id * K + k; rows keep the
-    # legacy first-appearance order over the message → link → interval
-    # traversal, and duplicate (row, column) hits collapse to a single
-    # 1.0 coefficient (the legacy dense assembly's set semantics).
-    link_ids: dict[Link, int] = {}
-    per_msg_links: list[np.ndarray] = []
-    for name in subset:
-        ids = [
-            link_ids.setdefault(link, len(link_ids))
-            for link in assignment.links(name)
-        ]
-        per_msg_links.append(np.asarray(ids, dtype=np.int64))
-    link_of_id = list(link_ids)
-
-    code_parts: list[np.ndarray] = []
-    col_parts: list[np.ndarray] = []
-    for i in range(len(subset)):
-        lids = per_msg_links[i]
-        k_i = var_ks[var_starts[i] : var_starts[i + 1]]
-        if lids.size == 0 or k_i.size == 0:
-            continue
-        code_parts.append(
-            np.repeat(lids * num_k, k_i.size) + np.tile(k_i, lids.size)
-        )
-        col_parts.append(
-            np.tile(
-                np.arange(var_starts[i], var_starts[i + 1], dtype=np.int64),
-                lids.size,
-            )
-        )
-
-    row_labels: list[tuple[str, Link | None, int]] = []
-    if code_parts:
-        codes = np.concatenate(code_parts)
-        cols = np.concatenate(col_parts)
-        uniq_codes, first_pos, inverse = np.unique(
-            codes, return_index=True, return_inverse=True
-        )
-        appearance = np.argsort(first_pos, kind="stable")
-        rank = np.empty(appearance.size, dtype=np.int64)
-        rank[appearance] = np.arange(appearance.size)
-        entry_rows = rank[inverse]
-        pair = entry_rows * np.int64(num_cols) + cols
-        _, keep = np.unique(pair, return_index=True)
-        row_codes = uniq_codes[appearance]
-        row_ks = row_codes % num_k
-        num_link_rows = int(row_codes.size)
-        rhs = lengths[row_ks] if fixed_capacity else np.zeros(num_link_rows)
-        builder.add_ub_rows(
-            rhs,
-            rows=entry_rows[keep],
-            cols=cols[keep],
-            values=np.ones(keep.size),
-        )
-        if not fixed_capacity:
-            builder.add_ub_entries(
-                np.arange(num_link_rows, dtype=np.int64),
-                np.full(num_link_rows, z_index, dtype=np.int64),
-                -lengths[row_ks],
-            )
-        row_labels.extend(
-            ("link", link_of_id[int(code) // num_k], int(code) % num_k)
-            for code in row_codes
-        )
+    lengths = bounds.intervals.lengths
+    # Columns: one x per (message, active interval), message by message
+    # with intervals ascending [, then z].  Rows: the (link, interval)
+    # rows of constraint (4) in first-appearance order over the message
+    # → link → interval traversal, then one row per feedback cap, then
+    # the equality rows of constraint (3), one per message.  A column
+    # lists its rows while they are still being numbered; a link a path
+    # repeats hits its row once (coefficient 1.0).
+    variables: list[tuple[str, int]] = []
+    column_rows: list[list[int]] = []
+    column_message: list[int] = []
+    link_rows: dict[tuple[Link, int], int] = {}
+    for i, name in enumerate(subset):
+        ks = bounds.active_intervals(name)
+        per_k: list[list[int]] = [[] for _ in ks]
+        for link in assignment.links(name):
+            for t, k in enumerate(ks):
+                row = link_rows.setdefault((link, k), len(link_rows))
+                per_k[t].append(row)
+        variables.extend((name, k) for k in ks)
+        column_rows.extend(per_k)
+        column_message.extend([i] * len(ks))
+    row_labels: list[tuple[str, Link | None, int]] = [
+        ("link", link, k) for link, k in link_rows
+    ]
+    ub_rhs = [
+        lengths[k] if fixed_capacity else 0.0 for _, k in link_rows
+    ]
 
     # Feedback caps: total subset allocation into interval k <= cap.
     for k, cap in (interval_caps or {}).items():
-        columns = np.flatnonzero(var_ks == k)
-        if columns.size == 0:
+        members = [j for j, (_, kk) in enumerate(variables) if kk == k]
+        if not members:
             continue
-        builder.add_ub_rows(
-            [max(cap, 0.0)],
-            rows=np.zeros(columns.size, dtype=np.int64),
-            cols=columns,
-            values=np.ones(columns.size),
-        )
+        for j in members:
+            column_rows[j].append(len(ub_rhs))
+        ub_rhs.append(max(cap, 0.0))
         row_labels.append(("cap", None, k))
 
-    # Objective: minimise z (constant in the feasibility form).  x is
-    # bounded by interval lengths (a message cannot transmit longer
-    # than the interval it sits in); z keeps the default [0, inf).
-    builder.set_upper(np.arange(num_x, dtype=np.int64), lengths[var_ks])
+    num_ub = len(ub_rhs)
+    index: list[int] = []
+    start = [0]
+    for rows, i in zip(column_rows, column_message):
+        index.extend(sorted(set(rows)))
+        index.append(num_ub + i)
+        start.append(len(index))
+    value = [1.0] * len(index)
+    # x is bounded by its interval's length (a message cannot transmit
+    # longer than the interval it sits in).
+    cost = [0.0] * len(variables)
+    upper = [lengths[k] for _, k in variables]
     if not fixed_capacity:
-        builder.set_objective([z_index], [1.0])
-
+        # z, minimised in [0, inf), scales every (link, interval) row.
+        index.extend(range(len(link_rows)))
+        start.append(len(index))
+        value.extend(-lengths[k] for _, k in link_rows)
+        cost.append(1.0)
+        upper.append(np.inf)
+    col_bounds = np.zeros((len(upper), 2))
+    col_bounds[:, 1] = upper
+    durations = [bounds.bounds[name].duration for name in subset]
     return AllocationProblem(
-        problem=builder.build(),
-        variables=variables,
+        problem=LPProblem(
+            c=np.array(cost),
+            bounds=col_bounds,
+            start=np.array(start, dtype=np.int32),
+            index=np.array(index, dtype=np.int32),
+            value=np.array(value),
+            row_lower=np.array([-np.inf] * num_ub + durations),
+            row_upper=np.array(ub_rhs + durations),
+            num_ub=num_ub,
+        ),
+        variables=tuple(variables),
         eq_messages=tuple(subset),
         ub_rows=tuple(row_labels),
         fixed_capacity=fixed_capacity,

@@ -51,7 +51,6 @@ from repro.solvers.base import (
     LP_TOL,
     LPBackend,
     LPProblem,
-    LPProblemBuilder,
     LPSolution,
     exceeds_tolerance,
 )
@@ -189,10 +188,10 @@ def max_weight_independent_set(
 class _PackingState:
     """Column-generation state of one interval's packing LP.
 
-    Holds the incidence matrix as growing COO triplet lists (each
-    feasible-set column contributes one entry per member message), so a
-    round's LP is assembled by one concatenate + CSR conversion — no
-    per-cell Python loop.  :func:`schedule_interval` drives one state to
+    Holds the incidence matrix column-wise, as the LP layout stores it:
+    each feasible-set column appends its members' row indices, sorted,
+    so a round's master is the arrays as they stand.
+    :func:`schedule_interval` drives one state to
     convergence; :func:`schedule_intervals` drives many in lockstep so
     each round's LPs can be solved as one batch.
 
@@ -231,9 +230,8 @@ class _PackingState:
         self.adjacency = conflict_graph(assignment, self.messages)
         self.known: set[frozenset[str]] = set(self.columns)
         # Singleton columns form an identity incidence to start from.
-        self._rows: list[np.ndarray] = [np.arange(n, dtype=np.int64)]
-        self._cols: list[np.ndarray] = [np.arange(n, dtype=np.int64)]
-        self._nnz = n
+        self._member_rows: list[int] = list(range(n))
+        self._starts: list[int] = list(range(n + 1))
         self.absorb(
             LPSolution(
                 success=True,
@@ -247,15 +245,18 @@ class _PackingState:
     def problem(self) -> LPProblem:
         """The current restricted master LP (minimise total duration)."""
         num_cols = len(self.columns)
-        builder = LPProblemBuilder(num_cols)
-        builder.set_objective_vector(np.ones(num_cols))
-        builder.add_eq_rows(
-            self.p,
-            rows=np.concatenate(self._rows),
-            cols=np.concatenate(self._cols),
-            values=np.ones(self._nnz),
+        bounds = np.zeros((num_cols, 2))
+        bounds[:, 1] = np.inf
+        return LPProblem(
+            c=np.ones(num_cols),
+            bounds=bounds,
+            start=np.array(self._starts, dtype=np.int32),
+            index=np.array(self._member_rows, dtype=np.int32),
+            value=np.ones(len(self._member_rows)),
+            row_lower=self.p,
+            row_upper=self.p,
+            num_ub=0,
         )
-        return builder.build()
 
     def absorb(self, solution: LPSolution) -> None:
         """Take one round's LP solution; price a new column or finish."""
@@ -281,17 +282,12 @@ class _PackingState:
         if weight <= 1.0 + LP_TOL or candidate in self.known:
             self.done = True
             return
-        j = len(self.columns)
-        members = np.fromiter(
-            (self._index[name] for name in candidate),
-            dtype=np.int64,
-            count=len(candidate),
-        )
         self.columns.append(candidate)
         self.known.add(candidate)
-        self._rows.append(members)
-        self._cols.append(np.full(members.size, j, dtype=np.int64))
-        self._nnz += members.size
+        self._member_rows.extend(
+            sorted(self._index[name] for name in candidate)
+        )
+        self._starts.append(len(self._member_rows))
 
     def finish(self) -> IntervalSchedule:
         """Check the converged packing against the interval length."""

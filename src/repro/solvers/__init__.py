@@ -8,14 +8,14 @@ allocation and interval scheduling) obtain their solver through
 >>> backend = get_backend("auto")   # highs when scipy exists, else reference
 >>> solution = backend.solve(problem)
 
-Problems are assembled sparsely through
-:class:`~repro.solvers.base.LPProblemBuilder` (COO triplets, CSR
-storage); backends additionally expose ``solve_batch`` (independent
-problems stitched into one block-diagonal solve where the backend
-supports it).  Dense matrix fields on ``solve()`` were removed after their
-one-release deprecation window; build problems through
-:class:`~repro.solvers.base.LPProblemBuilder` or
-:meth:`~repro.solvers.base.LPProblem.from_dense`.
+An :class:`~repro.solvers.base.LPProblem` is one layout, the
+column-wise matrix over ``[A_ub; A_eq]`` with its row bounds that HiGHS
+consumes; assemble it from COO triplets with
+:class:`~repro.solvers.base.LPProblemBuilder`, from dense data with
+:meth:`~repro.solvers.base.LPProblem.from_dense`, or emit it directly as
+the compiler's two LP stages do.  Backends additionally expose
+``solve_batch`` (independent problems stitched into one block-diagonal
+solve where the backend supports it).
 
 Backend names
 -------------
@@ -51,7 +51,6 @@ if TYPE_CHECKING:
     from repro.solvers.base import LPBackend
 
 _exported, __getattr__, __dir__ = lazy_exports(__name__, {
-    "CSRMatrix": "base",
     "FarkasCertificate": "certificates",
     "LP_TOL": "base",
     "LPBackend": "base",

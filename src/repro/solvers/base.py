@@ -7,13 +7,13 @@ families are *sparse* (a coefficient per (message, interval) membership,
 not per matrix cell) and arrive in *batches* (one packing LP per active
 interval of a schedule), so the contract is sparse-first and batch-aware:
 
-- :class:`LPProblemBuilder` assembles constraints in COO triplet form —
-  numpy index/value arrays, no per-coefficient Python loops — and
-  produces a canonical :class:`LPProblem`;
-- :class:`LPProblem` carries its constraint matrices as
-  :class:`CSRMatrix` (a numpy-only compressed-sparse-row container with
-  a :meth:`CSRMatrix.to_dense` adapter for dense solvers such as the
-  pure-Python reference simplex);
+- :class:`LPProblem` is one layout from assembly to HiGHS: a column-wise
+  matrix over the stacked rows ``[A_ub; A_eq]`` with its row bounds,
+  the arrays HiGHS consumes.  The compiler's two LP stages emit it
+  directly; :class:`LPProblemBuilder` (COO triplets) and
+  :meth:`LPProblem.from_dense` sort and sum duplicates into it once.
+  Its constructor refuses non-finite data, naming the field, and its
+  dense views (``a_ub``/``a_eq``) serve the dense consumers;
 - :class:`LPSolution` is the uniform result: primal point and equality
   duals as **read-only numpy arrays**, iteration count and wall time;
 - :class:`LPBackend` adds one capability beyond single
@@ -25,13 +25,6 @@ interval of a schedule), so the contract is sparse-first and batch-aware:
   their stage detail (and hence into ``compile``-category trace
   events).
 
-Problems handed to ``solve()``/``solve_batch()`` must be **canonical**
-(sparse matrices, array bounds).  The one-release dense-field
-deprecation shim has expired: passing dense matrix fields now raises
-``ValueError``.  Assemble through :class:`LPProblemBuilder`, or convert
-explicitly with :meth:`LPProblem.from_dense` when dense data is what a
-caller naturally holds.
-
 :data:`LP_TOL` is the single numerical feasibility tolerance shared by
 both LP stages and every backend; :func:`exceeds_tolerance` is the one
 place its comparison semantics live.
@@ -39,6 +32,7 @@ place its comparison semantics live.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Protocol, Sequence, runtime_checkable
@@ -66,104 +60,6 @@ def exceeds_tolerance(value: float, limit: float) -> bool:
     return value > limit + LP_TOL * max(1.0, abs(limit))
 
 
-class CSRMatrix:
-    """A numpy-only compressed-sparse-row matrix.
-
-    Deliberately not :mod:`scipy.sparse`: the data contract of
-    :class:`LPProblem` must work in scipy-free environments (the
-    reference simplex exists exactly for those), so the container keeps
-    plain numpy arrays in standard CSR layout — ``data``/``indices``
-    per stored entry, ``indptr`` of length ``rows + 1`` — with ``int32``
-    indices (what HiGHS consumes natively).
-    """
-
-    __slots__ = ("data", "indices", "indptr", "shape")
-
-    def __init__(
-        self,
-        data: np.ndarray,
-        indices: np.ndarray,
-        indptr: np.ndarray,
-        shape: tuple[int, int],
-    ) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
-        self.indices = np.asarray(indices, dtype=np.int32)
-        self.indptr = np.asarray(indptr, dtype=np.int32)
-        self.shape = (int(shape[0]), int(shape[1]))
-
-    @classmethod
-    def from_coo(
-        cls,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        shape: tuple[int, int],
-    ) -> "CSRMatrix":
-        """Build from COO triplets, fully vectorized.
-
-        Entries are sorted to canonical (row, col) order and duplicate
-        coordinates are **summed** (standard COO semantics).
-        """
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if not (rows.size == cols.size == values.size):
-            raise ValueError("COO triplet arrays must have equal length")
-        n_rows, n_cols = int(shape[0]), int(shape[1])
-        if rows.size:
-            if int(rows.min()) < 0 or int(rows.max()) >= n_rows:
-                raise ValueError("COO row index out of range")
-            if int(cols.min()) < 0 or int(cols.max()) >= n_cols:
-                raise ValueError("COO column index out of range")
-            order = np.lexsort((cols, rows))
-            rows, cols, values = rows[order], cols[order], values[order]
-            fresh = np.empty(rows.size, dtype=bool)
-            fresh[0] = True
-            fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.flatnonzero(fresh)
-            values = np.add.reduceat(values, starts)
-            rows, cols = rows[starts], cols[starts]
-        counts = np.bincount(rows, minlength=n_rows)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(values, cols, indptr, (n_rows, n_cols))
-
-    @classmethod
-    def from_dense(cls, dense: Any) -> "CSRMatrix":
-        """Build from a dense 2-D array (zeros are dropped)."""
-        array = np.atleast_2d(np.asarray(dense, dtype=np.float64))
-        rows, cols = np.nonzero(array)
-        return cls.from_coo(rows, cols, array[rows, cols], array.shape)
-
-    def to_dense(self) -> np.ndarray:
-        """The matrix as a dense float64 array (the adapter dense
-        solvers — e.g. the reference simplex — consume)."""
-        out = np.zeros(self.shape, dtype=np.float64)
-        rows = np.repeat(
-            np.arange(self.shape[0]), np.diff(self.indptr.astype(np.int64))
-        )
-        out[rows, self.indices] = self.data
-        return out
-
-    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries back as ``(rows, cols, values)`` triplets."""
-        rows = np.repeat(
-            np.arange(self.shape[0], dtype=np.int64),
-            np.diff(self.indptr.astype(np.int64)),
-        )
-        return rows, self.indices.astype(np.int64), self.data
-
-    def __matmul__(self, x: Any) -> np.ndarray:
-        vec = np.asarray(x, dtype=np.float64)
-        rows, cols, values = self.coo()
-        out = np.zeros(self.shape[0], dtype=np.float64)
-        np.add.at(out, rows, values * vec[cols])
-        return out
-
-    def __repr__(self) -> str:
-        return f"<CSRMatrix {self.shape[0]}x{self.shape[1]} nnz={self.data.size}>"
-
-
 def as_bounds_array(bounds: Any, num_variables: int) -> np.ndarray:
     """Canonicalize variable bounds to an ``(n, 2)`` float array.
 
@@ -185,31 +81,78 @@ def as_bounds_array(bounds: Any, num_variables: int) -> np.ndarray:
     return out
 
 
-@dataclass(eq=False)
 class LPProblem:
-    """One standard-form linear program (minimise ``c @ x``).
+    """One linear program, in the column-wise layout HiGHS consumes.
 
-    Canonical problems — what :class:`LPProblemBuilder` and
-    :meth:`from_dense` produce, and what backends consume — carry:
+    ``minimise c @ x  s.t.  row_lower <= A x <= row_upper,
+    bounds[:, 0] <= x <= bounds[:, 1]``, where ``A`` stacks the
+    ``num_ub`` inequality rows over the equality rows (``[A_ub; A_eq]``)
+    and is stored compressed by column: column ``j``'s entries are
+    ``value[start[j]:start[j + 1]]`` in rows ``index[start[j]:start[j + 1]]``,
+    rows ascending, each (row, column) once, ``int32`` indices.  An
+    inequality row has ``row_lower = -inf`` and ``row_upper = b_ub``; an
+    equality row has both at ``b_eq``.
 
-    - ``c``: float64 objective vector;
-    - ``a_ub``/``a_eq``: :class:`CSRMatrix` (or ``None`` when the
-      system is absent) with float64 right-hand sides ``b_ub``/``b_eq``;
-    - ``bounds``: ``(n, 2)`` float64 array of per-variable
-      ``[low, high]`` with ``±inf`` for unbounded sides.
+    The constructor takes the layout as given and only refuses
+    non-finite data, naming the field: NaN anywhere, ``±inf`` in ``c``,
+    in the matrix or in ``b_eq``, a lower bound of ``+inf`` or an upper
+    bound of ``-inf``.  ``+inf`` in ``b_ub`` and open bounds stay legal.
+    :class:`LPProblemBuilder` (COO triplets) and :meth:`from_dense` sort
+    and sum duplicates into the layout.
 
-    Legacy problems (dense nested lists / 2-D arrays, pair-list bounds)
-    are **rejected** by ``solve()`` (the one-release deprecation shim
-    has expired); convert them first with :meth:`from_dense` or
-    :meth:`canonical`.
+    :attr:`a_ub`/:attr:`a_eq` (and :attr:`b_ub`/:attr:`b_eq`) are
+    derived dense views for the dense consumers: the reference simplex,
+    Farkas certificates and the ``linprog`` fallback.
     """
 
-    c: Any
-    a_ub: Any = None
-    b_ub: Any = None
-    a_eq: Any = None
-    b_eq: Any = None
-    bounds: Any = None
+    __slots__ = (
+        "c", "bounds", "start", "index", "value",
+        "row_lower", "row_upper", "num_ub",
+    )
+
+    def __init__(
+        self,
+        c: np.ndarray,
+        bounds: np.ndarray,
+        start: np.ndarray,
+        index: np.ndarray,
+        value: np.ndarray,
+        row_lower: np.ndarray,
+        row_upper: np.ndarray,
+        num_ub: int,
+    ) -> None:
+        self.c = c
+        self.bounds = bounds
+        self.start = start
+        self.index = index
+        self.value = value
+        self.row_lower = row_lower
+        self.row_upper = row_upper
+        self.num_ub = num_ub
+        # A sum is finite when every entry is (a NaN propagates, ±inf
+        # stays inf or turns NaN); the field-by-field pass forgives an
+        # overflowing sum and names the field of a real offence.
+        b_ub, b_eq = row_upper[:num_ub], row_upper[num_ub:]
+        lower, upper = bounds[:, 0], bounds[:, 1]
+        total = np.add.reduce
+        if (
+            math.isfinite(total(c) + total(value) + total(b_eq))
+            and not math.isnan(total(b_ub))
+            and total(lower) < math.inf
+            and total(upper) > -math.inf
+        ):
+            return
+        for field, bad, what in (
+            ("c", ~np.isfinite(c), "a NaN or infinite entry"),
+            ("the matrix", ~np.isfinite(value), "a NaN or infinite entry"),
+            ("b_eq", ~np.isfinite(b_eq), "a NaN or infinite entry"),
+            ("b_ub", np.isnan(b_ub), "a NaN entry"),
+            ("bounds", np.isnan(bounds), "a NaN entry"),
+            ("bounds", lower == math.inf, "a lower bound of +inf"),
+            ("bounds", upper == -math.inf, "an upper bound of -inf"),
+        ):
+            if bad.any():
+                raise ValueError(f"LPProblem: {field} has {what}")
 
     @classmethod
     def from_dense(
@@ -221,60 +164,116 @@ class LPProblem:
         b_eq: Any = None,
         bounds: Any = None,
     ) -> "LPProblem":
-        """Canonicalize dense inputs (the explicit, warning-free
-        migration path for callers that naturally hold dense data)."""
-        c_arr = np.asarray(c, dtype=np.float64)
-        return cls(
-            c=c_arr,
-            a_ub=None if a_ub is None else CSRMatrix.from_dense(a_ub),
-            b_ub=None if b_ub is None else np.asarray(b_ub, dtype=np.float64),
-            a_eq=None if a_eq is None else CSRMatrix.from_dense(a_eq),
-            b_eq=None if b_eq is None else np.asarray(b_eq, dtype=np.float64),
-            bounds=as_bounds_array(bounds, c_arr.size),
+        """The layout of dense data (zeros are dropped)."""
+        c_arr = np.array(c, dtype=np.float64).ravel()
+        n = c_arr.size
+        blocks = [
+            np.asarray(a, dtype=np.float64).reshape(-1, n)
+            for a in (a_ub, a_eq) if a is not None
+        ]
+        stacked = np.vstack(blocks) if blocks else np.zeros((0, n))
+        rows, cols = np.nonzero(stacked)
+        b_ub, b_eq = (
+            np.empty(0) if a is None else np.asarray(b, np.float64).ravel()
+            for a, b in ((a_ub, b_ub), (a_eq, b_eq))
         )
-
-    @property
-    def is_canonical(self) -> bool:
-        """True when every field is already in the sparse contract."""
-        if not isinstance(self.c, np.ndarray):
-            return False
-        for matrix in (self.a_ub, self.a_eq):
-            if matrix is not None and not isinstance(matrix, CSRMatrix):
-                return False
-        for rhs in (self.b_ub, self.b_eq):
-            if rhs is not None and not isinstance(rhs, np.ndarray):
-                return False
-        return isinstance(self.bounds, np.ndarray) and self.bounds.ndim == 2
-
-    def canonical(self) -> "LPProblem":
-        """This problem in canonical sparse form (self when already
-        canonical; otherwise a converted copy)."""
-        if self.is_canonical:
-            return self
-        return LPProblem.from_dense(
-            self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq, self.bounds
+        return _from_coo(
+            c_arr, as_bounds_array(bounds, n),
+            rows, cols, stacked[rows, cols], b_ub, b_eq,
         )
 
     @property
     def num_variables(self) -> int:
-        return len(self.c)
+        return self.c.size
 
     @property
     def num_constraints(self) -> int:
-        rows = 0
-        if self.b_ub is not None:
-            rows += len(self.b_ub)
-        if self.b_eq is not None:
-            rows += len(self.b_eq)
-        return rows
+        return self.row_upper.size
+
+    @property
+    def b_ub(self) -> np.ndarray | None:
+        return self.row_upper[: self.num_ub] if self.num_ub else None
+
+    @property
+    def b_eq(self) -> np.ndarray | None:
+        num_eq = self.row_upper.size - self.num_ub
+        return self.row_upper[self.num_ub :] if num_eq else None
+
+    @property
+    def a_ub(self) -> np.ndarray | None:
+        """``A_ub`` as a dense array (``None`` without inequality rows)."""
+        return self._dense_rows(0, self.num_ub)
+
+    @property
+    def a_eq(self) -> np.ndarray | None:
+        """``A_eq`` as a dense array (``None`` without equality rows)."""
+        return self._dense_rows(self.num_ub, self.row_upper.size)
+
+    def _dense_rows(self, first: int, last: int) -> np.ndarray | None:
+        if last == first:
+            return None
+        n = self.c.size
+        cols = np.repeat(np.arange(n), np.diff(self.start))
+        rows = self.index.astype(np.int64)
+        mine = (rows >= first) & (rows < last)
+        out = np.zeros((last - first, n), dtype=np.float64)
+        out[rows[mine] - first, cols[mine]] = self.value[mine]
+        return out
+
+    def __repr__(self) -> str:
+        return (
+            f"<LPProblem {self.c.size} columns, {self.num_ub} <= rows, "
+            f"{self.row_upper.size - self.num_ub} = rows, "
+            f"nnz={self.value.size}>"
+        )
+
+
+def _from_coo(
+    c: np.ndarray,
+    bounds: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    b_ub: np.ndarray,
+    b_eq: np.ndarray,
+) -> LPProblem:
+    """Sort COO triplets over ``[A_ub; A_eq]`` column-wise, summing
+    duplicates (standard COO semantics), into an :class:`LPProblem`."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    n, num_ub = c.size, b_ub.size
+    if rows.size:
+        if int(cols.min()) < 0 or int(cols.max()) >= n:
+            raise ValueError("COO column index out of range")
+        order = np.lexsort((rows, cols))
+        rows, cols, values = rows[order], cols[order], values[order]
+        fresh = np.empty(rows.size, dtype=bool)
+        fresh[0] = True
+        fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        firsts = np.flatnonzero(fresh)
+        values = np.add.reduceat(values, firsts)
+        rows, cols = rows[firsts], cols[firsts]
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    return LPProblem(
+        c=c,
+        bounds=bounds,
+        start=start,
+        index=rows.astype(np.int32),
+        value=values,
+        row_lower=np.concatenate((np.full(num_ub, -np.inf), b_eq)),
+        row_upper=np.concatenate((b_ub, b_eq)),
+        num_ub=num_ub,
+    )
 
 
 class LPProblemBuilder:
     """Assemble an :class:`LPProblem` from COO triplets, vectorized.
 
     The builder is append-only: allocate constraint rows with
-    :meth:`add_eq_rows` / :meth:`add_ub_rows` (optionally passing the
-    block's triplets in the same call), scatter extra coefficients with
+    :meth:`add_eq_rows` (optionally passing the block's triplets in the
+    same call) / :meth:`add_ub_rows`, scatter ``<=`` coefficients with
     :meth:`add_ub_entries`, then :meth:`build`.
     All index/value arguments are numpy arrays (or array-likes); no
     per-coefficient Python loop runs anywhere.
@@ -290,16 +289,12 @@ class LPProblemBuilder:
         self._c = np.zeros(self._n, dtype=np.float64)
         self._lower = np.zeros(self._n, dtype=np.float64)
         self._upper = np.full(self._n, np.inf, dtype=np.float64)
-        self._eq_rows: list[np.ndarray] = []
-        self._eq_cols: list[np.ndarray] = []
-        self._eq_vals: list[np.ndarray] = []
-        self._eq_rhs: list[np.ndarray] = []
-        self._num_eq = 0
-        self._ub_rows: list[np.ndarray] = []
-        self._ub_cols: list[np.ndarray] = []
-        self._ub_vals: list[np.ndarray] = []
-        self._ub_rhs: list[np.ndarray] = []
-        self._num_ub = 0
+        # Triplets per system; a row index is relative to its system.
+        self._triplets: dict[str, list[tuple[np.ndarray, ...]]] = {
+            "ub": [], "eq": [],
+        }
+        self._rhs: dict[str, list[np.ndarray]] = {"ub": [], "eq": []}
+        self._rows = {"ub": 0, "eq": 0}
 
     def set_objective(self, cols: Any, values: Any) -> None:
         """Scatter objective coefficients (``c[cols] = values``)."""
@@ -338,95 +333,66 @@ class LPProblemBuilder:
         ``rhs`` sets the block's right-hand sides.  When triplets are
         given, their ``rows`` are **relative to the new block**.
         """
-        base = self._num_eq
-        rhs_arr = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-        self._eq_rhs.append(rhs_arr)
-        self._num_eq += rhs_arr.size
+        base = self._allocate("eq", rhs)
         if rows is not None:
             self._append(
-                self._eq_rows, self._eq_cols, self._eq_vals,
-                np.asarray(rows, dtype=np.int64) + base, cols, values,
+                "eq", np.asarray(rows, dtype=np.int64) + base, cols, values
             )
         return base
 
-    def add_ub_rows(
-        self,
-        rhs: Any,
-        rows: Any = None,
-        cols: Any = None,
-        values: Any = None,
-    ) -> int:
-        """Allocate a block of ``<=`` rows; returns the base row index."""
-        base = self._num_ub
-        rhs_arr = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-        self._ub_rhs.append(rhs_arr)
-        self._num_ub += rhs_arr.size
-        if rows is not None:
-            self._append(
-                self._ub_rows, self._ub_cols, self._ub_vals,
-                np.asarray(rows, dtype=np.int64) + base, cols, values,
-            )
-        return base
+    def add_ub_rows(self, rhs: Any) -> int:
+        """Allocate a block of ``<=`` rows; returns the base row index.
+        :meth:`add_ub_entries` fills them."""
+        return self._allocate("ub", rhs)
 
     def add_ub_entries(self, rows: Any, cols: Any, values: Any) -> None:
         """COO entries into already-allocated ``<=`` rows (absolute
         row indices)."""
-        self._append(
-            self._ub_rows, self._ub_cols, self._ub_vals,
-            np.asarray(rows, dtype=np.int64), cols, values,
-        )
+        self._append("ub", np.asarray(rows, dtype=np.int64), cols, values)
 
-    @staticmethod
+    def _allocate(self, system: str, rhs: Any) -> int:
+        base = self._rows[system]
+        rhs_arr = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
+        self._rhs[system].append(rhs_arr)
+        self._rows[system] += rhs_arr.size
+        return base
+
     def _append(
-        rows_list: list[np.ndarray],
-        cols_list: list[np.ndarray],
-        vals_list: list[np.ndarray],
-        rows: np.ndarray,
-        cols: Any,
-        values: Any,
+        self, system: str, rows: np.ndarray, cols: Any, values: Any
     ) -> None:
         cols_arr = np.asarray(cols, dtype=np.int64).ravel()
         vals_arr = np.asarray(values, dtype=np.float64).ravel()
         rows = rows.ravel()
         if not (rows.size == cols_arr.size == vals_arr.size):
             raise ValueError("COO triplet arrays must have equal length")
-        rows_list.append(rows)
-        cols_list.append(cols_arr)
-        vals_list.append(vals_arr)
+        self._triplets[system].append((rows, cols_arr, vals_arr))
 
     def build(self) -> LPProblem:
-        """The canonical sparse :class:`LPProblem`."""
-
-        def _concat(parts: list[np.ndarray], dtype: type) -> np.ndarray:
-            if not parts:
-                return np.empty(0, dtype=dtype)
-            return np.concatenate(parts)
-
-        a_eq = a_ub = None
-        b_eq = b_ub = None
-        if self._num_eq:
-            a_eq = CSRMatrix.from_coo(
-                _concat(self._eq_rows, np.int64),
-                _concat(self._eq_cols, np.int64),
-                _concat(self._eq_vals, np.float64),
-                (self._num_eq, self._n),
-            )
-            b_eq = _concat(self._eq_rhs, np.float64)
-        if self._num_ub:
-            a_ub = CSRMatrix.from_coo(
-                _concat(self._ub_rows, np.int64),
-                _concat(self._ub_cols, np.int64),
-                _concat(self._ub_vals, np.float64),
-                (self._num_ub, self._n),
-            )
-            b_ub = _concat(self._ub_rhs, np.float64)
-        return LPProblem(
-            c=self._c,
-            a_ub=a_ub,
-            b_ub=b_ub,
-            a_eq=a_eq,
-            b_eq=b_eq,
-            bounds=np.column_stack((self._lower, self._upper)),
+        """The :class:`LPProblem`: equality rows follow the ``<=`` rows."""
+        shift = {"ub": 0, "eq": self._rows["ub"]}
+        parts = []
+        for system in ("ub", "eq"):
+            for rows, cols, vals in self._triplets[system]:
+                if rows.size and not (
+                    0 <= rows.min() and rows.max() < self._rows[system]
+                ):
+                    raise ValueError("COO row index out of range")
+                parts.append((rows + shift[system], cols, vals))
+        rows, cols, vals = (
+            [np.concatenate(column) for column in zip(*parts)]
+            if parts
+            else (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+        )
+        b_ub, b_eq = (
+            np.concatenate(self._rhs[system])
+            if self._rhs[system]
+            else np.empty(0)
+            for system in ("ub", "eq")
+        )
+        return _from_coo(
+            self._c,
+            np.column_stack((self._lower, self._upper)),
+            rows, cols, vals, b_ub, b_eq,
         )
 
 
@@ -551,9 +517,8 @@ class TalliedBackend:
 
     Subclasses implement :meth:`_solve` (and optionally
     :meth:`_solve_batch`; the default solves sequentially);
-    :meth:`solve` / :meth:`solve_batch` wrap them with canonical-form
-    validation, wall-clock measurement and :class:`SolverTally`
-    bookkeeping.
+    :meth:`solve` / :meth:`solve_batch` wrap them with wall-clock
+    measurement and :class:`SolverTally` bookkeeping.
     """
 
     name = "abstract"
@@ -561,21 +526,10 @@ class TalliedBackend:
     def __init__(self) -> None:
         self.tally = SolverTally()
 
-    def _admit(self, problem: LPProblem) -> LPProblem:
-        if problem.is_canonical:
-            return problem
-        raise ValueError(
-            "LPBackend.solve() requires a canonical LPProblem (sparse "
-            "matrices, array bounds); assemble problems with "
-            "LPProblemBuilder or convert with LPProblem.from_dense() — "
-            "the dense-field deprecation shim has been removed"
-        )
-
     def solve(
         self, problem: LPProblem, warm_start: object = None
     ) -> LPSolution:
         """Inert keyword: the e2e ``TracedBackend`` forwards it (ROADMAP 1b)."""
-        problem = self._admit(problem)
         start = time.perf_counter()
         solution = self._solve(problem)
         wall_ms = (time.perf_counter() - start) * 1000.0
@@ -587,17 +541,16 @@ class TalliedBackend:
         self, problems: Sequence[LPProblem], warm_starts: object = None
     ) -> list[LPSolution]:
         """Inert keyword: the e2e ``TracedBackend`` forwards it (ROADMAP 1b)."""
-        admitted = [self._admit(p) for p in problems]
         start = time.perf_counter()
-        solutions = self._solve_batch(admitted)
+        solutions = self._solve_batch(problems)
         wall_ms = (time.perf_counter() - start) * 1000.0
-        share = wall_ms / len(admitted) if admitted else 0.0
+        share = wall_ms / len(problems) if problems else 0.0
         stamped: list[LPSolution] = []
-        for problem, solution in zip(admitted, solutions):
+        for problem, solution in zip(problems, solutions):
             solution = replace(solution, wall_ms=share)
             self.tally.record(problem, solution)
             stamped.append(solution)
-        self.tally.record_batch(len(admitted))
+        self.tally.record_batch(len(problems))
         return stamped
 
     def _solve(self, problem: LPProblem) -> LPSolution:

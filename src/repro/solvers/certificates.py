@@ -55,25 +55,14 @@ def _shifted_arrays(
     the right-hand sides absorb the lower bounds and ``uppers`` are the
     shifted finite upper bounds of the variables in ``upper_indices``.
     """
-    problem = problem.canonical()
-    n = problem.num_variables
     bounds = problem.bounds
     lows = bounds[:, 0].astype(float)
     finite_upper = np.isfinite(bounds[:, 1])
     upper_idx = np.flatnonzero(finite_upper)
     uppers = bounds[upper_idx, 1] - lows[upper_idx]
-    a_eq = problem.a_eq.to_dense() if problem.a_eq is not None else None
-    b_eq = (
-        np.asarray(problem.b_eq, dtype=float) - a_eq @ lows
-        if a_eq is not None
-        else None
-    )
-    a_ub = problem.a_ub.to_dense() if problem.a_ub is not None else None
-    b_ub = (
-        np.asarray(problem.b_ub, dtype=float) - a_ub @ lows
-        if a_ub is not None
-        else None
-    )
+    a_eq, a_ub = problem.a_eq, problem.a_ub
+    b_eq = None if a_eq is None else problem.b_eq - a_eq @ lows
+    b_ub = None if a_ub is None else problem.b_ub - a_ub @ lows
     return a_eq, b_eq, a_ub, b_ub, upper_idx.astype(int), uppers
 
 
@@ -142,7 +131,6 @@ def infeasibility_certificate(
     prove at this precision (callers must treat ``None`` as "no
     verdict", never as "feasible").
     """
-    problem = problem.canonical()
     a_eq, b_eq, a_ub, b_ub, upper_idx, uppers = _shifted_arrays(problem)
     n = problem.num_variables
     m_eq = 0 if b_eq is None else len(b_eq)
@@ -164,20 +152,23 @@ def infeasibility_certificate(
         c[m_eq + m_ub :] = uppers
 
     # The aux constraint matrix is the transposed primal data, assembled
-    # as triplets: a COO entry (i, j, v) of A_eq becomes (j, i, v) here,
-    # one of A_ub becomes (j, m_eq + i, -v).
+    # as triplets: an entry (i, j, v) of A_eq becomes (j, i, v) here,
+    # one of A_ub becomes (j, m_eq + i, -v).  The primal stacks A_ub
+    # over A_eq, so its row i is an A_ub row when i < m_ub.
     builder = LPProblemBuilder(total)
     builder.set_objective_vector(c)
     if m_eq:
         builder.set_lower(np.arange(m_eq), np.full(m_eq, -1.0))
     builder.set_upper(np.arange(total), np.ones(total))
     builder.add_ub_rows(np.zeros(n))
-    if problem.a_eq is not None:
-        r, cc, v = problem.a_eq.coo()
-        builder.add_ub_entries(cc, r, v)
-    if problem.a_ub is not None:
-        r, cc, v = problem.a_ub.coo()
-        builder.add_ub_entries(cc, m_eq + r, -v)
+    cols = np.repeat(np.arange(n), np.diff(problem.start))
+    rows = problem.index.astype(np.int64)
+    in_ub = rows < m_ub
+    builder.add_ub_entries(
+        cols,
+        np.where(in_ub, m_eq + rows, rows - m_ub),
+        np.where(in_ub, -problem.value, problem.value),
+    )
     if m_up:
         builder.add_ub_entries(
             upper_idx,

@@ -1,21 +1,27 @@
 """A persistent in-process driver for scipy's bundled HiGHS solver.
 
 ``scipy.optimize.linprog`` constructs a fresh ``Highs`` object, options
-set and CSC copy of the model on *every* call — measured at ~2.25 ms per
-call inside the compile pipeline, of which the actual simplex solve is
-~0.4 ms.  The compiler's hot loop makes hundreds of LP calls per
-schedule, so this module keeps **one** ``Highs`` instance alive per
-backend and passes models to it directly, replicating linprog's exact
-option set and model layout so solutions (primal, duals, iteration
-counts) are bit-identical to what ``linprog(method="highs")`` returns.
+set and CSC copy of the model on *every* call.  The compiler's hot loop
+makes hundreds of LP calls per schedule, so this module keeps **one**
+``Highs`` instance alive per backend, replicating linprog's exact option
+set and model layout so solutions (primal, duals, iteration counts) are
+bit-identical to what ``linprog(method="highs")`` returns.  An
+:class:`~repro.solvers.base.LPProblem` already is HiGHS' column-wise
+layout, so a solve passes its arrays as they are (HiGHS' pointer form of
+``passModel``; ``kHighsInf`` is ``inf``, so open sides need no
+translation) and reads back the solution, the objective and two
+iteration counters.  What is left per call is HiGHS' own cost: on a
+5-column, 9-row allocation LP ``run()`` is about four fifths of
+:meth:`HighsEngine.solve` (EXPERIMENTS.md "The LP hand-over").
 
-On top of the single-solve path, :meth:`HighsEngine.solve_stitched`
-solves several independent LPs stitched into one block-diagonal model in
-a single HiGHS call and de-stitches them into per-block
-:class:`~repro.solvers.base.LPSolution` values.  By separability each
-block's objective value is exactly the block's own optimum (the block
-may sit at a different optimal vertex than a standalone solve would
-pick — callers that need a specific vertex solve sequentially).
+:meth:`HighsEngine.solve_stitched` solves several independent LPs as one
+block-diagonal model in a single HiGHS call — the model is the blocks'
+arrays concatenated, with row indices and column starts offset — and
+de-stitches it into per-block :class:`~repro.solvers.base.LPSolution`
+values.  By separability each block's objective value is exactly the
+block's own optimum (the block may sit at a different optimal vertex
+than a standalone solve would pick — callers that need a specific vertex
+solve sequentially).
 
 Everything here degrades gracefully: :func:`available` is False when
 scipy (or its private ``_highspy`` layout) is missing, and
@@ -125,7 +131,6 @@ def _api() -> dict[str, Any] | None:
                 _API = {
                     "hc": hc,
                     "simplex_constants": hc.simplex_constants,
-                    "inf": float(hc.kHighsInf),
                 }
             except Exception:  # pragma: no cover - no-scipy CI job
                 _UNAVAILABLE = True
@@ -135,41 +140,6 @@ def _api() -> dict[str, Any] | None:
 def available() -> bool:
     """True when the direct HiGHS bindings can be imported."""
     return _api() is not None
-
-
-def _structure_signature(problem: LPProblem) -> tuple[int, int, int]:
-    """(columns, ub rows, eq rows) of a problem."""
-    m_ub = 0 if problem.b_ub is None else len(problem.b_ub)
-    m_eq = 0 if problem.b_eq is None else len(problem.b_eq)
-    return (problem.num_variables, m_ub, m_eq)
-
-
-def _block_coo(
-    problem: LPProblem, row_offset: int, col_offset: int, m_ub_local: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO triplets of one problem's stacked [A_ub; A_eq] block, with
-    the ub rows first (linprog's row order) and global offsets applied."""
-    parts_r: list[np.ndarray] = []
-    parts_c: list[np.ndarray] = []
-    parts_v: list[np.ndarray] = []
-    if problem.a_ub is not None:
-        r, c, v = problem.a_ub.coo()
-        parts_r.append(r + row_offset)
-        parts_c.append(c + col_offset)
-        parts_v.append(v)
-    if problem.a_eq is not None:
-        r, c, v = problem.a_eq.coo()
-        parts_r.append(r + row_offset + m_ub_local)
-        parts_c.append(c + col_offset)
-        parts_v.append(v)
-    if not parts_r:
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i, np.empty(0, dtype=np.float64)
-    return (
-        np.concatenate(parts_r),
-        np.concatenate(parts_c),
-        np.concatenate(parts_v),
-    )
 
 
 class HighsEngine:
@@ -185,8 +155,13 @@ class HighsEngine:
             raise RuntimeError("scipy HiGHS bindings are not available")
         hc = api["hc"]
         self._hc = hc
-        self._inf = api["inf"]
         self._highs = hc._Highs()
+        self._optimal = hc.HighsModelStatus.kOptimal
+        self._colwise = int(hc.MatrixFormat.kColwise)
+        self._minimize = int(hc.ObjSense.kMinimize)
+        self._optimal_message = status_message(
+            self._optimal, self._highs.modelStatusToString(self._optimal)
+        )
         # Replicate linprog's effective option set exactly (bools that
         # HiGHS models as strings, the dual-simplex strategy default,
         # silenced logging).
@@ -200,118 +175,83 @@ class HighsEngine:
         )
         self._highs.passOptions(options)
 
-    # -- model assembly ------------------------------------------------
+    # -- model hand-over -----------------------------------------------
 
-    def _pass_model(
-        self,
-        c: np.ndarray,
-        bounds: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-        lhs: np.ndarray,
-        rhs: np.ndarray,
-    ) -> None:
-        hc = self._hc
-        num_col = int(c.size)
-        num_row = int(rhs.size)
-        # CSC layout (sorted by column, then row), int32 indices — the
-        # same canonical structure scipy's csc_array hands linprog.
-        order = np.lexsort((rows, cols))
-        csc_rows = rows[order].astype(np.int32)
-        csc_vals = values[order]
-        counts = np.bincount(cols, minlength=num_col)
-        indptr = np.zeros(num_col + 1, dtype=np.int32)
-        indptr[1:] = np.cumsum(counts)
-        lb = np.where(np.isinf(bounds[:, 0]), -self._inf, bounds[:, 0])
-        ub = np.where(np.isinf(bounds[:, 1]), self._inf, bounds[:, 1])
-        lhs = np.where(np.isneginf(lhs), -self._inf, lhs)
-        rhs = np.where(np.isposinf(rhs), self._inf, rhs)
-        lp = hc.HighsLp()
-        lp.num_col_ = num_col
-        lp.num_row_ = num_row
-        lp.a_matrix_.num_col_ = num_col
-        lp.a_matrix_.num_row_ = num_row
-        lp.a_matrix_.format_ = hc.MatrixFormat.kColwise
-        lp.col_cost_ = c
-        lp.col_lower_ = lb
-        lp.col_upper_ = ub
-        lp.row_lower_ = lhs
-        lp.row_upper_ = rhs
-        lp.a_matrix_.start_ = indptr
-        lp.a_matrix_.index_ = csc_rows
-        lp.a_matrix_.value_ = csc_vals
+    def _pass_model(self, problems: Sequence[LPProblem]) -> None:
+        """Hand HiGHS one problem, or several as one block-diagonal model.
+
+        An :class:`LPProblem` already is HiGHS' column-wise layout, so a
+        single problem passes its arrays as they are and stitching is
+        concatenation, each block's row indices and column starts
+        shifted by the rows and entries before it.
+        """
+        if len(problems) == 1:
+            (one,) = problems
+            c, bounds = one.c, one.bounds
+            start, index, value = one.start, one.index, one.value
+            row_lower, row_upper = one.row_lower, one.row_upper
+        else:
+            starts, indices = [np.zeros(1, dtype=np.int32)], []
+            nnz = rows = 0
+            for problem in problems:
+                starts.append(problem.start[1:] + nnz)
+                indices.append(problem.index + rows)
+                nnz += problem.value.size
+                rows += problem.row_upper.size
+            c = np.concatenate([p.c for p in problems])
+            bounds = np.concatenate([p.bounds for p in problems])
+            start, index = np.concatenate(starts), np.concatenate(indices)
+            value = np.concatenate([p.value for p in problems])
+            row_lower = np.concatenate([p.row_lower for p in problems])
+            row_upper = np.concatenate([p.row_upper for p in problems])
         self._highs.clearModel()
         self._highs.clearSolver()
-        self._highs.passModel(lp)
+        # HiGHS' pointer form: sizes, column-wise format, minimise with
+        # no offset, the arrays, every column continuous.
+        self._highs.passModel(
+            c.size, row_upper.size, value.size, self._colwise,
+            self._minimize, 0.0, c, bounds[:, 0], bounds[:, 1],
+            row_lower, row_upper, start, index, value,
+            np.zeros(c.size, dtype=np.int32),
+        )
 
-    def _run(self) -> tuple[bool, Any, str, int]:
+    def _run(self) -> tuple[bool, str, int]:
         highs = self._highs
         highs.run()
         model_status = highs.getModelStatus()
-        ok = model_status == self._hc.HighsModelStatus.kOptimal
-        info = highs.getInfo()
-        # Compose the raw message the way scipy's wrapper does (plain
-        # status string on success, status+primal detail otherwise) so
-        # the scipy-level translation yields linprog's exact text.
-        if ok:
-            raw = highs.modelStatusToString(model_status)
-        else:
-            raw = (
-                "model_status is "
-                f"{highs.modelStatusToString(model_status)}; "
-                "primal_status is "
-                f"{highs.solutionStatusToString(info.primal_solution_status)}"
-            )
-        message = status_message(model_status, raw)
         iterations = max(
-            int(info.simplex_iteration_count), int(info.ipm_iteration_count)
+            highs.getInfoValue("simplex_iteration_count")[1],
+            highs.getInfoValue("ipm_iteration_count")[1],
+            0,
         )
-        return ok, info, message, max(iterations, 0)
+        if model_status == self._optimal:
+            return True, self._optimal_message, iterations
+        # scipy's wrapper adds the primal status to a failure's text.
+        primal = highs.getInfoValue("primal_solution_status")[1]
+        raw = (
+            f"model_status is {highs.modelStatusToString(model_status)}; "
+            f"primal_status is {highs.solutionStatusToString(primal)}"
+        )
+        return False, status_message(model_status, raw), iterations
 
-    # -- single solve --------------------------------------------------
+    # -- solves ----------------------------------------------------------
 
     def solve(self, problem: LPProblem) -> LPSolution:
-        """Solve one canonical problem; bit-identical to linprog."""
-        _, m_ub, m_eq = _structure_signature(problem)
-        rows, cols, values = _block_coo(problem, 0, 0, m_ub)
-        lhs = np.concatenate(
-            (
-                np.full(m_ub, -np.inf),
-                np.empty(0) if problem.b_eq is None else problem.b_eq,
-            )
-        )
-        rhs = np.concatenate(
-            (
-                np.empty(0) if problem.b_ub is None else problem.b_ub,
-                np.empty(0) if problem.b_eq is None else problem.b_eq,
-            )
-        )
-        self._pass_model(
-            np.asarray(problem.c, dtype=np.float64),
-            problem.bounds,
-            rows,
-            cols,
-            values,
-            lhs,
-            rhs,
-        )
-        ok, info, message, iterations = self._run()
+        """Solve one problem; bit-identical to linprog."""
+        self._pass_model((problem,))
+        ok, message, iterations = self._run()
         if not ok:
             return failure_solution(message, iterations)
         solution = self._highs.getSolution()
-        x = np.array(solution.col_value, dtype=np.float64)
-        dual_rows = np.array(solution.row_dual, dtype=np.float64)
+        duals = np.array(solution.row_dual, dtype=np.float64)
         return LPSolution(
             success=True,
-            x=x,
-            objective=float(info.objective_function_value),
-            dual_eq=dual_rows[m_ub:] if m_eq else np.empty(0),
+            x=np.array(solution.col_value, dtype=np.float64),
+            objective=self._highs.getObjectiveValue(),
+            dual_eq=duals[problem.num_ub :],
             iterations=iterations,
             message=message,
         )
-
-    # -- stitched batch solve ------------------------------------------
 
     def solve_stitched(
         self, problems: Sequence[LPProblem]
@@ -324,67 +264,24 @@ class HighsEngine:
         back to sequential solves so the failing block is identified
         with linprog-identical diagnostics.
         """
-        col_offsets: list[int] = []
-        row_offsets: list[int] = []
-        signatures = [_structure_signature(p) for p in problems]
-        col_base = row_base = 0
-        for n, m_ub, m_eq in signatures:
-            col_offsets.append(col_base)
-            row_offsets.append(row_base)
-            col_base += n
-            row_base += m_ub + m_eq
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        vals_parts: list[np.ndarray] = []
-        lhs_parts: list[np.ndarray] = []
-        rhs_parts: list[np.ndarray] = []
-        for problem, (n, m_ub, m_eq), c_off, r_off in zip(
-            problems, signatures, col_offsets, row_offsets
-        ):
-            r, c, v = _block_coo(problem, r_off, c_off, m_ub)
-            rows_parts.append(r)
-            cols_parts.append(c)
-            vals_parts.append(v)
-            if m_ub:
-                lhs_parts.append(np.full(m_ub, -np.inf))
-                rhs_parts.append(np.asarray(problem.b_ub, dtype=np.float64))
-            if m_eq:
-                b_eq = np.asarray(problem.b_eq, dtype=np.float64)
-                lhs_parts.append(b_eq)
-                rhs_parts.append(b_eq)
-        c_all = np.concatenate(
-            [np.asarray(p.c, dtype=np.float64) for p in problems]
-        )
-        bounds_all = np.concatenate([p.bounds for p in problems])
-        self._pass_model(
-            c_all,
-            bounds_all,
-            np.concatenate(rows_parts) if rows_parts else np.empty(0, np.int64),
-            np.concatenate(cols_parts) if cols_parts else np.empty(0, np.int64),
-            np.concatenate(vals_parts) if vals_parts else np.empty(0),
-            np.concatenate(lhs_parts) if lhs_parts else np.empty(0),
-            np.concatenate(rhs_parts) if rhs_parts else np.empty(0),
-        )
-        ok, info, message, iterations = self._run()
+        self._pass_model(problems)
+        ok, message, iterations = self._run()
         if not ok:
             return None
         solution = self._highs.getSolution()
         x_all = np.array(solution.col_value, dtype=np.float64)
         dual_all = np.array(solution.row_dual, dtype=np.float64)
         out: list[LPSolution] = []
-        for problem, (n, m_ub, m_eq), c_off, r_off in zip(
-            problems, signatures, col_offsets, row_offsets
-        ):
-            x = x_all[c_off : c_off + n]
-            duals = dual_all[r_off + m_ub : r_off + m_ub + m_eq]
+        col = row = 0
+        for problem in problems:
+            n, m = problem.c.size, problem.row_upper.size
+            x = x_all[col : col + n]
             out.append(
                 LPSolution(
                     success=True,
                     x=x,
-                    objective=float(
-                        np.asarray(problem.c, dtype=np.float64) @ x
-                    ),
-                    dual_eq=duals if m_eq else np.empty(0),
+                    objective=float(problem.c @ x),
+                    dual_eq=dual_all[row + problem.num_ub : row + m],
                     # Iterations are a property of the combined solve;
                     # attribute them to the first block so tallies sum
                     # to the true count.
@@ -392,4 +289,6 @@ class HighsEngine:
                     message=message,
                 )
             )
+            col += n
+            row += m
         return out

@@ -1,6 +1,6 @@
 """The integer reference: exact MILP solves and the AssignPaths gap.
 
-:func:`solve_integer` solves a canonical
+:func:`solve_integer` solves an
 :class:`~repro.solvers.base.LPProblem` with integrality restrictions
 via ``scipy.optimize.milp`` (HiGHS branch-and-bound).  It is a function,
 not an :class:`~repro.solvers.base.LPBackend`: column-generation
@@ -53,7 +53,7 @@ def solve_integer(
     integrality: np.ndarray,
     time_limit: float | None = None,
 ) -> LPSolution:
-    """Solve a canonical problem with integrality restrictions.
+    """Solve a problem with integrality restrictions.
 
     ``integrality`` follows the ``scipy.optimize.milp`` convention per
     variable (0 = continuous, 1 = integer).  Returns an
@@ -63,27 +63,22 @@ def solve_integer(
     """
     import time
 
-    from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csc_array
 
-    problem = problem.canonical()
+    matrix = csc_array(
+        (problem.value, problem.index, problem.start),
+        shape=(problem.num_constraints, problem.num_variables),
+    )
     constraints = []
-    if problem.a_eq is not None:
-        a_eq = sparse.csr_matrix(
-            (problem.a_eq.data, problem.a_eq.indices, problem.a_eq.indptr),
-            shape=problem.a_eq.shape,
-        )
-        constraints.append(
-            LinearConstraint(a_eq, problem.b_eq, problem.b_eq)
-        )
-    if problem.a_ub is not None:
-        a_ub = sparse.csr_matrix(
-            (problem.a_ub.data, problem.a_ub.indices, problem.a_ub.indptr),
-            shape=problem.a_ub.shape,
-        )
-        constraints.append(
-            LinearConstraint(a_ub, -np.inf, problem.b_ub)
-        )
+    if problem.b_eq is not None:
+        constraints.append(LinearConstraint(
+            matrix[problem.num_ub :], problem.b_eq, problem.b_eq
+        ))
+    if problem.b_ub is not None:
+        constraints.append(LinearConstraint(
+            matrix[: problem.num_ub], -np.inf, problem.b_ub
+        ))
     options: dict[str, float] = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)

@@ -16,6 +16,11 @@ whole library.  It is a textbook dense tableau simplex:
 - **phase 2** minimises the true objective with artificial columns
   barred from entering.
 
+An LP without rows never reaches the tableau: each variable sits at
+its cost-minimising bound where HiGHS puts it (a zero-cost one at its
+lower bound if finite, else its upper, else 0), and an infinite such
+bound is the unbounded verdict.
+
 Pivoting uses Dantzig's rule (most negative reduced cost, first index on
 ties) and falls back to Bland's anti-cycling rule after a degeneracy
 budget, so every run terminates and — all tie-breaks being index-based —
@@ -24,7 +29,8 @@ is bit-for-bit deterministic across processes and platforms.
 Equality duals come for free: the reduced cost of row ``i``'s identity
 column (its artificial or natural slack) at the phase-2 optimum equals
 ``-y_i``; the column-generation pricer in interval scheduling consumes
-exactly these.
+exactly these.  Without equality rows they are an empty array, as on
+HiGHS.
 
 The tableau is dense and the rule is Bland-safe rather than fast: this
 backend is meant for correctness cross-checks and small fixtures, not
@@ -127,38 +133,47 @@ class ReferenceSimplexBackend(TalliedBackend):
     name = "reference"
 
     def _solve(self, problem: LPProblem) -> LPSolution:
-        c = np.asarray(problem.c, dtype=float)
+        c = problem.c
         n = c.size
-        lows = np.zeros(n)
-        highs: list[float | None] = [None] * n
-        if problem.bounds is not None:
-            bounds = problem.bounds  # canonical (n, 2) array, ±inf open
-            if not np.all(np.isfinite(bounds[:, 0])):
-                return failure_solution("lower bounds must be finite")
-            lows = bounds[:, 0].astype(float).copy()
-            highs = [
-                None if np.isinf(high) else float(high)
-                for high in bounds[:, 1]
-            ]
+        bounds = problem.bounds
+        if problem.num_constraints == 0:
+            # Each column at its cost-minimising bound, as HiGHS puts it
+            # (module docstring); an infinite one is unbounded.
+            lows, highs = bounds[:, 0], bounds[:, 1]
+            x = np.where(c > 0.0, lows, np.where(c < 0.0, highs, lows))
+            free = (c == 0.0) & np.isinf(x)
+            x[free] = np.where(np.isinf(highs[free]), 0.0, highs[free])
+            if np.isinf(x).any():
+                return failure_solution("unbounded (a column without rows)")
+            return LPSolution(
+                success=True,
+                x=x,
+                objective=float(c @ x),
+                dual_eq=np.empty(0),
+                iterations=0,
+                message="optimal (reference simplex)",
+            )
+        if not np.all(np.isfinite(bounds[:, 0])):
+            return failure_solution("lower bounds must be finite")
+        lows = bounds[:, 0].copy()
+        highs = [
+            None if np.isinf(high) else float(high) for high in bounds[:, 1]
+        ]
 
-        # Shifted problem in x' = x - low >= 0.  The sparse constraint
-        # matrices are densified here: this backend is a dense tableau
-        # anyway, and ``to_dense()`` keeps its numerics bit-identical to
-        # the pre-sparse assembly.
+        # Shifted problem in x' = x - low >= 0, on the dense views of
+        # the constraint matrices: this backend is a dense tableau.
         eq_rows: list[np.ndarray] = []
         eq_rhs: list[float] = []
-        if problem.a_eq is not None:
-            a_eq = problem.a_eq.to_dense()
-            b_eq = np.asarray(problem.b_eq, dtype=float) - a_eq @ lows
+        a_eq = problem.a_eq
+        if a_eq is not None:
             eq_rows = list(a_eq)
-            eq_rhs = list(b_eq)
+            eq_rhs = list(problem.b_eq - a_eq @ lows)
         ub_rows: list[np.ndarray] = []
         ub_rhs: list[float] = []
-        if problem.a_ub is not None:
-            a_ub = problem.a_ub.to_dense()
-            b_ub = np.asarray(problem.b_ub, dtype=float) - a_ub @ lows
+        a_ub = problem.a_ub
+        if a_ub is not None:
             ub_rows = list(a_ub)
-            ub_rhs = list(b_ub)
+            ub_rhs = list(problem.b_ub - a_ub @ lows)
         for j, high in enumerate(highs):
             if high is not None:
                 row = np.zeros(n)
@@ -169,8 +184,6 @@ class ReferenceSimplexBackend(TalliedBackend):
         num_eq = len(eq_rows)
         num_ub = len(ub_rows)
         m = num_eq + num_ub
-        if m == 0:
-            return failure_solution("a problem needs at least one constraint")
 
         # Column layout: [x' (n) | slacks (num_ub) | artificials (<= m)].
         # ``sign[i]`` records row negation so duals can be mapped back.
@@ -249,14 +262,12 @@ class ReferenceSimplexBackend(TalliedBackend):
 
         # Dual of row i: -(reduced cost of its identity column), times
         # the row's negation sign.  Dropped redundant rows keep dual 0.
-        dual_eq = None
-        if num_eq:
-            duals = np.zeros(num_eq)
-            for i, original in enumerate(tableau.row_origin):
+        dual_eq = np.zeros(num_eq)
+        if num_eq:  # eq rows have artificials, so phase 1 ran
+            for original in tableau.row_origin:
                 if original < num_eq:
                     col = n + num_ub + art_of_row[original]
-                    duals[original] = -sign[original] * r[col]
-            dual_eq = duals
+                    dual_eq[original] = -sign[original] * r[col]
 
         return LPSolution(
             success=True,

@@ -2,10 +2,11 @@
 
 One method is exposed: ``highs`` (HiGHS picks simplex or IPM itself).
 Solves go through :class:`repro.solvers.highs_engine.HighsEngine`, a
-persistent in-process HiGHS instance configured to be bit-identical to
-``scipy.optimize.linprog`` while skipping its per-call setup cost
-(~2 ms/call in the compile hot loop); if the private bindings the engine
-needs are unavailable, every call falls back to plain ``linprog``.
+persistent in-process HiGHS instance that takes each
+:class:`~repro.solvers.base.LPProblem`'s column-wise arrays as they are
+and is bit-identical to ``scipy.optimize.linprog``; if the private
+bindings the engine needs are unavailable, every call falls back to
+plain ``linprog`` on the problem's dense views.
 
 Beyond single solves, ``solve_batch`` stitches the independent problems
 into one block-diagonal HiGHS solve and de-stitches per-block
@@ -76,9 +77,9 @@ class ScipyLinprogBackend(TalliedBackend):
 
         result = linprog(
             problem.c,
-            A_ub=None if problem.a_ub is None else problem.a_ub.to_dense(),
+            A_ub=problem.a_ub,
             b_ub=problem.b_ub,
-            A_eq=None if problem.a_eq is None else problem.a_eq.to_dense(),
+            A_eq=problem.a_eq,
             b_eq=problem.b_eq,
             bounds=problem.bounds,
             method="highs",
@@ -86,7 +87,7 @@ class ScipyLinprogBackend(TalliedBackend):
         dual_eq = None
         if (
             result.success
-            and problem.a_eq is not None
+            and problem.b_eq is not None
             and getattr(result, "eqlin", None) is not None
         ):
             dual_eq = np.asarray(result.eqlin.marginals, dtype=np.float64)

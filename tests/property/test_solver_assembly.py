@@ -3,13 +3,16 @@
 Two properties over the 48-seed fuzz corpus (the same instances the CI
 conformance-fuzz job compiles):
 
-1. **Assembly identity** — :func:`build_allocation_problem`'s sparse
-   (COO triplet) assembly produces matrices *element-identical* to the
-   legacy per-coefficient dense loops, which are reimplemented verbatim
-   here as the executable specification.  Row order, column order,
-   labels, bounds and right-hand sides all match exactly — not just up
-   to permutation — so downstream consumers (duals diagnoser, Farkas
-   translation) are bit-compatible.
+1. **Assembly identity** — :func:`build_allocation_problem`, which
+   emits the column-wise layout directly, produces the layout that the
+   legacy per-coefficient dense loops (reimplemented verbatim here as
+   the executable specification) give through
+   :meth:`LPProblem.from_dense` — array for array.  Row order, column
+   order, labels, bounds and right-hand sides all match exactly — not
+   just up to permutation — in the compiler's ``z``-scaled form and the
+   diagnoser's fixed-capacity form, with and without feedback caps, so
+   downstream consumers (duals diagnoser, Farkas translation) are
+   bit-compatible.
 
 2. **Batch equivalence** — ``solve_batch`` returns the same verdicts,
    objectives and (for the stitched HiGHS path, per-block optimal)
@@ -132,28 +135,20 @@ def _corpus_subsets(seed):
     return bounds, assignment, maximal_subsets(bounds, assignment)
 
 
-def _dense(matrix):
-    return (
-        np.zeros((0, 0)) if matrix is None else np.asarray(matrix.to_dense())
-    )
-
-
 def _assert_identical(built: AllocationProblem, oracle: AllocationProblem):
     lhs, rhs = built.problem, oracle.problem
-    assert np.array_equal(np.asarray(lhs.c), np.asarray(rhs.c))
-    assert np.array_equal(_dense(lhs.a_eq), _dense(rhs.a_eq))
-    assert np.array_equal(np.asarray(lhs.b_eq), np.asarray(rhs.b_eq))
-    if rhs.a_ub is None:
-        assert lhs.a_ub is None or lhs.a_ub.data.size == 0
-    else:
-        assert np.array_equal(_dense(lhs.a_ub), _dense(rhs.a_ub))
-        assert np.array_equal(np.asarray(lhs.b_ub), np.asarray(rhs.b_ub))
-    assert np.array_equal(
-        np.asarray(lhs.bounds), np.asarray(rhs.canonical().bounds)
-    )
+    for field in LPProblem.__slots__:
+        left, right = getattr(lhs, field), getattr(rhs, field)
+        assert np.array_equal(left, right), field
+        assert np.asarray(left).dtype == np.asarray(right).dtype, field
     assert built.variables == oracle.variables
     assert built.eq_messages == oracle.eq_messages
-    assert built.ub_rows == oracle.ub_rows
+    # Labels exactly: same tags, links and interval ints, same types.
+    assert [
+        tuple((item, type(item)) for item in label) for label in built.ub_rows
+    ] == [
+        tuple((item, type(item)) for item in label) for label in oracle.ub_rows
+    ]
     assert built.fixed_capacity == oracle.fixed_capacity
 
 
@@ -175,15 +170,25 @@ def test_sparse_assembly_matches_legacy_dense(seed):
                     bounds, assignment, subset, fixed_capacity=fixed
                 ),
             )
-        # Feedback-cap rows (the compiler's Fig. 3 arrow) too.
+        # Feedback-cap rows (the compiler's Fig. 3 arrow) too, in both
+        # forms: caps on the first message's first and last intervals, a
+        # negative cap (clamped to 0) and one on an interval no column
+        # of the subset uses (no row).
+        lengths = bounds.intervals.lengths
         ks = bounds.active_intervals(subset[0])
-        caps = {int(ks[0]): 0.5 * bounds.intervals.lengths[int(ks[0])]}
-        _assert_identical(
-            build_allocation_problem(
-                bounds, assignment, subset, interval_caps=caps
-            ),
-            _legacy_dense_assembly(bounds, assignment, subset, caps),
-        )
+        used = {k for name in subset for k in bounds.active_intervals(name)}
+        caps = {ks[-1]: -1.0, ks[0]: 0.5 * lengths[ks[0]]}
+        caps.update((k, 1.0) for k in range(len(lengths)) if k not in used)
+        for fixed in (False, True):
+            _assert_identical(
+                build_allocation_problem(
+                    bounds, assignment, subset, interval_caps=caps,
+                    fixed_capacity=fixed,
+                ),
+                _legacy_dense_assembly(
+                    bounds, assignment, subset, caps, fixed_capacity=fixed
+                ),
+            )
 
 
 @pytest.mark.parametrize("backend_name", available_backends())

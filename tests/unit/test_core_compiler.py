@@ -114,3 +114,12 @@ class TestCompile:
         pytest.importorskip("scipy")
         counts = pins().produce("solvers.lp_counts")
         assert counts == pins().pinned("solvers.lp_counts")
+
+    def test_lp_trace_is_pinned(self):
+        """Every solution the HiGHS backend returns over the seed-0
+        ``matrix_cold`` ops, in call order, equals tests/data/pins.json:
+        a change to how an LP reaches HiGHS that moves one bit of one
+        primal, dual, objective or iteration count names itself."""
+        pytest.importorskip("scipy")
+        trace = pins().produce("solvers.lp_trace")
+        assert trace == pins().pinned("solvers.lp_trace")

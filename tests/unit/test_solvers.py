@@ -13,7 +13,6 @@ import pytest
 from repro.solvers import (
     BACKEND_NAMES,
     LP_TOL,
-    CSRMatrix,
     LPProblem,
     LPProblemBuilder,
     ReferenceSimplexBackend,
@@ -85,10 +84,21 @@ def lp_unbounded():
     )
 
 
+def lp_rowless():
+    """min x + y over x, y >= 0 and no rows: both sit at 0."""
+    return LPProblem.from_dense(c=np.array([1.0, 1.0]))
+
+
+def lp_rowless_unbounded():
+    """min -x over x >= 0 and no rows: x grows without bound."""
+    return LPProblem.from_dense(c=np.array([-1.0, 1.0]))
+
+
 ZOO = {
     "transport": (lp_transport, 2.0),
     "mixed": (lp_mixed, 2.0),
     "shifted": (lp_shifted_bounds, 4.0),
+    "rowless": (lp_rowless, 0.0),
 }
 
 
@@ -173,10 +183,88 @@ class TestReferenceBackend:
 
     @scipy_required
     def test_verdicts_match_scipy_on_pathologies(self):
-        for build in (lp_infeasible, lp_unbounded):
+        for build in (lp_infeasible, lp_unbounded, lp_rowless_unbounded):
             ours = ReferenceSimplexBackend().solve(build())
             scipys = ScipyLinprogBackend().solve(build())
             assert ours.success == scipys.success is False
+        assert "unbounded" in ours.message
+        assert "unbounded" in scipys.message
+
+    @scipy_required
+    def test_rowless_columns_sit_where_scipy_puts_them(self):
+        # Each column at its cost-minimising bound; a zero-cost column
+        # at its lower bound if finite, else its upper, else 0.
+        problems = [
+            lp_rowless(),
+            LPProblem.from_dense(
+                c=[0.0, 0.0, 0.0, -1.0, 0.0],
+                bounds=[(None, 5.0), (None, None), (2.0, 5.0), (2.0, 5.0),
+                        (-3.0, None)],
+            ),
+        ]
+        for problem in problems:
+            ours = ReferenceSimplexBackend().solve(problem)
+            scipys = ScipyLinprogBackend().solve(problem)
+            assert ours.success and scipys.success
+            assert np.array_equal(ours.x, scipys.x)
+            assert ours.objective == scipys.objective
+            assert np.array_equal(ours.dual_eq, scipys.dual_eq)
+        # Inside a batch too: HiGHS stitches the block, reference
+        # solves it alone.
+        batch = [lp_transport(), LPProblem.from_dense(c=[1.0])]
+        ours = ReferenceSimplexBackend().solve_batch(batch)
+        scipys = ScipyLinprogBackend().solve_batch(batch)
+        assert [list(s.x) for s in ours] == [list(s.x) for s in scipys]
+        assert list(ours[1].x) == [0.0]
+
+
+# -- non-finite data is refused where the layout is built -------------------
+
+def _nan_rhs():
+    builder = LPProblemBuilder(1)
+    builder.add_eq_rows([np.nan], rows=[0], cols=[0], values=[1.0])
+    return builder.build()
+
+
+NON_FINITE = {
+    "nan b_eq": (_nan_rhs, "b_eq"),
+    "inf coefficient": (lambda: LPProblem.from_dense(
+        c=[1.0], a_eq=[[np.inf]], b_eq=[1.0]), "the matrix"),
+    "inf b_eq": (lambda: LPProblem.from_dense(
+        c=[1.0], a_eq=[[1.0]], b_eq=[-np.inf]), "b_eq"),
+    "nan coefficient": (lambda: LPProblem.from_dense(
+        c=[1.0], a_ub=[[np.nan]], b_ub=[1.0]), "the matrix"),
+    "inf cost": (lambda: LPProblem.from_dense(c=[np.inf]), "c"),
+    "nan cost": (lambda: LPProblem.from_dense(c=[np.nan]), "c"),
+    "nan b_ub": (lambda: LPProblem.from_dense(
+        c=[1.0], a_ub=[[1.0]], b_ub=[np.nan]), "b_ub"),
+    "nan bound": (lambda: LPProblem.from_dense(
+        c=[1.0], bounds=[(0.0, np.nan)]), "bounds"),
+    "lower +inf": (lambda: LPProblem.from_dense(
+        c=[1.0], bounds=[(np.inf, None)]), "lower bound of \\+inf"),
+    "upper -inf": (lambda: LPProblem.from_dense(
+        c=[1.0], bounds=[(0.0, -np.inf)]), "upper bound of -inf"),
+}
+
+
+@pytest.mark.parametrize("backend_name", available_backends())
+class TestNonFiniteData:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_refused_naming_the_field(self, backend_name, case):
+        build, field = NON_FINITE[case]
+        with pytest.raises(ValueError, match=field):
+            get_backend(backend_name).solve(build())
+
+    def test_open_sides_stay_legal(self, backend_name):
+        problem = LPProblem.from_dense(
+            c=[1.0, -1.0],
+            a_ub=[[1.0, 1.0], [1.0, -1.0]],
+            b_ub=[np.inf, 2.0],
+            bounds=[(-1.0, None), (0.0, 4.0)],
+        )
+        solution = get_backend(backend_name).solve(problem)
+        assert solution.success
+        assert solution.objective == pytest.approx(-5.0)
 
 
 # -- the engine's own status text ---------------------------------------------
@@ -255,10 +343,8 @@ def _builder_mixed():
     """lp_mixed() assembled through the sparse builder."""
     builder = LPProblemBuilder(3)
     builder.set_objective_vector([1.0, 2.0, 0.5])
-    builder.add_ub_rows(
-        [4.0, 5.0], rows=[0, 0, 1, 1], cols=[0, 2, 1, 2],
-        values=[1.0, 1.0, 1.0, 1.0],
-    )
+    builder.add_ub_rows([4.0, 5.0])
+    builder.add_ub_entries([0, 0, 1, 1], [0, 2, 1, 2], [1.0, 1.0, 1.0, 1.0])
     builder.add_eq_rows([3.0], rows=[0, 0, 0], cols=[0, 1, 2],
                         values=[1.0, 1.0, 1.0])
     builder.set_upper([0, 2], [2.5, 2.0])
@@ -269,24 +355,47 @@ class TestSparseAPI:
     def test_builder_matches_dense_assembly(self):
         built = _builder_mixed()
         dense = lp_mixed()
-        assert np.array_equal(built.a_ub.to_dense(), dense.a_ub.to_dense())
-        assert np.array_equal(built.a_eq.to_dense(), dense.a_eq.to_dense())
-        assert np.array_equal(np.asarray(built.c), np.asarray(dense.c))
-        assert np.array_equal(
-            np.asarray(built.bounds), np.asarray(dense.bounds)
-        )
+        for field in LPProblem.__slots__:
+            assert np.array_equal(
+                getattr(built, field), getattr(dense, field)
+            ), field
+        assert np.array_equal(built.a_ub, dense.a_ub)
+        assert np.array_equal(built.a_eq, dense.a_eq)
 
-    def test_csr_round_trips_dense(self):
+    def test_layout_is_column_wise_over_ub_then_eq_rows(self):
+        problem = _builder_mixed()
+        assert problem.start.dtype == problem.index.dtype == np.int32
+        assert problem.start.tolist() == [0, 2, 4, 7]
+        assert problem.index.tolist() == [0, 2, 1, 2, 0, 1, 2]
+        assert problem.row_lower.tolist() == [-np.inf, -np.inf, 3.0]
+        assert problem.row_upper.tolist() == [4.0, 5.0, 3.0]
+        assert problem.num_ub == 2
+
+    def test_dense_round_trips(self):
         dense = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
-        assert np.array_equal(CSRMatrix.from_dense(dense).to_dense(), dense)
+        problem = LPProblem.from_dense(
+            c=np.zeros(3), a_ub=dense[:1], b_ub=[1.0], a_eq=dense[1:],
+            b_eq=[2.0],
+        )
+        assert np.array_equal(problem.a_ub, dense[:1])
+        assert np.array_equal(problem.a_eq, dense[1:])
+        assert problem.value.size == 3  # zeros dropped
 
     def test_coo_duplicates_sum(self):
-        csr = CSRMatrix.from_coo(
-            [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0], shape=(2, 2)
-        )
+        builder = LPProblemBuilder(2)
+        builder.add_ub_rows([1.0, 1.0])
+        builder.add_ub_entries([0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
         assert np.array_equal(
-            csr.to_dense(), np.array([[0.0, 5.0], [1.0, 0.0]])
+            builder.build().a_ub, np.array([[0.0, 5.0], [1.0, 0.0]])
         )
+
+    def test_coo_rows_stay_in_their_system(self):
+        builder = LPProblemBuilder(1)
+        builder.add_ub_rows([1.0])
+        builder.add_ub_entries([1], [0], [1.0])
+        builder.add_eq_rows([1.0])
+        with pytest.raises(ValueError, match="row index out of range"):
+            builder.build()
 
     @pytest.mark.parametrize("backend_name", available_backends())
     def test_builder_problem_solves(self, backend_name):
@@ -295,17 +404,15 @@ class TestSparseAPI:
         assert solution.objective == pytest.approx(2.0, abs=1e-7)
 
     def test_dense_fields_are_rejected(self):
-        # The one-release deprecation shim has expired: dense matrix
-        # fields now raise instead of warning.
-        problem = LPProblem(
-            c=np.array([2.0, 3.0]),
-            a_eq=np.array([[1.0, 1.0]]),
-            b_eq=np.array([1.0]),
-            bounds=[(0.0, None), (0.0, None)],
-        )
-        with pytest.raises(ValueError, match="canonical LPProblem"):
-            ReferenceSimplexBackend().solve(problem)
-        # The explicit conversion path still admits dense data.
+        # The layout is the only constructor; dense data goes through
+        # ``from_dense``.
+        with pytest.raises(TypeError):
+            LPProblem(
+                c=np.array([2.0, 3.0]),
+                a_eq=np.array([[1.0, 1.0]]),
+                b_eq=np.array([1.0]),
+                bounds=[(0.0, None), (0.0, None)],
+            )
         solution = ReferenceSimplexBackend().solve(
             LPProblem.from_dense(
                 c=[2.0, 3.0],
@@ -392,8 +499,8 @@ class TestCompilePathStaysSparse:
         def refuse(*args, **kwargs):
             raise AssertionError("dense conversion on the compile path")
 
-        monkeypatch.setattr(CSRMatrix, "to_dense", refuse)
-        monkeypatch.setattr(CSRMatrix, "from_dense", refuse)
+        monkeypatch.setattr(LPProblem, "_dense_rows", refuse)
+        monkeypatch.setattr(LPProblem, "from_dense", refuse)
 
     @staticmethod
     def compile_point(topology, load, backend):

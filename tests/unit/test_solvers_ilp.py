@@ -47,7 +47,7 @@ class TestIlpBackend:
         assert integer.dual_eq is None
 
     def test_solve_integer_agrees_at_an_integral_vertex(self):
-        problem = small_problem().canonical()
+        problem = small_problem()
         integer = solve_integer(problem, np.array([1, 1]))
         relaxed = get_backend("highs").solve(problem)
         assert integer.success and relaxed.success

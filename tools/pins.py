@@ -49,6 +49,7 @@ from repro.results import RunConfig  # noqa: E402
 from repro.serve.jobs import JobRequest  # noqa: E402
 from repro.serve.worker import execute_request  # noqa: E402
 from repro.solvers import LP_TOL  # noqa: E402
+from repro.solvers.scipy_backend import ScipyLinprogBackend  # noqa: E402
 from repro.topology import binary_hypercube  # noqa: E402
 from repro.topology.routing import links_on_path, lsd_to_msd_route  # noqa: E402
 from repro.trace.tracer import TRACE_CATEGORIES, TraceRecorder  # noqa: E402
@@ -366,6 +367,43 @@ def lp_counts() -> dict:
     return {name: stats[name] for name in ("lp_iterations", "lp_solves", "lp_failures")}
 
 
+def lp_trace() -> dict:
+    """Every ``LPSolution`` the HiGHS backend returns over the seed-0
+    ``matrix_cold`` ops, in call order: the count, and a digest of each
+    solution's verdict, objective (``float.hex``), iterations, message and
+    the bytes of ``x`` and ``dual_eq``."""
+    instances = inputs.Instances()
+    config = CompilerConfig(**inputs.COMPILER_FIELDS, lp_backend="highs")
+    sha, count = hashlib.sha256(), 0
+
+    def record(solution) -> None:
+        nonlocal count
+        count += 1
+        sha.update(repr((solution.success, solution.objective.hex(),
+                         solution.iterations, solution.message)).encode())
+        sha.update(solution.x.tobytes())
+        sha.update(b"-" if solution.dual_eq is None else solution.dual_eq.tobytes())
+
+    def solve(backend, problem, warm_start=None):
+        solution = real_solve(backend, problem)
+        record(solution)
+        return solution
+
+    def solve_batch(backend, problems, warm_starts=None):
+        solutions = real_batch(backend, problems)
+        for solution in solutions:
+            record(solution)
+        return solutions
+
+    real_solve, real_batch = ScipyLinprogBackend.solve, ScipyLinprogBackend.solve_batch
+    with mock.patch.object(ScipyLinprogBackend, "solve", solve), \
+            mock.patch.object(ScipyLinprogBackend, "solve_batch", solve_batch):
+        for op in inputs.op_list("matrix_cold", 0):
+            with contextlib.suppress(SchedulingError):
+                compile_schedule(*instances.compile_op(op), config)
+    return {"solutions": count, "sha256": sha.hexdigest()}
+
+
 def six_cube_repair() -> dict:
     """Repair of a HiGHS compile of DVB(5) on the 6-cube at B=128 and load
     0.5 with links (17, 19), (1, 3) and (1, 5) down: strategy, rerouted
@@ -409,6 +447,7 @@ PINS = {
     "serve.dvb5_stages": (PINS_FILE, served_stages),
     "intervals.mixed_packings": (PINS_FILE, mixed_packings),
     "solvers.lp_counts": (PINS_FILE, lp_counts),
+    "solvers.lp_trace": (PINS_FILE, lp_trace),
     "import.facades": (PINS_FILE, facade_exports),
     "faults.timelines": (PINS_FILE, fault_timelines),
     "faults.six_cube_repair": (PINS_FILE, six_cube_repair),
