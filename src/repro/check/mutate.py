@@ -26,9 +26,8 @@ from typing import Callable
 from repro.core.switching import (
     CommunicationSchedule,
     NodeSchedule,
-    SwitchCommand,
     TransmissionSlot,
-    _slot_commands,
+    node_schedules_of,
 )
 
 
@@ -59,18 +58,7 @@ def _clone(schedule: CommunicationSchedule) -> CommunicationSchedule:
 
 def _rebuild_omega(schedule: CommunicationSchedule) -> None:
     """Regenerate the node schedules as the projection of the slots."""
-    per_node: dict[int, list[SwitchCommand]] = {}
-    for slots in schedule.slots.values():
-        for slot in slots:
-            for command, node in _slot_commands(slot):
-                per_node.setdefault(node, []).append(command)
-    schedule.node_schedules = {
-        node: NodeSchedule(
-            node=node,
-            commands=tuple(sorted(commands, key=lambda c: (c.time, c.message))),
-        )
-        for node, commands in per_node.items()
-    }
+    schedule.node_schedules = node_schedules_of(schedule.slots)
 
 
 def _pick_slot(

@@ -154,9 +154,9 @@ def _descend(state: UtilizationState, bounds: TimeBoundSet) -> int:
         witness = state.peak()
         seen_positions.add(witness.position())
         candidates = _reroutable_messages(state, bounds, witness)
-        best_move: tuple[str, list[int]] | None = None
+        best_move: tuple[str, tuple[int, ...]] | None = None
         best_value = witness.value
-        reposition_move: tuple[str, list[int]] | None = None
+        reposition_move: tuple[str, tuple[int, ...]] | None = None
         for name in candidates:
             for path, outcome in state.evaluate_pool(name):
                 if outcome.value < best_value - EPS:

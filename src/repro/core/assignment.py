@@ -9,7 +9,7 @@ stages consume.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import RoutingError
 from repro.topology.base import Link, Topology
@@ -30,15 +30,16 @@ class PathAssignment:
         path between the message's endpoints.
     validated:
         ``tuple(path) -> links`` memo of paths already validated on
-        ``topology``; assignments of one compile share the
-        ``CandidateFrame``'s, copies inherit their original's.
+        ``topology``; assignments of every compile on one topology object
+        share its ``TopologyTables.validated``, copies inherit their
+        original's.
     """
 
     def __init__(
         self,
         topology: Topology,
         endpoints: Mapping[str, tuple[int, int]],
-        paths: Mapping[str, list[int]],
+        paths: Mapping[str, Sequence[int]],
         validated: dict[tuple[int, ...], tuple[Link, ...]] | None = None,
     ):
         self.topology = topology
@@ -50,7 +51,7 @@ class PathAssignment:
         self._paths: dict[str, tuple[int, ...]] = {}
         self._links: dict[str, tuple[Link, ...]] = {}
         for name in self.endpoints:
-            self.set_path(name, list(paths[name]))
+            self.set_path(name, paths[name])
 
     @property
     def messages(self) -> tuple[str, ...]:
@@ -69,7 +70,7 @@ class PathAssignment:
         """Hop count of the assigned path."""
         return len(self._paths[name]) - 1
 
-    def set_path(self, name: str, path: list[int]) -> None:
+    def set_path(self, name: str, path: Sequence[int]) -> None:
         """Reassign a message to a (validated) minimal path.
 
         The endpoints are compared on every call; the simple / adjacent /

@@ -31,9 +31,8 @@ from typing import Any
 
 from repro.core.switching import (
     CommunicationSchedule,
-    NodeSchedule,
     TransmissionSlot,
-    _slot_commands,
+    node_schedules_of,
 )
 from repro.core.timebounds import MessageTimeBounds, TimeBoundSet
 from repro.errors import ScheduleValidationError
@@ -119,24 +118,10 @@ def schedule_from_dict(data: dict[str, Any]) -> CommunicationSchedule:
         }
         bounds = TimeBoundSet(tau_in, parsed)
 
-    node_commands: dict[int, list] = {}
-    for message_slots in slots.values():
-        for slot in message_slots:
-            for command, node in _slot_commands(slot):
-                node_commands.setdefault(node, []).append(command)
-    node_schedules = {
-        node: NodeSchedule(
-            node=node,
-            commands=tuple(
-                sorted(commands, key=lambda c: (c.time, c.message))
-            ),
-        )
-        for node, commands in node_commands.items()
-    }
     schedule = CommunicationSchedule(
         tau_in=tau_in,
         slots=slots,
-        node_schedules=node_schedules,
+        node_schedules=node_schedules_of(slots),
         bounds=bounds,
         assignment=assignment,
     )

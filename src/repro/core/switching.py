@@ -14,13 +14,16 @@ the CPs execute independently every period.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from repro.core.assignment import PathAssignment
 from repro.core.interval_scheduling import IntervalSchedule
-from repro.core.timebounds import TimeBoundSet
+from repro.core.timebounds import MessageTimeBounds, TimeBoundSet
 from repro.errors import ScheduleValidationError
-from repro.topology.base import Link, link_between
+from repro.topology.base import Link
+from repro.topology.routing import links_on_path
 from repro.units import EPS, le
 
 #: Port sentinel for the node's own application processor buffers.
@@ -73,9 +76,7 @@ class TransmissionSlot:
 
     @property
     def links(self) -> tuple[Link, ...]:
-        return tuple(
-            link_between(u, v) for u, v in zip(self.path, self.path[1:])
-        )
+        return links_on_path(self.path)
 
 
 @dataclass
@@ -114,8 +115,10 @@ class CommunicationSchedule:
     # -- static validation ------------------------------------------------
 
     def validate(self) -> None:
-        """Machine-check the schedule's invariants.
+        """Machine-check the schedule's invariants, in one pass over the slots.
 
+        0. the frame: ``tau_in`` is a positive finite time, and every slot
+           has a finite start and a finite duration longer than ``EPS``;
         1. every message's slots lie inside its timing windows and sum to
            exactly its transmission duration (deadlines are guaranteed);
         2. no two slots ever share a link (contention-freedom, which also
@@ -124,39 +127,50 @@ class CommunicationSchedule:
         3. the node schedules are exactly the per-node projection of the
            slots, and no node connects one channel to two places at once.
 
+        Each distinct path's links and per-node ports are derived once.
         Raises :class:`~repro.errors.ScheduleValidationError` on the first
-        violation.
+        violation, checked in that order.
         """
-        self._validate_slot_coverage()
-        self._validate_link_exclusivity()
-        self._validate_node_schedules()
-
-    def _validate_slot_coverage(self) -> None:
-        if self.bounds is None:
-            return
-        for name, slots in self.slots.items():
-            b = self.bounds.bounds[name]
-            total = sum(s.duration for s in slots)
-            if abs(total - b.duration) > 1e-6 * max(1.0, b.duration):
-                raise ScheduleValidationError(
-                    f"message {name!r}: scheduled {total:.6f} of "
-                    f"{b.duration:.6f} required transmission time"
-                )
-            for slot in slots:
-                if not b.contains(slot.start, slot.end):
-                    raise ScheduleValidationError(
-                        f"message {name!r}: slot [{slot.start:.6f}, "
-                        f"{slot.end:.6f}] outside windows {b.windows}"
-                    )
-
-    def _validate_link_exclusivity(self) -> None:
+        if not (math.isfinite(self.tau_in) and self.tau_in > 0):
+            raise ScheduleValidationError(
+                f"period tau_in={self.tau_in!r} is not a positive finite time"
+            )
         by_link: dict[Link, list[TransmissionSlot]] = {}
-        for slot in self.all_slots():
-            for link in slot.links:
-                by_link.setdefault(link, []).append(slot)
-        for link, slots in by_link.items():
-            slots.sort(key=lambda s: s.start)
-            for first, second in zip(slots, slots[1:]):
+        derived: set[tuple[float, float, Port, Port, str, int]] = set()
+        paths: dict[tuple[int, ...], tuple[tuple[Link, ...], _Hops]] = {}
+        for name, slots in self.slots.items():
+            for slot in slots:
+                if not (
+                    math.isfinite(slot.start)
+                    and math.isfinite(slot.duration)
+                    and slot.duration > EPS
+                ):
+                    raise ScheduleValidationError(
+                        f"message {name!r}: slot of start {slot.start!r} "
+                        f"and duration {slot.duration!r} is not a finite "
+                        f"span longer than {EPS:g}"
+                    )
+            if self.bounds is not None:
+                _check_coverage(self.bounds.bounds[name], name, slots)
+            for slot in slots:
+                known = paths.get(slot.path)
+                if known is None:
+                    known = paths[slot.path] = (
+                        links_on_path(slot.path), _path_hops(slot.path)
+                    )
+                links, hops = known
+                for link in links:
+                    by_link.setdefault(link, []).append(slot)
+                start, duration, message = (
+                    slot.start, slot.duration, slot.message
+                )
+                derived.update(
+                    (start, duration, input_port, output_port, message, node)
+                    for node, input_port, output_port in hops
+                )
+        for link, booked in by_link.items():
+            booked.sort(key=lambda s: s.start)
+            for first, second in zip(booked, booked[1:]):
                 if second.start < first.end - EPS:
                     raise ScheduleValidationError(
                         f"link {link} double-booked: {first.message!r} "
@@ -164,21 +178,23 @@ class CommunicationSchedule:
                         f"{second.message!r} "
                         f"[{second.start:.6f},{second.end:.6f}]"
                     )
+        self._check_node_schedules(derived)
 
-    def _validate_node_schedules(self) -> None:
-        expected = {
-            (cmd.time, cmd.duration, cmd.input_port, cmd.output_port,
-             cmd.message, node)
-            for node, ns in self.node_schedules.items()
-            for cmd in ns.commands
-        }
-        derived = set()
-        for slot in self.all_slots():
-            for cmd, node in _slot_commands(slot):
-                derived.add(
-                    (cmd.time, cmd.duration, cmd.input_port,
-                     cmd.output_port, cmd.message, node)
-                )
+    def _check_node_schedules(
+        self, derived: set[tuple[float, float, Port, Port, str, int]]
+    ) -> None:
+        """Invariant 3 against the command tuples the slots project to."""
+        expected: set[tuple[float, float, Port, Port, str, int]] = set()
+        usage: dict[tuple[int, Port], list[SwitchCommand]] = {}
+        for node, ns in self.node_schedules.items():
+            for cmd in ns.commands:
+                expected.add((cmd.time, cmd.duration, cmd.input_port,
+                              cmd.output_port, cmd.message, node))
+                # AP buffers are per-channel and never conflict (paper
+                # Fig. 2); a channel port carries one command at a time.
+                for port in (cmd.input_port, cmd.output_port):
+                    if port != AP_PORT:
+                        usage.setdefault((node, port), []).append(cmd)
         if expected != derived:
             missing = derived - expected
             spurious = expected - derived
@@ -186,34 +202,63 @@ class CommunicationSchedule:
                 f"node schedules do not match slots: missing={missing} "
                 f"spurious={spurious}"
             )
-        # Channel-port exclusivity per node (AP buffers are per-channel and
-        # never conflict; see paper Fig. 2).
-        for node, ns in self.node_schedules.items():
-            usage: dict[Port, list[SwitchCommand]] = {}
-            for cmd in ns.commands:
-                for port in (cmd.input_port, cmd.output_port):
-                    if port == AP_PORT:
-                        continue
-                    usage.setdefault(port, []).append(cmd)
-            for port, commands in usage.items():
-                commands.sort(key=lambda c: c.time)
-                for first, second in zip(commands, commands[1:]):
-                    if second.time < first.end - EPS:
-                        raise ScheduleValidationError(
-                            f"node {node}: channel to {port} used by "
-                            f"{first.message!r} and {second.message!r} "
-                            "simultaneously"
-                        )
+        for (node, port), commands in usage.items():
+            commands.sort(key=lambda c: c.time)
+            for first, second in zip(commands, commands[1:]):
+                if second.time < first.end - EPS:
+                    raise ScheduleValidationError(
+                        f"node {node}: channel to {port} used by "
+                        f"{first.message!r} and {second.message!r} "
+                        "simultaneously"
+                    )
 
 
-def _slot_commands(slot: TransmissionSlot):
-    """The per-node switching commands realizing one transmission slot."""
-    path = slot.path
-    for position, node in enumerate(path):
-        input_port: Port = AP_PORT if position == 0 else path[position - 1]
-        output_port: Port = (
-            AP_PORT if position == len(path) - 1 else path[position + 1]
+def _check_coverage(
+    bound: MessageTimeBounds,
+    name: str,
+    slots: tuple[TransmissionSlot, ...],
+) -> None:
+    """Invariant 1 for one message."""
+    total = sum(s.duration for s in slots)
+    if abs(total - bound.duration) > 1e-6 * max(1.0, bound.duration):
+        raise ScheduleValidationError(
+            f"message {name!r}: scheduled {total:.6f} of "
+            f"{bound.duration:.6f} required transmission time"
         )
+    for slot in slots:
+        if not bound.contains(slot.start, slot.end):
+            raise ScheduleValidationError(
+                f"message {name!r}: slot [{slot.start:.6f}, "
+                f"{slot.end:.6f}] outside windows {bound.windows}"
+            )
+
+
+#: ``(node, input port, output port)`` of each CP along a path.
+_Hops = tuple[tuple[int, Port, Port], ...]
+
+
+def _path_hops(path: tuple[int, ...]) -> _Hops:
+    """The crossbar setting each node of ``path`` makes for it: the
+    source connects its AP output buffer, an intermediate node its
+    incoming channel to the outgoing one, the destination the last
+    channel to its AP input buffer."""
+    last = len(path) - 1
+    return tuple(
+        (
+            node,
+            AP_PORT if position == 0 else path[position - 1],
+            AP_PORT if position == last else path[position + 1],
+        )
+        for position, node in enumerate(path)
+    )
+
+
+def _slot_commands(slot: TransmissionSlot, hops: _Hops | None = None):
+    """The per-node switching commands realizing one transmission slot
+    (``hops``: its path's :func:`_path_hops`, when the caller has them)."""
+    if hops is None:
+        hops = _path_hops(slot.path)
+    for node, input_port, output_port in hops:
         yield (
             SwitchCommand(
                 time=slot.start,
@@ -224,6 +269,30 @@ def _slot_commands(slot: TransmissionSlot):
             ),
             node,
         )
+
+
+def node_schedules_of(
+    slots: Mapping[str, Sequence[TransmissionSlot]],
+) -> dict[int, NodeSchedule]:
+    """Omega as the per-node projection of ``slots``: each node's
+    commands in ``(time, message)`` order (nodes without any are
+    absent)."""
+    node_commands: dict[int, list[SwitchCommand]] = {}
+    hops: dict[tuple[int, ...], _Hops] = {}
+    for message_slots in slots.values():
+        for slot in message_slots:
+            path_hops = hops.get(slot.path)
+            if path_hops is None:
+                path_hops = hops[slot.path] = _path_hops(slot.path)
+            for command, node in _slot_commands(slot, path_hops):
+                node_commands.setdefault(node, []).append(command)
+    return {
+        node: NodeSchedule(
+            node=node,
+            commands=tuple(sorted(commands, key=lambda c: (c.time, c.message))),
+        )
+        for node, commands in node_commands.items()
+    }
 
 
 def build_schedule(
@@ -264,24 +333,11 @@ def build_schedule(
                     f"{end:.6f}"
                 )
 
-    node_commands: dict[int, list[SwitchCommand]] = {}
     frozen_slots = {name: tuple(s) for name, s in slots.items()}
-    for message_slots in frozen_slots.values():
-        for slot in message_slots:
-            for cmd, node in _slot_commands(slot):
-                node_commands.setdefault(node, []).append(cmd)
-
-    node_schedules = {
-        node: NodeSchedule(
-            node=node,
-            commands=tuple(sorted(commands, key=lambda c: (c.time, c.message))),
-        )
-        for node, commands in node_commands.items()
-    }
     schedule = CommunicationSchedule(
         tau_in=bounds.tau_in,
         slots=frozen_slots,
-        node_schedules=node_schedules,
+        node_schedules=node_schedules_of(frozen_slots),
         bounds=bounds,
         assignment=assignment.as_dict(),
     )

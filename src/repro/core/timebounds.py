@@ -67,9 +67,10 @@ class MessageTimeBounds:
 
     def contains(self, start: float, end: float) -> bool:
         """True when ``[start, end]`` lies inside one of the windows."""
-        return any(
-            le(ws, start) and le(end, we) for ws, we in self.windows
-        )
+        for ws, we in self.windows:
+            if le(ws, start) and le(end, we):
+                return True
+        return False
 
 
 class IntervalSet:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -147,20 +148,96 @@ class PeakWitness:
         return f"link {self.link}"
 
 
+class CandidateTable(NamedTuple):
+    """One candidate pool of a topology: the minimal ``src -> dst`` paths
+    (capped at ``max_paths``, in enumeration order — the order the
+    heuristic's RNG consumes them in) and the links they cross."""
+
+    paths: tuple[tuple[int, ...], ...]
+    touched: "_Touched"
+
+
+class TopologyTables:
+    """What AssignPaths reads that depends on one topology object alone.
+
+    The sorted link list and its index, the :class:`CandidateTable` of
+    every ``(src, dst, max_paths)`` asked for, and the memo of paths
+    validated on the topology (``tuple(path) -> links``, see
+    ``PathAssignment.set_path``).  One per object
+    (:func:`topology_tables`), shared by every compile on it: nothing
+    here depends on an instance, its bounds or its load, the tables and
+    the link index are immutable, and the validated memo only gains
+    paths that passed every check.
+    """
+
+    def __init__(self, topology: Topology) -> None:
+        self.link_list: tuple[Link, ...] = tuple(sorted(topology.links))
+        self.link_index: Mapping[Link, int] = MappingProxyType(
+            {link: j for j, link in enumerate(self.link_list)}
+        )
+        self.validated: dict[tuple[int, ...], tuple[Link, ...]] = {}
+        self._tables: dict[tuple[int, int, int | None], CandidateTable] = {}
+
+    def table(
+        self, topology: Topology, src: int, dst: int, max_paths: int | None
+    ) -> CandidateTable:
+        """The candidate table of ``src -> dst`` on ``topology`` (this
+        object's owner), enumerated on first use."""
+        key = (src, dst, max_paths)
+        table = self._tables.get(key)
+        if table is None:
+            paths = tuple(
+                tuple(path)
+                for path in topology.minimal_path_pool(src, dst, max_paths)
+            )
+            table = self._tables[key] = CandidateTable(
+                paths, self.touched_by(paths)
+            )
+        return table
+
+    def touched_by(self, paths: Sequence[Sequence[int]]) -> "_Touched":
+        """The links any of ``paths`` crosses, and how a move between
+        two of them leaves each (see :class:`_Touched`)."""
+        incidence = np.zeros((len(paths), len(self.link_list)), np.int8)
+        for c, path in enumerate(paths):
+            incidence[
+                c, [self.link_index[link] for link in links_on_path(path)]
+            ] = 1
+        rows = np.flatnonzero(incidence.any(axis=0))
+        on = incidence[:, rows].astype(np.int32)
+        touched = _Touched(
+            rows,
+            frozenset(rows.tolist()),
+            on * rows.size + np.arange(rows.size, dtype=np.int32),
+            (1 - on) * rows.size,
+        )
+        for array in (touched.rows, touched.enter, touched.leave):
+            array.setflags(write=False)
+        return touched
+
+
+def topology_tables(topology: Topology) -> TopologyTables:
+    """``topology``'s :class:`TopologyTables`, built on first use."""
+    tables = topology.candidate_tables
+    if tables is None:
+        tables = topology.candidate_tables = TopologyTables(topology)
+    return tables
+
+
 class CandidateFrame:
     """What AssignPaths reads that no attempt, restart or candidate changes.
 
     One per compile (``CompilationContext.frame``, built by the first
     ``AssignPathsStage`` run), shared by every :class:`UtilizationState`,
     :class:`~repro.core.assignment.PathAssignment` and utilisation
-    report of that compile: the sorted link list and its index, the
-    per-message constants (durations, forced loads, active-interval
-    ids), the candidate pools of ``endpoints`` (enumerated here, in
-    endpoint order — the order the heuristic's RNG consumes them in),
-    and three memos: link tuple → row ids and (link, interval) cells,
-    validated path → links, and message → the links its pool crosses.
-    It holds nothing that depends on the current assignment, so sharing
-    it moves no float.
+    report of that compile: the per-message constants (durations, forced
+    loads, active-interval ids), the :class:`CandidateTable` of each of
+    ``endpoints`` (in endpoint order) and a memo of link tuple → row ids
+    and (link, interval) cells.  The link index, the tables and the
+    validated-path memo are the topology's own (:class:`TopologyTables`),
+    so a later compile on the same topology object enumerates no pool
+    and validates no path again.  It holds nothing that depends on the
+    current assignment, so sharing it moves no float.
     """
 
     def __init__(
@@ -170,10 +247,12 @@ class CandidateFrame:
         endpoints: Mapping[str, tuple[int, int]] | None = None,
         max_paths: int | None = None,
     ) -> None:
-        self.link_list = sorted(topology.links)
-        self.link_index: dict[Link, int] = {
-            link: j for j, link in enumerate(self.link_list)
-        }
+        self.shared = shared = topology_tables(topology)
+        self.link_list = shared.link_list
+        self.link_index = shared.link_index
+        #: ``tuple(path) -> links`` of paths already validated on
+        #: ``topology`` (see ``PathAssignment.set_path``).
+        self.validated = shared.validated
         self.lengths = np.asarray(bounds.intervals.lengths)
         self.durations = np.array(
             [bounds.bounds[m].duration for m in bounds.order]
@@ -184,23 +263,23 @@ class CandidateFrame:
         self.forced = forced_load_matrix(bounds)
         # Per-message active interval ids.
         self.active_ks = [np.flatnonzero(row) for row in bounds.activity]
-        self.pools: dict[str, list[list[int]]] = {
-            name: topology.minimal_path_pool(src, dst, max_paths)
+        self.tables: dict[str, CandidateTable] = {
+            name: shared.table(topology, src, dst, max_paths)
             for name, (src, dst) in (endpoints or {}).items()
         }
-        #: ``tuple(path) -> links`` of paths already validated on
-        #: ``topology`` (see ``PathAssignment.set_path``).
-        self.validated: dict[tuple[int, ...], tuple[Link, ...]] = {}
+        self.pools: dict[str, tuple[tuple[int, ...], ...]] = {
+            name: table.paths for name, table in self.tables.items()
+        }
         self._rows: dict[
             tuple[Link, ...], tuple[np.ndarray, np.ndarray]
         ] = {}
-        self._touched: dict[str, _Touched] = {}
 
     def link_rows(
         self, links: tuple[Link, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Row ids of a path's links, and the flat ``row * K + k`` ids of
-        their (link, interval) cells, link-major (memoised)."""
+        their (link, interval) cells, link-major (memoised per frame:
+        the cells depend on the interval count)."""
         pair = self._rows.get(links)
         if pair is None:
             rows = np.fromiter(
@@ -213,28 +292,6 @@ class CandidateFrame:
             pair = self._rows[links] = (rows, cells)
         return pair
 
-    def touched(self, name: str) -> "_Touched":
-        """:meth:`touched_by` ``name``'s candidate pool (built once)."""
-        touched = self._touched.get(name)
-        if touched is None:
-            touched = self._touched[name] = self.touched_by(self.pools[name])
-        return touched
-
-    def touched_by(self, paths: list[list[int]]) -> "_Touched":
-        """The links any of ``paths`` crosses, and how a move between
-        two of them leaves each (see :class:`_Touched`)."""
-        incidence = np.zeros((len(paths), len(self.link_list)), np.int8)
-        for c, path in enumerate(paths):
-            incidence[c, self.link_rows(links_on_path(path))[0]] = 1
-        rows = np.flatnonzero(incidence.any(axis=0))
-        on = incidence[:, rows].astype(np.int32)
-        return _Touched(
-            rows,
-            set(rows.tolist()),
-            on * rows.size + np.arange(rows.size, dtype=np.int32),
-            (1 - on) * rows.size,
-        )
-
 
 class _Touched(NamedTuple):
     """The links a set of paths crosses: ascending rows, and as a set.
@@ -246,7 +303,7 @@ class _Touched(NamedTuple):
     """
 
     rows: np.ndarray
-    row_set: set[int]
+    row_set: frozenset[int]
     enter: np.ndarray
     leave: np.ndarray
 
@@ -316,6 +373,11 @@ class UtilizationState:
         moves across zero, summed as one row of a ``(links x own
         intervals)`` block — a row sum that does not depend on how many
         rows the block has.  ``spot_max`` is recomputed once, at the end.
+
+        One placed message (either half of a reroute) crosses each of its
+        links once, so no index repeats: the arrays change in place, by
+        the same additions in the same order, and no count needs
+        ``_earlier_repeats``.
         """
         frame = self.frame
         ids: list[int] = []
@@ -328,6 +390,20 @@ class UtilizationState:
                 rows.append(link_rows)
                 cells.append(link_cells)
         if not ids:
+            return
+        if len(placed) == 1:
+            i, js = ids[0], rows[0]
+            ks = frame.active_ks[i]
+            self.total_time[js] += sign * self.durations[i]
+            spot = self.spot_load[js] + sign * self.forced[i]
+            self.spot_load[js] = spot
+            block = (js[:, None], ks)
+            after = self.active_count[block] + sign
+            self.active_count[block] = after
+            crossed = self.lengths[ks] * (after == (1 if sign > 0 else 0))
+            self.window_time[js] += sign * crossed.sum(axis=1)
+            self.spot_max[js] = (spot / self.lengths[None, :]).max(axis=1)
+            self._ranking = None
             return
         sizes = [r.size for r in rows]
         js = np.concatenate(rows)
@@ -367,7 +443,7 @@ class UtilizationState:
         ).max(axis=1)
         self._ranking = None
 
-    def reroute(self, name: str, new_path: list[int]) -> None:
+    def reroute(self, name: str, new_path: Sequence[int]) -> None:
         """Move a message to a new path, updating utilisation state."""
         self._accumulate([(name, self.assignment.links(name))], sign=-1)
         self.assignment.set_path(name, new_path)
@@ -432,15 +508,18 @@ class UtilizationState:
             )
         return PeakWitness(best_link, KIND_LINK, self.link_list[j_link], -1)
 
-    def evaluate_pool(self, name: str) -> list[tuple[list[int], PeakWitness]]:
+    def evaluate_pool(
+        self, name: str
+    ) -> list[tuple[tuple[int, ...], PeakWitness]]:
         """``(path, peak if taken)`` for every path of ``name``'s candidate
         pool except the one it is on — the AssignPaths inner step."""
-        pool = self.frame.pools[name]
-        path = list(self.assignment.path(name))
+        pool, touched = self.frame.tables[name]
+        path = self.assignment.path(name)
         try:
-            touched, on = self.frame.touched(name), pool.index(path)
+            on = pool.index(path)
         except ValueError:  # a path off the pool: its links count too
-            touched, on = self.frame.touched_by(pool + [path]), len(pool)
+            touched = self.frame.shared.touched_by(pool + (path,))
+            on = len(pool)
         others = [c for c in range(len(pool)) if c != on]
         if not others:
             return []

@@ -289,7 +289,7 @@ def _descend_affected(state: UtilizationState) -> None:
     """
     for _ in range(MAX_DESCENT_ROUNDS):
         best_value = state.peak().value
-        best_move: tuple[str, list[int]] | None = None
+        best_move: tuple[str, tuple[int, ...]] | None = None
         for name in state.frame.pools:
             for path, outcome in state.evaluate_pool(name):
                 if outcome.value < best_value - EPS:

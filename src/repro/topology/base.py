@@ -12,7 +12,7 @@ channels, paper Section 4.1).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.errors import TopologyError
 
@@ -57,6 +57,12 @@ class Topology:
             num_nodes *= r
         self.num_nodes = num_nodes
         self._links: tuple[Link, ...] | None = None
+        #: AssignPaths' facts about this object alone (its link index,
+        #: candidate pools and validated paths; see
+        #: ``repro.core.utilization.TopologyTables``): built by the first
+        #: compile on it, shared by every later one.  Per object, so a
+        #: residual topology never sees its base's.
+        self.candidate_tables: Any = None
 
     # -- addressing ------------------------------------------------------
 
@@ -180,6 +186,11 @@ class Topology:
         directions.  Dimensions already equal return ``[[]]``.
         """
         raise NotImplementedError
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The tables are a memo of this object: a pickled or copied
+        # topology builds its own.
+        return {**self.__dict__, "candidate_tables": None}
 
     def __repr__(self) -> str:
         return f"<{self.name}: {self.num_nodes} nodes, {self.num_links} links>"

@@ -10,6 +10,8 @@ turn (Section 5.1).  :func:`lsd_to_msd_route` implements it for any
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import RoutingError
 from repro.topology.base import Link, Topology, link_between
 
@@ -42,14 +44,14 @@ def lsd_to_msd_route(topology: Topology, src: int, dst: int) -> list[int]:
     return path
 
 
-def links_on_path(path: list[int]) -> tuple[Link, ...]:
+def links_on_path(path: Sequence[int]) -> tuple[Link, ...]:
     """The undirected links traversed by a node sequence."""
     return tuple(link_between(u, v) for u, v in zip(path, path[1:]))
 
 
 def validate_path(
     topology: Topology,
-    path: list[int],
+    path: Sequence[int],
     src: int,
     dst: int,
 ) -> None:

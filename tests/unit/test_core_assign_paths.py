@@ -141,6 +141,21 @@ class TestCandidateFramePerCompile:
         assert len(torus.pool_calls) == len(routed)
         assert len(set(torus.pool_calls)) > 1
 
+    def test_a_later_compile_on_the_topology_enumerates_nothing(self, dvb5):
+        """The tables belong to the topology object: a second compile on
+        it enumerates no pool and returns the same schedule."""
+        torus = CountingTorus((8, 8))
+        setup = standard_setup(dvb5, torus, bandwidth=128.0)
+        args = (setup.timing, torus, setup.allocation,
+                setup.tau_in_for_load(0.3), CompilerConfig())
+        first = compile_schedule(*args)
+        enumerated = len(torus.pool_calls)
+        assert enumerated > 0
+        second = compile_schedule(*args)
+        assert len(torus.pool_calls) == enumerated
+        assert second.schedule.slots == first.schedule.slots
+        assert second.schedule.assignment == first.schedule.assignment
+
     def test_handed_frame_gives_the_same_result(self, cube3):
         bounds, endpoints = hotspot_case(cube3)
         frame = CandidateFrame(bounds, cube3, endpoints, 48)

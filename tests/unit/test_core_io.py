@@ -87,3 +87,56 @@ class TestValidationOnLoad:
         data["slots"]["ghost"] = [{"start": 0.0, "duration": 1.0}]
         with pytest.raises(ScheduleValidationError, match="unassigned"):
             schedule_from_dict(data)
+
+
+def one_message(slots, tau_in=100.0):
+    """One 10-unit message on link (0, 1), window [0, 60], these slots."""
+    return {
+        "format": "repro.schedule/1",
+        "tau_in": tau_in,
+        "assignment": {"m": [0, 1]},
+        "slots": {
+            "m": [{"start": start, "duration": d} for start, d in slots]
+        },
+        "bounds": {
+            "m": {"release": 0.0, "deadline": 60.0, "duration": 10.0,
+                  "windows": [[0.0, 60.0]]},
+        },
+    }
+
+
+class TestFrameRuleOnLoad:
+    """Slots whose durations still sum to the message's, but that no
+    crossbar can execute: each used to load."""
+
+    def test_the_untampered_message_loads(self):
+        schedule = schedule_from_dict(one_message([(0.0, 4.0), (40.0, 6.0)]))
+        assert schedule.num_commands == 4
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # +15 and -5: covers 10, transmits for 15.
+            one_message([(0.0, 15.0), (40.0, -5.0)]),
+            one_message([(0.0, 10.0), (20.0, 0.0)]),
+            one_message([(0.0, 10.0)], tau_in=float("nan")),
+        ],
+        ids=["negative-slot", "zero-length-slot", "nan-period"],
+    )
+    def test_impossible_slots_rejected(self, data):
+        with pytest.raises(ScheduleValidationError, match="finite"):
+            schedule_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "slots, tau_in",
+        [
+            ([(float("nan"), 10.0)], 100.0),
+            ([(0.0, float("inf"))], 100.0),
+            ([(0.0, 10.0)], float("inf")),
+            ([(0.0, 10.0)], -100.0),
+        ],
+    )
+    def test_non_finite_times_rejected(self, slots, tau_in):
+        with pytest.raises(ScheduleValidationError, match="finite"):
+            schedule_from_dict(one_message(slots, tau_in))
+

@@ -1,5 +1,7 @@
 """Unit tests for path assignments and utilisation (Defs. 5.1-5.2)."""
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -12,12 +14,17 @@ from repro.core.utilization import (
     KIND_LINK,
     KIND_SPOT,
     CandidateFrame,
+    TopologyTables,
     UtilizationState,
     utilization_report,
 )
 from repro.errors import RoutingError
+from repro.faults.residual import ResidualTopology
 from repro.tfg import TFGTiming
 from repro.tfg.graph import build_tfg
+from repro.topology import Torus, binary_hypercube
+from repro.topology.routing import links_on_path
+from tests.conftest import pins
 
 
 def two_message_case(cube3, sizes=(1280, 1280), share_link=True):
@@ -173,7 +180,7 @@ class TestIncrementalMaintenance:
         state = UtilizationState(bounds, assignment, frame)
         before = state.peak().value
         ((path, outcome),) = state.evaluate_pool("m1")
-        assert path == [0, 2, 3]
+        assert path == (0, 2, 3)
         assert outcome.value < before  # moving off the shared link helps
         assert state.peak().value == pytest.approx(before)
         assert state.assignment.path("m1") == (0, 1, 3)
@@ -219,7 +226,7 @@ class TestCandidateFrame:
         _, _, frame = dvb_frame(dvb_setup_128, 0.6, max_paths=48)
         checked = 0
         for name, pool in frame.pools.items():
-            touched = frame.touched(name)
+            touched = frame.tables[name].touched
             links = [
                 [(min(u, v), max(u, v)) for u, v in zip(path, path[1:])]
                 for path in pool
@@ -432,7 +439,7 @@ class TestTouchedLinkEvaluation:
         wide_scores = dict(
             (tuple(path), w) for path, w in on_wide.evaluate_pool("m")
         )
-        assert [path for path, _ in narrow_scores] == narrow.pools["m"]
+        assert tuple(path for path, _ in narrow_scores) == narrow.pools["m"]
         for path, witness in narrow_scores:
             assert witness == wide_scores[tuple(path)]
         assert [
@@ -466,3 +473,149 @@ class TestOnePassBuild:
                 getattr(built, array), getattr(placed, array)
             ), array
         assert built.peak() == placed.peak()
+
+
+STATE_ARRAYS = (
+    "total_time", "window_time", "active_count", "spot_load", "spot_max",
+)
+
+
+def corpus_frames(max_paths=16):
+    """``(topology, bounds, endpoints, frame)`` of the seed-0 ``matrix_cold``
+    instances, the compiles ``tests/data/assign_corpus.json`` pins."""
+    inputs = pins().inputs
+    instances = inputs.Instances()
+    for op in inputs.op_list("matrix_cold", 0):
+        timing, topology, allocation, tau_in = instances.compile_op(op)
+        routed, _ = routed_and_local_messages(timing, allocation)
+        endpoints = {
+            name: (
+                allocation[timing.tfg.message(name).src],
+                allocation[timing.tfg.message(name).dst],
+            )
+            for name in routed
+        }
+        bounds = compute_time_bounds(timing, tau_in, routed)
+        yield topology, bounds, endpoints, CandidateFrame(
+            bounds, topology, endpoints, max_paths
+        )
+
+
+def general_reroute(state, name, path):
+    """:meth:`UtilizationState.reroute` through ``_accumulate``'s general
+    path: a second, link-less entry keeps the one-message branch out."""
+    state._accumulate(
+        [(name, state.assignment.links(name)), (name, ())], sign=-1
+    )
+    state.assignment.set_path(name, path)
+    state._accumulate(
+        [(name, state.assignment.links(name)), (name, ())], sign=+1
+    )
+
+
+class TestOneMessageBranch:
+    def test_reroutes_equal_the_general_accumulation_bit_for_bit(self):
+        """Seeded random reroute sequences on every corpus instance: after
+        each, the five arrays of the in-place branch and of the general
+        ``np.add.at`` path hold the same bytes."""
+        rng = random.Random("one-message")
+        moves = 0
+        for topology, bounds, endpoints, frame in corpus_frames():
+            start = {
+                name: rng.choice(pool) for name, pool in frame.pools.items()
+            }
+            branch, general = (
+                UtilizationState(
+                    bounds,
+                    PathAssignment(
+                        topology, endpoints, start, validated=frame.validated
+                    ),
+                    frame,
+                )
+                for _ in range(2)
+            )
+            movable = [n for n, pool in frame.pools.items() if len(pool) > 1]
+            for _ in range(30 if movable else 0):
+                name = rng.choice(movable)
+                path = rng.choice(frame.pools[name])
+                branch.reroute(name, path)
+                general_reroute(general, name, path)
+                for array in STATE_ARRAYS:
+                    ours = getattr(branch, array)
+                    theirs = getattr(general, array)
+                    assert ours.dtype == theirs.dtype, array
+                    assert ours.tobytes() == theirs.tobytes(), array
+                moves += 1
+            assert branch.peak() == general.peak()
+        assert moves > 500
+
+
+class TestTopologyTables:
+    def test_tables_equal_a_fresh_enumeration(self):
+        """Every corpus table is the topology's own enumeration, with the
+        touched links a fresh ``TopologyTables`` derives, and a second
+        frame on the same topology object reuses it."""
+        checked = 0
+        for topology, bounds, endpoints, frame in corpus_frames():
+            again = CandidateFrame(bounds, topology, endpoints, 16)
+            fresh = TopologyTables(topology)
+            for name, table in frame.tables.items():
+                src, dst = endpoints[name]
+                assert again.tables[name] is table
+                assert table.paths == tuple(
+                    tuple(path)
+                    for path in topology.minimal_path_pool(src, dst, 16)
+                )
+                rebuilt = fresh.touched_by(table.paths)
+                assert table.touched.row_set == rebuilt.row_set
+                for field in ("rows", "enter", "leave"):
+                    assert np.array_equal(
+                        getattr(table.touched, field), getattr(rebuilt, field)
+                    ), field
+                checked += 1
+        assert checked > 500
+
+    def test_shared_tables_are_immutable(self, cube3):
+        bounds, assignment = two_message_case(cube3)
+        frame = CandidateFrame(bounds, cube3, assignment.endpoints)
+        table = frame.tables["m1"]
+        assert isinstance(table.paths, tuple)
+        assert all(isinstance(path, tuple) for path in table.paths)
+        assert isinstance(table.touched.row_set, frozenset)
+        for array in (table.touched.rows, table.touched.enter,
+                      table.touched.leave):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert isinstance(frame.link_list, tuple)
+        with pytest.raises(TypeError):
+            frame.link_index[(0, 1)] = 5
+
+    def test_a_residual_topology_never_receives_its_bases_tables(self):
+        base = Torus((4, 4))
+        endpoints = {"m1": (0, 5), "m2": (1, 2)}
+        bounds, _ = two_message_case(binary_hypercube(3))
+        on_base = CandidateFrame(bounds, base, endpoints, 48)
+        # Drop a link no pool crosses: the pools keep their paths.
+        crossed = {
+            link for pool in on_base.pools.values() for path in pool
+            for link in links_on_path(path)
+        }
+        spare = next(link for link in base.links if link not in crossed)
+        residual = ResidualTopology(base, [spare])
+        assert residual == ResidualTopology(base, [spare])
+        on_residual = CandidateFrame(bounds, residual, endpoints, 48)
+        assert residual.candidate_tables is not base.candidate_tables
+        assert on_residual.shared is residual.candidate_tables
+        assert on_residual.link_list == tuple(sorted(residual.links))
+        assert spare in on_base.link_index
+        assert spare not in on_residual.link_index
+        for name, (src, dst) in endpoints.items():
+            assert on_residual.tables[name] is not on_base.tables[name]
+            assert on_residual.pools[name] == tuple(
+                tuple(path)
+                for path in residual.minimal_path_pool(src, dst, 48)
+            )
+        # A pickled or copied topology builds its own, too.
+        for clone in (pickle.loads(pickle.dumps(base)), copy.copy(base)):
+            assert clone.candidate_tables is None
+        assert base.candidate_tables is on_base.shared
