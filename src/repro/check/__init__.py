@@ -18,13 +18,14 @@ paper's guarantees from scratch:
   the first failure.
 - :mod:`~repro.check.mutate` — seeded schedule corruptions (shifted
   slots, swapped crossbar ports, deleted commands, off-by-EPS window
-  overruns...) used to measure the analyzer's kill rate.
+  overruns...) used to measure what the analyzer, ``validate()`` and
+  the executor's replay of Ω each kill.
 - :mod:`~repro.check.fuzz` — a seeded differential fuzz harness that
   compiles random points through both LP backends and through cold and
   warm cache paths and cross-checks every verdict (``repro-sr fuzz``).
 
-See ``docs/verification.md`` for how the three verification tiers
-(static analyzer, crossbar replay, DES replay) fit together.
+See ``docs/verification.md`` for how the verification tiers (static
+analyzer, ``validate()``, the DES replay of Ω) fit together.
 """
 
 from repro._lazy import lazy_exports

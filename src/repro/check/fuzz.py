@@ -13,10 +13,9 @@ and cross-checked along three independent axes:
   verification stack (the LP solutions themselves may legitimately
   differ).
 - **verifier differential** — for each feasible schedule, the static
-  conformance analyzer (:func:`repro.check.analyzer.analyze_schedule`),
-  the crossbar replay (:func:`repro.cp.replay_schedule`) and the
-  discrete-event replay
-  (:class:`~repro.core.executor.ScheduledRoutingExecutor`) must all
+  conformance analyzer (:func:`repro.check.analyzer.analyze_schedule`)
+  and the discrete-event replay of Ω
+  (:class:`~repro.core.executor.ScheduledRoutingExecutor`) must both
   reach the same verdict: pass.
 - **cache differential** — the point is compiled cold through a disk
   cache and again warm through a *fresh* cache object over the same
@@ -72,7 +71,6 @@ from repro.cache.store import (
 from repro.check.analyzer import analyze_schedule
 from repro.core.compiler import CompilerConfig, ScheduledRouting, compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
-from repro.cp import replay_schedule
 from repro.errors import ReproError, SchedulingError
 from repro.mapping.allocation import Allocation, random_allocation
 from repro.solvers import have_scipy
@@ -256,7 +254,7 @@ def _verify_feasible(
     routing: ScheduledRouting,
     out: list[str],
 ) -> None:
-    """Verifier differential: analyzer ≡ crossbar replay ≡ DES replay."""
+    """Verifier differential: analyzer ≡ DES replay of Ω."""
     timing, topology, allocation, tau_in = inputs
     report = analyze_schedule(
         routing.schedule, topology, timing=timing, allocation=allocation
@@ -265,13 +263,6 @@ def _verify_feasible(
         out.append(
             f"seed {point.seed} [{backend}]: analyzer flagged a compiled "
             f"schedule: {report.summary()}"
-        )
-    try:
-        replay_schedule(routing.schedule, topology)
-    except ReproError as error:
-        out.append(
-            f"seed {point.seed} [{backend}]: crossbar replay rejected a "
-            f"compiled schedule: {error}"
         )
     try:
         executor = ScheduledRoutingExecutor(

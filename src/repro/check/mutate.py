@@ -1,4 +1,4 @@
-"""Seeded schedule corruptions for measuring analyzer kill rate.
+"""Seeded schedule corruptions for measuring what each checker kills.
 
 Every mutation takes a valid :class:`~repro.core.switching.
 CommunicationSchedule` and returns a corrupted deep copy built *without*
@@ -6,8 +6,10 @@ the compiler's validation, modelling a concrete failure mode: a buggy
 compiler stage, a torn cache entry, a tampered schedule file, a flipped
 bit in a CP's command memory.  The test suite asserts the conformance
 analyzer (:func:`repro.check.analyzer.analyze_schedule`) detects at
-least 95% of a seeded corpus of these corruptions; the differential
-fuzzer reuses them as self-checks.
+least 95% of a seeded corpus of these corruptions, and the
+``check.kill_matrix`` pin (``tools/pins.py``) counts what the analyzer,
+``validate()`` and the executor's replay of Ω each kill on the
+benchmark's DVB(5) schedules.
 
 Mutations that edit slots regenerate the node schedules so the
 corruption is *consistent* (a wrong schedule, not merely an
@@ -157,21 +159,26 @@ def delete_command(
 def retime_command(
     schedule: CommunicationSchedule, rng: random.Random
 ) -> str:
-    """Nudge one switching command's start time — a CP clock programmed
-    against the wrong frame offset."""
-    nodes = [n for n, ns in schedule.node_schedules.items() if ns.commands]
-    if not nodes:
-        raise MutationSkipped("no node schedules")
-    node = rng.choice(sorted(nodes))
+    """Move one switching command earlier — a CP clock programmed against
+    the wrong frame offset.  Only a command that can move (one not at
+    t = 0) is drawn, and the shift reported is the one applied."""
+    candidates = [
+        (node, i)
+        for node, ns in sorted(schedule.node_schedules.items())
+        for i, c in enumerate(ns.commands)
+        if c.time > 0.0
+    ]
+    if not candidates:
+        raise MutationSkipped("no command after t = 0 to retime")
+    node, i = candidates[rng.randrange(len(candidates))]
     commands = list(schedule.node_schedules[node].commands)
-    i = rng.randrange(len(commands))
-    delta = schedule.tau_in * rng.uniform(0.03, 0.1)
     c = commands[i]
-    commands[i] = replace(c, time=max(0.0, c.time - delta))
+    time = max(0.0, c.time - schedule.tau_in * rng.uniform(0.03, 0.1))
+    commands[i] = replace(c, time=time)
     schedule.node_schedules[node] = NodeSchedule(
         node=node, commands=tuple(commands)
     )
-    return f"node {node} command {i} retimed by -{delta:.4f}"
+    return f"node {node} command {i} retimed by {time - c.time:+.4f}"
 
 
 def drop_slot(schedule: CommunicationSchedule, rng: random.Random) -> str:

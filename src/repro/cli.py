@@ -447,10 +447,14 @@ def _cmd_trace(args) -> int:
         result = ScheduledRoutingExecutor(
             routing, setup.timing, setup.topology, setup.allocation
         ).run(config=run)
-        # One frame of CP crossbar programming, on CP<node> tracks.
-        from repro.cp import replay_schedule
-
-        replay_schedule(routing.schedule, setup.topology, tracer=tracer)
+        # One frame of Ω, each node's crossbar settings on its CP track.
+        for node, node_schedule in routing.schedule.node_schedules.items():
+            for command in node_schedule.commands:
+                tracer.span(
+                    "crossbar", "switch", command.time, command.end,
+                    track=f"CP{node}", input=str(command.input_port),
+                    output=str(command.output_port), message=command.message,
+                )
         print(stage_table(tracer.events))
         print()
     else:

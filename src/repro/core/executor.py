@@ -1,22 +1,34 @@
-"""Replay of a scheduled-routing solution on the discrete-event kernel.
+"""Replay of Ω, the switching schedules the CPs run, on the discrete-event
+kernel.
 
-The paper *argues* that independently executed switching schedules are
-contention-free and meet every deadline; this executor *machine-checks*
-it.  It replays ``invocations`` periods as one timeline of instants on
-the kernel: tasks finish at their static ASAP instants, and every
-transmission slot claims all links of its path as exclusive FCFS
-resources at its absolute start and frees them at its end.  A claim that
-has to queue and is not handed its link within ``EPS`` (or at all, by the
-end of its window) is a contention violation and aborts the run; any
-delivery completing after its destination task's start instant is a
-deadline violation.
+The paper *argues* that independently executed switching schedules
+(Fig. 2) are contention-free and meet every deadline; this executor
+*machine-checks* it from Ω alone, never reading the slot table.  It
+first chains each message's crossbar settings into *circuits*: the
+commands of one ``(message, time, duration)`` are walked from the
+source CP's command taking the AP's output buffer, along output ports,
+to the destination CP's command feeding its AP.  A command outside the
+frame, a port that is no channel of its node, a broken, looping or
+misdirected chain, a left-over command, a command for no routed message
+and a routed message without a circuit each raise
+:class:`~repro.errors.ScheduleValidationError` there.
+
+It then replays ``invocations`` periods as one timeline of instants:
+tasks finish at their static ASAP instants, and every circuit claims all
+links of its node sequence as exclusive FCFS resources at its absolute
+start and frees them at its end.  A channel is a half-duplex link and
+the AP buffers never conflict, so link exclusivity is crossbar port
+exclusivity.  A claim that has to queue and is not handed its link
+within ``EPS`` (or at all, by the end of its window) is a contention
+violation and aborts the run; any delivery completing after its
+destination task's start instant is a deadline violation.
 
 A successful replay yields a :class:`~repro.results.RunResult` with
 ``technique="scheduled"`` whose output intervals are exactly ``tau_in``
 — the constant throughput the paper guarantees.  Pass a
 :class:`~repro.results.RunConfig` carrying a
 :class:`~repro.trace.tracer.TraceRecorder` to capture the replay as a
-structured trace: ``slot`` spans for every scheduled transmission
+structured trace: ``slot`` spans for every circuit's transmission
 window, ``link`` occupancy spans for every grant, ``task`` spans per
 invocation, and ``run`` completion instants.
 
@@ -37,9 +49,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import partial
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from repro.core.compiler import ScheduledRouting
+from repro.core.switching import AP_PORT, CommunicationSchedule, Port, SwitchCommand
 from repro.errors import (
     FaultedDeadlineError,
     FaultInjectionError,
@@ -54,7 +67,9 @@ from repro.results import (
 )
 from repro.sim import Claim, Environment, Monitor, Resource
 from repro.tfg.analysis import TFGTiming
+from repro.tfg.graph import TaskFlowGraph
 from repro.topology.base import Link, Topology
+from repro.topology.routing import links_on_path
 from repro.trace.tracer import TraceRecorder
 from repro.units import EPS
 
@@ -62,8 +77,118 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.models import FaultTrace
 
 
+class Circuit(NamedTuple):
+    """One clear path of Ω: from frame time ``time`` for ``duration``, the
+    crossbar settings of ``path``'s nodes chain the source AP's output
+    buffer to the destination AP's input buffer."""
+
+    time: float
+    duration: float
+    path: tuple[int, ...]
+
+
+def omega_circuits(
+    schedule: CommunicationSchedule,
+    tfg: TaskFlowGraph,
+    topology: Topology,
+    allocation: Mapping[str, int],
+) -> dict[str, tuple[Circuit, ...]]:
+    """Every routed message's circuits, in frame order, walked from Ω.
+
+    Raises :class:`~repro.errors.ScheduleValidationError` unless every
+    command lies in the frame on channels of its node and chains, with
+    the others of its ``(message, time, duration)``, into exactly one
+    source-to-destination circuit, and every routed message has one.
+    """
+    tau_in = schedule.tau_in
+    messages = {message.name: message for message in tfg.messages}
+    # (message, time, duration) -> (node, input port) -> its commands
+    groups: dict[
+        tuple[str, float, float], dict[tuple[int, Port], list[SwitchCommand]]
+    ] = {}
+    for node, node_schedule in schedule.node_schedules.items():
+        channels = (
+            topology.neighbors(node) if 0 <= node < topology.num_nodes else ()
+        )
+        for command in node_schedule.commands:
+            name = command.message
+            if not -EPS <= command.time <= command.end <= tau_in + EPS:
+                raise ScheduleValidationError(
+                    f"node {node}: command for {name!r} [{command.time}, "
+                    f"{command.end}] outside frame [0, {tau_in}]"
+                )
+            for port in (command.input_port, command.output_port):
+                if port != AP_PORT and port not in channels:
+                    raise ScheduleValidationError(
+                        f"node {node}: no channel to {port!r} "
+                        f"(channels: {sorted(channels)})"
+                    )
+            message = messages.get(name)
+            if message is None or (
+                allocation[message.src] == allocation[message.dst]
+            ):
+                raise ScheduleValidationError(
+                    f"node {node}: command for {name!r}, which is no routed "
+                    "message of the TFG"
+                )
+            groups.setdefault(
+                (name, command.time, command.duration), {}
+            ).setdefault((node, command.input_port), []).append(command)
+
+    circuits: dict[str, list[Circuit]] = {}
+    for (name, time, duration), settings in groups.items():
+        message = messages[name]
+        where = f"message {name!r} at t={time!r}"
+        node, came_from, path = allocation[message.src], AP_PORT, []
+        while True:
+            waiting = settings.get((node, came_from))
+            if not waiting:
+                raise ScheduleValidationError(
+                    f"{where}: circuit broken at node {node}, no command "
+                    f"takes input {came_from!r}"
+                )
+            command = waiting.pop()
+            if node in path:
+                raise ScheduleValidationError(
+                    f"{where}: circuit visits node {node} twice"
+                )
+            path.append(node)
+            if command.output_port == came_from:
+                raise ScheduleValidationError(
+                    f"{where}: node {node} connects port {came_from!r} "
+                    "to itself"
+                )
+            if command.output_port == AP_PORT:
+                break
+            came_from, node = node, command.output_port
+        destination = allocation[message.dst]
+        if node != destination:
+            raise ScheduleValidationError(
+                f"{where}: circuit ends at node {node}, not at the "
+                f"destination {destination}"
+            )
+        for (node, _), left in settings.items():
+            if left:
+                raise ScheduleValidationError(
+                    f"{where}: node {node}'s command {left[0]} is on no "
+                    "circuit"
+                )
+        circuits.setdefault(name, []).append(
+            Circuit(time, duration, tuple(path))
+        )
+    for message in tfg.messages:
+        if message.name not in circuits and (
+            allocation[message.src] != allocation[message.dst]
+        ):
+            raise ScheduleValidationError(
+                f"routed message {message.name!r} has no circuit in the "
+                "node schedules"
+            )
+    return {name: tuple(sorted(found)) for name, found in circuits.items()}
+
+
 class ScheduledRoutingExecutor:
-    """Runs a compiled schedule and verifies its guarantees dynamically."""
+    """Runs a compiled schedule's Ω and verifies its guarantees dynamically."""
 
     def __init__(
         self,
@@ -78,32 +203,45 @@ class ScheduledRoutingExecutor:
         self.allocation = dict(allocation)
         self.tau_in = routing.tau_in
         self._asap = timing.asap_schedule()
+        self.circuits = omega_circuits(
+            routing.schedule, timing.tfg, topology, self.allocation
+        )
+
+    @property
+    def commands_placed(self) -> int:
+        """How many of Ω's switching commands the circuits hold."""
+        return sum(
+            len(circuit.path)
+            for circuits in self.circuits.values()
+            for circuit in circuits
+        )
 
     # -- frame -> absolute time mapping --------------------------------------
 
     def absolute_slots(
         self, message_name: str, invocation: int
     ) -> list[tuple[float, float]]:
-        """Absolute ``(start, end)`` occurrences of a message's slots in one
-        invocation.
+        """Absolute ``(start, end)`` occurrences of a message's circuits in
+        one invocation, in frame order.
 
-        A frame slot at ``s`` maps into the invocation's window starting at
-        the absolute release ``j * tau_in + t_f(src)``: slots at or after
-        the wrapped release come ``s - r`` into the window; earlier slots
-        belong to the wrapped head and come ``(tau_in - r) + s`` in.
+        A circuit at frame time ``s`` maps into the invocation's window
+        starting at the absolute release ``j * tau_in + t_f(src)``:
+        circuits at or after the wrapped release come ``s - r`` into the
+        window; earlier ones belong to the wrapped head and come
+        ``(tau_in - r) + s`` in.
         """
         bound = self.routing.bounds.bounds[message_name]
         message = self.timing.tfg.message(message_name)
         abs_release = invocation * self.tau_in + self._asap[message.src][1]
         r = bound.release
         occurrences = []
-        for slot in self.routing.schedule.slots[message_name]:
-            if slot.start >= r - EPS:
-                offset = slot.start - r
+        for time, duration, _ in self.circuits[message_name]:
+            if time >= r - EPS:
+                offset = time - r
             else:
-                offset = (self.tau_in - r) + slot.start
+                offset = (self.tau_in - r) + time
             start = abs_release + offset
-            occurrences.append((start, start + slot.duration))
+            occurrences.append((start, start + duration))
         return occurrences
 
     def _drift_shift(
@@ -238,16 +376,18 @@ class ScheduledRoutingExecutor:
 
         for message in self.timing.tfg.messages:
             name = message.name
-            slots = self.routing.schedule.slots.get(name)
-            if not slots:
+            circuits = self.circuits.get(name)
+            if circuits is None:
                 continue  # local message: delivered in memory at source finish
-            # All slots share the message path.
-            path = tuple((link, links[link]) for link in slots[0].links)
+            paths = [
+                tuple((link, links[link]) for link in links_on_path(c.path))
+                for c in circuits
+            ]
             shift = self._drift_shift(name, fault_trace)
             dst_start = self._asap[message.dst][0]
             for j in range(invocations):
                 windows = self.absolute_slots(name, j)
-                # Static deadline assertion: the last absolute slot (shifted
+                # Static deadline assertion: the last circuit (shifted
                 # by any injected source-clock drift) must land before the
                 # destination task's start.
                 last_end = max(end for _, end in windows)
@@ -259,7 +399,7 @@ class ScheduledRoutingExecutor:
                         f"message {name!r} invocation {j}: delivery "
                         f"at {last_end:.6f} misses destination start {due:.6f}"
                     )
-                for start, end in windows:
+                for (start, end), path in zip(windows, paths):
                     start, end = max(start + shift, 0.0), end + shift
                     if tracing:
                         # The *compiled* transmission window; the

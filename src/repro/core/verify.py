@@ -10,11 +10,10 @@ one:
 2. **static validation** — slot coverage, window containment, link
    exclusivity, node-schedule/slot consistency
    (:meth:`~repro.core.switching.CommunicationSchedule.validate`);
-3. **hardware replay** — every node's command stream driven through the
-   crossbar model (:func:`~repro.cp.processor.replay_schedule`);
-4. **dynamic replay** — the full pipelined execution re-run on the
-   discrete-event kernel, asserting contention-freedom, deadlines and
-   constant throughput
+3. **dynamic replay** — Ω itself, every node's crossbar settings chained
+   into source-to-destination circuits, executed for the full pipelined
+   run on the discrete-event kernel, asserting contention-freedom,
+   deadlines and constant throughput
    (:class:`~repro.core.executor.ScheduledRoutingExecutor`).
 
 See ``docs/verification.md`` for how the tiers complement each other.
@@ -27,7 +26,6 @@ from typing import Mapping
 
 from repro.core.compiler import ScheduledRouting
 from repro.core.executor import ScheduledRoutingExecutor
-from repro.cp import replay_schedule
 from repro.errors import ScheduleValidationError
 from repro.results import MIN_MEASURED_INVOCATIONS
 from repro.tfg.analysis import TFGTiming
@@ -36,8 +34,11 @@ from repro.topology.base import Topology
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the four-stage verification (raises before returning
-    on any failure, so a returned report certifies success)."""
+    """Outcome of the three-stage verification (raises before returning
+    on any failure, so a returned report certifies success).
+
+    ``commands_replayed`` counts the switching commands the executor
+    placed on circuits: every command of Ω, once verification passes."""
 
     commands_replayed: int
     invocations_executed: int
@@ -85,11 +86,10 @@ def verify_schedule(
             f"{conformance.summary()}"
         )
     routing.schedule.validate()
-    commands = replay_schedule(routing.schedule, topology)
     executor = ScheduledRoutingExecutor(routing, timing, topology, allocation)
     result = executor.run(invocations=invocations, warmup=warmup)
     return VerificationReport(
-        commands_replayed=commands,
+        commands_replayed=executor.commands_placed,
         invocations_executed=len(result.completion_times),
         mean_normalized_throughput=result.throughput_stats().mean,
         output_inconsistency=result.has_oi(),

@@ -31,12 +31,11 @@ Event taxonomy (``category`` values)
     ``occupy`` spans (grant -> release) and ``blocked`` spans (request ->
     grant when the grant was not immediate).  One track per link.
 ``crossbar``
-    CP switching commands replayed on the crossbar model
-    (:mod:`repro.cp`): one ``switch`` span per command, one track per
-    node's CP.
+    One frame of Ω as ``repro-sr trace --mode sr`` draws it: one
+    ``switch`` span per switching command, one track per node's CP.
 ``slot``
-    Scheduled transmission windows the SR executor replays: one span per
-    message occurrence, tracked per message.
+    The circuits' transmission windows the SR executor replays: one span
+    per message occurrence, tracked per message.
 ``flight``
     Wormhole path setup + transmission: one span per message instance
     from first link request to delivery; ``abort`` instants mark

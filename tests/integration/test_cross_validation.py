@@ -6,8 +6,9 @@ tests pit them against each other:
 - the LP interval packer vs the greedy list scheduler,
 - the executor's *observed* link busy time vs the schedule's *planned*
   per-frame occupancy,
-- the static schedule validator vs the CP crossbar replay (exercised
-  throughout the suite; asserted here on a fresh compile).
+- the static schedule validator vs the executor's walk of Ω into
+  circuits (exercised throughout the suite; asserted here on a fresh
+  compile).
 """
 
 import pytest
@@ -18,7 +19,6 @@ from repro.core.interval_scheduling import (
     greedy_schedule_interval,
     schedule_interval,
 )
-from repro.cp import replay_schedule
 from repro.tfg import TFGTiming
 from repro.tfg.graph import build_tfg
 
@@ -135,5 +135,7 @@ class TestStaticVsHardwareReplay:
             setup.tau_in_for_load(0.9),
         )
         routing.schedule.validate()  # static validator
-        executed = replay_schedule(routing.schedule, setup.topology)
-        assert executed == routing.schedule.num_commands
+        executor = ScheduledRoutingExecutor(
+            routing, setup.timing, setup.topology, setup.allocation
+        )
+        assert executor.commands_placed == routing.schedule.num_commands

@@ -4,7 +4,8 @@ The central property: for ANY workload, allocation and period, the
 compiler either raises a typed :class:`~repro.errors.SchedulingError` or
 produces a schedule that passes every machine check — slot coverage, link
 exclusivity, node-schedule consistency (checked by ``build_schedule``),
-hardware-level CP replay, and a DES replay with constant throughput.
+and a DES replay of Ω (every command on a circuit) with constant
+throughput.
 """
 
 import random
@@ -14,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
 from repro.core.timebounds import compute_time_bounds
-from repro.cp import replay_schedule
 from repro.errors import SchedulingError
 from repro.tfg import TFGTiming, random_layered_tfg
 from repro.topology import GeneralizedHypercube, Torus, binary_hypercube
@@ -75,14 +75,13 @@ class TestCompilerTotalCorrectness:
                 "scheduling",
             }
             return
-        # build_schedule already validated Omega; re-validate + CP replay.
+        # build_schedule already validated Omega; re-validate.
         routing.schedule.validate()
-        assert replay_schedule(routing.schedule, topo) == \
-            routing.schedule.num_commands
-        # DES replay: constant throughput, no contention, deadlines met.
-        result = ScheduledRoutingExecutor(
-            routing, timing, topo, allocation
-        ).run(invocations=10, warmup=2)
+        # DES replay of Omega: every command on a circuit, constant
+        # throughput, no contention, deadlines met.
+        executor = ScheduledRoutingExecutor(routing, timing, topo, allocation)
+        assert executor.commands_placed == routing.schedule.num_commands
+        result = executor.run(invocations=10, warmup=2)
         assert not result.has_oi()
 
     @given(pipeline_case())

@@ -243,6 +243,50 @@ class TestTraceCommand:
         assert "flight" in cats and "compile" not in cats
 
 
+class TestCrossbarTracing:
+    def test_sr_trace_draws_one_frame_of_omega(self, monkeypatch, tmp_path):
+        """``trace --mode sr`` renders each switching command of the
+        compiled Ω as one ``switch`` span on its node's ``CP<node>``
+        track, naming the message and both ports."""
+        import json
+
+        import repro.core.compiler as compiler
+
+        compiled = []
+        compile_schedule = compiler.compile_schedule
+
+        def spy(*args, **kwargs):
+            compiled.append(compile_schedule(*args, **kwargs))
+            return compiled[-1]
+
+        monkeypatch.setattr(compiler, "compile_schedule", spy)
+        target = tmp_path / "trace.json"
+        assert main([
+            "trace", "--mode", "sr", "--topology", "hypercube6",
+            "--models", "5", "--load", "0.5", "--invocations", "8",
+            "--warmup", "4", "--out", str(target),
+        ]) == 0
+        (routing,) = compiled
+        events = json.loads(target.read_text())["traceEvents"]
+        tracks = {
+            e["tid"]: e["args"]["name"] for e in events
+            if e["name"] == "thread_name"
+        }
+        switches = sorted(
+            (tracks[e["tid"]], e["args"]["message"], e["args"]["input"],
+             e["args"]["output"])
+            for e in events if e.get("cat") == "crossbar"
+        )
+        assert {e["name"] for e in events if e.get("cat") == "crossbar"} == {
+            "switch"
+        }
+        assert switches == sorted(
+            (f"CP{node}", c.message, str(c.input_port), str(c.output_port))
+            for node, ns in routing.schedule.node_schedules.items()
+            for c in ns.commands
+        )
+
+
 class TestAllocatorOption:
     def test_random_allocator_is_seed_reproducible(self, capsys):
         args = [

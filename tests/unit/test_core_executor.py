@@ -5,7 +5,7 @@ import pytest
 from repro.check.fuzz import FuzzPoint
 from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
-from repro.core.switching import TransmissionSlot
+from repro.core.switching import TransmissionSlot, node_schedules_of
 from repro.errors import ScheduleValidationError, SchedulingError
 from repro.experiments import standard_setup
 from repro.results import RunConfig
@@ -95,9 +95,13 @@ class TestRun:
             for s in slots
         )
         routing.schedule.slots[name] = shifted
-        executor = ScheduledRoutingExecutor(routing, timing, topo, allocation)
+        routing.schedule.node_schedules = node_schedules_of(
+            routing.schedule.slots
+        )
         with pytest.raises(ScheduleValidationError):
-            executor.run(invocations=12, warmup=2)
+            ScheduledRoutingExecutor(routing, timing, topo, allocation).run(
+                invocations=12, warmup=2
+            )
 
     def test_back_to_back_windows_hand_the_link_over(self, chain_routing):
         """end == start on one link: the release is handled before the
@@ -108,6 +112,9 @@ class TestRun:
         routing.schedule.slots["m0"] = (
             TransmissionSlot("m0", slot.start, half, slot.path),
             TransmissionSlot("m0", slot.start + half, half, slot.path),
+        )
+        routing.schedule.node_schedules = node_schedules_of(
+            routing.schedule.slots
         )
         executor = ScheduledRoutingExecutor(routing, timing, topo, allocation)
         tracer = TraceRecorder(categories=("link",))

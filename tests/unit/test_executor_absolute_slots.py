@@ -1,12 +1,12 @@
 """Wrapped-window cases of ``ScheduledRoutingExecutor.absolute_slots``.
 
 A message whose window wraps the frame edge (``deadline < release``) has
-slots on both sides of the wrap: slots at frame instants *at or after*
-the release belong to the window's head (offset ``s - r`` into the
-invocation), slots *before* the release belong to the wrapped tail and
-come ``(tau_in - r) + s`` in.  These tests pin that arithmetic with
-hand-built fixtures small enough to check by hand, complementing the
-compiled-schedule invariants in ``test_core_executor.py``.
+circuits on both sides of the wrap: circuits at frame instants *at or
+after* the release belong to the window's head (offset ``s - r`` into
+the invocation), circuits *before* the release belong to the wrapped
+tail and come ``(tau_in - r) + s`` in.  These tests pin that arithmetic
+with hand-built fixtures small enough to check by hand, complementing
+the compiled-schedule invariants in ``test_core_executor.py``.
 """
 
 from types import SimpleNamespace
@@ -14,29 +14,45 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.executor import ScheduledRoutingExecutor
+from repro.core.switching import (
+    AP_PORT,
+    CommunicationSchedule,
+    NodeSchedule,
+    SwitchCommand,
+)
+from repro.topology import binary_hypercube
 
 
 def _executor(tau_in, release, slot_specs, src_finish):
-    """An executor over a single message ``m`` with handcrafted frames.
+    """An executor over a single message ``m`` from node 0 to node 1 with
+    handcrafted frames.
 
-    ``slot_specs`` is a list of ``(start, duration)`` frame slots;
+    ``slot_specs`` is a list of ``(start, duration)`` circuits of Ω;
     ``src_finish`` is the source task's ASAP finish instant.
     """
-    slots = tuple(
-        SimpleNamespace(start=start, duration=duration, links=((0, 1),))
-        for start, duration in slot_specs
-    )
+    def commands(input_port, output_port):
+        return tuple(
+            SwitchCommand(start, duration, input_port, output_port, "m")
+            for start, duration in slot_specs
+        )
+
+    schedule = CommunicationSchedule(tau_in, slots={}, node_schedules={
+        0: NodeSchedule(0, commands(AP_PORT, 1)),
+        1: NodeSchedule(1, commands(0, AP_PORT)),
+    })
     routing = SimpleNamespace(
         tau_in=tau_in,
         bounds=SimpleNamespace(bounds={"m": SimpleNamespace(release=release)}),
-        schedule=SimpleNamespace(slots={"m": slots}),
+        schedule=schedule,
     )
     message = SimpleNamespace(src="s", dst="t", name="m")
     timing = SimpleNamespace(
-        tfg=SimpleNamespace(message=lambda name: message),
+        tfg=SimpleNamespace(messages=(message,), message=lambda name: message),
         asap_schedule=lambda: {"s": (0.0, src_finish), "t": (30.0, 40.0)},
     )
-    return ScheduledRoutingExecutor(routing, timing, None, {"s": 0, "t": 1})
+    return ScheduledRoutingExecutor(
+        routing, timing, binary_hypercube(1), {"s": 0, "t": 1}
+    )
 
 
 class TestUnwrappedWindow:
@@ -63,8 +79,8 @@ class TestWrappedWindow:
             src_finish=7.0,
         )
         assert executor.absolute_slots("m", 0) == [
-            (8.0, 9.0),      # head slot: 1.0 after release
             (10.5, 11.5),    # wrapped slot: 3.5 after release
+            (8.0, 9.0),      # head slot: 1.0 after release
         ]
 
     def test_wrapped_slots_shift_by_period(self):
@@ -80,8 +96,8 @@ class TestWrappedWindow:
             assert b3 - b0 == pytest.approx(30.0)
 
     def test_wrap_ordering_is_schedule_order_not_time_order(self):
-        # Slots come back in the schedule's frame order even when the
-        # wrapped head executes later in absolute time.
+        # Circuits come back in frame order even when the wrapped head
+        # executes later in absolute time.
         executor = _executor(
             10.0, release=6.0,
             slot_specs=[(1.0, 2.0), (8.0, 1.0)],

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.compiler import compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
-from repro.core.switching import TransmissionSlot
+from repro.core.switching import TransmissionSlot, node_schedules_of
 from repro.errors import (
     FaultedDeadlineError,
     FaultInjectionError,
@@ -183,10 +183,16 @@ class TestExecutorUnderFaults:
         """An early clock moves m0's window [50, 60] onto [35, 45], into a
         window of m1 re-routed over the same link: the claim queues behind
         the holder, and the late hand-over is blamed on the machine."""
-        executor, routing, _, allocation = chain_exec
+        executor, routing, timing, allocation = chain_exec
         routing.schedule.slots["m1"] = tuple(
-            TransmissionSlot("m1", s.start, s.duration, (0, 1, 3))
+            TransmissionSlot("m1", s.start, s.duration, (1, 0, 2, 3))
             for s in routing.schedule.slots["m1"]
+        )
+        routing.schedule.node_schedules = node_schedules_of(
+            routing.schedule.slots
+        )
+        executor = ScheduledRoutingExecutor(
+            routing, timing, executor.topology, allocation
         )
         assert executor.absolute_slots("m1", 0) == [(30.0, 40.0)]
         executor.run(invocations=12, warmup=2)  # clean on a healthy machine

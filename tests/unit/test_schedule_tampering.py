@@ -2,9 +2,11 @@
 
 The compiler guarantees rest on the validators actually rejecting bad
 schedules.  Each test here injects one specific fault into a known-good
-compiled schedule and asserts that the static validator, the CP replay,
-or the executor catches it.
+compiled schedule and asserts that the static validator or the
+executor's replay of Ω catches it.
 """
+
+import dataclasses
 
 import pytest
 
@@ -15,8 +17,8 @@ from repro.core.switching import (
     NodeSchedule,
     SwitchCommand,
     TransmissionSlot,
+    node_schedules_of,
 )
-from repro.cp import replay_schedule
 from repro.errors import ScheduleValidationError
 from repro.tfg import TFGTiming
 from repro.tfg.synth import chain_tfg
@@ -35,6 +37,21 @@ def rebuild(schedule: CommunicationSchedule) -> CommunicationSchedule:
     from repro.core.io import schedule_from_dict, schedule_to_dict
 
     return schedule_from_dict(schedule_to_dict(schedule))
+
+
+def execute(good, schedule: CommunicationSchedule) -> None:
+    """Run ``schedule`` in place of the good one on the executor."""
+    routing, timing, topology, allocation = good
+    ScheduledRoutingExecutor(
+        dataclasses.replace(routing, schedule=schedule),
+        timing, topology, allocation,
+    ).run(invocations=12, warmup=2)
+
+
+def set_slots(routing, name: str, slots) -> None:
+    """Replace one message's slots *and* Ω, consistently."""
+    routing.schedule.slots[name] = tuple(slots)
+    routing.schedule.node_schedules = node_schedules_of(routing.schedule.slots)
 
 
 class TestStaticValidatorCoverage:
@@ -115,7 +132,7 @@ class TestHardwareReplayCoverage:
             node, node_schedule.commands + (bogus,)
         )
         with pytest.raises(ScheduleValidationError, match="no channel"):
-            replay_schedule(schedule, cube3)
+            execute(good, schedule)
 
     def test_command_past_frame_caught(self, good, cube3):
         routing, *_ = good
@@ -129,20 +146,20 @@ class TestHardwareReplayCoverage:
             node, node_schedule.commands + (late,)
         )
         with pytest.raises(ScheduleValidationError, match="outside frame"):
-            replay_schedule(schedule, cube3)
+            execute(good, schedule)
 
 
 class TestExecutorCoverage:
     def test_shifted_slots_caught_at_runtime(self, good):
         routing, timing, topology, allocation = good
         name = next(iter(routing.schedule.slots))
-        routing.schedule.slots[name] = tuple(
+        set_slots(routing, name, (
             TransmissionSlot(
                 s.message, (s.start + 11.0) % routing.tau_in, s.duration,
                 s.path,
             )
             for s in routing.schedule.slots[name]
-        )
+        ))
         executor = ScheduledRoutingExecutor(
             routing, timing, topology, allocation
         )
@@ -165,10 +182,10 @@ class TestExecutorCoverage:
         routing, timing, topology, allocation = good
         (slot,) = routing.schedule.slots["m0"]
         assert (slot.start, slot.duration) == (10.0, 10.0)
-        routing.schedule.slots["m0"] = tuple(
+        set_slots(routing, "m0", (
             TransmissionSlot("m0", start, duration, slot.path)
             for start, duration in windows
-        )
+        ))
         executor = ScheduledRoutingExecutor(
             routing, timing, topology, allocation
         )

@@ -7,8 +7,6 @@ import json
 import pytest
 
 from repro.sim import Environment, Resource
-from repro.tfg import TFGTiming
-from repro.tfg.graph import build_tfg
 from repro.trace import (
     NULL_TRACER,
     TraceEvent,
@@ -21,22 +19,6 @@ from repro.trace import (
 )
 from repro.trace.export import COMPILE_PID, SIM_PID
 from repro.trace.tracer import TRACE_CATEGORIES
-
-
-@pytest.fixture()
-def claim_routing(cube3):
-    """A small compiled schedule (the Section-3 witness) for CP replay."""
-    from repro.core.compiler import compile_schedule
-
-    tfg = build_tfg(
-        "claim3",
-        [("t0", 400), ("t1", 400), ("t2", 400)],
-        [("M1", "t0", "t1", 1280), ("M2", "t1", "t2", 1280)],
-    )
-    timing = TFGTiming(tfg, 128.0, speeds=40.0)
-    return compile_schedule(
-        timing, cube3, {"t0": 0, "t1": 3, "t2": 1}, tau_in=12.0
-    )
 
 
 class TestNullTracer:
@@ -133,25 +115,6 @@ class TestResourceTracing:
         (step,) = rec.select("sim", "step")
         assert schedule.args == {"due": 1.0, "event": "tick"}
         assert (step.time, step.args) == (1.0, {"event": "tick"})
-
-
-class TestCrossbarTracing:
-    def test_replay_emits_switch_spans_per_cp(self, claim_routing, cube3):
-        from repro.cp import replay_schedule
-
-        rec = TraceRecorder()
-        executed = replay_schedule(claim_routing.schedule, cube3, tracer=rec)
-        switches = rec.spans("crossbar", name="switch")
-        assert len(switches) == executed
-        assert all(s.track.startswith("CP") for s in switches)
-        # Every command names its message and ports in the args.
-        sample = switches[0]
-        assert {"input", "output", "message"} <= set(sample.args)
-
-    def test_replay_without_tracer_is_silent(self, claim_routing, cube3):
-        from repro.cp import replay_schedule
-
-        assert replay_schedule(claim_routing.schedule, cube3) > 0
 
 
 class TestChromeExport:

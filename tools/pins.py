@@ -31,7 +31,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from benchmarks.e2e import inputs  # noqa: E402
 from repro.cache import ScheduleCache, diagnosis_cache_key, schedule_cache_key  # noqa: E402
+from repro.check.analyzer import analyze_schedule  # noqa: E402
 from repro.check.fuzz import _CONFIG as FUZZ_CONFIG, FuzzPoint  # noqa: E402
+from repro.check.mutate import MUTATIONS, MutationSkipped, mutate_schedule  # noqa: E402
 from repro.core import pipeline  # noqa: E402
 from repro.core.assignment import PathAssignment  # noqa: E402
 from repro.core.compiler import CompilerConfig, compile_schedule  # noqa: E402
@@ -41,7 +43,7 @@ from repro.core.interval_scheduling import schedule_intervals  # noqa: E402
 from repro.core.io import schedule_to_dict  # noqa: E402
 from repro.core.utilization import UtilizationState  # noqa: E402
 from repro.diagnose.instance import diagnose_instance  # noqa: E402
-from repro.errors import SchedulingError  # noqa: E402
+from repro.errors import ReproError, SchedulingError  # noqa: E402
 from repro.faults.models import (FaultTrace, LinkFault, NodeFault,  # noqa: E402
                                  generate_fault_trace)
 from repro.faults.repair import repair_schedule  # noqa: E402
@@ -209,6 +211,54 @@ def fault_timelines() -> dict:
             runs[f"{name}@{load}/{kind}/{variant}"] = fault_record(
                 run, dataclasses.replace(config, fault_trace=trace))
     return runs
+
+
+# -- check.kill_matrix: which checker kills which mutant --------------------------
+
+#: The ``pipeline_sim`` points but torus8x8 @ 0.77: the reference backend
+#: finds no schedule there, and its failed compile alone takes 12 s.
+KILL_POINTS = tuple(point for point in inputs.SIM_POINTS
+                    if point != ("torus8x8", inputs.SWEEP8[5]))
+
+
+def _rejects(check) -> bool:
+    """Whether ``check`` raises one of the library's typed errors; any
+    other exception is a crash, not a kill, and propagates."""
+    try:
+        check()
+    except ReproError:
+        return True
+    return False
+
+
+def kill_matrix() -> dict:
+    """Per mutation operator, over seeds 0-3 on the DVB(5) schedules of
+    :data:`KILL_POINTS`: how many mutants it made and how many each checker
+    killed on its own -- the analyzer by an error finding, ``validate()``
+    and the executor's replay of Ω (12 invocations) by raising a
+    :class:`ReproError`.  The reference LP backend compiles
+    the schedules, so no HiGHS build moves them."""
+    instances = inputs.Instances()
+    matrix = {operator: dict.fromkeys(("applied", "analyzer", "validate", "executor"), 0)
+              for operator in sorted(MUTATIONS)}
+    for name, load in KILL_POINTS:
+        problem = timing, topology, allocation, _ = instances.dvb(5, name, 128.0, load)
+        routing = compile_schedule(*problem, CompilerConfig(**inputs.COMPILER_FIELDS,
+                                                            lp_backend="reference"))
+        for operator, seed in itertools.product(sorted(MUTATIONS), range(4)):
+            try:
+                mutant = mutate_schedule(routing.schedule, seed, operator).schedule
+            except MutationSkipped:
+                continue
+            row = matrix[operator]
+            row["applied"] += 1
+            row["analyzer"] += not analyze_schedule(
+                mutant, topology, timing=timing, allocation=allocation).ok
+            row["validate"] += _rejects(mutant.validate)
+            row["executor"] += _rejects(lambda: ScheduledRoutingExecutor(
+                dataclasses.replace(routing, schedule=mutant), timing, topology,
+                allocation).run(invocations=12, warmup=2))
+    return matrix
 
 
 # -- assign_corpus: what AssignPaths computes on every attempt ------------------
@@ -451,6 +501,7 @@ PINS = {
     "import.facades": (PINS_FILE, facade_exports),
     "faults.timelines": (PINS_FILE, fault_timelines),
     "faults.six_cube_repair": (PINS_FILE, six_cube_repair),
+    "check.kill_matrix": (PINS_FILE, kill_matrix),
 }
 
 
