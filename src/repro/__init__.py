@@ -55,7 +55,6 @@ _exported, __getattr__, __dir__ = lazy_exports(__name__, {
     "SchedulingError": "errors",
     "SimulationError": "errors",
     "SpikeStats": "metrics.series",
-    "StaticallyRefutedError": "errors",
     "TFGTiming": "tfg.analysis",
     "Task": "tfg.graph",
     "TaskFlowGraph": "tfg.graph",

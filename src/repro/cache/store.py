@@ -63,7 +63,6 @@ from repro.errors import (
     IntervalSchedulingError,
     ReproError,
     SchedulingError,
-    StaticallyRefutedError,
     UtilizationExceededError,
 )
 
@@ -323,8 +322,6 @@ def error_to_entry(error: SchedulingError) -> dict[str, Any]:
             "required": error.required,
             "available": error.available,
         }
-    elif isinstance(error, StaticallyRefutedError):
-        args = {"refutations": [dict(r) for r in error.refutations]}
     return {
         "format": CACHE_VERSION,
         "kind": "failure",
@@ -351,10 +348,6 @@ def entry_to_error(entry: Mapping[str, Any]) -> SchedulingError:
             int(args["interval_index"]),
             float(args["required"]),
             float(args["available"]),
-        )
-    elif kind == "StaticallyRefutedError":
-        error = StaticallyRefutedError(
-            [dict(r) for r in args.get("refutations", [])]
         )
     else:
         error = SchedulingError(entry["message"])

@@ -29,11 +29,11 @@ and cross-checked along three independent axes:
   wall times and tallies — it legitimately performs fewer LP solves) to
   a cold compile of the perturbed instance, proving stage-level
   artifact reuse never changes results.
-- **prescreen soundness** — the static instance diagnoser
-  (:mod:`repro.diagnose`) runs on every point; a statically refuted
-  point must be infeasible on *every* backend, and every refutation's
-  witness must survive the independent replay verifier
-  (:func:`repro.diagnose.verify_refutation`).
+- **diagnoser soundness** (serve admission relies on it) — the static
+  instance diagnoser (:mod:`repro.diagnose`) runs on every point; a
+  statically refuted point must be infeasible on *every* backend, and
+  every refutation's witness must survive the independent replay
+  verifier (:func:`repro.diagnose.verify_refutation`).
 - **determinism differential** — once per run, two child processes with
   different hash seeds, clocks and RNG states compile every point (cold,
   then delta, through a fresh disk cache) and serve a fixed request
@@ -276,18 +276,17 @@ def _verify_feasible(
         )
 
 
-def _check_prescreen(
+def _check_diagnoser(
     point: FuzzPoint,
     inputs: "PointInputs",
     verdicts: Mapping[str, str],
     out: list[str],
 ) -> None:
-    """Prescreen soundness: statically refuted ⇒ every backend infeasible.
+    """Diagnoser soundness: statically refuted ⇒ every backend infeasible.
 
-    The compilations deliberately run *without* the prescreen, so a
-    refuted point still exercises both LP backends; this differential
-    then demands (a) no backend found the point feasible and (b) every
-    refutation's witness survives the independent replay verifier.
+    A refuted point still runs through both LP backends; this
+    differential demands (a) no backend found the point feasible and (b)
+    every refutation's witness survives the independent replay verifier.
     """
     from repro.diagnose.instance import diagnose_instance
     from repro.diagnose.verify import verify_refutation
@@ -299,7 +298,7 @@ def _check_prescreen(
     feasible = sorted(b for b, v in verdicts.items() if v == "feasible")
     if feasible:
         out.append(
-            f"seed {point.seed}: prescreen UNSOUND — statically refuted "
+            f"seed {point.seed}: diagnoser UNSOUND — statically refuted "
             f"({diagnosis.summary()}) yet feasible on: {', '.join(feasible)}"
         )
     for refutation in diagnosis.instance_refutations:
@@ -496,7 +495,7 @@ def check_point(point: FuzzPoint) -> PointOutcome:
     runs = {b: _compile(inputs, b) for b in backends}
     verdicts = {b: v for b, (v, _) in runs.items()}
     outcome.verdict = verdicts[backends[0]]
-    _check_prescreen(point, inputs, verdicts, outcome.disagreements)
+    _check_diagnoser(point, inputs, verdicts, outcome.disagreements)
     if len(set(verdicts.values())) > 1:
         outcome.disagreements.append(
             f"seed {point.seed}: backends disagree on feasibility: "

@@ -26,7 +26,7 @@ import sys
 # and ``submit`` stay light and ``compile`` pays for no more than a
 # compile.
 from repro.errors import ReproError, RepairInfeasibleError, SchedulingError
-from repro.experiments.setup import ALLOCATORS, InstanceSpec
+from repro.experiments.setup import ALLOCATORS, InstanceSpec, normalized_load
 from repro.metrics import load_sweep
 from repro.report import format_spike, format_table
 from repro.solvers import BACKEND_NAMES
@@ -67,17 +67,21 @@ def _add_lp_backend(parser: argparse.ArgumentParser, help: str) -> None:
     )
 
 
-def _spec(args) -> InstanceSpec:
-    """The instance the common arguments name; a value it rejects is a
-    usage error (exit 2) like any other bad argument, not a traceback
-    with the exit code of "infeasible"."""
+def _checked(args, make):
+    """``make()``; a :class:`ValueError` it raises is a usage error (exit
+    2) like any other bad argument, not a traceback with the exit code of
+    "infeasible"."""
     try:
-        return InstanceSpec(
-            args.topology, args.bandwidth, args.models, args.allocator,
-            args.seed,
-        )
+        return make()
     except ValueError as error:
         args.usage_error(str(error))
+
+
+def _spec(args) -> InstanceSpec:
+    """The instance the common arguments name."""
+    return _checked(args, lambda: InstanceSpec(
+        args.topology, args.bandwidth, args.models, args.allocator, args.seed
+    ))
 
 
 def _setup(args):
@@ -88,10 +92,14 @@ def _setup_at_load(args):
     """The setup and its input period at ``--load`` (exit 2 on a load
     outside ``(0, 1]``)."""
     setup = _setup(args)
-    try:
-        return setup, setup.tau_in_for_load(args.load)
-    except ValueError as error:
-        args.usage_error(str(error))
+    return setup, _checked(args, lambda: setup.tau_in_for_load(args.load))
+
+
+def _loads(args) -> list[float]:
+    """``--loads`` (default: the paper's sweep), each held to the rule
+    of ``--load``."""
+    loads = args.loads or load_sweep()
+    return _checked(args, lambda: [normalized_load(load) for load in loads])
 
 
 def _schedule_file(args, read):
@@ -110,7 +118,7 @@ def _cmd_utilization(args) -> int:
     from repro.experiments.figures import utilization_comparison
 
     setup = _setup(args)
-    loads = args.loads or load_sweep()
+    loads = _loads(args)
     points = utilization_comparison(setup, loads, seed=args.seed)
     rows = [
         (f"{p.load:.4f}", f"{p.u_lsd:.4f}", f"{p.u_heuristic:.4f}")
@@ -131,7 +139,7 @@ def _cmd_pipeline(args) -> int:
     from repro.experiments.figures import pipeline_comparison
 
     setup = _setup(args)
-    loads = args.loads or load_sweep()
+    loads = _loads(args)
     points = pipeline_comparison(setup, loads, compiler_config=CompilerConfig(seed=args.seed))
     rows = []
     for p in points:
@@ -206,8 +214,13 @@ def _cmd_matrix(args) -> int:
         run_feasibility_matrix,
     )
 
-    loads = args.loads or load_sweep()
+    loads = _loads(args)
     names = args.topologies or sorted(TOPOLOGIES)
+    _checked(args, lambda: [  # every swept instance, held to the rules
+        InstanceSpec(name, bandwidth, args.models, args.allocator, args.seed)
+        for name in names
+        for bandwidth in args.bandwidths
+    ])
     topologies = [make_topology(name) for name in names]
     result = run_feasibility_matrix(
         dvb_tfg(args.models),
@@ -221,7 +234,6 @@ def _cmd_matrix(args) -> int:
         jobs=args.jobs,
         cache=args.cache_dir,
         analyze=args.check,
-        prescreen=args.prescreen,
     )
     print(format_matrix_result(result))
     return 0
@@ -418,10 +430,13 @@ def _cmd_faults(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.core.compiler import CompilerConfig, compile_schedule
-    from repro.results import RunConfig
+    from repro.results import RunConfig, require_measured
     from repro.trace import TraceRecorder, stage_table, write_chrome_trace
 
     setup, tau_in = _setup_at_load(args)
+    _checked(args, lambda: require_measured(
+        args.invocations, args.warmup, ValueError
+    ))
     tracer = TraceRecorder()
     run = RunConfig(
         invocations=args.invocations,
@@ -634,12 +649,7 @@ def main(argv: list[str] | None = None) -> int:
         help="run the conformance analyzer on every feasible point "
              "(flagged points show CHK instead of OK)",
     )
-    p_matrix.add_argument(
-        "--prescreen", action="store_true",
-        help="statically refute points before LP work (refuted points "
-             "show REF; feasible verdicts are unchanged)",
-    )
-    p_matrix.set_defaults(func=_cmd_matrix)
+    p_matrix.set_defaults(func=_cmd_matrix, usage_error=p_matrix.error)
 
     p_diag = sub.add_parser(
         "diagnose",

@@ -25,7 +25,6 @@ from repro.core.interval_allocation import IntervalAllocation
 from repro.core.pipeline import (
     POST_ASSIGNMENT_STAGES,
     CompilationContext,
-    PrescreenStage,
     TimeBoundsStage,
     compile_stages,
     routed_and_local_messages,
@@ -36,7 +35,7 @@ from repro.core.timebounds import TimeBoundSet
 from repro.core.utilization import UtilizationReport
 from repro.errors import SchedulingError
 from repro.mapping.allocation import validate_allocation
-from repro.solvers import get_backend
+from repro.solvers import BACKEND_NAMES, get_backend
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Topology
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -89,15 +88,9 @@ class CompilerConfig:
         :func:`repro.solvers.get_backend`): ``"auto"`` (default —
         scipy's HiGHS when available, the pure-Python reference simplex
         otherwise), ``"highs"`` or ``"reference"``.
-    prescreen:
-        When True, run the static instance diagnoser
-        (:mod:`repro.diagnose`) before any path assignment or LP work
-        and raise :class:`~repro.errors.StaticallyRefutedError` on
-        points no assignment could save.  Sound but incomplete: a
-        feasible instance is never refuted (enforced by the fuzz
-        corpus), but not every infeasible one is caught statically.
-        Off by default so error types seen by existing callers are
-        unchanged.
+
+    A value no compile can run (``max_paths < 1``, a negative count, an
+    unknown backend) raises :class:`ValueError` here, not mid-compile.
     """
 
     seed: int = 0
@@ -108,7 +101,20 @@ class CompilerConfig:
     feedback_rounds: int = 2
     sync_margin: float = 0.0
     lp_backend: str = "auto"
-    prescreen: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_paths < 1:
+            raise ValueError(f"max_paths must be >= 1, got {self.max_paths}")
+        for name in ("max_restarts", "retries", "feedback_rounds"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}"
+                )
+        if self.lp_backend not in BACKEND_NAMES:
+            raise ValueError(
+                f"lp_backend must be one of {', '.join(BACKEND_NAMES)}, "
+                f"got {self.lp_backend!r}"
+            )
 
 
 @dataclass
@@ -198,13 +204,6 @@ def compile_schedule(
         allocation=allocation,
         delta=delta,
     )
-    if config.prescreen:
-        try:
-            PrescreenStage().run(context)
-        except SchedulingError as error:
-            if cache is not None:
-                cache.store_failure(key, error)
-            raise
     TimeBoundsStage().run(context)
 
     stages = compile_stages(config)

@@ -60,9 +60,9 @@ from repro.errors import (
     ScheduleValidationError,
 )
 from repro.results import (
-    MIN_MEASURED_INVOCATIONS,
     RunConfig,
     RunResult,
+    require_measured,
     resolve_run_config,
 )
 from repro.sim import Claim, Environment, Monitor, Resource
@@ -289,11 +289,7 @@ class ScheduledRoutingExecutor:
         )
         invocations, warmup = config.invocations, config.warmup
         fault_trace, tracer = config.fault_trace, config.tracer
-        if invocations - warmup < MIN_MEASURED_INVOCATIONS:
-            raise ScheduleValidationError(
-                f"need >= {MIN_MEASURED_INVOCATIONS} measured invocations, "
-                f"got {invocations} with warmup={warmup}"
-            )
+        require_measured(invocations, warmup, ScheduleValidationError)
         env = Environment(tracer=tracer)
         links: dict[Link, Resource] = {
             link: Resource(env, capacity=1, name=str(link))

@@ -83,7 +83,7 @@ def schedule_from_dict(data: dict[str, Any]) -> CommunicationSchedule:
         )
     tau_in = float(data["tau_in"])
     assignment = {
-        name: tuple(int(n) for n in path)
+        name: tuple(_node_id(n) for n in path)
         for name, path in data["assignment"].items()
     }
     slots: dict[str, tuple[TransmissionSlot, ...]] = {}
@@ -127,6 +127,14 @@ def schedule_from_dict(data: dict[str, Any]) -> CommunicationSchedule:
     )
     schedule.validate()
     return schedule
+
+
+def _node_id(value: Any) -> int:
+    """A path node id as stored: an integer, never a float to truncate or
+    a bool or string to coerce."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScheduleValidationError(f"node id {value!r} is not an integer")
+    return value
 
 
 def save_schedule(schedule: CommunicationSchedule, path: str | Path) -> None:

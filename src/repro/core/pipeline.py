@@ -65,13 +65,8 @@ OK = "OK"
 #: conformance analyzer (:mod:`repro.check`) flagged the schedule.
 CHECK_FLAGGED = "CHK"
 
-#: Verdict code when the static prescreen refuted the point before any
-#: path assignment or LP work (:mod:`repro.diagnose`).
-STATICALLY_REFUTED = "REF"
-
 #: ``SchedulingError.stage`` → feasibility-matrix verdict abbreviation.
 STAGE_VERDICT_CODES = {
-    "prescreen": STATICALLY_REFUTED,
     "utilization": "U>1",
     "interval-allocation": "ALO",
     "interval-scheduling": "SCH",
@@ -141,7 +136,6 @@ class CompilationContext:
         default_factory=list
     )
     schedule: CommunicationSchedule | None = None
-    extra: dict = field(default_factory=dict)
 
     def reset_attempt(self, seed: int, attempt_number: int) -> None:
         """Wipe per-attempt artifacts before a retry under a new seed."""
@@ -178,43 +172,6 @@ def run_stages(
     for stage in stages:
         stage.run(context)
     return context
-
-
-class PrescreenStage:
-    """Refute statically before any LP work (``CompilerConfig.prescreen``).
-
-    Runs the layer-1 necessary-condition certificates of
-    :mod:`repro.diagnose` over the raw instance and raises
-    :class:`~repro.errors.StaticallyRefutedError` when any
-    instance-scoped certificate fires — skipping path assignment and
-    both LP stages on points no assignment could save.  Certificates
-    are sound (each is a necessary condition verified by the fuzz
-    harness against both LP backends), so enabling the prescreen never
-    changes a feasible point's outcome, only how fast infeasible ones
-    fail.  The stage is config-gated and off by default.
-    """
-
-    name = "prescreen"
-
-    def run(self, context: CompilationContext) -> None:
-        from repro.diagnose.instance import diagnose_instance
-        from repro.errors import StaticallyRefutedError
-
-        with context.tracer.stage(self.name) as detail:
-            diagnosis = diagnose_instance(
-                context.timing,
-                context.topology,
-                context.allocation,
-                context.tau_in,
-                sync_margin=context.config.sync_margin,
-            )
-            detail["checks"] = len(diagnosis.checks)
-            detail["refutations"] = len(diagnosis.refutations)
-        context.extra["diagnosis"] = diagnosis
-        if diagnosis.refuted:
-            raise StaticallyRefutedError(
-                [r.to_dict() for r in diagnosis.instance_refutations]
-            )
 
 
 class TimeBoundsStage:

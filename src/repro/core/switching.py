@@ -117,8 +117,9 @@ class CommunicationSchedule:
     def validate(self) -> None:
         """Machine-check the schedule's invariants, in one pass over the slots.
 
-        0. the frame: ``tau_in`` is a positive finite time, and every slot
-           has a finite start and a finite duration longer than ``EPS``;
+        0. the frame: ``tau_in`` is a positive finite time, every slot
+           has a finite start and a finite duration longer than ``EPS``,
+           and every path is a route of two or more distinct nodes;
         1. every message's slots lie inside its timing windows and sum to
            exactly its transmission duration (deadlines are guaranteed);
         2. no two slots ever share a link (contention-freedom, which also
@@ -155,6 +156,11 @@ class CommunicationSchedule:
             for slot in slots:
                 known = paths.get(slot.path)
                 if known is None:
+                    if not 2 <= len(set(slot.path)) == len(slot.path):
+                        raise ScheduleValidationError(
+                            f"message {name!r}: path {slot.path} is not a "
+                            "route of two or more distinct nodes"
+                        )
                     known = paths[slot.path] = (
                         links_on_path(slot.path), _path_hops(slot.path)
                     )

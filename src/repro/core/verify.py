@@ -27,7 +27,7 @@ from typing import Mapping
 from repro.core.compiler import ScheduledRouting
 from repro.core.executor import ScheduledRoutingExecutor
 from repro.errors import ScheduleValidationError
-from repro.results import MIN_MEASURED_INVOCATIONS
+from repro.results import require_measured
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Topology
 
@@ -70,11 +70,7 @@ def verify_schedule(
 
     >>> # see tests/unit/test_core_verify.py for executable examples
     """
-    if invocations - warmup < MIN_MEASURED_INVOCATIONS:
-        raise ValueError(
-            f"invocations ({invocations}) must exceed warmup ({warmup}) by "
-            f"at least {MIN_MEASURED_INVOCATIONS} measured invocations"
-        )
+    require_measured(invocations, warmup, ValueError)
     from repro.check.analyzer import analyze_schedule
 
     conformance = analyze_schedule(

@@ -8,8 +8,8 @@ analyses compiled *schedules*.  Three layers:
    certificates (window/period violations, disconnection, forced-link
    utilisation and Hall window-density bounds, cut and network
    capacity).  An instance-scoped :class:`Refutation` proves **no**
-   path assignment can work; the compiler's prescreen stage
-   (``CompilerConfig.prescreen``) acts on exactly these.
+   path assignment can work; serve admission refuses a job on exactly
+   these.
 2. :func:`explain_assignment` / :func:`explain_allocation_failure` —
    verified Farkas certificates extracted from the interval-allocation
    LP, naming the conflicting duration equations and link-capacity

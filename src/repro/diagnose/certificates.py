@@ -46,8 +46,7 @@ Certificate taxonomy (``kind`` values)
 Scopes
 ------
 ``instance`` certificates hold for **every** path assignment — they
-refute the point outright and are what the compile-time prescreen acts
-on.  ``assignment`` certificates explain one assignment's LP failure;
+refute the point outright and are what serve admission acts on.  ``assignment`` certificates explain one assignment's LP failure;
 another assignment might still succeed, so they never gate compilation.
 """
 
@@ -58,7 +57,7 @@ from typing import Any, Mapping
 
 from repro.topology.base import Link
 
-#: Certificates valid for every path assignment (prescreen acts on these).
+#: Certificates valid for every path assignment (admission acts on these).
 SCOPE_INSTANCE = "instance"
 #: Certificates explaining one concrete assignment's LP failure.
 SCOPE_ASSIGNMENT = "assignment"

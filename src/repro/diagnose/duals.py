@@ -12,7 +12,7 @@ and which (link, interval) capacity rows combine into a contradiction.
 
 The resulting :class:`~repro.diagnose.certificates.Refutation` carries
 ``scope="assignment"``: another path assignment might avoid the
-conflict, so these certificates explain rather than prescreen.
+conflict, so these certificates explain rather than refute.
 """
 
 from __future__ import annotations

@@ -59,38 +59,6 @@ class SchedulingError(ReproError):
     stage = "scheduling"
 
 
-class StaticallyRefutedError(SchedulingError):
-    """The static instance diagnoser proved no schedule can exist.
-
-    Raised by the prescreen stage before any LP work: a
-    necessary-condition certificate (forced-link overload, window
-    violation, cut saturation...) from :mod:`repro.diagnose` refutes
-    the instance outright.  Carries the certificates so the caller can
-    *explain* the infeasibility, not just report it.
-
-    Attributes
-    ----------
-    refutations:
-        Tuple of ``Refutation`` payload dicts (kept as plain dicts so
-        the error round-trips through the schedule cache without
-        importing :mod:`repro.diagnose`).
-    """
-
-    stage = "prescreen"
-
-    def __init__(self, refutations: tuple[dict, ...] | list[dict]):
-        self.refutations = tuple(dict(r) for r in refutations)
-        kinds = sorted({str(r.get("kind", "?")) for r in self.refutations})
-        summary = (
-            self.refutations[0].get("detail", "") if self.refutations else ""
-        )
-        suffix = f": {summary}" if summary else ""
-        super().__init__(
-            f"statically refuted by {len(self.refutations)} certificate(s) "
-            f"[{', '.join(kinds)}]{suffix}"
-        )
-
-
 class UtilizationExceededError(SchedulingError):
     """Peak utilisation U > 1: the TFG's communication requirements exceed
     link capacity at the requested input period, so no feasible schedule

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -27,12 +27,7 @@ from repro.cache.store import (
     process_cache,
 )
 from repro.core.compiler import CompilerConfig, compile_schedule
-from repro.core.pipeline import (
-    CHECK_FLAGGED,
-    OK,
-    STATICALLY_REFUTED,
-    verdict_code,
-)
+from repro.core.pipeline import CHECK_FLAGGED, OK, verdict_code
 from repro.errors import SchedulingError
 from repro.experiments.setup import standard_setup
 from repro.pool import GracefulPool
@@ -67,7 +62,6 @@ class MatrixResult:
     elapsed_s: float
     jobs: int
     cache_stats: dict[str, float | int] | None = None
-    prescreen: bool = False
     #: True when a SIGTERM/SIGINT drained the worker pool mid-sweep:
     #: in-flight cells finished, queued ones carry the "-" verdict.
     interrupted: bool = False
@@ -76,26 +70,6 @@ class MatrixResult:
     def hit_rate(self) -> float:
         return self.cache_stats["hit_rate"] if self.cache_stats else 0.0
 
-    @property
-    def statically_refuted(self) -> int:
-        """Points the prescreen refuted before any LP work ran."""
-        return sum(
-            1
-            for row in self.rows
-            for v in row.verdicts
-            if v == STATICALLY_REFUTED
-        )
-
-    @property
-    def lp_refuted(self) -> int:
-        """Infeasible points that needed the compiler's LP stages."""
-        skip = (OK, CHECK_FLAGGED, STATICALLY_REFUTED)
-        return sum(
-            1
-            for row in self.rows
-            for v in row.verdicts
-            if v not in skip
-        )
 
 
 def _compile_point(
@@ -170,7 +144,6 @@ def run_feasibility_matrix(
     jobs: int = 1,
     cache: ScheduleCache | str | Path | None = None,
     analyze: bool = False,
-    prescreen: bool = False,
 ) -> MatrixResult:
     """Compile the workload at every (topology, bandwidth, load) point.
 
@@ -184,13 +157,6 @@ def run_feasibility_matrix(
         Run every feasible schedule through the independent conformance
         analyzer (:mod:`repro.check`); flagged points report the
         ``CHK`` verdict instead of ``OK``.
-    prescreen:
-        Run the static instance diagnoser (:mod:`repro.diagnose`)
-        before each compilation; statically refuted points report the
-        ``REF`` verdict without any path-assignment or LP work.
-        Feasible points are never affected (the prescreen is sound), so
-        the matrix's ``OK``/``CHK`` cells are identical with and
-        without it.
     jobs:
         Number of worker processes.  ``1`` (default) compiles serially
         in-process; ``N > 1`` fans the points out over a
@@ -204,8 +170,6 @@ def run_feasibility_matrix(
         (serial runs only).
     """
     config = config or CompilerConfig()
-    if prescreen:
-        config = replace(config, prescreen=True)
     began = time.perf_counter()
 
     placements: dict[str, Mapping[str, int] | None] = {}
@@ -294,7 +258,6 @@ def run_feasibility_matrix(
         elapsed_s=time.perf_counter() - began,
         jobs=jobs,
         cache_stats=cache_stats,
-        prescreen=config.prescreen,
         interrupted=interrupted,
     )
 
@@ -328,11 +291,5 @@ def format_matrix_result(result: MatrixResult) -> str:
         lines.append(
             "interrupted: the worker pool was drained by a signal; "
             "cells marked '-' were never compiled"
-        )
-    if result.prescreen:
-        lines.append(
-            f"prescreen: {result.statically_refuted} point(s) refuted "
-            f"statically (REF), {result.lp_refuted} by the compiler's "
-            "LP stages"
         )
     return "\n".join(lines)

@@ -65,9 +65,15 @@ class ExperimentSetup:
 
     def tau_in_for_load(self, load: float) -> float:
         """Input period realizing a normalized load ``tau_c / tau_in``."""
-        if not 0 < load <= 1:
-            raise ValueError(f"normalized load must be in (0, 1], got {load}")
-        return self.timing.tau_c / load
+        return self.timing.tau_c / normalized_load(load)
+
+
+def normalized_load(load: float) -> float:
+    """``load`` if it is a normalized load ``tau_c / tau_in`` in (0, 1];
+    :class:`ValueError` otherwise (NaN included)."""
+    if not 0 < load <= 1:
+        raise ValueError(f"normalized load must be in (0, 1], got {load}")
+    return load
 
 
 def standard_setup(

@@ -39,6 +39,18 @@ if TYPE_CHECKING:  # pragma: no cover
 MIN_MEASURED_INVOCATIONS = 4
 
 
+def require_measured(
+    invocations: int, warmup: int, error: type[Exception]
+) -> None:
+    """Raise ``error`` unless ``invocations - warmup`` reaches
+    :data:`MIN_MEASURED_INVOCATIONS`."""
+    if invocations - warmup < MIN_MEASURED_INVOCATIONS:
+        raise error(
+            f"need >= {MIN_MEASURED_INVOCATIONS} measured invocations, "
+            f"got {invocations} with warmup={warmup}"
+        )
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunConfig:
     """Keyword-only bundle of run parameters, shared by every run path.

@@ -32,8 +32,7 @@ from typing import Any, Mapping, get_type_hints
 
 from repro.core.compiler import CompilerConfig
 from repro.errors import ReproError
-from repro.experiments.setup import InstanceSpec
-from repro.solvers import BACKEND_NAMES
+from repro.experiments.setup import InstanceSpec, normalized_load
 
 __all__ = [
     "BadRequest",
@@ -112,8 +111,8 @@ class JobRequest(InstanceSpec):
                 f"unknown kind {self.kind!r}; expected one of "
                 f"{', '.join(KINDS)}"
             )
-        if not 0 < self.load <= 1:
-            raise ValueError(f"load must be in (0, 1], got {self.load}")
+        normalized_load(self.load)
+        self.compiler_config()  # a knob no compile can run is refused here
 
     @classmethod
     def from_payload(cls, payload: Any) -> "JobRequest":
@@ -130,11 +129,6 @@ class JobRequest(InstanceSpec):
             config.append((key, _coerce(
                 "config field", key, _OVERRIDE_TYPES[key], raw_config[key]
             )))
-        if dict(config).get("lp_backend", "auto") not in BACKEND_NAMES:
-            raise BadRequest(
-                f"config field 'lp_backend' must be one of "
-                f"{', '.join(BACKEND_NAMES)}"
-            )
         values: dict[str, Any] = {"config": tuple(config)}
         for name, kind, required in _WIRE_FIELDS:
             if name in payload:

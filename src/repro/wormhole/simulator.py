@@ -35,9 +35,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTu
 from repro.errors import SimulationError
 from repro.mapping.allocation import validate_allocation
 from repro.results import (
-    MIN_MEASURED_INVOCATIONS,
     RunConfig,
     RunResult,
+    require_measured,
     resolve_run_config,
 )
 from repro.sim import Claim, Environment, Monitor, Resource
@@ -213,11 +213,7 @@ class WormholeSimulator:
                 f"tau_in={tau_in} below tau_c={self.timing.tau_c}: input "
                 "accumulates without bound (paper Section 2)"
             )
-        if invocations - warmup < MIN_MEASURED_INVOCATIONS:
-            raise SimulationError(
-                f"need >= {MIN_MEASURED_INVOCATIONS} measured invocations, "
-                f"got {invocations} with warmup={warmup}"
-            )
+        require_measured(invocations, warmup, SimulationError)
 
         env = Environment(tracer=tracer)
         links: dict[Link, Resource] = {

@@ -5,7 +5,7 @@ static diagnoser (:func:`repro.core.utilization.link_loads`, and
 :func:`forced_load_matrix` beside it) must agree exactly with what the
 compiler's :class:`UtilizationState` maintains incrementally — same
 bounds, same forced loads, same ``U_j`` — on randomly generated
-instances.  Plus the prescreen soundness property over the head of the
+instances.  Plus the diagnoser soundness property over the head of the
 fuzz corpus: a statically refuted point never compiles, and every
 refutation witness survives the independent replay verifier.
 """

@@ -337,28 +337,53 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize(
         ("flags", "message"),
-        [
-            (["--models", "0"], "models must be >= 1, got 0"),
-            (["--bandwidth", "-1"], "bandwidth must be > 0, got -1.0"),
-            (["--load", "0"], "normalized load must be in (0, 1], got 0.0"),
-            (["--load", "-0.5"], "normalized load must be in (0, 1], got -0.5"),
-            (["--bandwidth", "inf"], "bandwidth must be finite, got inf"),
-            (["--bandwidth", "16"], "bandwidth must be >= 64 (the "
+        [  # the command, then its flags
+            (["compile", "--models", "0"], "models must be >= 1, got 0"),
+            (["compile", "--bandwidth", "-1"],
+             "bandwidth must be > 0, got -1.0"),
+            (["compile", "--load", "0"],
+             "normalized load must be in (0, 1], got 0.0"),
+            (["compile", "--load", "-0.5"],
+             "normalized load must be in (0, 1], got -0.5"),
+            (["compile", "--bandwidth", "inf"],
+             "bandwidth must be finite, got inf"),
+            (["compile", "--bandwidth", "16"], "bandwidth must be >= 64 (the "
              "calibration bandwidth), got 16.0"),
-            (["--bandwidth", "63.99"], "bandwidth must be >= 64 (the "
-             "calibration bandwidth), got 63.99"),
+            (["compile", "--bandwidth", "63.99"], "bandwidth must be >= 64 "
+             "(the calibration bandwidth), got 63.99"),
+            (["matrix", "--loads", "nan"],
+             "normalized load must be in (0, 1], got nan"),
+            (["matrix", "--loads", "1.5"],
+             "normalized load must be in (0, 1], got 1.5"),
+            (["matrix", "--bandwidths", "16"], "bandwidth must be >= 64 (the "
+             "calibration bandwidth), got 16.0"),
+            (["matrix", "--bandwidths", "-5"],
+             "bandwidth must be > 0, got -5.0"),
+            (["matrix", "--bandwidths", "nan"],
+             "bandwidth must be > 0, got nan"),
+            (["matrix", "--bandwidths", "inf"],
+             "bandwidth must be finite, got inf"),
+            (["matrix", "--models", "-3"], "models must be >= 1, got -3"),
+            (["utilization", "--loads", "nan"],
+             "normalized load must be in (0, 1], got nan"),
+            (["pipeline", "--loads", "nan"],
+             "normalized load must be in (0, 1], got nan"),
+            (["trace", "--mode", "sr", "--invocations", "0"],
+             "need >= 4 measured invocations, got 0 with warmup=4"),
+            (["trace", "--mode", "wr", "--invocations", "2", "--warmup", "0"],
+             "need >= 4 measured invocations, got 2 with warmup=0"),
         ],
     )
     def test_invalid_instance_is_a_usage_error(self, capsys, flags, message):
         """Exit 2 and one ``error:`` line, not a traceback with the exit
         code (1) that ``compile`` uses for an unschedulable instance."""
         with pytest.raises(SystemExit) as stop:
-            main(["compile", *flags])
+            main(flags)
         assert stop.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            f"repro-sr compile: error: {message}"
+            f"repro-sr {flags[0]}: error: {message}"
         )
 
     @pytest.mark.parametrize("command", ["diagnose", "trace", "submit"])

@@ -88,6 +88,26 @@ class TestValidationOnLoad:
         with pytest.raises(ScheduleValidationError, match="unassigned"):
             schedule_from_dict(data)
 
+    @pytest.mark.parametrize(
+        ("path", "match"),
+        [
+            ([], "not a route"),
+            ([0], "not a route"),
+            ([0, 0, 1], "not a route"),  # a self-link hop
+            ([0, 1, 0, 1], "not a route"),
+            ([0.5, 1], "node id 0.5 is not an integer"),
+            ([0, "1"], "node id '1' is not an integer"),
+            ([False, 1], "node id False is not an integer"),
+        ],
+        ids=["empty", "one-node", "self-link", "revisit", "float", "str",
+             "bool"],
+    )
+    def test_malformed_path_rejected(self, path, match):
+        data = one_message([(0.0, 10.0)])
+        data["assignment"]["m"] = path
+        with pytest.raises(ScheduleValidationError, match=match):
+            schedule_from_dict(data)
+
 
 def one_message(slots, tau_in=100.0):
     """One 10-unit message on link (0, 1), window [0, 60], these slots."""

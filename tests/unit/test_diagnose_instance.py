@@ -1,9 +1,12 @@
-"""Layer-1 static certificates (repro.diagnose.instance) and their replay."""
+"""Layer-1 static certificates (repro.diagnose.instance), their replay,
+and the ``repro-sr diagnose`` command."""
+
+import json
 
 import pytest
 
 from repro.cache import ScheduleCache, diagnosis_cache_key
-from repro.cache.store import entry_to_error, error_to_entry
+from repro.cli import main
 from repro.core.compiler import compile_schedule
 from repro.diagnose import (
     SCOPE_INSTANCE,
@@ -12,7 +15,7 @@ from repro.diagnose import (
     forced_links,
     verify_refutation,
 )
-from repro.errors import SchedulingError, StaticallyRefutedError
+from repro.errors import SchedulingError
 from repro.experiments import standard_setup
 from repro.tfg import TFGTiming, dvb_tfg
 from repro.tfg.graph import build_tfg
@@ -229,18 +232,6 @@ class TestSerialization:
         assert clone.refutations == diagnosis.refutations
         assert clone.tau_in == diagnosis.tau_in
 
-    def test_statically_refuted_error_round_trips(self, refuted_instance):
-        timing, topo, allocation, tau_in = refuted_instance
-        diagnosis = diagnose_instance(timing, topo, allocation, tau_in)
-        error = StaticallyRefutedError(
-            [r.to_dict() for r in diagnosis.instance_refutations]
-        )
-        entry = error_to_entry(error)
-        rebuilt = entry_to_error(entry)
-        assert isinstance(rebuilt, StaticallyRefutedError)
-        assert rebuilt.refutations == error.refutations
-        assert str(rebuilt) == str(error)
-
 
 class TestCaching:
     def test_diagnosis_cache_round_trip(self, refuted_instance):
@@ -278,3 +269,36 @@ class TestCaching:
         # Fetching the diagnosis key through the schedule interface is a
         # miss, not a crash or a bogus schedule.
         assert cache.fetch(key, topology=topo) is None
+
+
+class TestCli:
+    def test_diagnose_text_refuted_exits_nonzero(self, capsys):
+        code = main([
+            "diagnose", "--topology", "hypercube6", "--models", "16",
+            "--load", "1.0",
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "refuted" in out
+        assert "cut-overload" in out
+
+    def test_diagnose_json_payload(self, capsys):
+        code = main([
+            "diagnose", "--topology", "hypercube6", "--models", "16",
+            "--load", "1.0", "--json", "--wr",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["diagnosis"]["refuted"] is True
+        assert payload["diagnosis"]["refutations"]
+        assert "wormhole" in payload
+        assert payload["instance"]["load"] == 1.0
+
+    def test_diagnose_feasible_point_exits_zero(self, capsys):
+        code = main([
+            "diagnose", "--topology", "hypercube6", "--models", "5",
+            "--bandwidth", "128", "--load", "0.5", "--json",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["diagnosis"]["refuted"] is False

@@ -59,10 +59,15 @@ def test_from_payload_resolves_topology_alias():
         {"models": 5.9},
         {"seed": True},
         {"config": {"use_assign_paths": "false"}},
-        {"config": {"prescreen": "no"}},
+        {"config": {"prescreen": True}},
         {"config": {"max_paths": 3.7}},
         {"config": {"lp_backend": "nonsense"}},
         {"config": {"lp_backend": "ilp"}},
+        # Well-typed knobs no compile can run.
+        {"config": {"retries": -1}},
+        {"config": {"max_restarts": -5}},
+        {"config": {"feedback_rounds": -1}},
+        {"config": {"max_paths": 0}},
     ],
 )
 def test_from_payload_rejects_bad_fields(patch):

@@ -35,8 +35,8 @@ repro-sr compile DVB --export T/s.json --gantt 0 --cache-dir T/c
 repro-sr compile DVB --cache-dir T/c
 repro-sr compile DVB --lp-backend reference --allocator annealed --topology 8x8torus
 repro-sr compile --models 16 --load 1.0 --allocator bfs
-repro-sr matrix --topologies hypercube6 ghc444 --bandwidths 128 --loads 0.2 0.9 --models 5 --jobs 2 --cache-dir T/m --check --prescreen
-repro-sr matrix --topologies hypercube6 8x8torus --bandwidths 64 --loads 0.2 0.9 --models 5 --cache-dir T/m --allocator random --prescreen
+repro-sr matrix --topologies hypercube6 ghc444 --bandwidths 128 --loads 0.2 0.9 --models 5 --jobs 2 --cache-dir T/m --check
+repro-sr matrix --topologies hypercube6 8x8torus --bandwidths 64 --loads 0.2 0.9 --models 5 --cache-dir T/m --allocator random
 repro-sr diagnose DVB --deep --wr --json --cache-dir T/d
 repro-sr diagnose DVB --topology 8x8torus --wr --json
 repro-sr diagnose --models 16 --load 1.0 --wr --deep --cache-dir T/d
@@ -45,6 +45,7 @@ repro-sr check T/s.json --revalidate --trace T/findings.json
 python -c "{TAMPER}"
 repro-sr check T/bad.json --trace T/findings.json
 repro-sr check T/missing.json
+repro-sr matrix --loads 1.5
 repro-sr inspect T/s.json --gantt 0 --occupancy 5
 repro-sr fuzz --base-seed 20 --count 6 --out T/fuzz --verbose
 repro-sr faults --topology 6cube --fail-links 1 --drifts 1 --invocations 16 --warmup 4
