@@ -20,9 +20,9 @@ solve where the backend supports it).
 Backend names
 -------------
 ``auto``
-    Resolve at call time: ``highs`` when scipy is importable, otherwise
-    the pure-Python ``reference`` simplex.  This is the
-    ``CompilerConfig.lp_backend`` default.
+    Resolve per call: ``highs`` when scipy is importable (looked up once
+    per process), otherwise the pure-Python ``reference`` simplex.  This
+    is the ``CompilerConfig.lp_backend`` default.
 ``highs``
     :class:`~repro.solvers.scipy_backend.ScipyLinprogBackend` with
     scipy's automatic HiGHS choice — the fast path.
@@ -42,6 +42,7 @@ optimality-gap reference calls
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 from typing import TYPE_CHECKING
 
@@ -77,8 +78,14 @@ __all__ = sorted([
 BACKEND_NAMES = ("auto", "highs", "reference")
 
 
+@functools.cache
 def have_scipy() -> bool:
-    """True when scipy is importable (without importing it)."""
+    """True when scipy is importable (without importing it).
+
+    Resolved once per process: ``find_spec`` walks ``sys.path``, and
+    scipy never lands in ``sys.modules`` to short-cut it (the HiGHS engine
+    loads its extension by file path), yet every ``auto`` compile and
+    every cache key asks."""
     return importlib.util.find_spec("scipy") is not None
 
 

@@ -30,7 +30,7 @@ always zero.  See DESIGN.md, "Substitutions".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.errors import SimulationError
 from repro.mapping.allocation import validate_allocation
@@ -454,15 +454,16 @@ class WormholeSimulator:
         recreates the identical stuck state.
         """
 
-        def blockers(key: _Key) -> set:
+        def blockers(key: _Key) -> list[_Key]:
             # A flight re-requesting a link it already holds (possible
             # under adaptive misrouting) is a self-edge: a one-node cycle
-            # the DFS finds like any other.
-            return {
-                claim.owner
-                for claim in links[waiting[key].link].holders
-                if claim.owner in waiting
-            }
+            # the DFS finds like any other.  A loop, not a comprehension:
+            # one Python frame per visited flight, not two.
+            out = []
+            for claim in links[waiting[key].link].holders:
+                if claim.owner in waiting:
+                    out.append(claim.owner)
+            return out
 
         cycle = _find_cycle(waiting, blockers)
         return None if cycle is None else _fewest_held(waiting, cycle)
@@ -495,47 +496,57 @@ class WormholeSimulator:
 
 def _fewest_held(waiting: _Waiting, keys: Iterable[_Key]) -> _Key:
     """The flight holding the fewest links (then earliest invocation, then
-    name): the least transmission progress lost by aborting it."""
-    _, j, name = min((len(waiting[key].held), key[1], key[0]) for key in keys)
-    return (name, j)
+    name): the least transmission progress lost by aborting it.  ``keys``
+    is never empty (a cycle, or the fault candidates)."""
+    best: tuple[int, int, str] | None = None
+    for key in keys:
+        rank = (len(waiting[key].held), key[1], key[0])
+        if best is None or rank < best:
+            best = rank
+    assert best is not None
+    return (best[2], best[1])
 
 
-def _find_cycle(graph: Mapping, successors: Callable | None = None) -> list | None:
+def _find_cycle(graph: Mapping, successors: Callable[[Any], list]) -> list | None:
     """A cycle in a directed graph as a list of nodes, or None.
 
-    Iterative three-color DFS; deterministic given the (insertion-ordered)
-    adjacency so recovery victims are reproducible.  A node's children
-    (``successors(node)``, default ``graph[node]``) are asked for on
-    reaching it, and only the nodes the search reaches are coloured.
+    Iterative three-color DFS: roots in ``graph`` order, each node's
+    children in ``str`` order, so recovery victims are reproducible.
+    ``successors(node)`` returns a fresh list of the node's children that
+    are in ``graph``.  It is asked for on reaching a node, only the nodes
+    the search reaches are coloured, and only a node with two or more
+    children is sorted.
     """
-    successors = successors or graph.__getitem__
     GREY, BLACK = 1, 2
     color: dict = {}  # absent = white
     for root in graph:
         if root in color:
             continue
-        stack = [(root, iter(sorted(successors(root), key=str)))]
-        color[root] = GREY
-        path = [root]
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if child not in graph:
+        # path: the grey nodes, root first; unvisited[i]: path[i]'s
+        # children not yet tried, the next one last.
+        path: list = []
+        unvisited: list[list] = []
+        node = root
+        while True:  # enter the white ``node``, then find the next one
+            color[node] = GREY
+            path.append(node)
+            children = successors(node)
+            if len(children) > 1:
+                children.sort(key=str)
+                children.reverse()
+            unvisited.append(children)
+            while unvisited:
+                children = unvisited[-1]
+                if not children:
+                    color[path.pop()] = BLACK
+                    unvisited.pop()
                     continue
-                state = color.get(child)
-                if state == GREY:
-                    return path[path.index(child):]
+                node = children.pop()
+                state = color.get(node)
                 if state is None:
-                    color[child] = GREY
-                    path.append(child)
-                    stack.append(
-                        (child, iter(sorted(successors(child), key=str)))
-                    )
-                    advanced = True
                     break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
+                if state == GREY:
+                    return path[path.index(node):]
+            else:  # the root's whole reach is black
+                break
     return None

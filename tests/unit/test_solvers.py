@@ -7,6 +7,8 @@ duals, and any optimal dual is a valid column-generation pricer.
 
 from __future__ import annotations
 
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,34 @@ class TestRegistry:
 
     def test_fresh_instance_per_call(self):
         assert get_backend("reference") is not get_backend("reference")
+
+    def test_scipy_looked_up_once_per_process(self, monkeypatch, cube6, dvb5):
+        """``find_spec`` walks ``sys.path``; every ``auto`` compile and
+        every cache key asks whether scipy exists, one lookup answers."""
+        from repro.cache.keys import schedule_cache_key
+        from repro.core.compiler import CompilerConfig
+        from repro.experiments import standard_setup
+
+        setup = standard_setup(dvb5, cube6, 128.0)
+        lookups = []
+        find_spec = importlib.util.find_spec
+
+        def counting(name, *args, **kwargs):
+            if name == "scipy":
+                lookups.append(name)
+            return find_spec(name, *args, **kwargs)
+
+        monkeypatch.setattr(importlib.util, "find_spec", counting)
+        have_scipy.cache_clear()
+        keys = set()
+        for load in (0.3, 0.5, 0.7):
+            assert get_backend().name == default_backend_name()
+            keys.add(schedule_cache_key(
+                setup.timing, setup.topology, setup.allocation,
+                setup.tau_in_for_load(load), CompilerConfig(),
+            ))
+        assert len(keys) == 3
+        assert lookups == ["scipy"]
 
     @scipy_required
     def test_scipy_methods_resolve(self):
