@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from os import PathLike
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -331,6 +332,14 @@ class _Analysis:
     def add(self, severity: str, code: str, detail: str, **where: Any) -> None:
         self.findings.append(Finding(severity, code, detail, **where))
 
+    @cached_property
+    def commands(
+        self,
+    ) -> dict[int, list[tuple[float, float, object, object, str]]]:
+        """The slots' switching commands (:func:`_derived_commands`),
+        derived once for the crossbar and the Ω checks."""
+        return _derived_commands(self.schedule)
+
 
 def analyze_schedule(
     schedule: "CommunicationSchedule",
@@ -577,7 +586,7 @@ def _check_link_exclusivity(state: _Analysis, tau_in: float) -> None:
 
 
 def _check_crossbar_ports(state: _Analysis, tau_in: float) -> None:
-    for node, commands in _derived_commands(state.schedule).items():
+    for node, commands in state.commands.items():
         neighbors = set(state.topology.neighbors(node))
         by_port: dict[object, list[tuple[float, float, str]]] = {}
         for start, end, inp, out, name in commands:
@@ -619,7 +628,7 @@ def _check_omega(state: _Analysis) -> None:
         return
     derived = Counter(
         (node, round(t, 9), round(e, 9), str(i), str(o), m)
-        for node, commands in _derived_commands(state.schedule).items()
+        for node, commands in state.commands.items()
         for t, e, i, o, m in commands
     )
     declared = Counter(

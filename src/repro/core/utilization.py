@@ -160,14 +160,15 @@ class CandidateTable(NamedTuple):
 class TopologyTables:
     """What AssignPaths reads that depends on one topology object alone.
 
-    The sorted link list and its index, the :class:`CandidateTable` of
-    every ``(src, dst, max_paths)`` asked for, and the memo of paths
-    validated on the topology (``tuple(path) -> links``, see
-    ``PathAssignment.set_path``).  One per object
-    (:func:`topology_tables`), shared by every compile on it: nothing
-    here depends on an instance, its bounds or its load, the tables and
-    the link index are immutable, and the validated memo only gains
-    paths that passed every check.
+    The sorted link list and its index, one :class:`CandidateTable` per
+    ``(src, dst)`` -- the one for the ``max_paths`` last asked of that
+    pair -- and the memo of paths validated on the topology
+    (``tuple(path) -> links``, see ``PathAssignment.set_path``).  One
+    per object (:func:`topology_tables`), shared by every compile on it:
+    nothing here depends on an instance, its bounds or its load, the
+    tables and the link index are immutable, and the validated memo only
+    gains paths that passed every check.  A caller that cycles caps pays
+    a re-enumeration per change of cap, never another table.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -176,23 +177,26 @@ class TopologyTables:
             {link: j for j, link in enumerate(self.link_list)}
         )
         self.validated: dict[tuple[int, ...], tuple[Link, ...]] = {}
-        self._tables: dict[tuple[int, int, int | None], CandidateTable] = {}
+        #: ``(src, dst) -> (max_paths, table)``.
+        self._tables: dict[
+            tuple[int, int], tuple[int | None, CandidateTable]
+        ] = {}
 
     def table(
         self, topology: Topology, src: int, dst: int, max_paths: int | None
     ) -> CandidateTable:
-        """The candidate table of ``src -> dst`` on ``topology`` (this
-        object's owner), enumerated on first use."""
-        key = (src, dst, max_paths)
-        table = self._tables.get(key)
-        if table is None:
-            paths = tuple(
-                tuple(path)
-                for path in topology.minimal_path_pool(src, dst, max_paths)
-            )
-            table = self._tables[key] = CandidateTable(
-                paths, self.touched_by(paths)
-            )
+        """The candidate table of ``src -> dst`` capped at ``max_paths``
+        on ``topology`` (this object's owner), enumerated when the pair
+        is new or was last asked under another cap."""
+        held = self._tables.get((src, dst))
+        if held is not None and held[0] == max_paths:
+            return held[1]
+        paths = tuple(
+            tuple(path)
+            for path in topology.minimal_path_pool(src, dst, max_paths)
+        )
+        table = CandidateTable(paths, self.touched_by(paths))
+        self._tables[(src, dst)] = (max_paths, table)
         return table
 
     def touched_by(self, paths: Sequence[Sequence[int]]) -> "_Touched":

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import PathAssignment
-from repro.core.compiler import routed_and_local_messages
+from repro.core.compiler import (
+    CompilerConfig,
+    compile_schedule,
+    routed_and_local_messages,
+)
 from repro.core.timebounds import compute_time_bounds
 from repro.core.utilization import (
     KIND_LINK,
@@ -18,9 +22,11 @@ from repro.core.utilization import (
     UtilizationState,
     utilization_report,
 )
-from repro.errors import RoutingError
+from repro.errors import RoutingError, SchedulingError
+from repro.experiments.setup import standard_setup
 from repro.faults.residual import ResidualTopology
 from repro.tfg import TFGTiming
+from repro.tfg.dvb import dvb_tfg
 from repro.tfg.graph import build_tfg
 from repro.topology import Torus, binary_hypercube
 from repro.topology.routing import links_on_path
@@ -574,6 +580,42 @@ class TestTopologyTables:
                     ), field
                 checked += 1
         assert checked > 500
+
+    def test_one_table_per_pair_whatever_caps_a_machine_is_asked(self):
+        """A machine compiled under many caps keeps one table per routed
+        ``(src, dst)``, and its cap-48 tables are a fresh machine's."""
+        machine = binary_hypercube(6)
+        setup = standard_setup(dvb_tfg(5), machine, 128.0)
+        routed, _ = routed_and_local_messages(setup.timing, setup.allocation)
+        tfg = setup.timing.tfg
+        pairs = {
+            (
+                setup.allocation[tfg.message(name).src],
+                setup.allocation[tfg.message(name).dst],
+            )
+            for name in routed
+        }
+        for cap in (1, 2, 3, 7, 48, 10**6, 48):
+            try:
+                compile_schedule(
+                    setup.timing, machine, setup.allocation,
+                    setup.tau_in_for_load(0.4), CompilerConfig(max_paths=cap),
+                )
+            except SchedulingError:
+                pass  # the small caps are infeasible; their tables count
+        held = machine.candidate_tables._tables
+        assert set(held) == pairs
+        fresh = binary_hypercube(6)
+        own = TopologyTables(fresh)
+        for (src, dst), (cap, table) in held.items():
+            assert cap == 48
+            theirs = own.table(fresh, src, dst, 48)
+            assert table.paths == theirs.paths
+            assert table.touched.row_set == theirs.touched.row_set
+            for field in ("rows", "enter", "leave"):
+                ours = getattr(table.touched, field)
+                assert ours.dtype == getattr(theirs.touched, field).dtype
+                assert np.array_equal(ours, getattr(theirs.touched, field))
 
     def test_shared_tables_are_immutable(self, cube3):
         bounds, assignment = two_message_case(cube3)

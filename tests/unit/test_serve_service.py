@@ -9,11 +9,18 @@ add noise.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
+import sys
+import threading
 import time
 
 import pytest
 
+from repro.cache.store import ScheduleCache
+from repro.core.compiler import compile_schedule
+from repro.core.io import schedule_to_dict
+from repro.experiments.setup import ALLOCATORS, standard_setup
 from repro.serve.jobs import (
     JOB_DONE,
     JOB_FAILED,
@@ -23,6 +30,8 @@ from repro.serve.jobs import (
 )
 from repro.serve.service import CompileService, ServeConfig
 from repro.serve.worker import execute_request
+from repro.tfg.dvb import dvb_tfg
+from repro.topology.registry import STANDARD_TOPOLOGIES, make_topology
 from repro.trace.tracer import TraceRecorder
 from tests.conftest import pins
 
@@ -500,3 +509,67 @@ def test_ephemeral_cache_removed_on_shutdown():
         assert not cache_dir.exists()
 
     _run(run())
+
+
+def _omega_digest(schedule) -> str:
+    return hashlib.sha256(
+        json.dumps(schedule_to_dict(schedule), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def test_concurrent_compiles_on_one_machine_match_fresh_machines(tmp_path):
+    """Never-seen compiles running at once on the process's one
+    ``hypercube6`` -- more threads than cores, under caps no other request
+    uses, so they enumerate and replace the same pairs' tables -- give
+    the Ω of serial compiles on machines of their own."""
+    payloads = [
+        dict(PAYLOAD, models=5, load=0.4, config={"max_paths": cap})
+        for cap in (4, 5, 6)
+    ]
+    served: dict[int, str] = {}
+
+    async def run():
+        service = _service(tmp_path)
+        service.start()
+        together = threading.Barrier(len(payloads))
+
+        def execute(task):
+            together.wait(timeout=30)  # both compiles start at once
+            return execute_request(task)
+
+        try:
+            service._execute = execute
+            jobs = [service.submit(payload) for payload in payloads]
+            for job in jobs:
+                assert await job.wait(timeout=120)
+                assert job.result["verdict"] == "OK"
+            cache = ScheduleCache(service.cache_dir)
+            machine = make_topology("hypercube6")
+            for i, job in enumerate(jobs):
+                routing = cache.fetch(job.key, machine)
+                served[i] = _omega_digest(routing.schedule)
+        finally:
+            await service.shutdown()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        _run(run())
+    finally:
+        sys.setswitchinterval(interval)
+    for i, payload in enumerate(payloads):
+        request = JobRequest.from_payload(payload)
+        machine = STANDARD_TOPOLOGIES[request.topology]()
+        assert machine is not make_topology(request.topology)
+        tfg = dvb_tfg(request.models)
+        setup = standard_setup(
+            tfg, machine, request.bandwidth,
+            allocation=ALLOCATORS[request.allocator](
+                tfg, machine, request.seed
+            ),
+        )
+        routing = compile_schedule(
+            setup.timing, machine, setup.allocation,
+            setup.tau_in_for_load(request.load), request.compiler_config(),
+        )
+        assert served[i] == _omega_digest(routing.schedule), payload
