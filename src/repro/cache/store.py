@@ -48,8 +48,7 @@ import functools
 import json
 import os
 import tempfile
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import Counter, OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
 
@@ -78,29 +77,23 @@ T = TypeVar("T")
 SCHEDULE_SCOPE = "schedule"
 
 
-@dataclass
-class CacheStats:
-    """Event counters of one cache instance: ``scope -> event -> count``.
+class CacheStats(Counter[str]):
+    """Event counters of one cache instance, keyed ``"<scope>.<event>"``.
 
     A scope is :data:`SCHEDULE_SCOPE` or an artifact stage name, so
     artifact traffic never skews the schedule-level hit rate (which CI
-    gates on for the matrix and serve load tests).  :meth:`as_dict`
+    gates on for the matrix and serve load tests).  String keys keep a
+    delta (``stats - before``) JSON-able, so a worker ships it back and
+    the parent adds it with ``totals.update(delta)``.  :meth:`as_dict`
     renders the schedule scope as top-level members and every other
-    scope under ``"stages"``.
+    scope under ``"stages"``, zero-filled from :attr:`EVENTS`.
     """
-
-    counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
     #: The events a scope counts; ``"stages"`` rows render the first three.
     EVENTS = ("hits", "misses", "stores", "invalidations")
 
-    def count(self, scope: str, event: str, n: int = 1) -> None:
-        """Add ``n`` to one counter (the scope's row is auto-created)."""
-        row = self.counts.setdefault(scope, dict.fromkeys(self.EVENTS, 0))
-        row[event] += n
-
     def _schedule(self, event: str) -> int:
-        return self.counts.get(SCHEDULE_SCOPE, {}).get(event, 0)
+        return self[f"{SCHEDULE_SCOPE}.{event}"]
 
     hits = property(lambda self: self._schedule("hits"))
     misses = property(lambda self: self._schedule("misses"))
@@ -109,7 +102,9 @@ class CacheStats:
     @property
     def invalidations(self) -> int:
         """Entries dropped as torn, old-format or undecodable, any scope."""
-        return sum(row["invalidations"] for row in self.counts.values())
+        return sum(
+            n for key, n in self.items() if key.endswith(".invalidations")
+        )
 
     @property
     def hit_rate(self) -> float:
@@ -125,48 +120,16 @@ class CacheStats:
             "invalidations": self.invalidations,
             "hit_rate": round(self.hit_rate, 4),
         }
-        stages = {
-            scope: {event: row[event] for event in self.EVENTS[:3]}
-            for scope, row in sorted(self.counts.items())
-            if scope != SCHEDULE_SCOPE
-        }
-        if stages:
-            payload["stages"] = stages
-        return payload
-
-    def snapshot(self) -> dict[str, dict[str, int]]:
-        """A copy of the table, for :meth:`since` deltas across a task."""
-        return {scope: dict(row) for scope, row in self.counts.items()}
-
-    def since(
-        self, before: Mapping[str, Mapping[str, int]]
-    ) -> dict[str, dict[str, int]]:
-        """The rows that moved since an earlier :meth:`snapshot`.
-
-        Worker processes ship these per-task deltas back to the parent
-        (serve farm), which :meth:`merge`\\ s them — so aggregated totals
-        sum correctly even when one long-lived worker cache serves many
-        tasks.
-        """
-        delta: dict[str, dict[str, int]] = {}
-        for scope, row in self.counts.items():
-            prior = before.get(scope, {})
-            moved = {
-                event: n - int(prior.get(event, 0)) for event, n in row.items()
+        scopes = {key.rpartition(".")[0] for key in self} - {SCHEDULE_SCOPE}
+        if scopes:
+            payload["stages"] = {
+                scope: {
+                    event: self[f"{scope}.{event}"]
+                    for event in self.EVENTS[:3]
+                }
+                for scope in sorted(scopes)
             }
-            if any(moved.values()):
-                delta[scope] = moved
-        return delta
-
-    def merge(
-        self, other: "CacheStats | Mapping[str, Mapping[str, int]]"
-    ) -> None:
-        """Add another instance's (or :meth:`since` delta's) counters."""
-        if isinstance(other, CacheStats):
-            other = other.counts
-        for scope, row in other.items():
-            for event, n in row.items():
-                self.count(scope, event, int(n))
+        return payload
 
 
 def persist_cache_stats(cache_dir: str | Path, stats: CacheStats) -> Path:
@@ -449,9 +412,9 @@ class ScheduleCache:
                 self._invalidate(key, scope)
             else:
                 self._remember(key, entry)
-                self.stats.count(scope, "hits")
+                self.stats[f"{scope}.hits"] += 1
                 return value
-        self.stats.count(scope, "misses")
+        self.stats[f"{scope}.misses"] += 1
         return None
 
     def put(
@@ -459,7 +422,7 @@ class ScheduleCache:
     ) -> None:
         """Record ``entry`` in both tiers; counts one store under ``scope``."""
         self._remember(key, entry)
-        self.stats.count(scope, "stores")
+        self.stats[f"{scope}.stores"] += 1
         if self.directory is None:
             return
         if entry.get("kind") != "artifact":
@@ -562,7 +525,7 @@ class ScheduleCache:
     def _invalidate(self, key: str, scope: str) -> None:
         """Drop ``key`` from both tiers and count it under ``scope``."""
         self._memory.pop(key, None)
-        self.stats.count(scope, "invalidations")
+        self.stats[f"{scope}.invalidations"] += 1
         if self.directory is not None and self._index.pop(key, None) is None:
             try:
                 self._disk_path(key).unlink()
@@ -578,6 +541,6 @@ def process_cache(directory: str | None) -> ScheduleCache | None:
     the memory tier and the pack index then warm up across tasks — a
     fresh object scans ``artifacts.pack`` from byte 0 on its first
     artifact probe — and a task reports its own share of the counters as
-    ``cache.stats.since(before)``.
+    ``cache.stats - before``, ``before`` being a ``cache.stats.copy()``.
     """
     return ScheduleCache(directory) if directory is not None else None

@@ -274,16 +274,8 @@ def _package(context: CompilationContext) -> ScheduledRouting:
     )
     backend = context.backend
     if backend is not None:
-        tally = backend.tally
         routing.extra["solver_stats"] = {
             "backend": backend.name,
-            "lp_solves": tally.solves,
-            "lp_iterations": tally.iterations,
-            "lp_wall_ms": round(tally.wall_ms, 3),
-            "lp_failures": tally.failures,
-            "lp_batches": tally.batches,
-            "lp_batched_solves": tally.batched_solves,
-            "max_variables": tally.max_variables,
-            "max_constraints": tally.max_constraints,
+            **backend.tally.as_dict(),
         }
     return routing

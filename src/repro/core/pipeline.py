@@ -28,7 +28,7 @@ packaging, and drives these stages in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 
 from repro.core.assign_paths import assign_paths, lsd_assignment
@@ -346,7 +346,7 @@ class IntervalStage:
                         context.interval_schedules.append(schedules)
                         continue
                 before = (
-                    context.backend.tally.snapshot()
+                    replace(context.backend.tally)
                     if context.backend is not None
                     else None
                 )

@@ -126,11 +126,11 @@ def _matrix_cell(payload: tuple) -> tuple[int, str, dict | None]:
     (index, tfg, topology, bandwidth, load, config, placed, cache_dir,
      analyze) = payload
     cache = process_cache(cache_dir)
-    before = cache.stats.snapshot() if cache is not None else None
+    before = cache.stats.copy() if cache is not None else None
     verdict = _compile_point(
         tfg, topology, bandwidth, load, config, placed, cache, analyze
     )
-    stats = cache.stats.since(before) if cache is not None else None
+    stats = cache.stats - before if cache is not None else None
     return index, verdict, stats
 
 
@@ -201,9 +201,6 @@ def run_feasibility_matrix(
             for i, (topology, bandwidth, load) in enumerate(points)
         ]
         verdicts: list[str] = ["-"] * len(points)
-        # A CacheStats accumulator (not a plain counter dict) so the
-        # per-stage artifact counters each worker ships back merge
-        # alongside the schedule-level hit/miss totals.
         totals = CacheStats()
         hooks = (
             [lambda: persist_cache_stats(cache_dir, totals)]
@@ -218,8 +215,7 @@ def run_feasibility_matrix(
                     continue
                 index, verdict, stats = future.result()
                 verdicts[index] = verdict
-                if stats is not None:
-                    totals.merge(stats)
+                totals.update(stats)
             interrupted = pool.draining
         cache_stats = totals.as_dict() if cache_dir is not None else None
     else:

@@ -31,6 +31,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "ServeClient": "client",
     "ServeConfig": "service",
     "ServerThread": "runner",
-    "ServiceStats": "service",
     "serve_forever": "runner",
 })

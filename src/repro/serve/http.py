@@ -168,17 +168,17 @@ async def _handle_post_jobs(service: CompileService, query: str,
     try:
         payload = json.loads(body.decode("utf-8")) if body else {}
     except (ValueError, UnicodeDecodeError):
-        service.stats.malformed += 1
+        service.stats["malformed"] += 1
         raise _HttpError(400, "request body is not valid JSON") from None
     try:
         timeout = _wait_seconds(query)
     except ValueError as error:
-        service.stats.malformed += 1
+        service.stats["malformed"] += 1
         raise _HttpError(400, str(error)) from None
     try:
         job = service.submit(payload)
     except BadRequest as error:
-        service.stats.malformed += 1
+        service.stats["malformed"] += 1
         raise _HttpError(400, str(error)) from None
     if timeout is not None:
         finished = await job.wait(timeout)

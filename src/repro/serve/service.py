@@ -42,8 +42,8 @@ import asyncio
 import shutil
 import tempfile
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from collections import Counter, OrderedDict
+from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -67,7 +67,7 @@ from repro.serve.jobs import (
 )
 from repro.trace.tracer import NULL_TRACER, Tracer
 
-__all__ = ["CompileService", "ServeConfig", "ServiceStats"]
+__all__ = ["CompileService", "ServeConfig"]
 
 
 @dataclass(frozen=True)
@@ -91,35 +91,20 @@ class ServeConfig:
     history_limit: int = 4096
 
 
-@dataclass
-class ServiceStats:
-    """Request counters of one service instance.
-
-    ``coalesced`` counts duplicates that attached to an in-flight job;
-    ``fast_hits`` counts duplicates answered from the finished-result
-    memo without dispatch.  ``worker_cache`` aggregates the per-task
-    cache-counter deltas every worker result ships back, so a stats
-    snapshot can show farm-wide cache behaviour even though each worker
-    process owns its own memory tier.
-    """
-
-    submitted: int = 0
-    malformed: int = 0
-    coalesced: int = 0
-    fast_hits: int = 0
-    rejected: int = 0
-    dispatched: int = 0
-    completed: int = 0
-    failed: int = 0
-    worker_cache: CacheStats = field(default_factory=CacheStats)
-
-    def as_dict(self) -> dict[str, int]:
-        """The request counters (``worker_cache`` is reported apart)."""
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "worker_cache"
-        }
+#: The request counters ``/v1/stats["service"]`` renders, in order.
+#: ``coalesced`` counts duplicates that attached to an in-flight job;
+#: ``fast_hits`` counts duplicates answered from the finished-result memo
+#: without dispatch.
+SERVICE_COUNTERS = (
+    "submitted",
+    "malformed",
+    "coalesced",
+    "fast_hits",
+    "rejected",
+    "dispatched",
+    "completed",
+    "failed",
+)
 
 
 class CompileService:
@@ -135,7 +120,12 @@ class CompileService:
         self.config = config
         self.tracer = tracer
         self.store = JobStore(history_limit=self.config.history_limit)
-        self.stats = ServiceStats()
+        #: Request counters, keyed by :data:`SERVICE_COUNTERS`.
+        self.stats: Counter[str] = Counter()
+        #: The per-task cache-counter deltas every worker result ships
+        #: back, so ``/v1/stats`` shows farm-wide cache behaviour even
+        #: though each worker process owns its own memory tier.
+        self.worker_cache = CacheStats()
         self.pool: GracefulPool | None = None
         self.cache: ScheduleCache | None = None
         self.cache_dir: Path | None = None
@@ -203,10 +193,9 @@ class CompileService:
 
     def _farm_cache_stats(self) -> CacheStats:
         """The front cache's counters merged with every worker's."""
-        combined = CacheStats()
+        combined = CacheStats(self.worker_cache)
         if self.cache is not None:
-            combined.merge(self.cache.stats)
-        combined.merge(self.stats.worker_cache)
+            combined.update(self.cache.stats)
         return combined
 
     # -- submission ------------------------------------------------------
@@ -220,13 +209,13 @@ class CompileService:
         through the shared job id.
         """
         request = JobRequest.from_payload(payload)
-        self.stats.submitted += 1
+        self.stats["submitted"] += 1
         signature = request.instance_signature()
 
         flight = self._inflight.get(signature)
         if flight is not None:
             flight.coalesced += 1
-            self.stats.coalesced += 1
+            self.stats["coalesced"] += 1
             self._trace("coalesce", flight)
             return flight
 
@@ -250,7 +239,7 @@ class CompileService:
         self._trace("enqueue", job)
 
         if done is not None:
-            self.stats.fast_hits += 1
+            self.stats["fast_hits"] += 1
             job.result = done.get("result")
             job.error = done.get("error")
             job.transition(done["state"], fast_path=True)
@@ -289,7 +278,7 @@ class CompileService:
             await self._admit_and_dispatch(job)
         except Exception as error:  # noqa: BLE001 - job-scoped firewall
             job.error = {"type": type(error).__name__, "detail": str(error)}
-            self.stats.failed += 1
+            self.stats["failed"] += 1
             job.transition(JOB_FAILED, error=type(error).__name__)
             self._trace("fail", job)
         finally:
@@ -310,7 +299,7 @@ class CompileService:
                     "tau_in": tau_in,
                     "diagnosis": diagnosis.to_dict(),
                 }
-                self.stats.rejected += 1
+                self.stats["rejected"] += 1
                 job.transition(
                     JOB_REJECTED,
                     verdict="REF",
@@ -328,7 +317,7 @@ class CompileService:
             "request": request.canonical(),
             "cache_dir": str(self.cache_dir),
         }
-        self.stats.dispatched += 1
+        self.stats["dispatched"] += 1
         job.transition(JOB_RUNNING)
         self._trace("dispatch", job)
         if self.pool is not None:
@@ -336,13 +325,11 @@ class CompileService:
             result = await asyncio.wrap_future(future)
         else:
             result = await asyncio.to_thread(self._execute, payload)
-        delta = result.pop("cache_stats", None)
-        if delta:
-            self.stats.worker_cache.merge(delta)
+        self.worker_cache.update(result.pop("cache_stats", None))
         for stage in result.get("profile", {}).get("stages", ()):
             job.add_event("stage", **stage)
         job.result = result
-        self.stats.completed += 1
+        self.stats["completed"] += 1
         job.transition(JOB_DONE, verdict=result.get("verdict"))
         self._trace("complete", job)
 
@@ -439,7 +426,7 @@ class CompileService:
             "draining": self.draining,
             "queue_depth": len(self._inflight),
             "jobs_tracked": len(self.store),
-            "service": self.stats.as_dict(),
+            "service": {name: self.stats[name] for name in SERVICE_COUNTERS},
             "cache": self._farm_cache_stats().as_dict(),
         }
         if self.cache_dir is not None:

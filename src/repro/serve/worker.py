@@ -14,8 +14,9 @@ visible to the service front-end and to sibling workers: the schedule or
 failure entry is the one file a task creates (the path the front-end's
 memo check probes), its stage artifacts are lines of the directory's pack
 (see :mod:`repro.cache.store`).  Per-task
-cache-counter deltas (:meth:`~repro.cache.CacheStats.since`) ride back
-on every result so the service can aggregate totals that sum correctly.
+cache-counter deltas (``cache.stats - before``, a
+:class:`~collections.Counter` keyed ``"<scope>.<event>"``) ride back on
+every result so the service can aggregate totals that sum correctly.
 
 The result is the task's one channel back: a compile's ``compile``
 spans ride in ``result["profile"]`` as
@@ -130,7 +131,7 @@ def execute_request(task: Mapping[str, Any]) -> dict[str, Any]:
     """
     request = JobRequest.from_canonical(task["request"])
     cache = process_cache(task.get("cache_dir"))
-    before = cache.stats.snapshot() if cache is not None else None
+    before = cache.stats.copy() if cache is not None else None
     setup = request.build()
     tau_in = setup.tau_in_for_load(request.load)
     tracer = TraceRecorder()
@@ -142,5 +143,5 @@ def execute_request(task: Mapping[str, Any]) -> dict[str, Any]:
     if stages:
         result["profile"] = {"stages": stages}
     if cache is not None and before is not None:
-        result["cache_stats"] = cache.stats.since(before)
+        result["cache_stats"] = cache.stats - before
     return result

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Any, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -479,18 +479,29 @@ class SolverTally:
         self.batches += 1
         self.batched_solves += num_problems
 
-    def snapshot(self) -> "SolverTally":
-        """A value copy, used to compute per-stage deltas."""
-        return replace(self)
+    def as_dict(self) -> dict[str, float | int]:
+        """The ``solver_stats`` members (less ``backend``), in order."""
+        return {
+            "lp_solves": self.solves,
+            "lp_iterations": self.iterations,
+            "lp_wall_ms": round(self.wall_ms, 3),
+            "lp_failures": self.failures,
+            "lp_batches": self.batches,
+            "lp_batched_solves": self.batched_solves,
+            "max_variables": self.max_variables,
+            "max_constraints": self.max_constraints,
+        }
 
     def since(self, earlier: "SolverTally") -> dict[str, float | int]:
-        """Stage-detail dict of the activity since ``earlier``."""
+        """Stage-detail dict of the activity since ``earlier`` (a
+        ``dataclasses.replace`` copy); the maxima do not difference."""
+        moved = SolverTally(
+            *(now - then for now, then in zip(astuple(self), astuple(earlier)))
+        ).as_dict()
         return {
-            "lp_solves": self.solves - earlier.solves,
-            "lp_iterations": self.iterations - earlier.iterations,
-            "lp_wall_ms": round(self.wall_ms - earlier.wall_ms, 3),
-            "lp_batches": self.batches - earlier.batches,
-            "lp_batched_solves": self.batched_solves - earlier.batched_solves,
+            key: moved[key]
+            for key in ("lp_solves", "lp_iterations", "lp_wall_ms",
+                        "lp_batches", "lp_batched_solves")
         }
 
 

@@ -42,7 +42,7 @@ def _hammer_writes(args):
             cache.store_failure(
                 key, UtilizationExceededError(1.0 + round_no / 100.0)
             )
-    return cache.stats.since({})
+    return cache.stats
 
 
 def _hammer_reads(args):
@@ -69,11 +69,11 @@ def _store_disjoint(args):
     """Store a worker-private key range; return the stats delta."""
     cache_dir, worker_id, count = args
     cache = ScheduleCache(cache_dir)
-    before = cache.stats.snapshot()
+    before = cache.stats.copy()
     for i in range(count):
         key = f"{worker_id:x}{i:x}".ljust(64, "f")
         cache.store_failure(key, UtilizationExceededError(2.0))
-    return cache.stats.since(before)
+    return cache.stats - before
 
 
 def _artifact(worker_id, i):
@@ -91,7 +91,7 @@ def _append_artifacts(args):
         key, payload = _artifact(worker_id, i)
         cache.put(key, {"format": CACHE_VERSION, "kind": "artifact",
                         "stage": "demo", "payload": payload}, "demo")
-    return cache.stats.since({})
+    return cache.stats
 
 
 def _probe_artifacts(args):
@@ -126,7 +126,7 @@ def test_concurrent_appends_never_tear_the_pack(tmp_path):
             [(cache_dir, wid, count) for wid in range(workers)],
         ))
         assert probe.result(timeout=120) == (0, 0, workers * count)
-    assert sum(s["demo"]["stores"] for s in stores) == workers * count
+    assert sum(s["demo.stores"] for s in stores) == workers * count
     assert [p.name for p in cache_dir.iterdir()] == ["artifacts.pack"]
     lines = (cache_dir / "artifacts.pack").read_bytes().split(b"\n")
     assert lines.pop() == b"" and len(lines) == workers * count
@@ -166,7 +166,7 @@ def test_concurrent_readers_never_see_torn_entries(tmp_path):
     assert total_reads["torn"] == 0
     assert total_reads["failure"] > 0  # readers did overlap live entries
     assert sum(
-        s["schedule"]["stores"] for s in write_stats
+        s.stores for s in write_stats
     ) == 2 * 30 * len(KEYS)
     # Every key settled to a complete, parseable entry.
     final = ScheduleCache(cache_dir)
@@ -190,7 +190,7 @@ def test_merged_deltas_match_disk_ground_truth(tmp_path):
         )
     totals = CacheStats()
     for delta in deltas:
-        totals.merge(delta)
+        totals.update(delta)
     assert totals.stores == 4 * per_worker
     on_disk = list(cache_dir.glob("*/*.json"))
     assert len(on_disk) == 4 * per_worker

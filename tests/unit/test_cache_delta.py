@@ -294,14 +294,14 @@ class TestDeltaCompile:
         assert again.stats.as_dict()["invalidations"] == 0
 
     def test_stats_deltas_round_trip(self, cube3, tmp_path):
-        """Worker-style ``since(snapshot)`` deltas, merged by a parent,
+        """Worker-style ``stats - before`` deltas, added up by a parent,
         reproduce the worker cache's own ``as_dict()``, stages included."""
         cache = ScheduleCache(tmp_path)
         totals = CacheStats()
         for b_size in (1280.0, 640.0, 640.0):  # cold, delta, hit
-            before = cache.stats.snapshot()
+            before = cache.stats.copy()
             compile_with(diamond_setup(cube3, b_size=b_size), cache)
-            totals.merge(cache.stats.since(before))
+            totals.update(cache.stats - before)
         assert totals.as_dict() == cache.stats.as_dict()
         assert totals.as_dict()["stages"]["allocate+schedule"] == {
             "hits": 3, "misses": 5, "stores": 5,

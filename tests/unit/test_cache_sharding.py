@@ -51,28 +51,61 @@ def test_disk_entries_are_sharded_by_key_prefix(tmp_path):
 
 
 def test_stats_snapshot_since_merge():
-    stats = CacheStats()
-    stats.count("schedule", "hits", 3)
-    stats.count("schedule", "misses", 2)
-    stats.count("idle-stage", "stores")
-    before = stats.snapshot()
-    stats.count("schedule", "hits", 4)
-    stats.count("schedule", "stores")
-    delta = stats.since(before)
-    assert delta == {"schedule": {
-        "hits": 4, "misses": 0, "stores": 1, "invalidations": 0}}
+    """A snapshot is ``copy()``, a delta ``stats - before`` (moved
+    counters only), a merge ``update(delta)``."""
+    stats = CacheStats({"schedule.hits": 3, "schedule.misses": 2})
+    stats["idle-stage.stores"] += 1
+    before = stats.copy()
+    stats["schedule.hits"] += 4
+    stats["schedule.stores"] += 1
+    delta = stats - before
+    assert delta == {"schedule.hits": 4, "schedule.stores": 1}
 
     totals = CacheStats()
-    totals.merge(delta)
-    totals.merge(delta)
+    totals.update(delta)
+    totals.update(delta)
     assert totals.hits == 8 and totals.stores == 2
-    totals.merge(stats)
+    totals.update(stats)
     assert totals.hits == 8 + 7
 
 
-def test_persist_cache_stats_writes_atomic_json(tmp_path):
+def test_stage_seen_only_through_an_invalidation_renders_zeros():
     stats = CacheStats()
-    stats.merge({"schedule": {"hits": 9, "misses": 1, "stores": 1}})
+    stats["assign-paths.invalidations"] += 1
+    assert stats.as_dict() == {
+        "hits": 0, "misses": 0, "stores": 0, "invalidations": 1,
+        "hit_rate": 0.0,
+        "stages": {"assign-paths": {"hits": 0, "misses": 0, "stores": 0}},
+    }
+
+
+def test_worker_delta_survives_a_json_round_trip(tmp_path):
+    """What a farm worker ships back (JSON-able end to end) merges to
+    the same ``as_dict()`` as the live delta."""
+    cache = ScheduleCache(tmp_path)
+    cache.get(_key("a"), ("schedule",), dict)  # schedule miss
+    before = cache.stats.copy()
+    cache.put(_key("b"), {"format": CACHE_VERSION, "kind": "artifact",
+                          "stage": "demo"}, "demo")
+    cache.get(_key("b"), ("artifact",), dict, "demo")
+    cache.get(_key("c"), ("artifact",), dict, "demo")
+    cache.store_failure(_key("d"), UtilizationExceededError(1.5))
+    delta = cache.stats - before
+    shipped = json.loads(json.dumps(delta))
+    live, wired = CacheStats(), CacheStats()
+    live.update(delta)
+    wired.update(shipped)
+    assert wired.as_dict() == live.as_dict() == {
+        "hits": 0, "misses": 0, "stores": 1, "invalidations": 0,
+        "hit_rate": 0.0,
+        "stages": {"demo": {"hits": 1, "misses": 1, "stores": 1}},
+    }
+
+
+def test_persist_cache_stats_writes_atomic_json(tmp_path):
+    stats = CacheStats(
+        {"schedule.hits": 9, "schedule.misses": 1, "schedule.stores": 1}
+    )
     path = persist_cache_stats(tmp_path / "cache", stats)
     assert path.name == "cache-stats.json"
     assert json.loads(path.read_text()) == stats.as_dict() == {

@@ -28,6 +28,7 @@ from repro.serve.jobs import (
     BadRequest,
     JobRequest,
 )
+from repro.serve.http import _handle_post_jobs, _HttpError
 from repro.serve.service import CompileService, ServeConfig
 from repro.serve.worker import execute_request
 from repro.tfg.dvb import dvb_tfg
@@ -95,8 +96,8 @@ def test_submit_executes_and_completes():
             assert set(task) == {"request", "cache_dir"}
             assert task["request"]["models"] == 4
             assert task["cache_dir"] == str(service.cache_dir)
-            assert service.stats.dispatched == 1
-            assert service.stats.completed == 1
+            assert service.stats["dispatched"] == 1
+            assert service.stats["completed"] == 1
         finally:
             await service.shutdown()
 
@@ -112,6 +113,27 @@ def test_malformed_payload_raises_bad_request():
                 service.submit({"kind": "compile"})  # missing everything
         finally:
             await service.shutdown()
+
+    _run(run())
+
+
+def test_stats_render_every_counter_after_one_malformed_request():
+    """``/v1/stats["service"]`` is the fixed counter list, zero-filled:
+    a counter nothing has touched yet still reads 0."""
+    async def run():
+        service = _service()
+        service.start()
+        try:
+            with pytest.raises(_HttpError):
+                await _handle_post_jobs(service, "", b"{not json", True, None)
+            counters = service.stats_snapshot()["service"]
+        finally:
+            await service.shutdown()
+        assert list(counters.items()) == [
+            ("submitted", 0), ("malformed", 1), ("coalesced", 0),
+            ("fast_hits", 0), ("rejected", 0), ("dispatched", 0),
+            ("completed", 0), ("failed", 0),
+        ]
 
     _run(run())
 
@@ -167,8 +189,8 @@ def test_single_flight_coalesces_concurrent_duplicates():
             assert first.coalesced == 2
             release.set()
             assert await first.wait(timeout=10)
-            assert service.stats.dispatched == 1  # one solve, three callers
-            assert service.stats.coalesced == 2
+            assert service.stats["dispatched"] == 1  # one solve, three callers
+            assert service.stats["coalesced"] == 2
         finally:
             await service.shutdown()
 
@@ -189,8 +211,8 @@ def test_finished_duplicates_hit_result_memo():
             assert second.terminal
             assert second.result == first.result
             assert second.events[-1].get("fast_path") is True
-            assert service.stats.fast_hits == 1
-            assert service.stats.dispatched == 1
+            assert service.stats["fast_hits"] == 1
+            assert service.stats["dispatched"] == 1
         finally:
             await service.shutdown()
 
@@ -223,7 +245,7 @@ def test_built_instances_live_only_while_their_job_is_in_flight():
             (last,) = [i for i, job in enumerate(jobs) if job.key == newest]
             duplicate = service.submit(payloads[last])
             assert duplicate.terminal and duplicate.key == jobs[last].key
-            assert service.stats.fast_hits == 1
+            assert service.stats["fast_hits"] == 1
             assert len(service._instances) == 0
         finally:
             await service.shutdown()
@@ -260,8 +282,8 @@ def test_memo_invalidated_when_backing_cache_entry_vanishes():
             # Backing entry present: the memo fast path serves.
             second = service.submit(PAYLOAD)
             assert second.terminal
-            assert service.stats.fast_hits == 1
-            assert service.stats.dispatched == 1
+            assert service.stats["fast_hits"] == 1
+            assert service.stats["dispatched"] == 1
 
             # Drop the backing entry from both tiers.
             for path in service.cache_dir.rglob("*.json"):
@@ -274,8 +296,8 @@ def test_memo_invalidated_when_backing_cache_entry_vanishes():
             assert not third.terminal
             assert await third.wait(timeout=10)
             assert third.state == JOB_DONE
-            assert service.stats.fast_hits == 1
-            assert service.stats.dispatched == 2
+            assert service.stats["fast_hits"] == 1
+            assert service.stats["dispatched"] == 2
         finally:
             await service.shutdown()
 
@@ -298,8 +320,8 @@ def test_admission_rejects_refuted_instance_before_dispatch():
             assert job.result["verdict"] == "REF"
             assert job.result["diagnosis"]["refuted"] is True
             assert job.result["diagnosis"]["refutations"]
-            assert service.stats.rejected == 1
-            assert service.stats.dispatched == 0
+            assert service.stats["rejected"] == 1
+            assert service.stats["dispatched"] == 0
             names = {e.name for e in tracer.events}
             assert "reject" in names and "dispatch" not in names
         finally:
@@ -317,8 +339,8 @@ def test_admission_disabled_dispatches_everything():
             job = service.submit(REFUTED)
             assert await job.wait(timeout=10)
             assert job.state == JOB_DONE  # worker answered, not admission
-            assert service.stats.dispatched == 1
-            assert service.stats.rejected == 0
+            assert service.stats["dispatched"] == 1
+            assert service.stats["rejected"] == 0
         finally:
             await service.shutdown()
 
@@ -341,12 +363,12 @@ def test_worker_exception_is_firewalled_to_failed():
                 "type": "RuntimeError",
                 "detail": "worker exploded",
             }
-            assert service.stats.failed == 1
+            assert service.stats["failed"] == 1
             # The flight is gone: a retry dispatches again (memo replays
             # the failure only via the documented fast path).
             second = service.submit(PAYLOAD)
             assert second.terminal and second.state == JOB_FAILED
-            assert service.stats.fast_hits == 1
+            assert service.stats["fast_hits"] == 1
         finally:
             await service.shutdown()
 
@@ -441,13 +463,14 @@ def test_worker_cache_deltas_merge_into_service_stats():
             service._execute = lambda task: {
                 "feasible": True,
                 "verdict": "OK",
-                "cache_stats": {"schedule": {
-                    "hits": 2, "misses": 1, "stores": 1, "invalidations": 0}},
+                "cache_stats": {
+                    "schedule.hits": 2, "schedule.misses": 1,
+                    "schedule.stores": 1},
             }
             job = service.submit(PAYLOAD)
             assert await job.wait(timeout=10)
             assert "cache_stats" not in job.result  # consumed, not leaked
-            assert service.stats.worker_cache.hits == 2
+            assert service.worker_cache.hits == 2
             snapshot = service.stats_snapshot()
             assert snapshot["cache"]["stores"] >= 1
             assert snapshot["service"]["completed"] == 1
@@ -465,8 +488,9 @@ def test_shutdown_persists_cache_stats(tmp_path):
             service._execute = lambda task: {
                 "feasible": True,
                 "verdict": "OK",
-                "cache_stats": {"schedule": {
-                    "hits": 3, "misses": 1, "stores": 1, "invalidations": 0}},
+                "cache_stats": {
+                    "schedule.hits": 3, "schedule.misses": 1,
+                    "schedule.stores": 1},
             }
             job = service.submit(PAYLOAD)
             assert await job.wait(timeout=10)

@@ -7,6 +7,7 @@ duals, and any optimal dual is a valid column-generation pricer.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 
 import numpy as np
@@ -354,15 +355,22 @@ class TestTally:
     def test_since_reports_deltas(self):
         backend = ReferenceSimplexBackend()
         backend.solve(lp_transport())
-        before = backend.tally.snapshot()
+        before = dataclasses.replace(backend.tally)
         backend.solve(lp_mixed())
         delta = backend.tally.since(before)
         assert delta["lp_solves"] == 1
         assert delta["lp_iterations"] >= 1
+        # The stage detail spells its keys as ``solver_stats`` does.
+        assert list(delta) == [
+            key for key in backend.tally.as_dict()
+            if key not in ("lp_failures", "max_variables", "max_constraints")
+        ]
 
     def test_snapshot_is_a_value_copy(self):
+        """The pipeline's per-stage snapshot is ``dataclasses.replace``:
+        a value copy while every member is a scalar."""
         tally = SolverTally(solves=3)
-        snap = tally.snapshot()
+        snap = dataclasses.replace(tally)
         tally.solves = 5
         assert snap.solves == 3
 
