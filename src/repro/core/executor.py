@@ -13,15 +13,29 @@ misdirected chain, a left-over command, a command for no routed message
 and a routed message without a circuit each raise
 :class:`~repro.errors.ScheduleValidationError` there.
 
-It then replays ``invocations`` periods as one timeline of instants:
-tasks finish at their static ASAP instants, and every circuit claims all
-links of its node sequence as exclusive FCFS resources at its absolute
-start and frees them at its end.  A channel is a half-duplex link and
-the AP buffers never conflict, so link exclusivity is crossbar port
+It then replays periods as one timeline of instants: tasks finish at
+their static ASAP instants, and every circuit claims all links of its
+node sequence as exclusive FCFS resources at its absolute start and
+frees them at its end.  A channel is a half-duplex link and the AP
+buffers never conflict, so link exclusivity is crossbar port
 exclusivity.  A claim that has to queue and is not handed its link
 within ``EPS`` (or at all, by the end of its window) is a contention
 violation and aborts the run; any delivery completing after its
-destination task's start instant is a deadline violation.
+destination task's start instant is a deadline violation, checked
+statically for every invocation asked.
+
+How many periods it replays follows from the schedule being periodic.
+Invocation j files the claims, releases and task finishes of invocation
+0 shifted by ``j * tau_in``, and all of them within ``span`` of its own
+start, where ``span`` is the latest instant invocation 0 files.  Two
+invocations more than K = ⌈span / tau_in⌉ apart therefore never meet on
+a link, and invocations 0…K meet at every offset that can.  A run with
+no fault trace and a disabled tracer replays just those K + 1,
+whatever the number asked, and writes the later completions down with
+the expression the replay files them at; its verdict holds for every
+invocation.  A run with a fault trace (outages and drift are not
+periodic) or an enabled tracer (which records every invocation)
+replays all of them.
 
 A successful replay yields a :class:`~repro.results.RunResult` with
 ``technique="scheduled"`` whose output intervals are exactly ``tau_in``
@@ -47,6 +61,7 @@ because the schedule is healthy — the machine is not.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from functools import partial
 from typing import TYPE_CHECKING, Mapping, NamedTuple
@@ -206,6 +221,28 @@ class ScheduledRoutingExecutor:
         self.circuits = omega_circuits(
             routing.schedule, timing.tfg, topology, self.allocation
         )
+        # message -> (its source's ASAP finish, each circuit's (offset
+        # into the message's window, duration)): see absolute_slots.
+        self._offsets: dict[str, tuple[float, list[tuple[float, float]]]] = {}
+        for name, circuits in self.circuits.items():
+            r = routing.bounds.bounds[name].release
+            self._offsets[name] = (
+                self._asap[timing.tfg.message(name).src][1],
+                [
+                    (time - r if time >= r - EPS else (self.tau_in - r) + time,
+                     duration)
+                    for time, duration, _ in circuits
+                ],
+            )
+        # K of the module docstring, from the latest instant invocation 0
+        # files: a task finish, or a release (every claim precedes its own).
+        span = max(
+            start + (finish - start) for start, finish in self._asap.values()
+        )
+        for name in self.circuits:
+            for start, end in self.absolute_slots(name, 0):
+                span = max(span, start + (end - start))
+        self.overlap = math.ceil(span / self.tau_in)
 
     @property
     def commands_placed(self) -> int:
@@ -230,19 +267,23 @@ class ScheduledRoutingExecutor:
         window; earlier ones belong to the wrapped head and come
         ``(tau_in - r) + s`` in.
         """
-        bound = self.routing.bounds.bounds[message_name]
-        message = self.timing.tfg.message(message_name)
-        abs_release = invocation * self.tau_in + self._asap[message.src][1]
-        r = bound.release
+        release, offsets = self._offsets[message_name]
+        abs_release = invocation * self.tau_in + release
         occurrences = []
-        for time, duration, _ in self.circuits[message_name]:
-            if time >= r - EPS:
-                offset = time - r
-            else:
-                offset = (self.tau_in - r) + time
+        for offset, duration in offsets:
             start = abs_release + offset
             occurrences.append((start, start + duration))
         return occurrences
+
+    def _completion_time(self, invocation: int) -> float:
+        """The instant the replay records ``invocation`` complete: the
+        latest finish it files for an output task."""
+        return max(
+            (invocation * self.tau_in + start) + (finish - start)
+            for start, finish in (
+                self._asap[task.name] for task in self.timing.tfg.output_tasks
+            )
+        )
 
     def _drift_shift(
         self, message_name: str, fault_trace: "FaultTrace | None"
@@ -268,12 +309,18 @@ class ScheduledRoutingExecutor:
         *,
         config: RunConfig | None = None,
     ) -> RunResult:
-        """Replay the schedule for ``config.invocations`` periods.
+        """Run the schedule for ``config.invocations`` periods.
 
         Accepts a :class:`~repro.results.RunConfig` (the unified run
         API); the ``invocations``/``warmup``/``fault_trace`` keywords
         are retained as a thin shim and, when given, override the
         corresponding config fields.
+
+        ``completion_times`` and ``extra["link_busy"]`` describe exactly
+        the invocations asked, however many are replayed (the module
+        docstring says which): the completions past the replayed ones
+        are written down, and ``link_busy`` adds up every asked
+        invocation's windows.
 
         Raises :class:`~repro.errors.ScheduleValidationError` if the
         replay observes link contention or a missed delivery deadline on a
@@ -303,14 +350,22 @@ class ScheduledRoutingExecutor:
         link_busy: defaultdict[Link, float] = defaultdict(float)
         completions = Monitor("completions")
         outputs = {t.name for t in self.timing.tfg.output_tasks}
-        pending = {j: len(outputs) for j in range(invocations)}
         tracing = tracer.enabled
+        replayed = (
+            invocations if fault_trace is not None or tracing
+            else self.overlap + 1
+        )
+        pending = {j: len(outputs) for j in range(replayed)}
         # The replay as one timeline, instant -> what happens then.  At one
         # instant releases come first, so that back-to-back windows hand a
         # link over without queueing; a claim files its own release.
         releases: defaultdict[float, list] = defaultdict(list)
         claims: defaultdict[float, list] = defaultdict(list)
         finishes: defaultdict[float, list] = defaultdict(list)
+        # Per message: its paths, and per path the busy time of the
+        # invocations asked but not replayed.  Added to link_busy after
+        # the replay, which so keeps the key order a full replay gives.
+        unreplayed: list[tuple[list, list[float]]] = []
 
         def contention(link: Link, message_name: str) -> Exception:
             text = (
@@ -329,14 +384,14 @@ class ScheduledRoutingExecutor:
                 raise contention(link, message_name)
 
         def fire(now: float) -> None:
-            for message_name, path, held, duration in releases.pop(now, ()):
+            for message_name, path, held, busy in releases.pop(now, ()):
                 for (link, resource), claim in zip(path, held):
                     if claim.grant_time is None:
                         # The window closed with its claim still queued.
                         raise contention(link, message_name)
                     resource.release(claim)
-                    link_busy[link] += duration
-            for message_name, path, duration, file_release in claims.pop(now, ()):
+                    link_busy[link] += busy
+            for message_name, path, busy, file_release in claims.pop(now, ()):
                 held = []
                 for link, resource in path:
                     if resource.failed:
@@ -352,7 +407,7 @@ class ScheduledRoutingExecutor:
                         # hands the link over within EPS of this instant.
                         claim.on_grant = partial(late_grant, link, message_name, now)
                     held.append(claim)
-                file_release((message_name, path, held, duration))
+                file_release((message_name, path, held, busy))
             for task_name, invocation, run_start in finishes.pop(now, ()):
                 if tracing:
                     tracer.span(
@@ -381,7 +436,9 @@ class ScheduledRoutingExecutor:
             ]
             shift = self._drift_shift(name, fault_trace)
             dst_start = self._asap[message.dst][0]
-            for j in range(invocations):
+            written_busy = [0.0] * len(paths)
+            unreplayed.append((paths, written_busy))
+            for j in range(max(invocations, replayed)):
                 windows = self.absolute_slots(name, j)
                 # Static deadline assertion: the last circuit (shifted
                 # by any injected source-clock drift) must land before the
@@ -395,6 +452,10 @@ class ScheduledRoutingExecutor:
                         f"message {name!r} invocation {j}: delivery "
                         f"at {last_end:.6f} misses destination start {due:.6f}"
                     )
+                if j >= replayed:
+                    for i, (start, end) in enumerate(windows):
+                        written_busy[i] += end - start
+                    continue
                 for (start, end), path in zip(windows, paths):
                     start, end = max(start + shift, 0.0), end + shift
                     if tracing:
@@ -407,12 +468,15 @@ class ScheduledRoutingExecutor:
                             track=f"msg {name}", invocation=j,
                         )
                     duration = end - start
-                    if duration:  # an empty window holds no link
-                        claims[start].append((
-                            name, path, duration,
-                            releases[start + duration].append,
-                        ))
-        for j in range(invocations):
+                    if not duration:
+                        continue  # an empty window holds no link
+                    # An invocation replayed past those asked counts for
+                    # nothing in link_busy.
+                    busy = duration if j < invocations else 0.0
+                    claims[start].append((
+                        name, path, busy, releases[start + duration].append,
+                    ))
+        for j in range(replayed):
             for task in self.timing.tfg.tasks:
                 start, finish = self._asap[task.name]
                 run_start = j * self.tau_in + start
@@ -431,11 +495,27 @@ class ScheduledRoutingExecutor:
         env.call_later(0.0, arm, None)
         env.run()
 
-        if len(completions) != invocations:  # pragma: no cover - defensive
+        if len(completions) != replayed:
             raise ScheduleValidationError(
-                f"{invocations - len(completions)} invocations never completed"
+                f"{replayed} invocations replayed, {len(completions)} completed"
             )
-        completion_times = tuple(time for time, _ in completions)
+        for paths, written_busy in unreplayed:
+            for path, busy in zip(paths, written_busy):
+                if busy:
+                    for link, _ in path:
+                        link_busy[link] += busy
+        completion_times = [time for time, _ in completions][:invocations]
+        completion_times += map(
+            self._completion_time, range(replayed, invocations)
+        )
+        for j, (earlier, later) in enumerate(
+            zip(completion_times, completion_times[1:])
+        ):
+            if abs((later - earlier) - self.tau_in) > EPS:
+                raise ScheduleValidationError(
+                    f"invocation {j + 1} completes {later - earlier!r} after "
+                    f"invocation {j}, not one period {self.tau_in!r}"
+                )
         extra = {
             "commands": self.routing.schedule.num_commands,
             "link_busy": dict(link_busy),
@@ -445,7 +525,7 @@ class ScheduledRoutingExecutor:
             extra["fault_events"] = injector.events
         return RunResult(
             tau_in=self.tau_in,
-            completion_times=completion_times,
+            completion_times=tuple(completion_times),
             warmup=warmup,
             critical_path_length=self.timing.critical_path().length,
             technique="scheduled",

@@ -65,8 +65,10 @@ def verify_schedule(
     :class:`ValueError` here, at the boundary, instead of surfacing as a
     replay failure deep inside the executor.
 
-    ``invocations_executed`` in the returned report counts what the
-    executor actually ran (including warm-up), not what was requested.
+    ``invocations_executed`` in the returned report counts the
+    completions the executor returned (including warm-up): every
+    invocation asked, whether replayed or written down from invocations
+    0…K, which prove every invocation offset.
 
     >>> # see tests/unit/test_core_verify.py for executable examples
     """

@@ -24,7 +24,7 @@ from repro.core.switching import (
     NodeSchedule,
     SwitchCommand,
 )
-from repro.errors import ScheduleValidationError
+from repro.errors import ReproError, ScheduleValidationError
 from repro.experiments import standard_setup
 from repro.tfg import TFGTiming, dvb_tfg
 from repro.tfg.synth import chain_tfg
@@ -170,23 +170,69 @@ OMEGA_MUTATIONS = (
 )
 
 
-@pytest.mark.parametrize("topology,load", [("hypercube6", 0.3), ("torus8x8", 0.2)])
-def test_executor_alone_kills_every_omega_mutant(topology, load):
-    """The executor replays Ω, not the slots: on DVB(5) schedules it
-    rejects every corrupted command memory with a typed error."""
+#: DVB(5) points of the executor's own kill tests: (topology, load).
+EXECUTOR_POINTS = [("hypercube6", 0.3), ("torus8x8", 0.2)]
+
+
+def _dvb5_routing(topology, load):
     setup = standard_setup(dvb_tfg(5), make_topology(topology), 128.0)
     routing = compile_schedule(
         setup.timing, setup.topology, setup.allocation,
         setup.tau_in_for_load(load), CONFIG,
     )
+    return routing, setup.timing, setup.topology, setup.allocation
+
+
+def _executor_verdict(compiled, schedule, invocations):
+    """``None`` when the executor passes ``schedule``, else its error type."""
+    routing, *problem = compiled
+    try:
+        ScheduledRoutingExecutor(
+            dataclasses.replace(routing, schedule=schedule), *problem
+        ).run(invocations=invocations, warmup=2)
+    except ReproError as error:
+        return type(error)
+    return None
+
+
+@pytest.mark.parametrize("invocations", [6, 12, 24])
+@pytest.mark.parametrize("topology,load", EXECUTOR_POINTS)
+def test_executor_alone_kills_every_omega_mutant(topology, load, invocations):
+    """The executor replays Ω, not the slots: on DVB(5) schedules it
+    rejects every corrupted command memory with a typed error, however
+    many invocations it is asked for."""
+    compiled = _dvb5_routing(topology, load)
     for mutation in OMEGA_MUTATIONS:
         for seed in range(4):
-            mutant = mutate_schedule(routing.schedule, seed, mutation)
-            with pytest.raises(ScheduleValidationError):
-                ScheduledRoutingExecutor(
-                    dataclasses.replace(routing, schedule=mutant.schedule),
-                    setup.timing, setup.topology, setup.allocation,
-                ).run(invocations=12, warmup=2)
+            mutant = mutate_schedule(compiled[0].schedule, seed, mutation)
+            verdict = _executor_verdict(compiled, mutant.schedule, invocations)
+            assert verdict is not None
+            assert issubclass(verdict, ScheduleValidationError)
+
+
+#: hypercube6 @ 0.9 adds a ``shift-slot`` mutant (seed 6) whose contention
+#: a replay of only the first 6 invocations does not reach.
+@pytest.mark.parametrize(
+    "topology,load", EXECUTOR_POINTS + [("hypercube6", 0.9)]
+)
+def test_executor_verdict_does_not_depend_on_invocations(topology, load):
+    """The executor proves every invocation offset whatever the count
+    asked: on window mutants its verdict and error type are the same at
+    6, 12 and 24 invocations."""
+    compiled = _dvb5_routing(topology, load)
+    for mutation in ("shift-slot", "overrun-window-eps"):
+        for seed in range(8):
+            try:
+                mutant = mutate_schedule(compiled[0].schedule, seed, mutation)
+            except MutationSkipped:
+                continue
+            verdicts = {
+                n: _executor_verdict(compiled, mutant.schedule, n)
+                for n in (6, 12, 24)
+            }
+            assert len(set(verdicts.values())) == 1, (
+                mutation, seed, mutant.detail, verdicts,
+            )
 
 
 def test_kill_matrix_matches_the_pin():

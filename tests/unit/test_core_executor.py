@@ -6,9 +6,17 @@ from repro.check.fuzz import FuzzPoint
 from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
 from repro.core.switching import TransmissionSlot, node_schedules_of
-from repro.errors import ScheduleValidationError, SchedulingError
+from repro.errors import (
+    FaultedDeadlineError,
+    FaultInjectionError,
+    LinkFailedError,
+    ScheduleValidationError,
+    SchedulingError,
+)
 from repro.experiments import standard_setup
+from repro.faults.models import ClockDrift, FaultTrace, LinkFault
 from repro.results import RunConfig
+from repro.sim import Monitor
 from repro.tfg import TFGTiming, dvb_tfg
 from repro.tfg.synth import chain_tfg
 from repro.topology import make_topology
@@ -131,6 +139,115 @@ class TestRun:
         assert result.extra["link_busy"][slot.links[0]] == pytest.approx(
             12 * slot.duration
         )
+
+
+def _full_replay(executor, invocations):
+    """A run that replays every invocation: its tracer is enabled, and it
+    keeps no category the executor emits."""
+    return executor.run(config=RunConfig(
+        invocations=invocations, warmup=2,
+        tracer=TraceRecorder(categories=("check",)),
+    ))
+
+
+class TestReplayedPeriods:
+    """A fault-free, untraced run replays invocations 0..K and writes the
+    rest down; faulted and traced runs replay every invocation."""
+
+    def test_overlap_is_the_frames_invocation_zero_spans(self, chain_routing):
+        # t3 finishes at 70 with tau_in = 40: K = ceil(70 / 40) = 2.
+        executor = ScheduledRoutingExecutor(*chain_routing)
+        assert executor.overlap == 2
+
+    @pytest.mark.parametrize("invocations", [6, 12, 24])
+    def test_short_replay_equals_the_full_one(self, chain_routing, invocations):
+        executor = ScheduledRoutingExecutor(*chain_routing)
+        short = executor.run(invocations=invocations, warmup=2)
+        full = _full_replay(executor, invocations)
+        assert short.completion_times == full.completion_times
+        assert len(short.completion_times) == invocations
+        assert short.extra["invocations"] == invocations
+        assert short.extra["link_busy"].keys() == full.extra["link_busy"].keys()
+        for link, busy in full.extra["link_busy"].items():
+            assert short.extra["link_busy"][link] == pytest.approx(
+                busy, abs=1e-9
+            )
+
+    def test_outage_past_the_replayed_periods_is_detected(self, chain_routing):
+        """An outage from invocation K + 3 on is met by m0's claim of
+        that invocation, as a replay of every invocation meets it."""
+        executor = ScheduledRoutingExecutor(*chain_routing)
+        k = executor.overlap
+        claim = executor.absolute_slots("m0", k + 3)[0][0]
+        assert claim == 210.0
+        trace = FaultTrace(
+            link_faults=(LinkFault((0, 1), (k + 3) * executor.tau_in),)
+        )
+        with pytest.raises(LinkFailedError) as info:
+            executor.run(invocations=12, warmup=2, fault_trace=trace)
+        assert info.value.link == (0, 1)
+        assert info.value.detection_time == claim
+
+    @pytest.mark.parametrize("offset,error", [
+        (-15.0, FaultInjectionError), (1000.0, FaultedDeadlineError),
+    ])
+    def test_drifted_run_raises_its_fault_error(
+        self, chain_routing, offset, error
+    ):
+        """m1 re-routed over m0's link: an early t0 clock moves m0's
+        window into m1's (contention), a late one past t1's start."""
+        routing, timing, topo, allocation = chain_routing
+        routing.schedule.slots["m1"] = tuple(
+            TransmissionSlot("m1", s.start, s.duration, (1, 0, 2, 3))
+            for s in routing.schedule.slots["m1"]
+        )
+        routing.schedule.node_schedules = node_schedules_of(
+            routing.schedule.slots
+        )
+        executor = ScheduledRoutingExecutor(routing, timing, topo, allocation)
+        trace = FaultTrace(drifts=(ClockDrift(allocation["t0"], offset),))
+        with pytest.raises(FaultInjectionError) as info:
+            executor.run(invocations=12, warmup=2, fault_trace=trace)
+        assert type(info.value) is error
+
+    def test_traced_run_records_every_invocation(self, chain_routing):
+        executor = ScheduledRoutingExecutor(*chain_routing)
+        invocations = executor.overlap + 6
+        tracer = TraceRecorder(categories=("task", "run"))
+        executor.run(config=RunConfig(
+            invocations=invocations, warmup=2, tracer=tracer
+        ))
+        assert {e.args["invocation"] for e in tracer.spans("task")} == set(
+            range(invocations)
+        )
+        assert len(tracer.instants("run", name="completion")) == invocations
+
+    def test_a_lost_completion_is_an_error(self, chain_routing, monkeypatch):
+        class Forgetful(Monitor):
+            def record(self, time, value):
+                if value != 1:
+                    super().record(time, value)
+
+        monkeypatch.setattr("repro.core.executor.Monitor", Forgetful)
+        executor = ScheduledRoutingExecutor(*chain_routing)
+        with pytest.raises(ScheduleValidationError, match="3 invocations "
+                           "replayed, 2 completed"):
+            executor.run(invocations=12, warmup=2)
+
+    @pytest.mark.parametrize("skew", [-1, 1], ids=["repeated", "dropped"])
+    def test_an_extension_off_by_one_is_an_error(
+        self, chain_routing, monkeypatch, skew
+    ):
+        """The written-down completions must continue the replayed ones
+        one period apart: repeating or skipping an invocation fails."""
+        written = ScheduledRoutingExecutor._completion_time
+        monkeypatch.setattr(
+            ScheduledRoutingExecutor, "_completion_time",
+            lambda self, j: written(self, j + skew),
+        )
+        executor = ScheduledRoutingExecutor(*chain_routing)
+        with pytest.raises(ScheduleValidationError, match="not one period"):
+            executor.run(invocations=12, warmup=2)
 
 
 def _closed_form_busy(routing, invocations):
