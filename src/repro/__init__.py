@@ -46,7 +46,6 @@ _exported, __getattr__, __dir__ = lazy_exports(__name__, {
     "Message": "tfg.graph",
     "Refutation": "diagnose.certificates",
     "ReproError": "errors",
-    "RunConfig": "results",
     "RunResult": "results",
     "ScheduleCache": "cache.store",
     "ScheduleValidationError": "errors",

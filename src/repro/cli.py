@@ -396,21 +396,18 @@ def _cmd_inspect(args) -> int:
 def _cmd_faults(args) -> int:
     from repro.core.compiler import CompilerConfig
     from repro.faults.compare import fault_recovery_experiment
-    from repro.results import RunConfig
 
     setup = _setup(args)
     try:
         report = fault_recovery_experiment(
             setup,
             args.load,
+            seed=args.seed,
             n_link_faults=args.fail_links,
             n_drifts=args.drifts,
+            invocations=args.invocations,
+            warmup=args.warmup,
             config=CompilerConfig(seed=args.seed),
-            run=RunConfig(
-                invocations=args.invocations,
-                warmup=args.warmup,
-                seed=args.seed,
-            ),
         )
     except SchedulingError as error:
         print(f"infeasible at load {args.load} on {setup.topology.name}: {error}")
@@ -431,7 +428,7 @@ def _cmd_faults(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.core.compiler import CompilerConfig, compile_schedule
-    from repro.results import RunConfig, require_measured
+    from repro.results import require_measured
     from repro.trace import TraceRecorder, stage_table, write_chrome_trace
 
     setup, tau_in = _setup_at_load(args)
@@ -439,12 +436,7 @@ def _cmd_trace(args) -> int:
         args.invocations, args.warmup, ValueError
     ))
     tracer = TraceRecorder()
-    run = RunConfig(
-        invocations=args.invocations,
-        warmup=args.warmup,
-        seed=args.seed,
-        tracer=tracer,
-    )
+    run = dict(invocations=args.invocations, warmup=args.warmup, tracer=tracer)
     if args.mode == "sr":
         from repro.core.executor import ScheduledRoutingExecutor
 
@@ -462,7 +454,7 @@ def _cmd_trace(args) -> int:
             return 1
         result = ScheduledRoutingExecutor(
             routing, setup.timing, setup.topology, setup.allocation
-        ).run(config=run)
+        ).run(**run)
         # One frame of Ω, each node's crossbar settings on its CP track.
         for node, node_schedule in routing.schedule.node_schedules.items():
             for command in node_schedule.commands:
@@ -478,7 +470,7 @@ def _cmd_trace(args) -> int:
 
         result = WormholeSimulator(
             setup.timing, setup.topology, setup.allocation
-        ).run(tau_in, config=run)
+        ).run(tau_in, **run)
     print(
         f"{args.mode.upper()} run on {setup.topology.name} @ load {args.load} "
         f"(tau_in={tau_in:g}us): {len(result.completion_times)} invocations, "

@@ -40,11 +40,10 @@ replays all of them.
 A successful replay yields a :class:`~repro.results.RunResult` with
 ``technique="scheduled"`` whose output intervals are exactly ``tau_in``
 — the constant throughput the paper guarantees.  Pass a
-:class:`~repro.results.RunConfig` carrying a
-:class:`~repro.trace.tracer.TraceRecorder` to capture the replay as a
-structured trace: ``slot`` spans for every circuit's transmission
-window, ``link`` occupancy spans for every grant, ``task`` spans per
-invocation, and ``run`` completion instants.
+:class:`~repro.trace.tracer.TraceRecorder` as ``run(tracer=...)`` to
+capture the replay as a structured trace: ``slot`` spans for every
+circuit's transmission window, ``link`` occupancy spans for every
+grant, ``task`` spans per invocation, and ``run`` completion instants.
 
 Fault injection
 ---------------
@@ -74,18 +73,13 @@ from repro.errors import (
     LinkFailedError,
     ScheduleValidationError,
 )
-from repro.results import (
-    RunConfig,
-    RunResult,
-    require_measured,
-    resolve_run_config,
-)
+from repro.results import INVOCATIONS, WARMUP, RunResult, require_measured
 from repro.sim import Claim, Environment, Monitor, Resource
 from repro.tfg.analysis import TFGTiming
 from repro.tfg.graph import TaskFlowGraph
 from repro.topology.base import Link, Topology
 from repro.topology.routing import links_on_path
-from repro.trace.tracer import TraceRecorder
+from repro.trace.tracer import NULL_TRACER, Tracer, TraceRecorder
 from repro.units import EPS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -303,18 +297,14 @@ class ScheduledRoutingExecutor:
 
     def run(
         self,
-        invocations: int | None = None,
-        warmup: int | None = None,
-        fault_trace: "FaultTrace | None" = None,
         *,
-        config: RunConfig | None = None,
+        invocations: int = INVOCATIONS,
+        warmup: int = WARMUP,
+        fault_trace: "FaultTrace | None" = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> RunResult:
-        """Run the schedule for ``config.invocations`` periods.
-
-        Accepts a :class:`~repro.results.RunConfig` (the unified run
-        API); the ``invocations``/``warmup``/``fault_trace`` keywords
-        are retained as a thin shim and, when given, override the
-        corresponding config fields.
+        """Run the schedule for ``invocations`` periods, the first
+        ``warmup`` of them unmeasured.
 
         ``completion_times`` and ``extra["link_busy"]`` describe exactly
         the invocations asked, however many are replayed (the module
@@ -322,20 +312,15 @@ class ScheduledRoutingExecutor:
         are written down, and ``link_busy`` adds up every asked
         invocation's windows.
 
-        Raises :class:`~repro.errors.ScheduleValidationError` if the
-        replay observes link contention or a missed delivery deadline on a
-        healthy machine, and the applicable
-        :class:`~repro.errors.FaultInjectionError` subclass when an
-        injected fault (``config.fault_trace``) causes the violation.
+        Raises :class:`~repro.errors.ScheduleValidationError`, before
+        any replay, unless :func:`~repro.results.require_measured`
+        accepts ``invocations`` and ``warmup``; and if the replay
+        observes link contention or a missed delivery deadline on a
+        healthy machine.  The applicable
+        :class:`~repro.errors.FaultInjectionError` subclass is raised
+        instead when an injected fault (``fault_trace``) causes the
+        violation.
         """
-        config = resolve_run_config(
-            config,
-            invocations=invocations,
-            warmup=warmup,
-            fault_trace=fault_trace,
-        )
-        invocations, warmup = config.invocations, config.warmup
-        fault_trace, tracer = config.fault_trace, config.tracer
         require_measured(invocations, warmup, ScheduleValidationError)
         env = Environment(tracer=tracer)
         links: dict[Link, Resource] = {

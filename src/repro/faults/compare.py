@@ -17,6 +17,7 @@ one function, so figures and smoke runs can never drift apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -27,19 +28,12 @@ from repro.errors import FaultInjectionError, SimulationError
 from repro.faults.models import FaultTrace, generate_fault_trace
 from repro.faults.repair import RepairOutcome, repair_schedule
 from repro.metrics.survivability import OutageReport, outage_misses
-from repro.results import RunConfig, RunResult, resolve_run_config
+from repro.results import INVOCATIONS, WARMUP, RunResult
 from repro.topology.base import Link
 from repro.wormhole.adaptive import AdaptiveWormholeSimulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.setup import ExperimentSetup
-
-#: Model microseconds per wall-clock millisecond of repair computation.
-#: The outage window charged to scheduled routing extends from the fault
-#: to detection plus the *measured* repair latency, mapped into model
-#: time under the assumption that the host compiling the repair is the
-#: machine's own front-end processor running in real time.
-REPAIR_US_PER_WALL_MS = 1000.0
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,8 @@ class FaultRecoveryReport:
         Replay of the repaired schedule on the residual machine — its
         jitter is the "guarantee restored" claim.
     outage:
-        Deliveries lost between the fault and the repaired schedule
-        taking effect.
+        Deliveries lost between the fault and the first frame start at
+        which a repaired schedule can take effect.
     wr_result:
         The adaptive wormhole run under the same trace (None when the
         run could not complete, see ``wr_error``).
@@ -123,13 +117,12 @@ class FaultRecoveryReport:
 def fault_recovery_experiment(
     setup: "ExperimentSetup",
     load: float,
-    seed: int | None = None,
+    seed: int = 0,
     n_link_faults: int = 1,
     n_drifts: int = 0,
-    invocations: int | None = None,
-    warmup: int | None = None,
+    invocations: int = INVOCATIONS,
+    warmup: int = WARMUP,
     config: CompilerConfig | None = None,
-    run: RunConfig | None = None,
 ) -> FaultRecoveryReport:
     """Inject, detect, repair, and compare against adaptive wormhole.
 
@@ -142,27 +135,21 @@ def fault_recovery_experiment(
     2. runs the repair engine and re-verifies the repaired schedule on
        the residual topology (:func:`~repro.core.verify.verify_schedule`);
     3. replays the repaired schedule to measure post-repair jitter;
-    4. charges SR the outage window from fault to detection + repair
-       latency and counts the deliveries lost in it;
+    4. charges SR the outage window from the fault to the first frame
+       start after detection (after the fault, when nothing was
+       detected) and counts the deliveries lost in it;
     5. runs :class:`~repro.wormhole.adaptive.AdaptiveWormholeSimulator`
        under the identical trace for the degraded-mode comparison.
 
     Fault start times fall inside the first half of the replay window so
     detection happens mid-run.
 
-    ``run`` bundles the run parameters (invocations, warm-up, seed,
-    tracer) as a :class:`~repro.results.RunConfig`; the per-call
-    ``seed``/``invocations``/``warmup`` keywords are legacy shims that
-    override it when passed.  A non-null ``run.tracer`` traces the
-    post-repair SR replay and the degraded WR run (both into the same
-    recorder, on disjoint tracks).
+    A repaired Ω can only take effect at a frame start, so the window is
+    the fewest deliveries any repair loses, however fast; the measured
+    repair latency is reported beside it, not added to it.  ``seed``
+    draws the fault trace.
     """
     config = config or CompilerConfig()
-    run = resolve_run_config(
-        run, seed=seed, invocations=invocations, warmup=warmup
-    )
-    seed = run.seed
-    invocations, warmup = run.invocations, run.warmup
     tau_in = setup.tau_in_for_load(load)
     routing = compile_schedule(
         setup.timing, setup.topology, setup.allocation, tau_in, config
@@ -204,16 +191,14 @@ def fault_recovery_experiment(
     )
     sr_result = ScheduledRoutingExecutor(
         repair.routing, setup.timing, repair.residual, setup.allocation
-    ).run(config=run.replace(fault_trace=None))
+    ).run(invocations=invocations, warmup=warmup)
 
     fault_start = min(
         (f.start for f in trace.all_link_faults(setup.topology) if f.permanent),
         default=0.0,
     )
-    repair_applied = (
-        (detection_time if detection_time is not None else fault_start)
-        + repair.repair_wall_ms * REPAIR_US_PER_WALL_MS
-    )
+    noticed = detection_time if detection_time is not None else fault_start
+    repair_applied = (math.floor(noticed / tau_in) + 1) * tau_in
     outage = outage_misses(
         executor, failed, (fault_start, repair_applied), invocations
     )
@@ -222,7 +207,9 @@ def fault_recovery_experiment(
     try:
         wr_result = AdaptiveWormholeSimulator(
             setup.timing, setup.topology, setup.allocation
-        ).run(tau_in, config=run.replace(fault_trace=trace))
+        ).run(
+            tau_in, invocations=invocations, warmup=warmup, fault_trace=trace
+        )
     except SimulationError as error:
         wr_error = str(error)
 

@@ -74,8 +74,9 @@ class RepairOutcome:
         actually changed (for ``"recompile"`` this may include healthy
         messages the fresh AssignPaths moved).
     repair_wall_ms:
-        Wall-clock cost of the repair computation — the compile-side
-        contribution to the detection -> repair outage window.
+        Wall-clock cost of the repair computation, reported as
+        information: the outage window ends at the first frame start
+        after detection, which no repair, however fast, can precede.
     peak_utilization:
         Post-repair peak utilisation ``U`` on the residual topology.
     """

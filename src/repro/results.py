@@ -1,25 +1,19 @@
-"""The unified run API: :class:`RunConfig` in, :class:`RunResult` out.
+"""The unified run API: keywords in, :class:`RunResult` out.
 
-Every way of executing a pipelined TFG — the wormhole simulators, the
-scheduled-routing executor, and the faults comparator that drives both —
-historically grew its own keyword soup and its own result shape.  This
-module is the single contract:
-
-- :class:`RunConfig` is the keyword-only bundle of run parameters
-  (invocations, warm-up, seed, fault trace, tracer, ...) accepted
-  uniformly by :meth:`ScheduledRoutingExecutor.run`,
-  :meth:`WormholeSimulator.run` (and subclasses), the faults
-  comparator, and the CLI;
-- :class:`RunResult` is the one measured-behaviour shape
-  (completion times, intervals, latencies, jitter, ``has_oi``,
-  optional ``trace``) that metrics, report, and viz code consume.
+The wormhole simulators and the scheduled-routing executor take their
+run as the same keywords: ``invocations`` and ``warmup`` (defaults
+:data:`INVOCATIONS` and :data:`WARMUP`, checked by
+:func:`require_measured`), ``fault_trace`` and ``tracer``; the faults
+comparator that drives both takes ``invocations`` and ``warmup`` too.
+:class:`RunResult` is the one measured-behaviour shape (completion
+times, intervals, latencies, jitter, ``has_oi``, optional ``trace``)
+that metrics, report, and viz code consume.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.metrics.series import (
     SpikeStats,
@@ -28,80 +22,32 @@ from repro.metrics.series import (
     normalized_throughput_stats,
     output_intervals,
 )
-from repro.trace.tracer import NULL_TRACER, Tracer, TraceRecorder
+from repro.trace.tracer import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.models import FaultTrace
     from repro.metrics.jitter import JitterReport
 
 #: Every runner needs this many measured (post-warmup) invocations for
 #: its steady-state throughput and output-consistency statistics.
 MIN_MEASURED_INVOCATIONS = 4
+#: The run a runner makes when its caller names none: this many periodic
+#: invocations, the first ``WARMUP`` of them excluded from the statistics
+#: while the pipeline fills.
+INVOCATIONS, WARMUP = 40, 8
 
 
 def require_measured(
     invocations: int, warmup: int, error: type[Exception]
 ) -> None:
-    """Raise ``error`` unless ``invocations - warmup`` reaches
-    :data:`MIN_MEASURED_INVOCATIONS`."""
+    """Raise ``error`` unless ``warmup`` is not negative and
+    ``invocations - warmup`` reaches :data:`MIN_MEASURED_INVOCATIONS`."""
+    if warmup < 0:
+        raise error(f"warmup must be >= 0, got {warmup}")
     if invocations - warmup < MIN_MEASURED_INVOCATIONS:
         raise error(
             f"need >= {MIN_MEASURED_INVOCATIONS} measured invocations, "
             f"got {invocations} with warmup={warmup}"
         )
-
-
-@dataclass(frozen=True, kw_only=True)
-class RunConfig:
-    """Keyword-only bundle of run parameters, shared by every run path.
-
-    Attributes
-    ----------
-    invocations:
-        Number of periodic invocations to execute.
-    warmup:
-        Leading invocations excluded from statistics while the pipeline
-        fills.  Every runner requires ``invocations - warmup >=``
-        :data:`MIN_MEASURED_INVOCATIONS`.
-    seed:
-        Deterministic seed consumed by the layers above the runner
-        (fault-trace generation, random/annealed allocation, compiler
-        retries); the runners themselves are deterministic.
-    fault_trace:
-        Injected machine degradation (link outages, clock drift);
-        ``None`` runs the healthy machine.
-    tracer:
-        Structured event sink (:mod:`repro.trace`).  The default
-        :data:`~repro.trace.tracer.NULL_TRACER` records nothing and
-        costs one boolean check per potential event.
-    max_recoveries:
-        Wormhole-only deadlock-recovery budget (``None`` = the
-        simulator's default); ignored by the SR executor.
-    """
-
-    invocations: int = 40
-    warmup: int = 8
-    seed: int = 0
-    fault_trace: "FaultTrace | None" = None
-    tracer: Tracer = NULL_TRACER
-    max_recoveries: int | None = None
-
-    def replace(self, **changes: Any) -> "RunConfig":
-        """A copy with the given fields changed."""
-        return dataclasses.replace(self, **changes)
-
-
-def resolve_run_config(config: RunConfig | None, **legacy: Any) -> RunConfig:
-    """Merge a ``config`` object with legacy per-call keyword arguments.
-
-    Runners keep their pre-:class:`RunConfig` keyword signatures as thin
-    shims: any legacy argument explicitly passed (not ``None``) overrides
-    the corresponding :class:`RunConfig` field, so old call sites behave
-    exactly as before while new ones pass a single ``config``.
-    """
-    resolved = config if config is not None else RunConfig()
-    changes = {key: value for key, value in legacy.items() if value is not None}
-    return resolved.replace(**changes) if changes else resolved
 
 
 @dataclass(frozen=True)

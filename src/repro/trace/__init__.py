@@ -10,10 +10,9 @@
 Quick use::
 
     from repro.trace import TraceRecorder, write_chrome_trace
-    from repro.results import RunConfig
 
     tracer = TraceRecorder()
-    result = executor.run(config=RunConfig(invocations=12, tracer=tracer))
+    result = executor.run(invocations=12, tracer=tracer)
     write_chrome_trace(tracer.events, "trace.json")   # open in Perfetto
 """
 

@@ -34,17 +34,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Na
 
 from repro.errors import SimulationError
 from repro.mapping.allocation import validate_allocation
-from repro.results import (
-    RunConfig,
-    RunResult,
-    require_measured,
-    resolve_run_config,
-)
+from repro.results import INVOCATIONS, WARMUP, RunResult, require_measured
 from repro.sim import Claim, Environment, Monitor, Resource
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Link, Topology
 from repro.topology.routing import links_on_path, lsd_to_msd_route, validate_path
-from repro.trace.tracer import TraceRecorder
+from repro.trace.tracer import NULL_TRACER, Tracer, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.models import FaultTrace
@@ -165,28 +160,27 @@ class WormholeSimulator:
     def run(
         self,
         tau_in: float,
-        invocations: int | None = None,
-        warmup: int | None = None,
+        *,
+        invocations: int = INVOCATIONS,
+        warmup: int = WARMUP,
         max_recoveries: int | None = None,
         fault_trace: "FaultTrace | None" = None,
-        *,
-        config: RunConfig | None = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> RunResult:
-        """Simulate ``invocations`` periodic invocations at period ``tau_in``.
+        """Simulate ``invocations`` periodic invocations at period ``tau_in``,
+        the first ``warmup`` of them unmeasured.
 
-        Run parameters come from ``config`` (a
-        :class:`~repro.results.RunConfig`, the unified run API); the
-        individual keywords are retained as a thin shim and, when
-        given, override the corresponding config fields.  A
-        :class:`~repro.trace.tracer.TraceRecorder` in
-        ``config.tracer`` captures the run as structured events —
-        ``flight`` spans per message instance, ``link``
-        occupancy/blocked spans per channel, ``task`` spans, ``run``
-        completion instants — and rides back on the result's ``trace``.
+        A :class:`~repro.trace.tracer.TraceRecorder` as ``tracer``
+        captures the run as structured events — ``flight`` spans per
+        message instance, ``link`` occupancy/blocked spans per channel,
+        ``task`` spans, ``run`` completion instants — and rides back on
+        the result's ``trace``.
 
         ``max_recoveries`` bounds deadlock recoveries (see the module
         docstring); it defaults to ``500 * invocations``.  Exhausting it
-        raises :class:`~repro.errors.SimulationError`.
+        raises :class:`~repro.errors.SimulationError`, as do a ``tau_in``
+        below ``tau_c`` and, before any simulation, ``invocations`` and
+        ``warmup`` that :func:`~repro.results.require_measured` rejects.
 
         ``fault_trace`` injects link outages (and node faults, expanded to
         their incident links) into the run: failed links stop granting,
@@ -198,16 +192,6 @@ class WormholeSimulator:
         link and the run is declared stuck after
         :data:`MAX_FAULT_ABORTS_PER_FLIGHT` futile retries.
         """
-        config = resolve_run_config(
-            config,
-            invocations=invocations,
-            warmup=warmup,
-            max_recoveries=max_recoveries,
-            fault_trace=fault_trace,
-        )
-        invocations, warmup = config.invocations, config.warmup
-        max_recoveries, fault_trace = config.max_recoveries, config.fault_trace
-        tracer = config.tracer
         if tau_in < self.timing.tau_c:
             raise SimulationError(
                 f"tau_in={tau_in} below tau_c={self.timing.tau_c}: input "

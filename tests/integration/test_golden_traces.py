@@ -21,7 +21,6 @@ import pytest
 from repro.core.compiler import compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
 from repro.faults.models import FaultTrace, LinkFault
-from repro.results import RunConfig
 from repro.tfg import TFGTiming
 from repro.tfg.graph import build_tfg
 from repro.trace import TraceRecorder
@@ -58,9 +57,7 @@ class TestScheduledRoutingGoldenTrace:
         )
         tracer = TraceRecorder(categories=("link", "slot", "run"))
         result = executor.run(
-            config=RunConfig(
-                invocations=INVOCATIONS, warmup=WARMUP, tracer=tracer
-            )
+            invocations=INVOCATIONS, warmup=WARMUP, tracer=tracer
         )
         return executor, tracer, result
 
@@ -136,14 +133,12 @@ class TestScheduledRoutingGoldenTrace:
             categories=("slot", "link", "task", "run", "fault")
         )
         executor.run(
-            config=RunConfig(
-                invocations=INVOCATIONS,
-                warmup=WARMUP,
-                tracer=tracer,
-                fault_trace=FaultTrace(
-                    link_faults=(LinkFault(spare, 100.0, duration=50.0),)
-                ),
-            )
+            invocations=INVOCATIONS,
+            warmup=WARMUP,
+            tracer=tracer,
+            fault_trace=FaultTrace(
+                link_faults=(LinkFault(spare, 100.0, duration=50.0),)
+            ),
         )
 
         def key(category, name, start, end, track, **args):
@@ -193,7 +188,7 @@ class TestWormholeGoldenTrace:
         tracer = TraceRecorder(categories=("link", "flight", "run"))
         result = simulator.run(
             12.0,
-            config=RunConfig(invocations=40, warmup=8, tracer=tracer),
+            invocations=40, warmup=8, tracer=tracer,
         )
         return tracer, result
 

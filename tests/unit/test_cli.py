@@ -372,6 +372,8 @@ class TestArgumentValidation:
              "need >= 4 measured invocations, got 0 with warmup=4"),
             (["trace", "--mode", "wr", "--invocations", "2", "--warmup", "0"],
              "need >= 4 measured invocations, got 2 with warmup=0"),
+            (["trace", "--mode", "sr", "--invocations", "3", "--warmup", "-2"],
+             "warmup must be >= 0, got -2"),
         ],
     )
     def test_invalid_instance_is_a_usage_error(self, capsys, flags, message):

@@ -15,7 +15,6 @@ from repro.errors import (
 )
 from repro.experiments import standard_setup
 from repro.faults.models import ClockDrift, FaultTrace, LinkFault
-from repro.results import RunConfig
 from repro.sim import Monitor
 from repro.tfg import TFGTiming, dvb_tfg
 from repro.tfg.synth import chain_tfg
@@ -126,9 +125,7 @@ class TestRun:
         )
         executor = ScheduledRoutingExecutor(routing, timing, topo, allocation)
         tracer = TraceRecorder(categories=("link",))
-        result = executor.run(
-            config=RunConfig(invocations=12, warmup=2, tracer=tracer)
-        )
+        result = executor.run(invocations=12, warmup=2, tracer=tracer)
         assert not result.has_oi()
         assert tracer.spans("link", name="blocked") == []
         windows = [w for j in range(12) for w in executor.absolute_slots("m0", j)]
@@ -144,10 +141,10 @@ class TestRun:
 def _full_replay(executor, invocations):
     """A run that replays every invocation: its tracer is enabled, and it
     keeps no category the executor emits."""
-    return executor.run(config=RunConfig(
+    return executor.run(
         invocations=invocations, warmup=2,
         tracer=TraceRecorder(categories=("check",)),
-    ))
+    )
 
 
 class TestReplayedPeriods:
@@ -214,9 +211,7 @@ class TestReplayedPeriods:
         executor = ScheduledRoutingExecutor(*chain_routing)
         invocations = executor.overlap + 6
         tracer = TraceRecorder(categories=("task", "run"))
-        executor.run(config=RunConfig(
-            invocations=invocations, warmup=2, tracer=tracer
-        ))
+        executor.run(invocations=invocations, warmup=2, tracer=tracer)
         assert {e.args["invocation"] for e in tracer.spans("task")} == set(
             range(invocations)
         )
@@ -318,7 +313,7 @@ class TestEventBudget:
             routing, setup.timing, setup.topology, setup.allocation
         )
         tracer = TraceRecorder(categories=("sim",))
-        executor.run(config=RunConfig(invocations=24, warmup=6, tracer=tracer))
+        executor.run(invocations=24, warmup=6, tracer=tracer)
         flights = 24 * sum(len(s) for s in routing.schedule.slots.values())
         claims = 24 * sum(
             len(slot.links)

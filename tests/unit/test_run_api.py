@@ -1,4 +1,4 @@
-"""Unit tests of the unified run API: RunConfig and RunResult.
+"""Unit tests of the unified run API: keywords in, RunResult out.
 
 Also covers the kernel-validation satellites that rode along with the
 API change: negative and NaN ``call_later`` delays raising a
@@ -8,12 +8,17 @@ counter being per environment.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
 
-from repro.errors import InvalidDelayError, SimulationError
-from repro.results import RunConfig, RunResult, resolve_run_config
+from repro.errors import (
+    InvalidDelayError,
+    ScheduleValidationError,
+    SimulationError,
+)
+from repro.results import INVOCATIONS, WARMUP, RunResult, require_measured
 from repro.sim import Environment
 from repro.trace import NULL_TRACER, TraceRecorder
 
@@ -29,40 +34,68 @@ def make_result(**overrides):
     return RunResult(**kwargs)
 
 
-class TestRunConfig:
+class TestRunKeywords:
+    """Every runner takes its run as keywords, with one set of defaults."""
+
     def test_defaults(self):
-        config = RunConfig()
-        assert config.invocations == 40
-        assert config.warmup == 8
-        assert config.seed == 0
-        assert config.fault_trace is None
-        assert config.tracer is NULL_TRACER
-        assert config.max_recoveries is None
+        from repro.core.executor import ScheduledRoutingExecutor
+        from repro.faults.compare import fault_recovery_experiment
+        from repro.wormhole import WormholeSimulator
 
-    def test_keyword_only(self):
+        assert (INVOCATIONS, WARMUP) == (40, 8)
+        for runner in (
+            ScheduledRoutingExecutor.run,
+            WormholeSimulator.run,
+            fault_recovery_experiment,
+        ):
+            parameters = inspect.signature(runner).parameters
+            assert parameters["invocations"].default == INVOCATIONS
+            assert parameters["warmup"].default == WARMUP
+            if runner is not fault_recovery_experiment:
+                assert parameters["fault_trace"].default is None
+                assert parameters["tracer"].default is NULL_TRACER
+
+    def test_keyword_only(self, tiny_timing, cube3):
+        from repro.wormhole import WormholeSimulator
+
+        sim = WormholeSimulator(tiny_timing, cube3, {"t0": 0, "t1": 1, "t2": 3})
         with pytest.raises(TypeError):
-            RunConfig(12)  # noqa: the positional form must not exist
+            sim.run(30.0, 12, 4)  # noqa: the positional form must not exist
+        result = sim.run(30.0)
+        assert len(result.completion_times) == INVOCATIONS
+        assert result.warmup == WARMUP
 
-    def test_frozen(self):
-        config = RunConfig()
-        with pytest.raises(AttributeError):
-            config.invocations = 10
 
-    def test_replace(self):
-        config = RunConfig(invocations=12)
-        other = config.replace(warmup=2)
-        assert other.invocations == 12 and other.warmup == 2
-        assert config.warmup == 8  # original untouched
+class TestNegativeWarmup:
+    """``require_measured`` refuses a negative warm-up, so every runner
+    refuses it before any replay, with its documented error type."""
 
-    def test_resolve_legacy_overrides(self):
-        config = RunConfig(invocations=20, warmup=5)
-        resolved = resolve_run_config(config, invocations=30, warmup=None)
-        assert resolved.invocations == 30  # explicit legacy wins
-        assert resolved.warmup == 5  # None means "not passed"
+    def test_require_measured_rejects_it(self):
+        with pytest.raises(ValueError, match="warmup must be >= 0, got -2"):
+            require_measured(3, -2, ValueError)
 
-    def test_resolve_without_config_uses_defaults(self):
-        resolved = resolve_run_config(None, invocations=None)
-        assert resolved == RunConfig()
+    def test_wormhole_raises_simulation_error(self, tiny_timing, cube3):
+        from repro.wormhole import WormholeSimulator
+
+        sim = WormholeSimulator(tiny_timing, cube3, {"t0": 0, "t1": 1, "t2": 3})
+        with pytest.raises(SimulationError, match="warmup must be >= 0"):
+            sim.run(30.0, invocations=0, warmup=-5)
+
+    def test_executor_raises_before_replaying(self, dvb_setup_128):
+        from repro.core.compiler import compile_schedule
+        from repro.core.executor import ScheduledRoutingExecutor
+
+        setup = dvb_setup_128
+        routing = compile_schedule(
+            setup.timing, setup.topology, setup.allocation,
+            setup.tau_in_for_load(0.5),
+        )
+        tracer = TraceRecorder()
+        with pytest.raises(ScheduleValidationError, match="warmup must be >= 0"):
+            ScheduledRoutingExecutor(
+                routing, setup.timing, setup.topology, setup.allocation
+            ).run(invocations=3, warmup=-2, tracer=tracer)
+        assert len(tracer) == 0
 
 
 class TestRunResult:
@@ -123,6 +156,22 @@ class TestShimsRemoved:
         assert not hasattr(report, "sr_post_repair")
         assert report.sr_result is not None
 
+    def test_run_api_is_keywords_and_one_result(self):
+        """No run-parameter bundle and no merger of two call forms: the
+        classes and functions ``repro.results`` defines are the result
+        and the rule every runner checks, and ``RunResult`` is the one
+        ``Run*`` name of the facade."""
+        import repro
+        import repro.results
+
+        defined = {
+            name for name, value in vars(repro.results).items()
+            if getattr(value, "__module__", None) == "repro.results"
+        }
+        assert defined == {"RunResult", "require_measured"}
+        assert [n for n in dir(repro) if n.startswith("Run")] == ["RunResult"]
+        assert [n for n in repro.__all__ if n.startswith("Run")] == ["RunResult"]
+
 
 class TestTimeoutValidation:
     def test_negative_delay_raises_simulation_error(self):
@@ -157,20 +206,3 @@ class TestPerEnvironmentFifo:
 
         assert run_probe(interleave=False) == ["a", "b", "c", "d"]
         assert run_probe(interleave=True) == ["a", "b", "c", "d"]
-
-
-class TestRunnersAcceptConfig:
-    """Legacy keyword calls and RunConfig calls produce identical runs."""
-
-    def test_wormhole_config_equivalent_to_legacy(
-        self, tiny_timing, cube3
-    ):
-        from repro.wormhole import WormholeSimulator
-
-        allocation = {"t0": 0, "t1": 1, "t2": 3}
-        sim = WormholeSimulator(tiny_timing, cube3, allocation)
-        legacy = sim.run(30.0, invocations=12, warmup=4)
-        modern = sim.run(30.0, config=RunConfig(invocations=12, warmup=4))
-        assert modern == legacy
-        assert isinstance(modern, RunResult)
-        assert type(modern) is RunResult  # not the deprecated subclass

@@ -13,7 +13,7 @@ from repro.tfg.graph import build_tfg
 from repro.tfg.synth import chain_tfg
 from repro.topology import make_topology
 from repro.trace import TraceRecorder
-from repro.results import RunConfig, RunResult
+from repro.results import RunResult
 from repro.wormhole import WormholeSimulator
 
 
@@ -159,7 +159,7 @@ def _tie_case(cube3, tasks, messages, allocation):
     timing = TFGTiming(tfg, 128.0, speeds=40.0)
     tracer = TraceRecorder(categories=("link",))
     WormholeSimulator(timing, cube3, allocation).run(
-        40.0, config=RunConfig(invocations=8, warmup=4, tracer=tracer)
+        40.0, invocations=8, warmup=4, tracer=tracer
     )
     return [owner for _, _, owner in tracer.occupancy()["(1, 3)"][:4]]
 
@@ -207,7 +207,7 @@ class TestFlatLoop:
             setup.timing, setup.topology, setup.allocation
         ).run(
             setup.tau_in_for_load(load),
-            config=RunConfig(invocations=24, warmup=6, tracer=tracer),
+            invocations=24, warmup=6, tracer=tracer,
         )
         tfg, allocation = setup.timing.tfg, setup.allocation
         runs = 24

@@ -47,7 +47,6 @@ from repro.errors import ReproError, SchedulingError  # noqa: E402
 from repro.faults.models import (FaultTrace, LinkFault, NodeFault,  # noqa: E402
                                  generate_fault_trace)
 from repro.faults.repair import repair_schedule  # noqa: E402
-from repro.results import RunConfig  # noqa: E402
 from repro.serve.jobs import JobRequest  # noqa: E402
 from repro.serve.worker import execute_request  # noqa: E402
 from repro.solvers import LP_TOL  # noqa: E402
@@ -81,22 +80,23 @@ def _fault_events(events) -> list:
     return [[time.hex(), kind, str(link)] for time, (kind, link) in events]
 
 
-def wr_record(variant: str, problem, config: RunConfig, traced: bool) -> dict:
-    """What one simulator run returned, exactly: completion times as
-    ``float.hex``, recoveries, per-link waits in insertion order, fault
-    events and aborts, or the error; traced, digests of the events of every
-    category but ``sim``, in order and as a multiset."""
+def wr_record(variant: str, problem, run: dict, traced: bool) -> dict:
+    """What one simulator run with the keywords ``run`` returned, exactly:
+    completion times as ``float.hex``, recoveries, per-link waits in
+    insertion order, fault events and aborts, or the error; traced, digests
+    of the events of every category but ``sim``, in order and as a
+    multiset."""
     timing, topology, allocation, tau_in = problem
     sim, record = VARIANTS[variant](timing, topology, allocation), {}
     if traced:
         tracer = TraceRecorder(set(TRACE_CATEGORIES) - {"sim"})
         with contextlib.suppress(Exception):  # the events up to an error count
-            sim.run(tau_in, config=dataclasses.replace(config, tracer=tracer))
+            sim.run(tau_in, **run, tracer=tracer)
         lines = _trace_lines(tracer)
         record = {"trace_events": len(lines), "trace_sequence": _digest(lines),
                   "trace_multiset": _digest(sorted(lines))}
     try:
-        result = sim.run(tau_in, config=config)
+        result = sim.run(tau_in, **run)
     except Exception as error:  # noqa: BLE001 - the error is the record
         return {**record, "error": [type(error).__name__, str(error)]}
     extra = result.extra
@@ -116,16 +116,16 @@ def wr_corpus() -> dict:
     """Per run: the ``pipeline_sim`` points and the fuzz seeds under every
     variant, and a seeded fault-injection leg on two machines."""
     instances, corpus = inputs.Instances(), {}
-    config = RunConfig(invocations=inputs.SIM_INVOCATIONS, warmup=inputs.SIM_WARMUP)
+    run = dict(invocations=inputs.SIM_INVOCATIONS, warmup=inputs.SIM_WARMUP)
     for name, load in inputs.SIM_POINTS:
         problem = instances.dvb(5, name, 128.0, load)
         for variant in VARIANTS:
             corpus[f"pipeline/{name}@{load}/{variant}"] = wr_record(
-                variant, problem, config, traced=True)
+                variant, problem, run, traced=True)
     for seed in FUZZ_SEEDS:
-        problem, config = FuzzPoint.from_seed(seed).build(), RunConfig(invocations=12, warmup=4)
+        problem, run = FuzzPoint.from_seed(seed).build(), dict(invocations=12, warmup=4)
         for variant in VARIANTS:
-            corpus[f"fuzz/{seed}/{variant}"] = wr_record(variant, problem, config, traced=False)
+            corpus[f"fuzz/{seed}/{variant}"] = wr_record(variant, problem, run, traced=False)
     for name, load in (("hypercube6", 0.3), ("torus8x8", 0.2)):
         problem = timing, topology, allocation, tau_in = instances.dvb(5, name, 128.0, load)
         used = tuple(sorted({
@@ -135,24 +135,24 @@ def wr_corpus() -> dict:
                 topology, allocation[m.src], allocation[m.dst]))
         }))
         for seed, count, transient in itertools.product(range(5), (2, 4), (0.0, 1.0)):
-            config = RunConfig(invocations=12, warmup=4, fault_trace=generate_fault_trace(
+            run = dict(invocations=12, warmup=4, fault_trace=generate_fault_trace(
                 topology, seed=seed, n_link_faults=count, horizon=6 * tau_in,
                 transient_fraction=transient, candidate_links=used))
             for variant in ("base", "adaptive"):
                 corpus[f"faults/{name}@{load}/seed{seed}/x{count}/transient{transient}/"
-                       f"{variant}"] = wr_record(variant, problem, config, traced=True)
+                       f"{variant}"] = wr_record(variant, problem, run, traced=True)
     return corpus
 
 
 # -- faults.timelines: every runner under injected outages ---------------------
 
-def fault_record(run, config: RunConfig) -> dict:
-    """One traced fault run: completion times and fault events, or the
-    error's class, message and detection time; and a digest of the events
-    of every category but ``sim``, in order."""
+def fault_record(run, fault_trace: FaultTrace) -> dict:
+    """One traced fault run of 12 invocations: completion times and fault
+    events, or the error's class, message and detection time; and a digest
+    of the events of every category but ``sim``, in order."""
     tracer = TraceRecorder(set(TRACE_CATEGORIES) - {"sim"})
     try:
-        result = run(config=dataclasses.replace(config, tracer=tracer))
+        result = run(invocations=12, warmup=4, fault_trace=fault_trace, tracer=tracer)
         record = {"completion_times": [t.hex() for t in result.completion_times],
                   "fault_events": _fault_events(result.extra["fault_events"])}
     except Exception as error:  # noqa: BLE001 - the error is the record
@@ -172,7 +172,6 @@ def fault_timelines() -> dict:
     instant of the replay.  The reference LP backend compiles the
     schedules, so no HiGHS build moves them."""
     instances, runs = inputs.Instances(), {}
-    config = RunConfig(invocations=12, warmup=4)
     for name, load in (("hypercube6", 0.3), ("ghc444", 0.6)):
         problem = timing, topology, allocation, tau_in = instances.dvb(5, name, 128.0, load)
         routing = compile_schedule(*problem, CompilerConfig(**inputs.COMPILER_FIELDS,
@@ -208,8 +207,7 @@ def fault_timelines() -> dict:
                                               tau_in) for variant in ("base", "adaptive", "saf")}
         runners["sr"] = executor.run
         for (kind, trace), (variant, run) in itertools.product(traces.items(), runners.items()):
-            runs[f"{name}@{load}/{kind}/{variant}"] = fault_record(
-                run, dataclasses.replace(config, fault_trace=trace))
+            runs[f"{name}@{load}/{kind}/{variant}"] = fault_record(run, trace)
     return runs
 
 
