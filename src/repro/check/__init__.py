@@ -9,13 +9,14 @@ paper's guarantees from scratch:
 
 - :func:`~repro.check.analyzer.analyze_schedule` — a static conformance
   analyzer operating only on the serialized schedule and the topology's
-  link set.  It re-derives continuous-time link exclusivity (including
-  wrapped windows at the ``tau_in`` frame boundary), per-node crossbar
-  port exclusivity, path continuity, window containment against
-  independently recomputed time bounds, buffering-freedom and
-  deadlock-freedom, and reports structured
-  :class:`~repro.check.analyzer.Finding` records instead of raising on
-  the first failure.
+  link set.  It re-derives the frame, path continuity and
+  buffering-freedom, continuous-time link exclusivity (including
+  wrapped windows at the ``tau_in`` frame boundary; with whole-path
+  slots this one proof also gives crossbar port exclusivity and
+  deadlock-freedom), Ω as the projection of the slots, and window
+  containment against independently recomputed time bounds, and
+  reports structured :class:`~repro.check.analyzer.Finding` records
+  instead of raising on the first failure.
 - :mod:`~repro.check.mutate` — seeded schedule corruptions (shifted
   slots, swapped crossbar ports, deleted commands, off-by-EPS window
   overruns...) used to measure what the analyzer, ``validate()`` and

@@ -6,7 +6,7 @@ content (period, slots, assignment, optional bounds and node schedules)
 plus the topology's link set.  It deliberately shares **no logic** with
 the compiler's own :meth:`~repro.core.switching.CommunicationSchedule.
 validate`: the per-node command projection, the window recomputation and
-the occupancy sweeps are all independent implementations, so a bug in
+the occupancy sweep are all independent implementations, so a bug in
 the compiler's data-structure helpers cannot silently excuse itself
 here.
 
@@ -14,8 +14,9 @@ Checks (each yields :class:`Finding` records; the analyzer never raises
 on schedule content):
 
 ``frame``
-    Every transmission slot lies inside the frame ``[0, tau_in]`` and
-    has positive duration.
+    The period is a positive finite time, and every transmission slot
+    has a finite start and duration, lies inside the frame
+    ``[0, tau_in]`` and has positive duration.
 ``path``
     Every message has an assigned path; the path is continuous
     source→destination over existing topology links and visits no node
@@ -28,12 +29,11 @@ on schedule content):
     Continuous-time link exclusivity: no two slots ever overlap on a
     shared link.  Occupancy intervals are normalized onto the circular
     frame, so a slot written across the ``tau_in`` boundary is split and
-    checked on both sides.
-``crossbar``
-    Per-node port-conflict freedom: the node's channel ports (half
-    duplex, exclusive in both directions) are never connected to two
-    places at once, per an independent re-derivation of each node's
-    switching commands from the slots.
+    checked on both sides.  Every transmission holds all links of its
+    path for its whole slot, so this one check also gives crossbar
+    port-freedom (a channel port is a half-duplex link, and ``path``
+    rejects a hop that is no link or revisits a node) and
+    deadlock-freedom (no transmission ever waits while holding a link).
 ``omega``
     When the schedule carries node schedules, they must be exactly the
     per-node projection of the slots — a swapped input/output port, a
@@ -43,18 +43,13 @@ on schedule content):
     (release/deadline wrapped onto the frame from the TFG timing when
     given, else the schedule's embedded bounds), plus duration coverage:
     a message's slots must sum to exactly its transmission requirement.
-``deadlock``
-    Deadlock-freedom certificate: an event-driven claim replay grants
-    every slot all of its links atomically at its start instant; any
-    claim on a held link is a hold-and-wait — the precondition of
-    circular wait — and is reported.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from os import PathLike
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -87,15 +82,13 @@ class Finding:
         :data:`SEVERITY_WARNING` for an advisory.
     code:
         Stable machine-readable identifier of the violated invariant
-        (``"link-overlap"``, ``"port-conflict"``, ...).
+        (``"link-overlap"``, ``"window-overrun"``, ...).
     detail:
         Human-readable description.
     message:
         Name of the message involved, when one is identifiable.
     link:
         The ``(u, v)`` link involved, when one is identifiable.
-    node:
-        The node involved, when one is identifiable.
     span:
         The ``(start, end)`` frame-time range of the violation, when one
         is identifiable.
@@ -106,7 +99,6 @@ class Finding:
     detail: str
     message: str | None = None
     link: tuple[int, int] | None = None
-    node: int | None = None
     span: tuple[float, float] | None = None
 
     def __str__(self) -> str:
@@ -115,8 +107,6 @@ class Finding:
             where.append(f"message={self.message}")
         if self.link is not None:
             where.append(f"link={self.link}")
-        if self.node is not None:
-            where.append(f"node={self.node}")
         if self.span is not None:
             where.append(f"t=[{self.span[0]:.6f},{self.span[1]:.6f}]")
         suffix = f" ({', '.join(where)})" if where else ""
@@ -130,7 +120,6 @@ class Finding:
             "detail": self.detail,
             "message": self.message,
             "link": list(self.link) if self.link is not None else None,
-            "node": self.node,
             "span": list(self.span) if self.span is not None else None,
         }
 
@@ -201,7 +190,6 @@ class ConformanceReport:
                 detail=f.detail,
                 message=f.message,
                 link=None if f.link is None else str(f.link),
-                node=f.node,
             )
         return len(self.findings)
 
@@ -216,7 +204,7 @@ def _wrap_segments(
 
     Intervals inside the frame pass through; an interval written across
     the ``tau_in`` boundary is split into its tail and wrapped head so
-    the occupancy sweeps see both sides.
+    the occupancy sweep sees both sides.
     """
     if end <= tau_in + EPS:
         return [(start, min(end, tau_in))]
@@ -332,14 +320,6 @@ class _Analysis:
     def add(self, severity: str, code: str, detail: str, **where: Any) -> None:
         self.findings.append(Finding(severity, code, detail, **where))
 
-    @cached_property
-    def commands(
-        self,
-    ) -> dict[int, list[tuple[float, float, object, object, str]]]:
-        """The slots' switching commands (:func:`_derived_commands`),
-        derived once for the crossbar and the Ω checks."""
-        return _derived_commands(self.schedule)
-
 
 def analyze_schedule(
     schedule: "CommunicationSchedule",
@@ -358,7 +338,7 @@ def analyze_schedule(
         (``tau_in``, slots, assignment, and — when present — bounds and
         node schedules); no compiler helper is invoked.
     topology:
-        The machine; supplies the link set and node adjacency.
+        The machine; supplies the link set.
     timing:
         Optional TFG timing.  When given, the message windows are
         recomputed independently and cross-checked against the
@@ -380,23 +360,20 @@ def analyze_schedule(
     """
     state = _Analysis(schedule, topology)
     tau_in = float(schedule.tau_in)
-    if not tau_in > 0:
+    if not (math.isfinite(tau_in) and tau_in > 0):
         state.add(
-            SEVERITY_ERROR, "bad-frame", f"non-positive period {tau_in!r}"
+            SEVERITY_ERROR, "bad-frame",
+            f"period {tau_in!r} is not a positive finite time",
         )
         return ConformanceReport(tau_in, tuple(state.findings), ("frame",))
 
     _check_frame(state, tau_in)
     _check_paths(state, timing, allocation)
     _check_link_exclusivity(state, tau_in)
-    _check_crossbar_ports(state, tau_in)
     _check_omega(state)
     _check_windows(state, tau_in, timing, sync_margin)
-    _check_deadlock_freedom(state, tau_in)
 
-    checks = (
-        "frame", "path", "link", "crossbar", "omega", "window", "deadlock",
-    )
+    checks = ("frame", "path", "link", "omega", "window")
     report = ConformanceReport(tau_in, tuple(state.findings), checks)
     if tracer is not None:
         report.emit(tracer)
@@ -466,6 +443,14 @@ def analyze_file(
 def _check_frame(state: _Analysis, tau_in: float) -> None:
     for name, slots in state.schedule.slots.items():
         for slot in slots:
+            if not (math.isfinite(slot.start) and math.isfinite(slot.duration)):
+                state.add(
+                    SEVERITY_ERROR, "slot-not-finite",
+                    f"slot of start {slot.start!r} and duration "
+                    f"{slot.duration!r}",
+                    message=name,
+                )
+                continue
             if slot.duration <= EPS:
                 state.add(
                     SEVERITY_ERROR, "slot-empty",
@@ -585,50 +570,12 @@ def _check_link_exclusivity(state: _Analysis, tau_in: float) -> None:
             )
 
 
-def _check_crossbar_ports(state: _Analysis, tau_in: float) -> None:
-    for node, commands in state.commands.items():
-        neighbors = set(state.topology.neighbors(node))
-        by_port: dict[object, list[tuple[float, float, str]]] = {}
-        for start, end, inp, out, name in commands:
-            if inp == out:
-                state.add(
-                    SEVERITY_ERROR, "port-loop",
-                    f"command connects port {inp!r} to itself",
-                    message=name, node=node, span=(start, end),
-                )
-            for port in (inp, out):
-                if port == _AP:
-                    continue  # per-channel AP buffers never conflict
-                if port not in neighbors:
-                    state.add(
-                        SEVERITY_ERROR, "port-unknown",
-                        f"no channel from node {node} to {port!r}",
-                        message=name, node=node, span=(start, end),
-                    )
-                    continue
-                for seg in _wrap_segments(start, end, tau_in):
-                    by_port.setdefault(port, []).append((*seg, name))
-        for port, intervals in by_port.items():
-            for first, second in _sweep_conflicts(intervals):
-                if first[2] == second[2]:
-                    continue  # already reported as message-self-overlap
-                state.add(
-                    SEVERITY_ERROR, "port-conflict",
-                    f"channel to {port!r} carries {first[2]!r} and "
-                    f"{second[2]!r} at once",
-                    message=second[2], node=node,
-                    span=(
-                        max(first[0], second[0]), min(first[1], second[1])
-                    ),
-                )
-
-
 def _check_omega(state: _Analysis) -> None:
     if not state.schedule.node_schedules:
         return
     derived = Counter(
         (node, round(t, 9), round(e, 9), str(i), str(o), m)
-        for node, commands in state.commands.items()
+        for node, commands in _derived_commands(state.schedule).items()
         for t, e, i, o, m in commands
     )
     declared = Counter(
@@ -641,17 +588,17 @@ def _check_omega(state: _Analysis) -> None:
         node, t, e, inp, out, name = key
         state.add(
             SEVERITY_ERROR, "omega-missing-command",
-            f"node schedule lacks {count} command(s) {inp}->{out} required "
-            "by the slots",
-            message=name, node=node, span=(t, e),
+            f"node {node}'s schedule lacks {count} command(s) {inp}->{out} "
+            "required by the slots",
+            message=name, span=(t, e),
         )
     for key, count in (declared - derived).items():
         node, t, e, inp, out, name = key
         state.add(
             SEVERITY_ERROR, "omega-spurious-command",
-            f"node schedule declares {count} command(s) {inp}->{out} that "
-            "no slot requires (retimed, swapped or forged)",
-            message=name, node=node, span=(t, e),
+            f"node {node}'s schedule declares {count} command(s) "
+            f"{inp}->{out} that no slot requires (retimed, swapped or forged)",
+            message=name, span=(t, e),
         )
 
 
@@ -718,53 +665,3 @@ def _check_windows(
                     f"release/deadline windows {tuple(segments)}",
                     message=name, span=(slot.start, slot.end),
                 )
-
-
-def _check_deadlock_freedom(state: _Analysis, tau_in: float) -> None:
-    """Event-driven claim replay: every slot must acquire all of its
-    links atomically at its start, with zero wait.
-
-    A claim hitting a held link is hold-and-wait — the necessary
-    precondition of circular wait — so its absence is a deadlock-freedom
-    certificate (together with buffering-freedom: no transmission ever
-    parks mid-path holding some links while waiting for others).
-    """
-    events: list[tuple[float, int, int, tuple[int, ...], str]] = []
-    serial = 0
-    for name, slots in state.schedule.slots.items():
-        for slot in slots:
-            path = tuple(slot.path)
-            for seg_start, seg_end in _wrap_segments(
-                slot.start, slot.end, tau_in
-            ):
-                # Shrink by EPS so exact abutment never reads as a wait.
-                events.append((seg_end - EPS, 0, serial, path, name))
-                events.append((seg_start + EPS, 1, serial, path, name))
-                serial += 1
-    events.sort()
-    held: dict[tuple[int, int], str] = {}
-    owned: dict[int, list[tuple[int, int]]] = {}
-    for time, kind, serial, path, name in events:
-        links = [
-            (min(u, v), max(u, v)) for u, v in zip(path, path[1:])
-        ]
-        if kind == 1:
-            granted = []
-            for link in links:
-                owner = held.get(link)
-                if owner is not None and owner != name:
-                    state.add(
-                        SEVERITY_ERROR, "hold-and-wait",
-                        f"claim of {link} finds it held by {owner!r}: "
-                        "the transmission would block mid-acquisition "
-                        "(deadlock precondition)",
-                        message=name, link=link, span=(time, time),
-                    )
-                    continue
-                held[link] = name
-                granted.append(link)
-            owned[serial] = granted
-        else:
-            for link in owned.pop(serial, []):
-                if held.get(link) == name:
-                    del held[link]

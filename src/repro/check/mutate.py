@@ -9,7 +9,8 @@ analyzer (:func:`repro.check.analyzer.analyze_schedule`) detects at
 least 95% of a seeded corpus of these corruptions, and the
 ``check.kill_matrix`` pin (``tools/pins.py``) counts what the analyzer,
 ``validate()`` and the executor's replay of Ω each kill on the
-benchmark's DVB(5) schedules.
+benchmark's DVB(5) schedules.  Each of the three proves link
+exclusivity once, which also covers crossbar ports and deadlock.
 
 Mutations that edit slots regenerate the node schedules so the
 corruption is *consistent* (a wrong schedule, not merely an

@@ -396,8 +396,12 @@ def _cmd_inspect(args) -> int:
 def _cmd_faults(args) -> int:
     from repro.core.compiler import CompilerConfig
     from repro.faults.compare import fault_recovery_experiment
+    from repro.results import require_measured
 
-    setup = _setup(args)
+    setup, _ = _setup_at_load(args)
+    _checked(args, lambda: require_measured(
+        args.invocations, args.warmup, ValueError
+    ))
     try:
         report = fault_recovery_experiment(
             setup,

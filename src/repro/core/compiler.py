@@ -31,7 +31,7 @@ from repro.core.pipeline import (
     run_stages,
 )
 from repro.core.switching import CommunicationSchedule
-from repro.core.timebounds import TimeBoundSet
+from repro.core.timebounds import TimeBoundSet, require_sync_margin
 from repro.core.utilization import UtilizationReport
 from repro.errors import SchedulingError
 from repro.mapping.allocation import validate_allocation
@@ -89,8 +89,9 @@ class CompilerConfig:
         scipy's HiGHS when available, the pure-Python reference simplex
         otherwise), ``"highs"`` or ``"reference"``.
 
-    A value no compile can run (``max_paths < 1``, a negative count, an
-    unknown backend) raises :class:`ValueError` here, not mid-compile.
+    A value no compile can run (``max_paths < 1``, a negative count, a
+    negative or non-finite ``sync_margin``, an unknown backend) raises
+    :class:`ValueError` here, not mid-compile.
     """
 
     seed: int = 0
@@ -110,6 +111,7 @@ class CompilerConfig:
                 raise ValueError(
                     f"{name} must be >= 0, got {getattr(self, name)}"
                 )
+        require_sync_margin(self.sync_margin)
         if self.lp_backend not in BACKEND_NAMES:
             raise ValueError(
                 f"lp_backend must be one of {', '.join(BACKEND_NAMES)}, "

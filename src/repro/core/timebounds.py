@@ -181,6 +181,15 @@ def _dedupe(sorted_values: list[float]) -> list[float]:
     return result
 
 
+def require_sync_margin(margin: float) -> None:
+    """Raise :class:`ValueError` unless ``margin`` is a non-negative
+    finite time: a bad margin is an input error, not infeasibility."""
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(
+            f"sync margin must be a non-negative finite time, got {margin}"
+        )
+
+
 def compute_time_bounds(
     timing: TFGTiming,
     tau_in: float,
@@ -203,14 +212,9 @@ def compute_time_bounds(
     extra_duration:
         A per-message setup guard added to every transmission requirement;
         models the CP clock-synchronization margin of the paper's
-        concluding remarks.
+        concluding remarks (:func:`require_sync_margin`).
     """
-    if not extra_duration >= 0:  # rejects negatives and NaN in one test
-        raise SchedulingError(
-            f"sync margin must be non-negative, got {extra_duration}"
-        )
-    if not math.isfinite(extra_duration):
-        raise SchedulingError(f"sync margin must be finite, got {extra_duration}")
+    require_sync_margin(extra_duration)
     if tau_in < timing.tau_c - EPS:
         raise SchedulingError(
             f"tau_in={tau_in} below tau_c={timing.tau_c}: infinite "

@@ -7,14 +7,16 @@ one:
 1. **conformance analysis** — every SR invariant re-derived from
    scratch on the serialized schedule alone, independent of compiler
    internals (:func:`repro.check.analyzer.analyze_schedule`);
-2. **static validation** — slot coverage, window containment, link
-   exclusivity, node-schedule/slot consistency
-   (:meth:`~repro.core.switching.CommunicationSchedule.validate`);
-3. **dynamic replay** — Ω itself, every node's crossbar settings chained
+2. **dynamic replay** — Ω itself, every node's crossbar settings chained
    into source-to-destination circuits, executed for the full pipelined
    run on the discrete-event kernel, asserting contention-freedom,
    deadlines and constant throughput
    (:class:`~repro.core.executor.ScheduledRoutingExecutor`).
+
+The compiler's own :meth:`~repro.core.switching.CommunicationSchedule.
+validate` is not run again: every schedule passed it when it was built
+or decoded, and on the mutation corpus it rejects nothing the analyzer
+accepts (``test_every_validate_kill_is_an_analyzer_kill``).
 
 See ``docs/verification.md`` for how the tiers complement each other.
 """
@@ -34,7 +36,7 @@ from repro.topology.base import Topology
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the three-stage verification (raises before returning
+    """Outcome of the two-stage verification (raises before returning
     on any failure, so a returned report certifies success).
 
     ``commands_replayed`` counts the switching commands the executor
@@ -83,7 +85,6 @@ def verify_schedule(
             f"conformance analyzer flagged the schedule: "
             f"{conformance.summary()}"
         )
-    routing.schedule.validate()
     executor = ScheduledRoutingExecutor(routing, timing, topology, allocation)
     result = executor.run(invocations=invocations, warmup=warmup)
     return VerificationReport(

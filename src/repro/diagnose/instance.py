@@ -27,14 +27,18 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.cache.keys import CACHE_VERSION, diagnosis_cache_key
-from repro.core.timebounds import TimeBoundSet, compute_time_bounds
+from repro.core.timebounds import (
+    TimeBoundSet,
+    compute_time_bounds,
+    require_sync_margin,
+)
 from repro.core.utilization import link_loads
 from repro.diagnose.certificates import (
     Diagnosis,
     Refutation,
     exceeds_capacity,
 )
-from repro.errors import SchedulingError, TopologyError
+from repro.errors import TopologyError
 from repro.tfg.analysis import TFGTiming
 from repro.topology.analysis import canonical_bisection
 from repro.topology.base import Link, Topology, link_between
@@ -212,8 +216,10 @@ def diagnose_instance(
     assignment at all can meet the requirements, so the LP pipeline may
     be skipped.  Certificates are sound by construction (each is a
     necessary condition) and the fuzz harness enforces this against both
-    LP backends (``repro.check.fuzz``).
+    LP backends (``repro.check.fuzz``).  A negative or non-finite
+    ``sync_margin`` raises :class:`ValueError`.
     """
+    require_sync_margin(sync_margin)
     started = time.perf_counter()
     key: str | None = None
     if cache is not None:
@@ -302,16 +308,9 @@ def diagnose_instance(
             )
     connected = [m for m in routed if m.name in distances]
 
-    try:
-        bounds = compute_time_bounds(
-            timing,
-            tau_in,
-            [m.name for m in routed],
-            extra_duration=sync_margin,
-        )
-    except SchedulingError as error:  # pragma: no cover - guarded above
-        refutations.append(Refutation(kind="window", detail=str(error)))
-        return _finish(tau_in, refutations, checks, started, cache, key)
+    bounds = compute_time_bounds(
+        timing, tau_in, [m.name for m in routed], extra_duration=sync_margin
+    )
 
     # -- forced-link overload (Def. 5.1 + Hall windows) -------------------
     checks.append("forced-link")

@@ -49,8 +49,7 @@ class TestMatrixConformance:
         )
         assert report.ok, report.summary()
         assert set(report.checks) == {
-            "frame", "path", "link", "crossbar", "omega", "window",
-            "deadlock",
+            "frame", "path", "link", "omega", "window",
         }
 
     def test_diamond_on_torus_is_analyzer_clean(self, torus44):

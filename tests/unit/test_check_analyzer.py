@@ -52,10 +52,7 @@ class TestCleanSchedules:
         )
         assert report.ok
         assert report.findings == ()
-        assert report.checks == (
-            "frame", "path", "link", "crossbar", "omega", "window",
-            "deadlock",
-        )
+        assert report.checks == ("frame", "path", "link", "omega", "window")
         assert report.summary().startswith("CONFORMANT")
 
     def test_without_timing_still_checks_structure(self, compiled):
@@ -137,12 +134,9 @@ class TestExclusivityFindings:
             "b": [slot("b", 3.0, 4.0, (0, 1))],
         })
         report = analyze_schedule(schedule, cube3)
-        counts = report.counts()
-        assert counts["link-overlap"] == 1
-        # The same contention is hold-and-wait in the claim replay and a
-        # port conflict at both endpoints' crossbars.
-        assert "hold-and-wait" in counts
-        assert "port-conflict" in counts
+        # One contention, one finding: the link family alone proves
+        # exclusivity, port conflicts and hold-and-wait included.
+        assert report.counts() == {"link-overlap": 1}
         finding = next(
             f for f in report.findings if f.code == "link-overlap"
         )
@@ -360,3 +354,42 @@ class TestAnalyzeFile:
             load_schedule(path)
         report = analyze_file(path, topology)
         assert not report.ok
+
+    @staticmethod
+    def tampered(compiled, tmp_path, edit):
+        """The compiled schedule saved, with ``edit`` applied to its JSON."""
+        from repro.core.io import save_schedule
+
+        path = tmp_path / "omega.json"
+        save_schedule(compiled[0].schedule, path)
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("field", ["start", "duration"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_slot_is_a_frame_finding(
+        self, compiled, tmp_path, field, value
+    ):
+        name = next(iter(compiled[0].schedule.slots))
+        path = self.tampered(
+            compiled, tmp_path,
+            lambda data: data["slots"][name][0].update({field: value}),
+        )
+        finding = next(
+            f for f in analyze_file(path, compiled[2]).findings
+            if f.code == "slot-not-finite"
+        )
+        assert finding.message == name
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_period_is_a_bad_frame(
+        self, compiled, tmp_path, value
+    ):
+        path = self.tampered(
+            compiled, tmp_path, lambda data: data.update(tau_in=value)
+        )
+        report = analyze_file(path, compiled[2])
+        assert report.counts() == {"bad-frame": 1}
+        assert report.checks == ("frame",)

@@ -29,6 +29,7 @@ from repro.experiments import standard_setup
 from repro.tfg import TFGTiming, dvb_tfg
 from repro.tfg.synth import chain_tfg
 from repro.topology import make_topology
+from repro.units import EPS
 from tests.conftest import pins
 
 CONFIG = CompilerConfig(seed=0, max_paths=16, max_restarts=2, retries=1)
@@ -242,3 +243,90 @@ def test_kill_matrix_matches_the_pin():
     assert matrix == pins().pinned("check.kill_matrix")
     for mutation in OMEGA_MUTATIONS:
         assert matrix[mutation]["executor"] == matrix[mutation]["applied"] > 0
+
+
+@pytest.fixture(scope="module")
+def kill_corpus():
+    """The ``check.kill_matrix`` mutants, each with its analyzer report
+    and ``validate()``'s verdict."""
+    corpus = []
+    for operator, mutant, _, (timing, topology, allocation) in (
+        pins().kill_corpus()
+    ):
+        report = analyze_schedule(
+            mutant, topology, timing=timing, allocation=allocation
+        )
+        try:
+            mutant.validate()
+            rejected = False
+        except ReproError:
+            rejected = True
+        corpus.append((operator, mutant, topology, report, rejected))
+    return corpus
+
+
+def test_every_validate_kill_is_an_analyzer_kill(kill_corpus):
+    """``verify_schedule`` runs no ``validate()``: on the kill-matrix
+    corpus the analyzer rejects every mutant ``validate()`` rejects."""
+    missed = [
+        (operator, report.summary())
+        for operator, _, _, report, rejected in kill_corpus
+        if rejected and report.ok
+    ]
+    assert not missed
+
+
+def _hops(path):
+    return {(min(u, v), max(u, v)) for u, v in zip(path, path[1:])}
+
+
+def _shared_link_overlaps(schedule):
+    """Links two slots of different messages hold at once, by brute
+    force over the slot pairs of each link on the circular frame: the
+    contention a port conflict or a hold-and-wait would also show."""
+    tau_in = schedule.tau_in
+
+    def segments(slot):
+        if slot.end <= tau_in:
+            return [(slot.start, slot.end)]
+        return [(slot.start, tau_in), (0.0, slot.end - tau_in)]
+
+    by_link = {}
+    for slot in schedule.all_slots():
+        for link in _hops(slot.path):
+            by_link.setdefault(link, []).append(slot)
+    return {
+        link
+        for link, slots in by_link.items()
+        for i, a in enumerate(slots)
+        for b in slots[i + 1:]
+        if a.message != b.message and any(
+            min(ae, be) - max(as_, bs) > 2 * EPS
+            for as_, ae in segments(a) for bs, be in segments(b)
+        )
+    }
+
+
+def test_link_and_path_families_cover_ports_and_claims(kill_corpus):
+    """Each transmission holds its whole path for its whole slot, so a
+    crossbar port conflict or a hold-and-wait is a link overlap, and a
+    port that is no channel (or a port looped to itself) is a broken
+    path.  On every mutant of the corpus: each link two messages hold at
+    once is a ``link-overlap`` finding, and each slot hop that is no
+    topology link, or a slot path revisiting a node, is a ``path``
+    finding."""
+    path_codes = {
+        "path-missing", "path-revisits-node", "path-discontinuous",
+        "path-mismatch", "buffering-violation",
+    }
+    for operator, mutant, topology, report, _ in kill_corpus:
+        flagged = {f.link for f in report.errors if f.code == "link-overlap"}
+        assert _shared_link_overlaps(mutant) <= flagged, operator
+        links = set(topology.links)
+        broken = any(
+            len(set(slot.path)) != len(slot.path)
+            or not _hops(slot.path) <= links
+            for slot in mutant.all_slots()
+        )
+        if broken:
+            assert path_codes & report.counts().keys(), operator

@@ -374,6 +374,11 @@ class TestArgumentValidation:
              "need >= 4 measured invocations, got 2 with warmup=0"),
             (["trace", "--mode", "sr", "--invocations", "3", "--warmup", "-2"],
              "warmup must be >= 0, got -2"),
+            (["faults", "--load", "1.5"],
+             "normalized load must be in (0, 1], got 1.5"),
+            (["faults", "--warmup", "-1"], "warmup must be >= 0, got -1"),
+            (["faults", "--invocations", "6"],
+             "need >= 4 measured invocations, got 6 with warmup=8"),
         ],
     )
     def test_invalid_instance_is_a_usage_error(self, capsys, flags, message):

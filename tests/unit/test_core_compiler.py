@@ -100,6 +100,13 @@ class TestCompile:
                 CompilerConfig(sync_margin=30.0),
             )
 
+    @pytest.mark.parametrize(
+        "margin", [-1.0, float("nan"), float("inf")], ids=str
+    )
+    def test_bad_sync_margin_is_refused_by_the_config(self, margin):
+        with pytest.raises(ValueError, match="sync margin must be"):
+            CompilerConfig(sync_margin=margin)
+
     def test_repr(self, cube3):
         timing = TFGTiming(chain_tfg(3, 400, 1280), 128.0, speeds=40.0)
         routing = compile_schedule(

@@ -91,14 +91,15 @@ class TestComputeTimeBounds:
             compute_time_bounds(chain_timing, 100.0, extra_duration=1.0)
 
     def test_negative_margin_rejected(self, chain_timing):
-        with pytest.raises(SchedulingError):
+        """A bad margin is an input error, not an infeasible instance."""
+        with pytest.raises(ValueError):
             compute_time_bounds(chain_timing, 100.0, extra_duration=-1.0)
 
     @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_margin_rejected(self, chain_timing, margin):
         """NaN passes ``margin < 0``; it and +inf must still be refused up
         front, like a negative margin, not turn every peak into NaN."""
-        with pytest.raises(SchedulingError, match="sync margin must be"):
+        with pytest.raises(ValueError, match="sync margin must be"):
             compute_time_bounds(chain_timing, 100.0, extra_duration=margin)
 
 

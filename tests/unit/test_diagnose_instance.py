@@ -88,6 +88,22 @@ class TestTrivialCertificates:
         assert diagnosis.refuted
         assert "window" in {r.kind for r in diagnosis.refutations}
 
+    @pytest.mark.parametrize(
+        "margin", [-1.0, float("nan"), float("inf")], ids=str
+    )
+    def test_bad_sync_margin_is_an_input_error(
+        self, tiny_timing, cube3, margin
+    ):
+        """Not a ``window`` refutation, and nothing is cached for it."""
+        allocation = {"t0": 0, "t1": 1, "t2": 3}
+        cache = ScheduleCache()
+        with pytest.raises(ValueError, match="sync margin must be"):
+            diagnose_instance(
+                tiny_timing, cube3, allocation, 10 * tiny_timing.tau_c,
+                sync_margin=margin, cache=cache,
+            )
+        assert cache.stats.stores == 0
+
 
 class TestOverloadCertificates:
     def test_forced_link_overload(self, cube3):

@@ -68,6 +68,9 @@ def test_from_payload_resolves_topology_alias():
         {"config": {"max_restarts": -5}},
         {"config": {"feedback_rounds": -1}},
         {"config": {"max_paths": 0}},
+        {"config": {"sync_margin": -1.0}},
+        {"config": {"sync_margin": float("nan")}},
+        {"config": {"sync_margin": float("inf")}},
     ],
 )
 def test_from_payload_rejects_bad_fields(patch):

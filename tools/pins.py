@@ -229,16 +229,12 @@ def _rejects(check) -> bool:
     return False
 
 
-def kill_matrix() -> dict:
-    """Per mutation operator, over seeds 0-3 on the DVB(5) schedules of
-    :data:`KILL_POINTS`: how many mutants it made and how many each checker
-    killed on its own -- the analyzer by an error finding, ``validate()``
-    and the executor's replay of Ω (12 invocations) by raising a
-    :class:`ReproError`.  The reference LP backend compiles
-    the schedules, so no HiGHS build moves them."""
+def kill_corpus():
+    """Every mutant of the kill matrix, in order: per point of
+    :data:`KILL_POINTS`, operator and seed 0-3, ``(operator, mutant,
+    routing, (timing, topology, allocation))``.  The reference LP backend
+    compiles the schedules, so no HiGHS build moves them."""
     instances = inputs.Instances()
-    matrix = {operator: dict.fromkeys(("applied", "analyzer", "validate", "executor"), 0)
-              for operator in sorted(MUTATIONS)}
     for name, load in KILL_POINTS:
         problem = timing, topology, allocation, _ = instances.dvb(5, name, 128.0, load)
         routing = compile_schedule(*problem, CompilerConfig(**inputs.COMPILER_FIELDS,
@@ -248,14 +244,25 @@ def kill_matrix() -> dict:
                 mutant = mutate_schedule(routing.schedule, seed, operator).schedule
             except MutationSkipped:
                 continue
-            row = matrix[operator]
-            row["applied"] += 1
-            row["analyzer"] += not analyze_schedule(
-                mutant, topology, timing=timing, allocation=allocation).ok
-            row["validate"] += _rejects(mutant.validate)
-            row["executor"] += _rejects(lambda: ScheduledRoutingExecutor(
-                dataclasses.replace(routing, schedule=mutant), timing, topology,
-                allocation).run(invocations=12, warmup=2))
+            yield operator, mutant, routing, (timing, topology, allocation)
+
+
+def kill_matrix() -> dict:
+    """Per mutation operator of :func:`kill_corpus`: how many mutants it
+    made and how many each checker killed on its own -- the analyzer by an
+    error finding, ``validate()`` and the executor's replay of Ω (12
+    invocations) by raising a :class:`ReproError`."""
+    matrix = {operator: dict.fromkeys(("applied", "analyzer", "validate", "executor"), 0)
+              for operator in sorted(MUTATIONS)}
+    for operator, mutant, routing, (timing, topology, allocation) in kill_corpus():
+        row = matrix[operator]
+        row["applied"] += 1
+        row["analyzer"] += not analyze_schedule(
+            mutant, topology, timing=timing, allocation=allocation).ok
+        row["validate"] += _rejects(mutant.validate)
+        row["executor"] += _rejects(lambda: ScheduledRoutingExecutor(
+            dataclasses.replace(routing, schedule=mutant), timing, topology,
+            allocation).run(invocations=12, warmup=2))
     return matrix
 
 
