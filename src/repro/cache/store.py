@@ -229,7 +229,7 @@ def entry_to_routing(
     """Rebuild a :class:`ScheduledRouting` from a ``"schedule"`` entry.
 
     The schedule itself round-trips exactly through
-    :mod:`repro.core.io` (and is re-validated on load); the utilisation
+    :mod:`repro.core.io` (and is checked on load); the utilisation
     report is recomputed from the deserialized bounds and paths on the
     given topology — a cheap matrix evaluation, no LP work.
     """

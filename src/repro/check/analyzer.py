@@ -236,30 +236,39 @@ def _sweep_conflicts(
         active.append(item)
 
 
-def _derived_commands(
-    schedule: "CommunicationSchedule",
-) -> dict[int, list[tuple[float, float, object, object, str]]]:
+#: An Ω command as the ``omega`` family compares it: ``(node, time, end,
+#: input port, output port, message)``, times rounded to 1e-9, ports as text.
+_CommandKey = tuple[int, float, float, str, str, str]
+
+
+def _derived_commands(schedule: "CommunicationSchedule") -> Counter[_CommandKey]:
     """Re-derive every node's switching commands from the slots.
 
     Independent re-implementation of the slot→command projection: at the
     path's source the AP buffer feeds the first channel, intermediate
     nodes bridge incoming to outgoing channel, and the destination drains
-    the last channel into its AP buffer.  Returns
-    ``node -> [(time, end, input_port, output_port, message), ...]``.
+    the last channel into its AP buffer.  Each slot's times are rounded
+    once and each path's ports derived once; the keys are counted node by
+    node.
     """
-    per_node: dict[int, list[tuple[float, float, object, object, str]]] = {}
+    per_node: dict[int, list[_CommandKey]] = {}
+    hops: dict[tuple[int, ...], tuple[tuple[int, str, str], ...]] = {}
     for name, slots in schedule.slots.items():
         for slot in slots:
             path = slot.path
-            for position, node in enumerate(path):
-                inp: object = _AP if position == 0 else path[position - 1]
-                out: object = (
-                    _AP if position == len(path) - 1 else path[position + 1]
+            path_hops = hops.get(path)
+            if path_hops is None:
+                last = len(path) - 1
+                path_hops = hops[path] = tuple(
+                    (node,
+                     str(_AP if position == 0 else path[position - 1]),
+                     str(_AP if position == last else path[position + 1]))
+                    for position, node in enumerate(path)
                 )
-                per_node.setdefault(node, []).append(
-                    (slot.start, slot.end, inp, out, name)
-                )
-    return per_node
+            t, e = round(slot.start, 9), round(slot.end, 9)
+            for node, inp, out in path_hops:
+                per_node.setdefault(node, []).append((node, t, e, inp, out, name))
+    return Counter(key for keys in per_node.values() for key in keys)
 
 
 def _recompute_windows(
@@ -573,16 +582,11 @@ def _check_link_exclusivity(state: _Analysis, tau_in: float) -> None:
 def _check_omega(state: _Analysis) -> None:
     if not state.schedule.node_schedules:
         return
-    derived = Counter(
-        (node, round(t, 9), round(e, 9), str(i), str(o), m)
-        for node, commands in _derived_commands(state.schedule).items()
-        for t, e, i, o, m in commands
-    )
+    derived = _derived_commands(state.schedule)
     declared = Counter(
-        (node, round(c.time, 9), round(c.end, 9), str(c.input_port),
-         str(c.output_port), c.message)
+        (node, round(t, 9), round(t + d, 9), str(i), str(o), m)
         for node, ns in state.schedule.node_schedules.items()
-        for c in ns.commands
+        for t, d, i, o, m in ns.commands
     )
     for key, count in (derived - declared).items():
         node, t, e, inp, out, name = key

@@ -127,9 +127,7 @@ def swap_crossbar_ports(
     node, i = candidates[rng.randrange(len(candidates))]
     commands = list(schedule.node_schedules[node].commands)
     c = commands[i]
-    commands[i] = replace(
-        c, input_port=c.output_port, output_port=c.input_port
-    )
+    commands[i] = c._replace(input_port=c.output_port, output_port=c.input_port)
     schedule.node_schedules[node] = NodeSchedule(
         node=node, commands=tuple(commands)
     )
@@ -175,7 +173,7 @@ def retime_command(
     commands = list(schedule.node_schedules[node].commands)
     c = commands[i]
     time = max(0.0, c.time - schedule.tau_in * rng.uniform(0.03, 0.1))
-    commands[i] = replace(c, time=time)
+    commands[i] = c._replace(time=time)
     schedule.node_schedules[node] = NodeSchedule(
         node=node, commands=tuple(commands)
     )

@@ -3,7 +3,7 @@
 A compiled schedule Omega is a deployable artifact: per-node switching
 command lists that the communication processors execute.  This module
 round-trips it through JSON so a schedule can be compiled once, stored
-next to the application binary, and re-validated at load time.
+next to the application binary, and checked again at load time.
 
 The format is versioned and self-describing:
 
@@ -19,8 +19,9 @@ The format is versioned and self-describing:
                          "windows": [[10.0, 60.0]]}}
     }
 
-Node schedules are not stored — they are a pure projection of the slots
-and are rebuilt (and re-validated) on load.
+Node schedules are not stored — they are a pure projection of the slots,
+rebuilt on load in the one checked pass that proves the slots' invariants
+(:meth:`~repro.core.switching.CommunicationSchedule.from_slots`).
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.core.switching import (
-    CommunicationSchedule,
-    TransmissionSlot,
-    node_schedules_of,
-)
+from repro.core.switching import CommunicationSchedule, TransmissionSlot
 from repro.core.timebounds import MessageTimeBounds, TimeBoundSet
 from repro.errors import ScheduleValidationError
 
@@ -72,9 +69,9 @@ def schedule_to_dict(schedule: CommunicationSchedule) -> dict[str, Any]:
 def schedule_from_dict(data: dict[str, Any]) -> CommunicationSchedule:
     """Rebuild a schedule from :func:`schedule_to_dict` output.
 
-    Node schedules are regenerated from the slots and the whole object is
-    re-validated, so a tampered file cannot produce a schedule that
-    violates the contention-freedom invariants.
+    Node schedules are regenerated from the slots in one checked pass, so
+    a tampered file cannot produce a schedule that violates the
+    contention-freedom invariants or leaves a bounded message unscheduled.
     """
     if data.get("format") != FORMAT:
         raise ScheduleValidationError(
@@ -110,23 +107,24 @@ def schedule_from_dict(data: dict[str, Any]) -> CommunicationSchedule:
                 release=float(b["release"]),
                 deadline=float(b["deadline"]),
                 duration=float(b["duration"]),
-                windows=tuple(
-                    (float(w[0]), float(w[1])) for w in b["windows"]
-                ),
+                windows=tuple(_window(name, w) for w in b["windows"]),
             )
             for name, b in data["bounds"].items()
         }
         bounds = TimeBoundSet(tau_in, parsed)
 
-    schedule = CommunicationSchedule(
-        tau_in=tau_in,
-        slots=slots,
-        node_schedules=node_schedules_of(slots),
-        bounds=bounds,
-        assignment=assignment,
-    )
-    schedule.validate()
-    return schedule
+    return CommunicationSchedule.from_slots(tau_in, slots, bounds, assignment)
+
+
+def _window(name: str, value: Any) -> tuple[float, float]:
+    """A stored window: a pair of numbers, never truncated or padded."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(
+            isinstance(end, (int, float)) and not isinstance(end, bool)
+            for end in value)):
+        raise ScheduleValidationError(
+            f"message {name!r}: window {value!r} is not a pair of numbers"
+        )
+    return float(value[0]), float(value[1])
 
 
 def _node_id(value: Any) -> int:
@@ -143,5 +141,5 @@ def save_schedule(schedule: CommunicationSchedule, path: str | Path) -> None:
 
 
 def load_schedule(path: str | Path) -> CommunicationSchedule:
-    """Read and re-validate a schedule written by :func:`save_schedule`."""
+    """Read and check a schedule written by :func:`save_schedule`."""
     return schedule_from_dict(json.loads(Path(path).read_text()))

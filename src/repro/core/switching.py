@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.core.assignment import PathAssignment
 from repro.core.interval_scheduling import IntervalSchedule
@@ -33,13 +34,12 @@ Port = str | int
 """A CP port: ``AP_PORT`` or the adjacent node id the channel leads to."""
 
 
-@dataclass(frozen=True)
-class SwitchCommand:
+class SwitchCommand(NamedTuple):
     """One crossbar setting at one node: during ``[time, time + duration]``
     route data arriving on ``input_port`` to ``output_port``.
 
     Times are frame times in ``[0, tau_in]``; the CP executes the same
-    schedule every period.
+    schedule every period.  A tuple, so an edited copy is ``._replace``.
     """
 
     time: float
@@ -112,7 +112,19 @@ class CommunicationSchedule:
         """Every transmission slot, across all messages."""
         return [slot for slots in self.slots.values() for slot in slots]
 
-    # -- static validation ------------------------------------------------
+    @classmethod
+    def from_slots(
+        cls,
+        tau_in: float,
+        slots: dict[str, tuple[TransmissionSlot, ...]],
+        bounds: TimeBoundSet | None,
+        assignment: dict[str, tuple[int, ...]],
+    ) -> CommunicationSchedule:
+        """The schedule of ``slots``, checked (invariants 0-2 of
+        :meth:`validate`, same errors) in the one pass that projects them
+        onto Ω, so invariant 3 holds by construction."""
+        rows = _check_slots(tau_in, slots, bounds)
+        return cls(tau_in, slots, _node_schedules(rows), bounds, assignment)
 
     def validate(self) -> None:
         """Machine-check the schedule's invariants, in one pass over the slots.
@@ -121,7 +133,9 @@ class CommunicationSchedule:
            has a finite start and a finite duration longer than ``EPS``,
            and every path is a route of two or more distinct nodes;
         1. every message's slots lie inside its timing windows and sum to
-           exactly its transmission duration (deadlines are guaranteed);
+           exactly its transmission duration (deadlines are guaranteed),
+           and every message with bounds has slots, every message with
+           slots has bounds;
         2. no two slots ever share a link (contention-freedom; every
            transmission holds its whole path, so this also gives
            deadlock-freedom, and, a channel port being a half-duplex
@@ -129,71 +143,15 @@ class CommunicationSchedule:
         3. the node schedules are exactly the per-node projection of the
            slots.
 
-        Each distinct path's links and per-node ports are derived once.
-        Raises :class:`~repro.errors.ScheduleValidationError` on the first
+        A schedule built by :meth:`from_slots` holds invariant 3 by
+        construction; this proves all four for an Ω handed in.  Raises
+        :class:`~repro.errors.ScheduleValidationError` on the first
         violation, checked in that order.
         """
-        if not (math.isfinite(self.tau_in) and self.tau_in > 0):
-            raise ScheduleValidationError(
-                f"period tau_in={self.tau_in!r} is not a positive finite time"
-            )
-        by_link: dict[Link, list[TransmissionSlot]] = {}
-        derived: set[tuple[float, float, Port, Port, str, int]] = set()
-        paths: dict[tuple[int, ...], tuple[tuple[Link, ...], _Hops]] = {}
-        for name, slots in self.slots.items():
-            for slot in slots:
-                if not (
-                    math.isfinite(slot.start)
-                    and math.isfinite(slot.duration)
-                    and slot.duration > EPS
-                ):
-                    raise ScheduleValidationError(
-                        f"message {name!r}: slot of start {slot.start!r} "
-                        f"and duration {slot.duration!r} is not a finite "
-                        f"span longer than {EPS:g}"
-                    )
-            if self.bounds is not None:
-                _check_coverage(self.bounds.bounds[name], name, slots)
-            for slot in slots:
-                known = paths.get(slot.path)
-                if known is None:
-                    if not 2 <= len(set(slot.path)) == len(slot.path):
-                        raise ScheduleValidationError(
-                            f"message {name!r}: path {slot.path} is not a "
-                            "route of two or more distinct nodes"
-                        )
-                    known = paths[slot.path] = (
-                        links_on_path(slot.path), _path_hops(slot.path)
-                    )
-                links, hops = known
-                for link in links:
-                    by_link.setdefault(link, []).append(slot)
-                start, duration, message = (
-                    slot.start, slot.duration, slot.message
-                )
-                derived.update(
-                    (start, duration, input_port, output_port, message, node)
-                    for node, input_port, output_port in hops
-                )
-        for link, booked in by_link.items():
-            booked.sort(key=lambda s: s.start)
-            for first, second in zip(booked, booked[1:]):
-                if second.start < first.end - EPS:
-                    raise ScheduleValidationError(
-                        f"link {link} double-booked: {first.message!r} "
-                        f"[{first.start:.6f},{first.end:.6f}] overlaps "
-                        f"{second.message!r} "
-                        f"[{second.start:.6f},{second.end:.6f}]"
-                    )
-        self._check_node_schedules(derived)
-
-    def _check_node_schedules(
-        self, derived: set[tuple[float, float, Port, Port, str, int]]
-    ) -> None:
-        """Invariant 3 against the command tuples the slots project to."""
+        rows = _check_slots(self.tau_in, self.slots, self.bounds)
+        derived = {(*cmd, node) for node, cmds in rows.items() for cmd in cmds}
         expected = {
-            (cmd.time, cmd.duration, cmd.input_port, cmd.output_port,
-             cmd.message, node)
+            (*cmd, node)
             for node, ns in self.node_schedules.items()
             for cmd in ns.commands
         }
@@ -206,10 +164,80 @@ class CommunicationSchedule:
             )
 
 
+#: ``(node, input port, output port)`` of each CP along a path.
+_Hops = tuple[tuple[int, Port, Port], ...]
+
+
+def _check_slots(
+    tau_in: float,
+    slots: Mapping[str, Sequence[TransmissionSlot]],
+    bounds: TimeBoundSet | None,
+) -> dict[int, list[SwitchCommand]]:
+    """Invariants 0-2 of :meth:`CommunicationSchedule.validate` over
+    ``slots``, in one pass that also projects each slot onto the nodes of
+    its path.  Each distinct path's links and hops are derived once."""
+    if not (math.isfinite(tau_in) and tau_in > 0):
+        raise ScheduleValidationError(
+            f"period tau_in={tau_in!r} is not a positive finite time"
+        )
+    by_link: dict[Link, list[TransmissionSlot]] = {}
+    rows: dict[int, list[SwitchCommand]] = {}
+    paths: dict[tuple[int, ...], tuple[tuple[Link, ...], _Hops]] = {}
+    for name, message_slots in slots.items():
+        for slot in message_slots:
+            if not (
+                math.isfinite(slot.start)
+                and math.isfinite(slot.duration)
+                and slot.duration > EPS
+            ):
+                raise ScheduleValidationError(
+                    f"message {name!r}: slot of start {slot.start!r} "
+                    f"and duration {slot.duration!r} is not a finite "
+                    f"span longer than {EPS:g}"
+                )
+        if bounds is not None:
+            bound = bounds.bounds.get(name)
+            if bound is None:
+                raise ScheduleValidationError(
+                    f"message {name!r}: slots but no time bounds"
+                )
+            _check_coverage(bound, name, message_slots)
+        for slot in message_slots:
+            known = paths.get(slot.path)
+            if known is None:
+                if not 2 <= len(set(slot.path)) == len(slot.path):
+                    raise ScheduleValidationError(
+                        f"message {name!r}: path {slot.path} is not a "
+                        "route of two or more distinct nodes"
+                    )
+                known = paths[slot.path] = (
+                    links_on_path(slot.path), _path_hops(slot.path)
+                )
+            links, hops = known
+            for link in links:
+                by_link.setdefault(link, []).append(slot)
+            _project(rows, slot, hops)
+    if bounds is not None:
+        for name, bound in bounds.bounds.items():
+            if name not in slots:
+                _check_coverage(bound, name, ())
+    for link, booked in by_link.items():
+        booked.sort(key=attrgetter("start"))
+        for first, second in zip(booked, booked[1:]):
+            if second.start < first.end - EPS:
+                raise ScheduleValidationError(
+                    f"link {link} double-booked: {first.message!r} "
+                    f"[{first.start:.6f},{first.end:.6f}] overlaps "
+                    f"{second.message!r} "
+                    f"[{second.start:.6f},{second.end:.6f}]"
+                )
+    return rows
+
+
 def _check_coverage(
     bound: MessageTimeBounds,
     name: str,
-    slots: tuple[TransmissionSlot, ...],
+    slots: Sequence[TransmissionSlot],
 ) -> None:
     """Invariant 1 for one message."""
     total = sum(s.duration for s in slots)
@@ -224,10 +252,6 @@ def _check_coverage(
                 f"message {name!r}: slot [{slot.start:.6f}, "
                 f"{slot.end:.6f}] outside windows {bound.windows}"
             )
-
-
-#: ``(node, input port, output port)`` of each CP along a path.
-_Hops = tuple[tuple[int, Port, Port], ...]
 
 
 def _path_hops(path: tuple[int, ...]) -> _Hops:
@@ -246,46 +270,45 @@ def _path_hops(path: tuple[int, ...]) -> _Hops:
     )
 
 
-def _slot_commands(slot: TransmissionSlot, hops: _Hops | None = None):
-    """The per-node switching commands realizing one transmission slot
-    (``hops``: its path's :func:`_path_hops`, when the caller has them)."""
-    if hops is None:
-        hops = _path_hops(slot.path)
+def _project(
+    rows: dict[int, list[SwitchCommand]],
+    slot: TransmissionSlot,
+    hops: _Hops,
+) -> None:
+    """Append the switching command of each hop of ``slot`` (``hops``: its
+    path's :func:`_path_hops`) to its node's row."""
+    start, duration, message = slot.start, slot.duration, slot.message
     for node, input_port, output_port in hops:
-        yield (
-            SwitchCommand(
-                time=slot.start,
-                duration=slot.duration,
-                input_port=input_port,
-                output_port=output_port,
-                message=slot.message,
-            ),
-            node,
+        rows.setdefault(node, []).append(
+            SwitchCommand(start, duration, input_port, output_port, message)
         )
+
+
+def _node_schedules(
+    rows: dict[int, list[SwitchCommand]],
+) -> dict[int, NodeSchedule]:
+    """Each node's row sorted into ``(time, message)`` order."""
+    return {
+        node: NodeSchedule(node, tuple(sorted(commands, key=itemgetter(0, 4))))
+        for node, commands in rows.items()
+    }
 
 
 def node_schedules_of(
     slots: Mapping[str, Sequence[TransmissionSlot]],
 ) -> dict[int, NodeSchedule]:
-    """Omega as the per-node projection of ``slots``: each node's
-    commands in ``(time, message)`` order (nodes without any are
+    """Omega as the per-node projection of ``slots``, unchecked: each
+    node's commands in ``(time, message)`` order (nodes without any are
     absent)."""
-    node_commands: dict[int, list[SwitchCommand]] = {}
+    rows: dict[int, list[SwitchCommand]] = {}
     hops: dict[tuple[int, ...], _Hops] = {}
     for message_slots in slots.values():
         for slot in message_slots:
             path_hops = hops.get(slot.path)
             if path_hops is None:
                 path_hops = hops[slot.path] = _path_hops(slot.path)
-            for command, node in _slot_commands(slot, path_hops):
-                node_commands.setdefault(node, []).append(command)
-    return {
-        node: NodeSchedule(
-            node=node,
-            commands=tuple(sorted(commands, key=lambda c: (c.time, c.message))),
-        )
-        for node, commands in node_commands.items()
-    }
+            _project(rows, slot, path_hops)
+    return _node_schedules(rows)
 
 
 def build_schedule(
@@ -300,7 +323,8 @@ def build_schedule(
     shared interval (see :mod:`repro.core.subsets`), so their slots may
     overlap in time.
 
-    The result is validated before being returned.
+    The result is checked as it is built
+    (:meth:`CommunicationSchedule.from_slots`).
     """
     slots: dict[str, list[TransmissionSlot]] = {
         name: [] for name in assignment.messages
@@ -326,13 +350,9 @@ def build_schedule(
                     f"{end:.6f}"
                 )
 
-    frozen_slots = {name: tuple(s) for name, s in slots.items()}
-    schedule = CommunicationSchedule(
-        tau_in=bounds.tau_in,
-        slots=frozen_slots,
-        node_schedules=node_schedules_of(frozen_slots),
-        bounds=bounds,
-        assignment=assignment.as_dict(),
+    return CommunicationSchedule.from_slots(
+        bounds.tau_in,
+        {name: tuple(s) for name, s in slots.items()},
+        bounds,
+        assignment.as_dict(),
     )
-    schedule.validate()
-    return schedule

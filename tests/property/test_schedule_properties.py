@@ -75,7 +75,8 @@ class TestCompilerTotalCorrectness:
                 "scheduling",
             }
             return
-        # build_schedule already validated Omega; re-validate.
+        # build_schedule checked the slots as it built Omega; validate()
+        # proves all four invariants of the Omega it holds.
         routing.schedule.validate()
         # DES replay of Omega: every command on a circuit, constant
         # throughput, no contention, deadlines met.

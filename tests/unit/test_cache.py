@@ -132,6 +132,27 @@ class TestDiskTier:
         assert stats["misses"] == 1 and stats["stores"] == 1
         assert warm.schedule is not None
 
+    def test_entry_missing_a_message_recompiles(self, small_setup, tmp_path):
+        """An entry with one message's slots removed is no hit: it is
+        invalidated, the compile reruns and stores the full schedule."""
+        cache = ScheduleCache(tmp_path)
+        fresh = compile_small(small_setup, cache=cache)
+        path = next(
+            p for p in tmp_path.rglob("*.json")
+            if json.loads(p.read_text())["kind"] == "schedule"
+        )
+        entry = json.loads(path.read_text())
+        del entry["schedule"]["slots"][sorted(entry["schedule"]["slots"])[0]]
+        path.write_text(json.dumps(entry))
+
+        reopened = ScheduleCache(tmp_path)
+        warm = compile_small(small_setup, cache=reopened)
+        stats = reopened.stats.as_dict()
+        assert stats["invalidations"] == 1 and stats["hits"] == 0
+        assert stats["misses"] == 1 and stats["stores"] == 1
+        assert "cache" not in warm.extra
+        assert warm.schedule == fresh.schedule
+
     def test_clear_drops_memory_but_disk_survives(
         self, small_setup, tmp_path
     ):

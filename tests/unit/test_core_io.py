@@ -160,3 +160,45 @@ class TestFrameRuleOnLoad:
         with pytest.raises(ScheduleValidationError, match="finite"):
             schedule_from_dict(one_message(slots, tau_in))
 
+
+
+class TestMessageCoverageOnLoad:
+    """Every bounded message is scheduled, every scheduled message is
+    bounded, and a window is a pair of numbers: each used to load or to
+    raise something other than a validation error."""
+
+    def test_deleted_message_slots_rejected(self, compiled):
+        data = schedule_to_dict(compiled.schedule)
+        name = sorted(data["slots"])[0]
+        del data["slots"][name]
+        with pytest.raises(
+            ScheduleValidationError,
+            match=f"message '{name}': scheduled 0.000000 of",
+        ):
+            schedule_from_dict(data)
+
+    def test_slots_without_bounds_rejected(self):
+        data = one_message([(0.0, 10.0)])
+        data["assignment"]["n"] = [2, 3]
+        data["slots"]["n"] = [{"start": 0.0, "duration": 10.0}]
+        with pytest.raises(
+            ScheduleValidationError, match="'n': slots but no time bounds"
+        ):
+            schedule_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "window",
+        [[0.0], [0.0, 60.0, 90.0], [], ["0", 60.0], [True, 60.0], None],
+        ids=["one", "three", "empty", "str", "bool", "null"],
+    )
+    def test_window_not_a_pair_rejected(self, window):
+        data = one_message([(0.0, 10.0)])
+        data["bounds"]["m"]["windows"] = [window]
+        with pytest.raises(ScheduleValidationError, match="not a pair"):
+            schedule_from_dict(data)
+
+    def test_integer_window_loads(self):
+        data = one_message([(0.0, 10.0)])
+        data["bounds"]["m"]["windows"] = [[0, 60]]
+        schedule = schedule_from_dict(data)
+        assert schedule.bounds.bounds["m"].windows == ((0.0, 60.0),)

@@ -1,15 +1,19 @@
 """Unit tests for switching schedules and Omega validation."""
 
+import itertools
+
 import pytest
 
+from repro.core.compiler import compile_schedule
 from repro.core.switching import (
     AP_PORT,
     CommunicationSchedule,
-    NodeSchedule,
+    SwitchCommand,
     TransmissionSlot,
-    _slot_commands,
+    node_schedules_of,
 )
-from repro.errors import ScheduleValidationError
+from repro.errors import ScheduleValidationError, SchedulingError
+from tests.conftest import pins
 
 
 def slot(message="m", start=0.0, duration=5.0, path=(0, 1, 3)):
@@ -23,11 +27,17 @@ class TestTransmissionSlot:
         assert s.end == 5.0
 
 
+def slot_commands(s):
+    """``node -> its one command`` for the single slot ``s``."""
+    return {
+        node: ns.commands[0]
+        for node, ns in node_schedules_of({s.message: (s,)}).items()
+    }
+
+
 class TestSlotCommands:
     def test_roles_along_path(self):
-        commands = dict(
-            (node, cmd) for cmd, node in _slot_commands(slot(path=(0, 1, 3)))
-        )
+        commands = slot_commands(slot(path=(0, 1, 3)))
         assert commands[0].input_port == AP_PORT
         assert commands[0].output_port == 1
         assert commands[1].input_port == 0
@@ -36,27 +46,17 @@ class TestSlotCommands:
         assert commands[3].output_port == AP_PORT
 
     def test_single_hop(self):
-        commands = list(_slot_commands(slot(path=(4, 5))))
+        commands = slot_commands(slot(path=(4, 5)))
         assert len(commands) == 2
-        src_cmd, dst_cmd = commands[0][0], commands[1][0]
+        src_cmd, dst_cmd = commands[4], commands[5]
         assert src_cmd.input_port == AP_PORT and src_cmd.output_port == 5
         assert dst_cmd.input_port == 4 and dst_cmd.output_port == AP_PORT
 
 
 def schedule_from_slots(slots_by_message, tau_in=100.0):
-    node_commands = {}
-    for slots in slots_by_message.values():
-        for s in slots:
-            for cmd, node in _slot_commands(s):
-                node_commands.setdefault(node, []).append(cmd)
-    node_schedules = {
-        node: NodeSchedule(node, tuple(sorted(cmds, key=lambda c: (c.time, c.message))))
-        for node, cmds in node_commands.items()
-    }
+    slots = {m: tuple(s) for m, s in slots_by_message.items()}
     return CommunicationSchedule(
-        tau_in=tau_in,
-        slots={m: tuple(s) for m, s in slots_by_message.items()},
-        node_schedules=node_schedules,
+        tau_in=tau_in, slots=slots, node_schedules=node_schedules_of(slots)
     )
 
 
@@ -129,3 +129,96 @@ class TestValidation:
             }
         )
         assert len(schedule.all_slots()) == 3
+
+
+class TestSwitchCommand:
+    def test_immutable_hashable_value(self):
+        a = SwitchCommand(1.0, 2.0, AP_PORT, 3, "m")
+        b = SwitchCommand(1.0, 2.0, AP_PORT, 3, "m")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a._replace(time=1.5)
+        with pytest.raises(AttributeError):
+            a.time = 0.0
+        assert a.end == 3.0
+
+    def test_field_order(self):
+        assert SwitchCommand._fields == (
+            "time", "duration", "input_port", "output_port", "message"
+        )
+        command = SwitchCommand(1.0, 2.0, AP_PORT, 3, "m")
+        assert tuple(command) == (1.0, 2.0, AP_PORT, 3, "m")
+        assert command._replace(time=0.5).time == 0.5
+
+
+# -- the checked constructor against validate() ---------------------------------
+
+#: Operators that edit node schedules only; every other one edits slots and
+#: re-projects Ω.
+OMEGA_OPERATORS = {"swap-crossbar-ports", "delete-command", "retime-command"}
+
+
+@pytest.fixture(scope="module")
+def kill_corpus():
+    return list(pins().kill_corpus())
+
+
+@pytest.fixture(scope="module")
+def corpus_schedules(kill_corpus):
+    """Each schedule of the kill-matrix corpus, then each of the twelve
+    ``cache_replay`` points that compiles."""
+    inputs = pins().inputs
+    schedules = list({
+        id(routing.schedule): routing.schedule
+        for _, _, routing, _ in kill_corpus
+    }.values())
+    instances = inputs.Instances()
+    for name, load in itertools.product(
+        inputs.ALL_TOPOLOGIES, inputs.CACHE_LOADS
+    ):
+        try:
+            routing = compile_schedule(
+                *instances.dvb(5, name, 128.0, load), inputs.compiler_config()
+            )
+        except SchedulingError:
+            continue
+        schedules.append(routing.schedule)
+    return schedules
+
+
+def _rebuilt(schedule):
+    return CommunicationSchedule.from_slots(
+        schedule.tau_in, schedule.slots, schedule.bounds, schedule.assignment
+    )
+
+
+def test_checked_constructor_is_the_projection(corpus_schedules):
+    """Ω from the one checked pass is ``node_schedules_of(slots)``, node
+    for node and command for command, in order."""
+    assert len(corpus_schedules) >= 15
+    for schedule in corpus_schedules:
+        rebuilt = _rebuilt(schedule)
+        projected = node_schedules_of(schedule.slots)
+        assert list(rebuilt.node_schedules) == list(projected)
+        assert rebuilt.node_schedules == projected == schedule.node_schedules
+        assert rebuilt == schedule
+
+
+def _outcome(check):
+    try:
+        check()
+    except ScheduleValidationError as error:
+        return str(error)
+    return None
+
+
+def test_checked_constructor_raises_as_validate(kill_corpus):
+    """On every slot-level mutant, the constructor raises exactly when
+    ``validate()`` does, with the same message."""
+    outcomes = []
+    for operator, mutant, _, _ in kill_corpus:
+        if operator in OMEGA_OPERATORS:
+            continue
+        expected = _outcome(mutant.validate)
+        assert _outcome(lambda: _rebuilt(mutant)) == expected, operator
+        outcomes.append(expected)
+    assert any(outcomes) and None in outcomes

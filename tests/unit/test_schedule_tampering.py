@@ -19,6 +19,7 @@ from repro.core.switching import (
     TransmissionSlot,
     node_schedules_of,
 )
+from repro.core.timebounds import TimeBoundSet
 from repro.errors import ScheduleValidationError
 from repro.tfg import TFGTiming
 from repro.tfg.synth import chain_tfg
@@ -96,6 +97,33 @@ class TestStaticValidatorCoverage:
                              target.path),
         ) + schedule.slots[second][1:]
         with pytest.raises(ScheduleValidationError):
+            schedule.validate()
+
+    def test_unscheduled_message_caught(self, good):
+        """A bounded message whose slots are gone is under-scheduled,
+        whether the slots are handed to the constructor or to
+        ``validate()``."""
+        routing, *_ = good
+        schedule = rebuild(routing.schedule)
+        name = sorted(schedule.slots)[0]
+        del schedule.slots[name]
+        schedule.node_schedules = node_schedules_of(schedule.slots)
+        with pytest.raises(ScheduleValidationError, match="scheduled 0.0"):
+            schedule.validate()
+        with pytest.raises(ScheduleValidationError, match="scheduled 0.0"):
+            CommunicationSchedule.from_slots(
+                schedule.tau_in, schedule.slots, schedule.bounds,
+                schedule.assignment,
+            )
+
+    def test_unbounded_message_caught(self, good):
+        routing, *_ = good
+        schedule = rebuild(routing.schedule)
+        name = sorted(schedule.slots)[0]
+        bounds = dict(schedule.bounds.bounds)
+        del bounds[name]
+        schedule.bounds = TimeBoundSet(schedule.tau_in, bounds)
+        with pytest.raises(ScheduleValidationError, match="no time bounds"):
             schedule.validate()
 
     def test_missing_node_commands_caught(self, good):
