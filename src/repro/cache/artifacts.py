@@ -42,6 +42,7 @@ from repro.cache.store import ScheduleCache, entry_to_error, error_to_entry
 from repro.core.assignment import PathAssignment
 from repro.core.interval_allocation import IntervalAllocation
 from repro.core.interval_scheduling import FeasibleSetSlot, IntervalSchedule
+from repro.core.utilization import topology_tables
 from repro.errors import SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -192,7 +193,10 @@ class DeltaState:
                 str(name): [int(n) for n in path]
                 for name, path in entry["payload"]["paths"]
             }
-            return PathAssignment(topology, dict(endpoints), paths)
+            return PathAssignment(
+                topology, dict(endpoints), paths,
+                validated=topology_tables(topology).validated,
+            )
 
         return self.cache.get(key, ("artifact",), decode, STAGE_ASSIGN)
 

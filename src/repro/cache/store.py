@@ -56,7 +56,7 @@ from repro.cache.keys import CACHE_VERSION
 from repro.core.assignment import PathAssignment
 from repro.core.interval_allocation import IntervalAllocation
 from repro.core.io import schedule_from_dict, schedule_to_dict
-from repro.core.utilization import utilization_report
+from repro.core.utilization import topology_tables, utilization_report
 from repro.errors import (
     IntervalAllocationError,
     IntervalSchedulingError,
@@ -231,7 +231,9 @@ def entry_to_routing(
     The schedule itself round-trips exactly through
     :mod:`repro.core.io` (and is checked on load); the utilisation
     report is recomputed from the deserialized bounds and paths on the
-    given topology — a cheap matrix evaluation, no LP work.
+    given topology — a cheap matrix evaluation, no LP work.  Each path
+    is validated once per topology object, as a compile's are (the
+    ``validated`` memo of its :class:`~repro.core.utilization.TopologyTables`).
     """
     from repro.core.compiler import ScheduledRouting
 
@@ -243,7 +245,8 @@ def entry_to_routing(
     assignment = PathAssignment(
         topology,
         endpoints,
-        {name: list(path) for name, path in schedule.assignment.items()},
+        schedule.assignment,
+        validated=topology_tables(topology).validated,
     )
     report = utilization_report(schedule.bounds, assignment)
     allocations = [

@@ -395,54 +395,19 @@ def analyze_file(
     """Analyze a schedule previously saved with
     :func:`repro.core.io.save_schedule`.
 
-    The file is parsed *without* the loader's re-validation (a schedule
-    the compiler's checks would reject must still be analyzable), then
-    handed to :func:`analyze_schedule`.
+    The file is read by the loader's own parse
+    (:func:`repro.core.io.parse_schedule`), without its re-validation (a
+    schedule the compiler's checks would reject must still be
+    analyzable), then handed to :func:`analyze_schedule`.  A field that
+    does not parse raises the loader's
+    :class:`~repro.errors.ScheduleValidationError`.
     """
     import json
     from pathlib import Path
 
-    from repro.core.switching import CommunicationSchedule, TransmissionSlot
-    from repro.core.timebounds import MessageTimeBounds, TimeBoundSet
+    from repro.core.io import parse_schedule
 
-    data = json.loads(Path(path).read_text())
-    tau_in = float(data["tau_in"])
-    assignment = {
-        name: tuple(int(n) for n in p)
-        for name, p in data.get("assignment", {}).items()
-    }
-    slots = {
-        name: tuple(
-            TransmissionSlot(
-                message=name,
-                start=float(s["start"]),
-                duration=float(s["duration"]),
-                path=assignment.get(name, ()),
-            )
-            for s in raw
-        )
-        for name, raw in data.get("slots", {}).items()
-    }
-    bounds = None
-    if "bounds" in data:
-        bounds = TimeBoundSet(
-            tau_in,
-            {
-                name: MessageTimeBounds(
-                    name=name,
-                    release=float(b["release"]),
-                    deadline=float(b["deadline"]),
-                    duration=float(b["duration"]),
-                    windows=tuple(
-                        (float(w[0]), float(w[1])) for w in b["windows"]
-                    ),
-                )
-                for name, b in data["bounds"].items()
-            },
-        )
-    schedule = CommunicationSchedule(
-        tau_in=tau_in, slots=slots, bounds=bounds, assignment=assignment
-    )
+    schedule = parse_schedule(json.loads(Path(path).read_text()))
     return analyze_schedule(schedule, topology, **kwargs)
 
 

@@ -23,7 +23,7 @@ command) edit only the node schedules, modelling per-CP corruption.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.switching import (
@@ -94,7 +94,7 @@ def shift_slot(schedule: CommunicationSchedule, rng: random.Random) -> str:
     delta = schedule.tau_in * rng.uniform(0.08, 0.2)
     if slot.start + delta + slot.duration > schedule.tau_in:
         delta = -delta
-    shifted = replace(slot, start=max(slot.start + delta, 0.0))
+    shifted = slot._replace(start=max(slot.start + delta, 0.0))
     _replace_slot(schedule, name, index, shifted)
     return f"slot {index} of {name!r} moved by {delta:+.4f}"
 
@@ -106,7 +106,7 @@ def overrun_window_eps(
     boundary bug (just beyond the comparison tolerance)."""
     name, index, slot = _pick_slot(schedule, rng)
     excess = 5e-7  # far below a packet time, well above EPS
-    stretched = replace(slot, duration=slot.duration + excess)
+    stretched = slot._replace(duration=slot.duration + excess)
     _replace_slot(schedule, name, index, stretched)
     return f"slot {index} of {name!r} stretched by {excess:g}"
 
@@ -197,7 +197,7 @@ def truncate_slot(
     """Halve one slot's duration — partial transmission, missed coverage."""
     name, index, slot = _pick_slot(schedule, rng)
     _replace_slot(
-        schedule, name, index, replace(slot, duration=slot.duration / 2)
+        schedule, name, index, slot._replace(duration=slot.duration / 2)
     )
     return f"slot {index} of {name!r} truncated to half duration"
 
@@ -225,7 +225,7 @@ def reroute_hop(schedule: CommunicationSchedule, rng: random.Random) -> str:
     path[hop] = replacement
     schedule.assignment[name] = tuple(path)
     schedule.slots[name] = tuple(
-        replace(slot, path=tuple(path)) for slot in schedule.slots[name]
+        slot._replace(path=tuple(path)) for slot in schedule.slots[name]
     )
     _rebuild_omega(schedule)
     return f"{name!r} hop {hop} rewired {old}->{replacement}"
@@ -245,7 +245,7 @@ def truncate_path(
     name = rng.choice(sorted(candidates))
     partial = tuple(schedule.assignment[name][:-1])
     schedule.slots[name] = tuple(
-        replace(slot, path=partial) for slot in schedule.slots[name]
+        slot._replace(path=partial) for slot in schedule.slots[name]
     )
     _rebuild_omega(schedule)
     return f"{name!r} slots truncated to partial path {partial}"
@@ -274,7 +274,7 @@ def collide_slots(
         sorted({(n, i) for n, i in users}), 2
     )
     victim = schedule.slots[name_b][i_b]
-    moved = replace(schedule.slots[name_a][i_a], start=victim.start)
+    moved = schedule.slots[name_a][i_a]._replace(start=victim.start)
     _replace_slot(schedule, name_a, i_a, moved)
     return (
         f"slot {i_a} of {name_a!r} retimed onto slot {i_b} of "

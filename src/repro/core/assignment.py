@@ -85,13 +85,6 @@ class PathAssignment:
         self._paths[name] = key
         self._links[name] = links
 
-    def used_links(self) -> set[Link]:
-        """All links used by at least one message."""
-        result: set[Link] = set()
-        for links in self._links.values():
-            result.update(links)
-        return result
-
     def messages_on(self, link: Link) -> tuple[str, ...]:
         """Messages whose assigned path uses ``link``."""
         return tuple(

@@ -78,24 +78,38 @@ def schedule_from_dict(data: dict[str, Any]) -> CommunicationSchedule:
             f"unknown schedule format {data.get('format')!r} "
             f"(expected {FORMAT!r})"
         )
+    stated = parse_schedule(data)
+    return CommunicationSchedule.from_slots(
+        stated.tau_in, stated.slots, stated.bounds, stated.assignment
+    )
+
+
+def parse_schedule(data: dict[str, Any]) -> CommunicationSchedule:
+    """The schedule ``data`` states, field by field, unchecked: no
+    invariant is proved and Ω is left empty.  The loader checks what
+    this returns; :func:`repro.check.analyzer.analyze_file` analyzes it.
+
+    Raises :class:`~repro.errors.ScheduleValidationError` on a field that
+    does not parse: slots of an unassigned message, a window that is not
+    a pair of numbers, a node id that is not an integer.
+    """
     tau_in = float(data["tau_in"])
     assignment = {
-        name: tuple(_node_id(n) for n in path)
+        name: tuple(_node_id(name, n) for n in path)
         for name, path in data["assignment"].items()
     }
     slots: dict[str, tuple[TransmissionSlot, ...]] = {}
+    slot = tuple.__new__
     for name, raw_slots in data["slots"].items():
-        if name not in assignment:
+        path = assignment.get(name)
+        if path is None:
             raise ScheduleValidationError(
                 f"slots for unassigned message {name!r}"
             )
         slots[name] = tuple(
-            TransmissionSlot(
-                message=name,
-                start=float(s["start"]),
-                duration=float(s["duration"]),
-                path=assignment[name],
-            )
+            slot(TransmissionSlot, (
+                name, float(s["start"]), float(s["duration"]), path
+            ))
             for s in raw_slots
         )
 
@@ -112,8 +126,7 @@ def schedule_from_dict(data: dict[str, Any]) -> CommunicationSchedule:
             for name, b in data["bounds"].items()
         }
         bounds = TimeBoundSet(tau_in, parsed)
-
-    return CommunicationSchedule.from_slots(tau_in, slots, bounds, assignment)
+    return CommunicationSchedule(tau_in, slots, {}, bounds, assignment)
 
 
 def _window(name: str, value: Any) -> tuple[float, float]:
@@ -127,11 +140,13 @@ def _window(name: str, value: Any) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
-def _node_id(value: Any) -> int:
-    """A path node id as stored: an integer, never a float to truncate or
-    a bool or string to coerce."""
+def _node_id(name: str, value: Any) -> int:
+    """A node id of message ``name``'s path as stored: an integer, never
+    a float to truncate or a bool or string to coerce."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScheduleValidationError(f"node id {value!r} is not an integer")
+        raise ScheduleValidationError(
+            f"message {name!r}: node id {value!r} is not an integer"
+        )
     return value
 
 

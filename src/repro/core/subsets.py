@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.core.assignment import PathAssignment
 from repro.core.timebounds import TimeBoundSet
+from repro.topology.base import Link
 
 
 class _UnionFind:
@@ -47,8 +48,11 @@ def maximal_subsets(
     names = [name for name in bounds.order if name in assignment.endpoints]
     uf = _UnionFind(names)
     activity = bounds.activity
-    for link in assignment.used_links():
-        on_link = [n for n in assignment.messages_on(link) if n in uf.parent]
+    on_links: dict[Link, list[str]] = {}
+    for name in names:
+        for link in assignment.links(name):
+            on_links.setdefault(link, []).append(name)
+    for on_link in on_links.values():
         for idx, first in enumerate(on_link):
             row_a = activity[bounds.index[first]]
             for second in on_link[idx + 1:]:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
-from typing import Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.core.assignment import PathAssignment
 from repro.core.interval_scheduling import IntervalSchedule
@@ -61,9 +61,11 @@ class NodeSchedule:
     commands: tuple[SwitchCommand, ...]
 
 
-@dataclass(frozen=True)
-class TransmissionSlot:
-    """One contiguous clear-path transmission of (part of) a message."""
+class TransmissionSlot(NamedTuple):
+    """One contiguous clear-path transmission of (part of) a message.
+
+    A tuple, so an edited copy is ``._replace``, and it equals the plain
+    tuple of its fields."""
 
     message: str
     start: float
@@ -123,8 +125,8 @@ class CommunicationSchedule:
         """The schedule of ``slots``, checked (invariants 0-2 of
         :meth:`validate`, same errors) in the one pass that projects them
         onto Ω, so invariant 3 holds by construction."""
-        rows = _check_slots(tau_in, slots, bounds)
-        return cls(tau_in, slots, _node_schedules(rows), bounds, assignment)
+        node_schedules = _check_slots(tau_in, slots, bounds)
+        return cls(tau_in, slots, node_schedules, bounds, assignment)
 
     def validate(self) -> None:
         """Machine-check the schedule's invariants, in one pass over the slots.
@@ -148,8 +150,13 @@ class CommunicationSchedule:
         :class:`~repro.errors.ScheduleValidationError` on the first
         violation, checked in that order.
         """
-        rows = _check_slots(self.tau_in, self.slots, self.bounds)
-        derived = {(*cmd, node) for node, cmds in rows.items() for cmd in cmds}
+        derived = {
+            (*cmd, node)
+            for node, ns in _check_slots(
+                self.tau_in, self.slots, self.bounds
+            ).items()
+            for cmd in ns.commands
+        }
         expected = {
             (*cmd, node)
             for node, ns in self.node_schedules.items()
@@ -164,35 +171,38 @@ class CommunicationSchedule:
             )
 
 
-#: ``(node, input port, output port)`` of each CP along a path.
-_Hops = tuple[tuple[int, Port, Port], ...]
+#: Per CP along a path: the ``append`` of its node's command row, and
+#: the input and output port it connects.
+_Hops = tuple[tuple[Callable[[SwitchCommand], None], Port, Port], ...]
 
 
 def _check_slots(
     tau_in: float,
     slots: Mapping[str, Sequence[TransmissionSlot]],
     bounds: TimeBoundSet | None,
-) -> dict[int, list[SwitchCommand]]:
+) -> dict[int, NodeSchedule]:
     """Invariants 0-2 of :meth:`CommunicationSchedule.validate` over
-    ``slots``, in one pass that also projects each slot onto the nodes of
-    its path.  Each distinct path's links and hops are derived once."""
+    ``slots``, in one pass that also gathers what projecting them onto
+    Ω needs.  Each distinct path's links and hops are derived once."""
     if not (math.isfinite(tau_in) and tau_in > 0):
         raise ScheduleValidationError(
             f"period tau_in={tau_in!r} is not a positive finite time"
         )
-    by_link: dict[Link, list[TransmissionSlot]] = {}
+    #: ``link -> (start, end, message)`` of each slot crossing it.
+    by_link: dict[Link, list[tuple[float, float, str]]] = {}
     rows: dict[int, list[SwitchCommand]] = {}
-    paths: dict[tuple[int, ...], tuple[tuple[Link, ...], _Hops]] = {}
+    links: dict[tuple[int, ...], tuple[Link, ...]] = {}
+    hops: dict[tuple[int, ...], _Hops] = {}
     for name, message_slots in slots.items():
-        for slot in message_slots:
+        for _, start, duration, _ in message_slots:
             if not (
-                math.isfinite(slot.start)
-                and math.isfinite(slot.duration)
-                and slot.duration > EPS
+                math.isfinite(start)
+                and math.isfinite(duration)
+                and duration > EPS
             ):
                 raise ScheduleValidationError(
-                    f"message {name!r}: slot of start {slot.start!r} "
-                    f"and duration {slot.duration!r} is not a finite "
+                    f"message {name!r}: slot of start {start!r} "
+                    f"and duration {duration!r} is not a finite "
                     f"span longer than {EPS:g}"
                 )
         if bounds is not None:
@@ -202,36 +212,38 @@ def _check_slots(
                     f"message {name!r}: slots but no time bounds"
                 )
             _check_coverage(bound, name, message_slots)
-        for slot in message_slots:
-            known = paths.get(slot.path)
-            if known is None:
-                if not 2 <= len(set(slot.path)) == len(slot.path):
+        for _, start, duration, path in message_slots:
+            path_links = links.get(path)
+            if path_links is None:
+                if not 2 <= len(set(path)) == len(path):
                     raise ScheduleValidationError(
-                        f"message {name!r}: path {slot.path} is not a "
+                        f"message {name!r}: path {path} is not a "
                         "route of two or more distinct nodes"
                     )
-                known = paths[slot.path] = (
-                    links_on_path(slot.path), _path_hops(slot.path)
-                )
-            links, hops = known
-            for link in links:
-                by_link.setdefault(link, []).append(slot)
-            _project(rows, slot, hops)
+                path_links = links[path] = links_on_path(path)
+                hops[path] = _path_hops(path, rows)
+            span = (start, start + duration, name)
+            for link in path_links:
+                booked = by_link.get(link)
+                if booked is None:
+                    by_link[link] = [span]
+                else:
+                    booked.append(span)
     if bounds is not None:
         for name, bound in bounds.bounds.items():
             if name not in slots:
                 _check_coverage(bound, name, ())
     for link, booked in by_link.items():
-        booked.sort(key=attrgetter("start"))
+        booked.sort(key=itemgetter(0))
         for first, second in zip(booked, booked[1:]):
-            if second.start < first.end - EPS:
+            if second[0] < first[1] - EPS:
                 raise ScheduleValidationError(
-                    f"link {link} double-booked: {first.message!r} "
-                    f"[{first.start:.6f},{first.end:.6f}] overlaps "
-                    f"{second.message!r} "
-                    f"[{second.start:.6f},{second.end:.6f}]"
+                    f"link {link} double-booked: {first[2]!r} "
+                    f"[{first[0]:.6f},{first[1]:.6f}] overlaps "
+                    f"{second[2]!r} "
+                    f"[{second[0]:.6f},{second[1]:.6f}]"
                 )
-    return rows
+    return _project(slots, hops, rows)
 
 
 def _check_coverage(
@@ -239,30 +251,38 @@ def _check_coverage(
     name: str,
     slots: Sequence[TransmissionSlot],
 ) -> None:
-    """Invariant 1 for one message."""
+    """Invariant 1 for one message: ``bound.contains`` on every slot."""
     total = sum(s.duration for s in slots)
     if abs(total - bound.duration) > 1e-6 * max(1.0, bound.duration):
         raise ScheduleValidationError(
             f"message {name!r}: scheduled {total:.6f} of "
             f"{bound.duration:.6f} required transmission time"
         )
-    for slot in slots:
-        if not bound.contains(slot.start, slot.end):
+    windows = bound.windows
+    for _, start, duration, _ in slots:
+        end = start + duration
+        for ws, we in windows:
+            if ws <= start + EPS and end <= we + EPS:
+                break
+        else:
             raise ScheduleValidationError(
-                f"message {name!r}: slot [{slot.start:.6f}, "
-                f"{slot.end:.6f}] outside windows {bound.windows}"
+                f"message {name!r}: slot [{start:.6f}, "
+                f"{end:.6f}] outside windows {bound.windows}"
             )
 
 
-def _path_hops(path: tuple[int, ...]) -> _Hops:
+def _path_hops(
+    path: tuple[int, ...], rows: dict[int, list[SwitchCommand]]
+) -> _Hops:
     """The crossbar setting each node of ``path`` makes for it: the
     source connects its AP output buffer, an intermediate node its
     incoming channel to the outgoing one, the destination the last
-    channel to its AP input buffer."""
+    channel to its AP input buffer.  A node new to ``rows`` gets its
+    row here, so rows appear in the order the slots first reach them."""
     last = len(path) - 1
     return tuple(
         (
-            node,
+            rows.setdefault(node, []).append,
             AP_PORT if position == 0 else path[position - 1],
             AP_PORT if position == last else path[position + 1],
         )
@@ -271,25 +291,25 @@ def _path_hops(path: tuple[int, ...]) -> _Hops:
 
 
 def _project(
-    rows: dict[int, list[SwitchCommand]],
-    slot: TransmissionSlot,
-    hops: _Hops,
-) -> None:
-    """Append the switching command of each hop of ``slot`` (``hops``: its
-    path's :func:`_path_hops`) to its node's row."""
-    start, duration, message = slot.start, slot.duration, slot.message
-    for node, input_port, output_port in hops:
-        rows.setdefault(node, []).append(
-            SwitchCommand(start, duration, input_port, output_port, message)
-        )
-
-
-def _node_schedules(
+    slots: Mapping[str, Sequence[TransmissionSlot]],
+    hops: Mapping[tuple[int, ...], _Hops],
     rows: dict[int, list[SwitchCommand]],
 ) -> dict[int, NodeSchedule]:
-    """Each node's row sorted into ``(time, message)`` order."""
+    """Ω: each slot's command at each hop of its path (``hops``, whose
+    appends fill ``rows``), projected in ``(start, message)`` order, so
+    every node's row comes out in that order, ties in slot order."""
+    ordered = sorted(
+        (slot for message_slots in slots.values() for slot in message_slots),
+        key=itemgetter(1, 0),
+    )
+    command = tuple.__new__
+    for message, start, duration, path in ordered:
+        for append, input_port, output_port in hops[path]:
+            append(command(SwitchCommand, (
+                start, duration, input_port, output_port, message
+            )))
     return {
-        node: NodeSchedule(node, tuple(sorted(commands, key=itemgetter(0, 4))))
+        node: NodeSchedule(node, tuple(commands))
         for node, commands in rows.items()
     }
 
@@ -304,11 +324,9 @@ def node_schedules_of(
     hops: dict[tuple[int, ...], _Hops] = {}
     for message_slots in slots.values():
         for slot in message_slots:
-            path_hops = hops.get(slot.path)
-            if path_hops is None:
-                path_hops = hops[slot.path] = _path_hops(slot.path)
-            _project(rows, slot, path_hops)
-    return _node_schedules(rows)
+            if slot.path not in hops:
+                hops[slot.path] = _path_hops(slot.path, rows)
+    return _project(slots, hops, rows)
 
 
 def build_schedule(
@@ -329,21 +347,19 @@ def build_schedule(
     slots: dict[str, list[TransmissionSlot]] = {
         name: [] for name in assignment.messages
     }
+    paths = assignment.as_dict()
+    slot = tuple.__new__
     for subset_schedules in interval_schedules:
         for k, schedule in subset_schedules.items():
             start, end = bounds.intervals.interval(k)
             cursor = start
             for feasible_slot in schedule.slots:
+                duration = feasible_slot.duration
                 for name in sorted(feasible_slot.messages):
-                    slots[name].append(
-                        TransmissionSlot(
-                            message=name,
-                            start=cursor,
-                            duration=feasible_slot.duration,
-                            path=assignment.path(name),
-                        )
-                    )
-                cursor += feasible_slot.duration
+                    slots[name].append(slot(TransmissionSlot, (
+                        name, cursor, duration, paths[name]
+                    )))
+                cursor += duration
             if not le(cursor, end):
                 raise ScheduleValidationError(
                     f"interval {k} packing overruns: ends {cursor:.6f} > "
@@ -354,5 +370,5 @@ def build_schedule(
         bounds.tau_in,
         {name: tuple(s) for name, s in slots.items()},
         bounds,
-        assignment.as_dict(),
+        paths,
     )

@@ -18,6 +18,7 @@ are available for transmission in which interval (paper Section 5.1).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,11 +143,17 @@ class TimeBoundSet:
         self.activity = np.zeros(
             (len(self.order), self.intervals.count), dtype=bool
         )
-        for i, name in enumerate(self.order):
-            for k in range(self.intervals.count):
-                start, end = self.intervals.interval(k)
-                if self.bounds[name].contains(start, end):
-                    self.activity[i, k] = True
+        # ``contains(t_k, t_{k+1})`` per cell, a window at a time: both of
+        # its tests are monotone in k (the boundaries ascend), so the
+        # intervals a window holds are one run, bisected out of the same
+        # floats ``le`` compares.  A NaN end holds none.
+        lows = [t + EPS for t in boundaries[:-1]]
+        highs = boundaries[1:]
+        for row, bound in zip(self.activity, self.bounds.values()):
+            for ws, we in bound.windows:
+                if not (math.isnan(ws) or math.isnan(we)):
+                    first = bisect_left(lows, ws)
+                    row[first:bisect_right(highs, we + EPS)] = True
 
     def active_intervals(self, name: str) -> tuple[int, ...]:
         """Indices of intervals in which a message may be transmitted."""

@@ -162,8 +162,9 @@ class TopologyTables:
 
     The sorted link list and its index, one :class:`CandidateTable` per
     ``(src, dst)`` -- the one for the ``max_paths`` last asked of that
-    pair -- and the memo of paths validated on the topology
-    (``tuple(path) -> links``, see ``PathAssignment.set_path``).  One
+    pair -- the memo of paths validated on the topology
+    (``tuple(path) -> links``, see ``PathAssignment.set_path``) and the
+    link index rows of each link tuple asked for (:meth:`rows`).  One
     per object (:func:`topology_tables`), shared by every compile on it:
     nothing here depends on an instance, its bounds or its load, the
     tables and the link index are immutable, and the validated memo only
@@ -177,6 +178,7 @@ class TopologyTables:
             {link: j for j, link in enumerate(self.link_list)}
         )
         self.validated: dict[tuple[int, ...], tuple[Link, ...]] = {}
+        self._rows: dict[tuple[Link, ...], np.ndarray] = {}
         #: ``(src, dst) -> (max_paths, table)``.
         self._tables: dict[
             tuple[int, int], tuple[int | None, CandidateTable]
@@ -198,6 +200,18 @@ class TopologyTables:
         table = CandidateTable(paths, self.touched_by(paths))
         self._tables[(src, dst)] = (max_paths, table)
         return table
+
+    def rows(self, links: tuple[Link, ...]) -> np.ndarray:
+        """The (read-only) link index rows of ``links``, in order."""
+        rows = self._rows.get(links)
+        if rows is None:
+            rows = self._rows[links] = np.fromiter(
+                (self.link_index[link] for link in links),
+                dtype=np.int64,
+                count=len(links),
+            )
+            rows.setflags(write=False)
+        return rows
 
     def touched_by(self, paths: Sequence[Sequence[int]]) -> "_Touched":
         """The links any of ``paths`` crosses, and how a move between
@@ -236,9 +250,9 @@ class CandidateFrame:
     :class:`~repro.core.assignment.PathAssignment` and utilisation
     report of that compile: the per-message constants (durations, forced
     loads, active-interval ids), the :class:`CandidateTable` of each of
-    ``endpoints`` (in endpoint order) and a memo of link tuple → row ids
-    and (link, interval) cells.  The link index, the tables and the
-    validated-path memo are the topology's own (:class:`TopologyTables`),
+    ``endpoints`` (in endpoint order).  The link index and its rows per
+    link tuple, the tables and the validated-path memo are the
+    topology's own (:class:`TopologyTables`),
     so a later compile on the same topology object enumerates no pool
     and validates no path again.  It holds nothing that depends on the
     current assignment, so sharing it moves no float.
@@ -274,27 +288,6 @@ class CandidateFrame:
         self.pools: dict[str, tuple[tuple[int, ...], ...]] = {
             name: table.paths for name, table in self.tables.items()
         }
-        self._rows: dict[
-            tuple[Link, ...], tuple[np.ndarray, np.ndarray]
-        ] = {}
-
-    def link_rows(
-        self, links: tuple[Link, ...]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Row ids of a path's links, and the flat ``row * K + k`` ids of
-        their (link, interval) cells, link-major (memoised per frame:
-        the cells depend on the interval count)."""
-        pair = self._rows.get(links)
-        if pair is None:
-            rows = np.fromiter(
-                (self.link_index[link] for link in links),
-                dtype=np.int64,
-                count=len(links),
-            )
-            K = self.lengths.size
-            cells = (rows[:, None] * K + np.arange(K)).ravel()
-            pair = self._rows[links] = (rows, cells)
-        return pair
 
 
 class _Touched(NamedTuple):
@@ -386,13 +379,10 @@ class UtilizationState:
         frame = self.frame
         ids: list[int] = []
         rows: list[np.ndarray] = []
-        cells: list[np.ndarray] = []
         for name, links in placed:
             if links:
-                link_rows, link_cells = frame.link_rows(links)
                 ids.append(self.bounds.index[name])
-                rows.append(link_rows)
-                cells.append(link_cells)
+                rows.append(frame.shared.rows(links))
         if not ids:
             return
         if len(placed) == 1:
@@ -413,7 +403,10 @@ class UtilizationState:
         js = np.concatenate(rows)
         msg = np.repeat(ids, sizes)
         np.add.at(self.total_time, js, sign * self.durations[msg])
-        span = np.concatenate(cells)
+        # The flat ``row * K + k`` ids of every (link, interval) cell of
+        # the placed messages, link-major.
+        K = self.lengths.size
+        span = (js[:, None] * K + np.arange(K)).ravel()
         np.add.at(
             self.spot_load.reshape(-1), span,
             (sign * self.forced[msg]).ravel(),
@@ -658,11 +651,11 @@ def utilization_report(
     state = UtilizationState(bounds, assignment, frame)
     witness = state.peak()
     link_u = state.link_utilizations()
-    per_link = {
-        link: float(link_u[j])
-        for link, j in state.link_index.items()
-        if link_u[j] > EPS
-    }
+    loaded = np.flatnonzero(link_u > EPS)
+    per_link = dict(zip(
+        [state.link_list[j] for j in loaded.tolist()],
+        link_u[loaded].tolist(),
+    ))
     ratios = state.spot_ratios()
     return UtilizationReport(
         peak=witness.value,

@@ -16,10 +16,13 @@ from repro.cache import (
 )
 from repro.cache.store import routing_to_entry
 from repro.core.compiler import CompilerConfig, compile_schedule
+from repro.core.utilization import topology_tables
 from repro.diagnose.instance import diagnose_instance
 from repro.errors import SchedulingError
 from repro.experiments import standard_setup
+from repro.tfg import TFGTiming
 from repro.tfg.graph import build_tfg
+from repro.tfg.synth import chain_tfg
 from repro.topology import binary_hypercube
 from tests.conftest import cache_entries, pack_lines, rewrite_entry
 
@@ -292,6 +295,44 @@ class TestDeltaCompile:
         again = ScheduleCache(tmp_path)
         assert outcome(again) == expected
         assert again.stats.as_dict()["invalidations"] == 0
+
+    @pytest.mark.parametrize("group", ["schedule", "assign-paths"])
+    def test_stored_path_off_the_topology_is_a_miss(
+        self, cube3, tmp_path, group
+    ):
+        """A stored path that is no route on the topology is an
+        invalidated miss, though both decoders validate through the
+        topology's shared memo and a hit has just filled it: the memo
+        only ever holds paths that passed every check."""
+        timing = TFGTiming(chain_tfg(2, 400, 1280), 128.0, speeds=40.0)
+        args = (timing, cube3, {"t0": 0, "t1": 7}, 40.0)  # 3 hops apart
+        fresh = compile_schedule(*args, CONFIG, cache=ScheduleCache(tmp_path))
+        assert compile_schedule(
+            *args, CONFIG, cache=ScheduleCache(tmp_path)
+        ).extra["cache"]["hit"]
+        on_disk = cache_entries(tmp_path)
+        victim, entry = next(
+            (key, entry) for key, entry in on_disk.items()
+            if group_of(entry) == group
+        )
+        if group == "schedule":
+            ((name, path),) = entry["schedule"]["assignment"].items()
+        else:  # reach the artifact tier: lose the schedule entry above it
+            key = next(
+                key for key, entry in on_disk.items()
+                if entry["kind"] == "schedule"
+            )
+            (tmp_path / key[:2] / f"{key}.json").unlink()
+            ((name, path),) = entry["payload"]["paths"]
+        shortcut = [path[0], path[-1]]  # no link of cube3
+        path[:] = shortcut
+        rewrite_entry(tmp_path, victim, entry)
+
+        cache = ScheduleCache(tmp_path)
+        routing = compile_schedule(*args, CONFIG, cache=cache)
+        assert cache.stats.invalidations == 1
+        assert routing.schedule == fresh.schedule
+        assert tuple(shortcut) not in topology_tables(cube3).validated
 
     def test_stats_deltas_round_trip(self, cube3, tmp_path):
         """Worker-style ``stats - before`` deltas, added up by a parent,

@@ -383,6 +383,34 @@ class TestAnalyzeFile:
         )
         assert finding.message == name
 
+    @pytest.mark.parametrize("field", ["path", "window"])
+    def test_unparsable_field_is_the_loaders_refusal(
+        self, compiled, tmp_path, field
+    ):
+        """The file is read by the loader's parse: a path nudged off its
+        integer node ids (once truncated back and read CONFORMANT) or a
+        one-number window (once an ``IndexError``) is the loader's typed
+        refusal, naming the message."""
+        from repro.core.io import load_schedule
+        from repro.errors import ScheduleValidationError
+
+        name = next(iter(compiled[0].schedule.slots))
+
+        def edit(data):
+            if field == "path":
+                path = data["assignment"][name]
+                data["assignment"][name] = [n + 0.25 for n in path]
+            else:
+                data["bounds"][name]["windows"] = [[0.0]]
+
+        path = self.tampered(compiled, tmp_path, edit)
+        with pytest.raises(ScheduleValidationError) as loaded:
+            load_schedule(path)
+        with pytest.raises(ScheduleValidationError) as analyzed:
+            analyze_file(path, compiled[2])
+        assert str(analyzed.value) == str(loaded.value)
+        assert str(analyzed.value).startswith(f"message {name!r}: ")
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_period_is_a_bad_frame(
         self, compiled, tmp_path, value

@@ -26,6 +26,29 @@ class TestTransmissionSlot:
         assert s.links == ((0, 1), (1, 3), (3, 7))
         assert s.end == 5.0
 
+    def test_a_named_tuple_of_its_fields(self):
+        s = slot(start=2.0)
+        assert TransmissionSlot._fields == (
+            "message", "start", "duration", "path"
+        )
+        assert s == ("m", 2.0, 5.0, (0, 1, 3))
+        assert hash(s) == hash(slot(start=2.0))
+        assert s._replace(start=4.0) == slot(start=4.0)
+        assert s._replace(duration=1.0).end == 3.0
+        with pytest.raises(AttributeError):
+            s.start = 0.0
+
+    def test_rebuilt_slots_build_equal_schedules(self, corpus_schedules):
+        for schedule in corpus_schedules[:4]:
+            copied = {
+                name: tuple(TransmissionSlot(**s._asdict()) for s in slots)
+                for name, slots in schedule.slots.items()
+            }
+            assert CommunicationSchedule.from_slots(
+                schedule.tau_in, copied, schedule.bounds,
+                schedule.assignment,
+            ) == schedule
+
 
 def slot_commands(s):
     """``node -> its one command`` for the single slot ``s``."""

@@ -90,10 +90,6 @@ class TestPathAssignment:
         assignment.set_path("m1", [0, 2, 3])
         assert clone.path("m1") == (0, 1, 3)
 
-    def test_used_links(self, cube3):
-        _, assignment = two_message_case(cube3, share_link=False)
-        assert assignment.used_links() == {(0, 1), (1, 3), (4, 5), (5, 7)}
-
 
 class TestLinkUtilization:
     def test_shared_link_sums_durations(self, cube3):

@@ -219,3 +219,160 @@ class TestExecutorCoverage:
         )
         with pytest.raises(ScheduleValidationError, match="contention"):
             executor.run(invocations=12, warmup=2)
+
+
+slot = TransmissionSlot
+
+
+def windowed(**windows):
+    """Bounds of 4-unit messages with these windows on a 100-unit frame."""
+    from repro.core.timebounds import MessageTimeBounds
+
+    return TimeBoundSet(100.0, {
+        name: MessageTimeBounds(name, w[0][0], w[-1][1], 4.0, w)
+        for name, w in windows.items()
+    })
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: ``(tau_in, slots, bounds, the message both checkers raise)``, each
+#: message spelt out in full: the first invariant violated, in the
+#: checks' order (frame, then per message in slot order: finite slots,
+#: bounds, coverage, windows, paths; unscheduled messages; links in the
+#: order the slots first cross them, ties on a start in slot order).
+MESSAGES = {
+    "period": (NAN, {"a": (slot("a", 0.0, 4.0, (0, 1)),)}, None,
+               "period tau_in=nan is not a positive finite time"),
+    "not-finite": (
+        100.0,
+        {"b": (slot("b", 0.0, 4.0, (0, 1)),),
+         "a": (slot("a", INF, 4.0, (2, 3)),)},
+        None,
+        "message 'a': slot of start inf and duration 4.0 is not a finite "
+        "span longer than 1e-09",
+    ),
+    "empty": (100.0, {"a": (slot("a", 1.0, 0.0, (0, 1)),)}, None,
+              "message 'a': slot of start 1.0 and duration 0.0 is not a "
+              "finite span longer than 1e-09"),
+    "path-before-next-message": (
+        100.0,
+        {"b": (slot("b", 0.0, 4.0, (0, 0)),),
+         "a": (slot("a", NAN, 4.0, (2, 3)),)},
+        None,
+        "message 'b': path (0, 0) is not a route of two or more distinct "
+        "nodes",
+    ),
+    "unbounded": (100.0, {"a": (slot("a", 0.0, 4.0, (0, 1)),)},
+                  windowed(b=((0.0, 50.0),)),
+                  "message 'a': slots but no time bounds"),
+    "coverage": (100.0, {"a": (slot("a", 0.0, 3.0, (0, 1)),)},
+                 windowed(a=((0.0, 50.0),)),
+                 "message 'a': scheduled 3.000000 of 4.000000 required "
+                 "transmission time"),
+    "window-before-path": (
+        100.0, {"a": (slot("a", 48.0, 4.0, (0, 0)),)},
+        windowed(a=((0.0, 50.0),)),
+        "message 'a': slot [48.000000, 52.000000] outside windows "
+        "((0.0, 50.0),)",
+    ),
+    "unscheduled": (100.0, {"a": (slot("a", 0.0, 4.0, (0, 1)),)},
+                    windowed(a=((0.0, 50.0),), b=((10.0, 90.0),)),
+                    "message 'b': scheduled 0.000000 of 4.000000 required "
+                    "transmission time"),
+    "first-link-crossed": (
+        100.0,
+        {"z": (slot("z", 1.0, 4.0, (2, 0, 1)),
+               slot("z", 9.0, 4.0, (2, 0, 1))),
+         "a": (slot("a", 10.0, 2.0, (3, 2)), slot("a", 2.0, 2.0, (0, 1)))},
+        None,
+        "link (0, 1) double-booked: 'z' [1.000000,5.000000] overlaps 'a' "
+        "[2.000000,4.000000]",
+    ),
+    "tie-in-slot-order": (
+        100.0,
+        {"z": (slot("z", 1.0, 4.0, (0, 1, 3)),),
+         "a": (slot("a", 1.0, 2.0, (1, 3)),)},
+        None,
+        "link (1, 3) double-booked: 'z' [1.000000,5.000000] overlaps 'a' "
+        "[1.000000,3.000000]",
+    ),
+}
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("case", MESSAGES)
+    def test_constructor_and_validate_raise_the_message(self, case):
+        tau_in, slots, bounds, message = MESSAGES[case]
+        with pytest.raises(ScheduleValidationError) as built:
+            CommunicationSchedule.from_slots(tau_in, slots, bounds, {})
+        assert str(built.value) == message
+        handed_in = CommunicationSchedule(
+            tau_in, slots, node_schedules_of(slots), bounds, {}
+        )
+        with pytest.raises(ScheduleValidationError) as validated:
+            handed_in.validate()
+        assert str(validated.value) == message
+
+
+def unparsable(edit):
+    """The one-message schedule file of ``test_core_io`` after ``edit``."""
+    from tests.unit.test_core_io import one_message
+
+    data = one_message([(0.0, 10.0)])
+    edit(data)
+    return data
+
+
+#: A field the loader refuses to parse, and its message.
+UNPARSABLE = {
+    "one-number-window": (
+        lambda d: d["bounds"]["m"].update(windows=[[0.0]]),
+        "message 'm': window [0.0] is not a pair of numbers",
+    ),
+    "three-number-window": (
+        lambda d: d["bounds"]["m"].update(windows=[[0.0, 60.0, 90.0]]),
+        "message 'm': window [0.0, 60.0, 90.0] is not a pair of numbers",
+    ),
+    "float-node-id": (
+        lambda d: d["assignment"].update(m=[0.9, 1.2]),
+        "message 'm': node id 0.9 is not an integer",
+    ),
+}
+
+
+class TestFileFields:
+    """The loader and the analyzer read a file with one parse: a field
+    it cannot parse is the same typed refusal from both, and the
+    ``check`` command's usage error (exit 2)."""
+
+    @pytest.mark.parametrize("case", UNPARSABLE)
+    def test_loader_and_analyzer_refuse_alike(self, case, tmp_path, cube3):
+        import json
+
+        from repro.check.analyzer import analyze_file
+        from repro.core.io import load_schedule
+
+        edit, message = UNPARSABLE[case]
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(unparsable(edit)))
+        for read in (load_schedule, lambda p: analyze_file(p, cube3)):
+            with pytest.raises(ScheduleValidationError) as refused:
+                read(path)
+            assert str(refused.value) == message
+
+    @pytest.mark.parametrize("case", UNPARSABLE)
+    def test_check_command_exits_2(self, case, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        edit, message = UNPARSABLE[case]
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(unparsable(edit)))
+        with pytest.raises(SystemExit) as stop:
+            main(["check", str(path)])
+        assert stop.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"ScheduleValidationError: {message}"
+        )
