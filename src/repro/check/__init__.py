@@ -13,14 +13,16 @@ paper's guarantees from scratch:
   buffering-freedom, continuous-time link exclusivity (including
   wrapped windows at the ``tau_in`` frame boundary; with whole-path
   slots this one proof also gives crossbar port exclusivity and
-  deadlock-freedom), Ω as the projection of the slots, and window
-  containment against independently recomputed time bounds, and
-  reports structured :class:`~repro.check.analyzer.Finding` records
-  instead of raising on the first failure.
+  deadlock-freedom), and window containment against independently
+  recomputed time bounds, and reports structured
+  :class:`~repro.check.analyzer.Finding` records instead of raising on
+  the first failure.  It reads no Ω: the node schedules are a view of
+  the slots, and the executor's replay checks the commands the CPs run.
 - :mod:`~repro.check.mutate` — seeded schedule corruptions (shifted
-  slots, swapped crossbar ports, deleted commands, off-by-EPS window
-  overruns...) used to measure what the analyzer, ``validate()`` and
-  the executor's replay of Ω each kill.
+  slots, off-by-EPS window overruns... over the slots; swapped crossbar
+  ports, deleted commands... over a command memory) used to measure
+  what each checker kills on the input it owns: the analyzer and
+  ``validate()`` the slots, the executor's replay of Ω the commands.
 - :mod:`~repro.check.fuzz` — a seeded differential fuzz harness that
   compiles random points through both LP backends and through cold and
   warm cache paths and cross-checks every verdict (``repro-sr fuzz``).

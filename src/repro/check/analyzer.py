@@ -2,13 +2,15 @@
 
 :func:`analyze_schedule` re-derives every invariant the paper's
 guarantee rests on — from scratch, using only the *serialized* schedule
-content (period, slots, assignment, optional bounds and node schedules)
-plus the topology's link set.  It deliberately shares **no logic** with
-the compiler's own :meth:`~repro.core.switching.CommunicationSchedule.
-validate`: the per-node command projection, the window recomputation and
-the occupancy sweep are all independent implementations, so a bug in
-the compiler's data-structure helpers cannot silently excuse itself
-here.
+content (period, slots, assignment, optional bounds) plus the
+topology's link set.  It deliberately shares **no logic** with the
+compiler's own :meth:`~repro.core.switching.CommunicationSchedule.
+validate`: the window recomputation and the occupancy sweep are
+independent implementations, so a bug in the compiler's data-structure
+helpers cannot silently excuse itself here.  It reads no Ω: the node
+schedules are a projection of the slots by construction
+(:class:`~repro.core.switching.CommunicationSchedule`), and the
+executor's replay is the checker of the commands the CPs run.
 
 Checks (each yields :class:`Finding` records; the analyzer never raises
 on schedule content):
@@ -34,10 +36,6 @@ on schedule content):
     port-freedom (a channel port is a half-duplex link, and ``path``
     rejects a hop that is no link or revisits a node) and
     deadlock-freedom (no transmission ever waits while holding a link).
-``omega``
-    When the schedule carries node schedules, they must be exactly the
-    per-node projection of the slots — a swapped input/output port, a
-    deleted command or a retimed command all surface here.
 ``window``
     Window containment against *independently recomputed* time bounds
     (release/deadline wrapped onto the frame from the TFG timing when
@@ -64,12 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Finding severities.
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
-
-#: Sentinel port name for the node's application-processor buffers.
-#: (Redeclared here on purpose: the analyzer does not import the
-#: compiler's switching module.)
-_AP = "AP"
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -236,41 +228,6 @@ def _sweep_conflicts(
         active.append(item)
 
 
-#: An Ω command as the ``omega`` family compares it: ``(node, time, end,
-#: input port, output port, message)``, times rounded to 1e-9, ports as text.
-_CommandKey = tuple[int, float, float, str, str, str]
-
-
-def _derived_commands(schedule: "CommunicationSchedule") -> Counter[_CommandKey]:
-    """Re-derive every node's switching commands from the slots.
-
-    Independent re-implementation of the slot→command projection: at the
-    path's source the AP buffer feeds the first channel, intermediate
-    nodes bridge incoming to outgoing channel, and the destination drains
-    the last channel into its AP buffer.  Each slot's times are rounded
-    once and each path's ports derived once; the keys are counted node by
-    node.
-    """
-    per_node: dict[int, list[_CommandKey]] = {}
-    hops: dict[tuple[int, ...], tuple[tuple[int, str, str], ...]] = {}
-    for name, slots in schedule.slots.items():
-        for slot in slots:
-            path = slot.path
-            path_hops = hops.get(path)
-            if path_hops is None:
-                last = len(path) - 1
-                path_hops = hops[path] = tuple(
-                    (node,
-                     str(_AP if position == 0 else path[position - 1]),
-                     str(_AP if position == last else path[position + 1]))
-                    for position, node in enumerate(path)
-                )
-            t, e = round(slot.start, 9), round(slot.end, 9)
-            for node, inp, out in path_hops:
-                per_node.setdefault(node, []).append((node, t, e, inp, out, name))
-    return Counter(key for keys in per_node.values() for key in keys)
-
-
 def _recompute_windows(
     timing: "TFGTiming",
     tau_in: float,
@@ -344,8 +301,8 @@ def analyze_schedule(
     ----------
     schedule:
         The schedule under test.  Only its serialized content is read
-        (``tau_in``, slots, assignment, and — when present — bounds and
-        node schedules); no compiler helper is invoked.
+        (``tau_in``, slots, assignment, and — when present — bounds);
+        no compiler helper is invoked.
     topology:
         The machine; supplies the link set.
     timing:
@@ -379,10 +336,9 @@ def analyze_schedule(
     _check_frame(state, tau_in)
     _check_paths(state, timing, allocation)
     _check_link_exclusivity(state, tau_in)
-    _check_omega(state)
     _check_windows(state, tau_in, timing, sync_margin)
 
-    checks = ("frame", "path", "link", "omega", "window")
+    checks = ("frame", "path", "link", "window")
     report = ConformanceReport(tau_in, tuple(state.findings), checks)
     if tracer is not None:
         report.emit(tracer)
@@ -542,33 +498,6 @@ def _check_link_exclusivity(state: _Analysis, tau_in: float) -> None:
                 message=second[2], link=link,
                 span=(max(first[0], second[0]), min(first[1], second[1])),
             )
-
-
-def _check_omega(state: _Analysis) -> None:
-    if not state.schedule.node_schedules:
-        return
-    derived = _derived_commands(state.schedule)
-    declared = Counter(
-        (node, round(t, 9), round(t + d, 9), str(i), str(o), m)
-        for node, ns in state.schedule.node_schedules.items()
-        for t, d, i, o, m in ns.commands
-    )
-    for key, count in (derived - declared).items():
-        node, t, e, inp, out, name = key
-        state.add(
-            SEVERITY_ERROR, "omega-missing-command",
-            f"node {node}'s schedule lacks {count} command(s) {inp}->{out} "
-            "required by the slots",
-            message=name, span=(t, e),
-        )
-    for key, count in (declared - derived).items():
-        node, t, e, inp, out, name = key
-        state.add(
-            SEVERITY_ERROR, "omega-spurious-command",
-            f"node {node}'s schedule declares {count} command(s) "
-            f"{inp}->{out} that no slot requires (retimed, swapped or forged)",
-            message=name, span=(t, e),
-        )
 
 
 def _check_windows(

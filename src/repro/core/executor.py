@@ -9,8 +9,10 @@ commands of one ``(message, time, duration)`` are walked from the
 source CP's command taking the AP's output buffer, along output ports,
 to the destination CP's command feeding its AP.  A command outside the
 frame, a port that is no channel of its node, a broken, looping or
-misdirected chain, a left-over command, a command for no routed message
-and a routed message without a circuit each raise
+misdirected chain, a left-over command, a command for no routed message,
+a routed message without a circuit, and one whose circuits do not add up
+to its transmission duration (its time bound's ``duration`` ``d``, within
+``1e-6 * max(1, d)``) each raise
 :class:`~repro.errors.ScheduleValidationError` there.
 
 It then replays periods as one timeline of instants: tasks finish at
@@ -66,7 +68,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from repro.core.compiler import ScheduledRouting
-from repro.core.switching import AP_PORT, CommunicationSchedule, Port, SwitchCommand
+from repro.core.switching import AP_PORT, NodeSchedule, Port, SwitchCommand
 from repro.errors import (
     FaultedDeadlineError,
     FaultInjectionError,
@@ -97,25 +99,27 @@ class Circuit(NamedTuple):
 
 
 def omega_circuits(
-    schedule: CommunicationSchedule,
+    node_schedules: Mapping[int, NodeSchedule],
+    tau_in: float,
     tfg: TaskFlowGraph,
     topology: Topology,
     allocation: Mapping[str, int],
 ) -> dict[str, tuple[Circuit, ...]]:
-    """Every routed message's circuits, in frame order, walked from Ω.
+    """Every routed message's circuits, in frame order, walked from the
+    command memory ``node_schedules`` (node -> its commands) of a frame
+    ``tau_in`` long.
 
     Raises :class:`~repro.errors.ScheduleValidationError` unless every
     command lies in the frame on channels of its node and chains, with
     the others of its ``(message, time, duration)``, into exactly one
     source-to-destination circuit, and every routed message has one.
     """
-    tau_in = schedule.tau_in
     messages = {message.name: message for message in tfg.messages}
     # (message, time, duration) -> (node, input port) -> its commands
     groups: dict[
         tuple[str, float, float], dict[tuple[int, Port], list[SwitchCommand]]
     ] = {}
-    for node, node_schedule in schedule.node_schedules.items():
+    for node, node_schedule in node_schedules.items():
         channels = (
             topology.neighbors(node) if 0 <= node < topology.num_nodes else ()
         )
@@ -213,13 +217,21 @@ class ScheduledRoutingExecutor:
         self.tau_in = routing.tau_in
         self._asap = timing.asap_schedule()
         self.circuits = omega_circuits(
-            routing.schedule, timing.tfg, topology, self.allocation
+            routing.schedule.node_schedules, self.tau_in, timing.tfg,
+            topology, self.allocation,
         )
         # message -> (its source's ASAP finish, each circuit's (offset
         # into the message's window, duration)): see absolute_slots.
         self._offsets: dict[str, tuple[float, list[tuple[float, float]]]] = {}
         for name, circuits in self.circuits.items():
-            r = routing.bounds.bounds[name].release
+            bound = routing.bounds.bounds[name]
+            carried = sum(duration for _, duration, _ in circuits)
+            if abs(carried - bound.duration) > 1e-6 * max(1.0, bound.duration):
+                raise ScheduleValidationError(
+                    f"message {name!r}: circuits carry {carried:.6f} of "
+                    f"{bound.duration:.6f} required transmission time"
+                )
+            r = bound.release
             self._offsets[name] = (
                 self._asap[timing.tfg.message(name).src][1],
                 [
@@ -502,7 +514,7 @@ class ScheduledRoutingExecutor:
                     f"invocation {j}, not one period {self.tau_in!r}"
                 )
         extra = {
-            "commands": self.routing.schedule.num_commands,
+            "commands": self.commands_placed,
             "link_busy": dict(link_busy),
             "invocations": invocations,
         }

@@ -73,7 +73,7 @@ def schedule_from_dict(data: dict[str, Any]) -> CommunicationSchedule:
     a tampered file cannot produce a schedule that violates the
     contention-freedom invariants or leaves a bounded message unscheduled.
     """
-    if data.get("format") != FORMAT:
+    if _shaped(data, dict, "schedule", None).get("format") != FORMAT:
         raise ScheduleValidationError(
             f"unknown schedule format {data.get('format')!r} "
             f"(expected {FORMAT!r})"
@@ -86,54 +86,101 @@ def schedule_from_dict(data: dict[str, Any]) -> CommunicationSchedule:
 
 def parse_schedule(data: dict[str, Any]) -> CommunicationSchedule:
     """The schedule ``data`` states, field by field, unchecked: no
-    invariant is proved and Ω is left empty.  The loader checks what
-    this returns; :func:`repro.check.analyzer.analyze_file` analyzes it.
+    invariant is proved.  The loader checks what this returns;
+    :func:`repro.check.analyzer.analyze_file` analyzes it.
 
     Raises :class:`~repro.errors.ScheduleValidationError` on a field that
-    does not parse: slots of an unassigned message, a window that is not
+    does not parse: an object or array of the wrong shape, slots of an
+    unassigned message, a time that is not a number, a window that is not
     a pair of numbers, a node id that is not an integer.
     """
-    tau_in = float(data["tau_in"])
+    _shaped(data, dict, "schedule", None)
+    tau_in = _number(data["tau_in"], "tau_in", None)
     assignment = {
-        name: tuple(_node_id(name, n) for n in path)
-        for name, path in data["assignment"].items()
+        name: tuple(
+            _node_id(name, n) for n in _shaped(path, list, "path", name)
+        )
+        for name, path in _shaped(
+            data["assignment"], dict, "assignment", None
+        ).items()
     }
     slots: dict[str, tuple[TransmissionSlot, ...]] = {}
-    slot = tuple.__new__
-    for name, raw_slots in data["slots"].items():
+    raw = _shaped(data["slots"], dict, "slots", None)
+    for name, raw_slots in raw.items():
         path = assignment.get(name)
         if path is None:
             raise ScheduleValidationError(
                 f"slots for unassigned message {name!r}"
             )
         slots[name] = tuple(
-            slot(TransmissionSlot, (
-                name, float(s["start"]), float(s["duration"]), path
-            ))
-            for s in raw_slots
+            _slot(name, raw, path)
+            for raw in _shaped(raw_slots, list, "slots", name)
         )
 
     bounds = None
     if "bounds" in data:
-        parsed = {
-            name: MessageTimeBounds(
+        parsed = {}
+        for name, b in _shaped(data["bounds"], dict, "bounds", None).items():
+            _shaped(b, dict, "bounds", name)
+            parsed[name] = MessageTimeBounds(
                 name=name,
-                release=float(b["release"]),
-                deadline=float(b["deadline"]),
-                duration=float(b["duration"]),
-                windows=tuple(_window(name, w) for w in b["windows"]),
+                release=_number(b["release"], "release", name),
+                deadline=_number(b["deadline"], "deadline", name),
+                duration=_number(b["duration"], "duration", name),
+                windows=tuple(
+                    _window(name, w)
+                    for w in _shaped(b["windows"], list, "windows", name)
+                ),
             )
-            for name, b in data["bounds"].items()
-        }
         bounds = TimeBoundSet(tau_in, parsed)
-    return CommunicationSchedule(tau_in, slots, {}, bounds, assignment)
+    return CommunicationSchedule(tau_in, slots, bounds, assignment)
+
+
+def _shaped(value: Any, kind: type, field: str, name: str | None) -> Any:
+    """``value`` if it is a JSON object (``kind`` ``dict``) or array
+    (``list``) as stored; any other shape would be read by the wrong
+    rule."""
+    if not isinstance(value, kind):
+        where = field if name is None else f"message {name!r}: {field}"
+        raise ScheduleValidationError(
+            f"{where} is {type(value).__name__}, not "
+            f"{'an object' if kind is dict else 'an array'}"
+        )
+    return value
+
+
+def _is_number(value: Any) -> bool:
+    """A stored number: never a bool or a string to coerce."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(value: Any, field: str, name: str | None) -> float:
+    """A stored time, by the rule of :func:`_window`.  A decoded JSON
+    float passes at once: a cache hit reads hundreds of them."""
+    if type(value) is float:
+        return value
+    if not _is_number(value):
+        where = field if name is None else f"message {name!r}: {field}"
+        raise ScheduleValidationError(f"{where} {value!r} is not a number")
+    return float(value)
+
+
+def _slot(name: str, value: Any, path: tuple[int, ...]) -> TransmissionSlot:
+    """One stored slot of message ``name``, on its assigned ``path``."""
+    if not isinstance(value, dict):  # a hit reads hundreds: no call then
+        _shaped(value, dict, "slot", name)
+    return tuple.__new__(TransmissionSlot, (
+        name,
+        _number(value["start"], "slot start", name),
+        _number(value["duration"], "slot duration", name),
+        path,
+    ))
 
 
 def _window(name: str, value: Any) -> tuple[float, float]:
     """A stored window: a pair of numbers, never truncated or padded."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(
-            isinstance(end, (int, float)) and not isinstance(end, bool)
-            for end in value)):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_is_number, value))):
         raise ScheduleValidationError(
             f"message {name!r}: window {value!r} is not a pair of numbers"
         )

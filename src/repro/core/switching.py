@@ -10,13 +10,19 @@ connects the last channel to its AP input buffer.  The collection
 ``omega_i`` of a node's commands, sorted by time, is that node's switching
 schedule; ``Omega = {omega_1 ... omega_N}`` is the communication schedule
 the CPs execute independently every period.
+
+Ω is never an input: a :class:`CommunicationSchedule` is frozen and its
+``node_schedules`` is a read-only view projected from its slots, so the
+commands the CPs run are a pure function of the slot table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.core.assignment import PathAssignment
@@ -81,9 +87,9 @@ class TransmissionSlot(NamedTuple):
         return links_on_path(self.path)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommunicationSchedule:
-    """Omega plus the slot-level view it was derived from.
+    """The slot table, and Ω as a read-only view derived from it.
 
     Attributes
     ----------
@@ -91,19 +97,44 @@ class CommunicationSchedule:
         The period (frame length).
     slots:
         ``message -> transmission slots`` covering its full duration.
-    node_schedules:
-        ``node -> NodeSchedule`` (only nodes with commands appear).
     bounds:
         The time bounds the schedule was computed against.
     assignment:
         The final message->path mapping.
+
+    Frozen: no attribute can be assigned, and ``slots``, ``assignment``
+    and :attr:`node_schedules` are read-only mappings, so Ω can never go
+    stale.  An edited schedule is a new one
+    (``dataclasses.replace(schedule, slots=...)``), whose Ω is the new
+    slots' projection.  The constructor checks nothing; traffic builds a
+    schedule with the checked :meth:`from_slots`.
     """
 
     tau_in: float
-    slots: dict[str, tuple[TransmissionSlot, ...]]
-    node_schedules: dict[int, NodeSchedule] = field(default_factory=dict)
+    slots: Mapping[str, tuple[TransmissionSlot, ...]]
     bounds: TimeBoundSet | None = None
-    assignment: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    assignment: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "slots", MappingProxyType(dict(self.slots)))
+        object.__setattr__(
+            self, "assignment", MappingProxyType(dict(self.assignment))
+        )
+
+    @cached_property
+    def node_schedules(self) -> Mapping[int, NodeSchedule]:
+        """Ω: ``node -> NodeSchedule``, the per-node projection of the
+        slots, each node's commands in ``(time, message)`` order (nodes
+        without any are absent).  :meth:`from_slots` builds it in its
+        checked pass; any other schedule projects it, unchecked, on
+        first read."""
+        rows: dict[int, list[SwitchCommand]] = {}
+        hops: dict[tuple[int, ...], _Hops] = {}
+        for message_slots in self.slots.values():
+            for slot in message_slots:
+                if slot.path not in hops:
+                    hops[slot.path] = _path_hops(slot.path, rows)
+        return _project(self.slots, hops, rows)
 
     @property
     def num_commands(self) -> int:
@@ -118,15 +149,17 @@ class CommunicationSchedule:
     def from_slots(
         cls,
         tau_in: float,
-        slots: dict[str, tuple[TransmissionSlot, ...]],
+        slots: Mapping[str, tuple[TransmissionSlot, ...]],
         bounds: TimeBoundSet | None,
-        assignment: dict[str, tuple[int, ...]],
+        assignment: Mapping[str, tuple[int, ...]],
     ) -> CommunicationSchedule:
-        """The schedule of ``slots``, checked (invariants 0-2 of
-        :meth:`validate`, same errors) in the one pass that projects them
-        onto Ω, so invariant 3 holds by construction."""
-        node_schedules = _check_slots(tau_in, slots, bounds)
-        return cls(tau_in, slots, node_schedules, bounds, assignment)
+        """The schedule of ``slots``, checked (:meth:`validate`, same
+        errors) in the one pass that also builds its Ω."""
+        omega = _check_slots(tau_in, slots, bounds)
+        schedule = cls(tau_in, slots, bounds, assignment)
+        # The view's cache (the instance dict ``cached_property`` fills).
+        object.__setattr__(schedule, "node_schedules", omega)
+        return schedule
 
     def validate(self) -> None:
         """Machine-check the schedule's invariants, in one pass over the slots.
@@ -141,34 +174,16 @@ class CommunicationSchedule:
         2. no two slots ever share a link (contention-freedom; every
            transmission holds its whole path, so this also gives
            deadlock-freedom, and, a channel port being a half-duplex
-           link, no crossbar port ever carries two commands at once);
-        3. the node schedules are exactly the per-node projection of the
-           slots.
+           link, no crossbar port ever carries two commands at once).
 
-        A schedule built by :meth:`from_slots` holds invariant 3 by
-        construction; this proves all four for an Ω handed in.  Raises
+        Ω is the projection of the slots by construction, so nothing
+        about it is left to prove.  This is exactly the pass of
+        :meth:`from_slots`, over a schedule that already exists (a
+        parsed file, a mutant).  Raises
         :class:`~repro.errors.ScheduleValidationError` on the first
         violation, checked in that order.
         """
-        derived = {
-            (*cmd, node)
-            for node, ns in _check_slots(
-                self.tau_in, self.slots, self.bounds
-            ).items()
-            for cmd in ns.commands
-        }
-        expected = {
-            (*cmd, node)
-            for node, ns in self.node_schedules.items()
-            for cmd in ns.commands
-        }
-        if expected != derived:
-            missing = derived - expected
-            spurious = expected - derived
-            raise ScheduleValidationError(
-                f"node schedules do not match slots: missing={missing} "
-                f"spurious={spurious}"
-            )
+        _check_slots(self.tau_in, self.slots, self.bounds)
 
 
 #: Per CP along a path: the ``append`` of its node's command row, and
@@ -180,10 +195,11 @@ def _check_slots(
     tau_in: float,
     slots: Mapping[str, Sequence[TransmissionSlot]],
     bounds: TimeBoundSet | None,
-) -> dict[int, NodeSchedule]:
-    """Invariants 0-2 of :meth:`CommunicationSchedule.validate` over
+) -> Mapping[int, NodeSchedule]:
+    """The invariants of :meth:`CommunicationSchedule.validate` over
     ``slots``, in one pass that also gathers what projecting them onto
-    Ω needs.  Each distinct path's links and hops are derived once."""
+    Ω needs, and that projection.  Each distinct path's links and hops
+    are derived once."""
     if not (math.isfinite(tau_in) and tau_in > 0):
         raise ScheduleValidationError(
             f"period tau_in={tau_in!r} is not a positive finite time"
@@ -294,7 +310,7 @@ def _project(
     slots: Mapping[str, Sequence[TransmissionSlot]],
     hops: Mapping[tuple[int, ...], _Hops],
     rows: dict[int, list[SwitchCommand]],
-) -> dict[int, NodeSchedule]:
+) -> Mapping[int, NodeSchedule]:
     """Ω: each slot's command at each hop of its path (``hops``, whose
     appends fill ``rows``), projected in ``(start, message)`` order, so
     every node's row comes out in that order, ties in slot order."""
@@ -308,25 +324,10 @@ def _project(
             append(command(SwitchCommand, (
                 start, duration, input_port, output_port, message
             )))
-    return {
+    return MappingProxyType({
         node: NodeSchedule(node, tuple(commands))
         for node, commands in rows.items()
-    }
-
-
-def node_schedules_of(
-    slots: Mapping[str, Sequence[TransmissionSlot]],
-) -> dict[int, NodeSchedule]:
-    """Omega as the per-node projection of ``slots``, unchecked: each
-    node's commands in ``(time, message)`` order (nodes without any are
-    absent)."""
-    rows: dict[int, list[SwitchCommand]] = {}
-    hops: dict[tuple[int, ...], _Hops] = {}
-    for message_slots in slots.values():
-        for slot in message_slots:
-            if slot.path not in hops:
-                hops[slot.path] = _path_hops(slot.path, rows)
-    return _project(slots, hops, rows)
+    })
 
 
 def build_schedule(

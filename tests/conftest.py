@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib.util
 import json
@@ -63,6 +64,17 @@ def rewrite_entry(directory, key: str, entry: dict) -> None:
     (Path(directory) / "artifacts.pack").write_bytes(b"".join(
         head + blob.encode() + b"\n" if line.startswith(head) else line
         for line in pack_lines(directory)
+    ))
+
+
+# -- edited schedules ------------------------------------------------------------
+
+def with_slots(routing, name: str, slots):
+    """``routing`` with message ``name``'s slots replaced, unchecked: a
+    new schedule, whose Ω is the projection of the new slots."""
+    schedule = routing.schedule
+    return dataclasses.replace(routing, schedule=dataclasses.replace(
+        schedule, slots={**schedule.slots, name: tuple(slots)}
     ))
 
 

@@ -48,9 +48,7 @@ class TestMatrixConformance:
             timing=setup.timing, allocation=setup.allocation,
         )
         assert report.ok, report.summary()
-        assert set(report.checks) == {
-            "frame", "path", "link", "omega", "window",
-        }
+        assert set(report.checks) == {"frame", "path", "link", "window"}
 
     def test_diamond_on_torus_is_analyzer_clean(self, torus44):
         from repro.tfg.graph import build_tfg

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -52,7 +53,7 @@ class TestCleanSchedules:
         )
         assert report.ok
         assert report.findings == ()
-        assert report.checks == ("frame", "path", "link", "omega", "window")
+        assert report.checks == ("frame", "path", "link", "window")
         assert report.summary().startswith("CONFORMANT")
 
     def test_without_timing_still_checks_structure(self, compiled):
@@ -257,10 +258,12 @@ class TestWindowFindings:
         schedule = routing.schedule
         name = next(iter(schedule.bounds.bounds))
         b = schedule.bounds.bounds[name]
-        schedule.bounds.bounds[name] = MessageTimeBounds(
-            name=b.name, release=b.release, deadline=b.deadline + 1.0,
-            duration=b.duration, windows=b.windows,
-        )
+        schedule = dataclasses.replace(schedule, bounds=TimeBoundSet(
+            schedule.tau_in, {**schedule.bounds.bounds, name: MessageTimeBounds(
+                name=b.name, release=b.release, deadline=b.deadline + 1.0,
+                duration=b.duration, windows=b.windows,
+            )},
+        ))
         report = analyze_schedule(
             schedule, topology, timing=timing, allocation=allocation
         )
@@ -272,7 +275,10 @@ class TestCompletenessFindings:
         routing, timing, topology, allocation = compiled
         schedule = routing.schedule
         name = next(iter(schedule.slots))
-        del schedule.slots[name]
+        schedule = dataclasses.replace(schedule, slots={
+            other: slots for other, slots in schedule.slots.items()
+            if other != name
+        })
         report = analyze_schedule(
             schedule, topology, timing=timing, allocation=allocation
         )

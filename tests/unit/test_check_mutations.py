@@ -1,29 +1,29 @@
-"""Seeded-mutation suite: the analyzer must kill injected corruptions.
+"""Seeded-mutation suite: each checker must kill the corruptions of the
+input it owns.
 
 A detector that never fires on clean schedules is only useful if it
 fires on broken ones.  Each test corrupts a known-good compiled schedule
 with one seeded mutation from :mod:`repro.check.mutate` and asserts the
-analyzer reports at least one error; the aggregate test requires a
->= 95% kill rate over the whole corpus (ISSUE 4 acceptance criterion).
+checker that owns the corrupted input rejects it: the analyzer a slot
+mutant, the executor's replay a corrupted command memory.  The aggregate
+test requires a >= 95% analyzer kill rate over the slot operators.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 
 from repro.check import MUTATIONS, analyze_schedule, mutate_schedule
-from repro.check.mutate import MutationSkipped, retime_command
-from repro.core.compiler import CompilerConfig, compile_schedule
-from repro.core.executor import ScheduledRoutingExecutor
-from repro.core.switching import (
-    AP_PORT,
-    CommunicationSchedule,
-    NodeSchedule,
-    SwitchCommand,
+from repro.check.mutate import (
+    COMMAND_MUTATIONS,
+    SLOT_MUTATIONS,
+    MutationSkipped,
+    retime_command,
 )
+from repro.core.compiler import CompilerConfig, compile_schedule
+from repro.core.switching import AP_PORT, NodeSchedule, SwitchCommand
 from repro.errors import ReproError, ScheduleValidationError
 from repro.experiments import standard_setup
 from repro.tfg import TFGTiming, dvb_tfg
@@ -37,7 +37,7 @@ CONFIG = CompilerConfig(seed=0, max_paths=16, max_restarts=2, retries=1)
 #: Seeds per mutation operator in the corpus.
 SEEDS = range(8)
 
-#: ISSUE 4 acceptance criterion.
+#: The analyzer's least kill rate over the slot operators' corpus.
 REQUIRED_KILL_RATE = 0.95
 
 
@@ -58,6 +58,19 @@ def analyze(schedule, compiled):
     )
 
 
+def killed_by_owner(mutated, compiled):
+    """Whether the checker owning the mutated input rejects it: the
+    executor a command mutant, the analyzer a slot mutant."""
+    if mutated.mutation in COMMAND_MUTATIONS:
+        routing, *problem = compiled
+        try:
+            pins().replay_omega(routing, mutated.node_schedules, *problem)
+        except ReproError:
+            return True
+        return False
+    return not analyze(mutated.schedule, compiled).ok
+
+
 class TestMutationKill:
     def test_unmutated_baseline_is_clean(self, compiled):
         routing = compiled[0]
@@ -76,13 +89,12 @@ class TestMutationKill:
             except MutationSkipped:
                 continue
             applied += 1
-            if not analyze(mutated.schedule, compiled).ok:
-                killed += 1
+            killed += killed_by_owner(mutated, compiled)
         if applied == 0:
             pytest.skip(f"{mutation}: no site on this schedule")
         assert killed == applied, (
             f"{mutation}: {applied - killed} of {applied} corruptions "
-            "survived the analyzer"
+            "survived the checker that owns their input"
         )
 
     def test_corpus_kill_rate(self, compiled):
@@ -90,7 +102,7 @@ class TestMutationKill:
         applied = 0
         killed = 0
         survivors = []
-        for mutation in sorted(MUTATIONS):
+        for mutation in sorted(SLOT_MUTATIONS):
             for seed in SEEDS:
                 try:
                     mutated = mutate_schedule(
@@ -114,12 +126,14 @@ class TestMutationKill:
         before = {
             name: slots for name, slots in routing.schedule.slots.items()
         }
+        omega = dict(routing.schedule.node_schedules)
         for mutation in sorted(MUTATIONS):
             try:
                 mutate_schedule(routing.schedule, 0, mutation=mutation)
             except MutationSkipped:
                 continue
         assert routing.schedule.slots == before
+        assert routing.schedule.node_schedules == omega
         assert analyze(routing.schedule, compiled).ok
 
     def test_required_operators_present(self):
@@ -137,30 +151,33 @@ class TestMutationKill:
         assert a.mutation == b.mutation
         assert a.detail == b.detail
         assert a.schedule.slots == b.schedule.slots
+        assert a.node_schedules == b.node_schedules
 
 
 class TestRetimeCommand:
-    def omega(self, *times):
-        return CommunicationSchedule(20.0, slots={}, node_schedules={
+    def memory(self, *times):
+        """A command memory of one command per node, at these times."""
+        return {
             node: NodeSchedule(node, (SwitchCommand(t, 1.0, AP_PORT, 1, "m"),))
             for node, t in enumerate(times)
-        })
+        }
 
     def test_retime_changes_omega_and_reports_the_shift(self):
         """A command already at t = 0 cannot move earlier: it is never
         drawn, and the detail names the shift the command took."""
-        original = self.omega(0.0, 0.0, 0.0, 0.5)
+        original = self.memory(0.0, 0.0, 0.0, 0.5)
         for seed in range(8):
-            mutated = mutate_schedule(original, seed, "retime-command")
-            assert mutated.schedule.node_schedules != original.node_schedules
-            (moved,) = mutated.schedule.node_schedules[3].commands
-            assert mutated.detail == (
+            memory = dict(original)
+            detail = retime_command(memory, 20.0, random.Random(seed))
+            assert memory != original
+            (moved,) = memory[3].commands
+            assert detail == (
                 f"node 3 command 0 retimed by {moved.time - 0.5:+.4f}"
             )
 
     def test_no_command_to_retime_skips(self):
         with pytest.raises(MutationSkipped):
-            retime_command(self.omega(0.0, 0.0), random.Random(0))
+            retime_command(self.memory(0.0, 0.0), 20.0, random.Random(0))
 
 
 #: Operators whose every mutant is a wrong Ω; ``retime-command`` only
@@ -184,13 +201,12 @@ def _dvb5_routing(topology, load):
     return routing, setup.timing, setup.topology, setup.allocation
 
 
-def _executor_verdict(compiled, schedule, invocations):
-    """``None`` when the executor passes ``schedule``, else its error type."""
+def _executor_verdict(compiled, node_schedules, invocations):
+    """``None`` when the executor passes the command memory
+    ``node_schedules``, else its error type."""
     routing, *problem = compiled
     try:
-        ScheduledRoutingExecutor(
-            dataclasses.replace(routing, schedule=schedule), *problem
-        ).run(invocations=invocations, warmup=2)
+        pins().replay_omega(routing, node_schedules, *problem, invocations)
     except ReproError as error:
         return type(error)
     return None
@@ -206,7 +222,9 @@ def test_executor_alone_kills_every_omega_mutant(topology, load, invocations):
     for mutation in OMEGA_MUTATIONS:
         for seed in range(4):
             mutant = mutate_schedule(compiled[0].schedule, seed, mutation)
-            verdict = _executor_verdict(compiled, mutant.schedule, invocations)
+            verdict = _executor_verdict(
+                compiled, mutant.node_schedules, invocations
+            )
             assert verdict is not None
             assert issubclass(verdict, ScheduleValidationError)
 
@@ -228,7 +246,7 @@ def test_executor_verdict_does_not_depend_on_invocations(topology, load):
             except MutationSkipped:
                 continue
             verdicts = {
-                n: _executor_verdict(compiled, mutant.schedule, n)
+                n: _executor_verdict(compiled, mutant.node_schedules, n)
                 for n in (6, 12, 24)
             }
             assert len(set(verdicts.values())) == 1, (
@@ -247,12 +265,15 @@ def test_kill_matrix_matches_the_pin():
 
 @pytest.fixture(scope="module")
 def kill_corpus():
-    """The ``check.kill_matrix`` mutants, each with its analyzer report
-    and ``validate()``'s verdict."""
+    """The ``check.kill_matrix`` slot mutants, each with its analyzer
+    report and ``validate()``'s verdict."""
     corpus = []
-    for operator, mutant, _, (timing, topology, allocation) in (
+    for operator, mutated, _, (timing, topology, allocation) in (
         pins().kill_corpus()
     ):
+        if operator in COMMAND_MUTATIONS:
+            continue
+        mutant = mutated.schedule
         report = analyze_schedule(
             mutant, topology, timing=timing, allocation=allocation
         )

@@ -5,7 +5,7 @@ import pytest
 from repro.check.fuzz import FuzzPoint
 from repro.core.compiler import CompilerConfig, compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
-from repro.core.switching import TransmissionSlot, node_schedules_of
+from repro.core.switching import TransmissionSlot
 from repro.errors import (
     FaultedDeadlineError,
     FaultInjectionError,
@@ -20,6 +20,7 @@ from repro.tfg import TFGTiming, dvb_tfg
 from repro.tfg.synth import chain_tfg
 from repro.topology import make_topology
 from repro.trace import TraceRecorder
+from tests.conftest import with_slots
 
 
 @pytest.fixture()
@@ -101,10 +102,7 @@ class TestRun:
                              s.duration, s.path)
             for s in slots
         )
-        routing.schedule.slots[name] = shifted
-        routing.schedule.node_schedules = node_schedules_of(
-            routing.schedule.slots
-        )
+        routing = with_slots(routing, name, shifted)
         with pytest.raises(ScheduleValidationError):
             ScheduledRoutingExecutor(routing, timing, topo, allocation).run(
                 invocations=12, warmup=2
@@ -116,13 +114,10 @@ class TestRun:
         routing, timing, topo, allocation = chain_routing
         (slot,) = routing.schedule.slots["m0"]
         half = slot.duration / 2
-        routing.schedule.slots["m0"] = (
+        routing = with_slots(routing, "m0", (
             TransmissionSlot("m0", slot.start, half, slot.path),
             TransmissionSlot("m0", slot.start + half, half, slot.path),
-        )
-        routing.schedule.node_schedules = node_schedules_of(
-            routing.schedule.slots
-        )
+        ))
         executor = ScheduledRoutingExecutor(routing, timing, topo, allocation)
         tracer = TraceRecorder(categories=("link",))
         result = executor.run(invocations=12, warmup=2, tracer=tracer)
@@ -194,13 +189,10 @@ class TestReplayedPeriods:
         """m1 re-routed over m0's link: an early t0 clock moves m0's
         window into m1's (contention), a late one past t1's start."""
         routing, timing, topo, allocation = chain_routing
-        routing.schedule.slots["m1"] = tuple(
+        routing = with_slots(routing, "m1", tuple(
             TransmissionSlot("m1", s.start, s.duration, (1, 0, 2, 3))
             for s in routing.schedule.slots["m1"]
-        )
-        routing.schedule.node_schedules = node_schedules_of(
-            routing.schedule.slots
-        )
+        ))
         executor = ScheduledRoutingExecutor(routing, timing, topo, allocation)
         trace = FaultTrace(drifts=(ClockDrift(allocation["t0"], offset),))
         with pytest.raises(FaultInjectionError) as info:

@@ -1,16 +1,18 @@
 """Unit tests for switching schedules and Omega validation."""
 
+import dataclasses
 import itertools
 
 import pytest
 
+from repro.check.mutate import COMMAND_MUTATIONS
 from repro.core.compiler import compile_schedule
 from repro.core.switching import (
     AP_PORT,
     CommunicationSchedule,
+    NodeSchedule,
     SwitchCommand,
     TransmissionSlot,
-    node_schedules_of,
 )
 from repro.errors import ScheduleValidationError, SchedulingError
 from tests.conftest import pins
@@ -54,7 +56,9 @@ def slot_commands(s):
     """``node -> its one command`` for the single slot ``s``."""
     return {
         node: ns.commands[0]
-        for node, ns in node_schedules_of({s.message: (s,)}).items()
+        for node, ns in CommunicationSchedule(
+            100.0, {s.message: (s,)}
+        ).node_schedules.items()
     }
 
 
@@ -78,9 +82,7 @@ class TestSlotCommands:
 
 def schedule_from_slots(slots_by_message, tau_in=100.0):
     slots = {m: tuple(s) for m, s in slots_by_message.items()}
-    return CommunicationSchedule(
-        tau_in=tau_in, slots=slots, node_schedules=node_schedules_of(slots)
-    )
+    return CommunicationSchedule(tau_in=tau_in, slots=slots)
 
 
 class TestValidation:
@@ -112,15 +114,6 @@ class TestValidation:
             }
         )
         schedule.validate()
-
-    def test_node_schedule_mismatch_caught(self):
-        schedule = schedule_from_slots(
-            {"m1": [slot("m1", 0.0, 5.0, (0, 1))]}
-        )
-        # Drop one node's commands.
-        del schedule.node_schedules[1]
-        with pytest.raises(ScheduleValidationError, match="do not match"):
-            schedule.validate()
 
     def test_same_message_preemption_slots_pass(self):
         schedule = schedule_from_slots(
@@ -173,11 +166,60 @@ class TestSwitchCommand:
         assert command._replace(time=0.5).time == 0.5
 
 
-# -- the checked constructor against validate() ---------------------------------
+class TestFrozen:
+    """Ω is a view of the slots: nothing can be assigned that would
+    leave it stale."""
 
-#: Operators that edit node schedules only; every other one edits slots and
-#: re-projects Ω.
-OMEGA_OPERATORS = {"swap-crossbar-ports", "delete-command", "retime-command"}
+    def schedule(self):
+        return CommunicationSchedule.from_slots(
+            100.0, {"m": (slot("m", 0.0, 5.0, (0, 1)),)}, None,
+            {"m": (0, 1)},
+        )
+
+    @pytest.mark.parametrize(
+        "field", ["tau_in", "slots", "bounds", "assignment", "node_schedules"]
+    )
+    def test_no_attribute_can_be_assigned(self, field):
+        schedule = self.schedule()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(schedule, field, {})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(schedule, field)
+
+    def test_no_mapping_item_can_be_assigned(self):
+        schedule = self.schedule()
+        items = (
+            (schedule.slots, "m", ()),
+            (schedule.assignment, "m", (0, 2)),
+            (schedule.node_schedules, 0, NodeSchedule(0, ())),
+        )
+        for mapping, key, value in items:
+            with pytest.raises(TypeError):
+                mapping[key] = value
+            with pytest.raises(TypeError):
+                del mapping[key]
+
+    def test_the_caller_dict_is_not_shared(self):
+        slots = {"m": (slot("m", 0.0, 5.0, (0, 1)),)}
+        schedule = CommunicationSchedule(100.0, slots)
+        before = dict(schedule.node_schedules)
+        slots["n"] = (slot("n", 0.0, 5.0, (2, 3)),)
+        assert set(schedule.slots) == {"m"}
+        assert schedule.node_schedules == before
+
+    def test_replace_projects_the_new_slots(self):
+        schedule = self.schedule()
+        moved = (slot("m", 7.0, 5.0, (0, 2, 3)),)
+        edited = dataclasses.replace(schedule, slots={"m": moved})
+        assert edited.node_schedules == {
+            0: NodeSchedule(0, (SwitchCommand(7.0, 5.0, AP_PORT, 2, "m"),)),
+            2: NodeSchedule(2, (SwitchCommand(7.0, 5.0, 0, 3, "m"),)),
+            3: NodeSchedule(3, (SwitchCommand(7.0, 5.0, 2, AP_PORT, "m"),)),
+        }
+        assert schedule.node_schedules[1].commands[0].time == 0.0
+
+
+# -- the checked constructor against validate() ---------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -215,12 +257,16 @@ def _rebuilt(schedule):
 
 
 def test_checked_constructor_is_the_projection(corpus_schedules):
-    """Ω from the one checked pass is ``node_schedules_of(slots)``, node
-    for node and command for command, in order."""
+    """Ω from the one checked pass is the unchecked constructor's
+    projection of the same slots, node for node and command for command,
+    in order."""
     assert len(corpus_schedules) >= 15
     for schedule in corpus_schedules:
         rebuilt = _rebuilt(schedule)
-        projected = node_schedules_of(schedule.slots)
+        projected = CommunicationSchedule(
+            schedule.tau_in, schedule.slots, schedule.bounds,
+            schedule.assignment,
+        ).node_schedules
         assert list(rebuilt.node_schedules) == list(projected)
         assert rebuilt.node_schedules == projected == schedule.node_schedules
         assert rebuilt == schedule
@@ -238,10 +284,12 @@ def test_checked_constructor_raises_as_validate(kill_corpus):
     """On every slot-level mutant, the constructor raises exactly when
     ``validate()`` does, with the same message."""
     outcomes = []
-    for operator, mutant, _, _ in kill_corpus:
-        if operator in OMEGA_OPERATORS:
+    for operator, mutated, _, _ in kill_corpus:
+        if operator in COMMAND_MUTATIONS:
             continue
-        expected = _outcome(mutant.validate)
-        assert _outcome(lambda: _rebuilt(mutant)) == expected, operator
+        expected = _outcome(mutated.schedule.validate)
+        assert _outcome(lambda: _rebuilt(mutated.schedule)) == expected, (
+            operator
+        )
         outcomes.append(expected)
     assert any(outcomes) and None in outcomes

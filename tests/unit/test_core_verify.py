@@ -1,5 +1,7 @@
 """Unit tests for the bundled schedule verification."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.compiler import compile_schedule
@@ -38,10 +40,13 @@ class TestVerifySchedule:
         routing, timing, topology, allocation = compiled
         name = next(iter(routing.schedule.slots))
         slots = routing.schedule.slots[name]
-        routing.schedule.slots[name] = tuple(
-            TransmissionSlot(s.message, s.start, s.duration / 2, s.path)
-            for s in slots
-        )
+        routing.schedule = dataclasses.replace(routing.schedule, slots={
+            **routing.schedule.slots,
+            name: tuple(
+                TransmissionSlot(s.message, s.start, s.duration / 2, s.path)
+                for s in slots
+            ),
+        })
         with pytest.raises(ScheduleValidationError):
             verify_schedule(routing, timing, topology, allocation)
 

@@ -16,12 +16,7 @@ import pytest
 
 from repro.core.compiler import compile_schedule
 from repro.core.executor import Circuit, ScheduledRoutingExecutor
-from repro.core.switching import (
-    AP_PORT,
-    CommunicationSchedule,
-    NodeSchedule,
-    SwitchCommand,
-)
+from repro.core.switching import AP_PORT, NodeSchedule, SwitchCommand
 from repro.errors import ScheduleValidationError
 from repro.tfg import TFGTiming
 from repro.tfg.graph import TaskFlowGraph
@@ -30,7 +25,7 @@ from repro.tfg.synth import chain_tfg
 FRAME = 20.0
 
 
-def executor(cube3, messages, commands, frame=FRAME):
+def executor(cube3, messages, commands, frame=FRAME, demand=None):
     """An executor over hand-written node schedules.
 
     ``messages`` maps each message to its ``(source, destination)`` node;
@@ -38,7 +33,15 @@ def executor(cube3, messages, commands, frame=FRAME):
     message)`` settings.  Every source task finishes at t = 1, every
     message gets a 40-long window and a frame release of 0, so a circuit
     at frame time ``t`` runs at ``j * frame + 1 + t`` in invocation ``j``.
+    A message's transmission duration is ``demand[name]``, or else the
+    time its source's AP is commanded to send it for.
     """
+    sent = dict.fromkeys(messages, 0.0)
+    for settings in commands.values():
+        for _, duration, input_port, _, name in settings:
+            if input_port == AP_PORT and name in sent:
+                sent[name] += duration
+    sent.update(demand or {})
     tfg, allocation = TaskFlowGraph("omega"), {}
     for name, (src, dst) in messages.items():
         tfg.add_task(f"{name}.src", 40.0)
@@ -46,14 +49,15 @@ def executor(cube3, messages, commands, frame=FRAME):
         tfg.add_message(name, f"{name}.src", f"{name}.dst", 1280.0)
         allocation[f"{name}.src"], allocation[f"{name}.dst"] = src, dst
     timing = TFGTiming(tfg, 128.0, speeds=40.0, message_window=40.0)
-    schedule = CommunicationSchedule(frame, slots={}, node_schedules={
+    schedule = SimpleNamespace(node_schedules={
         node: NodeSchedule(node, tuple(SwitchCommand(*c) for c in settings))
         for node, settings in commands.items()
     })
     routing = SimpleNamespace(
         tau_in=frame, schedule=schedule,
         bounds=SimpleNamespace(bounds={
-            name: SimpleNamespace(release=0.0) for name in messages
+            name: SimpleNamespace(release=0.0, duration=sent[name])
+            for name in messages
         }),
     )
     return ScheduledRoutingExecutor(routing, timing, cube3, allocation)
@@ -231,6 +235,16 @@ class TestMalformedOmega:
                         1: [(0.0, 5.0, 0, AP_PORT, "m")],
                         2: [(0.0, 5.0, AP_PORT, 0, "l")],
                     })
+
+    def test_circuits_short_of_the_demand(self, cube3):
+        with pytest.raises(
+            ScheduleValidationError,
+            match="'m': circuits carry 5.000000 of 10.000000",
+        ):
+            executor(cube3, {"m": (0, 1)}, {
+                0: [(0.0, 5.0, AP_PORT, 1, "m")],
+                1: [(0.0, 5.0, 0, AP_PORT, "m")],
+            }, demand={"m": 10.0})
 
     def test_routed_message_without_circuit(self, cube3):
         self.reject(cube3, "routed message 'n' has no circuit",

@@ -14,12 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.executor import ScheduledRoutingExecutor
-from repro.core.switching import (
-    AP_PORT,
-    CommunicationSchedule,
-    NodeSchedule,
-    SwitchCommand,
-)
+from repro.core.switching import AP_PORT, NodeSchedule, SwitchCommand
 from repro.topology import binary_hypercube
 
 
@@ -36,13 +31,16 @@ def _executor(tau_in, release, slot_specs, src_finish):
             for start, duration in slot_specs
         )
 
-    schedule = CommunicationSchedule(tau_in, slots={}, node_schedules={
+    schedule = SimpleNamespace(node_schedules={
         0: NodeSchedule(0, commands(AP_PORT, 1)),
         1: NodeSchedule(1, commands(0, AP_PORT)),
     })
+    duration = sum(duration for _, duration in slot_specs)
     routing = SimpleNamespace(
         tau_in=tau_in,
-        bounds=SimpleNamespace(bounds={"m": SimpleNamespace(release=release)}),
+        bounds=SimpleNamespace(bounds={
+            "m": SimpleNamespace(release=release, duration=duration),
+        }),
         schedule=schedule,
     )
     message = SimpleNamespace(src="s", dst="t", name="m")

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.compiler import compile_schedule
 from repro.core.executor import ScheduledRoutingExecutor
-from repro.core.switching import TransmissionSlot, node_schedules_of
+from repro.core.switching import TransmissionSlot
+from tests.conftest import with_slots
 from repro.errors import (
     FaultedDeadlineError,
     FaultInjectionError,
@@ -184,13 +185,10 @@ class TestExecutorUnderFaults:
         window of m1 re-routed over the same link: the claim queues behind
         the holder, and the late hand-over is blamed on the machine."""
         executor, routing, timing, allocation = chain_exec
-        routing.schedule.slots["m1"] = tuple(
+        routing = with_slots(routing, "m1", tuple(
             TransmissionSlot("m1", s.start, s.duration, (1, 0, 2, 3))
             for s in routing.schedule.slots["m1"]
-        )
-        routing.schedule.node_schedules = node_schedules_of(
-            routing.schedule.slots
-        )
+        ))
         executor = ScheduledRoutingExecutor(
             routing, timing, executor.topology, allocation
         )

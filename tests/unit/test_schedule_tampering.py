@@ -7,6 +7,7 @@ executor's replay of Ω catches it.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,12 +18,12 @@ from repro.core.switching import (
     NodeSchedule,
     SwitchCommand,
     TransmissionSlot,
-    node_schedules_of,
 )
 from repro.core.timebounds import TimeBoundSet
 from repro.errors import ScheduleValidationError
 from repro.tfg import TFGTiming
 from repro.tfg.synth import chain_tfg
+from tests.conftest import with_slots
 
 
 @pytest.fixture()
@@ -40,62 +41,65 @@ def rebuild(schedule: CommunicationSchedule) -> CommunicationSchedule:
     return schedule_from_dict(schedule_to_dict(schedule))
 
 
-def execute(good, schedule: CommunicationSchedule) -> None:
-    """Run ``schedule`` in place of the good one on the executor."""
+def execute(good, node_schedules) -> None:
+    """Run the CPs on the command memory ``node_schedules`` (node ->
+    ``NodeSchedule``) in place of the good schedule's Ω."""
     routing, timing, topology, allocation = good
     ScheduledRoutingExecutor(
-        dataclasses.replace(routing, schedule=schedule),
+        dataclasses.replace(
+            routing, schedule=SimpleNamespace(node_schedules=node_schedules)
+        ),
         timing, topology, allocation,
     ).run(invocations=12, warmup=2)
 
 
-def set_slots(routing, name: str, slots) -> None:
-    """Replace one message's slots *and* Ω, consistently."""
-    routing.schedule.slots[name] = tuple(slots)
-    routing.schedule.node_schedules = node_schedules_of(routing.schedule.slots)
+def with_command(schedule: CommunicationSchedule, command: SwitchCommand):
+    """The command memory of ``schedule`` with ``command`` appended to
+    its first node's commands, and that node."""
+    memory = dict(schedule.node_schedules)
+    node, node_schedule = next(iter(memory.items()))
+    memory[node] = NodeSchedule(node, node_schedule.commands + (command,))
+    return memory
 
 
 class TestStaticValidatorCoverage:
     def test_shortened_slot_caught(self, good):
         routing, *_ = good
-        schedule = rebuild(routing.schedule)
-        name = next(iter(schedule.slots))
-        slots = schedule.slots[name]
-        schedule.slots[name] = (
+        name = next(iter(routing.schedule.slots))
+        slots = routing.schedule.slots[name]
+        schedule = with_slots(routing, name, (
             TransmissionSlot(name, slots[0].start, slots[0].duration * 0.5,
                              slots[0].path),
-        ) + slots[1:]
+        ) + slots[1:]).schedule
         with pytest.raises(ScheduleValidationError, match="transmission time"):
             schedule.validate()
 
     def test_slot_outside_window_caught(self, good):
         routing, *_ = good
-        schedule = rebuild(routing.schedule)
-        name = next(iter(schedule.slots))
-        slots = schedule.slots[name]
-        bound = schedule.bounds.bounds[name]
-        bad_start = (bound.windows[-1][1] + 1.0) % schedule.tau_in
-        schedule.slots[name] = (
+        name = next(iter(routing.schedule.slots))
+        slots = routing.schedule.slots[name]
+        bound = routing.bounds.bounds[name]
+        bad_start = (bound.windows[-1][1] + 1.0) % routing.tau_in
+        schedule = with_slots(routing, name, (
             TransmissionSlot(name, bad_start, slots[0].duration,
                              slots[0].path),
-        ) + slots[1:]
+        ) + slots[1:]).schedule
         with pytest.raises(ScheduleValidationError):
             schedule.validate()
 
     def test_overlapping_link_use_caught(self, good):
         routing, *_ = good
-        schedule = rebuild(routing.schedule)
+        slots = routing.schedule.slots
         # Force two different messages onto one link at one time by
         # retiming the second message's slot onto the first's.
-        names = sorted(schedule.slots)
-        first, second = names[0], names[1]
-        target = schedule.slots[first][0]
-        donor = schedule.slots[second][0]
+        first, second = sorted(slots)[:2]
+        target = slots[first][0]
+        donor = slots[second][0]
         # Give `second` a fabricated slot on `first`'s path and time.
-        schedule.slots[second] = (
+        schedule = with_slots(routing, second, (
             TransmissionSlot(second, target.start, donor.duration,
                              target.path),
-        ) + schedule.slots[second][1:]
+        ) + slots[second][1:]).schedule
         with pytest.raises(ScheduleValidationError):
             schedule.validate()
 
@@ -106,8 +110,10 @@ class TestStaticValidatorCoverage:
         routing, *_ = good
         schedule = rebuild(routing.schedule)
         name = sorted(schedule.slots)[0]
-        del schedule.slots[name]
-        schedule.node_schedules = node_schedules_of(schedule.slots)
+        schedule = dataclasses.replace(schedule, slots={
+            other: slots for other, slots in schedule.slots.items()
+            if other != name
+        })
         with pytest.raises(ScheduleValidationError, match="scheduled 0.0"):
             schedule.validate()
         with pytest.raises(ScheduleValidationError, match="scheduled 0.0"):
@@ -122,74 +128,66 @@ class TestStaticValidatorCoverage:
         name = sorted(schedule.slots)[0]
         bounds = dict(schedule.bounds.bounds)
         del bounds[name]
-        schedule.bounds = TimeBoundSet(schedule.tau_in, bounds)
-        with pytest.raises(ScheduleValidationError, match="no time bounds"):
-            schedule.validate()
-
-    def test_missing_node_commands_caught(self, good):
-        routing, *_ = good
-        schedule = rebuild(routing.schedule)
-        node = next(iter(schedule.node_schedules))
-        del schedule.node_schedules[node]
-        with pytest.raises(ScheduleValidationError, match="do not match"):
-            schedule.validate()
-
-    def test_spurious_node_command_caught(self, good):
-        routing, *_ = good
-        schedule = rebuild(routing.schedule)
-        node, node_schedule = next(iter(schedule.node_schedules.items()))
-        extra = SwitchCommand(0.0, 1.0, "AP", 99, "ghost")
-        schedule.node_schedules[node] = NodeSchedule(
-            node, node_schedule.commands + (extra,)
+        schedule = dataclasses.replace(
+            schedule, bounds=TimeBoundSet(schedule.tau_in, bounds)
         )
-        with pytest.raises(ScheduleValidationError, match="do not match"):
+        with pytest.raises(ScheduleValidationError, match="no time bounds"):
             schedule.validate()
 
 
 class TestHardwareReplayCoverage:
+    """Ω is a view of the slots, so a corrupted command memory is
+    modelled where it runs: on the executor."""
+
+    def test_missing_node_commands_caught(self, good):
+        routing, *_ = good
+        memory = dict(routing.schedule.node_schedules)
+        del memory[next(iter(memory))]
+        with pytest.raises(ScheduleValidationError, match="circuit broken"):
+            execute(good, memory)
+
+    def test_spurious_node_command_caught(self, good, cube3):
+        routing, *_ = good
+        node = next(iter(routing.schedule.node_schedules))
+        extra = SwitchCommand(0.0, 1.0, "AP", cube3.neighbors(node)[0],
+                              "ghost")
+        with pytest.raises(ScheduleValidationError, match="no routed message"):
+            execute(good, with_command(routing.schedule, extra))
+
     def test_unknown_channel_caught(self, good, cube3):
         routing, *_ = good
-        schedule = rebuild(routing.schedule)
-        node, node_schedule = next(iter(schedule.node_schedules.items()))
+        node = next(iter(routing.schedule.node_schedules))
         far = next(
             n for n in range(cube3.num_nodes)
             if n not in cube3.neighbors(node) and n != node
         )
         bogus = SwitchCommand(0.0, 1.0, "AP", far, "ghost")
-        schedule.node_schedules[node] = NodeSchedule(
-            node, node_schedule.commands + (bogus,)
-        )
         with pytest.raises(ScheduleValidationError, match="no channel"):
-            execute(good, schedule)
+            execute(good, with_command(routing.schedule, bogus))
 
     def test_command_past_frame_caught(self, good, cube3):
         routing, *_ = good
-        schedule = rebuild(routing.schedule)
-        node, node_schedule = next(iter(schedule.node_schedules.items()))
-        neighbor = cube3.neighbors(node)[0]
+        node = next(iter(routing.schedule.node_schedules))
         late = SwitchCommand(
-            schedule.tau_in - 0.5, 2.0, "AP", neighbor, "late"
-        )
-        schedule.node_schedules[node] = NodeSchedule(
-            node, node_schedule.commands + (late,)
+            routing.tau_in - 0.5, 2.0, "AP", cube3.neighbors(node)[0], "late"
         )
         with pytest.raises(ScheduleValidationError, match="outside frame"):
-            execute(good, schedule)
+            execute(good, with_command(routing.schedule, late))
 
 
 class TestExecutorCoverage:
     def test_shifted_slots_caught_at_runtime(self, good):
         routing, timing, topology, allocation = good
         name = next(iter(routing.schedule.slots))
-        set_slots(routing, name, (
-            TransmissionSlot(
-                s.message, (s.start + 11.0) % routing.tau_in, s.duration,
-                s.path,
-            )
-            for s in routing.schedule.slots[name]
-        ))
         executor = ScheduledRoutingExecutor(
-            routing, timing, topology, allocation
+            with_slots(routing, name, (
+                TransmissionSlot(
+                    s.message, (s.start + 11.0) % routing.tau_in,
+                    s.duration, s.path,
+                )
+                for s in routing.schedule.slots[name]
+            )),
+            timing, topology, allocation,
         )
         with pytest.raises(ScheduleValidationError):
             executor.run(invocations=12, warmup=2)
@@ -197,25 +195,26 @@ class TestExecutorCoverage:
     @pytest.mark.parametrize(
         "windows",
         [
-            [(10.0, 7.0), (15.0, 5.0)],   # two windows overlap on (0, 1)
-            [(10.0, 10.0), (12.0, 3.0)],  # one nested inside the other
+            [(10.0, 6.0), (14.0, 4.0)],  # two windows overlap on (0, 1)
+            [(10.0, 7.0), (12.0, 3.0)],  # one nested inside the other
         ],
         ids=["overlapping", "nested"],
     )
     def test_windows_colliding_on_a_link_are_contention(self, good, windows):
         """The second claim queues behind the first window's hold: whether
         it is granted late (overlap) or its own window closes first
-        (nested), the replay reports contention.  The last window still
-        ends by the deadline, so only the dynamic check can see it."""
+        (nested), the replay reports contention.  The windows carry the
+        message's whole duration and the last one still ends by the
+        deadline, so only the dynamic check can see it."""
         routing, timing, topology, allocation = good
         (slot,) = routing.schedule.slots["m0"]
         assert (slot.start, slot.duration) == (10.0, 10.0)
-        set_slots(routing, "m0", (
-            TransmissionSlot("m0", start, duration, slot.path)
-            for start, duration in windows
-        ))
         executor = ScheduledRoutingExecutor(
-            routing, timing, topology, allocation
+            with_slots(routing, "m0", (
+                TransmissionSlot("m0", start, duration, slot.path)
+                for start, duration in windows
+            )),
+            timing, topology, allocation,
         )
         with pytest.raises(ScheduleValidationError, match="contention"):
             executor.run(invocations=12, warmup=2)
@@ -307,9 +306,7 @@ class TestErrorMessages:
         with pytest.raises(ScheduleValidationError) as built:
             CommunicationSchedule.from_slots(tau_in, slots, bounds, {})
         assert str(built.value) == message
-        handed_in = CommunicationSchedule(
-            tau_in, slots, node_schedules_of(slots), bounds, {}
-        )
+        handed_in = CommunicationSchedule(tau_in, slots, bounds, {})
         with pytest.raises(ScheduleValidationError) as validated:
             handed_in.validate()
         assert str(validated.value) == message
@@ -338,6 +335,34 @@ UNPARSABLE = {
         lambda d: d["assignment"].update(m=[0.9, 1.2]),
         "message 'm': node id 0.9 is not an integer",
     ),
+}
+
+
+def _slot_field(field, value):
+    def edit(data):
+        data["slots"]["m"][0][field] = value
+        return data
+    return edit
+
+
+#: A file of the wrong shape, or a time that is no number: ``(edit of
+#: the one-message file, the refusal)``.
+HOLES = {
+    "top-level-array": (lambda d: [], "schedule is list, not an object"),
+    "assignment-array": (lambda d: {**d, "assignment": []},
+                         "assignment is list, not an object"),
+    "slots-array": (lambda d: {**d, "slots": []},
+                    "slots is list, not an object"),
+    "bounds-array": (lambda d: {**d, "bounds": []},
+                     "bounds is list, not an object"),
+    "slot-not-an-object": (lambda d: {**d, "slots": {"m": [[0.0, 10.0]]}},
+                           "message 'm': slot is list, not an object"),
+    "string-start": (_slot_field("start", "12.5"),
+                     "message 'm': slot start '12.5' is not a number"),
+    "bool-duration": (_slot_field("duration", True),
+                      "message 'm': slot duration True is not a number"),
+    "string-tau-in": (lambda d: {**d, "tau_in": "166.6"},
+                      "tau_in '166.6' is not a number"),
 }
 
 
@@ -376,3 +401,32 @@ class TestFileFields:
         assert capsys.readouterr().err.splitlines()[-1].endswith(
             f"ScheduleValidationError: {message}"
         )
+
+    @pytest.mark.parametrize("case", HOLES)
+    def test_refused_by_loader_analyzer_and_check(
+        self, case, tmp_path, cube3, capsys
+    ):
+        """The loader, the analyzer and ``repro-sr check`` (with and
+        without ``--revalidate``) refuse the file alike, naming the
+        field; ``check`` exits 2."""
+        import json
+
+        from repro.check.analyzer import analyze_file
+        from repro.cli import main
+        from repro.core.io import load_schedule
+        from tests.unit.test_core_io import one_message
+
+        edit, message = HOLES[case]
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps(edit(one_message([(0.0, 10.0)]))))
+        for read in (load_schedule, lambda p: analyze_file(p, cube3)):
+            with pytest.raises(ScheduleValidationError) as refused:
+                read(path)
+            assert str(refused.value) == message
+        for flags in ([], ["--revalidate"]):
+            with pytest.raises(SystemExit) as stop:
+                main(["check", str(path), *flags])
+            assert stop.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1].endswith(
+                f"ScheduleValidationError: {message}"
+            )

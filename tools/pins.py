@@ -24,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,7 +34,8 @@ from benchmarks.e2e import inputs  # noqa: E402
 from repro.cache import ScheduleCache, diagnosis_cache_key, schedule_cache_key  # noqa: E402
 from repro.check.analyzer import analyze_schedule  # noqa: E402
 from repro.check.fuzz import _CONFIG as FUZZ_CONFIG, FuzzPoint  # noqa: E402
-from repro.check.mutate import MUTATIONS, MutationSkipped, mutate_schedule  # noqa: E402
+from repro.check.mutate import (COMMAND_MUTATIONS, MUTATIONS,  # noqa: E402
+                                MutationSkipped, mutate_schedule)
 from repro.core import pipeline  # noqa: E402
 from repro.core.assignment import PathAssignment  # noqa: E402
 from repro.core.compiler import CompilerConfig, compile_schedule  # noqa: E402
@@ -231,38 +233,51 @@ def _rejects(check) -> bool:
 
 def kill_corpus():
     """Every mutant of the kill matrix, in order: per point of
-    :data:`KILL_POINTS`, operator and seed 0-3, ``(operator, mutant,
-    routing, (timing, topology, allocation))``.  The reference LP backend
-    compiles the schedules, so no HiGHS build moves them."""
+    :data:`KILL_POINTS`, operator and seed 0-3, ``(operator, mutated,
+    routing, (timing, topology, allocation))`` with ``mutated`` a
+    :class:`~repro.check.mutate.MutatedSchedule`.  The reference LP
+    backend compiles the schedules, so no HiGHS build moves them."""
     instances = inputs.Instances()
     for name, load in KILL_POINTS:
         problem = timing, topology, allocation, _ = instances.dvb(5, name, 128.0, load)
         routing = compile_schedule(*problem, CompilerConfig(**inputs.COMPILER_FIELDS,
                                                             lp_backend="reference"))
-        for operator, seed in itertools.product(sorted(MUTATIONS), range(4)):
+        for operator, seed in itertools.product(MUTATIONS, range(4)):
             try:
-                mutant = mutate_schedule(routing.schedule, seed, operator).schedule
+                mutated = mutate_schedule(routing.schedule, seed, operator)
             except MutationSkipped:
                 continue
-            yield operator, mutant, routing, (timing, topology, allocation)
+            yield operator, mutated, routing, (timing, topology, allocation)
+
+
+def replay_omega(routing, node_schedules, timing, topology, allocation, invocations=12):
+    """The executor's replay of ``routing`` with its CPs running the
+    command memory ``node_schedules``: the executor reads nothing else of
+    the schedule."""
+    stand_in = SimpleNamespace(node_schedules=node_schedules)
+    return ScheduledRoutingExecutor(
+        dataclasses.replace(routing, schedule=stand_in), timing, topology,
+        allocation).run(invocations=invocations, warmup=2)
 
 
 def kill_matrix() -> dict:
     """Per mutation operator of :func:`kill_corpus`: how many mutants it
-    made and how many each checker killed on its own -- the analyzer by an
-    error finding, ``validate()`` and the executor's replay of Ω (12
-    invocations) by raising a :class:`ReproError`."""
-    matrix = {operator: dict.fromkeys(("applied", "analyzer", "validate", "executor"), 0)
-              for operator in sorted(MUTATIONS)}
-    for operator, mutant, routing, (timing, topology, allocation) in kill_corpus():
+    made and how many each checker that owns the mutated input killed on
+    its own -- on a slot mutant the analyzer by an error finding and
+    ``validate()`` by raising a :class:`ReproError`, on every mutant the
+    executor's replay of Ω by raising one."""
+    matrix = {operator: dict.fromkeys(("applied", "executor") if operator in COMMAND_MUTATIONS
+                                      else ("applied", "analyzer", "validate", "executor"), 0)
+              for operator in MUTATIONS}
+    for operator, mutated, routing, (timing, topology, allocation) in kill_corpus():
         row = matrix[operator]
         row["applied"] += 1
-        row["analyzer"] += not analyze_schedule(
-            mutant, topology, timing=timing, allocation=allocation).ok
-        row["validate"] += _rejects(mutant.validate)
-        row["executor"] += _rejects(lambda: ScheduledRoutingExecutor(
-            dataclasses.replace(routing, schedule=mutant), timing, topology,
-            allocation).run(invocations=12, warmup=2))
+        if operator not in COMMAND_MUTATIONS:
+            row["analyzer"] += not analyze_schedule(
+                mutated.schedule, topology, timing=timing, allocation=allocation).ok
+            row["validate"] += _rejects(mutated.schedule.validate)
+        row["executor"] += _rejects(lambda: replay_omega(
+            routing, mutated.node_schedules, timing, topology, allocation))
     return matrix
 
 
