@@ -76,8 +76,10 @@ from repro.mapping.allocation import Allocation, random_allocation
 from repro.solvers import have_scipy
 from repro.tfg.analysis import TFGTiming
 from repro.tfg.synth import random_layered_tfg
-from repro.topology import Mesh, Torus, binary_hypercube
 from repro.topology.base import Topology
+from repro.topology.hypercube import binary_hypercube
+from repro.topology.mesh import Mesh
+from repro.topology.torus import Torus
 
 #: The materialized inputs of one fuzz point: (timing, topology,
 #: allocation, tau_in) as returned by :meth:`FuzzPoint.build`.

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import sys
+from pathlib import Path
+from typing import NoReturn
 
 # Only what building the parser needs is imported here, none of it numpy
 # or ``repro.core``: each ``_cmd_*`` imports what it runs, so ``--help``
@@ -28,11 +31,8 @@ import sys
 # compile.
 from repro.errors import ReproError, RepairInfeasibleError, SchedulingError
 from repro.experiments.setup import ALLOCATORS, InstanceSpec, normalized_load
-from repro.metrics import load_sweep
-from repro.report import format_spike, format_table
 from repro.solvers import BACKEND_NAMES
-from repro.tfg import dvb_tfg
-from repro.topology import (
+from repro.topology.registry import (
     STANDARD_TOPOLOGIES as TOPOLOGIES,
     TOPOLOGY_ALIASES,
     make_topology,
@@ -59,7 +59,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--allocator", choices=ALLOCATORS, default="sequential",
         help="task placement strategy (random/annealed honour --seed)",
     )
-    parser.set_defaults(usage_error=parser.error)
 
 
 def _add_lp_backend(parser: argparse.ArgumentParser, help: str) -> None:
@@ -99,6 +98,8 @@ def _setup_at_load(args):
 def _loads(args) -> list[float]:
     """``--loads`` (default: the paper's sweep), each held to the rule
     of ``--load``."""
+    from repro.metrics.series import load_sweep
+
     loads = args.loads or load_sweep()
     return _checked(args, lambda: [normalized_load(load) for load in loads])
 
@@ -115,8 +116,35 @@ def _schedule_file(args, read):
         )
 
 
+def _output_paths(args) -> None:
+    """Exit 2 before any work when ``--export`` or ``--cache-dir`` names a
+    path the command could not write to once the work is done."""
+    export = getattr(args, "export", None)
+    if export is not None:
+        target = Path(export)
+        if target.is_dir():
+            args.usage_error(f"cannot write --export {export}: a directory")
+        if not target.parent.is_dir():
+            args.usage_error(
+                f"cannot write --export {export}: "
+                f"{target.parent} is not a directory"
+            )
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir is not None:
+        # The cache makes the missing part; the part that exists must be
+        # a directory.
+        path = Path(cache_dir).expanduser()
+        found = next((p for p in (path, *path.parents) if p.exists()), path)
+        if not found.is_dir():
+            args.usage_error(
+                f"cannot use --cache-dir {cache_dir}: "
+                f"{found} is not a directory"
+            )
+
+
 def _cmd_utilization(args) -> int:
     from repro.experiments.figures import utilization_comparison
+    from repro.report.tables import format_table
 
     setup = _setup(args)
     loads = _loads(args)
@@ -138,6 +166,7 @@ def _cmd_utilization(args) -> int:
 def _cmd_pipeline(args) -> int:
     from repro.core.compiler import CompilerConfig
     from repro.experiments.figures import pipeline_comparison
+    from repro.report.tables import format_spike, format_table
 
     setup = _setup(args)
     loads = _loads(args)
@@ -169,6 +198,12 @@ def _cmd_compile(args) -> int:
     from repro.core.compiler import CompilerConfig, compile_schedule
 
     setup, tau_in = _setup_at_load(args)
+    nodes = setup.topology.num_nodes
+    if args.gantt is not None and args.gantt >= nodes:
+        args.usage_error(
+            f"--gantt {args.gantt} is not a node of {args.topology} "
+            f"(nodes 0-{nodes - 1})"
+        )
     cache = None
     if args.cache_dir is not None:
         from repro.cache import ScheduleCache
@@ -214,6 +249,7 @@ def _cmd_matrix(args) -> int:
         format_matrix_result,
         run_feasibility_matrix,
     )
+    from repro.tfg.dvb import dvb_tfg
 
     loads = _loads(args)
     names = args.topologies or sorted(TOPOLOGIES)
@@ -496,7 +532,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_topology(args) -> int:
-    from repro.topology import summarize
+    from repro.report.tables import format_table
+    from repro.topology.analysis import summarize
 
     rows = []
     for name in sorted(TOPOLOGIES):
@@ -577,259 +614,321 @@ def _cmd_submit(args) -> int:
     return 0 if body.get("state") in ("done", "queued", "admitted", "running") else 1
 
 
+# -- the parser ---------------------------------------------------------------
+
+
+def _sweep_args(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--loads", type=float, nargs="*", default=None)
+
+
+def _compile_args(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--load", type=float, default=0.5)
+    parser.add_argument(
+        "--export", metavar="FILE", default=None,
+        help="write the compiled schedule (Omega) to a JSON file",
+    )
+    parser.add_argument(
+        "--gantt", type=_nonnegative_int, metavar="NODE", default=None,
+        help="print the switching-schedule Gantt chart of one node",
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="DIR", default=None,
+        help="content-addressed schedule cache directory (reused across runs)",
+    )
+    _add_lp_backend(parser, "LP solver backend for both LP stages")
+
+
+def _matrix_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--topologies", nargs="*",
+        choices=sorted(TOPOLOGIES) + sorted(TOPOLOGY_ALIASES),
+        default=None,
+        help="machines to sweep (default: all)",
+    )
+    parser.add_argument(
+        "--bandwidths", type=float, nargs="*", default=[64.0, 128.0]
+    )
+    parser.add_argument("--loads", type=float, nargs="*", default=None)
+    parser.add_argument("--models", type=int, default=8, help="DVB object models")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--allocator", choices=ALLOCATORS, default="sequential",
+        help="task placement strategy (random/annealed honour --seed)",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes compiling matrix points in parallel",
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="DIR", default=None,
+        help="shared schedule cache directory (warm reruns skip the LPs)",
+    )
+    _add_lp_backend(parser, "LP solver backend for both LP stages")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="run the conformance analyzer on every feasible point "
+             "(flagged points show CHK instead of OK)",
+    )
+
+
+def _diagnose_args(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--load", type=float, default=0.5)
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit the diagnosis as JSON instead of text",
+    )
+    parser.add_argument(
+        "--deep", action="store_true",
+        help="also extract Farkas LP certificates for the LSD->MSD "
+             "assignment when the instance is not statically refuted",
+    )
+    parser.add_argument(
+        "--wr", action="store_true",
+        help="also run the static wormhole analysis (CDG deadlock "
+             "cycles, OI prediction)",
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="DIR", default=None,
+        help="cache directory for diagnosis results",
+    )
+    _add_lp_backend(parser, "LP solver backend used by --deep")
+
+
+def _check_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("schedule", help="path to a saved schedule (omega.json)")
+    parser.add_argument(
+        "--topology",
+        choices=sorted(TOPOLOGIES) + sorted(TOPOLOGY_ALIASES),
+        default="hypercube6",
+        help="machine the schedule targets",
+    )
+    parser.add_argument(
+        "--revalidate", action="store_true",
+        help="also run the loader's own validation (raises on first "
+             "failure) instead of analyzing the raw serialized form",
+    )
+    parser.add_argument(
+        "--trace", metavar="FILE", default=None,
+        help="write the findings as Chrome trace events",
+    )
+
+
+def _fuzz_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--count", type=int, default=24, help="number of fuzz points"
+    )
+    parser.add_argument(
+        "--base-seed", type=int, default=0,
+        help="first seed of the corpus (seeds are consecutive)",
+    )
+    parser.add_argument(
+        "--out", metavar="DIR", default=None,
+        help="directory for reproducer files (written on disagreement)",
+    )
+    parser.add_argument(
+        "--verbose", action="store_true", help="print one line per point"
+    )
+
+
+def _faults_args(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--load", type=float, default=0.5)
+    parser.add_argument(
+        "--fail-links", type=_nonnegative_int, default=1,
+        help="permanent link failures to inject (on schedule-used links)",
+    )
+    parser.add_argument(
+        "--drifts", type=_nonnegative_int, default=0,
+        help="nodes given a random CP clock-drift offset",
+    )
+    parser.add_argument("--invocations", type=int, default=40)
+    parser.add_argument("--warmup", type=int, default=8)
+    parser.set_defaults(bandwidth=128.0)
+
+
+def _trace_args(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument(
+        "--mode", choices=("sr", "wr"), default="sr",
+        help="scheduled routing (with compile profile) or wormhole routing",
+    )
+    parser.add_argument("--load", type=float, default=0.5)
+    parser.add_argument("--invocations", type=int, default=12)
+    parser.add_argument("--warmup", type=int, default=4)
+    parser.add_argument(
+        "--out", metavar="FILE", default="trace.json",
+        help="Chrome/Perfetto trace output path",
+    )
+    parser.add_argument(
+        "--chart", type=_nonnegative_int, metavar="TOP", default=0,
+        help="also print the TOP busiest traced links as ASCII bars",
+    )
+    parser.set_defaults(bandwidth=128.0)
+
+
+def _serve_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument(
+        "--port", type=int, default=8750,
+        help="TCP port to bind (0 picks a free one)",
+    )
+    parser.add_argument(
+        "--workers", type=_nonnegative_int, default=2,
+        help="compile worker processes (0 = inline, single process)",
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="DIR", default=None,
+        help="shared schedule cache directory (default: ephemeral)",
+    )
+    parser.add_argument(
+        "--no-admission", action="store_true",
+        help="disable the static-diagnoser admission fast path",
+    )
+
+
+def _submit_args(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--load", type=float, default=0.5)
+    parser.add_argument(
+        "--kind", choices=("compile", "diagnose", "check"),
+        default="compile",
+    )
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=8750)
+    parser.add_argument(
+        "--no-wait", action="store_true",
+        help="return the job id immediately instead of waiting",
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=None,
+        help="cap on --wait blocking, seconds",
+    )
+    parser.add_argument(
+        "--json", action="store_true",
+        help="print the full job snapshot as JSON",
+    )
+
+
+def _inspect_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("schedule", help="path to a saved schedule")
+    parser.add_argument(
+        "--gantt", type=_nonnegative_int, metavar="NODE", default=None
+    )
+    parser.add_argument(
+        "--occupancy", type=int, metavar="TOP", default=0,
+        help="show the TOP busiest links",
+    )
+
+
+#: Every command: its ``--help`` line, what adds its arguments and what
+#: runs it, in the order ``repro-sr --help`` lists them.
+COMMANDS = {
+    "utilization": ("Fig. 5/6 style U sweep", _sweep_args, _cmd_utilization),
+    "pipeline": (
+        "Fig. 7-10 style WR-vs-SR sweep", _sweep_args, _cmd_pipeline
+    ),
+    "compile": ("compile one schedule", _compile_args, _cmd_compile),
+    "matrix": (
+        "feasibility matrix over topologies x bandwidths x loads",
+        _matrix_args, _cmd_matrix,
+    ),
+    "diagnose": (
+        "static instance diagnosis: infeasibility certificates "
+        "and wormhole hazards, no compilation",
+        _diagnose_args, _cmd_diagnose,
+    ),
+    "check": (
+        "independent conformance analysis of a saved schedule",
+        _check_args, _cmd_check,
+    ),
+    "fuzz": (
+        "differential fuzz: both LP backends, cold+warm cache, "
+        "analyzer vs replay verdicts, bytes across two processes",
+        _fuzz_args, _cmd_fuzz,
+    ),
+    "faults": (
+        "inject link failures, repair the schedule, compare with WR",
+        _faults_args, _cmd_faults,
+    ),
+    "trace": (
+        "run one traced SR or WR execution and export a Chrome trace",
+        _trace_args, _cmd_trace,
+    ),
+    "serve": (
+        "run the compile-farm daemon (HTTP/JSON job queue)",
+        _serve_args, _cmd_serve,
+    ),
+    "submit": (
+        "submit one job to a running compile farm", _submit_args, _cmd_submit
+    ),
+    "topology": ("structural summaries", lambda parser: None, _cmd_topology),
+    "inspect": (
+        "inspect a saved schedule (omega.json)", _inspect_args, _cmd_inspect
+    ),
+}
+
+
+def _parser(commands) -> argparse.ArgumentParser:
+    """The ``repro-sr`` parser holding the subparsers of ``commands`` only.
+
+    Whatever one built for a few commands says about them (help, usage,
+    errors) is what the full parser says: its usage line still lists
+    every command.
+    """
+    commands = list(commands)
+    parser = argparse.ArgumentParser(
+        prog="repro-sr",
+        description="Scheduled-routing experiments (Shukla & Agrawal, ISCA'91)",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        # Unset on the full parser, whose errors then name the argument
+        # ``command`` and list the choices themselves.
+        metavar=None if commands == list(COMMANDS)
+        else "{" + ",".join(COMMANDS) + "}",
+    )
+    for name in commands:
+        summary, add_arguments, func = COMMANDS[name]
+        command = sub.add_parser(name, help=summary)
+        command.set_defaults(func=func, usage_error=command.error)
+        add_arguments(command)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Entry point for the ``repro-sr`` console script."""
+    """Run the ``repro-sr`` command ``argv`` names (default:
+    ``sys.argv[1:]``); its exit code."""
     # No command does BLAS work a thread pool would speed up, so numpy's
     # import need not start one (this module's imports load no numpy; a
     # caller's value wins, and the pool workers a command starts inherit
     # it).  Set here, not at import, so importing this module leaves the
     # environment alone.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = argparse.ArgumentParser(
-        prog="repro-sr",
-        description="Scheduled-routing experiments (Shukla & Agrawal, ISCA'91)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_util = sub.add_parser("utilization", help="Fig. 5/6 style U sweep")
-    _add_common(p_util)
-    p_util.add_argument("--loads", type=float, nargs="*", default=None)
-    p_util.set_defaults(func=_cmd_utilization)
-
-    p_pipe = sub.add_parser("pipeline", help="Fig. 7-10 style WR-vs-SR sweep")
-    _add_common(p_pipe)
-    p_pipe.add_argument("--loads", type=float, nargs="*", default=None)
-    p_pipe.set_defaults(func=_cmd_pipeline)
-
-    p_comp = sub.add_parser("compile", help="compile one schedule")
-    _add_common(p_comp)
-    p_comp.add_argument("--load", type=float, default=0.5)
-    p_comp.add_argument(
-        "--export", metavar="FILE", default=None,
-        help="write the compiled schedule (Omega) to a JSON file",
-    )
-    p_comp.add_argument(
-        "--gantt", type=int, metavar="NODE", default=None,
-        help="print the switching-schedule Gantt chart of one node",
-    )
-    p_comp.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="content-addressed schedule cache directory (reused across runs)",
-    )
-    _add_lp_backend(p_comp, "LP solver backend for both LP stages")
-    p_comp.set_defaults(func=_cmd_compile)
-
-    p_matrix = sub.add_parser(
-        "matrix", help="feasibility matrix over topologies x bandwidths x loads"
-    )
-    p_matrix.add_argument(
-        "--topologies", nargs="*",
-        choices=sorted(TOPOLOGIES) + sorted(TOPOLOGY_ALIASES),
-        default=None,
-        help="machines to sweep (default: all)",
-    )
-    p_matrix.add_argument(
-        "--bandwidths", type=float, nargs="*", default=[64.0, 128.0]
-    )
-    p_matrix.add_argument("--loads", type=float, nargs="*", default=None)
-    p_matrix.add_argument("--models", type=int, default=8, help="DVB object models")
-    p_matrix.add_argument("--seed", type=int, default=0)
-    p_matrix.add_argument(
-        "--allocator", choices=ALLOCATORS, default="sequential",
-        help="task placement strategy (random/annealed honour --seed)",
-    )
-    p_matrix.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes compiling matrix points in parallel",
-    )
-    p_matrix.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="shared schedule cache directory (warm reruns skip the LPs)",
-    )
-    _add_lp_backend(p_matrix, "LP solver backend for both LP stages")
-    p_matrix.add_argument(
-        "--check", action="store_true",
-        help="run the conformance analyzer on every feasible point "
-             "(flagged points show CHK instead of OK)",
-    )
-    p_matrix.set_defaults(func=_cmd_matrix, usage_error=p_matrix.error)
-
-    p_diag = sub.add_parser(
-        "diagnose",
-        help="static instance diagnosis: infeasibility certificates "
-             "and wormhole hazards, no compilation",
-    )
-    _add_common(p_diag)
-    p_diag.add_argument("--load", type=float, default=0.5)
-    p_diag.add_argument(
-        "--json", action="store_true",
-        help="emit the diagnosis as JSON instead of text",
-    )
-    p_diag.add_argument(
-        "--deep", action="store_true",
-        help="also extract Farkas LP certificates for the LSD->MSD "
-             "assignment when the instance is not statically refuted",
-    )
-    p_diag.add_argument(
-        "--wr", action="store_true",
-        help="also run the static wormhole analysis (CDG deadlock "
-             "cycles, OI prediction)",
-    )
-    p_diag.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="cache directory for diagnosis results",
-    )
-    _add_lp_backend(p_diag, "LP solver backend used by --deep")
-    p_diag.set_defaults(func=_cmd_diagnose)
-
-    p_check = sub.add_parser(
-        "check",
-        help="independent conformance analysis of a saved schedule",
-    )
-    p_check.add_argument("schedule", help="path to a saved schedule (omega.json)")
-    p_check.add_argument(
-        "--topology",
-        choices=sorted(TOPOLOGIES) + sorted(TOPOLOGY_ALIASES),
-        default="hypercube6",
-        help="machine the schedule targets",
-    )
-    p_check.add_argument(
-        "--revalidate", action="store_true",
-        help="also run the loader's own validation (raises on first "
-             "failure) instead of analyzing the raw serialized form",
-    )
-    p_check.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="write the findings as Chrome trace events",
-    )
-    p_check.set_defaults(func=_cmd_check, usage_error=p_check.error)
-
-    p_fuzz = sub.add_parser(
-        "fuzz",
-        help="differential fuzz: both LP backends, cold+warm cache, "
-             "analyzer vs replay verdicts, bytes across two processes",
-    )
-    p_fuzz.add_argument(
-        "--count", type=int, default=24, help="number of fuzz points"
-    )
-    p_fuzz.add_argument(
-        "--base-seed", type=int, default=0,
-        help="first seed of the corpus (seeds are consecutive)",
-    )
-    p_fuzz.add_argument(
-        "--out", metavar="DIR", default=None,
-        help="directory for reproducer files (written on disagreement)",
-    )
-    p_fuzz.add_argument(
-        "--verbose", action="store_true", help="print one line per point"
-    )
-    p_fuzz.set_defaults(func=_cmd_fuzz)
-
-    p_faults = sub.add_parser(
-        "faults",
-        help="inject link failures, repair the schedule, compare with WR",
-    )
-    _add_common(p_faults)
-    p_faults.add_argument("--load", type=float, default=0.5)
-    p_faults.add_argument(
-        "--fail-links", type=_nonnegative_int, default=1,
-        help="permanent link failures to inject (on schedule-used links)",
-    )
-    p_faults.add_argument(
-        "--drifts", type=_nonnegative_int, default=0,
-        help="nodes given a random CP clock-drift offset",
-    )
-    p_faults.add_argument("--invocations", type=int, default=40)
-    p_faults.add_argument("--warmup", type=int, default=8)
-    p_faults.set_defaults(func=_cmd_faults, bandwidth=128.0)
-
-    p_trace = sub.add_parser(
-        "trace",
-        help="run one traced SR or WR execution and export a Chrome trace",
-    )
-    _add_common(p_trace)
-    p_trace.add_argument(
-        "--mode", choices=("sr", "wr"), default="sr",
-        help="scheduled routing (with compile profile) or wormhole routing",
-    )
-    p_trace.add_argument("--load", type=float, default=0.5)
-    p_trace.add_argument("--invocations", type=int, default=12)
-    p_trace.add_argument("--warmup", type=int, default=4)
-    p_trace.add_argument(
-        "--out", metavar="FILE", default="trace.json",
-        help="Chrome/Perfetto trace output path",
-    )
-    p_trace.add_argument(
-        "--chart", type=_nonnegative_int, metavar="TOP", default=0,
-        help="also print the TOP busiest traced links as ASCII bars",
-    )
-    p_trace.set_defaults(func=_cmd_trace, bandwidth=128.0)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the compile-farm daemon (HTTP/JSON job queue)",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument(
-        "--port", type=int, default=8750,
-        help="TCP port to bind (0 picks a free one)",
-    )
-    p_serve.add_argument(
-        "--workers", type=_nonnegative_int, default=2,
-        help="compile worker processes (0 = inline, single process)",
-    )
-    p_serve.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="shared schedule cache directory (default: ephemeral)",
-    )
-    p_serve.add_argument(
-        "--no-admission", action="store_true",
-        help="disable the static-diagnoser admission fast path",
-    )
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit one job to a running compile farm"
-    )
-    _add_common(p_submit)
-    p_submit.add_argument("--load", type=float, default=0.5)
-    p_submit.add_argument(
-        "--kind", choices=("compile", "diagnose", "check"),
-        default="compile",
-    )
-    p_submit.add_argument("--host", default="127.0.0.1")
-    p_submit.add_argument("--port", type=int, default=8750)
-    p_submit.add_argument(
-        "--no-wait", action="store_true",
-        help="return the job id immediately instead of waiting",
-    )
-    p_submit.add_argument(
-        "--timeout", type=float, default=None,
-        help="cap on --wait blocking, seconds",
-    )
-    p_submit.add_argument(
-        "--json", action="store_true",
-        help="print the full job snapshot as JSON",
-    )
-    p_submit.set_defaults(func=_cmd_submit)
-
-    p_topo = sub.add_parser("topology", help="structural summaries")
-    p_topo.set_defaults(func=_cmd_topology)
-
-    p_inspect = sub.add_parser(
-        "inspect", help="inspect a saved schedule (omega.json)"
-    )
-    p_inspect.add_argument("schedule", help="path to a saved schedule")
-    p_inspect.add_argument("--gantt", type=int, metavar="NODE", default=None)
-    p_inspect.add_argument(
-        "--occupancy", type=int, metavar="TOP", default=0,
-        help="show the TOP busiest links",
-    )
-    p_inspect.set_defaults(func=_cmd_inspect, usage_error=p_inspect.error)
-
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Only the named command's parser is built; ``--help``, no command or
+    # an unknown one gets all of them.
+    args = _parser(
+        argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
+    ).parse_args(argv)
+    _output_paths(args)
     return args.func(args)
 
 
+def run() -> NoReturn:
+    """The ``repro-sr`` console script and ``python -m repro.cli``:
+    :func:`main`, then exit."""
+    code = main()
+    # What is still alive dies with the process: frozen, it is no longer
+    # walked by the interpreter's last collection (most of it the numpy,
+    # scipy and repro import heap).  Not in main(), whose callers (tests,
+    # embedding programs) go on running.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -76,7 +76,9 @@ from repro.errors import (
     ScheduleValidationError,
 )
 from repro.results import INVOCATIONS, WARMUP, RunResult, require_measured
-from repro.sim import Claim, Environment, Monitor, Resource
+from repro.sim.environment import Environment
+from repro.sim.monitor import Monitor
+from repro.sim.resources import Claim, Resource
 from repro.tfg.analysis import TFGTiming
 from repro.tfg.graph import TaskFlowGraph
 from repro.topology.base import Link, Topology

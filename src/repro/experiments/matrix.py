@@ -260,7 +260,7 @@ def run_feasibility_matrix(
 
 def format_matrix(rows: list[MatrixRow]) -> str:
     """Render the matrix as a fixed-width table."""
-    from repro.report import format_table
+    from repro.report.tables import format_table
 
     if not rows:
         return "(empty matrix)"

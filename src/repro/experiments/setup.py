@@ -19,7 +19,6 @@ from repro.mapping.allocation import (
     random_allocation,
     sequential_allocation,
 )
-from repro.mapping.annealing import annealed_allocation
 from repro.tfg.analysis import TFGTiming, speeds_for_ratio
 from repro.tfg.dvb import dvb_tfg
 from repro.tfg.graph import TaskFlowGraph
@@ -38,6 +37,17 @@ Allocator = Callable[[TaskFlowGraph, Topology], Allocation]
 
 SeededAllocator = Callable[[TaskFlowGraph, Topology, int], Allocation]
 
+
+def _annealed_allocation(
+    tfg: TaskFlowGraph, topology: Topology, seed: int
+) -> Allocation:
+    # Imported on use: an instance placed by another strategy never
+    # loads the annealer.
+    from repro.mapping.annealing import annealed_allocation
+
+    return annealed_allocation(tfg, topology, seed)
+
+
 #: Task-placement strategies by wire/CLI name; the unseeded ones ignore
 #: the seed.
 ALLOCATORS: dict[str, SeededAllocator] = {
@@ -46,7 +56,7 @@ ALLOCATORS: dict[str, SeededAllocator] = {
     ),
     "bfs": lambda tfg, topology, seed: bfs_allocation(tfg, topology),
     "random": random_allocation,
-    "annealed": annealed_allocation,
+    "annealed": _annealed_allocation,
 }
 
 

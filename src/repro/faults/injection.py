@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-from repro.sim import Monitor
+from repro.sim.monitor import Monitor
 from repro.topology.base import Link, Topology
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.models import FaultTrace, LinkFault
-    from repro.sim import Environment, Resource
+    from repro.sim.environment import Environment
+    from repro.sim.resources import Resource
 
 
 class FaultInjector:

@@ -7,23 +7,15 @@ deterministic, seedable allocators and allocation-quality measures so
 experiments can pin an allocation and reproduce exactly.
 """
 
-from repro.mapping.allocation import (
-    Allocation,
-    bfs_allocation,
-    communication_cost,
-    random_allocation,
-    sequential_allocation,
-    validate_allocation,
-)
-from repro.mapping.annealing import annealed_allocation, placement_congestion
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Allocation",
-    "annealed_allocation",
-    "bfs_allocation",
-    "communication_cost",
-    "placement_congestion",
-    "random_allocation",
-    "sequential_allocation",
-    "validate_allocation",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Allocation": "allocation",
+    "annealed_allocation": "annealing",
+    "bfs_allocation": "allocation",
+    "communication_cost": "allocation",
+    "placement_congestion": "annealing",
+    "random_allocation": "allocation",
+    "sequential_allocation": "allocation",
+    "validate_allocation": "allocation",
+})

@@ -5,6 +5,9 @@ table: one row per load point, one column per plotted series.  This
 package owns the formatting so that benches stay thin.
 """
 
-from repro.report.tables import format_table, format_spike
+from repro._lazy import lazy_exports
 
-__all__ = ["format_spike", "format_table"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "format_spike": "tables",
+    "format_table": "tables",
+})

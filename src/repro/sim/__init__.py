@@ -24,13 +24,11 @@ Example
 [(1.0, 'b'), (2.0, 'a')]
 """
 
-from repro.sim.environment import Environment
-from repro.sim.monitor import Monitor
-from repro.sim.resources import Claim, Resource
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Claim",
-    "Environment",
-    "Monitor",
-    "Resource",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "Claim": "resources",
+    "Environment": "environment",
+    "Monitor": "monitor",
+    "Resource": "resources",
+})

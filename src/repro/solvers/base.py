@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -495,13 +495,12 @@ class SolverTally:
     def since(self, earlier: "SolverTally") -> dict[str, float | int]:
         """Stage-detail dict of the activity since ``earlier`` (a
         ``dataclasses.replace`` copy); the maxima do not difference."""
-        moved = SolverTally(
-            *(now - then for now, then in zip(astuple(self), astuple(earlier)))
-        ).as_dict()
         return {
-            key: moved[key]
-            for key in ("lp_solves", "lp_iterations", "lp_wall_ms",
-                        "lp_batches", "lp_batched_solves")
+            "lp_solves": self.solves - earlier.solves,
+            "lp_iterations": self.iterations - earlier.iterations,
+            "lp_wall_ms": round(self.wall_ms - earlier.wall_ms, 3),
+            "lp_batches": self.batches - earlier.batches,
+            "lp_batched_solves": self.batched_solves - earlier.batched_solves,
         }
 
 

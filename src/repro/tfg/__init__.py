@@ -13,18 +13,15 @@ periodic input arrival.  This package provides:
 - :func:`~repro.tfg.synth.random_layered_tfg` — seeded random workloads.
 """
 
-from repro.tfg.analysis import CriticalPath, TFGTiming, speeds_for_ratio
-from repro.tfg.dvb import dvb_tfg
-from repro.tfg.graph import Message, Task, TaskFlowGraph
-from repro.tfg.synth import random_layered_tfg
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CriticalPath",
-    "Message",
-    "TFGTiming",
-    "Task",
-    "TaskFlowGraph",
-    "dvb_tfg",
-    "random_layered_tfg",
-    "speeds_for_ratio",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CriticalPath": "analysis",
+    "Message": "graph",
+    "TFGTiming": "analysis",
+    "Task": "graph",
+    "TaskFlowGraph": "graph",
+    "dvb_tfg": "dvb",
+    "random_layered_tfg": "synth",
+    "speeds_for_ratio": "analysis",
+})

@@ -19,37 +19,24 @@ Links are **undirected and half-duplex** (paper Section 4.1): at any
 instant a link carries at most one message, in one direction.
 """
 
-from repro.topology.analysis import TopologySummary, summarize
-from repro.topology.base import Link, Topology, link_between
-from repro.topology.ghc import GeneralizedHypercube
-from repro.topology.hypercube import binary_hypercube
-from repro.topology.mesh import Mesh
-from repro.topology.routing import links_on_path, lsd_to_msd_route, validate_path
-from repro.topology.paths import enumerate_minimal_paths
-from repro.topology.registry import (
-    STANDARD_TOPOLOGIES,
-    TOPOLOGY_ALIASES,
-    make_topology,
-    topology_names,
-)
-from repro.topology.torus import Torus
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GeneralizedHypercube",
-    "Link",
-    "Mesh",
-    "STANDARD_TOPOLOGIES",
-    "TOPOLOGY_ALIASES",
-    "Topology",
-    "TopologySummary",
-    "Torus",
-    "binary_hypercube",
-    "enumerate_minimal_paths",
-    "link_between",
-    "links_on_path",
-    "lsd_to_msd_route",
-    "make_topology",
-    "summarize",
-    "topology_names",
-    "validate_path",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "GeneralizedHypercube": "ghc",
+    "Link": "base",
+    "Mesh": "mesh",
+    "STANDARD_TOPOLOGIES": "registry",
+    "TOPOLOGY_ALIASES": "registry",
+    "Topology": "base",
+    "TopologySummary": "analysis",
+    "Torus": "torus",
+    "binary_hypercube": "hypercube",
+    "enumerate_minimal_paths": "paths",
+    "link_between": "base",
+    "links_on_path": "routing",
+    "lsd_to_msd_route": "routing",
+    "make_topology": "registry",
+    "summarize": "analysis",
+    "topology_names": "registry",
+    "validate_path": "routing",
+})

@@ -147,7 +147,7 @@ def stage_rows(events: Iterable[TraceEvent]) -> list[dict[str, Any]]:
 
 def stage_table(events: Iterable[TraceEvent]) -> str:
     """Text table of the ``compile`` spans: wall time, share, detail."""
-    from repro.report import format_table
+    from repro.report.tables import format_table
 
     spans = [span for span in events if span.category == "compile"]
     total_ms = sum(span.duration for span in spans) / 1000.0

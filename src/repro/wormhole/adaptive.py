@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterator, Mapping
 
-from repro.sim import Resource
+from repro.sim.resources import Resource
 from repro.topology.base import Link, Topology, link_between
 from repro.wormhole.simulator import WormholeSimulator
 

@@ -35,7 +35,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Na
 from repro.errors import SimulationError
 from repro.mapping.allocation import validate_allocation
 from repro.results import INVOCATIONS, WARMUP, RunResult, require_measured
-from repro.sim import Claim, Environment, Monitor, Resource
+from repro.sim.environment import Environment
+from repro.sim.monitor import Monitor
+from repro.sim.resources import Claim, Resource
 from repro.tfg.analysis import TFGTiming
 from repro.topology.base import Link, Topology
 from repro.topology.routing import links_on_path, lsd_to_msd_route, validate_path

@@ -1,8 +1,16 @@
 """Unit tests for the repro-sr command-line interface."""
 
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import COMMANDS, _parser, main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestCompileCommand:
@@ -379,6 +387,14 @@ class TestArgumentValidation:
             (["faults", "--warmup", "-1"], "warmup must be >= 0, got -1"),
             (["faults", "--invocations", "6"],
              "need >= 4 measured invocations, got 6 with warmup=8"),
+            (["compile", "--gantt", "64"],
+             "--gantt 64 is not a node of hypercube6 (nodes 0-63)"),
+            (["compile", "--topology", "8x8torus", "--gantt", "70"],
+             "--gantt 70 is not a node of 8x8torus (nodes 0-63)"),
+            (["compile", "--gantt", "-1"],
+             "argument --gantt: must be >= 0, got -1"),
+            (["inspect", "omega.json", "--gantt", "-1"],
+             "argument --gantt: must be >= 0, got -1"),
         ],
     )
     def test_invalid_instance_is_a_usage_error(self, capsys, flags, message):
@@ -392,6 +408,52 @@ class TestArgumentValidation:
         assert captured.err.splitlines()[-1] == (
             f"repro-sr {flags[0]}: error: {message}"
         )
+
+    @pytest.mark.parametrize(
+        ("flags", "culprit"),
+        [
+            (["compile", "--export", "missing/omega.json"],
+             "missing is not a directory"),
+            (["compile", "--export", "file/omega.json"],
+             "file is not a directory"),
+            (["compile", "--export", "."], "a directory"),
+            (["compile", "--cache-dir", "file/cache"],
+             "file is not a directory"),
+            (["compile", "--cache-dir", "file"], "file is not a directory"),
+            (["matrix", "--topologies", "hypercube6", "--bandwidths", "128",
+              "--loads", "0.5", "--models", "1", "--cache-dir", "file/c"],
+             "file is not a directory"),
+            (["diagnose", "--cache-dir", "file/cache"],
+             "file is not a directory"),
+            (["serve", "--port", "0", "--workers", "0",
+              "--cache-dir", "file/cache"], "file is not a directory"),
+        ],
+    )
+    def test_unwritable_output_path_is_a_usage_error(
+        self, capsys, tmp_path, monkeypatch, flags, culprit
+    ):
+        """Found before any work is done: exit 2, one ``error:`` line
+        naming the path, nothing written -- not a traceback after the
+        compile with the exit code (1) of "infeasible"."""
+        monkeypatch.chdir(tmp_path)
+        Path("file").write_text("")
+        if flags[0] == "compile":
+            flags = [*flags, "--bandwidth", "128", "--models", "3"]
+        option = next(flag for flag in flags if flag in (
+            "--export", "--cache-dir"))
+        path = flags[flags.index(option) + 1]
+        with pytest.raises(SystemExit) as stop:
+            main(flags)
+        assert stop.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        verb = "write" if option == "--export" else "use"
+        assert captured.err.splitlines()[-1] == (
+            f"repro-sr {flags[0]}: error: cannot {verb} {option} {path}: "
+            f"{culprit}"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert Path("file").read_text() == ""
 
     @pytest.mark.parametrize("command", ["diagnose", "trace", "submit"])
     def test_every_common_argument_command_rejects_it(self, capsys, command):
@@ -476,3 +538,71 @@ class TestCacheDirTilde:
         assert list((home / "c").rglob("*.json"))
         assert (home / "m" / "cache-stats.json").exists()
         assert list(cwd.iterdir()) == []
+
+
+#: What ``main`` answers without running a command: every ``--help``, one
+#: bad flag per command, an unknown command, none at all.
+PARSE_ONLY = [
+    ["--help"], [], ["no-such-command"], ["--no-such-flag", "compile"],
+    *([command, "--help"] for command in COMMANDS),
+    *([command, "--no-such-flag"] for command in COMMANDS),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", PARSE_ONLY, ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_the_parser_main_builds_says_what_the_full_one_does(capsys, argv):
+    """``main`` builds the subparser of the command it runs only; its help
+    and usage errors are the full parser's, byte for byte."""
+    def answer(parse):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        return stop.value.code, capsys.readouterr()
+
+    assert answer(main) == answer(_parser(COMMANDS).parse_args)
+
+
+class TestOneShotProcess:
+    ARGV = ["compile", "--topology", "hypercube6", "--bandwidth", "128",
+            "--models", "5", "--load", "0.5", "--export", "omega.json"]
+
+    @staticmethod
+    def child(argv, **kwargs):
+        paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            **kwargs,
+        )
+
+    def test_a_process_prints_and_writes_what_main_does(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        alone, here = tmp_path / "alone", tmp_path / "here"
+        alone.mkdir()
+        here.mkdir()
+        done = self.child(["-m", "repro.cli", *self.ARGV], cwd=alone)
+        monkeypatch.chdir(here)
+        code = main(self.ARGV)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, capsys.readouterr().out, "")
+        assert code == 0
+        assert (alone / "omega.json").read_bytes() == (
+            here / "omega.json").read_bytes()
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys):
+        assert main(["topology"]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_the_process_entry_freezes_it_after_main(self):
+        done = self.child(["-c", """
+import gc, sys
+import repro.cli
+sys.argv = ["repro-sr", "topology"]
+try:
+    repro.cli.run()
+except SystemExit as stop:
+    print(stop.code, gc.get_freeze_count() > 0)
+"""])
+        assert done.stdout.splitlines()[-1] == "0 True", done.stderr

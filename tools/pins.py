@@ -494,8 +494,8 @@ def six_cube_repair() -> dict:
 
 
 FACADES = ["repro"] + [f"repro.{name}" for name in (
-    "cache", "check", "core", "diagnose", "experiments", "faults", "metrics", "serve",
-    "solvers", "trace", "viz", "wormhole")]
+    "cache", "check", "core", "diagnose", "experiments", "faults", "mapping", "metrics",
+    "report", "serve", "sim", "solvers", "tfg", "topology", "trace", "viz", "wormhole")]
 
 
 def facade_exports() -> dict:
