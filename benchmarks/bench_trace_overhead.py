@@ -41,17 +41,24 @@ TOLERANCE = float(os.environ.get("TRACE_OVERHEAD_TOL", "0.02"))
 
 class BareEnvironment(Environment):
     """The kernel agenda with its tracing branch deleted (the untraced
-    ``run`` loop has none)."""
+    ``run`` loop has none): an entry due now joins the FIFO lane, a later
+    one the heap."""
 
     def call_later(self, delay, fn, arg):
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        heapq.heappush(self._agenda, (self._now + delay, self._next_id, fn, arg))
+        now = self._now
+        due = now + delay
+        if due == now:
+            self._lane.append((due, self._next_id, fn, arg))
+        else:
+            heapq.heappush(self._agenda, (due, self._next_id, fn, arg))
         self._next_id += 1
 
 
 class BareResource(Resource):
-    """Grant/release without the occupancy/blocked span emission."""
+    """Grant/release without the occupancy/blocked span emission.  A grant
+    on the spot is ``Resource.claim``'s own, which traces nothing."""
 
     def release(self, claim):
         try:

@@ -117,28 +117,39 @@ def _schedule_file(args, read):
 
 
 def _output_paths(args) -> None:
-    """Exit 2 before any work when ``--export`` or ``--cache-dir`` names a
-    path the command could not write to once the work is done."""
-    export = getattr(args, "export", None)
-    if export is not None:
-        target = Path(export)
+    """Exit 2 before any work when an option names a path the command
+    could not write to once the work is done: a file (``--export``,
+    ``trace --out``, ``check --trace``) or a directory it makes as needed
+    (``--cache-dir``, ``fuzz --out``)."""
+    files = {"--export": getattr(args, "export", None)}
+    directories = {"--cache-dir": getattr(args, "cache_dir", None)}
+    if args.command == "trace":
+        files["--out"] = args.out
+    elif args.command == "check":
+        files["--trace"] = args.trace
+    elif args.command == "fuzz":
+        directories["--out"] = args.out
+    for option, name in files.items():
+        if name is None:
+            continue
+        target = Path(name)
         if target.is_dir():
-            args.usage_error(f"cannot write --export {export}: a directory")
+            args.usage_error(f"cannot write {option} {name}: a directory")
         if not target.parent.is_dir():
             args.usage_error(
-                f"cannot write --export {export}: "
+                f"cannot write {option} {name}: "
                 f"{target.parent} is not a directory"
             )
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is not None:
-        # The cache makes the missing part; the part that exists must be
-        # a directory.
-        path = Path(cache_dir).expanduser()
+    for option, name in directories.items():
+        if name is None:
+            continue
+        # The command makes the missing part; the part that exists must
+        # be a directory.
+        path = Path(name).expanduser()
         found = next((p for p in (path, *path.parents) if p.exists()), path)
         if not found.is_dir():
             args.usage_error(
-                f"cannot use --cache-dir {cache_dir}: "
-                f"{found} is not a directory"
+                f"cannot use {option} {name}: {found} is not a directory"
             )
 
 

@@ -28,16 +28,33 @@ statically for every invocation asked.
 
 How many periods it replays follows from the schedule being periodic.
 Invocation j files the claims, releases and task finishes of invocation
-0 shifted by ``j * tau_in``, and all of them within ``span`` of its own
-start, where ``span`` is the latest instant invocation 0 files.  Two
-invocations more than K = ⌈span / tau_in⌉ apart therefore never meet on
-a link, and invocations 0…K meet at every offset that can.  A run with
-no fault trace and a disabled tracer replays just those K + 1,
-whatever the number asked, and writes the later completions down with
-the expression the replay files them at; its verdict holds for every
-invocation.  A run with a fault trace (outages and drift are not
-periodic) or an enabled tracer (which records every invocation)
-replays all of them.
+0 shifted by ``j * tau_in``, all within ``span`` of its own start, where
+``span`` is the latest instant invocation 0 files; let K = ⌈span /
+tau_in⌉.  Two windows that meet on a link both contain the instant the
+later of them starts.  Shifted by whole periods, that instant lands in
+period K, ``[K * tau_in, (K + 1) * tau_in)``, and since each window lies
+within ``span`` ≤ ``K * tau_in`` of its invocation's start, both shifted
+windows belong to invocations 0…K.  Every collision therefore has a
+translate between two windows of invocations 0…K that meet period K.
+
+A run with no fault trace and a disabled tracer replays the task
+finishes of invocations 0…K but files link claims only for those
+windows.  It writes the rest down: the busy time of every other window,
+summed per circuit, and the completions past K, with the expression the
+replay files them at, so they keep the replay's bits.  Its verdict holds
+for every invocation.  A run that rejects is replayed once more with
+every window of invocations 0…K: the earliest collision of a replay of
+every invocation involves invocation 0 (an earlier pair shifts down to
+it), so that replay meets it first, and its error text is a full
+replay's.  A run with a fault trace (outages and drift are not periodic)
+or an enabled tracer (which records every invocation) replays every
+window of every invocation.
+
+The translates are exact in real arithmetic.  In floats a shifted
+instant may differ from the computed one in its last bits.  That matters
+only for windows that meet by less than the ``EPS`` the contention check
+forgives, and a translate that rounds out of one end of period K leaves
+both windows meeting it at the other end.
 
 A successful replay yields a :class:`~repro.results.RunResult` with
 ``technique="scheduled"`` whose output intervals are exactly ``tau_in``
@@ -225,7 +242,10 @@ class ScheduledRoutingExecutor:
         # message -> (its source's ASAP finish, each circuit's (offset
         # into the message's window, duration)): see absolute_slots.
         self._offsets: dict[str, tuple[float, list[tuple[float, float]]]] = {}
+        # message -> the links each of its circuits holds.
+        self._hops: dict[str, list[tuple[Link, ...]]] = {}
         for name, circuits in self.circuits.items():
+            self._hops[name] = [links_on_path(c.path) for c in circuits]
             bound = routing.bounds.bounds[name]
             carried = sum(duration for _, duration, _ in circuits)
             if abs(carried - bound.duration) > 1e-6 * max(1.0, bound.duration):
@@ -251,6 +271,11 @@ class ScheduledRoutingExecutor:
             for start, end in self.absolute_slots(name, 0):
                 span = max(span, start + (end - start))
         self.overlap = math.ceil(span / self.tau_in)
+        # The links a fault-free replay needs a resource for.
+        self._held = {
+            link for paths in self._hops.values() for hops in paths
+            for link in hops
+        }
 
     @property
     def commands_placed(self) -> int:
@@ -277,11 +302,10 @@ class ScheduledRoutingExecutor:
         """
         release, offsets = self._offsets[message_name]
         abs_release = invocation * self.tau_in + release
-        occurrences = []
-        for offset, duration in offsets:
-            start = abs_release + offset
-            occurrences.append((start, start + duration))
-        return occurrences
+        return [
+            (start := abs_release + offset, start + duration)
+            for offset, duration in offsets
+        ]
 
     def _completion_time(self, invocation: int) -> float:
         """The instant the replay records ``invocation`` complete: the
@@ -336,10 +360,64 @@ class ScheduledRoutingExecutor:
         violation.
         """
         require_measured(invocations, warmup, ScheduleValidationError)
+        always = (-math.inf, math.inf)
+        if fault_trace is not None or tracer.enabled:
+            replay = self._replay(
+                invocations, fault_trace, tracer, invocations, always
+            )
+        else:
+            replayed = self.overlap + 1
+            period_k = (self.overlap * self.tau_in, replayed * self.tau_in)
+            try:
+                replay = self._replay(
+                    invocations, None, tracer, replayed, period_k
+                )
+            except ScheduleValidationError:
+                # The error of a replay of every window of 0..K is the
+                # first a replay of every invocation meets.
+                replay = self._replay(
+                    invocations, None, tracer, replayed, always
+                )
+        completion_times, link_busy, fault_events = replay
+        extra = {
+            "commands": self.commands_placed,
+            "link_busy": link_busy,
+            "invocations": invocations,
+        }
+        if fault_events is not None:
+            extra["fault_events"] = fault_events
+        return RunResult(
+            tau_in=self.tau_in,
+            completion_times=tuple(completion_times),
+            warmup=warmup,
+            critical_path_length=self.timing.critical_path().length,
+            technique="scheduled",
+            extra=extra,
+            trace=tracer if isinstance(tracer, TraceRecorder) else None,
+        )
+
+    def _replay(
+        self,
+        invocations: int,
+        fault_trace: "FaultTrace | None",
+        tracer: Tracer,
+        replayed: int,
+        band: tuple[float, float],
+    ) -> tuple[list[float], dict[Link, float], Monitor | None]:
+        """Replay invocations ``0 .. replayed - 1`` and write the rest of
+        the ``invocations`` asked down: the completion times, the busy
+        time per link, and the fault events if ``fault_trace`` is set.
+
+        Only windows that meet ``band`` claim their links; the busy time
+        of the others is summed per circuit and added after the replay.
+        """
         env = Environment(tracer=tracer)
+        # An outage may hit a link no circuit holds; nothing else does.
         links: dict[Link, Resource] = {
             link: Resource(env, capacity=1, name=str(link))
-            for link in self.topology.links
+            for link in (
+                self._held if fault_trace is None else self.topology.links
+            )
         }
         injector = None
         if fault_trace is not None:
@@ -350,11 +428,8 @@ class ScheduledRoutingExecutor:
         completions = Monitor("completions")
         outputs = {t.name for t in self.timing.tfg.output_tasks}
         tracing = tracer.enabled
-        replayed = (
-            invocations if fault_trace is not None or tracing
-            else self.overlap + 1
-        )
         pending = {j: len(outputs) for j in range(replayed)}
+        lo, hi = band
         # The replay as one timeline, instant -> what happens then.  At one
         # instant releases come first, so that back-to-back windows hand a
         # link over without queueing; a claim files its own release.
@@ -362,9 +437,9 @@ class ScheduledRoutingExecutor:
         claims: defaultdict[float, list] = defaultdict(list)
         finishes: defaultdict[float, list] = defaultdict(list)
         # Per message: its paths, and per path the busy time of the
-        # invocations asked but not replayed.  Added to link_busy after
-        # the replay, which so keeps the key order a full replay gives.
-        unreplayed: list[tuple[list, list[float]]] = []
+        # windows asked but filing no claim.  Added to link_busy after
+        # the replay.
+        written: list[tuple[list, list[float]]] = []
 
         def contention(link: Link, message_name: str) -> Exception:
             text = (
@@ -426,36 +501,27 @@ class ScheduledRoutingExecutor:
 
         for message in self.timing.tfg.messages:
             name = message.name
-            circuits = self.circuits.get(name)
-            if circuits is None:
+            if name not in self._hops:
                 continue  # local message: delivered in memory at source finish
             paths = [
-                tuple((link, links[link]) for link in links_on_path(c.path))
-                for c in circuits
+                tuple((link, links[link]) for link in hops)
+                for hops in self._hops[name]
             ]
             shift = self._drift_shift(name, fault_trace)
             dst_start = self._asap[message.dst][0]
             written_busy = [0.0] * len(paths)
-            unreplayed.append((paths, written_busy))
+            written.append((paths, written_busy))
             for j in range(max(invocations, replayed)):
-                windows = self.absolute_slots(name, j)
-                # Static deadline assertion: the last circuit (shifted
-                # by any injected source-clock drift) must land before the
-                # destination task's start.
-                last_end = max(end for _, end in windows)
-                due = j * self.tau_in + dst_start
-                if last_end + shift > due + 1e-6:
-                    if shift != 0.0:
-                        raise FaultedDeadlineError(name, due, last_end + shift)
-                    raise ScheduleValidationError(
-                        f"message {name!r} invocation {j}: delivery "
-                        f"at {last_end:.6f} misses destination start {due:.6f}"
-                    )
-                if j >= replayed:
-                    for i, (start, end) in enumerate(windows):
-                        written_busy[i] += end - start
-                    continue
-                for (start, end), path in zip(windows, paths):
+                last_end = -math.inf
+                for i, (start, end) in enumerate(self.absolute_slots(name, j)):
+                    if end > last_end:
+                        last_end = end
+                    if j >= replayed or not (start < hi and end > lo):
+                        # An invocation replayed past those asked counts
+                        # for nothing in link_busy.
+                        if j < invocations:
+                            written_busy[i] += end - start
+                        continue
                     start, end = max(start + shift, 0.0), end + shift
                     if tracing:
                         # The *compiled* transmission window; the
@@ -469,12 +535,21 @@ class ScheduledRoutingExecutor:
                     duration = end - start
                     if not duration:
                         continue  # an empty window holds no link
-                    # An invocation replayed past those asked counts for
-                    # nothing in link_busy.
                     busy = duration if j < invocations else 0.0
                     claims[start].append((
-                        name, path, busy, releases[start + duration].append,
+                        name, paths[i], busy, releases[start + duration].append,
                     ))
+                # Static deadline assertion: the last circuit (shifted
+                # by any injected source-clock drift) must land before the
+                # destination task's start.
+                due = j * self.tau_in + dst_start
+                if last_end + shift > due + 1e-6:
+                    if shift != 0.0:
+                        raise FaultedDeadlineError(name, due, last_end + shift)
+                    raise ScheduleValidationError(
+                        f"message {name!r} invocation {j}: delivery "
+                        f"at {last_end:.6f} misses destination start {due:.6f}"
+                    )
         for j in range(replayed):
             for task in self.timing.tfg.tasks:
                 start, finish = self._asap[task.name]
@@ -498,7 +573,7 @@ class ScheduledRoutingExecutor:
             raise ScheduleValidationError(
                 f"{replayed} invocations replayed, {len(completions)} completed"
             )
-        for paths, written_busy in unreplayed:
+        for paths, written_busy in written:
             for path, busy in zip(paths, written_busy):
                 if busy:
                     for link, _ in path:
@@ -515,19 +590,7 @@ class ScheduledRoutingExecutor:
                     f"invocation {j + 1} completes {later - earlier!r} after "
                     f"invocation {j}, not one period {self.tau_in!r}"
                 )
-        extra = {
-            "commands": self.commands_placed,
-            "link_busy": dict(link_busy),
-            "invocations": invocations,
-        }
-        if injector is not None:
-            extra["fault_events"] = injector.events
-        return RunResult(
-            tau_in=self.tau_in,
-            completion_times=tuple(completion_times),
-            warmup=warmup,
-            critical_path_length=self.timing.critical_path().length,
-            technique="scheduled",
-            extra=extra,
-            trace=tracer if isinstance(tracer, TraceRecorder) else None,
+        return (
+            completion_times, dict(link_busy),
+            None if injector is None else injector.events,
         )

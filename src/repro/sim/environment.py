@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import InvalidDelayError, SimulationError
@@ -21,7 +22,11 @@ class Environment:
     :meth:`call_later`, and runs those due at one instant in scheduling
     order: runs are deterministic, and FCFS link arbitration means the
     same thing on every run.  The tie counter is per environment, so
-    replays never share ordering state.
+    replays never share ordering state.  An entry due later than now goes
+    on a heap; one due now (a zero delay, or one too small to move the
+    clock) joins a FIFO lane, whose entries are all due now and in
+    ``seq`` order.  :meth:`run` takes whichever of the lane's head and the
+    heap's top comes first by ``(time, seq)``: the order of one heap.
 
     Parameters
     ----------
@@ -35,6 +40,7 @@ class Environment:
     def __init__(self, tracer: Tracer | None = None):
         self._now = 0.0
         self._agenda: list[tuple[float, int, Callable[[Any], None], Any]] = []
+        self._lane: deque[tuple[float, int, Callable[[Any], None], Any]] = deque()
         self._next_id = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Hot-path guard: one attribute read instead of a method call per
@@ -53,8 +59,12 @@ class Environment:
                 f"delay must be a non-negative duration, got {delay!r}: "
                 "entries cannot run in the past"
             )
-        due = self._now + delay
-        heapq.heappush(self._agenda, (due, self._next_id, fn, arg))
+        now = self._now
+        due = now + delay
+        if due == now:
+            self._lane.append((due, self._next_id, fn, arg))
+        else:
+            heapq.heappush(self._agenda, (due, self._next_id, fn, arg))
         self._next_id += 1
         if self._tracing:
             self.tracer.instant("sim", "schedule", self._now, track="kernel",
@@ -68,10 +78,19 @@ class Environment:
             raise SimulationError(
                 f"run(until={horizon}) is not at or after now={self._now}"
             )
-        # This loop runs every entry of every simulation.
-        agenda, pop, tracing = self._agenda, heapq.heappop, self._tracing
-        while agenda and agenda[0][0] <= horizon:
-            when, _, fn, arg = pop(agenda)
+        # This loop runs every entry of every simulation.  The lane's
+        # entries are due now, never past the horizon, and the clock does
+        # not move until the lane is empty.
+        agenda, lane, tracing = self._agenda, self._lane, self._tracing
+        pop, popleft = heapq.heappop, lane.popleft
+        while True:
+            if lane:
+                entry = pop(agenda) if agenda and agenda[0] < lane[0] else popleft()
+            elif agenda and agenda[0][0] <= horizon:
+                entry = pop(agenda)
+            else:
+                break
+            when, _, fn, arg = entry
             self._now = when
             if tracing:
                 self.tracer.instant("sim", "step", when, track="kernel",

@@ -89,9 +89,14 @@ class Resource:
         """One unit of capacity, now if free, unqueued and up, else FCFS.  A
         grant schedules ``on_grant`` (may be set on a queued claim) behind
         the entries already due then; with no callback, nothing at all."""
-        claim = Claim(owner, on_grant, self.env._now)
+        now = self.env._now
+        claim = Claim(owner, on_grant, now)
         if len(self._holders) < self.capacity and not self._queue and not self._failed:
-            self._grant(claim)
+            # _grant inlined: a grant on the spot has no wait to trace.
+            self._holders.append(claim)
+            claim.grant_time = now
+            if on_grant is not None:
+                self.env.call_later(0.0, on_grant, claim)
         else:
             self._queue.append(claim)
         return claim

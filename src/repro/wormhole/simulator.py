@@ -408,6 +408,12 @@ class WormholeSimulator:
                 )
             abort(waiting[victim])
 
+        # The callbacks reach one another through their closure cells, and
+        # through them every table of the run: emptying the cells frees
+        # the run when it returns, not at the next cyclic collection.
+        del (input_arrival, inputs_met, dependency_met, task_ready, ap_granted,
+             exec_end, flight_boot, start_attempt, claim_next, hop_granted,
+             transmit_end, arrive, abort)
         completion_times = tuple(time for time, _ in completions)
         extra = {
             "virtual_channels": self.virtual_channels,

@@ -1,6 +1,9 @@
 """Property-based tests of the discrete-event kernel."""
 
-from hypothesis import given, strategies as st
+import heapq
+import itertools
+
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment, Resource
 
@@ -71,3 +74,82 @@ class TestResourceInvariants:
         env.run()
         # Serialized on capacity 1: finish time is the sum of holds.
         assert env.now == sum(holds)
+
+
+class HeapAgenda:
+    """The reference agenda: every entry on one heap ordered by
+    ``(due, seq)``, as the kernel kept them before its FIFO lane."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = itertools.count()
+
+    def call_later(self, delay, fn, arg):
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq), fn, arg))
+
+    def run(self, until=None):
+        horizon = float("inf") if until is None else until
+        while self._heap and self._heap[0][0] <= horizon:
+            self.now, _, fn, arg = heapq.heappop(self._heap)
+            fn(arg)
+        if until is not None:
+            self.now = horizon
+
+
+#: Zero, delays too small to move a clock past 1e-2 (but not one at 0),
+#: round values that tie, and anything else.
+DELAYS = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 1e-300, 1e-17]),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.floats(min_value=0.0, max_value=8.0),
+)
+#: An entry: its delay, and the entries it schedules when it runs.
+ENTRIES = st.recursive(
+    st.tuples(DELAYS, st.just(())),
+    lambda inner: st.tuples(DELAYS, st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=40,
+)
+#: Segments of a program: entries scheduled from outside, then
+#: ``run(until=now + horizon)``; a last ``run()`` drains the agenda.
+PROGRAMS = st.lists(
+    st.tuples(
+        st.lists(ENTRIES, max_size=4),
+        st.one_of(st.just(0.0), st.just(1e-17), st.floats(0.0, 6.0)),
+    ),
+    min_size=1, max_size=4,
+).map(lambda segments: [*segments[:-1], (segments[-1][0], None)])
+
+
+def play(env, program):
+    """Run ``program`` on ``env``: what ran, when, and the clock after
+    each ``run``."""
+    labels = itertools.count()
+    seen = []
+
+    def entry(spec):
+        delay, children = spec
+        return delay, (next(labels), [entry(child) for child in children])
+
+    def fire(node):
+        label, children = node
+        seen.append((env.now, label))
+        for delay, child in children:
+            env.call_later(delay, fire, child)
+
+    for roots, horizon in program:
+        for delay, node in map(entry, roots):
+            env.call_later(delay, fire, node)
+        env.run(until=None if horizon is None else env.now + horizon)
+        seen.append(("clock", env.now))
+    return seen
+
+
+class TestAgendaLane:
+    @settings(max_examples=300)
+    @given(PROGRAMS)
+    def test_the_lane_keeps_the_order_of_one_heap(self, program):
+        """Entries due now take the FIFO lane, later ones the heap; the
+        kernel still runs them in the order of one ``(due, seq)`` heap."""
+        assert play(Environment(), program) == play(HeapAgenda(), program)

@@ -427,27 +427,46 @@ class TestArgumentValidation:
              "file is not a directory"),
             (["serve", "--port", "0", "--workers", "0",
               "--cache-dir", "file/cache"], "file is not a directory"),
+            (["trace", "--out", "missing/t.json"],
+             "missing is not a directory"),
+            (["trace", "--out", "."], "a directory"),
+            (["check", "SCHEDULE", "--trace", "missing/f.json"],
+             "missing is not a directory"),
+            (["fuzz", "--count", "1", "--out", "file/reproducers"],
+             "file is not a directory"),
+            (["fuzz", "--count", "1", "--out", "file"],
+             "file is not a directory"),
         ],
     )
     def test_unwritable_output_path_is_a_usage_error(
-        self, capsys, tmp_path, monkeypatch, flags, culprit
+        self, capsys, tmp_path, tmp_path_factory, monkeypatch, flags, culprit
     ):
         """Found before any work is done: exit 2, one ``error:`` line
         naming the path, nothing written -- not a traceback after the
-        compile with the exit code (1) of "infeasible"."""
+        compile with the exit code (1) of "infeasible", nor after the
+        trace or the analysis, nor a fuzz run that had nowhere to put a
+        reproducer."""
+        if "SCHEDULE" in flags:
+            schedule = tmp_path_factory.mktemp("schedule") / "s.json"
+            assert main([
+                "compile", "--bandwidth", "128", "--models", "3",
+                "--export", str(schedule),
+            ]) == 0
+            capsys.readouterr()
+            flags = [str(schedule) if f == "SCHEDULE" else f for f in flags]
         monkeypatch.chdir(tmp_path)
         Path("file").write_text("")
         if flags[0] == "compile":
             flags = [*flags, "--bandwidth", "128", "--models", "3"]
         option = next(flag for flag in flags if flag in (
-            "--export", "--cache-dir"))
+            "--export", "--cache-dir", "--out", "--trace"))
         path = flags[flags.index(option) + 1]
         with pytest.raises(SystemExit) as stop:
             main(flags)
         assert stop.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        verb = "write" if option == "--export" else "use"
+        verb = "use" if option == "--cache-dir" or flags[0] == "fuzz" else "write"
         assert captured.err.splitlines()[-1] == (
             f"repro-sr {flags[0]}: error: cannot {verb} {option} {path}: "
             f"{culprit}"

@@ -1,5 +1,8 @@
 """Unit tests for the scheduled-routing executor (DES replay)."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from repro.check.fuzz import FuzzPoint
@@ -10,17 +13,18 @@ from repro.errors import (
     FaultedDeadlineError,
     FaultInjectionError,
     LinkFailedError,
+    ReproError,
     ScheduleValidationError,
     SchedulingError,
 )
 from repro.experiments import standard_setup
 from repro.faults.models import ClockDrift, FaultTrace, LinkFault
-from repro.sim import Monitor
+from repro.sim import Monitor, Resource
 from repro.tfg import TFGTiming, dvb_tfg
 from repro.tfg.synth import chain_tfg
 from repro.topology import make_topology
 from repro.trace import TraceRecorder
-from tests.conftest import with_slots
+from tests.conftest import pins, with_slots
 
 
 @pytest.fixture()
@@ -142,9 +146,86 @@ def _full_replay(executor, invocations):
     )
 
 
+def _outcome(run):
+    """What a run shows: its error's type and text, or its completion
+    times as ``float.hex`` and its ``link_busy``."""
+    try:
+        result = run()
+    except ReproError as error:
+        return type(error), str(error)
+    return [t.hex() for t in result.completion_times], result.extra["link_busy"]
+
+
+def _assert_short_equals_full(executor, invocations):
+    """The default run shows what a full replay of max(n, K + 1)
+    invocations shows: the same error, or the same first n completions
+    and (against a full replay of the n asked) ``link_busy`` within
+    1e-9."""
+    short = _outcome(lambda: executor.run(invocations=invocations, warmup=2))
+    full = _outcome(lambda: _full_replay(
+        executor, max(invocations, executor.overlap + 1)
+    ))
+    if isinstance(full[0], type):
+        assert short == full
+        return
+    completions, busy = short
+    assert completions == full[0][:invocations]
+    _, expected = _outcome(lambda: _full_replay(executor, invocations))
+    assert busy.keys() == expected.keys()
+    for link, value in expected.items():
+        assert busy[link] == pytest.approx(value, abs=1e-9)
+
+
+class ClaimCounter(Resource):
+    """A link that counts the claims made on every link."""
+
+    claims = 0
+
+    def claim(self, owner=None, on_grant=None):
+        ClaimCounter.claims += 1
+        return super().claim(owner, on_grant)
+
+
+@pytest.fixture(scope="module")
+def sim_points():
+    """The ``pipeline_sim`` schedules as the benchmark builds them: per
+    point, ``(routing, timing, topology, allocation)``."""
+    inputs, points = pins().inputs, []
+    instances = inputs.Instances()
+    for name, load in inputs.SIM_POINTS:
+        timing, topology, allocation, tau_in = instances.dvb(
+            5, name, 128.0, load
+        )
+        routing = compile_schedule(
+            timing, topology, allocation, tau_in, inputs.compiler_config()
+        )
+        points.append((routing, timing, topology, allocation))
+    return points
+
+
+@pytest.fixture(scope="module")
+def kill_executors():
+    """An executor per mutant of the ``check.kill_matrix`` corpus (seeds
+    0-3) that it accepts at construction."""
+    executors = []
+    for _, mutated, routing, problem in pins().kill_corpus():
+        stand_in = SimpleNamespace(node_schedules=mutated.node_schedules)
+        try:
+            executors.append(ScheduledRoutingExecutor(
+                dataclasses.replace(routing, schedule=stand_in), *problem
+            ))
+        except ReproError:
+            continue
+    return executors
+
+
 class TestReplayedPeriods:
-    """A fault-free, untraced run replays invocations 0..K and writes the
-    rest down; faulted and traced runs replay every invocation."""
+    """A fault-free, untraced run replays the task finishes of
+    invocations 0..K but claims links only for the windows that meet
+    period K, [K tau_in, (K + 1) tau_in), where every collision has a
+    translate; it writes the rest down.  A rejection is replayed with
+    every window of 0..K, so its text is a full replay's.  Faulted and
+    traced runs replay every window of every invocation."""
 
     def test_overlap_is_the_frames_invocation_zero_spans(self, chain_routing):
         # t3 finishes at 70 with tau_in = 40: K = ceil(70 / 40) = 2.
@@ -164,6 +245,85 @@ class TestReplayedPeriods:
             assert short.extra["link_busy"][link] == pytest.approx(
                 busy, abs=1e-9
             )
+
+    @pytest.mark.parametrize("invocations", [6, 12, 24])
+    def test_short_replay_equals_the_full_one_on_the_kill_corpus(
+        self, kill_executors, invocations
+    ):
+        """Same verdict, error type and text, completions and busy time
+        as a full replay."""
+        assert len(kill_executors) >= 100
+        for executor in kill_executors:
+            _assert_short_equals_full(executor, invocations)
+
+    @pytest.mark.parametrize("invocations", [24, 48])
+    def test_short_replay_equals_the_full_one_on_the_benchmark(
+        self, sim_points, invocations
+    ):
+        for point in sim_points:
+            _assert_short_equals_full(
+                ScheduledRoutingExecutor(*point), invocations
+            )
+
+    def test_a_collision_with_a_window_begun_before_period_k_is_found(
+        self, cube3
+    ):
+        """m2's head circuit starts 5e-10 before each period (its frame
+        time is inside the frame's EPS) and meets m1's first circuit,
+        re-routed over link (3, 7).  The translate in period K pairs m1
+        starting at K tau_in with m2 starting just before it: a replay
+        that filed only the windows starting inside the period would
+        miss the collision."""
+        topology = cube3
+        timing = TFGTiming(
+            chain_tfg(4, 400, 1280), 128.0, speeds=40.0, message_window=20.0
+        )
+        allocation = {"t0": 0, "t1": 1, "t2": 3, "t3": 7}
+        routing = compile_schedule(timing, topology, allocation, tau_in=40.0)
+        routing = with_slots(routing, "m1", (
+            TransmissionSlot("m1", 0.0, 5.0, (1, 5, 7, 3)),
+            TransmissionSlot("m1", 10.0, 5.0, (1, 3)),
+        ))
+        routing = with_slots(routing, "m2", (
+            TransmissionSlot("m2", -5e-10, 5.0, (3, 7)),
+            TransmissionSlot("m2", 30.0, 5.0, (3, 7)),
+        ))
+        executor = ScheduledRoutingExecutor(
+            routing, timing, topology, allocation
+        )
+        k, tau_in = executor.overlap, executor.tau_in
+        assert k == 3
+        assert executor.absolute_slots("m1", k - 1)[0][0] == k * tau_in
+        begun, ends = executor.absolute_slots("m2", k - 2)[0]
+        assert begun < k * tau_in < ends
+        with pytest.raises(ScheduleValidationError) as info:
+            executor.run(invocations=12, warmup=2)
+        assert str(info.value) == (
+            "contention on (3, 7) while transmitting 'm1' at t=85.000000"
+        )
+        assert _outcome(lambda: _full_replay(executor, 12)) == (
+            ScheduleValidationError, str(info.value)
+        )
+
+    def test_claims_of_a_short_run(self, sim_points, monkeypatch):
+        """A window meets period K at most twice (it is no longer than
+        the frame), so a short run claims at most twice the links one
+        frame's circuits hold, where a full replay of 24 claims K + 1
+        (at least 4) times as many."""
+        monkeypatch.setattr("repro.core.executor.Resource", ClaimCounter)
+        for point in sim_points:
+            executor = ScheduledRoutingExecutor(*point)
+            frame = sum(
+                len(circuit.path) - 1
+                for circuits in executor.circuits.values()
+                for circuit in circuits
+            )
+            ClaimCounter.claims = 0
+            executor.run(invocations=24, warmup=6)
+            assert ClaimCounter.claims <= 2 * frame
+            ClaimCounter.claims = 0
+            _full_replay(executor, 24)
+            assert ClaimCounter.claims == 24 * frame
 
     def test_outage_past_the_replayed_periods_is_detected(self, chain_routing):
         """An outage from invocation K + 3 on is met by m0's claim of
