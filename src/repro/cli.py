@@ -23,7 +23,7 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 # Only what building the parser needs is imported here, none of it numpy
 # or ``repro.core``: each ``_cmd_*`` imports what it runs, so ``--help``
@@ -44,6 +44,45 @@ def _nonnegative_int(value: str) -> int:
     if parsed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {parsed}")
     return parsed
+
+
+# Output paths are checked as they are parsed, so a path the command could
+# not write to once its work is done exits 2 before any of it.  The message
+# names the option itself, so it is raised as an ``ArgumentError`` with no
+# argument (argparse would prefix an ``ArgumentTypeError`` with one).
+
+
+def _file_to_write(option: str) -> Callable[[str], str]:
+    """The ``type`` of ``option``, a file the command writes: not a
+    directory, in a directory that exists."""
+    def check(name: str) -> str:
+        target = Path(name)
+        if target.is_dir():
+            raise argparse.ArgumentError(
+                None, f"cannot write {option} {name}: a directory"
+            )
+        if not target.parent.is_dir():
+            raise argparse.ArgumentError(
+                None,
+                f"cannot write {option} {name}: "
+                f"{target.parent} is not a directory",
+            )
+        return name
+    return check
+
+
+def _directory_to_make(option: str) -> Callable[[str], str]:
+    """The ``type`` of ``option``, a directory the command makes as needed:
+    the part of it that exists is a directory."""
+    def check(name: str) -> str:
+        path = Path(name).expanduser()
+        found = next((p for p in (path, *path.parents) if p.exists()), path)
+        if not found.is_dir():
+            raise argparse.ArgumentError(
+                None, f"cannot use {option} {name}: {found} is not a directory"
+            )
+        return name
+    return check
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -114,43 +153,6 @@ def _schedule_file(args, read):
             f"cannot read schedule {args.schedule}: "
             f"{type(error).__name__}: {error}"
         )
-
-
-def _output_paths(args) -> None:
-    """Exit 2 before any work when an option names a path the command
-    could not write to once the work is done: a file (``--export``,
-    ``trace --out``, ``check --trace``) or a directory it makes as needed
-    (``--cache-dir``, ``fuzz --out``)."""
-    files = {"--export": getattr(args, "export", None)}
-    directories = {"--cache-dir": getattr(args, "cache_dir", None)}
-    if args.command == "trace":
-        files["--out"] = args.out
-    elif args.command == "check":
-        files["--trace"] = args.trace
-    elif args.command == "fuzz":
-        directories["--out"] = args.out
-    for option, name in files.items():
-        if name is None:
-            continue
-        target = Path(name)
-        if target.is_dir():
-            args.usage_error(f"cannot write {option} {name}: a directory")
-        if not target.parent.is_dir():
-            args.usage_error(
-                f"cannot write {option} {name}: "
-                f"{target.parent} is not a directory"
-            )
-    for option, name in directories.items():
-        if name is None:
-            continue
-        # The command makes the missing part; the part that exists must
-        # be a directory.
-        path = Path(name).expanduser()
-        found = next((p for p in (path, *path.parents) if p.exists()), path)
-        if not found.is_dir():
-            args.usage_error(
-                f"cannot use {option} {name}: {found} is not a directory"
-            )
 
 
 def _cmd_utilization(args) -> int:
@@ -638,6 +640,7 @@ def _compile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--load", type=float, default=0.5)
     parser.add_argument(
         "--export", metavar="FILE", default=None,
+        type=_file_to_write("--export"),
         help="write the compiled schedule (Omega) to a JSON file",
     )
     parser.add_argument(
@@ -646,6 +649,7 @@ def _compile_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
+        type=_directory_to_make("--cache-dir"),
         help="content-addressed schedule cache directory (reused across runs)",
     )
     _add_lp_backend(parser, "LP solver backend for both LP stages")
@@ -674,6 +678,7 @@ def _matrix_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
+        type=_directory_to_make("--cache-dir"),
         help="shared schedule cache directory (warm reruns skip the LPs)",
     )
     _add_lp_backend(parser, "LP solver backend for both LP stages")
@@ -703,6 +708,7 @@ def _diagnose_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
+        type=_directory_to_make("--cache-dir"),
         help="cache directory for diagnosis results",
     )
     _add_lp_backend(parser, "LP solver backend used by --deep")
@@ -723,6 +729,7 @@ def _check_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace", metavar="FILE", default=None,
+        type=_file_to_write("--trace"),
         help="write the findings as Chrome trace events",
     )
 
@@ -737,6 +744,7 @@ def _fuzz_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--out", metavar="DIR", default=None,
+        type=_directory_to_make("--out"),
         help="directory for reproducer files (written on disagreement)",
     )
     parser.add_argument(
@@ -771,6 +779,7 @@ def _trace_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--warmup", type=int, default=4)
     parser.add_argument(
         "--out", metavar="FILE", default="trace.json",
+        type=_file_to_write("--out"),
         help="Chrome/Perfetto trace output path",
     )
     parser.add_argument(
@@ -792,6 +801,7 @@ def _serve_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
+        type=_directory_to_make("--cache-dir"),
         help="shared schedule cache directory (default: ephemeral)",
     )
     parser.add_argument(
@@ -925,7 +935,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser(
         argv[:1] if argv and argv[0] in COMMANDS else COMMANDS
     ).parse_args(argv)
-    _output_paths(args)
     return args.func(args)
 
 

@@ -13,7 +13,7 @@ class TestResource:
         claim = resource.claim()
         assert claim.grant_time == 0.0
         assert resource.count == 1
-        assert not env._agenda  # no callback, no agenda entry
+        assert env._next_id == 0  # no callback, no entry of any kind
 
     def test_fcfs_ordering(self):
         env = Environment()

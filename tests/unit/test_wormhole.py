@@ -1,5 +1,6 @@
 """Unit tests for the wormhole-routing simulator and run results."""
 
+import gc
 import re
 from pathlib import Path
 
@@ -235,6 +236,38 @@ class TestFlatLoop:
                 for m in tfg.messages
             )
         assert steps < parent_steps
+
+
+@pytest.mark.parametrize("name,load", [
+    ("hypercube6", 0.3), ("torus8x8", 0.7714285714),
+])
+def test_a_finished_run_is_freed_without_the_cyclic_collector(name, load):
+    """``run``'s callbacks reach one another, and every table of the run,
+    through their closure cells; ``run`` empties the cells before it
+    returns.  A nested function left out of that ``del`` leaves a cycle,
+    and the run's tables wait for the cyclic collector (``peak_rss_mb``
+    rises).  The torus point recovers from deadlocks, so ``abort`` runs."""
+    setup = standard_setup(dvb_tfg(5), make_topology(name), 128.0)
+    simulator = WormholeSimulator(
+        setup.timing, setup.topology, setup.allocation
+    )
+    tau_in = setup.tau_in_for_load(load)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        simulator.run(tau_in, invocations=8, warmup=2)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(0)
+        gc.enable()
+    cyclic = sorted({
+        item.__qualname__ for item in garbage
+        if callable(item) and hasattr(item, "__qualname__")
+    })
+    assert not garbage, f"{len(garbage)} objects in cycles: {cyclic}"
 
 
 def test_no_generator_process_in_the_wormhole_package():
