@@ -19,8 +19,8 @@ Quickstart
 >>> routing.utilization.feasible
 True
 
-See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
-figure-by-figure reproduction harness.
+See ``examples/`` for runnable scenarios; the paper's figures are the
+``paper.*`` rows of ``tools/pins.py``.
 """
 
 from repro._lazy import lazy_exports

@@ -165,7 +165,8 @@ class CommunicationSchedule:
         """Machine-check the schedule's invariants, in one pass over the slots.
 
         0. the frame: ``tau_in`` is a positive finite time, every slot
-           has a finite start and a finite duration longer than ``EPS``,
+           has a finite start and a finite duration longer than ``EPS`` and
+           lies in ``[0, tau_in]`` (the analyzer's ``slot-outside-frame``),
            and every path is a route of two or more distinct nodes;
         1. every message's slots lie inside its timing windows and sum to
            exactly its transmission duration (deadlines are guaranteed),
@@ -220,6 +221,11 @@ def _check_slots(
                     f"message {name!r}: slot of start {start!r} "
                     f"and duration {duration!r} is not a finite "
                     f"span longer than {EPS:g}"
+                )
+            if start < -EPS or start + duration > tau_in + EPS:
+                raise ScheduleValidationError(
+                    f"message {name!r}: slot [{start:.6f}, {start + duration:.6f}]"
+                    f" outside the frame [0, {tau_in:.6f}]"
                 )
         if bounds is not None:
             bound = bounds.bounds.get(name)

@@ -1,7 +1,7 @@
 """Experiment drivers regenerating the paper's figures.
 
-Each figure is a function returning structured rows; the benchmark
-harness calls these and prints them (see ``benchmarks/``), and the
+Each figure is a function returning structured rows; the ``paper.*``
+rows of ``tools/pins.py`` pin them, the CLI prints them, and the
 examples reuse them for smaller demonstrations.  The experiment index
 lives in DESIGN.md; paper-vs-measured outcomes are recorded in
 EXPERIMENTS.md.

@@ -92,7 +92,6 @@ class PipelinePoint:
     wr_deadlock: bool
     sr_feasible: bool
     sr_fail_stage: str | None
-    sr_peak_utilization: float | None
     sr_throughput: float | None
     sr_latency: float | None
     wr_recoveries: int = 0
@@ -111,7 +110,6 @@ def pipeline_comparison(
     invocations: int = 40,
     warmup: int = 8,
     compiler_config: CompilerConfig | None = None,
-    virtual_channels: int = 1,
     verify_sr: bool = True,
     wr_max_recoveries: int | None = None,
 ) -> list[PipelinePoint]:
@@ -131,10 +129,7 @@ def pipeline_comparison(
         wr_deadlock = False
         wr_recoveries = 0
         simulator = WormholeSimulator(
-            setup.timing,
-            setup.topology,
-            setup.allocation,
-            virtual_channels=virtual_channels,
+            setup.timing, setup.topology, setup.allocation
         )
         try:
             result = simulator.run(
@@ -150,14 +145,12 @@ def pipeline_comparison(
 
         sr_feasible = False
         sr_stage = None
-        sr_peak = None
         sr_thr = sr_lat = None
         try:
             routing = compile_schedule(
                 setup.timing, setup.topology, setup.allocation, tau_in, config
             )
             sr_feasible = True
-            sr_peak = routing.utilization.peak
             if verify_sr:
                 executor = ScheduledRoutingExecutor(
                     routing, setup.timing, setup.topology, setup.allocation
@@ -184,7 +177,6 @@ def pipeline_comparison(
                 wr_deadlock=wr_deadlock,
                 sr_feasible=sr_feasible,
                 sr_fail_stage=sr_stage,
-                sr_peak_utilization=sr_peak,
                 sr_throughput=sr_thr,
                 sr_latency=sr_lat,
                 wr_recoveries=wr_recoveries,

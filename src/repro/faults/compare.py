@@ -11,8 +11,8 @@ outage window — and is then jitter-free again.
 seeded fault trace and reports the full trade: detection instant, repair
 strategy and wall-clock latency, deliveries lost in the outage window,
 post-repair jitter (SR) vs degraded-mode jitter (WR).  The ``faults``
-CLI subcommand and ``benchmarks/bench_fault_recovery.py`` both run this
-one function, so figures and smoke runs can never drift apart.
+CLI subcommand and the ``paper.fault_recovery`` pin row of
+``tools/pins.py`` both run this one function, so they cannot drift apart.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Plain-text reporting of experiment series.
 
-The benchmark harness regenerates each of the paper's figures as a printed
-table: one row per load point, one column per plotted series.  This
-package owns the formatting so that benches stay thin.
+``repro-sr utilization`` and ``repro-sr pipeline`` print each of the
+paper's figures as a table: one row per load point, one column per
+plotted series.  This package owns the formatting.
 """
 
 from repro._lazy import lazy_exports

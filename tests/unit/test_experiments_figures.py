@@ -62,7 +62,7 @@ class TestPipelinePointStatus:
             wr_latency=SpikeStats(1.0, 1.0, 1.0),
             wr_oi=False, wr_deadlock=False,
             sr_feasible=feasible, sr_fail_stage=stage,
-            sr_peak_utilization=None, sr_throughput=None, sr_latency=None,
+            sr_throughput=None, sr_latency=None,
         )
 
     def test_status_strings(self):

@@ -223,12 +223,13 @@ class TestExecutorCoverage:
 slot = TransmissionSlot
 
 
-def windowed(**windows):
-    """Bounds of 4-unit messages with these windows on a 100-unit frame."""
+def windowed(tau_in=100.0, duration=4.0, **windows):
+    """Bounds of ``duration``-unit messages with these windows on a
+    ``tau_in``-unit frame."""
     from repro.core.timebounds import MessageTimeBounds
 
-    return TimeBoundSet(100.0, {
-        name: MessageTimeBounds(name, w[0][0], w[-1][1], 4.0, w)
+    return TimeBoundSet(tau_in, {
+        name: MessageTimeBounds(name, w[0][0], w[-1][1], duration, w)
         for name, w in windows.items()
     })
 
@@ -254,6 +255,27 @@ MESSAGES = {
     "empty": (100.0, {"a": (slot("a", 1.0, 0.0, (0, 1)),)}, None,
               "message 'a': slot of start 1.0 and duration 0.0 is not a "
               "finite span longer than 1e-09"),
+    "before-the-frame": (10.0, {"a": (slot("a", -5.0, 1.0, (0, 1)),)}, None,
+                         "message 'a': slot [-5.000000, -4.000000] outside "
+                         "the frame [0, 10.000000]"),
+    # [9, 11] wraps onto [0, 1] of the next period, where 'a' holds the
+    # link: the analyzer's link-overlap, whether or not windows are stored.
+    "past-the-frame": (
+        10.0,
+        {"b": (slot("b", 9.0, 2.0, (0, 1)),),
+         "a": (slot("a", 0.5, 1.0, (0, 1)),)},
+        None,
+        "message 'b': slot [9.000000, 11.000000] outside the frame "
+        "[0, 10.000000]",
+    ),
+    "past-the-frame-in-its-window": (
+        10.0,
+        {"b": (slot("b", 9.0, 2.0, (0, 1)),),
+         "a": (slot("a", 0.5, 1.0, (0, 1)),)},
+        windowed(10.0, 2.0, b=((9.0, 11.0),), a=((0.0, 2.0),)),
+        "message 'b': slot [9.000000, 11.000000] outside the frame "
+        "[0, 10.000000]",
+    ),
     "path-before-next-message": (
         100.0,
         {"b": (slot("b", 0.0, 4.0, (0, 0)),),

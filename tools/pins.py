@@ -20,6 +20,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -43,17 +44,27 @@ from repro.core.executor import ScheduledRoutingExecutor  # noqa: E402
 from repro.core.interval_allocation import IntervalAllocation  # noqa: E402
 from repro.core.interval_scheduling import schedule_intervals  # noqa: E402
 from repro.core.io import schedule_to_dict  # noqa: E402
+from repro.core.pipeline import OK, STAGE_VERDICT_CODES, verdict_code  # noqa: E402
 from repro.core.utilization import UtilizationState  # noqa: E402
 from repro.diagnose.instance import diagnose_instance  # noqa: E402
-from repro.errors import ReproError, SchedulingError  # noqa: E402
+from repro.errors import RepairInfeasibleError, ReproError, SchedulingError  # noqa: E402
+from repro.experiments import (pipeline_comparison, run_feasibility_matrix,  # noqa: E402
+                               standard_setup, utilization_comparison)
 from repro.faults.models import (FaultTrace, LinkFault, NodeFault,  # noqa: E402
                                  generate_fault_trace)
+from repro.faults.compare import fault_recovery_experiment  # noqa: E402
 from repro.faults.repair import repair_schedule  # noqa: E402
+from repro.mapping import (annealed_allocation, bfs_allocation,  # noqa: E402
+                           communication_cost, placement_congestion, sequential_allocation)
+from repro.metrics import load_sweep  # noqa: E402
 from repro.serve.jobs import JobRequest  # noqa: E402
 from repro.serve.worker import execute_request  # noqa: E402
 from repro.solvers import LP_TOL  # noqa: E402
 from repro.solvers.scipy_backend import ScipyLinprogBackend  # noqa: E402
-from repro.topology import binary_hypercube  # noqa: E402
+from repro.tfg import TFGTiming, dvb_tfg, random_layered_tfg  # noqa: E402
+from repro.tfg.graph import build_tfg  # noqa: E402
+from repro.tfg.transforms import merge_linear_chains  # noqa: E402
+from repro.topology import binary_hypercube, make_topology  # noqa: E402
 from repro.topology.routing import links_on_path, lsd_to_msd_route  # noqa: E402
 from repro.trace.tracer import TRACE_CATEGORIES, TraceRecorder  # noqa: E402
 from repro.wormhole import (AdaptiveWormholeSimulator,  # noqa: E402
@@ -505,6 +516,286 @@ def facade_exports() -> dict:
             for package, names in exports.items()}
 
 
+# -- paper.*: the paper's evaluation, one row per DESIGN.md section 4 experiment ----
+#
+# Verdicts are the feasibility matrix's codes (``OK``, or ``U>1``/``ALO``/
+# ``SCH`` for the stage that refused).  Floats are rounded to 6 places, and
+# none of them comes from an LP solution: U curves, WR runs and SR
+# throughput, never SR latency or a wall time.
+
+#: The figure protocol: DVB(5), twelve loads over [0.2, 1.0], WR runs of 48
+#: invocations after 12 of warm-up, and the compiler settings of every row.
+PAPER_LOADS = load_sweep(12)
+PAPER_RUN = dict(invocations=48, warmup=12)
+PAPER_CONFIG = CompilerConfig(seed=0, max_paths=48, max_restarts=4, retries=2)
+
+
+def _r(value: float) -> float:
+    return round(value, 6)
+
+
+def _load(load: float) -> str:
+    return f"{load:.4f}"
+
+
+def _spike(stats) -> list:
+    return [_r(stats.minimum), _r(stats.mean), _r(stats.maximum)]
+
+
+def _wr(result) -> dict:
+    """The OI flag, recoveries and normalized spikes of one WR run."""
+    return {"oi": result.has_oi(), "recoveries": result.extra["recoveries"],
+            "throughput": _spike(result.throughput_stats()),
+            "latency": _spike(result.latency_stats())}
+
+
+def _dvb_setup(machine: str, bandwidth: float, tfg=None):
+    return standard_setup(tfg or dvb_tfg(5), make_topology(machine), bandwidth)
+
+
+@functools.cache
+def _pipeline(machine: str, bandwidth: float) -> dict:
+    """``pipeline_comparison`` over the sweep: per load the SR verdict, the
+    WR summary (``"deadlock"`` when the run could not finish) and the SR
+    replay's mean throughput."""
+    points = pipeline_comparison(_dvb_setup(machine, bandwidth), PAPER_LOADS,
+                                 **PAPER_RUN, compiler_config=PAPER_CONFIG)
+    return {_load(p.load): {
+        "verdict": OK if p.sr_feasible else STAGE_VERDICT_CODES[p.sr_fail_stage],
+        "wr": "deadlock" if p.wr_deadlock else {
+            "oi": p.wr_oi, "recoveries": p.wr_recoveries,
+            "throughput": _spike(p.wr_throughput), "latency": _spike(p.wr_latency)},
+        "sr_throughput": None if p.sr_throughput is None else _r(p.sr_throughput),
+    } for p in points}
+
+
+def _verdicts(machine: str, bandwidth: float, config=PAPER_CONFIG, tfg=None,
+              allocation=None) -> dict:
+    """``run_feasibility_matrix``'s verdict per load of the sweep."""
+    (row,) = run_feasibility_matrix(tfg or dvb_tfg(5), [make_topology(machine)], [bandwidth],
+                                    PAPER_LOADS, config, allocation=allocation).rows
+    return dict(zip(map(_load, PAPER_LOADS), row.verdicts))
+
+
+def _sweep_verdicts(machine: str, bandwidth: float) -> dict:
+    return {load: point["verdict"] for load, point in _pipeline(machine, bandwidth).items()}
+
+
+@functools.cache
+def _wr_sweep(variant: str) -> dict:
+    """A :data:`VARIANTS` simulator over the sweep, DVB(5)/6-cube/B=128."""
+    setup = _dvb_setup("hypercube6", 128.0)
+    simulator = VARIANTS[variant](setup.timing, setup.topology, setup.allocation)
+    return {_load(load): _wr(simulator.run(setup.tau_in_for_load(load), **PAPER_RUN))
+            for load in PAPER_LOADS}
+
+
+def _utilization(machine: str, verdicts: dict) -> dict:
+    """Figs. 5/6 at B=64: both U curves, and the compiler's verdict."""
+    points = utilization_comparison(_dvb_setup(machine, 64.0), PAPER_LOADS)
+    return {_load(p.load): {"u_lsd": _r(p.u_lsd), "u_assign_paths": _r(p.u_heuristic),
+                            "verdict": verdicts[_load(p.load)]} for p in points}
+
+
+def paper_fig5() -> dict:
+    """Fig. 5: U on the 6-cube and GHC(4,4,4) (their verdicts are Figs. 7a/8a's)."""
+    return {machine: _utilization(machine, _sweep_verdicts(machine, 64.0))
+            for machine in ("hypercube6", "ghc444")}
+
+
+def paper_fig6() -> dict:
+    """Fig. 6: U on the 8x8 and 4x4x4 tori."""
+    return {machine: _utilization(machine, _verdicts(machine, 64.0))
+            for machine in ("torus8x8", "torus4x4x4")}
+
+
+def _pipeline_figure(machine: str, *bandwidths: float) -> dict:
+    return {f"{bandwidth:g}": _pipeline(machine, bandwidth) for bandwidth in bandwidths}
+
+
+def paper_fig7() -> dict:
+    """Fig. 7: WR and SR on the 6-cube at B=64 and B=128."""
+    return _pipeline_figure("hypercube6", 64.0, 128.0)
+
+
+def paper_fig8() -> dict:
+    """Fig. 8: WR and SR on GHC(4,4,4) at B=64 and B=128."""
+    return _pipeline_figure("ghc444", 64.0, 128.0)
+
+
+def paper_fig9() -> dict:
+    """Fig. 9: WR and SR on the 8x8 torus at B=128."""
+    return _pipeline_figure("torus8x8", 128.0)
+
+
+def paper_fig10() -> dict:
+    """Fig. 10: WR and SR on the 4x4x4 torus at B=128."""
+    return _pipeline_figure("torus4x4x4", 128.0)
+
+
+def paper_claim3() -> dict:
+    """Section 3's two-message witness (M1, M2 through the critical path of
+    a 3-task chain on the 3-cube) per input period: the WR run, and SR's
+    verdict and replayed throughput under the default compiler."""
+    tfg = build_tfg("claim3", [("t0", 400), ("t1", 400), ("t2", 400)],
+                    [("M1", "t0", "t1", 1280), ("M2", "t1", "t2", 1280)])
+    timing, topology = TFGTiming(tfg, 128.0, speeds=40.0), binary_hypercube(3)
+    allocation, row = {"t0": 0, "t1": 3, "t2": 1}, {}
+    for tau_in in (11.0, 12.0, 14.0, 16.0, 20.0, 30.0, 60.0):
+        point = {"wr": _wr(WormholeSimulator(timing, topology, allocation)
+                           .run(tau_in, **PAPER_RUN))}
+        try:
+            routing = compile_schedule(timing, topology, allocation, tau_in)
+        except SchedulingError as error:
+            point |= {"verdict": verdict_code(error), "sr_throughput": None}
+        else:
+            sr = ScheduledRoutingExecutor(routing, timing, topology, allocation).run(**PAPER_RUN)
+            point |= {"verdict": OK, "sr_throughput": _spike(sr.throughput_stats())}
+        row[f"{tau_in:g}"] = point
+    return row
+
+
+def _wr_of_fig7b() -> dict:
+    return {load: point["wr"] for load, point in _pipeline("hypercube6", 128.0).items()}
+
+
+def _side_by_side(**series: dict) -> dict:
+    return {load: {name: points[load] for name, points in series.items()}
+            for load in map(_load, PAPER_LOADS)}
+
+
+def paper_abl_vc() -> dict:
+    """Section 6's stricter WR model: one channel against two virtual
+    channels, DVB(5)/6-cube/B=128."""
+    return _side_by_side(plain=_wr_of_fig7b(), vc2=_wr_sweep("vc2"))
+
+
+def paper_abl_ap() -> dict:
+    """SR verdicts with every message on its LSD->MSD route (the default
+    compiler without AssignPaths) against the figures' AssignPaths ones."""
+    lsd = CompilerConfig(use_assign_paths=False)
+    return {f"{machine}/{bandwidth:g}": _side_by_side(
+        lsd=_verdicts(machine, bandwidth, lsd),
+        assign_paths=_sweep_verdicts(machine, bandwidth))
+        for machine, bandwidth in (("hypercube6", 128.0), ("ghc444", 64.0),
+                                   ("torus4x4x4", 128.0))}
+
+
+SYNC_MARGINS = (0.0, 1.0, 2.5, 5.0, 10.0, 20.0)
+
+
+def paper_abl_sync() -> dict:
+    """SR verdicts per CP guard margin (µs), DVB(5)/6-cube/B=128."""
+    return {f"{margin:g}": _sweep_verdicts("hypercube6", 128.0) if margin == 0 else
+            _verdicts("hypercube6", 128.0, dataclasses.replace(PAPER_CONFIG, sync_margin=margin))
+            for margin in SYNC_MARGINS}
+
+
+def paper_abl_alloc() -> dict:
+    """Per placement of DVB(5) on the 6-cube at B=64: its byte-hops, its
+    peak link bytes, and SR's verdicts (sequential is Fig. 7a's).  Each
+    placement is computed once: the annealer alone takes about a second."""
+    topology, dvb, row = make_topology("hypercube6"), dvb_tfg(5), {}
+    annealed = functools.partial(annealed_allocation, seed=0, iterations=3000)
+    for name, allocator in (("sequential", sequential_allocation),
+                            ("bfs-locality", bfs_allocation), ("annealed", annealed)):
+        placed = allocator(dvb, topology)
+        row[name] = {
+            "byte_hops": _r(communication_cost(dvb, topology, placed)),
+            "peak_link_bytes": _r(placement_congestion(dvb, topology, placed)),
+            "verdicts": _sweep_verdicts("hypercube6", 64.0) if name == "sequential"
+            else _verdicts("hypercube6", 64.0, allocation=lambda tfg, topology: placed),
+        }
+    return row
+
+
+def paper_abl_adapt() -> dict:
+    """Section 3's second claim: deterministic against per-hop adaptive
+    minimal WR, DVB(5)/6-cube/B=128."""
+    return _side_by_side(deterministic=_wr_of_fig7b(), adaptive=_wr_sweep("adaptive"))
+
+
+def paper_abl_saf() -> dict:
+    """Three routing generations, DVB(5)/6-cube/B=128: store-and-forward,
+    wormhole, and SR's verdict."""
+    return _side_by_side(store_forward=_wr_sweep("saf"), wormhole=_wr_of_fig7b(),
+                         sr=_sweep_verdicts("hypercube6", 128.0))
+
+
+def paper_abl_grain() -> dict:
+    """DVB(5) and its chain-coarsened form on the 6-cube: size, ASAP
+    latency (µs, no LP in it) and SR's verdicts at B=64 and B=128."""
+    row = {}
+    for name, tfg in (("original", dvb_tfg(5)), ("coarsened", merge_linear_chains(dvb_tfg(5)))):
+        row[name] = {"tasks": tfg.num_tasks, "messages": tfg.num_messages,
+                     "asap_latency": _r(_dvb_setup("hypercube6", 128.0, tfg).timing.asap_latency())}
+        for bandwidth in (64.0, 128.0):
+            row[name][f"{bandwidth:g}"] = (_sweep_verdicts("hypercube6", bandwidth)
+                                           if name == "original" else
+                                           _verdicts("hypercube6", bandwidth, tfg=tfg))
+    return row
+
+
+def paper_gen() -> dict:
+    """Eight seeded random layered TFGs on the 6-cube at B=128 and load 0.8,
+    placed at random: the WR run's OI and peak-to-peak output jitter, SR's
+    verdict and whether its replay shows OI."""
+    topology, row = make_topology("hypercube6"), {}
+    for seed in range(8):
+        tfg = random_layered_tfg(seed=seed, layers=4, width=4, edge_probability=0.5,
+                                 ops_range=(400.0, 1600.0), size_range=(256.0, 3200.0))
+        tau_c = max(t.ops for t in tfg.tasks) / 20.0
+        tau_m = max(m.size_bytes for m in tfg.messages) / 128.0
+        timing = TFGTiming(tfg, 128.0, speeds=20.0, message_window=max(tau_c, tau_m))
+        nodes = random.Random(seed).sample(range(topology.num_nodes), tfg.num_tasks)
+        allocation = dict(zip(tfg.topological_order(), nodes))
+        tau_in = max(timing.tau_c / 0.8, timing.message_window)
+        wr = WormholeSimulator(timing, topology, allocation).run(tau_in, invocations=32, warmup=8)
+        point = {"tasks": tfg.num_tasks, "messages": tfg.num_messages, "wr_oi": wr.has_oi(),
+                 "wr_jitter_p2p": _r(wr.jitter().peak_to_peak)}
+        try:
+            routing = compile_schedule(timing, topology, allocation, tau_in, PAPER_CONFIG)
+        except SchedulingError as error:
+            point |= {"verdict": verdict_code(error), "sr_oi": None}
+        else:
+            sr = ScheduledRoutingExecutor(routing, timing, topology, allocation).run(
+                invocations=32, warmup=8)
+            point |= {"verdict": OK, "sr_oi": sr.has_oi()}
+        row[str(seed)] = point
+    return row
+
+
+def paper_fault_recovery() -> dict:
+    """``fault_recovery_experiment`` with one permanent link fault, seeds
+    0-2, on the 6-cube at load 0.5 and the 8x8 torus at load 0.2 (B=128,
+    32 invocations): what failed, how it was repaired, the deliveries the
+    outage lost, and both sides' OI and jitter afterwards."""
+    row = {}
+    for machine, load in (("hypercube6", 0.5), ("torus8x8", 0.2)):
+        setup, row[machine] = _dvb_setup(machine, 128.0), {}
+        for seed in range(3):
+            try:
+                r = fault_recovery_experiment(setup, load, seed=seed, invocations=32,
+                                              warmup=12, config=PAPER_CONFIG)
+            except RepairInfeasibleError as error:
+                row[machine][str(seed)] = {"error": [type(error).__name__, str(error)]}
+                continue
+            row[machine][str(seed)] = {
+                "failed_links": sorted(map(list, r.failed_links)),
+                "strategy": r.repair.strategy,
+                "affected": list(r.repair.affected_messages),
+                "rerouted": list(r.repair.rerouted_messages),
+                "missed_deliveries": r.outage.num_missed_deliveries,
+                "missed_invocations": r.outage.num_missed_invocations,
+                "sr_oi": r.sr_result.has_oi(),
+                "sr_jitter_p2p": _r(r.sr_result.jitter().peak_to_peak),
+                "wr": None if r.wr_result is None else {
+                    "oi": r.wr_result.has_oi(),
+                    "jitter_p2p": _r(r.wr_result.jitter().peak_to_peak)},
+            }
+    return row
+
+
 # -- the table ------------------------------------------------------------------
 
 PINS_FILE = "tests/data/pins.json"
@@ -522,6 +813,22 @@ PINS = {
     "faults.timelines": (PINS_FILE, fault_timelines),
     "faults.six_cube_repair": (PINS_FILE, six_cube_repair),
     "check.kill_matrix": (PINS_FILE, kill_matrix),
+    "paper.fig5": (PINS_FILE, paper_fig5),
+    "paper.fig6": (PINS_FILE, paper_fig6),
+    "paper.fig7": (PINS_FILE, paper_fig7),
+    "paper.fig8": (PINS_FILE, paper_fig8),
+    "paper.fig9": (PINS_FILE, paper_fig9),
+    "paper.fig10": (PINS_FILE, paper_fig10),
+    "paper.claim3": (PINS_FILE, paper_claim3),
+    "paper.abl_vc": (PINS_FILE, paper_abl_vc),
+    "paper.abl_ap": (PINS_FILE, paper_abl_ap),
+    "paper.abl_sync": (PINS_FILE, paper_abl_sync),
+    "paper.abl_alloc": (PINS_FILE, paper_abl_alloc),
+    "paper.abl_adapt": (PINS_FILE, paper_abl_adapt),
+    "paper.abl_saf": (PINS_FILE, paper_abl_saf),
+    "paper.abl_grain": (PINS_FILE, paper_abl_grain),
+    "paper.gen": (PINS_FILE, paper_gen),
+    "paper.fault_recovery": (PINS_FILE, paper_fault_recovery),
 }
 
 
